@@ -415,9 +415,9 @@ def run_command(ws, command, args, opts: Options = Options()):
 
 _EXIT = ((ParseError, 2),
          (ValidationFailed, 3), (UnresolvedReference, 3), (DuplicateName, 3),
-         (MalformedTable, 3),
+         (MalformedTable, 3), (EndpointMismatch, 3),
          (BudgetExceeded, 4), (CapExceeded, 4),
-         (InternalMismatch, 5), (EndpointMismatch, 5))
+         (InternalMismatch, 5))
 
 
 def main(argv=None):

@@ -505,16 +505,27 @@ def validate(entity) -> ValidationReport:
 
 
 def product_category(c: FinCategory, d: FinCategory) -> FinCategory:
-    """Objects and morphisms are pairs; composition is componentwise."""
+    """Objects and morphisms are pairs; composition is componentwise.
+
+    Only composable pairs are visited, keyed in all-pairs order: (f2, g2)
+    outer, then f1, then g1, each in morphism order.
+    """
     objects = [(a, b) for a in c.objects for b in d.objects]
     morphisms = [((f, g), (c.src[f], d.src[g]), (c.tgt[f], d.tgt[g]))
                  for f in c.morphisms for g in d.morphisms]
     identity = {(a, b): (c.id_of(a), d.id_of(b)) for a in c.objects for b in d.objects}
+    c_into, d_into = ({a: [m for m in k.morphisms if k.tgt[m] == a] for a in k.objects}
+                      for k in (c, d))
+    d_rows = [(g2, [(g1, d.compose(g2, g1)) for g1 in d_into[d.src[g2]]])
+              for g2 in d.morphisms]
     compose = {}
-    for (f2, g2) in ((f, g) for f in c.morphisms for g in d.morphisms):
-        for (f1, g1) in ((f, g) for f in c.morphisms for g in d.morphisms):
-            if c.composable(f2, f1) and d.composable(g2, g1):
-                compose[((f2, g2), (f1, g1))] = (c.compose(f2, f1), d.compose(g2, g1))
+    for f2 in c.morphisms:
+        c_row = [(f1, c.compose(f2, f1)) for f1 in c_into[c.src[f2]]]
+        for g2, d_row in d_rows:
+            m2 = (f2, g2)
+            for f1, h in c_row:
+                for g1, k in d_row:
+                    compose[(m2, (f1, g1))] = (h, k)
     return FinCategory(f"{c.name}x{d.name}", objects, morphisms, identity, compose)
 
 
@@ -569,26 +580,51 @@ def category_of_elements(phi: Presheaf):
 
 
 # ---------------------------------------------------------------------------
-# elementary shape predicates
+# quotients and elementary shape predicates
+
+
+def quotient(tags, pairs):
+    """Classes of the sequence ``tags`` under the equivalence generated by ``pairs``.
+
+    Returns (classes, lookup): lookup maps each tag to the least-index tag of
+    its class; classes lists those representatives in tag order.  Union by size
+    with path halving (Tarjan 1975); ``pairs`` is consumed once, never stored.
+    """
+    index = {tag: i for i, tag in enumerate(tags)}
+    parent = list(range(len(tags)))
+    size = [1] * len(tags)
+    for a, b in pairs:
+        ra, rb = index[a], index[b]
+        # find with path halving, inlined because it is most of the work
+        while parent[ra] != ra:
+            parent[ra] = ra = parent[parent[ra]]
+        while parent[rb] != rb:
+            parent[rb] = rb = parent[parent[rb]]
+        if ra != rb:
+            if size[ra] < size[rb]:
+                ra, rb = rb, ra
+            parent[rb] = ra
+            size[ra] += size[rb]
+    classes = []
+    lookup = {}
+    reps = {}  # root -> first tag of its class in tag order, the least index
+    for i, tag in enumerate(tags):
+        root = i
+        while parent[root] != root:
+            parent[root] = root = parent[parent[root]]
+        rep = reps.setdefault(root, tag)
+        if rep is tag:
+            classes.append(tag)
+        lookup[tag] = rep
+    return tuple(classes), lookup
 
 
 def is_connected(c: FinCategory) -> bool:
     """Nonempty and connected in the zigzag sense (morphisms taken undirected)."""
     if not c.objects:
         return False
-    parent = {a: a for a in c.objects}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for m in c.morphisms:
-        ra, rb = find(c.src[m]), find(c.tgt[m])
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(a) for a in c.objects}) == 1
+    classes, _ = quotient(c.objects, ((c.src[m], c.tgt[m]) for m in c.morphisms))
+    return len(classes) == 1
 
 
 def is_filtered(c: FinCategory) -> bool:

@@ -11,11 +11,11 @@ and the category-of-elements route, and raise InternalMismatch if they ever disa
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, Profunctor,
-                   category_of_elements, compose_functors, same_category)
+                   category_of_elements, compose_functors, quotient,
+                   same_category)
 from .errors import BudgetExceeded, InternalMismatch, MalformedTable
 
 NAT_SEARCH_BUDGET = 10 ** 6
@@ -34,32 +34,6 @@ class ColimitResult:
 
     def find(self, obj, elem):
         return self.injections[obj][elem]
-
-
-class UnionFind:
-    """Plain union-find; representatives are canonicalized after all unions."""
-
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def blocks(self):
-        out = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return list(out.values())
 
 
 def finset_limit(diagram: Presheaf) -> LimitResult:
@@ -104,21 +78,12 @@ def finset_limit(diagram: Presheaf) -> LimitResult:
 def finset_colimit(diagram: Presheaf) -> ColimitResult:
     base = diagram.base
     tags = [(a, x) for a in base.objects for x in diagram.sets[a]]
-    uf = UnionFind(tags)
-    for f in base.morphisms:
-        s, t = base.src[f], base.tgt[f]
-        for x in diagram.sets[t]:
-            uf.union((t, x), (s, diagram.act(f, x)))
-    order = {tag: i for i, tag in enumerate(tags)}
-    rep_of_root = {}
-    for block in uf.blocks():
-        rep = min(block, key=lambda tag: order[tag])
-        for tag in block:
-            rep_of_root[tag] = rep
+    pairs = (((base.tgt[f], x), (base.src[f], diagram.act(f, x)))
+             for f in base.morphisms for x in diagram.sets[base.tgt[f]])
+    classes, lookup = quotient(tags, pairs)
     injections = {a: {} for a in base.objects}
     for a, x in tags:
-        injections[a][x] = rep_of_root[(a, x)]
-    classes = tuple(sorted(set(rep_of_root.values()), key=lambda tag: order[tag]))
+        injections[a][x] = lookup[(a, x)]
     return ColimitResult(classes, injections)
 
 
@@ -176,19 +141,10 @@ def coend(h: Profunctor) -> CoendResult:
         raise MalformedTable("coend requires a bifunctor over a single category")
     c = h.source
     tags = [(a, x) for a in c.objects for x in h.cell(a, a)]
-    uf = UnionFind(tags)
-    for u in c.morphisms:
-        s, t = c.src[u], c.tgt[u]
-        for y in h.cell(t, s):
-            uf.union((s, h.left_act(u, s, y)), (t, h.right_act(t, u, y)))
-    order = {tag: i for i, tag in enumerate(tags)}
-    lookup = {}
-    for block in uf.blocks():
-        rep = min(block, key=lambda tag: order[tag])
-        for tag in block:
-            lookup[tag] = rep
-    classes = tuple(sorted(set(lookup.values()), key=lambda tag: order[tag]))
-    return CoendResult(classes, lookup)
+    pairs = (((c.src[u], h.left_act(u, c.src[u], y)),
+              (c.tgt[u], h.right_act(c.tgt[u], u, y)))
+             for u in c.morphisms for y in h.cell(c.tgt[u], c.src[u]))
+    return CoendResult(*quotient(tags, pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 A module f: A -|-> B is a Profunctor with source A and target B; its cells are
 indexed (b, a).  Composition g . f (for g: B -|-> C) is the pointwise coend
-over B of g(c,b) x f(b,a).  Right lifts and right extensions are computed by
-their end formulas: a cell of {|f,h|} at (a,c) is a natural family of functions
-f(-,a) -> h(-,c), stored in frozen form with a decode table kept alongside.
+over B of g(c,b) x f(b,a), taken directly: one quotient per cell (c, a) of the
+raw pairs (b, (y, x)), generated by the morphisms of B.  Right lifts and right
+extensions are computed by their end formulas: a cell of {|f,h|} at (a,c) is a
+natural family of functions f(-,a) -> h(-,c), stored in frozen form with a
+decode table kept alongside.
 
 2-cells are wrapped NatTrans values over the product base target x source^op,
 so naturality in both slots is one validation pass.
@@ -14,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, Profunctor,
-                   covariant, product_category, same_category, unit_category)
+                   covariant, product_category, quotient, same_category,
+                   unit_category)
 from .errors import EndpointMismatch, InternalMismatch
-from .limits import coend, nat_trans_set
+from .limits import CoendResult, nat_trans_set
 
 
 def as_presheaf(f: Profunctor, base: FinCategory = None) -> Presheaf:
@@ -90,9 +93,6 @@ class TwoCell:
         return f"TwoCell({self.name!r}: {self.source.name} => {self.target.name})"
 
 
-ProfMorphism = TwoCell
-
-
 def identity_two_cell(f: Profunctor) -> TwoCell:
     comps = {(b, a): {x: x for x in f.cell(b, a)}
              for b in f.target.objects for a in f.source.objects}
@@ -127,7 +127,8 @@ def id_module(cat: FinCategory) -> Profunctor:
 
 
 class CompositeProfunctor(Profunctor):
-    """g . f with the coend bookkeeping kept for normalization of raw pairs."""
+    """g . f with each cell's CoendResult kept for normalization of raw pairs;
+    a class is represented by its first raw pair (b, (y, x)) in tag order."""
 
     def __init__(self, g, f, name, source, target, sets, left, right, coends):
         super().__init__(name, source, target, sets, left, right)
@@ -140,8 +141,22 @@ class CompositeProfunctor(Profunctor):
         return self.coends[(tgt_obj, src_obj)].find(mid_obj, (outer_elem, inner_elem))
 
 
+def _coend_pairs(g: Profunctor, f: Profunctor, c, a):
+    """The generating pairs of the coend at (c, a): each u: s -> t of the middle
+    category identifies (y, u.x) over s with (y.u, x) over t."""
+    mid = g.source
+    for u in mid.morphisms:
+        s, t = mid.src[u], mid.tgt[u]
+        f_u, g_u = f.left[(u, a)], g.right[(c, u)]
+        for y in g.cell(c, s):
+            for x in f.cell(t, a):
+                yield (s, (y, f_u[x])), (t, (g_u[y], x))
+
+
 def compose_modules(g: Profunctor, f: Profunctor) -> CompositeProfunctor:
-    """g . f: cells are coends over the shared middle category."""
+    """g . f: each cell (c, a) is one quotient of its raw pairs (b, (y, x)),
+    with no intermediate pair module; the actions send representatives to the
+    classes of their acted-on raw pairs."""
     if not same_category(g.source, f.target):
         raise EndpointMismatch(f"cannot compose {g.name} after {f.name}")
     mid = g.source
@@ -150,19 +165,9 @@ def compose_modules(g: Profunctor, f: Profunctor) -> CompositeProfunctor:
     sets = {}
     for c in target.objects:
         for a in source.objects:
-            pair_sets = {(b1, b2): tuple((y, x)
-                                         for y in g.cell(c, b2)
-                                         for x in f.cell(b1, a))
-                         for b1 in mid.objects for b2 in mid.objects}
-            pair_left = {(beta, b2): {(y, x): (y, f.left_act(beta, a, x))
-                                      for (y, x) in pair_sets[(mid.tgt[beta], b2)]}
-                         for beta in mid.morphisms for b2 in mid.objects}
-            pair_right = {(b1, beta): {(y, x): (g.right_act(c, beta, y), x)
-                                       for (y, x) in pair_sets[(b1, mid.src[beta])]}
-                          for b1 in mid.objects for beta in mid.morphisms}
-            h = Profunctor(f"pair({g.name},{f.name})@{(c, a)!r}", mid, mid,
-                           pair_sets, pair_left, pair_right)
-            co = coend(h)
+            tags = [(b, (y, x)) for b in mid.objects
+                    for y in g.cell(c, b) for x in f.cell(b, a)]
+            co = CoendResult(*quotient(tags, _coend_pairs(g, f, c, a)))
             coends[(c, a)] = co
             sets[(c, a)] = co.classes
     left = {}

@@ -1,14 +1,17 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fincat import corpus, validate
 from fincat.core import (FinCategory, FinFunctor, NatTrans, Presheaf,
                          category_of_elements, compose_functors, covariant,
                          full_subcategory, identity_functor, is_connected,
                          is_filtered, nat_compose, nat_identity,
-                         product_category, same_category, unit_category)
+                         product_category, quotient, same_category,
+                         unit_category)
 from fincat.corpus import (Chain3, Disc2, Empty, GSet, I, M, N5, Par, QM, Span,
                            Two, Z2, Z3, PRESHEAVES)
 from fincat.errors import MalformedTable
+from util import SMALL_CATEGORIES, product_category_oracle, quotient_oracle
 
 
 def test_compose_is_first_then_second():
@@ -53,6 +56,34 @@ def test_op_reverses_composition():
         op.compose("1<=2", "0<=1")
 
 
+@st.composite
+def tags_and_pairs(draw):
+    """Tags whose values are shuffled, so least index and least value differ."""
+    n = draw(st.integers(0, 12))
+    tags = [("t", i) for i in draw(st.permutations(range(n)))]
+    if not n:
+        return tags, []
+    index = st.integers(0, n - 1)
+    picks = draw(st.lists(st.tuples(index, index), max_size=2 * n))
+    return tags, [(tags[i], tags[j]) for i, j in picks]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tags_and_pairs())
+def test_quotient_matches_breadth_first_closure(case):
+    tags, pairs = case
+    assert quotient(tags, iter(pairs)) == quotient_oracle(tags, pairs)
+
+
+def test_quotient_representatives_are_least_indices():
+    classes, lookup = quotient("dcba", [("a", "d"), ("b", "c"), ("c", "a")])
+    assert classes == ("d",)
+    assert set(lookup.values()) == {"d"}
+    classes, lookup = quotient("xyz", iter([("z", "y")]))
+    assert classes == ("x", "y")
+    assert lookup == {"x": "x", "y": "y", "z": "y"}
+
+
 def test_unit_category_shape():
     u = unit_category()
     assert u.objects == ("*",)
@@ -66,6 +97,28 @@ def test_product_category_counts():
     assert len(p.morphisms) == 9
     assert validate(p).ok
     assert p.compose(("id1", "f"), ("f", "id0")) == ("f", "f")
+
+
+def test_product_category_matches_all_pairs_filter():
+    for c in SMALL_CATEGORIES:
+        for d in SMALL_CATEGORIES:
+            got = product_category(c, d).compose_table
+            want = product_category_oracle(c, d)
+            assert list(got.items()) == list(want.items()), (c.name, d.name)
+
+
+def test_product_category_of_gset_with_its_opposite_count():
+    assert len(product_category(GSet, GSet.op()).compose_table) == 216225
+
+
+def test_product_category_rejects_a_missing_composite():
+    broken = FinCategory("broken", ["a"], [("i", "a", "a"), ("e", "a", "a")],
+                         {"a": "i"}, {("i", "i"): "i", ("i", "e"): "e",
+                                      ("e", "i"): "e"})
+    with pytest.raises(MalformedTable):
+        product_category(broken, Two)
+    with pytest.raises(MalformedTable):
+        product_category(Two, broken)
 
 
 def test_full_subcategory_of_QM_is_M_shaped():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fincat import corpus
@@ -13,6 +15,7 @@ from fincat.profunctor import (as_presheaf, associator, compose_modules,
                                right_unitor, two_cells, verify_extend_bijection,
                                verify_lift_bijection, whisker_left,
                                whisker_right)
+from util import SMALL_CATEGORIES, compose_modules_oracle, random_presheaf
 
 
 def test_id_module_and_as_presheaf():
@@ -122,3 +125,47 @@ def test_lift_of_hom_along_module_is_adjoint_candidate():
     adj = has_right_adjoint(f)
     assert adj.found
     assert modules_isomorphic(lifted.lift, adj.right)
+
+
+def _composable_pairs():
+    """(g, f) pairs over every kind of module the library builds."""
+    rng = random.Random(82)
+    ids = {cat.name: id_module(cat) for cat in SMALL_CATEGORIES}
+    for cat in SMALL_CATEGORIES:
+        yield ids[cat.name], ids[cat.name]
+    for a in SMALL_CATEGORIES:
+        for b in SMALL_CATEGORIES:
+            for t in all_functors(a, b):
+                lower, upper = functor_to_modules(t)
+                yield upper, lower
+                yield lower, upper
+                yield ids[b.name], lower
+                yield lower, ids[a.name]
+    for cat in SMALL_CATEGORIES:
+        for i in range(3):
+            weight = module_of_weight(random_presheaf(rng, cat, f"w{i}"))
+            coweight = module_of_coweight(random_presheaf(rng, cat.op(), f"v{i}"))
+            yield ids[cat.name], weight
+            yield coweight, weight
+            yield weight, coweight
+            yield coweight, ids[cat.name]
+    ex_id = id_module(example82.target)
+    yield ex_id, example82
+    yield example82, id_module(example82.source)
+    for t in all_functors(example82.target, Two):
+        yield functor_to_modules(t)[0], example82
+
+
+def test_compose_modules_matches_pair_module_route():
+    checked = 0
+    for g, f in _composable_pairs():
+        got = compose_modules(g, f)
+        want, lookups = compose_modules_oracle(g, f)
+        assert list(got.sets.items()) == list(want.sets.items()), (g.name, f.name)
+        assert list(got.left.items()) == list(want.left.items()), (g.name, f.name)
+        assert list(got.right.items()) == list(want.right.items()), (g.name, f.name)
+        for (c, a), lookup in lookups.items():
+            for (b, (y, x)), rep in lookup.items():
+                assert got.normalize(c, a, b, y, x) == rep
+        checked += 1
+    assert checked > 1000

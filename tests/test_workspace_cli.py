@@ -8,6 +8,7 @@ from fincat.core import FinCategory, same_category
 from fincat.corpus import GSet
 from fincat.errors import (DuplicateName, InternalMismatch, ParseError,
                            UnresolvedReference)
+from fincat.profunctor import id_module
 from fincat.workspace import Workspace, load_workspace, serialize_workspace
 
 FIXTURES = pathlib.Path(cli.default_fixture_paths()[0]).parent
@@ -187,6 +188,16 @@ def test_exit_5_on_internal_mismatch(monkeypatch, capsys):
     monkeypatch.setitem(cli._HANDLERS, "cauchy", boom)
     assert cli.main(["cauchy", "M"]) == 5
     assert "forced failure" in capsys.readouterr().err
+
+
+def test_exit_3_on_modules_with_different_targets(tmp_path, capsys):
+    ws = Workspace(categories={"Two": corpus.Two, "M": corpus.M},
+                   profunctors={"hom.Two": id_module(corpus.Two),
+                                "hom.M": id_module(corpus.M)})
+    path = tmp_path / "modules.json"
+    path.write_text(serialize_workspace(ws))
+    assert cli.main(["-w", str(path), "lift", "hom.Two", "hom.M"]) == 3
+    assert "shared target" in capsys.readouterr().err
 
 
 def test_wcolimit_requires_covariant_diagram(capsys):

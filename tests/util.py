@@ -3,9 +3,13 @@
 The oracles here deliberately avoid the library code paths they are checking:
 the Karoubi enumeration works straight off the composition table, the functor
 counter filters the raw product space, and the second commutation pipeline is
-built from public pieces only.
+built from public pieces only.  The product-category oracle filters all pairs
+of pairs, the quotient oracle closes classes breadth first, and the
+module-composition oracle builds a validated pair module per cell and takes
+its coend with a plain union-find.
 """
 import itertools
+from collections import deque
 
 from fincat import corpus, validate
 from fincat.core import (FinCategory, FinFunctor, NatTrans, Presheaf,
@@ -106,6 +110,111 @@ def random_profunctor(rng, l_cat, k_cat, name):
     base = product_category(k_cat, l_cat.op())
     return profunctor_from_product(name, k_cat, l_cat,
                                    random_presheaf(rng, base, f"{name}~", 2))
+
+
+def product_category_oracle(c, d):
+    """The composition table of c x d, filtered from all pairs of pairs."""
+    pairs = [(f, g) for f in c.morphisms for g in d.morphisms]
+    return {((f2, g2), (f1, g1)): (c.compose(f2, f1), d.compose(g2, g1))
+            for (f2, g2) in pairs for (f1, g1) in pairs
+            if c.tgt[f1] == c.src[f2] and d.tgt[g1] == d.src[g2]}
+
+
+def quotient_oracle(tags, pairs):
+    """Classes by breadth-first closure over the undirected pair graph."""
+    tags = list(tags)
+    adjacent = {tag: [] for tag in tags}
+    for a, b in pairs:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    lookup = {}
+    classes = []
+    for tag in tags:
+        if tag in lookup:
+            continue
+        classes.append(tag)
+        lookup[tag] = tag
+        queue = deque([tag])
+        while queue:
+            for n in adjacent[queue.popleft()]:
+                if n not in lookup:
+                    lookup[n] = tag
+                    queue.append(n)
+    return tuple(classes), lookup
+
+
+def _coend_by_union_find(h):
+    """Coend of h: C -|-> C by a plain union-find over the diagonal cells."""
+    c = h.source
+    tags = [(a, x) for a in c.objects for x in h.cell(a, a)]
+    parent = {tag: tag for tag in tags}
+
+    def find(tag):
+        while parent[tag] != tag:
+            tag = parent[tag]
+        return tag
+
+    for u in c.morphisms:
+        s, t = c.src[u], c.tgt[u]
+        for y in h.cell(t, s):
+            ra = find((s, h.left_act(u, s, y)))
+            rb = find((t, h.right_act(t, u, y)))
+            if ra != rb:
+                parent[ra] = rb
+    order = {tag: i for i, tag in enumerate(tags)}
+    blocks = {}
+    for tag in tags:
+        blocks.setdefault(find(tag), []).append(tag)
+    lookup = {}
+    for block in blocks.values():
+        rep = min(block, key=order.__getitem__)
+        for tag in block:
+            lookup[tag] = rep
+    classes = tuple(sorted(set(lookup.values()), key=order.__getitem__))
+    return classes, lookup
+
+
+def compose_modules_oracle(g, f):
+    """g . f through a validated pair module per cell and its coend.
+
+    Returns (composite, lookups) with lookups[(c, a)][(b, (y, x))] the class
+    of the raw pair (y, x) over b.
+    """
+    mid = g.source
+    source, target = f.source, g.target
+    lookups = {}
+    sets = {}
+    for c in target.objects:
+        for a in source.objects:
+            pair_sets = {(b1, b2): tuple((y, x)
+                                         for y in g.cell(c, b2)
+                                         for x in f.cell(b1, a))
+                         for b1 in mid.objects for b2 in mid.objects}
+            pair_left = {(beta, b2): {(y, x): (y, f.left_act(beta, a, x))
+                                      for (y, x) in pair_sets[(mid.tgt[beta], b2)]}
+                         for beta in mid.morphisms for b2 in mid.objects}
+            pair_right = {(b1, beta): {(y, x): (g.right_act(c, beta, y), x)
+                                       for (y, x) in pair_sets[(b1, mid.src[beta])]}
+                          for b1 in mid.objects for beta in mid.morphisms}
+            h = Profunctor(f"pair@{(c, a)!r}", mid, mid,
+                           pair_sets, pair_left, pair_right)
+            sets[(c, a)], lookups[(c, a)] = _coend_by_union_find(h)
+    left = {}
+    for gamma in target.morphisms:
+        c, c2 = target.src[gamma], target.tgt[gamma]
+        for a in source.objects:
+            left[(gamma, a)] = {
+                rep: lookups[(c, a)][(b, (g.left_act(gamma, b, y), x))]
+                for rep in sets[(c2, a)] for b, (y, x) in [rep]}
+    right = {}
+    for c in target.objects:
+        for alpha in source.morphisms:
+            a, a2 = source.src[alpha], source.tgt[alpha]
+            right[(c, alpha)] = {
+                rep: lookups[(c, a2)][(b, (y, f.right_act(b, alpha, x)))]
+                for rep in sets[(c, a)] for b, (y, x) in [rep]}
+    composite = Profunctor(f"({g.name}.{f.name})", source, target, sets, left, right)
+    return composite, lookups
 
 
 def commutation_verdict_reading2(phi, psi, s):
