@@ -17,8 +17,8 @@ from .classes import (Caps, WeightClass, atoms, check_commutation,
 from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, Profunctor,
                    category_of_elements, compose_functors, covariant,
                    full_subcategory, identity_functor, is_connected,
-                   is_filtered, nat_compose, nat_identity, opposite,
-                   product_category, same_category, unit_category, validate)
+                   is_filtered, nat_compose, nat_identity, product_category,
+                   same_category, unit_category, validate)
 from .equivalence import (all_functors, find_equivalence, find_isomorphism,
                           is_fully_faithful, presheaf_isomorphic, skeleton)
 from .errors import (BudgetExceeded, CapExceeded, DuplicateName,
@@ -58,7 +58,7 @@ __all__ = [
     "is_small_projective", "isbell_left", "isbell_right", "lan",
     "limit_in_category", "load_workspace", "module_of_coweight",
     "module_of_weight", "modules_isomorphic", "morita_equivalent",
-    "nat_compose", "nat_identity", "nat_trans_set", "nerve", "opposite",
+    "nat_compose", "nat_identity", "nat_trans_set", "nerve",
     "phi_closure_bounded", "pointwise_colimit", "preserves_weighted_colimit",
     "presheaf_isomorphic", "product_category", "q_duality",
     "recognize_free_cocompletion", "restrict", "retract_oracle",

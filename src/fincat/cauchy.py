@@ -1,5 +1,8 @@
 """Small projectives, Cauchy completion, the Isbell adjunction, Morita equivalence.
 
+The Isbell pair is written once: a covariant weight is a presheaf on the
+opposite, so R and the counit are L and the unit computed on the opposite.
+
 Three independent routes decide small-projectivity and are cross-checked in the
 test suite: the canonical-map criterion implemented here, an exhaustive
 retract-of-representable search, and adjoint detection on the weight's module.
@@ -52,22 +55,14 @@ def isbell_left(phi: Presheaf) -> Presheaf:
 
 
 def isbell_right(psi: Presheaf) -> Presheaf:
-    """R(psi)(b) = [B,V](psi, B(b,-)), contravariant in b."""
-    b_cat = psi.base.op()
-    cov_y = {b: yoneda_embed(psi.base, b) for b in b_cat.objects}
-    nats = {b: nat_trans_set(psi, cov_y[b]) for b in b_cat.objects}
-    sets = {b: tuple(n.frozen() for n in nats[b]) for b in b_cat.objects}
-    actions = {}
-    for f in b_cat.morphisms:
-        b2 = b_cat.tgt[f]
-        table = {}
-        for key in sets[b2]:
-            moved = tuple(
-                tuple(b_cat.compose(h, f) for h in row) for row in key
-            )
-            table[key] = moved
-        actions[f] = table
-    return Presheaf(f"R({psi.name})", b_cat, sets, actions)
+    """R(psi)(b) = [B,V](psi, B(b,-)), contravariant in b.
+
+    psi is a presheaf on B^op, so this is L(psi) computed on B^op: the same
+    sets and actions, on the base B^op^op = B.
+    """
+    right = isbell_left(psi)
+    right.name = f"R({psi.name})"
+    return right
 
 
 def isbell_unit(phi: Presheaf) -> NatTrans:
@@ -91,22 +86,11 @@ def isbell_unit(phi: Presheaf) -> NatTrans:
 
 
 def isbell_counit(psi: Presheaf) -> NatTrans:
-    """psi -> L(R(psi)) in covariant weights (the counit read in the opposite)."""
-    rpsi = isbell_right(psi)
-    lr = isbell_left(rpsi)
-    b_cat = psi.base.op()
-    comps = {}
-    for b in b_cat.objects:
-        table = {}
-        for z in psi.sets[b]:
-            gamma = {a: {d: _image(d, psi, b, z) for d in rpsi.sets[a]}
-                     for a in b_cat.objects}
-            table[z] = NatTrans(rpsi, yoneda_embed(b_cat, b), gamma).frozen()
-        comps[b] = table
-    counit = NatTrans(psi, lr, comps, name=f"isbell-counit({psi.name})")
-    rep = validate(counit)
-    if not rep.ok:
-        raise InternalMismatch(f"isbell counit not natural: {rep}")
+    """psi -> L(R(psi)) in covariant weights: the unit of psi read on B^op,
+    where R is L and L(R(psi)) is R(L(psi))."""
+    counit = isbell_unit(psi)
+    counit.name = f"isbell-counit({psi.name})"
+    counit.target.name = f"L(R({psi.name}))"
     return counit
 
 

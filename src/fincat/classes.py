@@ -14,7 +14,7 @@ from .kan import (PresheafCollection, Provenance, member_category,
                   pointwise_colimit, yoneda_embed)
 from .limits import (colimit_in_category, nat_trans_set, weighted_colimit,
                      weighted_limit)
-from .profunctor import _column, _row
+from .profunctor import _column, _transpose
 
 
 class WeightClass:
@@ -233,7 +233,8 @@ def _limit_then_colimit(phi, psi, s):
 def _colimit_then_limit(phi, psi, s):
     """Per-object colimits phi * S(k, -) assembled into a presheaf on the target."""
     l_cat, k_cat = s.source, s.target
-    per = {k: weighted_colimit(phi, _row(s, k)) for k in k_cat.objects}
+    rows = _transpose(s)   # S(k, -) is column k of the transpose
+    per = {k: weighted_colimit(phi, _column(rows, k)) for k in k_cat.objects}
     sets = {k: per[k].classes for k in k_cat.objects}
     actions = {}
     for beta in k_cat.morphisms:

@@ -102,10 +102,6 @@ class FinCategory:
         return f"FinCategory({self.name!r}, {len(self.objects)} objects, {len(self.morphisms)} morphisms)"
 
 
-def opposite(c: FinCategory) -> FinCategory:
-    return c.op()
-
-
 def same_category(a: FinCategory, b: FinCategory) -> bool:
     """Structural identity of tables (not isomorphism)."""
     return (a is b) or (

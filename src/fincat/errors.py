@@ -43,7 +43,7 @@ class WorkspaceError(FincatError):
 
 
 class ParseError(WorkspaceError):
-    """The workspace file is not syntactically valid JSON or misses required keys."""
+    """The workspace file is not valid JSON, or a key is missing or of the wrong type."""
 
 
 class UnresolvedReference(WorkspaceError):

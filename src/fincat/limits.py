@@ -339,42 +339,21 @@ def colimit_in_category(phi: Presheaf, s: FinFunctor):
         if any(len(cat.hom(c, a)) != len(nats[a]) for a in cat.objects):
             continue
         for eta in nats[c]:
-            if _is_universal_cocone(phi, s, c, eta, frozen):
+            if _is_universal_cocone(phi, s, c, eta.components, frozen):
                 cocone = {k: {x: eta.components[k][x] for x in phi.sets[k]}
                           for k in phi.base.objects}
                 return ColimitInCategory(c, cocone)
     return None
 
 
-def _is_universal_cocone(phi, s, c, eta, frozen):
+def _is_universal_cocone(phi, s, c, cocone, frozen):
+    """Is the cocone (k -> {x -> morphism S(k) -> c}) universal: does composing
+    with it biject each Hom(c, a) onto the transformations frozen[a]?"""
     cat = s.target
     k = phi.base
     for a in cat.objects:
         seen = set()
         for g in cat.hom(c, a):
-            image = tuple(
-                tuple(cat.compose(g, eta.components[j][x]) for x in phi.sets[j])
-                for j in k.objects
-            )
-            if image in seen:
-                return False
-            seen.add(image)
-        if seen != frozen[a]:
-            return False
-    return True
-
-
-def transported_is_universal(phi: Presheaf, s: FinFunctor, apex, cocone) -> bool:
-    """Is (apex, cocone) a colimit of s weighted by phi, checked at every object."""
-    cat = s.target
-    k = phi.base
-    nats = {a: nat_trans_set(phi, hom_diagram(s, a)) for a in cat.objects}
-    frozen = {a: {n.frozen() for n in nats[a]} for a in cat.objects}
-    if any(len(cat.hom(apex, a)) != len(nats[a]) for a in cat.objects):
-        return False
-    for a in cat.objects:
-        seen = set()
-        for g in cat.hom(apex, a):
             image = tuple(
                 tuple(cat.compose(g, cocone[j][x]) for x in phi.sets[j])
                 for j in k.objects
@@ -410,10 +389,14 @@ def preserves_weighted_colimit(f: FinFunctor, phi: Presheaf, s: FinFunctor,
     if not same_category(f.source, s.target):
         raise MalformedTable("preserves_weighted_colimit: functor source mismatch")
     fs = compose_functors(f, s)
+    cat = fs.target
+    nats = {a: nat_trans_set(phi, hom_diagram(fs, a)) for a in cat.objects}
+    frozen = {a: {n.frozen() for n in nats[a]} for a in cat.objects}
     apex2 = f.obj(colim.apex)
     cocone2 = {k: {x: f.mor(m) for x, m in colim.cocone[k].items()}
                for k in phi.base.objects}
-    if transported_is_universal(phi, fs, apex2, cocone2):
+    if all(len(cat.hom(apex2, a)) == len(nats[a]) for a in cat.objects) and \
+            _is_universal_cocone(phi, fs, apex2, cocone2, frozen):
         return PreservationResult(True)
     if colimit_in_category(phi, fs) is None:
         return PreservationResult(False, "colimit missing in target")

@@ -3,10 +3,12 @@
 A module f: A -|-> B is a Profunctor with source A and target B; its cells are
 indexed (b, a).  Composition g . f (for g: B -|-> C) is the pointwise coend
 over B of g(c,b) x f(b,a), taken directly: one quotient per cell (c, a) of the
-raw pairs (b, (y, x)), generated by the morphisms of B.  Right lifts and right
-extensions are computed by their end formulas: a cell of {|f,h|} at (a,c) is a
-natural family of functions f(-,a) -> h(-,c), stored in frozen form with a
-decode table kept alongside.
+raw pairs (b, (y, x)), generated by the morphisms of B.  Right lifts are
+computed by their end formula: a cell of {|f,h|} at (a,c) is a natural family
+of functions f(-,a) -> h(-,c), stored in frozen form with a decode table kept
+alongside.  Right extensions are right lifts of transposed modules: reading
+A -|-> B as B^op -|-> A^op gives [[g,h]] = {|g^t,h^t|}^t, and the extension
+transpose bijection is the lift bijection of the transposes.
 
 2-cells are wrapped NatTrans values over the product base target x source^op,
 so naturality in both slots is one validation pass.
@@ -16,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, Profunctor,
-                   covariant, product_category, quotient, same_category,
-                   unit_category)
+                   product_category, quotient, same_category, unit_category)
 from .errors import EndpointMismatch, InternalMismatch
 from .limits import CoendResult, nat_trans_set
 
@@ -365,16 +366,6 @@ def _column(f: Profunctor, a) -> Presheaf:
     return Presheaf(f"{f.name}(-,{a!r})", b_cat, sets, actions)
 
 
-def _row(f: Profunctor, b) -> Presheaf:
-    """f(b, -): a covariant functor on the source, encoded on source^op."""
-    a_cat = f.source
-    sets = {a: f.cell(b, a) for a in a_cat.objects}
-    actions = {alpha: {x: f.right_act(b, alpha, x)
-                       for x in sets[a_cat.src[alpha]]}
-               for alpha in a_cat.morphisms}
-    return covariant(f"{f.name}({b!r},-)", a_cat, sets, actions)
-
-
 @dataclass
 class LiftResult:
     lift: Profunctor                 # C -|-> A
@@ -448,70 +439,28 @@ def right_lift(f: Profunctor, h: Profunctor) -> LiftResult:
 @dataclass
 class ExtendResult:
     extension: Profunctor            # A -|-> B
-    counit: TwoCell                  # extension . g -> h
-    composite: CompositeProfunctor
-    decode: dict                     # (b, a) -> {frozen: NatTrans}
-    g_row: dict
-    h_row: dict
+    lifted: LiftResult               # {|g^t,h^t|}; its counit is the
+                                     # extension's, read on the transposes
+
+
+def _transpose(f: Profunctor) -> Profunctor:
+    """f: A -|-> B read as B^op -|-> A^op; cell (a, b) is f(b, a)."""
+    source, target = f.target.op(), f.source.op()
+    sets = {(a, b): f.cell(b, a) for a in target.objects for b in source.objects}
+    left = {(m, b): f.right[(b, m)] for m in target.morphisms for b in source.objects}
+    right = {(a, m): f.left[(m, a)] for a in target.objects for m in source.morphisms}
+    return Profunctor(f"{f.name}^t", source, target, sets, left, right)
 
 
 def right_extend(g: Profunctor, h: Profunctor) -> ExtendResult:
-    """[[g,h]](b,a) = natural families g(a,-) -> h(b,-), with its counit."""
+    """[[g,h]] = {|g^t,h^t|}^t: right extensions are right lifts of transposes,
+    so a cell at (b,a) is a natural family g(a,-) -> h(b,-)."""
     if not same_category(g.source, h.source):
         raise EndpointMismatch("right_extend needs a shared source category")
-    a_cat, b_cat, c_cat = g.target, h.target, g.source
-    g_row = {a: _row(g, a) for a in a_cat.objects}
-    h_row = {b: _row(h, b) for b in b_cat.objects}
-    decode = {}
-    sets = {}
-    for b in b_cat.objects:
-        for a in a_cat.objects:
-            nats = nat_trans_set(g_row[a], h_row[b])
-            decode[(b, a)] = {n.frozen(): n for n in nats}
-            sets[(b, a)] = tuple(n.frozen() for n in nats)
-
-    def encode(b, a, comps):
-        key = NatTrans(g_row[a], h_row[b], comps).frozen()
-        if key not in decode[(b, a)]:
-            raise InternalMismatch("extension action left the natural family set")
-        return key
-
-    left = {}
-    for beta in b_cat.morphisms:
-        b_src, b_tgt = b_cat.src[beta], b_cat.tgt[beta]
-        for a in a_cat.objects:
-            table = {}
-            for key in sets[(b_tgt, a)]:
-                n = decode[(b_tgt, a)][key]
-                comps = {c: {w: h.left_act(beta, c, n.components[c][w])
-                             for w in g.cell(a, c)}
-                         for c in c_cat.objects}
-                table[key] = encode(b_src, a, comps)
-            left[(beta, a)] = table
-    right = {}
-    for b in b_cat.objects:
-        for alpha in a_cat.morphisms:
-            a_src, a_tgt = a_cat.src[alpha], a_cat.tgt[alpha]
-            table = {}
-            for key in sets[(b, a_src)]:
-                n = decode[(b, a_src)][key]
-                comps = {c: {w: n.components[c][g.left_act(alpha, c, w)]
-                             for w in g.cell(a_tgt, c)}
-                         for c in c_cat.objects}
-                table[key] = encode(b, a_tgt, comps)
-            right[(b, alpha)] = table
-    extension = Profunctor(f"ext({g.name},{h.name})", a_cat, b_cat, sets, left, right)
-    composite = compose_modules(extension, g)
-    comps = {}
-    for b in b_cat.objects:
-        for c in c_cat.objects:
-            table = {}
-            for rep in composite.cell(b, c):
-                a, (key, w) = rep
-                table[rep] = decode[(b, a)][key].components[c][w]
-            comps[(b, c)] = table
-    counit = TwoCell(composite, h, comps, name=f"ev[{g.name},{h.name}]")
-    return ExtendResult(extension, counit, composite, decode, g_row, h_row)
+    lifted = right_lift(_transpose(g), _transpose(h))
+    extension = _transpose(lifted.lift)
+    extension.name = f"ext({g.name},{h.name})"
+    return ExtendResult(extension, lifted)
 
 
 def verify_lift_bijection(f: Profunctor, h: Profunctor, k: Profunctor,
@@ -564,46 +513,15 @@ def verify_lift_bijection(f: Profunctor, h: Profunctor, k: Profunctor,
 
 def verify_extend_bijection(g: Profunctor, h: Profunctor, k: Profunctor,
                             extended: ExtendResult = None):
-    """The transpose bijection 2cells(k, [[g,h]]) <-> 2cells(k.g, h)."""
+    """The transpose bijection 2cells(k, [[g,h]]) <-> 2cells(k.g, h).
+
+    Checked as the lift bijection of the transposes, so the count is the same
+    and the keys of ``forward`` are frozen 2-cells of the transposed modules.
+    """
     if extended is None:
         extended = right_extend(g, h)
-    ext = extended.extension
-    kg = compose_modules(k, g)
-    sigmas = two_cells(kg, h)
-    taus = two_cells(k, ext)
-    forward = {}
-    for tau in taus:
-        comps = {}
-        for b in k.target.objects:
-            for c in g.source.objects:
-                table = {}
-                for rep in kg.cell(b, c):
-                    a, (z, w) = rep
-                    key = tau.at(b, a, z)
-                    table[rep] = extended.decode[(b, a)][key].components[c][w]
-                comps[(b, c)] = table
-        forward[tau.frozen()] = TwoCell(kg, h, comps).frozen()
-    backward = {}
-    for sigma in sigmas:
-        comps = {}
-        for b in k.target.objects:
-            for a in g.target.objects:
-                table = {}
-                for z in k.cell(b, a):
-                    fam = {c: {w: sigma.at(b, c, kg.normalize(b, c, a, z, w))
-                               for w in g.cell(a, c)}
-                           for c in g.source.objects}
-                    table[z] = NatTrans(extended.g_row[a], extended.h_row[b], fam).frozen()
-                comps[(b, a)] = table
-        backward[sigma.frozen()] = TwoCell(k, ext, comps).frozen()
-    sigma_keys = {s.frozen() for s in sigmas}
-    tau_keys = {t.frozen() for t in taus}
-    if set(forward.values()) != sigma_keys or set(backward.values()) != tau_keys:
-        raise InternalMismatch("extension transpose is not onto")
-    for tk, sk in forward.items():
-        if backward[sk] != tk:
-            raise InternalMismatch("extension transposes are not mutually inverse")
-    return len(taus), forward
+    return verify_lift_bijection(_transpose(g), _transpose(h), _transpose(k),
+                                 extended.lifted)
 
 
 # ---------------------------------------------------------------------------

@@ -78,22 +78,61 @@ def _parse_file(path):
         doc = json.loads(text, object_pairs_hook=_no_duplicate_keys)
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from None
+    except RecursionError:
+        raise ParseError(f"{path}:1:1: nesting too deep") from None
     except DuplicateName as err:
         raise DuplicateName(f"{path}: {err}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}:1:1: workspace document must be an object")
-    for key in doc:
+    for key, entries in doc.items():
         if key not in _SECTIONS:
             raise ParseError(f"{path}:1:1: unknown section {key!r}")
+        if not isinstance(entries, dict):
+            raise ParseError(f"{path}:1:1: section {key!r} must be an object")
     return doc
 
 
-def _shape(spec, required, what):
-    if not isinstance(spec, dict):
-        raise ParseError(f"{what}: expected an object")
-    missing = [k for k in required if k not in spec]
-    if missing:
-        raise ParseError(f"{what}: missing {missing[0]!r}")
+_ID = (str, int, float, bool, type(None))  # the hashable JSON values
+_NAME = (str,)
+_TABLE = {...: _ID}
+_CATEGORY = {"objects": [_ID], "morphisms": [{"id": _ID, "src": _ID, "tgt": _ID}],
+             "identities": _TABLE, "compose": [[_ID]]}
+_PRESHEAF = {"on": _NAME, "sets": {...: [_ID]}, "actions": {...: _TABLE}}
+_FUNCTOR = {"source": _NAME, "target": _NAME, "objects": _TABLE,
+            "morphisms": _TABLE}
+_PROFUNCTOR = {"source": _NAME, "target": _NAME, "cells": {...: {...: [_ID]}},
+               "left": {...: {...: _TABLE}}, "right": {...: {...: _TABLE}}}
+_WEIGHT_CLASS = {"weights": [_NAME]}
+
+
+def _shape(value, schema, what):
+    """Check parsed JSON against a schema, raising ParseError at the first misfit.
+
+    A schema is a tuple of scalar types, ``[s]`` for a list of ``s``,
+    ``{key: s, ...}`` for an object holding at least those keys, or
+    ``{...: s}`` for an object whose values all follow ``s``.
+    """
+    if isinstance(schema, tuple):
+        if not isinstance(value, schema):
+            kind = "a name" if schema is _NAME else "a string or number"
+            raise ParseError(f"{what}: expected {kind}")
+        return
+    if isinstance(schema, list):
+        if not isinstance(value, list):
+            raise ParseError(f"{what}: expected a list")
+        items, (item,) = value, schema
+    else:
+        if not isinstance(value, dict):
+            raise ParseError(f"{what}: expected an object")
+        if ... not in schema:
+            for key, sub in schema.items():
+                if key not in value:
+                    raise ParseError(f"{what}: missing {key!r}")
+                _shape(value[key], sub, f"{what} {key}")
+            return
+        items, item = value.values(), schema[...]
+    for v in items:
+        _shape(v, item, what)
 
 
 def _checked(entity, what):
@@ -104,15 +143,11 @@ def _checked(entity, what):
 
 
 def _build_category(name, spec):
-    _shape(spec, ("objects", "morphisms", "identities", "compose"),
-           f"category {name}")
-    morphisms = []
-    for m in spec["morphisms"]:
-        _shape(m, ("id", "src", "tgt"), f"category {name} morphism")
-        morphisms.append((m["id"], m["src"], m["tgt"]))
+    _shape(spec, _CATEGORY, f"category {name}")
+    morphisms = [(m["id"], m["src"], m["tgt"]) for m in spec["morphisms"]]
     compose = {}
     for triple in spec["compose"]:
-        if not isinstance(triple, list) or len(triple) != 3:
+        if len(triple) != 3:
             raise ParseError(f"category {name}: compose entries are [g, f, h]")
         g, f, h = triple
         compose[(g, f)] = h
@@ -122,7 +157,7 @@ def _build_category(name, spec):
 
 
 def _build_presheaf(name, spec, categories):
-    _shape(spec, ("on", "sets", "actions"), f"presheaf {name}")
+    _shape(spec, _PRESHEAF, f"presheaf {name}")
     if spec["on"] not in categories:
         raise UnresolvedReference(f"presheaf {name}: no category {spec['on']!r}")
     cat = categories[spec["on"]]
@@ -139,7 +174,7 @@ def _build_presheaf(name, spec, categories):
 
 
 def _build_functor(name, spec, categories):
-    _shape(spec, ("source", "target", "objects", "morphisms"), f"functor {name}")
+    _shape(spec, _FUNCTOR, f"functor {name}")
     for key in ("source", "target"):
         if spec[key] not in categories:
             raise UnresolvedReference(f"functor {name}: no category {spec[key]!r}")
@@ -149,8 +184,7 @@ def _build_functor(name, spec, categories):
 
 
 def _build_profunctor(name, spec, categories):
-    _shape(spec, ("source", "target", "cells", "left", "right"),
-           f"profunctor {name}")
+    _shape(spec, _PROFUNCTOR, f"profunctor {name}")
     for key in ("source", "target"):
         if spec[key] not in categories:
             raise UnresolvedReference(f"profunctor {name}: no category {spec[key]!r}")
@@ -188,7 +222,7 @@ def load_workspace(paths) -> Workspace:
     for name, spec in merged["profunctors"].items():
         ws.profunctors[name] = _build_profunctor(name, spec, ws.categories)
     for name, spec in merged["weight_classes"].items():
-        _shape(spec, ("weights",), f"weight class {name}")
+        _shape(spec, _WEIGHT_CLASS, f"weight class {name}")
         weights = []
         for pname in spec["weights"]:
             if pname not in ws.presheaves:

@@ -16,7 +16,7 @@ from fincat.kan import yoneda_embed
 from fincat.limits import weighted_colimit
 from fincat.profunctor import has_right_adjoint, module_of_weight
 
-from util import karoubi_oracle
+from util import isbell_counit_oracle, isbell_right_oracle, karoubi_oracle
 
 
 def hom_size_grid(cat):
@@ -122,6 +122,27 @@ def test_isbell_unit_and_counit_validate():
         assert validate(isbell_unit(phi)).ok, name
         psi = isbell_left(phi)
         assert validate(isbell_counit(psi)).ok, name
+
+
+def test_isbell_right_and_counit_match_their_direct_formulas():
+    # R and the counit are L and the unit read on the opposite; the oracles
+    # are the direct formulas on B with B^op-presheaves as input
+    cases = list(PRESHEAVES.values())
+    cases += [isbell_left(phi) for phi in PRESHEAVES.values()]
+    for psi in cases:
+        got, want = isbell_right(psi), isbell_right_oracle(psi)
+        assert got.name == want.name and got.base is want.base, psi.name
+        assert list(got.sets.items()) == list(want.sets.items()), psi.name
+        assert list(got.actions.items()) == list(want.actions.items()), psi.name
+        got, want = isbell_counit(psi), isbell_counit_oracle(psi)
+        assert got.name == want.name and got.source is psi, psi.name
+        assert got.target.name == want.target.name, psi.name
+        assert got.target.base is want.target.base, psi.name
+        assert got.target.sets == want.target.sets, psi.name
+        assert got.target.actions == want.target.actions, psi.name
+        assert got.frozen() == want.frozen(), psi.name
+        assert got.components == want.components, psi.name
+    assert len(cases) == 136
 
 
 def test_q_duality_fixture_categories():

@@ -1,3 +1,7 @@
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -38,15 +42,27 @@ def test_missing_composite_is_rejected():
 
 
 def test_op_is_a_cached_involution():
-    from fincat import opposite
     for cat in (Two, M, Z2, Span, GSet):
         op = cat.op()
         assert op.op() is cat
         assert cat.op() is op
-        assert opposite(cat) is op
         assert set(op.morphisms) == set(cat.morphisms)
         for f in cat.morphisms:
             assert op.src[f] == cat.tgt[f] and op.tgt[f] == cat.src[f]
+
+
+def test_public_surface_is_traceable():
+    # perfbench/spans.py wraps every public module-level function and cannot
+    # time a generator; every exported name must resolve
+    import fincat
+    for info in pkgutil.iter_modules(fincat.__path__):
+        mod = importlib.import_module(f"fincat.{info.name}")
+        for attr, fn in vars(mod).items():
+            if (not attr.startswith("_") and inspect.isfunction(fn)
+                    and fn.__module__ == mod.__name__):
+                assert not inspect.isgeneratorfunction(fn), f"{mod.__name__}.{attr}"
+    for name in fincat.__all__:
+        assert hasattr(fincat, name), name
 
 
 def test_op_reverses_composition():

@@ -11,7 +11,8 @@ from fincat.errors import BudgetExceeded, MalformedTable
 from fincat.kan import yoneda_embed
 from fincat.limits import (coend, colimit_in_category, end, finset_colimit,
                            finset_limit, limit_in_category, nat_trans_set,
-                           pairing_profunctor, weighted_colimit, weighted_limit)
+                           pairing_profunctor, preserves_weighted_colimit,
+                           weighted_colimit, weighted_limit)
 from fincat.profunctor import id_module
 from util import SMALL_CATEGORIES, random_nonempty_presheaf, random_presheaf
 
@@ -133,6 +134,25 @@ def test_colimit_in_category_pushouts_in_group():
         got = colimit_in_category(phi, s)
         assert got is not None
         assert got.apex == "*"
+
+
+def test_preservation_needs_a_universal_cocone_not_just_hom_sizes():
+    # the coproduct 1 + 2 = 0 in Cospan sent to FinSet12 with 0 -> 2 and
+    # 1, 2 -> 1: hom sizes out of the image apex always match, and only the
+    # functor separating the legs l and r keeps the cocone universal
+    phi = corpus.PRESHEAVES["one.Disc2"]
+    s = next(t for t in all_functors(Disc2, corpus.Cospan)
+             if t.obj_map == {"0": "1", "1": "2"})
+    colim = colimit_in_category(phi, s)
+    assert colim.apex == "0"
+    verdicts = {}
+    for f in all_functors(corpus.Cospan, corpus.FinSet12):
+        if f.obj_map == {"0": "2", "1": "1", "2": "1"}:
+            res = preserves_weighted_colimit(f, phi, s, colim)
+            verdicts[(f.mor("l"), f.mor("r"))] = (res.preserved, res.reason)
+    bad = (False, "transported cocone not universal")
+    assert verdicts == {("1>2:x", "1>2:x"): bad, ("1>2:x", "1>2:y"): (True, ""),
+                        ("1>2:y", "1>2:x"): (True, ""), ("1>2:y", "1>2:y"): bad}
 
 
 def test_colimit_in_category_absent():

@@ -15,7 +15,8 @@ from fincat.profunctor import (as_presheaf, associator, compose_modules,
                                right_unitor, two_cells, verify_extend_bijection,
                                verify_lift_bijection, whisker_left,
                                whisker_right)
-from util import SMALL_CATEGORIES, compose_modules_oracle, random_presheaf
+from util import (SMALL_CATEGORIES, compose_modules_oracle, random_presheaf,
+                  random_profunctor, right_extend_oracle)
 
 
 def test_id_module_and_as_presheaf():
@@ -112,10 +113,60 @@ def test_right_lift_transpose_bijection():
 
 def test_right_extend_transpose_bijection():
     extended = right_extend(example82, example82)
-    count, forward = verify_extend_bijection(example82, example82,
-                                             id_module(Span), extended)
-    assert count == len(two_cells(id_module(Span), extended.extension))
-    assert count >= 1
+    ext = extended.extension
+    rng = random.Random(83)
+    ks = [id_module(Span), ext, random_profunctor(rng, Span, Span, "k")]
+    ks += [functor_to_modules(t)[i] for t in all_functors(Span, Span)[:3]
+           for i in (0, 1)]
+    counts = []
+    for k in ks:
+        count, forward = verify_extend_bijection(example82, example82, k,
+                                                 extended)
+        assert count == len(two_cells(k, ext)) == len(forward), k.name
+        counts.append(count)
+    assert counts[0] >= 1 and len(set(counts)) > 1
+
+
+def _extension_pairs():
+    """(g, h) pairs with a shared source over every kind of module."""
+    rng = random.Random(84)
+    for cat in SMALL_CATEGORIES:
+        hom = id_module(cat)
+        yield hom, hom
+        yield hom, random_profunctor(rng, cat, cat, f"r.{cat.name}")
+    for a in SMALL_CATEGORIES:
+        for b in SMALL_CATEGORIES:
+            for t in all_functors(a, b)[:2]:
+                lower, upper = functor_to_modules(t)
+                yield lower, lower
+                yield upper, upper
+                yield lower, id_module(a)
+                yield id_module(a), lower
+                yield upper, id_module(b)
+            yield (random_profunctor(rng, a, b, "p"),
+                   random_profunctor(rng, a, a, "q"))
+    weights = [module_of_weight(random_presheaf(rng, cat, f"w.{cat.name}"))
+               for cat in SMALL_CATEGORIES]
+    for g in weights:
+        for h in weights:
+            yield g, h
+    yield example82, example82
+    yield example82, id_module(example82.source)
+    yield id_module(example82.source), example82
+
+
+def test_right_extend_matches_end_formula():
+    checked = 0
+    for g, h in _extension_pairs():
+        got = right_extend(g, h).extension
+        want = right_extend_oracle(g, h)
+        assert got.name == want.name
+        assert got.source is want.source and got.target is want.target
+        assert list(got.sets.items()) == list(want.sets.items()), want.name
+        assert list(got.left.items()) == list(want.left.items()), want.name
+        assert list(got.right.items()) == list(want.right.items()), want.name
+        checked += 1
+    assert checked > 300
 
 
 def test_lift_of_hom_along_module_is_adjoint_candidate():

@@ -119,6 +119,9 @@ def test_exit_2_on_malformed_json(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err
     assert f"{bad}:1:" in err   # line and column of the parse failure
+    bad.write_text('{"categories": ' + "[" * 100000 + "]" * 100000 + "}")
+    assert cli.main(["-w", str(bad), "cauchy", "M"]) == 2
+    assert "nesting too deep" in capsys.readouterr().err
 
 
 def test_exit_2_on_wrong_argument_count(capsys):
@@ -160,6 +163,35 @@ def test_exit_3_on_invalid_workspace_entity(tmp_path, capsys):
     path = tmp_path / "invalid.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["-w", str(path), "validate"]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def _objects_5(doc):
+    doc["categories"]["M"]["objects"] = 5
+
+
+def _objects_nested(doc):
+    doc["categories"]["M"]["objects"] = [["x"]]
+
+
+def _categories_as_list(doc):
+    doc["categories"] = [doc["categories"]["M"]]
+
+
+def _sets_as_list(doc):
+    doc["presheaves"] = {"E": dict(doc["presheaves"]["E"], sets=[["x"]])}
+
+
+@pytest.mark.parametrize("break_shape", [_objects_5, _objects_nested,
+                                         _categories_as_list, _sets_as_list])
+def test_exit_2_on_misshapen_workspace(tmp_path, capsys, break_shape):
+    fixture = json.loads((FIXTURES / "monoid_M.json").read_text())
+    doc = {"categories": {"M": fixture["categories"]["M"]},
+           "presheaves": {"E": fixture["presheaves"]["E"]}}
+    break_shape(doc)
+    path = tmp_path / "misshapen.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["-w", str(path), "validate"]) == 2
     assert "error:" in capsys.readouterr().err
 
 

@@ -6,14 +6,17 @@ counter filters the raw product space, and the second commutation pipeline is
 built from public pieces only.  The product-category oracle filters all pairs
 of pairs, the quotient oracle closes classes breadth first, and the
 module-composition oracle builds a validated pair module per cell and takes
-its coend with a plain union-find.
+its coend with a plain union-find.  The right-extension and Isbell R/counit
+oracles are the direct end formulas, written without duality.
 """
 import itertools
 from collections import deque
 
 from fincat import corpus, validate
+from fincat.cauchy import isbell_left
 from fincat.core import (FinCategory, FinFunctor, NatTrans, Presheaf,
                          Profunctor, covariant, product_category)
+from fincat.kan import yoneda_embed
 from fincat.limits import nat_trans_set, weighted_colimit, weighted_limit
 
 # pool for randomized instances; every member has at most three objects
@@ -296,3 +299,81 @@ def kan_bijection(k, t, s):
     assert images <= right, "unit transpose is not natural"
     bijective = len(images) == len(left) and images == right
     return len(left), len(right), bijective
+
+
+def right_extend_oracle(g, h):
+    """[[g,h]]: A -|-> B straight from the end formula, a cell at (b, a) being
+    the natural families g(a,-) -> h(b,-) in frozen form."""
+    a_cat, b_cat, c_cat = g.target, h.target, g.source
+
+    def row(f, b):
+        return covariant(f"{f.name}({b!r},-)", c_cat,
+                         {c: f.cell(b, c) for c in c_cat.objects},
+                         {u: {x: f.right_act(b, u, x)
+                              for x in f.cell(b, c_cat.src[u])}
+                          for u in c_cat.morphisms})
+
+    g_row = {a: row(g, a) for a in a_cat.objects}
+    h_row = {b: row(h, b) for b in b_cat.objects}
+    decode = {}
+    sets = {}
+    for b in b_cat.objects:
+        for a in a_cat.objects:
+            nats = nat_trans_set(g_row[a], h_row[b])
+            decode[(b, a)] = {n.frozen(): n for n in nats}
+            sets[(b, a)] = tuple(n.frozen() for n in nats)
+
+    def encode(b, a, comps):
+        return NatTrans(g_row[a], h_row[b], comps).frozen()
+
+    left = {}
+    for beta in b_cat.morphisms:
+        b_src, b_tgt = b_cat.src[beta], b_cat.tgt[beta]
+        for a in a_cat.objects:
+            left[(beta, a)] = {
+                key: encode(b_src, a, {
+                    c: {w: h.left_act(beta, c, decode[(b_tgt, a)][key].components[c][w])
+                        for w in g.cell(a, c)}
+                    for c in c_cat.objects})
+                for key in sets[(b_tgt, a)]}
+    right = {}
+    for b in b_cat.objects:
+        for alpha in a_cat.morphisms:
+            a_src, a_tgt = a_cat.src[alpha], a_cat.tgt[alpha]
+            right[(b, alpha)] = {
+                key: encode(b, a_tgt, {
+                    c: {w: decode[(b, a_src)][key].components[c][g.left_act(alpha, c, w)]
+                        for w in g.cell(a_tgt, c)}
+                    for c in c_cat.objects})
+                for key in sets[(b, a_src)]}
+    return Profunctor(f"ext({g.name},{h.name})", a_cat, b_cat, sets, left, right)
+
+
+def isbell_right_oracle(psi):
+    """R(psi)(b) = Nat(psi, B(b,-)) for psi a presheaf on B^op, acting on a
+    family by precomposition in B."""
+    b_cat = psi.base.op()
+    sets = {b: tuple(n.frozen() for n in
+                     nat_trans_set(psi, yoneda_embed(psi.base, b)))
+            for b in b_cat.objects}
+    actions = {f: {key: tuple(tuple(b_cat.compose(h, f) for h in row)
+                              for row in key)
+                   for key in sets[b_cat.tgt[f]]}
+               for f in b_cat.morphisms}
+    return Presheaf(f"R({psi.name})", b_cat, sets, actions)
+
+
+def isbell_counit_oracle(psi):
+    """psi -> L(R(psi)): z at b maps to the family d |-> d_b(z)."""
+    rpsi = isbell_right_oracle(psi)
+    lr = isbell_left(rpsi)
+    b_cat = psi.base.op()
+    comps = {}
+    for b in b_cat.objects:
+        comps[b] = {}
+        for z in psi.sets[b]:
+            at = psi.sets[b].index(z)
+            gamma = {a: {d: d[psi.base.obj_index[b]][at] for d in rpsi.sets[a]}
+                     for a in b_cat.objects}
+            comps[b][z] = NatTrans(rpsi, yoneda_embed(b_cat, b), gamma).frozen()
+    return NatTrans(psi, lr, comps, name=f"isbell-counit({psi.name})")
