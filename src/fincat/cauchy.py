@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, nat_compose,
-                   nat_identity, validate)
+from .core import (FinCategory, FinFunctor, NatTrans, Presheaf,
+                   _composable_pairs, nat_compose, nat_identity, validate)
 from .equivalence import (Equivalence, find_equivalence, is_fully_faithful,
                           objects_isomorphic, all_functors)
 from .errors import InternalMismatch
@@ -196,11 +196,8 @@ def cauchy_completion(cat: FinCategory, verify=False) -> CauchyCompletion:
                 if cat.compose(e2, cat.compose(m, e1)) == m:
                     morphisms.append(((o1, o2, m), o1, o2))
     identity = {(a, e): ((a, e), (a, e), e) for (a, e) in objs}
-    compose = {}
-    for (g, gs, gt) in morphisms:
-        for (f, fs, ft) in morphisms:
-            if ft == gs:
-                compose[(g, f)] = (fs, gt, cat.compose(g[2], f[2]))
+    compose = {(g, f): (fs, gt, cat.compose(g[2], f[2]))
+               for (g, _, gt), (f, fs, _) in _composable_pairs(morphisms)}
     completion = FinCategory(f"Q({cat.name})", list(objs), morphisms, identity, compose)
     emb_obj = {a: (a, cat.id_of(a)) for a in cat.objects}
     emb_mor = {f: (emb_obj[cat.src[f]], emb_obj[cat.tgt[f]], f) for f in cat.morphisms}

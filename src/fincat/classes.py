@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, Profunctor,
-                   category_of_elements, compose_functors, covariant,
-                   full_subcategory, is_connected, is_filtered, nat_compose,
-                   nat_identity, same_category)
+                   _composable_pairs, category_of_elements, compose_functors,
+                   covariant, full_subcategory, is_connected, is_filtered,
+                   nat_compose, nat_identity, same_category)
 from .equivalence import all_functors, is_fully_faithful, objects_isomorphic
 from .errors import CapExceeded, InternalMismatch, MalformedTable
 from .kan import (PresheafCollection, Provenance, member_category,
@@ -412,21 +412,16 @@ class CommaWitness:
     category: FinCategory
 
 
-def empty_weight(cat: FinCategory) -> Presheaf:
-    """The constantly empty presheaf; weights the colimit over no data."""
-    return Presheaf("0", cat, {a: () for a in cat.objects},
-                    {f: {} for f in cat.morphisms})
-
-
 def comma_connectedness_witness(target: Presheaf) -> CommaWitness:
     """Build the comma of (representables + empty presheaf) over target.
 
     The empty presheaf maps uniquely into everything, so the comma category is
     never empty and always connected; the witness makes that checkable.
     """
+    from .corpus import delta0
     cat = target.base
     probes = [yoneda_embed(cat, a) for a in cat.objects]
-    probes.append(empty_weight(cat))
+    probes.append(delta0(cat))
     into = {i: nat_trans_set(p, target) for i, p in enumerate(probes)}
     between = {}
     index_of = {}
@@ -450,12 +445,10 @@ def comma_connectedness_witness(target: Presheaf) -> CommaWitness:
         ident = nat_identity(probes[i])
         identity[src] = (src, src, index_of[(i, i, ident.frozen())])
     compose = {}
-    for (m2, s2, t2) in morphisms:
-        for (m1, s1, t1) in morphisms:
-            if t1 == s2:
-                i, j, k = s1[0], s2[0], t2[0]
-                comp = nat_compose(between[(j, k)][m2[2]], between[(i, j)][m1[2]])
-                compose[(m2, m1)] = (s1, t2, index_of[(i, k, comp.frozen())])
+    for (m2, s2, t2), (m1, s1, _) in _composable_pairs(morphisms):
+        i, j, k = s1[0], s2[0], t2[0]
+        comp = nat_compose(between[(j, k)][m2[2]], between[(i, j)][m1[2]])
+        compose[(m2, m1)] = (s1, t2, index_of[(i, k, comp.frozen())])
     comma = FinCategory(f"comma(W/{target.name})", objects, morphisms,
                         identity, compose)
     return CommaWitness(is_connected(comma), len(objects), len(morphisms), comma)

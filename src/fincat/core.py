@@ -32,6 +32,8 @@ class FinCategory:
     morphisms: ordered list of (mor_id, src, tgt) triples.
     identity: dict object -> morphism id.
     compose: dict (g, f) -> g after f, keyed on exactly the composable pairs.
+    into: dict object -> morphisms with that target, in morphism order; the
+    composable pairs are exactly the (g, f) with f in into[src g].
     """
 
     def __init__(self, name, objects, morphisms, identity, compose):
@@ -63,8 +65,10 @@ class FinCategory:
                 if m not in self.mor_index:
                     raise MalformedTable(f"{name}: compose table references unknown morphism {m!r}")
         self._hom = {}
+        self.into = {a: [] for a in self.objects}
         for m in self.morphisms:
             self._hom.setdefault((self.src[m], self.tgt[m]), []).append(m)
+            self.into[self.tgt[m]].append(m)
         self._op = None
 
     def hom(self, a, b):
@@ -80,9 +84,6 @@ class FinCategory:
         except KeyError:
             raise MalformedTable(
                 f"{self.name}: compose({g!r}, {f!r}) undefined") from None
-
-    def composable(self, g, f):
-        return self.tgt[f] == self.src[g]
 
     def is_identity(self, m):
         return self.identity.get(self.src[m]) == m and self.src[m] == self.tgt[m]
@@ -356,7 +357,7 @@ def _validate_category(c: FinCategory) -> ValidationReport:
         if c.src[i] != a or c.tgt[i] != a:
             rep.violations.append(Violation("identity-endpoints", (a, i)))
     defined = set(c.compose_table)
-    composable = {(g, f) for g in c.morphisms for f in c.morphisms if c.composable(g, f)}
+    composable = {(g, f) for g in c.morphisms for f in c.into[c.src[g]]}
     for pair in sorted(defined - composable, key=repr):
         rep.violations.append(Violation("compose-defined-noncomposable", pair))
     for pair in sorted(composable - defined, key=repr):
@@ -372,13 +373,9 @@ def _validate_category(c: FinCategory) -> ValidationReport:
         if c.compose(f, c.id_of(c.src[f])) != f:
             rep.violations.append(Violation("identity-right", (f,)))
     for h in c.morphisms:
-        for g in c.morphisms:
-            if not c.composable(h, g):
-                continue
+        for g in c.into[c.src[h]]:
             hg = c.compose(h, g)
-            for f in c.morphisms:
-                if not c.composable(g, f):
-                    continue
+            for f in c.into[c.src[g]]:
                 if c.compose(hg, f) != c.compose(h, c.compose(g, f)):
                     rep.violations.append(Violation("associativity", (h, g, f)))
     return rep
@@ -500,6 +497,17 @@ def validate(entity) -> ValidationReport:
 # derived categories
 
 
+def _composable_pairs(morphisms):
+    """Every (g, f) of (id, src, tgt) triples with tgt f == src g, g outer and
+    f inner, both in list order: the order of an all-pairs loop."""
+    into = {}
+    for f in morphisms:
+        into.setdefault(f[2], []).append(f)
+    for g in morphisms:
+        for f in into.get(g[1], ()):
+            yield g, f
+
+
 def product_category(c: FinCategory, d: FinCategory) -> FinCategory:
     """Objects and morphisms are pairs; composition is componentwise.
 
@@ -510,13 +518,11 @@ def product_category(c: FinCategory, d: FinCategory) -> FinCategory:
     morphisms = [((f, g), (c.src[f], d.src[g]), (c.tgt[f], d.tgt[g]))
                  for f in c.morphisms for g in d.morphisms]
     identity = {(a, b): (c.id_of(a), d.id_of(b)) for a in c.objects for b in d.objects}
-    c_into, d_into = ({a: [m for m in k.morphisms if k.tgt[m] == a] for a in k.objects}
-                      for k in (c, d))
-    d_rows = [(g2, [(g1, d.compose(g2, g1)) for g1 in d_into[d.src[g2]]])
+    d_rows = [(g2, [(g1, d.compose(g2, g1)) for g1 in d.into[d.src[g2]]])
               for g2 in d.morphisms]
     compose = {}
     for f2 in c.morphisms:
-        c_row = [(f1, c.compose(f2, f1)) for f1 in c_into[c.src[f2]]]
+        c_row = [(f1, c.compose(f2, f1)) for f1 in c.into[c.src[f2]]]
         for g2, d_row in d_rows:
             m2 = (f2, g2)
             for f1, h in c_row:
@@ -537,7 +543,7 @@ def full_subcategory(cat: FinCategory, objects, name=None):
             if cat.src[m] in keep and cat.tgt[m] in keep]
     identity = {a: cat.id_of(a) for a in objs}
     compose = {(g, f): cat.compose(g, f)
-               for (g, gs, _) in mors for (f, _, ft) in mors if ft == gs}
+               for (g, _, _), (f, _, _) in _composable_pairs(mors)}
     sub = FinCategory(name or f"{cat.name}[{len(objs)}]", objs, mors, identity, compose)
     incl = FinFunctor(f"include[{sub.name}]", sub, cat,
                       {a: a for a in objs}, {m: m for m in sub.morphisms})
@@ -562,12 +568,9 @@ def category_of_elements(phi: Presheaf):
             morphisms.append((mid, src, tgt))
             if k.is_identity(u):
                 identity[src] = mid
-    compose = {}
-    for (u2, x2), s2, t2 in morphisms:
-        for (u1, x1), s1, t1 in morphisms:
-            if t1 == s2:
-                # u1: tgt(u1) <- ... runs (k,x1) -> (k', x2); then u2 continues from (k', x2)
-                compose[((u2, x2), (u1, x1))] = (k.compose(u1, u2), x1)
+    # u1 runs (k, x1) -> (k', x2); then u2 continues from (k', x2)
+    compose = {((u2, x2), (u1, x1)): (k.compose(u1, u2), x1)
+               for ((u2, x2), _, _), ((u1, x1), _, _) in _composable_pairs(morphisms)}
     el = FinCategory(f"el({phi.name})", objects, morphisms, identity, compose)
     proj = FinFunctor(f"el({phi.name})->{k.name}^op", el, k.op(),
                       {o: o[0] for o in objects},

@@ -7,8 +7,8 @@ from __future__ import annotations
 import itertools
 
 from .classes import WeightClass
-from .core import (FinCategory, FinFunctor, Presheaf, Profunctor, covariant,
-                   unit_category)
+from .core import (FinCategory, FinFunctor, Presheaf, Profunctor,
+                   _composable_pairs, covariant, unit_category)
 from .errors import MalformedTable
 
 
@@ -19,12 +19,10 @@ def poset_category(name, elements, leq) -> FinCategory:
     morphisms = [(f"{a}<={b}", a, b) for a, b in pairs]
     identity = {a: f"{a}<={a}" for a in objects}
     compose = {}
-    for b2, c in pairs:
-        for a, b1 in pairs:
-            if b1 == b2:
-                if not leq(a, c):
-                    raise MalformedTable(f"{name}: order not transitive at {a},{b1},{c}")
-                compose[(f"{b2}<={c}", f"{a}<={b1}")] = f"{a}<={c}"
+    for (g, b, c), (f, a, _) in _composable_pairs(morphisms):
+        if not leq(a, c):
+            raise MalformedTable(f"{name}: order not transitive at {a},{b},{c}")
+        compose[(g, f)] = f"{a}<={c}"
     return FinCategory(name, objects, morphisms, identity, compose)
 
 
@@ -67,15 +65,12 @@ def concrete_category(name, carriers, tables) -> FinCategory:
             raise MalformedTable(f"{name}: identity on {a} missing")
         identity[a] = mid
     compose = {}
-    for (g, gs, gt) in morphisms:
-        for (f, fs, ft) in morphisms:
-            if ft == gs:
-                tbl = {x: by_name[g][by_name[f][x]] for x in carriers[fs]}
-                mid = _map_name(fs, gt, carriers[fs], tbl)
-                if mid not in by_name:
-                    raise MalformedTable(f"{name}: not closed under composition "
-                                         f"at {g} . {f}")
-                compose[(g, f)] = mid
+    for (g, _, gt), (f, fs, _) in _composable_pairs(morphisms):
+        tbl = {x: by_name[g][by_name[f][x]] for x in carriers[fs]}
+        mid = _map_name(fs, gt, carriers[fs], tbl)
+        if mid not in by_name:
+            raise MalformedTable(f"{name}: not closed under composition at {g} . {f}")
+        compose[(g, f)] = mid
     return FinCategory(name, objects, morphisms, identity, compose)
 
 
@@ -154,8 +149,7 @@ def _split_m():
                 if mult[(split[b], mult[(m, split[a])])] == m:
                     mors.append((f"{a}>{b}:{m}", a, b))
     compose = {(g, f): f"{fa}>{gb}:{mult[(g.split(':')[1], f.split(':')[1])]}"
-               for (g, _, gb) in mors for (f, fa, fb) in mors
-               if fb == g.split(">")[0]}
+               for (g, _, gb), (f, fa, _) in _composable_pairs(mors)}
     return FinCategory("QM", ["s1", "se"], mors,
                        {"s1": "s1>s1:1", "se": "se>se:e"}, compose)
 

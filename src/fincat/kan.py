@@ -3,8 +3,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, nat_compose,
-                   nat_identity, same_category)
+from .core import (FinCategory, FinFunctor, NatTrans, Presheaf,
+                   _composable_pairs, nat_compose, nat_identity, same_category)
 from .equivalence import presheaf_isomorphic, _elem_profiles
 from .errors import InternalMismatch, MalformedTable
 from .limits import hom_diagram, nat_trans_set, weighted_colimit
@@ -241,10 +241,8 @@ def member_category(coll: PresheafCollection, count=None, nat_cache=None):
         ident = nat_identity(coll.members[i])
         identity[i] = index_of[(i, i, ident.frozen())]
     compose = {}
-    for (g, gs, gt) in morphisms:
-        for (f, fs, ft) in morphisms:
-            if ft == gs:
-                comp = nat_compose(decode[g], decode[f])
-                compose[(g, f)] = index_of[(fs, gt, comp.frozen())]
+    for (g, _, gt), (f, fs, _) in _composable_pairs(morphisms):
+        comp = nat_compose(decode[g], decode[f])
+        compose[(g, f)] = index_of[(fs, gt, comp.frozen())]
     cat = FinCategory(f"members({coll.base.name})", objects, morphisms, identity, compose)
     return cat, decode

@@ -5,14 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from fincat import corpus
 from fincat.classes import (Caps, WeightClass, atoms, check_commutation,
-                            comma_connectedness_witness, empty_weight,
+                            comma_connectedness_witness,
                             flat_for_finite_limits, flat_for_terminal,
                             in_saturation_bounded, is_phi_cocomplete,
                             is_phi_continuous, phi_closure_bounded,
                             recognize_free_cocompletion)
 from fincat.core import full_subcategory, identity_functor, validate
 from fincat.corpus import (Chain3, Disc2, M, N5, QM, Span, Two, Z2,
-                           PRESHEAVES, WEIGHT_CLASSES, delta1, embedM,
+                           PRESHEAVES, WEIGHT_CLASSES, delta0, delta1, embedM,
                            example82, orbit)
 from fincat.equivalence import all_functors, presheaf_isomorphic
 from fincat.errors import CapExceeded, MalformedTable
@@ -274,6 +274,6 @@ def test_comma_witness_connected_for_random_targets(seed):
 
 
 def test_empty_weight_shape():
-    p = empty_weight(M)
+    p = delta0(M)
     assert validate(p).ok
     assert p.sets["*"] == ()

@@ -1,21 +1,26 @@
 import importlib
 import inspect
+import itertools
 import pkgutil
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fincat import corpus, validate
+from fincat.cauchy import cauchy_completion
 from fincat.core import (FinCategory, FinFunctor, NatTrans, Presheaf,
-                         category_of_elements, compose_functors, covariant,
-                         full_subcategory, identity_functor, is_connected,
-                         is_filtered, nat_compose, nat_identity,
-                         product_category, quotient, same_category,
-                         unit_category)
+                         _composable_pairs, category_of_elements,
+                         compose_functors, covariant, full_subcategory,
+                         identity_functor, is_connected, is_filtered,
+                         nat_compose, nat_identity, product_category, quotient,
+                         same_category, unit_category)
 from fincat.corpus import (Chain3, Disc2, Empty, GSet, I, M, N5, Par, QM, Span,
                            Two, Z2, Z3, PRESHEAVES)
 from fincat.errors import MalformedTable
-from util import SMALL_CATEGORIES, product_category_oracle, quotient_oracle
+from util import (SMALL_CATEGORIES, all_pairs_compose, composable_pairs_oracle,
+                  product_category_oracle, quotient_oracle, random_presheaf,
+                  validate_category_oracle)
 
 
 def test_compose_is_first_then_second():
@@ -135,6 +140,87 @@ def test_product_category_rejects_a_missing_composite():
         product_category(broken, Two)
     with pytest.raises(MalformedTable):
         product_category(Two, broken)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from("abc"),
+                          st.sampled_from("abc")), max_size=10))
+def test_composable_pairs_match_all_pairs_filter(morphisms):
+    assert list(_composable_pairs(morphisms)) == composable_pairs_oracle(morphisms)
+
+
+def _violations(cat):
+    return [(v.law, v.witness) for v in validate(cat).violations]
+
+
+@st.composite
+def magma_tables(draw):
+    """A one-object category table whose composition is an arbitrary magma."""
+    n = draw(st.integers(1, 4))
+    elements = [f"m{i}" for i in range(n)]
+    compose = {(g, f): elements[draw(st.integers(0, n - 1))]
+               for g in elements for f in elements}
+    return FinCategory("magma", ["*"], [(m, "*", "*") for m in elements],
+                       {"*": "m0"}, compose)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(magma_tables())
+def test_validate_matches_all_pairs_triple_loop_on_magmas(cat):
+    assert _violations(cat) == validate_category_oracle(cat)
+
+
+@st.composite
+def corrupted_tables(draw):
+    """A corpus category with one composite replaced by a parallel morphism,
+    one composite dropped, or one noncomposable pair added."""
+    cat = draw(st.sampled_from(SMALL_CATEGORIES + [N5, QM, Z3]))
+    compose = dict(cat.compose_table)
+    pairs = list(compose)
+    g, f = pairs[draw(st.integers(0, len(pairs) - 1))]
+    how = draw(st.sampled_from(["replace", "drop", "add"]))
+    if how == "replace":
+        compose[(g, f)] = draw(st.sampled_from(cat.hom(cat.src[f], cat.tgt[g])))
+    elif how == "drop":
+        del compose[(g, f)]
+    else:
+        h = draw(st.sampled_from(cat.morphisms))
+        if cat.tgt[h] != cat.src[g]:
+            compose[(g, h)] = g
+    morphisms = [(m, cat.src[m], cat.tgt[m]) for m in cat.morphisms]
+    return FinCategory(cat.name, cat.objects, morphisms, cat.identity, compose)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(corrupted_tables())
+def test_validate_matches_all_pairs_triple_loop_on_corrupted_tables(cat):
+    assert _violations(cat) == validate_category_oracle(cat)
+
+
+def test_into_lists_the_morphisms_into_each_object():
+    for cat in list(corpus.CATEGORIES.values()) + [product_category(Two, Span)]:
+        assert cat.into == {a: [m for m in cat.morphisms if cat.tgt[m] == a]
+                            for a in cat.objects}, cat.name
+
+
+def test_derived_compose_tables_match_all_pairs_rebuild():
+    rng = random.Random(5)
+    for cat in SMALL_CATEGORIES:
+        q = cauchy_completion(cat).completion
+        want = all_pairs_compose(q, lambda g, f: (q.src[f], q.tgt[g],
+                                                  cat.compose(g[2], f[2])))
+        assert list(q.compose_table.items()) == list(want.items()), cat.name
+        for size in range(len(cat.objects) + 1):
+            for objs in itertools.combinations(reversed(cat.objects), size):
+                sub, _ = full_subcategory(cat, objs)
+                want = all_pairs_compose(sub, cat.compose)
+                assert list(sub.compose_table.items()) == list(want.items())
+        weights = [p for p in PRESHEAVES.values() if p.base is cat]
+        weights += [random_presheaf(rng, cat, f"r{i}") for i in range(4)]
+        for p in weights:
+            el, _ = category_of_elements(p)
+            want = all_pairs_compose(el, lambda g, f: (cat.compose(f[0], g[0]), f[1]))
+            assert list(el.compose_table.items()) == list(want.items()), p.name
 
 
 def test_full_subcategory_of_QM_is_M_shaped():

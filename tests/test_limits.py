@@ -3,8 +3,8 @@ import random
 import pytest
 
 from fincat import corpus
-from fincat.core import Presheaf, covariant, validate
-from fincat.corpus import (Chain3, Disc2, Empty, M, Par, Span, Two, Z2, Z3,
+from fincat.core import FinCategory, FinFunctor, Presheaf, covariant, validate
+from fincat.corpus import (Chain3, Disc2, Empty, I, M, Par, Span, Two, Z2, Z3,
                            PRESHEAVES, delta0, delta1)
 from fincat.equivalence import all_functors
 from fincat.errors import BudgetExceeded, MalformedTable
@@ -163,6 +163,25 @@ def test_colimit_in_category_absent():
     t2 = all_functors(Empty, Two)[0]
     got = colimit_in_category(delta0(Empty), t2)
     assert got is not None and got.apex == "0"
+
+
+def test_colimit_in_category_skips_a_candidate_with_matching_hom_sizes():
+    # c and p both have two maps into each object, and p -> c exists, but c is
+    # not isomorphic to p: every non-identity composite is a constant (u, v,
+    # f0 or s0), so precomposing with either f sends both s0 and s1 to v
+    homs = {("c", "c"): ["1c", "u"], ("p", "c"): ["f0", "f1"],
+            ("c", "p"): ["s0", "s1"], ("p", "p"): ["1p", "v"]}
+    constant = {"c": {"c": "u", "p": "s0"}, "p": {"c": "f0", "p": "v"}}
+    morphisms = [(m, a, b) for (a, b), ms in homs.items() for m in ms]
+    ids = ("1c", "1p")
+    compose = {(g, f): g if f in ids else f if g in ids else constant[fs][gt]
+               for g, gs, gt in morphisms for f, fs, ft in morphisms if ft == gs}
+    t = FinCategory("C2", ["c", "p"], morphisms, {"c": "1c", "p": "1p"}, compose)
+    assert validate(t).ok
+    pick_p = FinFunctor("pick p", I, t, {"*": "p"}, {"id": "1p"})
+    got = colimit_in_category(delta1(I), pick_p)
+    assert got is not None
+    assert (got.apex, got.cocone) == ("p", {"*": {"*": "1p"}})
 
 
 def test_limit_in_category_terminal_objects():

@@ -2,12 +2,13 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fincat import cli, corpus
 from fincat.core import FinCategory, same_category
 from fincat.corpus import GSet
-from fincat.errors import (DuplicateName, InternalMismatch, ParseError,
-                           UnresolvedReference)
+from fincat.errors import (DuplicateName, FincatError, InternalMismatch,
+                           ParseError, UnresolvedReference)
 from fincat.profunctor import id_module
 from fincat.workspace import Workspace, load_workspace, serialize_workspace
 
@@ -193,6 +194,63 @@ def test_exit_2_on_misshapen_workspace(tmp_path, capsys, break_shape):
     path.write_text(json.dumps(doc))
     assert cli.main(["-w", str(path), "validate"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _workspace_with_every_section():
+    doc = {}
+    for stem in ("monoid_M", "group_Z2", "example82"):
+        for section, entries in json.loads((FIXTURES / f"{stem}.json").read_text()).items():
+            doc.setdefault(section, {}).update(entries)
+    return doc
+
+
+def _strings(value):
+    if isinstance(value, str):
+        return {value}
+    if isinstance(value, dict):
+        return set(value).union(*map(_strings, value.values()))
+    if isinstance(value, list):
+        return set().union(*map(_strings, value))
+    return set()
+
+
+# the ids and names of the workspace are drawn often, so that a changed field
+# can still resolve and reach the table and law checks behind the shape check
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(sorted(_strings(_workspace_with_every_section()))),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_load_workspace_raises_only_fincat_errors(tmp_path_factory, data):
+    """Arbitrary JSON put at random fields of a valid workspace either loads
+    or raises a FincatError; never any other exception."""
+    doc = _workspace_with_every_section()
+    for _ in range(data.draw(st.integers(1, 3))):
+        holder, key = None, None
+        node = doc
+        while isinstance(node, (dict, list)) and node and data.draw(st.integers(0, 3)):
+            keys = list(node) if isinstance(node, dict) else range(len(node))
+            holder, key = node, data.draw(st.sampled_from(keys))
+            node = node[key]
+        value = data.draw(_JSON)
+        if holder is None:
+            doc = value
+        elif isinstance(holder, dict) and data.draw(st.booleans()):
+            holder[data.draw(st.text(max_size=3))] = value
+        else:
+            holder[key] = value
+    path = tmp_path_factory.mktemp("fuzz") / "workspace.json"
+    path.write_text(json.dumps(doc))
+    try:
+        load_workspace([path])
+    except FincatError:
+        pass
 
 
 def test_exit_3_on_duplicate_key_within_a_file(tmp_path):

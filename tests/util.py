@@ -4,9 +4,10 @@ The oracles here deliberately avoid the library code paths they are checking:
 the Karoubi enumeration works straight off the composition table, the functor
 counter filters the raw product space, and the second commutation pipeline is
 built from public pieces only.  The product-category oracle filters all pairs
-of pairs, the quotient oracle closes classes breadth first, and the
-module-composition oracle builds a validated pair module per cell and takes
-its coend with a plain union-find.  The right-extension and Isbell R/counit
+of pairs; the composable-pair, compose-table and category-validation oracles
+filter all pairs of morphisms; the quotient oracle closes classes breadth
+first; and the module-composition oracle builds a validated pair module per
+cell and takes its coend with a plain union-find.  The right-extension and Isbell R/counit
 oracles are the direct end formulas, written without duality.
 """
 import itertools
@@ -121,6 +122,54 @@ def product_category_oracle(c, d):
     return {((f2, g2), (f1, g1)): (c.compose(f2, f1), d.compose(g2, g1))
             for (f2, g2) in pairs for (f1, g1) in pairs
             if c.tgt[f1] == c.src[f2] and d.tgt[g1] == d.src[g2]}
+
+
+def composable_pairs_oracle(morphisms):
+    """Every (g, f) of (id, src, tgt) triples with tgt f == src g, from all pairs."""
+    return [(g, f) for g in morphisms for f in morphisms if f[2] == g[1]]
+
+
+def all_pairs_compose(cat, value):
+    """cat's composable pairs filtered from all pairs, each mapped to value(g, f)."""
+    return {(g, f): value(g, f) for g in cat.morphisms for f in cat.morphisms
+            if cat.tgt[f] == cat.src[g]}
+
+
+def validate_category_oracle(c):
+    """(law, witness) of every category violation, by the all-pairs triple loop."""
+    out = []
+    for a in c.objects:
+        i = c.identity[a]
+        if c.src[i] != a or c.tgt[i] != a:
+            out.append(("identity-endpoints", (a, i)))
+    defined = set(c.compose_table)
+    composable = {(g, f) for g in c.morphisms for f in c.morphisms
+                  if c.tgt[f] == c.src[g]}
+    for pair in sorted(defined - composable, key=repr):
+        out.append(("compose-defined-noncomposable", pair))
+    for pair in sorted(composable - defined, key=repr):
+        out.append(("compose-missing", pair))
+    if out:
+        return out
+    table = c.compose_table
+    for (g, f), h in table.items():
+        if c.src[h] != c.src[f] or c.tgt[h] != c.tgt[g]:
+            out.append(("compose-endpoints", (g, f, h)))
+    for f in c.morphisms:
+        if table[(c.identity[c.tgt[f]], f)] != f:
+            out.append(("identity-left", (f,)))
+        if table[(f, c.identity[c.src[f]])] != f:
+            out.append(("identity-right", (f,)))
+    for h in c.morphisms:
+        for g in c.morphisms:
+            if c.tgt[g] != c.src[h]:
+                continue
+            for f in c.morphisms:
+                if c.tgt[f] != c.src[g]:
+                    continue
+                if table[(table[(h, g)], f)] != table[(h, table[(g, f)])]:
+                    out.append(("associativity", (h, g, f)))
+    return out
 
 
 def quotient_oracle(tags, pairs):
