@@ -93,15 +93,16 @@ def phi_closure_bounded(weight_class: WeightClass, base: FinCategory,
                                  f"{phi.name}-colimit in round {rounds}")
                     capped_this_round = True
                     continue
-                prov = Provenance("colimit", (
+                if coll.find_isomorphic(p) is not None:
+                    continue
+                coll._insert(p, Provenance("colimit", (
                     phi.name,
                     tuple((k, s.obj(k)) for k in phi.base.objects),
                     tuple((u, tuple((a, tuple(sorted(
                         decode[s.mor(u)].components[a].items(), key=repr)))
                         for a in base.objects))
-                        for u in phi.base.morphisms)))
-                _, was_new = coll.add(p, prov)
-                added = added or was_new
+                        for u in phi.base.morphisms))))
+                added = True
             else:
                 continue
             break

@@ -166,28 +166,34 @@ class Presheaf:
 
     sets: dict object -> ordered tuple of distinct hashable elements.
     actions: dict morphism -> dict; for f: a -> b the dict maps sets[b] into sets[a].
+
+    Neither table is changed after construction, so ``_profiles`` memoises
+    ``equivalence._elem_profiles`` per object for the life of the presheaf.
+    The profiles do not read ``name``, which callers may reset.
     """
 
     def __init__(self, name, base, sets, actions):
         self.name = name
         self.base = base
         self.sets = {a: tuple(v) for a, v in sets.items()}
+        values = {}
         for a, v in self.sets.items():
             if a not in base.obj_index:
                 raise MalformedTable(f"{name}: value set on unknown object {a!r}")
-            if not _dedup_ok(v):
+            values[a] = set(v)
+            if len(values[a]) != len(v):
                 raise MalformedTable(f"{name}: duplicate elements at {a!r}")
-        if set(self.sets) != set(base.objects):
+        if values.keys() != base.obj_index.keys():
             raise MalformedTable(f"{name}: value sets must cover every object")
         self.actions = {f: dict(v) for f, v in actions.items()}
-        if set(self.actions) != set(base.morphisms):
+        if self.actions.keys() != base.mor_index.keys():
             raise MalformedTable(f"{name}: action table must cover every morphism")
         for f, table in self.actions.items():
-            dom = set(self.sets[base.tgt[f]])
-            cod = set(self.sets[base.src[f]])
-            if set(table) != dom or not set(table.values()) <= cod:
+            if (table.keys() != values[base.tgt[f]]
+                    or not values[base.src[f]].issuperset(table.values())):
                 raise MalformedTable(f"{name}: action of {f!r} is not a map "
                                      f"sets[{base.tgt[f]!r}] -> sets[{base.src[f]!r}]")
+        self._profiles = {}
 
     def at(self, a):
         return self.sets[a]
@@ -284,26 +290,26 @@ class Profunctor:
         self.target = target
         self.sets = {cell: tuple(v) for cell, v in sets.items()}
         cells = {(b, a) for b in target.objects for a in source.objects}
-        if set(self.sets) != cells:
+        if self.sets.keys() != cells:
             raise MalformedTable(f"profunctor {name!r}: cells must cover target x source")
+        values = {}
         for cell, v in self.sets.items():
-            if not _dedup_ok(v):
+            values[cell] = set(v)
+            if len(values[cell]) != len(v):
                 raise MalformedTable(f"profunctor {name!r}: duplicate elements in cell {cell!r}")
         self.left = {k: dict(v) for k, v in left.items()}
         self.right = {k: dict(v) for k, v in right.items()}
         want_left = {(m, a) for m in target.morphisms for a in source.objects}
         want_right = {(b, m) for b in target.objects for m in source.morphisms}
-        if set(self.left) != want_left or set(self.right) != want_right:
+        if self.left.keys() != want_left or self.right.keys() != want_right:
             raise MalformedTable(f"profunctor {name!r}: action tables incomplete")
         for (m, a), table in self.left.items():
-            dom = set(self.sets[(target.tgt[m], a)])
-            cod = set(self.sets[(target.src[m], a)])
-            if set(table) != dom or not set(table.values()) <= cod:
+            if (table.keys() != values[(target.tgt[m], a)]
+                    or not values[(target.src[m], a)].issuperset(table.values())):
                 raise MalformedTable(f"profunctor {name!r}: left action of {m!r} at {a!r} malformed")
         for (b, m), table in self.right.items():
-            dom = set(self.sets[(b, source.src[m])])
-            cod = set(self.sets[(b, source.tgt[m])])
-            if set(table) != dom or not set(table.values()) <= cod:
+            if (table.keys() != values[(b, source.src[m])]
+                    or not values[(b, source.tgt[m])].issuperset(table.values())):
                 raise MalformedTable(f"profunctor {name!r}: right action of {m!r} at {b!r} malformed")
 
     def cell(self, b, a):
@@ -364,18 +370,25 @@ def _validate_category(c: FinCategory) -> ValidationReport:
         rep.violations.append(Violation("compose-missing", pair))
     if not rep.ok:
         return rep
+    bad = set()
     for (g, f), h in c.compose_table.items():
         if c.src[h] != c.src[f] or c.tgt[h] != c.tgt[g]:
             rep.violations.append(Violation("compose-endpoints", (g, f, h)))
+            bad.add((g, f))
+    # the laws below read only composites whose endpoints passed; a composite
+    # of a wrong-endpoint value need not be in the table
+    typed = {g: [f for f in c.into[c.src[g]] if (g, f) not in bad]
+             for g in c.morphisms}
     for f in c.morphisms:
-        if c.compose(c.id_of(c.tgt[f]), f) != f:
+        i, j = c.id_of(c.tgt[f]), c.id_of(c.src[f])
+        if (i, f) not in bad and c.compose(i, f) != f:
             rep.violations.append(Violation("identity-left", (f,)))
-        if c.compose(f, c.id_of(c.src[f])) != f:
+        if (f, j) not in bad and c.compose(f, j) != f:
             rep.violations.append(Violation("identity-right", (f,)))
     for h in c.morphisms:
-        for g in c.into[c.src[h]]:
+        for g in typed[h]:
             hg = c.compose(h, g)
-            for f in c.into[c.src[g]]:
+            for f in typed[g]:
                 if c.compose(hg, f) != c.compose(h, c.compose(g, f)):
                     rep.violations.append(Violation("associativity", (h, g, f)))
     return rep

@@ -257,15 +257,28 @@ def find_equivalence(a: FinCategory, b: FinCategory, budget=None):
 
 
 def _elem_profiles(p: Presheaf, a):
-    """Iso-invariant signature per element: endo fixedness and preimage counts."""
+    """Iso-invariant signature per element of p(a): which endomorphisms of a fix
+    it, and how many elements each morphism out of a sends onto it.
+
+    Computed once per presheaf and object (``Presheaf._profiles``), in one
+    pass over each action table involved.
+    """
+    profs = p._profiles.get(a)
+    if profs is not None:
+        return profs
     c = p.base
-    endos = [f for f in c.morphisms if c.src[f] == a and c.tgt[f] == a]
-    outs = [f for f in c.morphisms if c.src[f] == a]
-    profs = {}
-    for x in p.sets[a]:
-        fixed = tuple(p.act(f, x) == x for f in endos)
-        pre = tuple(sum(1 for y in p.sets[c.tgt[f]] if p.act(f, y) == x) for f in outs)
-        profs[x] = (fixed, pre)
+    endos = [p.actions[f] for f in c.hom(a, a)]
+    preimages = []
+    for f in c.morphisms:
+        if c.src[f] == a:
+            counts = dict.fromkeys(p.sets[a], 0)
+            for y in p.actions[f].values():
+                counts[y] += 1
+            preimages.append(counts)
+    profs = p._profiles[a] = {
+        x: (tuple(act[x] == x for act in endos),
+            tuple(counts[x] for counts in preimages))
+        for x in p.sets[a]}
     return profs
 
 

@@ -52,7 +52,7 @@ def restrict(k: FinFunctor, s: Presheaf) -> Presheaf:
     if not same_category(s.base, k.target.op()):
         raise MalformedTable("restrict: diagram must be covariant on the functor target")
     sets = {a: s.sets[k.obj(a)] for a in k.source.objects}
-    actions = {u: dict(s.actions[k.mor(u)]) for u in k.source.morphisms}
+    actions = {u: s.actions[k.mor(u)] for u in k.source.morphisms}
     return Presheaf(f"{s.name}|{k.name}", k.source.op(), sets, actions)
 
 
@@ -154,11 +154,15 @@ class PresheafCollection:
         i = self.find_isomorphic(p)
         if i is not None:
             return i, False
+        return self._insert(p, prov), True
+
+    def _insert(self, p: Presheaf, prov: Provenance):
+        """Append p, which find_isomorphic has just reported new; its index."""
         self.members.append(p)
         self.provenance.append(prov)
         i = len(self.members) - 1
         self._buckets.setdefault(self._signature(p), []).append(i)
-        return i, True
+        return i
 
     @classmethod
     def representables(cls, base: FinCategory):
@@ -197,7 +201,7 @@ def pointwise_colimit(phi: Presheaf, diagram_objs: dict, diagram_mors: dict,
     for a in base.objects:
         s_a = Presheaf(f"{name}@{a!r}", k.op(),
                        {j: diagram_objs[j].sets[a] for j in k.objects},
-                       {u: dict(diagram_mors[u].components[a]) for u in k.morphisms})
+                       {u: diagram_mors[u].components[a] for u in k.morphisms})
         per[a] = weighted_colimit(phi, s_a, cross_check=cross_check)
     sets = {a: per[a].classes for a in base.objects}
     actions = {}

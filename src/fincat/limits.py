@@ -226,7 +226,7 @@ def weighted_limit(phi: Presheaf, t: Presheaf, cross_check=True) -> WeightedLimi
         el, _proj = category_of_elements(phi)
         diagram = Presheaf(f"{t.name}|el", el.op(),
                            {(k, x): t.sets[k] for (k, x) in el.objects},
-                           {(u, x): dict(t.actions[u]) for (u, x) in el.morphisms})
+                           {(u, x): t.actions[u] for (u, x) in el.morphisms})
         conical = finset_limit(diagram)
         by_tuple = {}
         for alpha in transforms:
@@ -263,17 +263,24 @@ def pairing_profunctor(phi: Presheaf, s: Presheaf) -> Profunctor:
     left = {}
     right = {}
     for u in k.morphisms:
+        phi_u, s_u = phi.actions[u], s.actions[u]
         for k2 in k.objects:
-            left[(u, k2)] = {(x, y): (phi.act(u, x), y)
+            left[(u, k2)] = {(x, y): (phi_u[x], y)
                              for (x, y) in sets[(k.tgt[u], k2)]}
         for k1 in k.objects:
-            right[(k1, u)] = {(x, y): (x, s.actions[u][y])
+            right[(k1, u)] = {(x, y): (x, s_u[y])
                               for (x, y) in sets[(k1, k.src[u])]}
     return Profunctor(f"{phi.name}(x){s.name}", k, k, sets, left, right)
 
 
 def weighted_colimit(phi: Presheaf, s: Presheaf, cross_check=True) -> WeightedColimitResult:
-    """phi * s for a weight phi on K and covariant diagram s (a presheaf on K.op())."""
+    """phi * s for a weight phi on K and covariant diagram s (a presheaf on K.op()).
+
+    With cross_check, the coend route and the conical colimit over el(phi)
+    must partition the triples (k, x, y) alike.  One pass over the triples maps
+    each coend class to a conical class and each conical class to a coend
+    class; the partitions are equal iff neither map sends a class to two.
+    """
     if not same_category(s.base, phi.base.op()):
         raise MalformedTable("weighted_colimit: diagram must be a presheaf on weight base op")
     co = coend(pairing_profunctor(phi, s))
@@ -282,23 +289,15 @@ def weighted_colimit(phi: Presheaf, s: Presheaf, cross_check=True) -> WeightedCo
         el, _proj = category_of_elements(phi)
         diagram = Presheaf(f"{s.name}|el", el,
                            {(k, x): s.sets[k] for (k, x) in el.objects},
-                           {(u, x): dict(s.actions[u]) for (u, x) in el.morphisms})
+                           {(u, x): s.actions[u] for (u, x) in el.morphisms})
         conical = finset_colimit(diagram)
-        part1 = {}
-        for k in phi.base.objects:
-            for x in phi.sets[k]:
-                for y in s.sets[k]:
-                    part1.setdefault(co.find(k, (x, y)), set()).add((k, x, y))
-        part2 = {}
+        to_conical = {}
+        to_coend = {}
         for (k, x) in el.objects:
             for y in s.sets[k]:
-                part2.setdefault(conical.find((k, x), y), set()).add((k, x, y))
-
-        def canon(blocks):
-            return sorted((sorted(b, key=repr) for b in blocks), key=repr)
-
-        if canon(part1.values()) != canon(part2.values()):
-            raise InternalMismatch("weighted_colimit routes disagree on the quotient")
+                a, b = co.find(k, (x, y)), conical.find((k, x), y)
+                if to_conical.setdefault(a, b) != b or to_coend.setdefault(b, a) != a:
+                    raise InternalMismatch("weighted_colimit routes disagree on the quotient")
     return WeightedColimitResult(co.classes, co, conical)
 
 

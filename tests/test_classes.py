@@ -1,9 +1,13 @@
+import collections
+import importlib
+import pkgutil
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fincat import corpus
+import fincat
+from fincat import core, corpus, equivalence, limits
 from fincat.classes import (Caps, WeightClass, atoms, check_commutation,
                             comma_connectedness_witness,
                             flat_for_finite_limits, flat_for_terminal,
@@ -63,6 +67,47 @@ def test_closure_under_splitting_weight_on_the_monoid():
     anchors = [yoneda_embed(M, "*"), PRESHEAVES["E"]]
     for m in res.collection.members:
         assert any(presheaf_isomorphic(m, a) for a in anchors)
+
+
+def _wrap_everywhere(monkeypatch, module, name, wrapper):
+    """Rebind module.name, and every alias of it in a fincat module, to
+    wrapper(original)."""
+    original = getattr(module, name)
+    wrapped = wrapper(original)
+    for info in pkgutil.iter_modules(fincat.__path__):
+        mod = importlib.import_module(f"fincat.{info.name}")
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, wrapped)
+
+
+def test_closure_counts_are_pinned(monkeypatch):
+    """Span under pushouts, two rounds: one coend, one el(phi) and one
+    weighted colimit per value of each candidate, and each (presheaf, object)
+    profile built once.  Traced benchmark runs rely on these calls."""
+    calls = collections.Counter()
+    for module, name in [(limits, "coend"), (core, "category_of_elements"),
+                         (limits, "weighted_colimit")]:
+        def counting(fn, name=name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        _wrap_everywhere(monkeypatch, module, name, counting)
+    built = collections.Counter()
+
+    def counting_builds(fn):
+        def wrapper(p, a):
+            if a not in p._profiles:
+                built[(p, a)] += 1
+            return fn(p, a)
+        return wrapper
+
+    _wrap_everywhere(monkeypatch, equivalence, "_elem_profiles", counting_builds)
+    res = phi_closure_bounded(PUSHOUTS, Span, Caps(rounds=2, members=30))
+    assert len(res.collection.members) == 15
+    assert calls == {"coend": 456, "category_of_elements": 456,
+                     "weighted_colimit": 456}
+    assert built and max(built.values()) == 1
 
 
 def test_closure_provenance_replays():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from fincat import corpus, validate
 from fincat.cauchy import cauchy_completion
 from fincat.core import (FinCategory, FinFunctor, NatTrans, Presheaf,
-                         _composable_pairs, category_of_elements,
+                         Profunctor, _composable_pairs, category_of_elements,
                          compose_functors, covariant, full_subcategory,
                          identity_functor, is_connected, is_filtered,
                          nat_compose, nat_identity, product_category, quotient,
@@ -19,8 +19,9 @@ from fincat.corpus import (Chain3, Disc2, Empty, GSet, I, M, N5, Par, QM, Span,
                            Two, Z2, Z3, PRESHEAVES)
 from fincat.errors import MalformedTable
 from util import (SMALL_CATEGORIES, all_pairs_compose, composable_pairs_oracle,
-                  product_category_oracle, quotient_oracle, random_presheaf,
-                  validate_category_oracle)
+                  presheaf_tables_ok, product_category_oracle,
+                  profunctor_tables_ok, quotient_oracle, random_presheaf,
+                  random_profunctor, validate_category_oracle)
 
 
 def test_compose_is_first_then_second():
@@ -195,6 +196,54 @@ def corrupted_tables(draw):
 @given(corrupted_tables())
 def test_validate_matches_all_pairs_triple_loop_on_corrupted_tables(cat):
     assert _violations(cat) == validate_category_oracle(cat)
+
+
+def _corrupt(draw, tables, elements):
+    """Drop a key from one action table, add a foreign key, or set a foreign
+    value; or leave the tables alone."""
+    how = draw(st.sampled_from(["none", "drop", "key", "value"]))
+    table = tables[draw(st.sampled_from(list(tables)))]
+    if how == "key":
+        table[draw(st.sampled_from(elements))] = draw(st.sampled_from(elements))
+    elif how != "none" and table:
+        x = draw(st.sampled_from(list(table)))
+        if how == "drop":
+            del table[x]
+        else:
+            table[x] = draw(st.sampled_from(elements))
+
+
+def _accepts(build):
+    try:
+        build()
+    except MalformedTable:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(SMALL_CATEGORIES), st.integers(0, 10 ** 6), st.data())
+def test_presheaf_constructor_decides_like_fresh_set_checks(cat, seed, data):
+    p = random_presheaf(random.Random(seed), cat, "p")
+    actions = {f: dict(t) for f, t in p.actions.items()}
+    elements = [x for v in p.sets.values() for x in v] + ["foreign"]
+    _corrupt(data.draw, actions, elements)
+    assert _accepts(lambda: Presheaf("q", cat, p.sets, actions)) == \
+        presheaf_tables_ok(cat, p.sets, actions)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(SMALL_CATEGORIES[:6]), st.sampled_from(SMALL_CATEGORIES[:6]),
+       st.integers(0, 10 ** 6), st.data())
+def test_profunctor_constructor_decides_like_fresh_set_checks(source, target,
+                                                              seed, data):
+    p = random_profunctor(random.Random(seed), source, target, "p")
+    left = {k: dict(t) for k, t in p.left.items()}
+    right = {k: dict(t) for k, t in p.right.items()}
+    elements = [x for v in p.sets.values() for x in v] + ["foreign"]
+    _corrupt(data.draw, data.draw(st.sampled_from([left, right])), elements)
+    assert _accepts(lambda: Profunctor("q", source, target, p.sets, left, right)) == \
+        profunctor_tables_ok(source, target, p.sets, left, right)
 
 
 def test_into_lists_the_morphisms_into_each_object():

@@ -1,16 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fincat import corpus
-from fincat.core import full_subcategory, validate
+from fincat.core import Presheaf, full_subcategory, validate
 from fincat.corpus import (Chain3, Disc2, I, M, Par, QM, Span, Two, Z2, Z3,
                            PRESHEAVES)
-from fincat.equivalence import (all_functors, find_equivalence,
+from fincat.equivalence import (_elem_profiles, all_functors, find_equivalence,
                                 find_isomorphism, is_fully_faithful,
                                 presheaf_isomorphic, skeleton)
 from fincat.errors import BudgetExceeded
-from util import naive_functor_count
+from util import (SMALL_CATEGORIES, elem_profiles_oracle, naive_functor_count,
+                  random_presheaf)
 
 
 def test_all_functors_counts_match_naive_filter():
@@ -86,6 +88,54 @@ def test_presheaf_isomorphic_is_an_actual_isomorphism():
     for f in p.base.morphisms:
         for x in p.sets[p.base.tgt[f]]:
             assert iso[p.base.src[f]][p.act(f, x)] == q.act(f, iso[p.base.tgt[f]][x])
+
+
+def _cold(p):
+    """The same presheaf with nothing memoised."""
+    return Presheaf(p.name, p.base, p.sets, p.actions)
+
+
+def _relabelled(rng, p):
+    """An isomorphic copy of p, its elements renamed and reordered."""
+    rename = {}
+    for a in p.base.objects:
+        xs = list(p.sets[a])
+        rng.shuffle(xs)
+        rename[a] = {x: ("r", a, i) for i, x in enumerate(xs)}
+    c = p.base
+    return Presheaf("relabelled", c,
+                    {a: sorted(rename[a].values()) for a in c.objects},
+                    {f: {rename[c.tgt[f]][x]: rename[c.src[f]][y]
+                         for x, y in p.actions[f].items()}
+                     for f in c.morphisms})
+
+
+_CORPUS = sorted(PRESHEAVES.values(), key=lambda p: p.name)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(SMALL_CATEGORIES), st.integers(0, 10 ** 6),
+       st.sampled_from(_CORPUS))
+def test_elem_profiles_match_preimage_scan(cat, seed, corpus_presheaf):
+    for p in (random_presheaf(random.Random(seed), cat, "p", 4),
+              _cold(corpus_presheaf)):
+        for a in p.base.objects:
+            assert _elem_profiles(p, a) == elem_profiles_oracle(p, a)
+            assert _elem_profiles(p, a) is p._profiles[a]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(SMALL_CATEGORIES), st.integers(0, 10 ** 6), st.booleans())
+def test_presheaf_isomorphic_same_with_profiles_warm_or_cold(cat, seed, iso):
+    rng = random.Random(seed)
+    p = random_presheaf(rng, cat, "p")
+    q = _relabelled(rng, p) if iso else random_presheaf(rng, cat, "q")
+    cold = presheaf_isomorphic(p, q)
+    assert presheaf_isomorphic(p, q) == cold
+    assert presheaf_isomorphic(_cold(p), q) == cold
+    assert presheaf_isomorphic(p, _cold(q)) == cold
+    if iso:
+        assert cold is not None
 
 
 def test_functor_enumeration_is_lexicographic_in_objects():

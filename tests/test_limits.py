@@ -2,19 +2,21 @@ import random
 
 import pytest
 
-from fincat import corpus
+from fincat import corpus, limits
 from fincat.core import FinCategory, FinFunctor, Presheaf, covariant, validate
 from fincat.corpus import (Chain3, Disc2, Empty, I, M, Par, Span, Two, Z2, Z3,
                            PRESHEAVES, delta0, delta1)
 from fincat.equivalence import all_functors
-from fincat.errors import BudgetExceeded, MalformedTable
+from fincat.errors import BudgetExceeded, InternalMismatch, MalformedTable
 from fincat.kan import yoneda_embed
-from fincat.limits import (coend, colimit_in_category, end, finset_colimit,
-                           finset_limit, limit_in_category, nat_trans_set,
-                           pairing_profunctor, preserves_weighted_colimit,
-                           weighted_colimit, weighted_limit)
+from fincat.limits import (ColimitResult, coend, colimit_in_category, end,
+                           finset_colimit, finset_limit, limit_in_category,
+                           nat_trans_set, pairing_profunctor,
+                           preserves_weighted_colimit, weighted_colimit,
+                           weighted_limit)
 from fincat.profunctor import id_module
-from util import SMALL_CATEGORIES, random_nonempty_presheaf, random_presheaf
+from util import (SMALL_CATEGORIES, _coend_by_union_find,
+                  random_nonempty_presheaf, random_presheaf)
 
 
 def test_finset_limit_oracles():
@@ -108,8 +110,50 @@ def test_weighted_colimit_matches_pairing_coend():
         phi = random_presheaf(rng, cat, f"w{i}")
         s = random_presheaf(rng, cat.op(), f"d{i}")
         res = weighted_colimit(phi, s)
-        pair = pairing_profunctor(phi, s)
-        assert len(coend(pair).classes) == res.size
+        classes, lookup = _coend_by_union_find(pairing_profunctor(phi, s))
+        assert res.classes == classes
+        for k in cat.objects:
+            for x in phi.sets[k]:
+                for y in s.sets[k]:
+                    assert res.inject(k, x, y) == lookup[(k, (x, y))]
+
+
+def _merge_two_classes(res):
+    if len(res.classes) < 2:
+        return None
+    keep, gone = res.classes[:2]
+    injections = {o: {y: keep if r == gone else r for y, r in m.items()}
+                  for o, m in res.injections.items()}
+    return ColimitResult(tuple(c for c in res.classes if c != gone), injections)
+
+
+def _split_one_class(res):
+    for o, m in res.injections.items():
+        for y, r in m.items():
+            if r != (o, y):
+                injections = {o2: dict(m2) for o2, m2 in res.injections.items()}
+                injections[o][y] = (o, y)
+                return ColimitResult(res.classes + ((o, y),), injections)
+    return None
+
+
+@pytest.mark.parametrize("change", [_merge_two_classes, _split_one_class])
+def test_weighted_colimit_rejects_a_conical_route_that_disagrees(monkeypatch, change):
+    rng = random.Random(3)
+    checked = 0
+    for i in range(40):
+        cat = rng.choice(SMALL_CATEGORIES)
+        phi = random_presheaf(rng, cat, f"w{i}")
+        s = random_presheaf(rng, cat.op(), f"d{i}")
+        if change(weighted_colimit(phi, s).conical) is None:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(limits, "finset_colimit",
+                      lambda diagram: change(finset_colimit(diagram)))
+            with pytest.raises(InternalMismatch):
+                weighted_colimit(phi, s)
+        checked += 1
+    assert checked >= 10
 
 
 def test_weighted_limit_both_routes_sampled():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import pathlib
 
@@ -5,12 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fincat import cli, corpus
-from fincat.core import FinCategory, same_category
+from fincat.core import FinCategory, same_category, validate
 from fincat.corpus import GSet
 from fincat.errors import (DuplicateName, FincatError, InternalMismatch,
                            ParseError, UnresolvedReference)
 from fincat.profunctor import id_module
 from fincat.workspace import Workspace, load_workspace, serialize_workspace
+from util import validate_category_oracle
 
 FIXTURES = pathlib.Path(cli.default_fixture_paths()[0]).parent
 
@@ -328,3 +331,39 @@ def test_absolute_sample_seed_reorders_but_keeps_content(capsys):
     seeded = json.loads(capsys.readouterr().out)
     assert base["violations"] and seeded["violations"]
     assert base["small_projective"] is False
+
+
+@st.composite
+def miscomposed_categories(draw):
+    """A corpus category with one composite replaced by any morphism id."""
+    cat = draw(st.sampled_from([c for c in corpus.CATEGORIES.values()
+                                if c.compose_table]))
+    compose = dict(cat.compose_table)
+    pair = draw(st.sampled_from(list(compose)))
+    compose[pair] = draw(st.sampled_from(cat.morphisms))
+    morphisms = [(m, cat.src[m], cat.tgt[m]) for m in cat.morphisms]
+    return FinCategory(cat.name, cat.objects, morphisms, cat.identity, compose), pair
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(miscomposed_categories())
+def test_validate_reports_a_composite_with_wrong_endpoints(tmp_path_factory, case):
+    """validate returns its report, never raises; a composite with the wrong
+    endpoints makes it invalid, and the CLI exits 3 naming it.  A replacement
+    with the right endpoints may still give a category (M with e.e = 1 is Z2)."""
+    cat, (g, f) = case
+    h = cat.compose_table[(g, f)]
+    report = validate(cat)
+    assert [(v.law, v.witness) for v in report.violations] == \
+        validate_category_oracle(cat)
+    if cat.src[h] == cat.src[f] and cat.tgt[h] == cat.tgt[g]:
+        return
+    assert not report.ok
+    ws = Workspace()
+    ws.categories[cat.name] = cat
+    path = tmp_path_factory.mktemp("miscomposed") / "workspace.json"
+    path.write_text(serialize_workspace(ws))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.main(["-w", str(path), "validate", cat.name]) == 3
+    assert f"compose-endpoints fails at {(g, f, h)!r}" in err.getvalue()

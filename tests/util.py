@@ -8,7 +8,9 @@ of pairs; the composable-pair, compose-table and category-validation oracles
 filter all pairs of morphisms; the quotient oracle closes classes breadth
 first; and the module-composition oracle builds a validated pair module per
 cell and takes its coend with a plain union-find.  The right-extension and Isbell R/counit
-oracles are the direct end formulas, written without duality.
+oracles are the direct end formulas, written without duality.  The element
+profile oracle counts preimages by scanning each domain, and the constructor
+oracles decide acceptance with a fresh set per action table.
 """
 import itertools
 from collections import deque
@@ -152,13 +154,16 @@ def validate_category_oracle(c):
     if out:
         return out
     table = c.compose_table
+    typed = {}  # composites whose endpoints are right
     for (g, f), h in table.items():
         if c.src[h] != c.src[f] or c.tgt[h] != c.tgt[g]:
             out.append(("compose-endpoints", (g, f, h)))
+        else:
+            typed[(g, f)] = h
     for f in c.morphisms:
-        if table[(c.identity[c.tgt[f]], f)] != f:
+        if typed.get((c.identity[c.tgt[f]], f), f) != f:
             out.append(("identity-left", (f,)))
-        if table[(f, c.identity[c.src[f]])] != f:
+        if typed.get((f, c.identity[c.src[f]]), f) != f:
             out.append(("identity-right", (f,)))
     for h in c.morphisms:
         for g in c.morphisms:
@@ -167,7 +172,8 @@ def validate_category_oracle(c):
             for f in c.morphisms:
                 if c.tgt[f] != c.src[g]:
                     continue
-                if table[(table[(h, g)], f)] != table[(h, table[(g, f)])]:
+                if (h, g) in typed and (g, f) in typed and \
+                        table[(typed[(h, g)], f)] != table[(h, typed[(g, f)])]:
                     out.append(("associativity", (h, g, f)))
     return out
 
@@ -426,3 +432,49 @@ def isbell_counit_oracle(psi):
                      for a in b_cat.objects}
             comps[b][z] = NatTrans(rpsi, yoneda_embed(b_cat, b), gamma).frozen()
     return NatTrans(psi, lr, comps, name=f"isbell-counit({psi.name})")
+
+
+def elem_profiles_oracle(p, a):
+    """Element profiles of p at a, each preimage counted by a scan of the domain."""
+    c = p.base
+    endos = [f for f in c.morphisms if c.src[f] == a and c.tgt[f] == a]
+    outs = [f for f in c.morphisms if c.src[f] == a]
+    return {x: (tuple(p.act(f, x) == x for f in endos),
+                tuple(sum(1 for y in p.sets[c.tgt[f]] if p.act(f, y) == x)
+                      for f in outs))
+            for x in p.sets[a]}
+
+
+def _is_map(table, dom, cod):
+    return set(table) == set(dom) and set(table.values()) <= set(cod)
+
+
+def presheaf_tables_ok(base, sets, actions):
+    """Would the Presheaf constructor accept these tables?  Its checks, with
+    fresh sets for every table."""
+    sets = {a: tuple(v) for a, v in sets.items()}
+    if any(a not in base.obj_index or len(set(v)) != len(v)
+           for a, v in sets.items()):
+        return False
+    if set(sets) != set(base.objects) or set(actions) != set(base.morphisms):
+        return False
+    return all(_is_map(t, sets[base.tgt[f]], sets[base.src[f]])
+               for f, t in actions.items())
+
+
+def profunctor_tables_ok(source, target, sets, left, right):
+    """Would the Profunctor constructor accept these tables?  Its checks, with
+    fresh sets for every table."""
+    sets = {cell: tuple(v) for cell, v in sets.items()}
+    if set(sets) != {(b, a) for b in target.objects for a in source.objects}:
+        return False
+    if any(len(set(v)) != len(v) for v in sets.values()):
+        return False
+    if set(left) != {(m, a) for m in target.morphisms for a in source.objects} \
+            or set(right) != {(b, m) for b in target.objects
+                              for m in source.morphisms}:
+        return False
+    return all(_is_map(t, sets[(target.tgt[m], a)], sets[(target.src[m], a)])
+               for (m, a), t in left.items()) and \
+        all(_is_map(t, sets[(b, source.src[m])], sets[(b, source.tgt[m])])
+            for (b, m), t in right.items())
