@@ -312,10 +312,6 @@ class DualPair:
     psi_module: object          # B -|-> I, right adjoint of phi_module
     adjunction: object
 
-    def family(self, k, elem, b, x):
-        """The component at (b, x) of a psi-element over k: a morphism b -> k."""
-        return elem[self.phi.base.obj_index[b]][self.phi.sets[b].index(x)]
-
 
 def dual_pair_from_weight(phi: Presheaf):
     """The adjoint pair generated by a small projective weight, else None."""
@@ -347,7 +343,7 @@ def verify_covariant_representation(pair: DualPair, x_weight: Presheaf) -> int:
     for b in phi.base.objects:
         for x in phi.sets[b]:
             for xi in x_weight.sets[b]:
-                comps = {k: {gamma: x_weight.act(pair.family(k, gamma, b, x), xi)
+                comps = {k: {gamma: x_weight.act(_image(gamma, phi, b, x), xi)
                              for gamma in psi.sets[k]}
                          for k in phi.base.objects}
                 tau = NatTrans(psi, x_weight, comps).frozen()

@@ -32,13 +32,6 @@ from .limits import finset_colimit, finset_limit, weighted_colimit, weighted_lim
 from .profunctor import has_right_adjoint, right_extend, right_lift
 from .workspace import load_workspace
 
-COMMANDS = ("validate", "limit", "colimit", "wlimit", "wcolimit", "kan",
-            "nerve", "elements", "filtered", "connected", "lift", "extend",
-            "adjoint", "smallproj", "cauchy", "isbell", "duality", "morita",
-            "closure", "saturation", "cocomplete", "atoms", "commute", "flat",
-            "continuous", "recognize", "absolute-sample")
-
-
 @dataclass
 class Options:
     caps: Caps = Caps()
@@ -404,6 +397,7 @@ _HANDLERS = {
     "flat": _cmd_flat, "continuous": _cmd_continuous,
     "recognize": _cmd_recognize, "absolute-sample": _cmd_absolute_sample,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def run_command(ws, command, args, opts: Options = Options()):

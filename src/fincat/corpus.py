@@ -8,7 +8,7 @@ import itertools
 
 from .classes import WeightClass
 from .core import (FinCategory, FinFunctor, Presheaf, Profunctor,
-                   _composable_pairs, covariant, unit_category)
+                   _composable_pairs, unit_category)
 from .errors import MalformedTable
 
 
@@ -338,10 +338,7 @@ PRESHEAVES = presheaf_corpus()
 
 def covariant_hom(cat, b, name=None) -> Presheaf:
     """Hom(b, -) as a covariant diagram, for Kan extension and wcolimit runs."""
-    sets = {a: cat.hom(b, a) for a in cat.objects}
-    actions = {f: {h: cat.compose(f, h) for h in sets[cat.src[f]]}
-               for f in cat.morphisms}
-    return covariant(name or f"cov.{cat.name}.{b}", cat, sets, actions)
+    return representable(cat.op(), b, name or f"cov.{cat.name}.{b}")
 
 
 COVARIANT = {p.name: p for p in (covariant_hom(GSet, b) for b in GSet.objects)}

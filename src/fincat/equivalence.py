@@ -9,23 +9,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import (FinCategory, FinFunctor, FunctorTransform, Presheaf,
+from .core import (FinCategory, FinFunctor, FunctorTransform, Meter, Presheaf,
                    compose_functors, identity_functor, validate)
-from .errors import BudgetExceeded, InternalMismatch
-
-DEFAULT_BUDGET = 10 ** 6
-
-
-class _Budget:
-    def __init__(self, budget, context):
-        self.left = budget if budget is not None else DEFAULT_BUDGET
-        self.budget = self.left
-        self.context = context
-
-    def tick(self):
-        self.left -= 1
-        if self.left < 0:
-            raise BudgetExceeded(self.budget, self.context)
+from .errors import InternalMismatch
 
 
 def object_iso(c: FinCategory, a, b):
@@ -126,7 +112,7 @@ def find_isomorphism(a: FinCategory, b: FinCategory, budget=None):
     """
     if len(a.objects) != len(b.objects) or len(a.morphisms) != len(b.morphisms):
         return None
-    meter = _Budget(budget, "category isomorphism")
+    meter = Meter(budget, "category isomorphism")
     prof_a, prof_b = _object_profile(a), _object_profile(b)
     if sorted(prof_a.values()) != sorted(prof_b.values()):
         return None
@@ -292,7 +278,7 @@ def presheaf_isomorphic(p: Presheaf, q: Presheaf, budget=None):
     for a in c.objects:
         if sorted(prof_p[a].values()) != sorted(prof_q[a].values()):
             return None
-    meter = _Budget(budget, "presheaf isomorphism")
+    meter = Meter(budget, "presheaf isomorphism")
     objs = sorted(c.objects, key=lambda a: -len(p.sets[a]))
     assign = {a: {} for a in c.objects}
     done = set()
@@ -362,7 +348,7 @@ def all_functors(source: FinCategory, target: FinCategory, cap=None, budget=None
     morphisms of a composable pair have images, which prunes early enough to
     cope with concrete categories whose hom sets are large.
     """
-    meter = _Budget(budget, "functor enumeration")
+    meter = Meter(budget, "functor enumeration")
     nonid = [f for f in source.morphisms if not source.is_identity(f)]
     pos = {f: i for i, f in enumerate(nonid)}
     by_last = [[] for _ in nonid]

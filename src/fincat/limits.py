@@ -8,17 +8,52 @@ conical constructions read uniformly:
 
 Weighted limits and colimits always run two independent routes, the end/coend formula
 and the category-of-elements route, and raise InternalMismatch if they ever disagree.
+
+``finset_limit``, ``end`` and ``nat_trans_set`` enumerate natural families with
+one solver.  Like every backtracking search in the library, it counts nodes
+against one budget, ``core.DEFAULT_BUDGET`` = 10^6 unless a caller passes one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, Profunctor,
+from .core import (FinFunctor, Meter, NatTrans, Presheaf, Profunctor,
                    category_of_elements, compose_functors, quotient,
                    same_category)
-from .errors import BudgetExceeded, InternalMismatch, MalformedTable
+from .errors import InternalMismatch, MalformedTable
 
-NAT_SEARCH_BUDGET = 10 ** 6
+
+def _families(domains, equations, budget, search):
+    """Every v with v[i] in domains[i] and v[q] == table[v[p]] for each
+    equation (p, q, table), in lexicographic order.  Each equation is checked
+    once its later slot is assigned; each value tried is one node."""
+    meter = Meter(budget, search)
+    checks = [[] for _ in domains]
+    for p, q, table in equations:
+        checks[max(p, q)].append((p, q, table))
+    val = [None] * len(domains)
+    out = []
+    tries = []                  # tries[k]: the values slot k has yet to try
+    k = 0                       # a loop, not recursion: slots may be many
+    while k >= 0:
+        if k == len(domains):
+            out.append(tuple(val))
+            k -= 1
+            continue
+        if len(tries) == k:
+            # no value is ever skipped, so counting the whole domain up front
+            # raises exactly when counting one node at a time would
+            meter.tick(len(domains[k]))
+            tries.append(iter(domains[k]))
+        for v in tries[k]:
+            val[k] = v
+            if all(val[q] == table[val[p]] for p, q, table in checks[k]):
+                k += 1
+                break
+        else:
+            tries.pop()
+            k -= 1
+    return out
 
 
 @dataclass
@@ -38,40 +73,13 @@ class ColimitResult:
 
 def finset_limit(diagram: Presheaf) -> LimitResult:
     base = diagram.base
-    objs = list(base.objects)
-    families = []
-
-    def extend(i, partial):
-        if i == len(objs):
-            families.append(tuple(partial))
-            return
-        a = objs[i]
-        for x in diagram.sets[a]:
-            ok = True
-            for f in base.morphisms:
-                s, t = base.src[f], base.tgt[f]
-                if t == a and s in partial_idx and partial_idx[s] < i:
-                    if diagram.act(f, x) != partial[partial_idx[s]]:
-                        ok = False
-                        break
-                if s == a and t in partial_idx and partial_idx[t] < i:
-                    if diagram.act(f, partial[partial_idx[t]]) != x:
-                        ok = False
-                        break
-                if s == a and t == a and diagram.act(f, x) != x and not base.is_identity(f):
-                    ok = False
-                    break
-            if ok:
-                partial.append(x)
-                extend(i + 1, partial)
-                partial.pop()
-
-    partial_idx = {a: i for i, a in enumerate(objs)}
-    extend(0, [])
-    cone = {a: {} for a in objs}
-    for fam in families:
-        for i, a in enumerate(objs):
-            cone[a][fam] = fam[i]
+    idx = base.obj_index
+    equations = [(idx[base.tgt[f]], idx[base.src[f]], diagram.actions[f])
+                 for f in base.morphisms if not base.is_identity(f)]
+    families = _families([diagram.sets[a] for a in base.objects], equations,
+                         None, "finset_limit")
+    cone = {a: {fam: fam[i] for fam in families}
+            for i, a in enumerate(base.objects)}
     return LimitResult(tuple(families), cone)
 
 
@@ -106,34 +114,26 @@ class CoendResult:
 
 
 def end(h: Profunctor) -> EndResult:
+    """Families x_a in cell (a, a) with right(s, u)(x_s) = left(u, t)(x_t) for
+    every u: s -> t.  Both sides must equal the value of a slot of u's own in
+    cell (s, t), placed right after the later of s and t."""
     if not same_category(h.source, h.target):
         raise MalformedTable("end requires a bifunctor over a single category")
     c = h.source
-    objs = list(c.objects)
-    idx = {a: i for i, a in enumerate(objs)}
-    families = []
-
-    def ok_edge(u, xs, i):
-        # u: s -> t; condition right(s, u)(x_s) = left(u, t)(x_t) in cell (s, t)
-        s, t = c.src[u], c.tgt[u]
-        if idx[s] > i or idx[t] > i:
-            return True
-        return h.right_act(s, u, xs[idx[s]]) == h.left_act(u, t, xs[idx[t]])
-
-    def extend(i, partial):
-        if i == len(objs):
-            families.append(tuple(partial))
-            return
-        a = objs[i]
-        for x in h.cell(a, a):
-            partial.append(x)
-            if all(ok_edge(u, partial, i) for u in c.morphisms
-                   if max(idx[c.src[u]], idx[c.tgt[u]]) == i):
-                extend(i + 1, partial)
-            partial.pop()
-
-    extend(0, [])
-    return EndResult(tuple(families))
+    domains, slot, equations = [], {}, []
+    for a in c.objects:
+        slot[a] = len(domains)
+        domains.append(h.cell(a, a))
+        for u in c.morphisms:
+            s, t = c.src[u], c.tgt[u]
+            if a not in (s, t) or s not in slot or t not in slot:
+                continue     # a is not the later endpoint of u
+            equations += [(slot[s], len(domains), h.right[(s, u)]),
+                          (slot[t], len(domains), h.left[(u, t)])]
+            domains.append(h.cell(s, t))
+    families = _families(domains, equations, None, "end")
+    return EndResult(tuple(tuple(fam[slot[a]] for a in c.objects)
+                           for fam in families))
 
 
 def coend(h: Profunctor) -> CoendResult:
@@ -151,7 +151,7 @@ def coend(h: Profunctor) -> CoendResult:
 # natural transformation sets (the end formula for presheaf homs)
 
 
-def nat_trans_set(source: Presheaf, target: Presheaf, budget=NAT_SEARCH_BUDGET):
+def nat_trans_set(source: Presheaf, target: Presheaf, budget=None):
     """All natural transformations source -> target, in deterministic order.
 
     Backtracks one element image at a time; each naturality equation is
@@ -164,39 +164,18 @@ def nat_trans_set(source: Presheaf, target: Presheaf, budget=NAT_SEARCH_BUDGET):
     c = source.base
     slots = [(a, x) for a in c.objects for x in source.sets[a]]
     pos = {s: i for i, s in enumerate(slots)}
-    checks = [[] for _ in slots]
-    # f: s -> t forces comp[s][x.f] == target.act(f, comp[t][x]); register the
-    # equation at whichever slot is assigned later
-    for f in c.morphisms:
-        if c.is_identity(f):
-            continue
-        s, t = c.src[f], c.tgt[f]
-        for x in source.sets[t]:
-            p, q = pos[(t, x)], pos[(s, source.act(f, x))]
-            checks[max(p, q)].append((p, q, f))
+    # f: s -> t forces comp[s][x.f] == target.act(f, comp[t][x])
+    equations = [(pos[(c.tgt[f], x)], pos[(c.src[f], source.act(f, x))],
+                  target.actions[f])
+                 for f in c.morphisms if not c.is_identity(f)
+                 for x in source.sets[c.tgt[f]]]
     out = []
-    nodes = 0
-    val = [None] * len(slots)
-
-    def extend(k):
-        nonlocal nodes
-        if k == len(slots):
-            comp = {a: {} for a in c.objects}
-            for (a, x), v in zip(slots, val):
-                comp[a][x] = v
-            out.append(NatTrans(source, target, comp))
-            return
-        a, _ = slots[k]
-        for v in target.sets[a]:
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(budget, "nat_trans_set")
-            val[k] = v
-            if all(val[q] == target.act(f, val[p]) for (p, q, f) in checks[k]):
-                extend(k + 1)
-        val[k] = None
-
-    extend(0)
+    for values in _families([target.sets[a] for a, _ in slots], equations,
+                            budget, "nat_trans_set"):
+        comp = {a: {} for a in c.objects}
+        for (a, x), v in zip(slots, values):
+            comp[a][x] = v
+        out.append(NatTrans(source, target, comp))
     return out
 
 

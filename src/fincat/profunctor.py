@@ -103,8 +103,7 @@ def identity_two_cell(f: Profunctor) -> TwoCell:
 def two_cells(f: Profunctor, g: Profunctor, budget=None) -> list:
     """All module morphisms f => g, enumerated."""
     base = product_category(f.target, f.source.op())
-    kwargs = {} if budget is None else {"budget": budget}
-    nats = nat_trans_set(as_presheaf(f, base), as_presheaf(g, base), **kwargs)
+    nats = nat_trans_set(as_presheaf(f, base), as_presheaf(g, base), budget)
     return [TwoCell(f, g, n.components, name=f"cell{i}", base=base)
             for i, n in enumerate(nats)]
 

@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from fincat import corpus, validate
 from fincat.cauchy import cauchy_completion
-from fincat.core import (FinCategory, FinFunctor, NatTrans, Presheaf,
-                         Profunctor, _composable_pairs, category_of_elements,
-                         compose_functors, covariant, full_subcategory,
-                         identity_functor, is_connected, is_filtered,
-                         nat_compose, nat_identity, product_category, quotient,
-                         same_category, unit_category)
+from fincat.core import (FinCategory, FinFunctor, FunctorTransform, NatTrans,
+                         Presheaf, Profunctor, _composable_pairs,
+                         category_of_elements, compose_functors, covariant,
+                         full_subcategory, identity_functor, is_connected,
+                         is_filtered, nat_compose, nat_identity,
+                         product_category, quotient, same_category,
+                         unit_category)
 from fincat.corpus import (Chain3, Disc2, Empty, GSet, I, M, N5, Par, QM, Span,
                            Two, Z2, Z3, PRESHEAVES)
 from fincat.errors import MalformedTable
@@ -299,6 +300,17 @@ def test_validate_reports_nonassociative_triple():
     assert assoc, report
     witnesses = {v.witness for v in assoc}
     assert any("f" in w and "e" in w for w in witnesses)
+
+
+def test_validate_reports_a_transform_whose_functor_breaks_endpoints():
+    # f: 0 -> 1 sent to id0, so the component at 1 cannot follow its image
+    squash = FinFunctor("squash", Two, Two, {"0": "0", "1": "1"},
+                        {"id0": "id0", "id1": "id1", "f": "id0"})
+    t = FunctorTransform(squash, identity_functor(Two), {"0": "id0", "1": "id1"})
+    rep = validate(t)
+    assert not rep.ok
+    assert [(v.law, v.witness) for v in rep.violations] == [("naturality", ("f",))]
+    assert not validate(squash).ok
 
 
 def test_validate_functor():

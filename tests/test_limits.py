@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from fincat import corpus, limits
+from fincat import core, corpus, limits
 from fincat.core import FinCategory, FinFunctor, Presheaf, covariant, validate
 from fincat.corpus import (Chain3, Disc2, Empty, I, M, Par, Span, Two, Z2, Z3,
                            PRESHEAVES, delta0, delta1)
-from fincat.equivalence import all_functors
+from fincat.equivalence import all_functors, find_isomorphism, presheaf_isomorphic
 from fincat.errors import BudgetExceeded, InternalMismatch, MalformedTable
 from fincat.kan import yoneda_embed
 from fincat.limits import (ColimitResult, coend, colimit_in_category, end,
@@ -15,8 +15,9 @@ from fincat.limits import (ColimitResult, coend, colimit_in_category, end,
                            preserves_weighted_colimit, weighted_colimit,
                            weighted_limit)
 from fincat.profunctor import id_module
-from util import (SMALL_CATEGORIES, _coend_by_union_find,
-                  random_nonempty_presheaf, random_presheaf)
+from util import (SMALL_CATEGORIES, _coend_by_union_find, cone_oracle,
+                  nat_trans_oracle, random_nonempty_presheaf, random_presheaf,
+                  random_profunctor, wedge_oracle)
 
 
 def test_finset_limit_oracles():
@@ -79,6 +80,63 @@ def test_nat_trans_set_budget():
     big = PRESHEAVES["Y.GSet.GG"]
     with pytest.raises(BudgetExceeded):
         nat_trans_set(big, big, budget=3)
+
+
+def test_family_searches_match_brute_force_in_order():
+    rng = random.Random(23)
+    for i in range(150):
+        cat = rng.choice(SMALL_CATEGORIES)
+        p = random_presheaf(rng, cat, f"p{i}")
+        q = random_presheaf(rng, cat, f"q{i}")
+        assert [n.frozen() for n in nat_trans_set(p, q)] == nat_trans_oracle(p, q)
+        lim = finset_limit(q)
+        assert list(lim.apex) == cone_oracle(q)
+        for j, a in enumerate(cat.objects):
+            assert list(lim.cone[a].items()) == [(fam, fam[j]) for fam in lim.apex]
+        h = random_profunctor(rng, cat, cat, f"h{i}")
+        assert list(end(h).families) == wedge_oracle(h)
+    for cat in corpus.CATEGORIES.values():
+        assert list(end(id_module(cat)).families) == wedge_oracle(id_module(cat))
+
+
+def f3():
+    """All functions between sets of size 1, 2 and 3."""
+    carriers = {str(n): tuple(f"x{i}" for i in range(n)) for n in (1, 2, 3)}
+    return corpus.concrete_category(
+        "F3", carriers, {(s, t): corpus.all_function_tables(carriers[s], carriers[t])
+                         for s in carriers for t in carriers})
+
+
+def test_nat_trans_set_node_count_is_pinned():
+    y3 = yoneda_embed(f3(), "3")
+    with pytest.raises(BudgetExceeded, match="nat_trans_set"):
+        nat_trans_set(y3, y3, budget=21908)
+    assert len(nat_trans_set(y3, y3, budget=21909)) == 27
+
+
+def test_family_search_is_not_bounded_by_the_recursion_limit():
+    n = 3000
+    many = Presheaf("many", I, {"*": tuple(range(n))}, {"id": {x: x for x in range(n)}})
+    one = Presheaf("one", I, {"*": (0,)}, {"id": {0: 0}})
+    assert [t.frozen() for t in nat_trans_set(many, one)] == [((0,) * n,)]
+
+
+def test_every_search_counts_against_the_one_default_budget(monkeypatch):
+    big = PRESHEAVES["Y.GSet.GG"]
+    searches = [
+        ("nat_trans_set", lambda: nat_trans_set(big, big)),
+        ("finset_limit", lambda: finset_limit(yoneda_embed(corpus.FinSet12, "2"))),
+        ("end", lambda: end(id_module(corpus.GSet))),
+        ("functor enumeration", lambda: all_functors(corpus.GSet, corpus.GSet)),
+        ("presheaf isomorphism", lambda: presheaf_isomorphic(big, big)),
+        ("category isomorphism", lambda: find_isomorphism(corpus.GSet, corpus.GSet)),
+    ]
+    for _, run in searches:
+        run()
+    monkeypatch.setattr(core, "DEFAULT_BUDGET", 3)
+    for name, run in searches:
+        with pytest.raises(BudgetExceeded, match=name):
+            run()
 
 
 def test_weighted_limit_by_representable_is_evaluation():

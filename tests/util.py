@@ -10,7 +10,9 @@ first; and the module-composition oracle builds a validated pair module per
 cell and takes its coend with a plain union-find.  The right-extension and Isbell R/counit
 oracles are the direct end formulas, written without duality.  The element
 profile oracle counts preimages by scanning each domain, and the constructor
-oracles decide acceptance with a fresh set per action table.
+oracles decide acceptance with a fresh set per action table.  The family
+oracles (natural transformations, limit cones, wedges) filter the whole
+product of their slot domains by the law, in ``itertools.product`` order.
 """
 import itertools
 from collections import deque
@@ -478,3 +480,39 @@ def profunctor_tables_ok(source, target, sets, left, right):
                for (m, a), t in left.items()) and \
         all(_is_map(t, sets[(b, source.src[m])], sets[(b, source.tgt[m])])
             for (b, m), t in right.items())
+
+
+def nat_trans_oracle(source, target):
+    """Frozen forms of Nat(source, target): every choice of images, slots in
+    (object, element) order, kept if natural at every morphism."""
+    c = source.base
+    slots = [(a, x) for a in c.objects for x in source.sets[a]]
+    out = []
+    for values in itertools.product(*(target.sets[a] for a, _ in slots)):
+        comp = dict(zip(slots, values))
+        if all(comp[(c.src[f], source.act(f, x))] == target.act(f, comp[(c.tgt[f], x)])
+               for f in c.morphisms for x in source.sets[c.tgt[f]]):
+            out.append(tuple(tuple(comp[(a, x)] for x in source.sets[a])
+                             for a in c.objects))
+    return out
+
+
+def cone_oracle(diagram):
+    """Apex of finset_limit: families over the objects, kept if
+    diagram.act(f, x_tgt) == x_src for every morphism f."""
+    c = diagram.base
+    pos = c.obj_index
+    return [fam for fam in itertools.product(*(diagram.sets[a] for a in c.objects))
+            if all(diagram.act(f, fam[pos[c.tgt[f]]]) == fam[pos[c.src[f]]]
+                   for f in c.morphisms)]
+
+
+def wedge_oracle(h):
+    """Families of end(h): picks x_a in cell (a, a), kept if
+    right(s, u)(x_s) == left(u, t)(x_t) for every u: s -> t."""
+    c = h.source
+    pos = c.obj_index
+    return [fam for fam in itertools.product(*(h.cell(a, a) for a in c.objects))
+            if all(h.right_act(c.src[u], u, fam[pos[c.src[u]]])
+                   == h.left_act(u, c.tgt[u], fam[pos[c.tgt[u]]])
+                   for u in c.morphisms)]
