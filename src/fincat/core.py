@@ -12,6 +12,9 @@ Conventions, fixed once and relied on by every other module:
 * The category of elements of a presheaf phi on K has objects (k, x) with x in phi(k);
   a morphism (k, x) -> (k', x') is u: k' -> k in K with phi(u)(x) = x', so the evident
   projection is a functor el(phi) -> K^op.
+
+Every backtracking search counts nodes on a ``Meter``; natural families, cones,
+wedges and presheaf isomorphisms share one solver, ``_families``.
 """
 from __future__ import annotations
 
@@ -613,6 +616,60 @@ class Meter:
         self.left -= nodes
         if self.left < 0:
             raise BudgetExceeded(self.budget, self.search)
+
+
+def _families(domains, equations, budget, search, distinct=None, first=False):
+    """Every v with v[i] in domains[i] and v[q] == table[v[p]] for each
+    equation (p, q, table), in lexicographic order; with ``first``, only the
+    first (a list of at most one).  Slots with equal ``distinct`` labels take
+    different values.  Each equation is checked once its later slot is
+    assigned (forward checking), so only dead prefixes are pruned.
+
+    Every backtracking search over slots of fixed domains runs here.  The
+    enumerations give no labels and try every value of a domain, so they
+    count the whole domain as nodes when they open a slot; a ``first`` search
+    counts one node per value it tries, and a value held by another slot of
+    the same label is skipped, not tried."""
+    meter = Meter(budget, search)
+    checks = [[] for _ in domains]
+    for p, q, table in equations:
+        checks[max(p, q)].append((p, q, table))
+    unique = distinct is not None
+    if unique:                  # held[k]: the values that slot k's label holds
+        labels = {label: set() for label in distinct}
+        held = [labels[label] for label in distinct]
+    val = [None] * len(domains)
+    out = []
+    tries = []                  # tries[k]: the values slot k has yet to try
+    k = 0                       # a loop, not recursion: slots may be many
+    while k >= 0:
+        if k == len(domains):
+            out.append(tuple(val))
+            if first:
+                break
+            k -= 1
+            continue
+        if len(tries) == k:
+            if not first:
+                meter.tick(len(domains[k]))
+            tries.append(iter(domains[k]))
+        elif unique:            # back at slot k: it holds its value no more
+            held[k].discard(val[k])
+        for v in tries[k]:
+            if unique and v in held[k]:
+                continue
+            if first:
+                meter.tick()
+            val[k] = v
+            if all(val[q] == table[val[p]] for p, q, table in checks[k]):
+                if unique:
+                    held[k].add(v)
+                k += 1
+                break
+        else:
+            tries.pop()
+            k -= 1
+    return out
 
 
 def quotient(tags, pairs):

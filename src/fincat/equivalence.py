@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (FinCategory, FinFunctor, FunctorTransform, Meter, Presheaf,
-                   compose_functors, identity_functor, validate)
+                   _families, compose_functors, identity_functor, validate)
 from .errors import InternalMismatch
 
 
@@ -103,6 +103,29 @@ def _object_profile(c: FinCategory):
     return prof
 
 
+def _depth_first(depth, level, meter):
+    """Yield at each leaf of the search tree whose nodes at depth i + 1 are the
+    steps of the generator ``level(i)``: each step assigns a value and yields,
+    and the generator undoes or overwrites it when resumed.  One node per root
+    and per step; a loop, not recursion, so the depth is not bounded by the
+    recursion limit."""
+    meter.tick()
+    if depth == 0:
+        yield
+        return
+    stack = [level(0)]
+    while stack:
+        for _ in stack[-1]:
+            meter.tick()
+            if len(stack) == depth:
+                yield
+            else:
+                stack.append(level(len(stack)))
+            break
+        else:
+            stack.pop()
+
+
 def find_isomorphism(a: FinCategory, b: FinCategory, budget=None):
     """Isomorphism of categories a -> b as a FinFunctor, or None.
 
@@ -116,14 +139,10 @@ def find_isomorphism(a: FinCategory, b: FinCategory, budget=None):
     prof_a, prof_b = _object_profile(a), _object_profile(b)
     if sorted(prof_a.values()) != sorted(prof_b.values()):
         return None
+    nonid = [f for f in a.morphisms if not a.is_identity(f)]
+    omap, used = {}, set()          # objects, and the objects of b they use
 
-    def extend_objects(i, omap, used):
-        meter.tick()
-        if i == len(a.objects):
-            got = assign_morphisms(omap)
-            if got is not None:
-                return got
-            return None
+    def place_object(i):
         x = a.objects[i]
         for y in b.objects:
             if y in used or prof_a[x] != prof_b[y]:
@@ -133,62 +152,43 @@ def find_isomorphism(a: FinCategory, b: FinCategory, budget=None):
                 continue
             omap[x] = y
             used.add(y)
-            got = extend_objects(i + 1, omap, used)
-            if got is not None:
-                return got
+            yield
             del omap[x]
             used.remove(y)
-        return None
 
-    def assign_morphisms(omap):
-        order = list(a.morphisms)
-        mmap = {}
-        used = set()
-        for x in a.objects:
-            im = b.id_of(omap[x])
-            mmap[a.id_of(x)] = im
-            used.add(im)
+    def consistent(f, g):
+        gf_a = a.compose_table.get((g, f))
+        if gf_a is None:
+            return True
+        img = b.compose_table.get((mmap[g], mmap[f]))
+        if gf_a in mmap:
+            return img == mmap[gf_a]
+        return img not in taken
 
-        def consistent(f, g):
-            gf_a = a.compose_table.get((g, f))
-            if gf_a is None:
-                return True
-            img = b.compose_table.get((mmap[g], mmap[f]))
-            if gf_a in mmap:
-                return img == mmap[gf_a]
-            return img not in used
+    def place_morphism(j):
+        f = nonid[j]
+        for g in b.hom(omap[a.src[f]], omap[a.tgt[f]]):
+            if g in taken or b.is_identity(g):
+                continue
+            mmap[f] = g
+            taken.add(g)
+            if all(consistent(f, p) and consistent(p, f) for p in mmap) \
+                    and consistent(f, f):
+                yield
+            del mmap[f]
+            taken.remove(g)
 
-        def step(j):
-            meter.tick()
-            while j < len(order) and order[j] in mmap:
-                j += 1
-            if j == len(order):
-                return dict(mmap)
-            f = order[j]
-            for g in b.hom(omap[a.src[f]], omap[a.tgt[f]]):
-                if g in used or b.is_identity(g):
-                    continue
-                mmap[f] = g
-                used.add(g)
-                ok = all(consistent(f, p) and consistent(p, f) for p in mmap)
-                ok = ok and consistent(f, f)
-                if ok:
-                    got = step(j + 1)
-                    if got is not None:
-                        return got
-                del mmap[f]
-                used.remove(g)
-            return None
-
-        got = step(0)
-        if got is None:
-            return None
-        fn = FinFunctor(f"{a.name}~{b.name}", a, b, dict(omap), got)
-        if not validate(fn).ok:
-            return None
-        return fn
-
-    return extend_objects(0, {}, set())
+    for _ in _depth_first(len(a.objects), place_object, meter):
+        # morphisms, and the morphisms of b they use
+        mmap = {a.id_of(x): b.id_of(omap[x]) for x in a.objects}
+        taken = set(mmap.values())
+        # only the first morphism bijection is tried for each object bijection
+        for _ in _depth_first(len(nonid), place_morphism, meter):
+            fn = FinFunctor(f"{a.name}~{b.name}", a, b, dict(omap), dict(mmap))
+            if validate(fn).ok:
+                return fn
+            break
+    return None
 
 
 @dataclass
@@ -269,7 +269,13 @@ def _elem_profiles(p: Presheaf, a):
 
 
 def presheaf_isomorphic(p: Presheaf, q: Presheaf, budget=None):
-    """Natural bijection p -> q as a dict object -> elementwise map, or None."""
+    """Natural bijection p -> q as a dict object -> elementwise map, or None.
+
+    The first solution of ``core._families`` with one slot per element x of
+    p(a), objects by descending set size, whose domain is the elements of q(a)
+    with x's profile.  Slots of one object take distinct values, and
+    naturality at f: s -> t is one equation per x in p(t).
+    """
     c = p.base
     if any(len(p.sets[a]) != len(q.sets[a]) for a in c.objects):
         return None
@@ -278,54 +284,22 @@ def presheaf_isomorphic(p: Presheaf, q: Presheaf, budget=None):
     for a in c.objects:
         if sorted(prof_p[a].values()) != sorted(prof_q[a].values()):
             return None
-    meter = Meter(budget, "presheaf isomorphism")
-    objs = sorted(c.objects, key=lambda a: -len(p.sets[a]))
-    assign = {a: {} for a in c.objects}
-    done = set()
-
-    def natural_ok(a):
-        # check every morphism both of whose endpoint objects are fully assigned
-        for f in c.morphisms:
-            s, t = c.src[f], c.tgt[f]
-            if s not in done or t not in done:
-                continue
-            for x in p.sets[t]:
-                if assign[s][p.act(f, x)] != q.act(f, assign[t][x]):
-                    return False
-        return True
-
-    def extend(i):
-        meter.tick()
-        if i == len(objs):
-            return True
-        a = objs[i]
-        targets = list(q.sets[a])
-
-        def place(j, used):
-            meter.tick()
-            if j == len(p.sets[a]):
-                done.add(a)
-                if natural_ok(a) and extend(i + 1):
-                    return True
-                done.remove(a)
-                return False
-            x = p.sets[a][j]
-            for y in targets:
-                if y in used or prof_p[a][x] != prof_q[a][y]:
-                    continue
-                assign[a][x] = y
-                used.add(y)
-                if place(j + 1, used):
-                    return True
-                del assign[a][x]
-                used.remove(y)
-            return False
-
-        return place(0, set())
-
-    if extend(0):
-        return {a: dict(v) for a, v in assign.items()}
-    return None
+    slot, domains, objects = {}, [], []
+    for a in sorted(c.objects, key=lambda a: -len(p.sets[a])):
+        alike = {}
+        for y in q.sets[a]:
+            alike.setdefault(prof_q[a][y], []).append(y)
+        for x in p.sets[a]:
+            slot[(a, x)] = len(domains)
+            domains.append(alike[prof_p[a][x]])
+            objects.append(a)
+    equations = [(slot[(c.tgt[f], x)], slot[(c.src[f], y)], q.actions[f])
+                 for f in c.morphisms for x, y in p.actions[f].items()]
+    found = _families(domains, equations, budget, "presheaf isomorphism",
+                      distinct=objects, first=True)
+    if not found:
+        return None
+    return {a: {x: found[0][slot[(a, x)]] for x in p.sets[a]} for a in c.objects}
 
 
 def is_fully_faithful(fn: FinFunctor) -> bool:
@@ -358,21 +332,14 @@ def all_functors(source: FinCategory, target: FinCategory, cap=None, budget=None
         (by_last[last] if last >= 0 else immediate).append((g, f, h))
     found = []
 
-    def place(i, omap, image):
-        if cap is not None and len(found) >= cap:
-            return
-        meter.tick()
-        if i == len(nonid):
-            found.append(FinFunctor(f"F{len(found)}", source, target,
-                                    dict(omap), dict(image)))
-            return
+    def place(i):
+        # images past i may be stale; by_last[i] reads none of them
         f = nonid[i]
         for g in target.hom(omap[source.src[f]], omap[source.tgt[f]]):
             image[f] = g
             if all(target.compose(image[p], image[q]) == image[r]
                    for (p, q, r) in by_last[i]):
-                place(i + 1, omap, image)
-            del image[f]
+                yield
 
     for combo in itertools.product(target.objects, repeat=len(source.objects)):
         if cap is not None and len(found) >= cap:
@@ -380,7 +347,12 @@ def all_functors(source: FinCategory, target: FinCategory, cap=None, budget=None
         omap = dict(zip(source.objects, combo))
         image = {f: target.id_of(omap[source.src[f]])
                  for f in source.morphisms if source.is_identity(f)}
-        if all(target.compose(image[p], image[q]) == image[r]
-               for (p, q, r) in immediate):
-            place(0, omap, image)
+        if not all(target.compose(image[p], image[q]) == image[r]
+                   for (p, q, r) in immediate):
+            continue
+        for _ in _depth_first(len(nonid), place, meter):
+            found.append(FinFunctor(f"F{len(found)}", source, target,
+                                    dict(omap), dict(image)))
+            if cap is not None and len(found) >= cap:
+                break
     return found

@@ -10,50 +10,20 @@ Weighted limits and colimits always run two independent routes, the end/coend fo
 and the category-of-elements route, and raise InternalMismatch if they ever disagree.
 
 ``finset_limit``, ``end`` and ``nat_trans_set`` enumerate natural families with
-one solver.  Like every backtracking search in the library, it counts nodes
-against one budget, ``core.DEFAULT_BUDGET`` = 10^6 unless a caller passes one.
+one solver, ``core._families``, which also finds the first presheaf isomorphism
+for ``equivalence.presheaf_isomorphic``.  Like every backtracking search in the
+library, it counts nodes against one budget, ``core.DEFAULT_BUDGET`` = 10^6
+unless a caller passes one; a search for a first solution counts only the
+values it tries.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import (FinFunctor, Meter, NatTrans, Presheaf, Profunctor,
+from .core import (FinFunctor, NatTrans, Presheaf, Profunctor, _families,
                    category_of_elements, compose_functors, quotient,
                    same_category)
 from .errors import InternalMismatch, MalformedTable
-
-
-def _families(domains, equations, budget, search):
-    """Every v with v[i] in domains[i] and v[q] == table[v[p]] for each
-    equation (p, q, table), in lexicographic order.  Each equation is checked
-    once its later slot is assigned; each value tried is one node."""
-    meter = Meter(budget, search)
-    checks = [[] for _ in domains]
-    for p, q, table in equations:
-        checks[max(p, q)].append((p, q, table))
-    val = [None] * len(domains)
-    out = []
-    tries = []                  # tries[k]: the values slot k has yet to try
-    k = 0                       # a loop, not recursion: slots may be many
-    while k >= 0:
-        if k == len(domains):
-            out.append(tuple(val))
-            k -= 1
-            continue
-        if len(tries) == k:
-            # no value is ever skipped, so counting the whole domain up front
-            # raises exactly when counting one node at a time would
-            meter.tick(len(domains[k]))
-            tries.append(iter(domains[k]))
-        for v in tries[k]:
-            val[k] = v
-            if all(val[q] == table[val[p]] for p, q, table in checks[k]):
-                k += 1
-                break
-        else:
-            tries.pop()
-            k -= 1
-    return out
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import collections
+import gc
 import importlib
 import pkgutil
 import random
@@ -108,6 +109,18 @@ def test_closure_counts_are_pinned(monkeypatch):
     assert calls == {"coend": 456, "category_of_elements": 456,
                      "weighted_colimit": 456}
     assert built and max(built.values()) == 1
+
+
+def test_closure_leaves_no_cyclic_garbage():
+    """Every search returns without reference cycles, so a closure's
+    intermediate results are freed when they go out of use."""
+    gc.collect()
+    gc.disable()
+    try:
+        phi_closure_bounded(PUSHOUTS, Span, Caps(rounds=2, members=30))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_closure_provenance_replays():

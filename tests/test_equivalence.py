@@ -4,15 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fincat import corpus
-from fincat.core import Presheaf, full_subcategory, validate
-from fincat.corpus import (Chain3, Disc2, I, M, Par, QM, Span, Two, Z2, Z3,
+from fincat.cauchy import isbell_left, isbell_right
+from fincat.core import FinCategory, Presheaf, full_subcategory, validate
+from fincat.corpus import (Chain3, Disc2, I, M, N5, Par, QM, Span, Two, Z2, Z3,
                            PRESHEAVES)
 from fincat.equivalence import (_elem_profiles, all_functors, find_equivalence,
                                 find_isomorphism, is_fully_faithful,
                                 presheaf_isomorphic, skeleton)
 from fincat.errors import BudgetExceeded
 from util import (SMALL_CATEGORIES, elem_profiles_oracle, naive_functor_count,
-                  random_presheaf)
+                  presheaf_isomorphic_oracle, random_presheaf)
 
 
 def test_all_functors_counts_match_naive_filter():
@@ -142,3 +143,86 @@ def test_functor_enumeration_is_lexicographic_in_objects():
     got = all_functors(Two, Two)
     omaps = [tuple(f.obj_map[a] for a in Two.objects) for f in got]
     assert omaps == sorted(omaps)
+
+
+def _shuffled(rng, p):
+    """p with each element set listed in a random order."""
+    return Presheaf("shuffled", p.base,
+                    {a: rng.sample(p.sets[a], len(p.sets[a])) for a in p.base.objects},
+                    p.actions)
+
+
+def _check_against_oracle(p, q):
+    """The same dict as the backtracking oracle, in the same order, and found
+    within the oracle's node count."""
+    want, nodes = presheaf_isomorphic_oracle(p, q)
+    got = presheaf_isomorphic(p, q)
+    assert got == want and repr(got) == repr(want), (p.name, q.name)
+    assert presheaf_isomorphic(p, q, budget=nodes) == want, (p.name, q.name)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(SMALL_CATEGORIES), st.integers(0, 10 ** 6))
+def test_presheaf_isomorphic_matches_the_backtracking_oracle(cat, seed):
+    rng = random.Random(seed)
+    p = random_presheaf(rng, cat, "p", 4)
+    for q in (_relabelled(rng, p), _shuffled(rng, p), random_presheaf(rng, cat, "q", 4)):
+        _check_against_oracle(p, q)
+        _check_against_oracle(q, p)
+
+
+def test_presheaf_isomorphic_matches_the_oracle_on_corpus_pairs():
+    pairs = [(p, q) for p in _CORPUS for q in _CORPUS if p.base is q.base]
+    assert len(pairs) == 340
+    for p, q in pairs:
+        _check_against_oracle(p, q)
+
+
+def test_presheaf_isomorphic_node_count_is_pinned():
+    """R(L(phi)) ~ phi for phi = Y.GSet.GG, as `fincat isbell` decides it.  The
+    whole-object backtracker visits 411,832 nodes here."""
+    phi = PRESHEAVES["Y.GSet.GG"]
+    back = isbell_right(isbell_left(phi))
+    with pytest.raises(BudgetExceeded, match="presheaf isomorphism"):
+        presheaf_isomorphic(back, phi, budget=21)
+    assert presheaf_isomorphic(back, phi, budget=22) is not None
+
+
+def test_all_functors_node_count_is_pinned():
+    with pytest.raises(BudgetExceeded, match="functor enumeration"):
+        all_functors(N5, Z3, budget=444)
+    assert len(all_functors(N5, Z3, budget=445)) == 81
+    # Z3 has one object, so the cap is met inside one object assignment
+    with pytest.raises(BudgetExceeded, match="functor enumeration"):
+        all_functors(N5, Z3, cap=5, budget=29)
+    assert len(all_functors(N5, Z3, cap=5, budget=30)) == 5
+
+
+def test_find_isomorphism_node_count_is_pinned():
+    # the object bijection and then every morphism of GSet count, as before
+    with pytest.raises(BudgetExceeded, match="category isomorphism"):
+        find_isomorphism(corpus.GSet, corpus.GSet, budget=30)
+    assert find_isomorphism(corpus.GSet, corpus.GSet, budget=31) is not None
+
+
+def _parallel_arrows(n):
+    """Two objects and n parallel arrows 0 -> 1; only identities compose."""
+    arrows = [(f"f{i}", "0", "1") for i in range(n)]
+    morphisms = [("id0", "0", "0"), ("id1", "1", "1")] + arrows
+    compose = {("id1", f): f for f, _, _ in arrows}
+    compose.update({(f, "id0"): f for f, _, _ in arrows})
+    compose.update({("id0", "id0"): "id0", ("id1", "id1"): "id1"})
+    return FinCategory(f"Par{n}", ["0", "1"], morphisms,
+                       {"0": "id0", "1": "id1"}, compose)
+
+
+def test_searches_are_not_bounded_by_the_recursion_limit():
+    n = 3000
+    p = Presheaf("many", I, {"*": tuple(range(n))}, {"id": {x: x for x in range(n)}})
+    q = _shuffled(random.Random(0), p)
+    # on I every bijection is natural: the first pairs the two orders
+    assert presheaf_isomorphic(p, q) == {"*": dict(zip(p.sets["*"], q.sets["*"]))}
+    wide = _parallel_arrows(1001)
+    assert len(all_functors(wide, I)) == 1
+    auto = find_isomorphism(wide, wide)
+    assert auto is not None and validate(auto).ok

@@ -12,7 +12,9 @@ oracles are the direct end formulas, written without duality.  The element
 profile oracle counts preimages by scanning each domain, and the constructor
 oracles decide acceptance with a fresh set per action table.  The family
 oracles (natural transformations, limit cones, wedges) filter the whole
-product of their slot domains by the law, in ``itertools.product`` order.
+product of their slot domains by the law, in ``itertools.product`` order.  The
+presheaf isomorphism oracle is the earlier recursive backtracker, which
+permutes each object's whole element set before it checks naturality.
 """
 import itertools
 from collections import deque
@@ -516,3 +518,65 @@ def wedge_oracle(h):
             if all(h.right_act(c.src[u], u, fam[pos[c.src[u]]])
                    == h.left_act(u, c.tgt[u], fam[pos[c.tgt[u]]])
                    for u in c.morphisms)]
+
+
+def presheaf_isomorphic_oracle(p, q):
+    """(natural bijection p -> q or None, nodes visited), by the recursive
+    backtracker that assigns each object's whole element set, objects by
+    descending set size, and checks naturality only at object boundaries."""
+    c = p.base
+    if any(len(p.sets[a]) != len(q.sets[a]) for a in c.objects):
+        return None, 0
+    prof_p = {a: elem_profiles_oracle(p, a) for a in c.objects}
+    prof_q = {a: elem_profiles_oracle(q, a) for a in c.objects}
+    for a in c.objects:
+        if sorted(prof_p[a].values()) != sorted(prof_q[a].values()):
+            return None, 0
+    nodes = [0]
+    objs = sorted(c.objects, key=lambda a: -len(p.sets[a]))
+    assign = {a: {} for a in c.objects}
+    done = set()
+
+    def natural_ok(a):
+        # check every morphism both of whose endpoint objects are fully assigned
+        for f in c.morphisms:
+            s, t = c.src[f], c.tgt[f]
+            if s not in done or t not in done:
+                continue
+            for x in p.sets[t]:
+                if assign[s][p.act(f, x)] != q.act(f, assign[t][x]):
+                    return False
+        return True
+
+    def extend(i):
+        nodes[0] += 1
+        if i == len(objs):
+            return True
+        a = objs[i]
+        targets = list(q.sets[a])
+
+        def place(j, used):
+            nodes[0] += 1
+            if j == len(p.sets[a]):
+                done.add(a)
+                if natural_ok(a) and extend(i + 1):
+                    return True
+                done.remove(a)
+                return False
+            x = p.sets[a][j]
+            for y in targets:
+                if y in used or prof_p[a][x] != prof_q[a][y]:
+                    continue
+                assign[a][x] = y
+                used.add(y)
+                if place(j + 1, used):
+                    return True
+                del assign[a][x]
+                used.remove(y)
+            return False
+
+        return place(0, set())
+
+    if extend(0):
+        return {a: dict(v) for a, v in assign.items()}, nodes[0]
+    return None, nodes[0]
