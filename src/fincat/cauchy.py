@@ -233,22 +233,10 @@ def _verify_completion(qc: CauchyCompletion):
 
 def unsplit_idempotents(cat: FinCategory):
     """Idempotents admitting no splitting s.p = e, p.s = id; empty means all split."""
-    bad = []
-    for (x, e) in idempotent_endos(cat):
-        found = False
-        for r in cat.objects:
-            for s in cat.hom(r, x):
-                for p in cat.hom(x, r):
-                    if cat.compose(s, p) == e and cat.compose(p, s) == cat.id_of(r):
-                        found = True
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if not found:
-            bad.append((x, e))
-    return bad
+    return [(x, e) for (x, e) in idempotent_endos(cat)
+            if not any(cat.compose(s, p) == e and cat.compose(p, s) == cat.id_of(r)
+                       for r in cat.objects
+                       for s in cat.hom(r, x) for p in cat.hom(x, r))]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Isomorphism and equivalence search for finite categories and presheaves.
 
-Equivalence of finite categories reduces to isomorphism of skeletons, so the search
-here is: merge isomorphic objects, then backtrack over object and morphism bijections
-with degree-profile pruning and a node budget.
+Equivalence of finite categories reduces to isomorphism of skeletons.  Functor
+enumeration and category isomorphism share one exact search, ``_functors``,
+which checks each composite as soon as its three morphisms have images; the
+isomorphism search feeds it object bijections with equal hom-degree profiles
+and keeps morphism images distinct.  Presheaf isomorphism is a first-solution
+call to ``core._families``.  Every search counts its nodes on a ``core.Meter``.
 """
 from __future__ import annotations
 
@@ -129,9 +132,9 @@ def _depth_first(depth, level, meter):
 def find_isomorphism(a: FinCategory, b: FinCategory, budget=None):
     """Isomorphism of categories a -> b as a FinFunctor, or None.
 
-    Backtracks over an object bijection compatible with hom-degree profiles, then
-    over per-hom-set morphism bijections checking identities and all composites
-    among assigned morphisms.
+    The first injective functor a -> b whose object map is a bijection
+    compatible with hom-degree profiles.  With equal morphism counts an
+    injective functor is bijective, and a bijective functor is an isomorphism.
     """
     if len(a.objects) != len(b.objects) or len(a.morphisms) != len(b.morphisms):
         return None
@@ -139,7 +142,6 @@ def find_isomorphism(a: FinCategory, b: FinCategory, budget=None):
     prof_a, prof_b = _object_profile(a), _object_profile(b)
     if sorted(prof_a.values()) != sorted(prof_b.values()):
         return None
-    nonid = [f for f in a.morphisms if not a.is_identity(f)]
     omap, used = {}, set()          # objects, and the objects of b they use
 
     def place_object(i):
@@ -156,38 +158,9 @@ def find_isomorphism(a: FinCategory, b: FinCategory, budget=None):
             del omap[x]
             used.remove(y)
 
-    def consistent(f, g):
-        gf_a = a.compose_table.get((g, f))
-        if gf_a is None:
-            return True
-        img = b.compose_table.get((mmap[g], mmap[f]))
-        if gf_a in mmap:
-            return img == mmap[gf_a]
-        return img not in taken
-
-    def place_morphism(j):
-        f = nonid[j]
-        for g in b.hom(omap[a.src[f]], omap[a.tgt[f]]):
-            if g in taken or b.is_identity(g):
-                continue
-            mmap[f] = g
-            taken.add(g)
-            if all(consistent(f, p) and consistent(p, f) for p in mmap) \
-                    and consistent(f, f):
-                yield
-            del mmap[f]
-            taken.remove(g)
-
-    for _ in _depth_first(len(a.objects), place_object, meter):
-        # morphisms, and the morphisms of b they use
-        mmap = {a.id_of(x): b.id_of(omap[x]) for x in a.objects}
-        taken = set(mmap.values())
-        # only the first morphism bijection is tried for each object bijection
-        for _ in _depth_first(len(nonid), place_morphism, meter):
-            fn = FinFunctor(f"{a.name}~{b.name}", a, b, dict(omap), dict(mmap))
-            if validate(fn).ok:
-                return fn
-            break
+    bijections = (omap for _ in _depth_first(len(a.objects), place_object, meter))
+    for obj_map, mor_map in _functors(a, b, bijections, meter, injective=True):
+        return FinFunctor(f"{a.name}~{b.name}", a, b, obj_map, mor_map)
     return None
 
 
@@ -314,15 +287,16 @@ def is_fully_faithful(fn: FinFunctor) -> bool:
     return True
 
 
-def all_functors(source: FinCategory, target: FinCategory, cap=None, budget=None):
-    """Every functor source -> target, in deterministic order; first cap if given.
+def _functors(source, target, object_maps, meter, injective=False):
+    """Yield (obj_map, mor_map) of every functor source -> target whose object
+    map is one of object_maps, in order; with injective, no two morphisms of
+    source share an image.
 
-    Candidates assign objects lexicographically, then non-identity morphisms
-    hom-by-hom; a composition constraint is checked as soon as all three
+    Non-identity morphisms are assigned in source order, each over its target
+    hom set in order; a composition constraint is checked as soon as all three
     morphisms of a composable pair have images, which prunes early enough to
     cope with concrete categories whose hom sets are large.
     """
-    meter = Meter(budget, "functor enumeration")
     nonid = [f for f in source.morphisms if not source.is_identity(f)]
     pos = {f: i for i, f in enumerate(nonid)}
     by_last = [[] for _ in nonid]
@@ -330,29 +304,41 @@ def all_functors(source: FinCategory, target: FinCategory, cap=None, budget=None
     for (g, f), h in source.compose_table.items():
         last = max(pos.get(g, -1), pos.get(f, -1), pos.get(h, -1))
         (by_last[last] if last >= 0 else immediate).append((g, f, h))
-    found = []
 
     def place(i):
         # images past i may be stale; by_last[i] reads none of them
         f = nonid[i]
         for g in target.hom(omap[source.src[f]], omap[source.tgt[f]]):
+            if injective and g in taken:
+                continue
             image[f] = g
             if all(target.compose(image[p], image[q]) == image[r]
                    for (p, q, r) in by_last[i]):
+                taken.add(g)
                 yield
+                taken.discard(g)
 
-    for combo in itertools.product(target.objects, repeat=len(source.objects)):
-        if cap is not None and len(found) >= cap:
-            break
-        omap = dict(zip(source.objects, combo))
+    for omap in object_maps:
         image = {f: target.id_of(omap[source.src[f]])
                  for f in source.morphisms if source.is_identity(f)}
         if not all(target.compose(image[p], image[q]) == image[r]
                    for (p, q, r) in immediate):
             continue
+        # images placed so far; exact only under injective, the one reader
+        taken = set(image.values())
         for _ in _depth_first(len(nonid), place, meter):
-            found.append(FinFunctor(f"F{len(found)}", source, target,
-                                    dict(omap), dict(image)))
-            if cap is not None and len(found) >= cap:
-                break
-    return found
+            yield dict(omap), dict(image)
+
+
+def all_functors(source: FinCategory, target: FinCategory, cap=None, budget=None):
+    """Every functor source -> target, in deterministic order; first cap if given.
+
+    Object maps run lexicographically, and ``_functors`` assigns the
+    morphisms of each.
+    """
+    object_maps = (dict(zip(source.objects, combo)) for combo in
+                   itertools.product(target.objects, repeat=len(source.objects)))
+    found = _functors(source, target, object_maps,
+                      Meter(budget, "functor enumeration"))
+    return [FinFunctor(f"F{i}", source, target, obj_map, mor_map)
+            for i, (obj_map, mor_map) in enumerate(itertools.islice(found, cap))]

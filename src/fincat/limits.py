@@ -29,7 +29,6 @@ from .errors import InternalMismatch, MalformedTable
 @dataclass
 class LimitResult:
     apex: tuple                 # matching families, as tuples in base object order
-    cone: dict                  # object -> {family -> component}
 
 
 @dataclass
@@ -48,9 +47,7 @@ def finset_limit(diagram: Presheaf) -> LimitResult:
                  for f in base.morphisms if not base.is_identity(f)]
     families = _families([diagram.sets[a] for a in base.objects], equations,
                          None, "finset_limit")
-    cone = {a: {fam: fam[i] for fam in families}
-            for i, a in enumerate(base.objects)}
-    return LimitResult(tuple(families), cone)
+    return LimitResult(tuple(families))
 
 
 def finset_colimit(diagram: Presheaf) -> ColimitResult:

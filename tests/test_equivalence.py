@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fincat import corpus
-from fincat.cauchy import isbell_left, isbell_right
+from fincat.cauchy import (cauchy_completion, isbell_left, isbell_right,
+                           morita_equivalent)
 from fincat.core import FinCategory, Presheaf, full_subcategory, validate
 from fincat.corpus import (Chain3, Disc2, I, M, N5, Par, QM, Span, Two, Z2, Z3,
                            PRESHEAVES)
@@ -12,8 +13,10 @@ from fincat.equivalence import (_elem_profiles, all_functors, find_equivalence,
                                 find_isomorphism, is_fully_faithful,
                                 presheaf_isomorphic, skeleton)
 from fincat.errors import BudgetExceeded
-from util import (SMALL_CATEGORIES, elem_profiles_oracle, naive_functor_count,
-                  presheaf_isomorphic_oracle, random_presheaf)
+from util import (SMALL_CATEGORIES, category_isomorphism_oracle,
+                  elem_profiles_oracle, naive_functor_count,
+                  presheaf_isomorphic_oracle, random_concrete_category,
+                  random_presheaf, shuffled_category)
 
 
 def test_all_functors_counts_match_naive_filter():
@@ -198,11 +201,77 @@ def test_all_functors_node_count_is_pinned():
     assert len(all_functors(N5, Z3, cap=5, budget=30)) == 5
 
 
+def _cyclic_monoid(index):
+    """a^0, ..., a^9 with a^10 = a^index."""
+    def power(n):
+        return n if n < 10 else index + (n - index) % (10 - index)
+    elements = [f"a{i}" for i in range(10)]
+    return corpus.monoid_category(
+        f"C10/{index}", elements,
+        {(f"a{i}", f"a{j}"): f"a{power(i + j)}" for i in range(10) for j in range(10)},
+        "a0")
+
+
 def test_find_isomorphism_node_count_is_pinned():
     # the object bijection and then every morphism of GSet count, as before
     with pytest.raises(BudgetExceeded, match="category isomorphism"):
         find_isomorphism(corpus.GSet, corpus.GSet, budget=30)
     assert find_isomorphism(corpus.GSet, corpus.GSet, budget=31) is not None
+    # the group Z10 against the monoid with a^10 = a^9: one object, equal
+    # sizes and profiles, not isomorphic
+    z10, tail = _cyclic_monoid(0), _cyclic_monoid(9)
+    with pytest.raises(BudgetExceeded, match="category isomorphism"):
+        find_isomorphism(z10, tail, budget=25)
+    assert find_isomorphism(z10, tail, budget=26) is None
+
+
+def _two_paths(composite_first):
+    """a: 0 -> 1, b: 1 -> 2 with b . a = c1, and c2: 0 -> 2 besides; the
+    hom set (0, 2) lists c1 first if composite_first, else c2."""
+    ends = [("c1", "0", "2"), ("c2", "0", "2")]
+    morphisms = ([(f"id{x}", x, x) for x in "012"] + [("a", "0", "1"), ("b", "1", "2")]
+                 + (ends if composite_first else ends[::-1]))
+    compose = {("b", "a"): "c1"}
+    for m, s, t in morphisms:
+        compose[(f"id{t}", m)] = compose[(m, f"id{s}")] = m
+    return FinCategory("paths" if composite_first else "paths'", "012",
+                       morphisms, {x: f"id{x}" for x in "012"}, compose)
+
+
+def test_isomorphism_found_when_a_composite_is_listed_after_its_rival():
+    x, y = _two_paths(True), _two_paths(False)
+    iso = find_isomorphism(x, y)
+    assert iso is not None and validate(iso).ok
+    eq = find_equivalence(x, y)
+    assert eq is not None
+    assert validate(eq.forward).ok and validate(eq.backward).ok
+    assert morita_equivalent(x, y)
+
+
+# every member has at most 8 non-identity morphisms
+_ISO_POOL = [c for c in SMALL_CATEGORIES +
+             [cauchy_completion(c).completion for c in SMALL_CATEGORIES]
+             if len(c.morphisms) - len(c.objects) <= 8] + \
+    [random_concrete_category(random.Random(i), f"R{i}") for i in range(40)]
+
+
+def _check_isomorphism_against_oracle(x, y):
+    want = category_isomorphism_oracle(x, y)
+    got = find_isomorphism(x, y)
+    assert (None if got is None else (got.obj_map, got.mor_map)) == want, (x.name, y.name)
+    assert got is None or validate(got).ok
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6))
+def test_find_isomorphism_matches_the_oracle(seed):
+    """Against a shuffled copy and against other categories of the same size."""
+    rng = random.Random(seed)
+    x = rng.choice(_ISO_POOL) if seed % 2 else random_concrete_category(rng, "x")
+    same_size = [c for c in _ISO_POOL
+                 if len(c.objects) == len(x.objects) and len(c.morphisms) == len(x.morphisms)]
+    for y in [shuffled_category(rng, x)] + rng.sample(same_size, min(3, len(same_size))):
+        _check_isomorphism_against_oracle(x, y)
 
 
 def _parallel_arrows(n):

@@ -91,8 +91,6 @@ def test_family_searches_match_brute_force_in_order():
         assert [n.frozen() for n in nat_trans_set(p, q)] == nat_trans_oracle(p, q)
         lim = finset_limit(q)
         assert list(lim.apex) == cone_oracle(q)
-        for j, a in enumerate(cat.objects):
-            assert list(lim.cone[a].items()) == [(fam, fam[j]) for fam in lim.apex]
         h = random_profunctor(rng, cat, cat, f"h{i}")
         assert list(end(h).families) == wedge_oracle(h)
     for cat in corpus.CATEGORIES.values():

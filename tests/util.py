@@ -14,7 +14,9 @@ oracles decide acceptance with a fresh set per action table.  The family
 oracles (natural transformations, limit cones, wedges) filter the whole
 product of their slot domains by the law, in ``itertools.product`` order.  The
 presheaf isomorphism oracle is the earlier recursive backtracker, which
-permutes each object's whole element set before it checks naturality.
+permutes each object's whole element set before it checks naturality.  The
+category isomorphism oracle filters object permutations and injective
+morphism images, in product order, by the functor laws on the raw tables.
 """
 import itertools
 from collections import deque
@@ -56,6 +58,46 @@ def random_presheaf(rng, cat, name, max_size=3, attempts=2000):
     raise AssertionError(f"could not sample a presheaf on {cat.name}")
 
 
+def random_concrete_category(rng, name, max_objects=3, max_size=3, max_nonid=8):
+    """A random category of finite sets: one to four random function tables
+    between random carriers, closed under composition, with at most max_nonid
+    non-identity morphisms; resampled until the closure is small enough."""
+    while True:
+        carriers = {str(i): tuple(f"x{j}" for j in range(rng.randint(1, max_size)))
+                    for i in range(rng.randint(1, max_objects))}
+        # a map is (src, tgt, image indices)
+        maps = {(a, a, tuple(range(len(xs)))) for a, xs in carriers.items()}
+        for _ in range(rng.randint(1, 4)):
+            s, t = rng.choice(list(carriers)), rng.choice(list(carriers))
+            maps.add((s, t, tuple(rng.randrange(len(carriers[t]))
+                                  for _ in carriers[s])))
+        new = maps
+        while new and len(maps) - len(carriers) <= max_nonid:
+            new = {(fs, gt, tuple(gi[i] for i in fi))
+                   for fs, ft, fi in maps for gs, gt, gi in maps if ft == gs} - maps
+            maps |= new
+        if len(maps) - len(carriers) <= max_nonid:
+            break
+    tables = {}
+    for s, t, images in sorted(maps):
+        tables.setdefault((s, t), []).append(
+            {x: carriers[t][i] for x, i in zip(carriers[s], images)})
+    return corpus.concrete_category(name, carriers, tables)
+
+
+def shuffled_category(rng, cat):
+    """An isomorphic copy of cat, its objects and morphisms renamed and listed
+    in a random order."""
+    objects = rng.sample(cat.objects, len(cat.objects))
+    morphisms = rng.sample(cat.morphisms, len(cat.morphisms))
+    o = {a: f"o{i}" for i, a in enumerate(objects)}
+    m = {f: f"m{i}" for i, f in enumerate(morphisms)}
+    return FinCategory(f"shuffled({cat.name})", [o[a] for a in objects],
+                       [(m[f], o[cat.src[f]], o[cat.tgt[f]]) for f in morphisms],
+                       {o[a]: m[f] for a, f in cat.identity.items()},
+                       {(m[g], m[f]): m[h] for (g, f), h in cat.compose_table.items()})
+
+
 def random_nonempty_presheaf(rng, cat, name, max_size=3):
     for i in range(200):
         p = random_presheaf(rng, cat, name, max_size)
@@ -80,6 +122,43 @@ def naive_functor_count(source, target):
                    for (g, f), h in source.compose_table.items()):
                 count += 1
     return count
+
+
+def _injective_product(pools, used):
+    """The tuples of itertools.product(*pools), in its order, whose entries
+    are distinct and outside used."""
+    if not pools:
+        yield ()
+        return
+    for g in pools[0]:
+        if g not in used:
+            for rest in _injective_product(pools[1:], used | {g}):
+                yield (g,) + rest
+
+
+def category_isomorphism_oracle(a, b):
+    """(obj_map, mor_map) of the first isomorphism a -> b, or None.
+
+    Object bijections run in itertools.permutations(b.objects) order, and the
+    images of the non-identity morphisms of a in the product order of their
+    target hom sets; the first candidate that is injective and preserves
+    every composite of a's raw table wins.  Only usable for tiny categories.
+    """
+    if len(a.objects) != len(b.objects) or len(a.morphisms) != len(b.morphisms):
+        return None
+    identities = set(a.identity.values())
+    nonid = [f for f in a.morphisms if f not in identities]
+    for objects in itertools.permutations(b.objects):
+        omap = dict(zip(a.objects, objects))
+        ids = {a.identity[x]: b.identity[omap[x]] for x in a.objects}
+        pools = [[g for g in b.morphisms if b.src[g] == omap[a.src[f]]
+                  and b.tgt[g] == omap[a.tgt[f]]] for f in nonid]
+        for images in _injective_product(pools, set(ids.values())):
+            mmap = {**ids, **dict(zip(nonid, images))}
+            if all(b.compose_table.get((mmap[g], mmap[f])) == mmap[h]
+                   for (g, f), h in a.compose_table.items()):
+                return omap, mmap
+    return None
 
 
 def karoubi_oracle(cat):
