@@ -8,6 +8,8 @@ conical constructions read uniformly:
 
 Weighted limits and colimits always run two independent routes, the end/coend formula
 and the category-of-elements route, and raise InternalMismatch if they ever disagree.
+A weighted colimit's coend reads phi (x) S on demand, cell by cell and action
+by action, and builds no profunctor.
 
 ``finset_limit``, ``end`` and ``nat_trans_set`` enumerate natural families with
 one solver, ``core._families``, which also finds the first presheaf isomorphism
@@ -104,6 +106,12 @@ def end(h: Profunctor) -> EndResult:
 
 
 def coend(h: Profunctor) -> CoendResult:
+    """Quotient of the diagonal cells (a, a) by left(u, s)(y) ~ right(t, u)(y)
+    for every u: s -> t and y in cell (t, s).
+
+    It reads only ``h.source``, ``h.target``, the cells (a, a) and
+    (tgt u, src u), ``h.left_act`` and ``h.right_act``, so any object with
+    those (not only a Profunctor) can be passed."""
     if not same_category(h.source, h.target):
         raise MalformedTable("coend requires a bifunctor over a single category")
     c = h.source
@@ -201,22 +209,22 @@ class WeightedColimitResult:
         return self.coend.find(k, (x, y))
 
 
-def pairing_profunctor(phi: Presheaf, s: Presheaf) -> Profunctor:
-    """Cells (k1, k2) = phi(k1) x s(k2); the coend of this over K is phi * s."""
-    k = phi.base
-    sets = {(k1, k2): tuple((x, y) for x in phi.sets[k1] for y in s.sets[k2])
-            for k1 in k.objects for k2 in k.objects}
-    left = {}
-    right = {}
-    for u in k.morphisms:
-        phi_u, s_u = phi.actions[u], s.actions[u]
-        for k2 in k.objects:
-            left[(u, k2)] = {(x, y): (phi_u[x], y)
-                             for (x, y) in sets[(k.tgt[u], k2)]}
-        for k1 in k.objects:
-            right[(k1, u)] = {(x, y): (x, s_u[y])
-                              for (x, y) in sets[(k1, k.src[u])]}
-    return Profunctor(f"{phi.name}(x){s.name}", k, k, sets, left, right)
+class _Pairing:
+    """phi (x) s read on demand: cell (k1, k2) = phi(k1) x s(k2), as a
+    bifunctor over phi's base for ``coend``.  Its coend over K is phi * s."""
+
+    def __init__(self, phi: Presheaf, s: Presheaf):
+        self.phi, self.s = phi, s
+        self.source = self.target = phi.base
+
+    def cell(self, k1, k2):
+        return tuple((x, y) for x in self.phi.sets[k1] for y in self.s.sets[k2])
+
+    def left_act(self, u, k2, xy):
+        return self.phi.actions[u][xy[0]], xy[1]
+
+    def right_act(self, k1, u, xy):
+        return xy[0], self.s.actions[u][xy[1]]
 
 
 def weighted_colimit(phi: Presheaf, s: Presheaf, cross_check=True) -> WeightedColimitResult:
@@ -229,7 +237,7 @@ def weighted_colimit(phi: Presheaf, s: Presheaf, cross_check=True) -> WeightedCo
     """
     if not same_category(s.base, phi.base.op()):
         raise MalformedTable("weighted_colimit: diagram must be a presheaf on weight base op")
-    co = coend(pairing_profunctor(phi, s))
+    co = coend(_Pairing(phi, s))
     conical = None
     if cross_check:
         el, _proj = category_of_elements(phi)

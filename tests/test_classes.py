@@ -84,8 +84,17 @@ def _wrap_everywhere(monkeypatch, module, name, wrapper):
 def test_closure_counts_are_pinned(monkeypatch):
     """Span under pushouts, two rounds: one coend, one el(phi) and one
     weighted colimit per value of each candidate, and each (presheaf, object)
-    profile built once.  Traced benchmark runs rely on these calls."""
+    profile built once.  Traced benchmark runs rely on these calls.  The
+    coends read phi (x) S on demand, so no profunctor is built."""
     calls = collections.Counter()
+    inits = collections.Counter()
+    profunctor_init = core.Profunctor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        inits["Profunctor"] += 1
+        profunctor_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(core.Profunctor, "__init__", counting_init)
     for module, name in [(limits, "coend"), (core, "category_of_elements"),
                          (limits, "weighted_colimit")]:
         def counting(fn, name=name):
@@ -108,6 +117,7 @@ def test_closure_counts_are_pinned(monkeypatch):
     assert len(res.collection.members) == 15
     assert calls == {"coend": 456, "category_of_elements": 456,
                      "weighted_colimit": 456}
+    assert inits["Profunctor"] == 0
     assert built and max(built.values()) == 1
 
 

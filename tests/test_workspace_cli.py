@@ -1,16 +1,21 @@
+import collections
 import contextlib
 import io
 import json
 import pathlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fincat import cli, corpus
-from fincat.core import FinCategory, same_category, validate
+from fincat.core import (FinCategory, FinFunctor, NatTrans, Presheaf,
+                         Profunctor, identity_functor, nat_identity,
+                         same_category, validate)
 from fincat.corpus import GSet
 from fincat.errors import (DuplicateName, FincatError, InternalMismatch,
-                           ParseError, UnresolvedReference)
+                           MalformedTable, ParseError, UnresolvedReference)
+from fincat.limits import nat_trans_set
 from fincat.profunctor import id_module
 from fincat.workspace import Workspace, load_workspace, serialize_workspace
 from util import validate_category_oracle
@@ -367,3 +372,112 @@ def test_validate_reports_a_composite_with_wrong_endpoints(tmp_path_factory, cas
     with contextlib.redirect_stderr(err):
         assert cli.main(["-w", str(path), "validate", cat.name]) == 3
     assert f"compose-endpoints fails at {(g, f, h)!r}" in err.getvalue()
+
+
+def _corruptible_entities():
+    """Section -> entities: the corpus functors and presheaves, the identity
+    functor and hom module of every corpus category, example 8.2, and for each
+    corpus presheaf its identity and its transformation to the terminal
+    presheaf."""
+    cats = corpus.CATEGORIES.values()
+    presheaves = corpus.PRESHEAVES.values()
+    transforms = [nat_identity(p) for p in presheaves]
+    for p in presheaves:
+        one = corpus.PRESHEAVES.get(f"one.{p.base.name}")
+        if one is not None:
+            transforms += nat_trans_set(p, one)
+    return {"functors": [*corpus.FUNCTORS.values(),
+                         *(identity_functor(c) for c in cats)],
+            "presheaves": list(presheaves),
+            "transforms": transforms,
+            "profunctors": [*corpus.PROFUNCTORS.values(),
+                            *(id_module(c) for c in cats)]}
+
+
+def _leaves(node, path=()):
+    """(key path, value) of every non-dict value in nested dicts."""
+    for k, v in node.items():
+        if isinstance(v, dict):
+            yield from _leaves(v, path + (k,))
+        else:
+            yield path + (k,), v
+
+
+def _set(node, path, value):
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = value
+
+
+def _corrupt(rng, section, e):
+    """Replace one table entry of e by a value of the same table or by a
+    foreign value.  Returns a constructor of the changed entity, the entry's
+    key path in the serialized workspace (None for a transform, which a
+    workspace cannot hold) and the new value; None if e has no entries."""
+    if section == "functors":
+        tables = {"objects": dict(e.obj_map), "morphisms": dict(e.mor_map)}
+        build = lambda: FinFunctor(e.name, e.source, e.target,
+                                   tables["objects"], tables["morphisms"])
+    elif section == "presheaves":
+        tables = {"actions": {f: dict(t) for f, t in e.actions.items()}}
+        build = lambda: Presheaf(e.name, e.base, e.sets, tables["actions"])
+    elif section == "transforms":
+        tables = {"components": {a: dict(t) for a, t in e.components.items()}}
+        build = lambda: NatTrans(e.source, e.target, tables["components"], e.name)
+    else:
+        tables = {"left": {k: dict(t) for k, t in e.left.items()},
+                  "right": {k: dict(t) for k, t in e.right.items()}}
+        build = lambda: Profunctor(e.name, e.source, e.target, e.sets,
+                                   tables["left"], tables["right"])
+    keys = [key for key, _ in _leaves(tables)]
+    if not keys:
+        return None
+    key = rng.choice(keys)
+    pool = sorted({v for _, v in _leaves(tables[key[0]])})
+    value = "foreign" if rng.random() < 0.25 else rng.choice(pool)
+    _set(tables, key, value)
+    if section == "transforms":
+        return build, None, value
+    # a profunctor's action tables are keyed by pairs, nested in its JSON
+    flat = tuple(p for k in key for p in (k if isinstance(k, tuple) else (k,)))
+    return build, (section, e.name) + flat, value
+
+
+def test_validate_reports_a_corrupted_table_entry(tmp_path):
+    """One table entry of a functor, presheaf, transformation or profunctor
+    replaced: either the constructor raises MalformedTable or validate returns
+    a report; a workspace holding the entry loads and validates with exit 0
+    exactly when both accept it, and exits 3 otherwise."""
+    entities = _corruptible_entities()
+    sections = list(entities)
+    outcomes = collections.Counter()
+    for i in range(400):
+        rng = random.Random(i)
+        section = sections[i % len(sections)]
+        e = rng.choice(entities[section])
+        corrupted = _corrupt(rng, section, e)
+        if corrupted is None:
+            continue
+        build, path, value = corrupted
+        try:
+            changed = build()
+        except MalformedTable:
+            ok = None
+        else:
+            ok = validate(changed).ok
+        outcomes[section, ok] += 1
+        if path is None:
+            continue
+        ws = Workspace()
+        for c in (e.source, e.target) if section != "presheaves" else (e.base,):
+            ws.categories[c.name] = c
+        getattr(ws, section)[e.name] = e
+        doc = json.loads(serialize_workspace(ws))
+        _set(doc, path, value)
+        file = tmp_path / f"case{i}.json"
+        file.write_text(json.dumps(doc))
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["-w", str(file), "validate", e.name])
+        assert code == (0 if ok else 3), (i, e.name, path, value)
+    for section in sections:
+        assert outcomes[section, None] and outcomes[section, False], section

@@ -6,17 +6,19 @@ counter filters the raw product space, and the second commutation pipeline is
 built from public pieces only.  The product-category oracle filters all pairs
 of pairs; the composable-pair, compose-table and category-validation oracles
 filter all pairs of morphisms; the quotient oracle closes classes breadth
-first; and the module-composition oracle builds a validated pair module per
-cell and takes its coend with a plain union-find.  The right-extension and Isbell R/counit
-oracles are the direct end formulas, written without duality.  The element
-profile oracle counts preimages by scanning each domain, and the constructor
-oracles decide acceptance with a fresh set per action table.  The family
-oracles (natural transformations, limit cones, wedges) filter the whole
-product of their slot domains by the law, in ``itertools.product`` order.  The
-presheaf isomorphism oracle is the earlier recursive backtracker, which
-permutes each object's whole element set before it checks naturality.  The
-category isomorphism oracle filters object permutations and injective
-morphism images, in product order, by the functor laws on the raw tables.
+first; the pairing oracle builds phi (x) S as a validated profunctor with
+all n^2 cells and every action table; and the module-composition oracle builds
+a validated pair module per cell and takes its coend with a plain union-find.
+The right-extension and Isbell R/counit oracles are the direct end formulas,
+written without duality.  The element profile oracle counts preimages by
+scanning each domain, and the constructor oracles decide acceptance with a
+fresh set per action table.  The family oracles (natural transformations,
+limit cones, wedges) filter the whole product of their slot domains by the
+law, in ``itertools.product`` order.  The presheaf isomorphism oracle is the
+earlier recursive backtracker, which permutes each object's whole element set
+before it checks naturality.  The category isomorphism oracle filters object
+permutations and injective morphism images, in product order, by the functor
+laws on the raw tables.
 """
 import itertools
 from collections import deque
@@ -282,6 +284,24 @@ def quotient_oracle(tags, pairs):
                     lookup[n] = tag
                     queue.append(n)
     return tuple(classes), lookup
+
+
+def pairing_profunctor(phi: Presheaf, s: Presheaf) -> Profunctor:
+    """Cells (k1, k2) = phi(k1) x s(k2); the coend of this over K is phi * s."""
+    k = phi.base
+    sets = {(k1, k2): tuple((x, y) for x in phi.sets[k1] for y in s.sets[k2])
+            for k1 in k.objects for k2 in k.objects}
+    left = {}
+    right = {}
+    for u in k.morphisms:
+        phi_u, s_u = phi.actions[u], s.actions[u]
+        for k2 in k.objects:
+            left[(u, k2)] = {(x, y): (phi_u[x], y)
+                             for (x, y) in sets[(k.tgt[u], k2)]}
+        for k1 in k.objects:
+            right[(k1, u)] = {(x, y): (x, s_u[y])
+                              for (x, y) in sets[(k1, k.src[u])]}
+    return Profunctor(f"{phi.name}(x){s.name}", k, k, sets, left, right)
 
 
 def _coend_by_union_find(h):
