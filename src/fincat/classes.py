@@ -64,7 +64,9 @@ def phi_closure_bounded(weight_class: WeightClass, base: FinCategory,
     Each round takes every weight and every diagram into the members present at
     the start of the round, computes the colimit pointwise, and adds it unless an
     isomorphic member exists.  Stops at a fixpoint or at the caps; hitting a cap
-    is flagged on the result, never raised.
+    is flagged on the result, never raised.  With cross_check, el(phi) is built
+    once per weight in each round, on its first diagram, and shared by that
+    weight's colimits.
     """
     coll = PresheafCollection.representables(base)
     nat_cache = {}
@@ -78,16 +80,19 @@ def phi_closure_bounded(weight_class: WeightClass, base: FinCategory,
         added = False
         capped_this_round = False
         for phi in weight_class.weights:
+            el = None
             for s in all_functors(phi.base, mem_cat):
                 if len(coll.members) >= caps.members:
                     notes.append(f"member cap {caps.members} hit in round {rounds}")
                     capped_this_round = True
                     break
+                if cross_check and el is None:
+                    el = category_of_elements(phi)
                 objs = {k: coll.members[s.obj(k)] for k in phi.base.objects}
                 mors = {u: decode[s.mor(u)] for u in phi.base.morphisms}
                 p = pointwise_colimit(phi, objs, mors, base,
                                       f"{weight_class.name}#{len(coll.members)}",
-                                      cross_check=cross_check)
+                                      cross_check=cross_check, _el=el)
                 if any(len(p.sets[a]) > caps.value_size for a in base.objects):
                     notes.append(f"value cap {caps.value_size} hit by a "
                                  f"{phi.name}-colimit in round {rounds}")

@@ -204,9 +204,6 @@ class Presheaf:
     def act(self, f, x):
         return self.actions[f][x]
 
-    def total_size(self):
-        return sum(len(v) for v in self.sets.values())
-
     def __repr__(self):
         sizes = ",".join(str(len(self.sets[a])) for a in self.base.objects)
         return f"Presheaf({self.name!r} on {self.base.name}, sizes [{sizes}])"

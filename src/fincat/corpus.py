@@ -402,16 +402,3 @@ def write_fixtures(root=None):
     for stem, ws in fixture_workspaces().items():
         (root / f"{stem}.json").write_text(serialize_workspace(ws))
 
-
-def nonassociative_table():
-    """A three-morphism composition table that fails associativity at (f, e, e).
-
-    (f.e).e = e.e = 1 but f.(e.e) = f.1 = f; feeding it to FinCategory builds,
-    and validate() must report the triple.
-    """
-    elements = ["1", "e", "f"]
-    mult = {("1", "1"): "1", ("1", "e"): "e", ("1", "f"): "f",
-            ("e", "1"): "e", ("e", "e"): "1", ("e", "f"): "f",
-            ("f", "1"): "f", ("f", "e"): "e", ("f", "f"): "f"}
-    return FinCategory("Bad3", ["*"], [(m, "*", "*") for m in elements],
-                       {"*": "1"}, mult)

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (FinCategory, FinFunctor, NatTrans, Presheaf,
-                   _composable_pairs, nat_compose, nat_identity, same_category)
+                   _composable_pairs, nat_identity, same_category)
 from .equivalence import presheaf_isomorphic, _elem_profiles
 from .errors import InternalMismatch, MalformedTable
 from .limits import hom_diagram, nat_trans_set, weighted_colimit
@@ -191,10 +191,13 @@ class PresheafCollection:
 
 
 def pointwise_colimit(phi: Presheaf, diagram_objs: dict, diagram_mors: dict,
-                      base: FinCategory, name: str, cross_check=True) -> Presheaf:
+                      base: FinCategory, name: str, cross_check=True,
+                      _el=None) -> Presheaf:
     """Colimit weighted by phi of a diagram of presheaves on base, value by value.
 
     diagram_objs: K-object -> Presheaf; diagram_mors: K-morphism -> NatTrans along it.
+    _el, when given, is ``category_of_elements(phi)``, passed to every
+    ``weighted_colimit`` call.
     """
     k = phi.base
     per = {}
@@ -202,7 +205,7 @@ def pointwise_colimit(phi: Presheaf, diagram_objs: dict, diagram_mors: dict,
         s_a = Presheaf(f"{name}@{a!r}", k.op(),
                        {j: diagram_objs[j].sets[a] for j in k.objects},
                        {u: diagram_mors[u].components[a] for u in k.morphisms})
-        per[a] = weighted_colimit(phi, s_a, cross_check=cross_check)
+        per[a] = weighted_colimit(phi, s_a, cross_check=cross_check, _el=_el)
     sets = {a: per[a].classes for a in base.objects}
     actions = {}
     for f in base.morphisms:
@@ -220,6 +223,9 @@ def member_category(coll: PresheafCollection, count=None, nat_cache=None):
 
     Returns (category, decode) where decode maps morphism id -> NatTrans.  The
     nat_cache dict may be shared across calls while the collection only grows.
+    Composites are computed on frozen forms, with no NatTrans built for them:
+    row a of beta after alpha is beta's component at a applied to row a of
+    alpha.  A composite missing from the hom sets raises InternalMismatch.
     """
     cache = nat_cache if nat_cache is not None else {}
 
@@ -232,6 +238,7 @@ def member_category(coll: PresheafCollection, count=None, nat_cache=None):
     objects = list(range(m))
     morphisms = []
     decode = {}
+    frozen = {}
     index_of = {}
     for i in objects:
         for j in objects:
@@ -239,14 +246,22 @@ def member_category(coll: PresheafCollection, count=None, nat_cache=None):
                 mid = (i, j, n)
                 morphisms.append((mid, i, j))
                 decode[mid] = alpha
-                index_of[(i, j, alpha.frozen())] = mid
+                frozen[mid] = alpha.frozen()
+                index_of[(i, j, frozen[mid])] = mid
     identity = {}
     for i in objects:
         ident = nat_identity(coll.members[i])
         identity[i] = index_of[(i, i, ident.frozen())]
+    base_objects = coll.base.objects
     compose = {}
     for (g, _, gt), (f, fs, _) in _composable_pairs(morphisms):
-        comp = nat_compose(decode[g], decode[f])
-        compose[(g, f)] = index_of[(fs, gt, comp.frozen())]
+        beta = decode[g].components
+        comp = tuple(tuple(map(beta[a].__getitem__, row))
+                     for a, row in zip(base_objects, frozen[f]))
+        mid = index_of.get((fs, gt, comp))
+        if mid is None:
+            raise InternalMismatch(f"member_category: {g!r} after {f!r} is not "
+                                   f"among the transformations {fs} -> {gt}")
+        compose[(g, f)] = mid
     cat = FinCategory(f"members({coll.base.name})", objects, morphisms, identity, compose)
     return cat, decode

@@ -9,7 +9,9 @@ conical constructions read uniformly:
 Weighted limits and colimits always run two independent routes, the end/coend formula
 and the category-of-elements route, and raise InternalMismatch if they ever disagree.
 A weighted colimit's coend reads phi (x) S on demand, cell by cell and action
-by action, and builds no profunctor.
+by action, and builds no profunctor.  A bounded closure builds el(phi) once per
+weight in each round and shares it with that weight's colimits; each colimit
+still runs both routes.
 
 ``finset_limit``, ``end`` and ``nat_trans_set`` enumerate natural families with
 one solver, ``core._families``, which also finds the first presheaf isomorphism
@@ -227,20 +229,26 @@ class _Pairing:
         return xy[0], self.s.actions[u][xy[1]]
 
 
-def weighted_colimit(phi: Presheaf, s: Presheaf, cross_check=True) -> WeightedColimitResult:
+def weighted_colimit(phi: Presheaf, s: Presheaf, cross_check=True,
+                     _el=None) -> WeightedColimitResult:
     """phi * s for a weight phi on K and covariant diagram s (a presheaf on K.op()).
 
     With cross_check, the coend route and the conical colimit over el(phi)
     must partition the triples (k, x, y) alike.  One pass over the triples maps
     each coend class to a conical class and each conical class to a coend
     class; the partitions are equal iff neither map sends a class to two.
+
+    _el, when given, is ``category_of_elements(phi)`` built once by a caller
+    that takes many colimits weighted by the same phi; otherwise el(phi) is
+    built here.  Either way the elements route builds its own diagram over
+    el(phi), takes its conical colimit and compares partitions on every call.
     """
     if not same_category(s.base, phi.base.op()):
         raise MalformedTable("weighted_colimit: diagram must be a presheaf on weight base op")
     co = coend(_Pairing(phi, s))
     conical = None
     if cross_check:
-        el, _proj = category_of_elements(phi)
+        el, _proj = _el if _el is not None else category_of_elements(phi)
         diagram = Presheaf(f"{s.name}|el", el,
                            {(k, x): s.sets[k] for (k, x) in el.objects},
                            {(u, x): s.actions[u] for (u, x) in el.morphisms})

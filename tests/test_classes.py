@@ -15,7 +15,7 @@ from fincat.classes import (Caps, WeightClass, atoms, check_commutation,
                             in_saturation_bounded, is_phi_cocomplete,
                             is_phi_continuous, phi_closure_bounded,
                             recognize_free_cocompletion)
-from fincat.core import full_subcategory, identity_functor, validate
+from fincat.core import full_subcategory, identity_functor, same_category, validate
 from fincat.corpus import (Chain3, Disc2, M, N5, QM, Span, Two, Z2,
                            PRESHEAVES, WEIGHT_CLASSES, delta0, delta1, embedM,
                            example82, orbit)
@@ -24,7 +24,8 @@ from fincat.errors import CapExceeded, MalformedTable
 from fincat.kan import pointwise_colimit, yoneda_embed, yoneda_transform
 from fincat.limits import colimit_in_category
 
-from util import (commutation_verdict_reading2, poset_reflection,
+from util import (closure_answer, commutation_verdict_reading2,
+                  phi_closure_oracle, poset_reflection,
                   random_nonempty_presheaf, random_profunctor)
 
 SPLIT = WEIGHT_CLASSES["splitting"]
@@ -82,10 +83,11 @@ def _wrap_everywhere(monkeypatch, module, name, wrapper):
 
 
 def test_closure_counts_are_pinned(monkeypatch):
-    """Span under pushouts, two rounds: one coend, one el(phi) and one
-    weighted colimit per value of each candidate, and each (presheaf, object)
-    profile built once.  Traced benchmark runs rely on these calls.  The
-    coends read phi (x) S on demand, so no profunctor is built."""
+    """Span under pushouts, two rounds: one coend and one weighted colimit
+    per value of each candidate, one el(phi) per round for the one weight,
+    and each (presheaf, object) profile built once.  Traced benchmark runs
+    rely on these calls.  The coends read phi (x) S on demand, so no
+    profunctor is built."""
     calls = collections.Counter()
     inits = collections.Counter()
     profunctor_init = core.Profunctor.__init__
@@ -115,10 +117,44 @@ def test_closure_counts_are_pinned(monkeypatch):
     _wrap_everywhere(monkeypatch, equivalence, "_elem_profiles", counting_builds)
     res = phi_closure_bounded(PUSHOUTS, Span, Caps(rounds=2, members=30))
     assert len(res.collection.members) == 15
-    assert calls == {"coend": 456, "category_of_elements": 456,
+    assert calls == {"coend": 456, "category_of_elements": 2,
                      "weighted_colimit": 456}
     assert inits["Profunctor"] == 0
     assert built and max(built.values()) == 1
+
+
+@pytest.mark.parametrize("cat_name, class_name", [
+    ("Two", "initial"), ("M", "splitting"), ("QM", "splitting"),
+    ("Span", "pushouts"), ("Cospan", "pushouts"), ("Chain3", "pushouts"),
+    ("Disc2", "finite-colimits"), ("Par", "finite-colimits"),
+    ("M", "finite-colimits"), ("Z2", "finite-colimits"), ("GSet", "orbits")])
+def test_closure_matches_the_eager_oracle(monkeypatch, cat_name, class_name):
+    """The closure that shares el(phi) per weight and composes members on
+    frozen forms gives the eager closure's members, provenance, rounds,
+    saturation and notes, with and without the cross-check.  Every el(phi)
+    it shares is el of that colimit's own weight, so no cross-check runs
+    over the elements of another weight."""
+    shared = collections.Counter()
+
+    def checking(fn):
+        def wrapper(phi, s, cross_check=True, _el=None):
+            if _el is not None:
+                shared[phi.name] += 1
+                assert same_category(_el[0], core.category_of_elements(phi)[0])
+            return fn(phi, s, cross_check=cross_check, _el=_el)
+        return wrapper
+
+    cat, wc = corpus.CATEGORIES[cat_name], WEIGHT_CLASSES[class_name]
+    caps = Caps(rounds=2, members=30)
+    expected = closure_answer(phi_closure_oracle(wc, cat, caps))
+    _wrap_everywhere(monkeypatch, limits, "weighted_colimit", checking)
+    assert closure_answer(phi_closure_bounded(wc, cat, caps)) == expected
+    assert shared
+    if cat_name == "Span":
+        shared.clear()
+        assert (closure_answer(phi_closure_bounded(wc, cat, caps, cross_check=False))
+                == closure_answer(phi_closure_oracle(wc, cat, caps, cross_check=False)))
+        assert not shared
 
 
 def test_closure_leaves_no_cyclic_garbage():

@@ -20,7 +20,7 @@ from fincat.corpus import (Chain3, Disc2, Empty, GSet, I, M, N5, Par, QM, Span,
                            Two, Z2, Z3, PRESHEAVES)
 from fincat.errors import MalformedTable
 from util import (SMALL_CATEGORIES, all_pairs_compose, composable_pairs_oracle,
-                  presheaf_tables_ok, product_category_oracle,
+                  nonassociative_table, presheaf_tables_ok, product_category_oracle,
                   profunctor_tables_ok, quotient_oracle, random_presheaf,
                   random_profunctor, validate_category_oracle)
 
@@ -294,7 +294,7 @@ def test_validate_accepts_whole_corpus():
 
 
 def test_validate_reports_nonassociative_triple():
-    report = validate(corpus.nonassociative_table())
+    report = validate(nonassociative_table())
     assert not report.ok
     assoc = [v for v in report.violations if v.law == "associativity"]
     assert assoc, report

@@ -3,16 +3,18 @@ import random
 import pytest
 
 from fincat import corpus
+from fincat.classes import Caps, phi_closure_bounded
 from fincat.core import NatTrans, identity_functor, validate
 from fincat.corpus import (Chain3, GSet, M, QM, Span, Two, Z2, PRESHEAVES,
-                           covariant_hom)
+                           WEIGHT_CLASSES, covariant_hom)
 from fincat.equivalence import all_functors, presheaf_isomorphic
 from fincat.errors import InternalMismatch, MalformedTable
-from fincat.kan import (PresheafCollection, lan, nerve, pointwise_colimit,
-                        restrict, yoneda_bijection, yoneda_embed,
-                        yoneda_transform)
+from fincat.kan import (PresheafCollection, lan, member_category, nerve,
+                        pointwise_colimit, restrict, yoneda_bijection,
+                        yoneda_embed, yoneda_transform)
 from fincat.limits import nat_trans_set
-from util import SMALL_CATEGORIES, kan_bijection, random_presheaf
+from util import (SMALL_CATEGORIES, kan_bijection, member_category_oracle,
+                  random_presheaf)
 
 
 def test_yoneda_bijection_on_fixtures():
@@ -102,6 +104,34 @@ def test_pointwise_colimit_of_split_idempotent_is_E():
                              "e": e_nat}, M, "split")
     assert validate(got).ok
     assert presheaf_isomorphic(got, PRESHEAVES["E"]) is not None
+
+
+def _member_table(cat, decode):
+    return (cat.objects, cat.morphisms, list(cat.identity.items()),
+            list(cat.compose_table.items()),
+            [(mid, alpha.frozen()) for mid, alpha in decode.items()])
+
+
+@pytest.mark.parametrize("cat", SMALL_CATEGORIES, ids=lambda c: c.name)
+def test_member_category_matches_the_nat_compose_oracle(cat):
+    """Composites on frozen forms give the table that composing full
+    transformations gives: the same composites in the same order, the same
+    identities and the same decode.  The members are those of one closure
+    round under each weight class, which a second round would compose."""
+    for wc in WEIGHT_CLASSES.values():
+        coll = phi_closure_bounded(wc, cat, Caps(rounds=1, members=10)).collection
+        assert (_member_table(*member_category(coll))
+                == _member_table(*member_category_oracle(coll))), wc.name
+
+
+def test_member_category_reports_a_missing_composite():
+    """Y0 -> Y1 -> Y2 over the chain composes to the one transformation
+    Y0 -> Y2; with that one dropped, the composite has nowhere to go."""
+    coll = PresheafCollection.representables(Chain3)
+    assert [len(nat_trans_set(coll.members[i], coll.members[j]))
+            for i, j in [(0, 1), (1, 2), (0, 2)]] == [1, 1, 1]
+    with pytest.raises(InternalMismatch, match="after"):
+        member_category(coll, nat_cache={(0, 2): []})
 
 
 def test_randomized_kan_adjunction_bijections():

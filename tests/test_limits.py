@@ -160,7 +160,8 @@ def test_weighted_colimit_matches_pairing_coend():
     """The coend read off phi (x) S on demand equals the coend of the validated
     pairing profunctor (same classes, same class of every tag) and a plain
     union-find over that profunctor, on 270 derandomized cases: 30 per small
-    category, value sets of size 0 to 3."""
+    category, value sets of size 0 to 3.  An el(phi) passed in by the caller
+    gives the same classes and injections as one built inside."""
     with_empty = 0
     for i in range(270):
         rng = random.Random(i)
@@ -169,6 +170,9 @@ def test_weighted_colimit_matches_pairing_coend():
         s = random_presheaf(rng, cat.op(), f"d{i}")
         with_empty += not all(phi.sets.values()) or not all(s.sets.values())
         res = weighted_colimit(phi, s)
+        shared = weighted_colimit(phi, s, _el=core.category_of_elements(phi))
+        assert shared.classes == res.classes
+        assert shared.coend == res.coend and shared.conical == res.conical
         h = pairing_profunctor(phi, s)
         ref = coend(h)
         assert res.classes == ref.classes

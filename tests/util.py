@@ -18,16 +18,23 @@ law, in ``itertools.product`` order.  The presheaf isomorphism oracle is the
 earlier recursive backtracker, which permutes each object's whole element set
 before it checks naturality.  The category isomorphism oracle filters object
 permutations and injective morphism images, in product order, by the functor
-laws on the raw tables.
+laws on the raw tables.  The member category oracle composes every pair of
+member transformations as a full NatTrans and looks up its frozen form, and
+the closure oracle is the eager closure over it, which builds el(phi) afresh
+for every weighted colimit.
 """
 import itertools
 from collections import deque
 
 from fincat import corpus, validate
 from fincat.cauchy import isbell_left
+from fincat.classes import ClosureResult
 from fincat.core import (FinCategory, FinFunctor, NatTrans, Presheaf,
-                         Profunctor, covariant, product_category)
-from fincat.kan import yoneda_embed
+                         Profunctor, _composable_pairs, covariant, nat_compose,
+                         nat_identity, product_category)
+from fincat.equivalence import all_functors
+from fincat.kan import (PresheafCollection, Provenance, pointwise_colimit,
+                        yoneda_embed)
 from fincat.limits import nat_trans_set, weighted_colimit, weighted_limit
 
 # pool for randomized instances; every member has at most three objects
@@ -679,3 +686,114 @@ def presheaf_isomorphic_oracle(p, q):
     if extend(0):
         return {a: dict(v) for a, v in assign.items()}, nodes[0]
     return None, nodes[0]
+
+
+def nonassociative_table():
+    """A three-morphism composition table that fails associativity at (f, e, e).
+
+    (f.e).e = e.e = 1 but f.(e.e) = f.1 = f; feeding it to FinCategory builds,
+    and validate() must report the triple.
+    """
+    elements = ["1", "e", "f"]
+    mult = {("1", "1"): "1", ("1", "e"): "e", ("1", "f"): "f",
+            ("e", "1"): "e", ("e", "e"): "1", ("e", "f"): "f",
+            ("f", "1"): "f", ("f", "e"): "e", ("f", "f"): "f"}
+    return FinCategory("Bad3", ["*"], [(m, "*", "*") for m in elements],
+                       {"*": "1"}, mult)
+
+
+def member_category_oracle(coll, count=None, nat_cache=None):
+    """kan.member_category with every composite built by nat_compose."""
+    cache = nat_cache if nat_cache is not None else {}
+
+    def nats(i, j):
+        if (i, j) not in cache:
+            cache[(i, j)] = nat_trans_set(coll.members[i], coll.members[j])
+        return cache[(i, j)]
+
+    m = len(coll.members) if count is None else count
+    objects = list(range(m))
+    morphisms = []
+    decode = {}
+    index_of = {}
+    for i in objects:
+        for j in objects:
+            for n, alpha in enumerate(nats(i, j)):
+                mid = (i, j, n)
+                morphisms.append((mid, i, j))
+                decode[mid] = alpha
+                index_of[(i, j, alpha.frozen())] = mid
+    identity = {}
+    for i in objects:
+        ident = nat_identity(coll.members[i])
+        identity[i] = index_of[(i, i, ident.frozen())]
+    compose = {}
+    for (g, _, gt), (f, fs, _) in _composable_pairs(morphisms):
+        comp = nat_compose(decode[g], decode[f])
+        compose[(g, f)] = index_of[(fs, gt, comp.frozen())]
+    cat = FinCategory(f"members({coll.base.name})", objects, morphisms, identity, compose)
+    return cat, decode
+
+
+def phi_closure_oracle(weight_class, base, caps, cross_check=True):
+    """classes.phi_closure_bounded on member_category_oracle, with el(phi)
+    built inside every weighted colimit."""
+    coll = PresheafCollection.representables(base)
+    nat_cache = {}
+    notes = []
+    rounds = 0
+    saturated = False
+    while rounds < caps.rounds:
+        rounds += 1
+        snapshot = len(coll.members)
+        mem_cat, decode = member_category_oracle(coll, count=snapshot,
+                                                 nat_cache=nat_cache)
+        added = False
+        capped_this_round = False
+        for phi in weight_class.weights:
+            for s in all_functors(phi.base, mem_cat):
+                if len(coll.members) >= caps.members:
+                    notes.append(f"member cap {caps.members} hit in round {rounds}")
+                    capped_this_round = True
+                    break
+                objs = {k: coll.members[s.obj(k)] for k in phi.base.objects}
+                mors = {u: decode[s.mor(u)] for u in phi.base.morphisms}
+                p = pointwise_colimit(phi, objs, mors, base,
+                                      f"{weight_class.name}#{len(coll.members)}",
+                                      cross_check=cross_check)
+                if any(len(p.sets[a]) > caps.value_size for a in base.objects):
+                    notes.append(f"value cap {caps.value_size} hit by a "
+                                 f"{phi.name}-colimit in round {rounds}")
+                    capped_this_round = True
+                    continue
+                if coll.find_isomorphic(p) is not None:
+                    continue
+                coll._insert(p, Provenance("colimit", (
+                    phi.name,
+                    tuple((k, s.obj(k)) for k in phi.base.objects),
+                    tuple((u, tuple((a, tuple(sorted(
+                        decode[s.mor(u)].components[a].items(), key=repr)))
+                        for a in base.objects))
+                        for u in phi.base.morphisms))))
+                added = True
+            else:
+                continue
+            break
+        if capped_this_round:
+            break
+        if not added:
+            saturated = True
+            break
+    return ClosureResult(coll, rounds, saturated, caps, tuple(notes))
+
+
+def closure_answer(res):
+    """Everything a closure result says, as comparable plain values: members by
+    the repr of their tables, provenance, rounds, saturation and notes."""
+    coll = res.collection
+    members = [repr((p.name, [(a, p.sets[a]) for a in coll.base.objects],
+                     [(f, p.actions[f]) for f in coll.base.morphisms]))
+               for p in coll.members]
+    return (members, [repr(prov) for prov in coll.provenance],
+            [str(prov) for prov in coll.provenance],
+            res.rounds, res.saturated_at_bound, res.capped)
