@@ -120,26 +120,16 @@ def small_projective_report(phi: Presheaf) -> SmallProjectiveReport:
     psi = isbell_left(phi)
     colim = weighted_colimit(phi, psi)
     nats = {n.frozen() for n in nat_trans_set(phi, phi)}
-    per_class = {}
-    for k in b_cat.objects:
-        for x in phi.sets[k]:
-            for gkey in psi.sets[k]:
-                comps = {j: {y: phi.act(_image(gkey, phi, j, y), x)
-                             for y in phi.sets[j]}
-                         for j in b_cat.objects}
-                alpha = NatTrans(phi, phi, comps).frozen()
-                cls = colim.inject(k, x, gkey)
-                per_class.setdefault(cls, set()).add(alpha)
-    images = {}
-    for cls, alphas in per_class.items():
-        if len(alphas) != 1:
-            raise InternalMismatch("canonical self-map not constant on classes")
-        images[cls] = next(iter(alphas))
-    for alpha in images.values():
-        if alpha not in nats:
-            raise InternalMismatch("canonical self-map left the natural set")
-    injective = len(set(images.values())) == len(colim.classes)
-    surjective = set(images.values()) == nats
+
+    def image(k, x, gkey):
+        comps = {j: {y: phi.act(_image(gkey, phi, j, y), x) for y in phi.sets[j]}
+                 for j in b_cat.objects}
+        return NatTrans(phi, phi, comps).frozen()
+    images = set(colim.descend(image, "canonical self-map not constant on classes").values())
+    if not images <= nats:
+        raise InternalMismatch("canonical self-map left the natural set")
+    injective = len(images) == len(colim.classes)
+    surjective = images == nats
     return SmallProjectiveReport(len(colim.classes), len(nats), injective, surjective)
 
 
@@ -327,21 +317,13 @@ def verify_covariant_representation(pair: DualPair, x_weight: Presheaf) -> int:
     phi, psi = pair.phi, pair.psi
     colim = weighted_colimit(phi, x_weight)
     nats = {n.frozen() for n in nat_trans_set(psi, x_weight)}
-    per_class = {}
-    for b in phi.base.objects:
-        for x in phi.sets[b]:
-            for xi in x_weight.sets[b]:
-                comps = {k: {gamma: x_weight.act(_image(gamma, phi, b, x), xi)
-                             for gamma in psi.sets[k]}
-                         for k in phi.base.objects}
-                tau = NatTrans(psi, x_weight, comps).frozen()
-                cls = colim.inject(b, x, xi)
-                per_class.setdefault(cls, set()).add(tau)
-    images = set()
-    for cls, taus in per_class.items():
-        if len(taus) != 1:
-            raise InternalMismatch("representation map not constant on classes")
-        images.add(next(iter(taus)))
+
+    def image(b, x, xi):
+        comps = {k: {gamma: x_weight.act(_image(gamma, phi, b, x), xi)
+                     for gamma in psi.sets[k]}
+                 for k in phi.base.objects}
+        return NatTrans(psi, x_weight, comps).frozen()
+    images = set(colim.descend(image, "representation map not constant on classes").values())
     if len(images) != len(colim.classes) or images != nats:
         raise InternalMismatch(
             f"phi*X and [B,V](psi,X) disagree: {len(colim.classes)} classes vs {len(nats)} transformations")

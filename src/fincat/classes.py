@@ -173,20 +173,9 @@ def _hom_preserves_colimit(cat, a, phi, s, colim) -> bool:
                         {u: {h: cat.compose(s.mor(u), h)
                              for h in cat.hom(a, s.obj(k_cat.src[u]))}
                          for u in k_cat.morphisms})
-    wc = weighted_colimit(phi, diagram)
-    image = {}
-    for k in k_cat.objects:
-        for x in phi.sets[k]:
-            for h in cat.hom(a, s.obj(k)):
-                rep = wc.inject(k, x, h)
-                val = cat.compose(colim.cocone[k][x], h)
-                if rep in image:
-                    if image[rep] != val:
-                        raise InternalMismatch(
-                            "cocone-induced map not constant on colimit classes")
-                else:
-                    image[rep] = val
-    vals = list(image.values())
+    vals = list(weighted_colimit(phi, diagram).descend(
+        lambda k, x, h: cat.compose(colim.cocone[k][x], h),
+        "cocone-induced map not constant on colimit classes").values())
     return len(set(vals)) == len(vals) and set(vals) == set(cat.hom(a, colim.apex))
 
 
@@ -219,7 +208,7 @@ class CommutationResult:
 
 
 def _limit_then_colimit(phi, psi, s):
-    """The presheaf l -> Nat(psi, S(-, l)) with frozen elements, then its colimit."""
+    """The colimit, weighted by phi, of l -> Nat(psi, S(-, l)) with frozen elements."""
     l_cat, k_cat = s.source, s.target
     cols = {l: _column(s, l) for l in l_cat.objects}
     g_sets = {l: [n.frozen() for n in nat_trans_set(psi, cols[l])]
@@ -233,12 +222,12 @@ def _limit_then_colimit(phi, psi, s):
                                  for k, row in zip(k_cat.objects, gamma))
         g_actions[m] = table
     g = covariant(f"lim[{psi.name},{s.name}]", l_cat, g_sets, g_actions)
-    return g, weighted_colimit(phi, g)
+    return weighted_colimit(phi, g)
 
 
 def _colimit_then_limit(phi, psi, s):
     """Per-object colimits phi * S(k, -) assembled into a presheaf on the target."""
-    l_cat, k_cat = s.source, s.target
+    k_cat = s.target
     rows = _transpose(s)   # S(k, -) is column k of the transpose
     per = {k: weighted_colimit(phi, _column(rows, k)) for k in k_cat.objects}
     sets = {k: per[k].classes for k in k_cat.objects}
@@ -267,7 +256,7 @@ def check_commutation(phi: Presheaf, psi: Presheaf, s: Profunctor) -> Commutatio
     if not same_category(psi.base, s.target):
         raise MalformedTable("check_commutation: limit weight must live on the target")
     k_cat = s.target
-    g, a_side = _limit_then_colimit(phi, psi, s)
+    a_side = _limit_then_colimit(phi, psi, s)
     h, per = _colimit_then_limit(phi, psi, s)
     b_res = weighted_limit(psi, h)
     b_frozen = {t.frozen() for t in b_res.transforms}
@@ -279,20 +268,9 @@ def check_commutation(phi: Presheaf, psi: Presheaf, s: Profunctor) -> Commutatio
                         for w, val in zip(psi.sets[k], row)}
         return NatTrans(psi, h, comps).frozen()
 
-    assigned = {}
-    for l in phi.base.objects:
-        for x in phi.sets[l]:
-            for gamma in g.sets[l]:
-                rep = a_side.inject(l, x, gamma)
-                tau = push(l, x, gamma)
-                if tau not in b_frozen:
-                    raise InternalMismatch("comparison image is not a natural family")
-                if rep in assigned:
-                    if assigned[rep] != tau:
-                        raise InternalMismatch("comparison not constant on classes")
-                else:
-                    assigned[rep] = tau
-    values = list(assigned.values())
+    values = list(a_side.descend(push, "comparison not constant on classes").values())
+    if not set(values) <= b_frozen:
+        raise InternalMismatch("comparison image is not a natural family")
     injective = len(set(values)) == len(values)
     surjective = set(values) == b_frozen
     return CommutationResult(injective and surjective, a_side.size, b_res.size,
@@ -443,7 +421,7 @@ def comma_connectedness_witness(target: Presheaf) -> CommaWitness:
     for src in objects:
         i, _ = src
         for tgt in objects:
-            j, vf = tgt
+            j, _ = tgt
             for n, m in enumerate(between[(i, j)]):
                 if nat_compose(arrow[tgt], m).frozen() == src[1]:
                     mid = (src, tgt, n)

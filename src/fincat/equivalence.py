@@ -174,7 +174,7 @@ class Equivalence:
 
 def _invertible(t: FunctorTransform) -> bool:
     cat = t.target.target
-    for a, m in t.components.items():
+    for m in t.components.values():
         src, tgt = cat.src[m], cat.tgt[m]
         if not any(cat.compose(g, m) == cat.id_of(src) and cat.compose(m, g) == cat.id_of(tgt)
                    for g in cat.hom(tgt, src)):

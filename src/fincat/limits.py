@@ -210,6 +210,17 @@ class WeightedColimitResult:
     def inject(self, k, x, y):
         return self.coend.find(k, (x, y))
 
+    def descend(self, value, message):
+        """The map out of phi * s induced by ``value(k, x, y)`` on the triples,
+        as {class: value}.  Triples are read in (k, x, y) order, and the first
+        class that gets two different values raises InternalMismatch(message)."""
+        images = {}
+        for (k, (x, y)), cls in self.coend._lookup.items():
+            v = value(k, x, y)
+            if images.setdefault(cls, v) != v:
+                raise InternalMismatch(message)
+        return images
+
 
 class _Pairing:
     """phi (x) s read on demand: cell (k1, k2) = phi(k1) x s(k2), as a
@@ -236,7 +247,8 @@ def weighted_colimit(phi: Presheaf, s: Presheaf, cross_check=True,
     With cross_check, the coend route and the conical colimit over el(phi)
     must partition the triples (k, x, y) alike.  One pass over the triples maps
     each coend class to a conical class and each conical class to a coend
-    class; the partitions are equal iff neither map sends a class to two.
+    class; the partitions are equal iff neither map sends a class to two and
+    both reach every class, which refuses an el that misses elements of phi.
 
     _el, when given, is ``category_of_elements(phi)`` built once by a caller
     that takes many colimits weighted by the same phi; otherwise el(phi) is
@@ -260,6 +272,8 @@ def weighted_colimit(phi: Presheaf, s: Presheaf, cross_check=True,
                 a, b = co.find(k, (x, y)), conical.find((k, x), y)
                 if to_conical.setdefault(a, b) != b or to_coend.setdefault(b, a) != a:
                     raise InternalMismatch("weighted_colimit routes disagree on the quotient")
+        if len(to_conical) != len(co.classes) or len(to_coend) != len(conical.classes):
+            raise InternalMismatch("weighted_colimit cross-check missed a class")
     return WeightedColimitResult(co.classes, co, conical)
 
 

@@ -11,14 +11,18 @@ A -|-> B as B^op -|-> A^op gives [[g,h]] = {|g^t,h^t|}^t, and the extension
 transpose bijection is the lift bijection of the transposes.
 
 2-cells are wrapped NatTrans values over the product base target x source^op,
-so naturality in both slots is one validation pass.
+so naturality in both slots is one validation pass.  Every canonical 2-cell
+(identities, unitors, associators, whiskers, counits, units, comparisons) is
+built by ``_cellwise`` from its value on one element of one source cell.  The
+conjoint T^* of a functor T is the transpose of the companion of T^op.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, Profunctor,
-                   product_category, quotient, same_category, unit_category)
+                   identity_functor, product_category, quotient, same_category,
+                   unit_category)
 from .errors import EndpointMismatch, InternalMismatch
 from .limits import CoendResult, nat_trans_set
 
@@ -75,29 +79,42 @@ class TwoCell:
                        name=f"({other.name};{self.name})", base=self.base)
 
     def invert(self) -> "TwoCell":
-        comps = {}
-        for cell, table in self.components.items():
-            if len(set(table.values())) != len(table) or \
-                    set(table.values()) != set(self.target.cell(*cell)):
-                raise InternalMismatch(f"2-cell {self.name!r} not invertible at {cell!r}")
-            comps[cell] = {y: x for x, y in table.items()}
+        failure = self.bijection_failure()
+        if failure is not None:
+            raise InternalMismatch(f"2-cell {self.name!r} not invertible at {failure[0]!r}")
+        comps = {cell: {y: x for x, y in table.items()}
+                 for cell, table in self.components.items()}
         return TwoCell(self.target, self.source, comps,
                        name=f"inv({self.name})", base=self.base)
 
+    def bijection_failure(self):
+        """The first cell, in component order, whose component is not a
+        bijection onto the target cell, with "injective" or "surjective" for
+        what fails there (injectivity is tested first); None if there is none."""
+        for cell, table in self.components.items():
+            images = set(table.values())
+            if len(images) != len(table):
+                return cell, "injective"
+            if images != set(self.target.cell(*cell)):
+                return cell, "surjective"
+        return None
+
     def is_iso(self):
-        return all(
-            len(set(t.values())) == len(t) and set(t.values()) == set(self.target.cell(*cell))
-            for cell, t in self.components.items()
-        )
+        return self.bijection_failure() is None
 
     def __repr__(self):
         return f"TwoCell({self.name!r}: {self.source.name} => {self.target.name})"
 
 
+def _cellwise(src: Profunctor, tgt: Profunctor, name, image) -> TwoCell:
+    """The 2-cell src => tgt sending x in cell (t, s) of src to image(t, s, x)."""
+    comps = {(t, s): {x: image(t, s, x) for x in src.cell(t, s)}
+             for t in src.target.objects for s in src.source.objects}
+    return TwoCell(src, tgt, comps, name=name)
+
+
 def identity_two_cell(f: Profunctor) -> TwoCell:
-    comps = {(b, a): {x: x for x in f.cell(b, a)}
-             for b in f.target.objects for a in f.source.objects}
-    return TwoCell(f, f, comps, name=f"1_{f.name}")
+    return _cellwise(f, f, f"1_{f.name}", lambda b, a, x: x)
 
 
 def two_cells(f: Profunctor, g: Profunctor, budget=None) -> list:
@@ -117,22 +134,19 @@ def modules_isomorphic(f: Profunctor, g: Profunctor) -> bool:
 
 
 def id_module(cat: FinCategory) -> Profunctor:
-    """The hom module: cell(b, a) = Hom(b, a)."""
-    sets = {(b, a): cat.hom(b, a) for b in cat.objects for a in cat.objects}
-    left = {(m, a): {h: cat.compose(h, m) for h in sets[(cat.tgt[m], a)]}
-            for m in cat.morphisms for a in cat.objects}
-    right = {(b, m): {h: cat.compose(m, h) for h in sets[(b, cat.src[m])]}
-             for b in cat.objects for m in cat.morphisms}
-    return Profunctor(f"1_{cat.name}", cat, cat, sets, left, right)
+    """The hom module: cell(b, a) = Hom(b, a), the companion of the identity."""
+    hom = _companion(identity_functor(cat))
+    hom.name = f"1_{cat.name}"
+    return hom
 
 
 class CompositeProfunctor(Profunctor):
     """g . f with each cell's CoendResult kept for normalization of raw pairs;
-    a class is represented by its first raw pair (b, (y, x)) in tag order."""
+    a class is represented by its first raw pair (b, (y, x)) in tag order.
+    The inner factor f is kept for the associator, which normalizes in it."""
 
-    def __init__(self, g, f, name, source, target, sets, left, right, coends):
+    def __init__(self, f, name, source, target, sets, left, right, coends):
         super().__init__(name, source, target, sets, left, right)
-        self.outer = g
         self.inner = f
         self.coends = coends
 
@@ -188,7 +202,7 @@ def compose_modules(g: Profunctor, f: Profunctor) -> CompositeProfunctor:
                 b, (y, x) = rep
                 table[rep] = coends[(c, a2)].find(b, (y, f.right_act(b, alpha, x)))
             right[(c, alpha)] = table
-    return CompositeProfunctor(g, f, f"({g.name}.{f.name})", source, target,
+    return CompositeProfunctor(f, f"({g.name}.{f.name})", source, target,
                                sets, left, right, coends)
 
 
@@ -200,15 +214,11 @@ def left_unitor(f: Profunctor, composite: CompositeProfunctor = None) -> TwoCell
     """1_B . f -> f, sending a class (b', (h, x)) to x acted on by h."""
     if composite is None:
         composite = compose_modules(id_module(f.target), f)
-    comps = {}
-    for b in f.target.objects:
-        for a in f.source.objects:
-            table = {}
-            for rep in composite.cell(b, a):
-                b2, (h, x) = rep
-                table[rep] = f.left_act(h, a, x)
-            comps[(b, a)] = table
-    cell = TwoCell(composite, f, comps, name=f"lambda({f.name})")
+
+    def image(b, a, rep):
+        _, (h, x) = rep
+        return f.left_act(h, a, x)
+    cell = _cellwise(composite, f, f"lambda({f.name})", image)
     if not cell.is_iso():
         raise InternalMismatch(f"left unitor of {f.name} not invertible")
     return cell
@@ -218,15 +228,11 @@ def right_unitor(f: Profunctor, composite: CompositeProfunctor = None) -> TwoCel
     """f . 1_A -> f."""
     if composite is None:
         composite = compose_modules(f, id_module(f.source))
-    comps = {}
-    for b in f.target.objects:
-        for a in f.source.objects:
-            table = {}
-            for rep in composite.cell(b, a):
-                a2, (x, h) = rep
-                table[rep] = f.right_act(b, h, x)
-            comps[(b, a)] = table
-    cell = TwoCell(composite, f, comps, name=f"rho({f.name})")
+
+    def image(b, a, rep):
+        _, (x, h) = rep
+        return f.right_act(b, h, x)
+    cell = _cellwise(composite, f, f"rho({f.name})", image)
     if not cell.is_iso():
         raise InternalMismatch(f"right unitor of {f.name} not invertible")
     return cell
@@ -240,19 +246,11 @@ def associator(f3: Profunctor, f2: Profunctor, f1: Profunctor,
         left = compose_modules(compose_modules(f3, f2), f1)
     if right is None:
         right = compose_modules(f3, compose_modules(f2, f1))
-    c32, c21 = left.outer, right.inner
-    comps = {}
-    for t in left.target.objects:
-        for s in left.source.objects:
-            table = {}
-            for rep in left.cell(t, s):
-                m1, (w, x) = rep
-                m2, (y, z) = w
-                inner = c21.normalize(m2, s, m1, z, x)
-                table[rep] = right.normalize(t, s, m2, y, inner)
-            comps[(t, s)] = table
-    cell = TwoCell(left, right, comps,
-                   name=f"assoc({f3.name},{f2.name},{f1.name})")
+
+    def image(t, s, rep):
+        m1, ((m2, (y, z)), x) = rep
+        return right.normalize(t, s, m2, y, right.inner.normalize(m2, s, m1, z, x))
+    cell = _cellwise(left, right, f"assoc({f3.name},{f2.name},{f1.name})", image)
     if not cell.is_iso():
         raise InternalMismatch("associator not invertible; representative bug")
     return cell
@@ -266,15 +264,11 @@ def whisker_left(g: Profunctor, sigma: TwoCell,
         src = compose_modules(g, sigma.source)
     if tgt is None:
         tgt = compose_modules(g, sigma.target)
-    comps = {}
-    for t in src.target.objects:
-        for s in src.source.objects:
-            table = {}
-            for rep in src.cell(t, s):
-                m, (y, x) = rep
-                table[rep] = tgt.normalize(t, s, m, y, sigma.at(m, s, x))
-            comps[(t, s)] = table
-    return TwoCell(src, tgt, comps, name=f"({g.name}.{sigma.name})")
+
+    def image(t, s, rep):
+        m, (y, x) = rep
+        return tgt.normalize(t, s, m, y, sigma.at(m, s, x))
+    return _cellwise(src, tgt, f"({g.name}.{sigma.name})", image)
 
 
 def whisker_right(sigma: TwoCell, e: Profunctor,
@@ -285,44 +279,38 @@ def whisker_right(sigma: TwoCell, e: Profunctor,
         src = compose_modules(sigma.source, e)
     if tgt is None:
         tgt = compose_modules(sigma.target, e)
-    comps = {}
-    for t in src.target.objects:
-        for s in src.source.objects:
-            table = {}
-            for rep in src.cell(t, s):
-                m, (w, z) = rep
-                table[rep] = tgt.normalize(t, s, m, sigma.at(t, m, w), z)
-            comps[(t, s)] = table
-    return TwoCell(src, tgt, comps, name=f"({sigma.name}.{e.name})")
+
+    def image(t, s, rep):
+        m, (w, z) = rep
+        return tgt.normalize(t, s, m, sigma.at(t, m, w), z)
+    return _cellwise(src, tgt, f"({sigma.name}.{e.name})", image)
 
 
 # ---------------------------------------------------------------------------
 # functors as modules
 
 
-def functor_to_modules(t: FinFunctor):
-    """T_*(b,a) = B(b, Ta) and T^*(a,b) = B(Ta, b)."""
+def _companion(t: FinFunctor) -> Profunctor:
+    """T_*: A -|-> B with T_*(b, a) = B(b, Ta)."""
     a_cat, b_cat = t.source, t.target
-    lower_sets = {(b, a): b_cat.hom(b, t.obj(a))
-                  for b in b_cat.objects for a in a_cat.objects}
-    lower_left = {(m, a): {h: b_cat.compose(h, m)
-                           for h in lower_sets[(b_cat.tgt[m], a)]}
-                  for m in b_cat.morphisms for a in a_cat.objects}
-    lower_right = {(b, m): {h: b_cat.compose(t.mor(m), h)
-                            for h in lower_sets[(b, a_cat.src[m])]}
-                   for b in b_cat.objects for m in a_cat.morphisms}
-    lower = Profunctor(f"({t.name})_*", a_cat, b_cat, lower_sets, lower_left, lower_right)
+    sets = {(b, a): b_cat.hom(b, t.obj(a))
+            for b in b_cat.objects for a in a_cat.objects}
+    left = {(m, a): {h: b_cat.compose(h, m) for h in sets[(b_cat.tgt[m], a)]}
+            for m in b_cat.morphisms for a in a_cat.objects}
+    right = {(b, m): {h: b_cat.compose(t.mor(m), h)
+                      for h in sets[(b, a_cat.src[m])]}
+             for b in b_cat.objects for m in a_cat.morphisms}
+    return Profunctor(f"({t.name})_*", a_cat, b_cat, sets, left, right)
 
-    upper_sets = {(a, b): b_cat.hom(t.obj(a), b)
-                  for a in a_cat.objects for b in b_cat.objects}
-    upper_left = {(m, b): {h: b_cat.compose(h, t.mor(m))
-                           for h in upper_sets[(a_cat.tgt[m], b)]}
-                  for m in a_cat.morphisms for b in b_cat.objects}
-    upper_right = {(a, m): {h: b_cat.compose(m, h)
-                            for h in upper_sets[(a, b_cat.src[m])]}
-                   for a in a_cat.objects for m in b_cat.morphisms}
-    upper = Profunctor(f"({t.name})^*", b_cat, a_cat, upper_sets, upper_left, upper_right)
-    return lower, upper
+
+def functor_to_modules(t: FinFunctor):
+    """T_*(b,a) = B(b, Ta) and T^*(a,b) = B(Ta, b).
+
+    T^* is the transpose of (T^op)_*: B^op(b, Ta) = B(Ta, b), and the
+    transpose runs from (B^op)^op, which is B itself, to A."""
+    upper = _transpose(_companion(t.op()))
+    upper.name = f"({t.name})^*"
+    return _companion(t), upper
 
 
 def module_of_weight(phi: Presheaf) -> Profunctor:
@@ -365,6 +353,12 @@ def _column(f: Profunctor, a) -> Presheaf:
     return Presheaf(f"{f.name}(-,{a!r})", b_cat, sets, actions)
 
 
+def _family(col: Presheaf, target: Presheaf, value):
+    """The frozen natural family col -> target sending y in col(b) to value(b, y)."""
+    comps = {b: {y: value(b, y) for y in col.sets[b]} for b in col.base.objects}
+    return NatTrans(col, target, comps).frozen()
+
+
 @dataclass
 class LiftResult:
     lift: Profunctor                 # C -|-> A
@@ -389,49 +383,31 @@ def right_lift(f: Profunctor, h: Profunctor) -> LiftResult:
             nats = nat_trans_set(f_col[a], h_col[c])
             decode[(a, c)] = {n.frozen(): n for n in nats}
             sets[(a, c)] = tuple(n.frozen() for n in nats)
-    b_cat = f.target
 
-    def encode(a, c, comps):
-        key = NatTrans(f_col[a], h_col[c], comps).frozen()
-        if key not in decode[(a, c)]:
-            raise InternalMismatch("lift action left the natural family set")
-        return key
+    def act(src, tgt, value):
+        """The action from cell src to cell tgt: the family n goes to the
+        family sending y over b to value(n, b, y)."""
+        table = {}
+        for key, n in decode[src].items():
+            table[key] = _family(f_col[tgt[0]], h_col[tgt[1]],
+                                 lambda b, y: value(n, b, y))
+            if table[key] not in decode[tgt]:
+                raise InternalMismatch("lift action left the natural family set")
+        return table
 
-    left = {}
-    for alpha in a_cat.morphisms:
-        a_src, a_tgt = a_cat.src[alpha], a_cat.tgt[alpha]
-        for c in c_cat.objects:
-            table = {}
-            for key in sets[(a_tgt, c)]:
-                n = decode[(a_tgt, c)][key]
-                comps = {b: {y: n.components[b][f.right_act(b, alpha, y)]
-                             for y in f.cell(b, a_src)}
-                         for b in b_cat.objects}
-                table[key] = encode(a_src, c, comps)
-            left[(alpha, c)] = table
-    right = {}
-    for a in a_cat.objects:
-        for xi in c_cat.morphisms:
-            c_src, c_tgt = c_cat.src[xi], c_cat.tgt[xi]
-            table = {}
-            for key in sets[(a, c_src)]:
-                n = decode[(a, c_src)][key]
-                comps = {b: {y: h.right_act(b, xi, n.components[b][y])
-                             for y in f.cell(b, a)}
-                         for b in b_cat.objects}
-                table[key] = encode(a, c_tgt, comps)
-            right[(a, xi)] = table
+    left = {(alpha, c): act((a_cat.tgt[alpha], c), (a_cat.src[alpha], c),
+                            lambda n, b, y: n.components[b][f.right_act(b, alpha, y)])
+            for alpha in a_cat.morphisms for c in c_cat.objects}
+    right = {(a, xi): act((a, c_cat.src[xi]), (a, c_cat.tgt[xi]),
+                          lambda n, b, y: h.right_act(b, xi, n.components[b][y]))
+             for a in a_cat.objects for xi in c_cat.morphisms}
     lift = Profunctor(f"lift({f.name},{h.name})", c_cat, a_cat, sets, left, right)
     composite = compose_modules(f, lift)
-    comps = {}
-    for b in b_cat.objects:
-        for c in c_cat.objects:
-            table = {}
-            for rep in composite.cell(b, c):
-                a, (y, key) = rep
-                table[rep] = decode[(a, c)][key].components[b][y]
-            comps[(b, c)] = table
-    counit = TwoCell(composite, h, comps, name=f"ev({f.name},{h.name})")
+
+    def evaluate(b, c, rep):
+        a, (y, key) = rep
+        return decode[(a, c)][key].components[b][y]
+    counit = _cellwise(composite, h, f"ev({f.name},{h.name})", evaluate)
     return LiftResult(lift, counit, composite, decode, f_col, h_col)
 
 
@@ -475,34 +451,22 @@ def verify_lift_bijection(f: Profunctor, h: Profunctor, k: Profunctor,
     fk = compose_modules(f, k)
     sigmas = two_cells(fk, h)
     taus = two_cells(k, lift)
-    forward = {}
-    for tau in taus:
-        comps = {}
-        for b in f.target.objects:
-            for c in k.source.objects:
-                table = {}
-                for rep in fk.cell(b, c):
-                    a, (y, z) = rep
-                    key = tau.at(a, c, z)
-                    table[rep] = lifted.decode[(a, c)][key].components[b][y]
-                comps[(b, c)] = table
-        forward[tau.frozen()] = TwoCell(fk, h, comps).frozen()
-    backward = {}
-    for sigma in sigmas:
-        comps = {}
-        for a in f.source.objects:
-            for c in k.source.objects:
-                table = {}
-                for z in k.cell(a, c):
-                    fam = {b: {y: sigma.at(b, c, fk.normalize(b, c, a, y, z))
-                               for y in f.cell(b, a)}
-                           for b in f.target.objects}
-                    table[z] = NatTrans(lifted.f_col[a], lifted.h_col[c], fam).frozen()
-                comps[(a, c)] = table
-        backward[sigma.frozen()] = TwoCell(k, lift, comps).frozen()
-    sigma_keys = {s.frozen() for s in sigmas}
-    tau_keys = {t.frozen() for t in taus}
-    if set(forward.values()) != sigma_keys or set(backward.values()) != tau_keys:
+
+    def transpose_of(tau):
+        def image(b, c, rep):
+            a, (y, z) = rep
+            return lifted.decode[(a, c)][tau.at(a, c, z)].components[b][y]
+        return _cellwise(fk, h, "", image)
+
+    def transpose_back(sigma):
+        def image(a, c, z):
+            return _family(lifted.f_col[a], lifted.h_col[c],
+                           lambda b, y: sigma.at(b, c, fk.normalize(b, c, a, y, z)))
+        return _cellwise(k, lift, "", image)
+
+    forward = {tau.frozen(): transpose_of(tau).frozen() for tau in taus}
+    backward = {sigma.frozen(): transpose_back(sigma).frozen() for sigma in sigmas}
+    if set(forward.values()) != set(backward) or set(backward.values()) != set(forward):
         raise InternalMismatch("lift transpose is not onto")
     for tk, sk in forward.items():
         if backward[sk] != tk:
@@ -549,45 +513,29 @@ def has_right_adjoint(f: Profunctor) -> AdjunctionResult:
     lifted = right_lift(f, one_b)
     g, eps, c_fg = lifted.lift, lifted.counit, lifted.composite
     selflift = right_lift(f, f)
-    ff = selflift.lift
     c_gf = compose_modules(g, f)
 
-    comp = {}
-    for a2 in a_cat.objects:
-        for a1 in a_cat.objects:
-            table = {}
-            for rep in c_gf.cell(a2, a1):
-                b0, (tkey, z) = rep
-                t = lifted.decode[(a2, b0)][tkey]
-                fam = {b: {y: f.left_act(t.components[b][y], a1, z)
-                           for y in f.cell(b, a2)}
-                       for b in b_cat.objects}
-                key = NatTrans(selflift.f_col[a2], selflift.h_col[a1], fam).frozen()
-                if key not in selflift.decode[(a2, a1)]:
-                    raise InternalMismatch("comparison left the lift cell")
-                table[rep] = key
-            comp[(a2, a1)] = table
-    comparison = TwoCell(c_gf, ff, comp, name=f"cmp({f.name})")
-    for cell_key, table in comparison.components.items():
-        if len(set(table.values())) != len(table):
-            return AdjunctionResult(False, comparison=comparison,
-                                    reason=f"comparison not injective at {cell_key!r}")
-        if set(table.values()) != set(ff.cell(*cell_key)):
-            return AdjunctionResult(False, comparison=comparison,
-                                    reason=f"comparison not surjective at {cell_key!r}")
+    def compare(a2, a1, rep):
+        b0, (tkey, z) = rep
+        t = lifted.decode[(a2, b0)][tkey]
+        key = _family(selflift.f_col[a2], selflift.h_col[a1],
+                      lambda b, y: f.left_act(t.components[b][y], a1, z))
+        if key not in selflift.decode[(a2, a1)]:
+            raise InternalMismatch("comparison left the lift cell")
+        return key
+    comparison = _cellwise(c_gf, selflift.lift, f"cmp({f.name})", compare)
+    failure = comparison.bijection_failure()
+    if failure is not None:
+        cell, kind = failure
+        return AdjunctionResult(False, comparison=comparison,
+                                reason=f"comparison not {kind} at {cell!r}")
     inverse = comparison.invert()
 
-    unit_comps = {}
-    for a2 in a_cat.objects:
-        for a1 in a_cat.objects:
-            table = {}
-            for h in one_a.cell(a2, a1):
-                fam = {b: {y: f.right_act(b, h, y) for y in f.cell(b, a2)}
-                       for b in b_cat.objects}
-                key = NatTrans(selflift.f_col[a2], selflift.h_col[a1], fam).frozen()
-                table[h] = inverse.at(a2, a1, key)
-            unit_comps[(a2, a1)] = table
-    eta = TwoCell(one_a, c_gf, unit_comps, name=f"unit({f.name})")
+    def unit_at(a2, a1, h):
+        key = _family(selflift.f_col[a2], selflift.h_col[a1],
+                      lambda b, y: f.right_act(b, h, y))
+        return inverse.at(a2, a1, key)
+    eta = _cellwise(one_a, c_gf, f"unit({f.name})", unit_at)
 
     # triangle 1: f -> f.1_A -> f.(g.f) -> (f.g).f -> 1_B.f -> f equals 1_f
     c_f1 = compose_modules(f, one_a)

@@ -186,6 +186,28 @@ def test_weighted_colimit_matches_pairing_coend():
     assert with_empty >= 50
 
 
+def test_weighted_colimit_refuses_a_foreign_el():
+    """An el(phi) of another weight that misses elements of phi leaves classes
+    of both routes unvisited; the cross-check must raise rather than compare
+    nothing.  The weight's own el gives the usual answer."""
+    checked = 0
+    for i in range(40):
+        rng = random.Random(i)
+        cat = SMALL_CATEGORIES[i % len(SMALL_CATEGORIES)]
+        phi = random_nonempty_presheaf(rng, cat, f"w{i}")
+        s = random_nonempty_presheaf(rng, cat.op(), f"d{i}")
+        res = weighted_colimit(phi, s)
+        if not res.classes:
+            continue
+        own = weighted_colimit(phi, s, _el=core.category_of_elements(phi))
+        assert own.coend == res.coend and own.conical == res.conical
+        for foreign in (delta0(cat), PRESHEAVES["zero.Empty"]):
+            with pytest.raises(InternalMismatch):
+                weighted_colimit(phi, s, _el=core.category_of_elements(foreign))
+        checked += 1
+    assert checked >= 30
+
+
 def _merge_two_classes(res):
     if len(res.classes) < 2:
         return None

@@ -41,6 +41,79 @@ def test_unitors_are_isomorphisms():
         assert ru.is_iso(), f.name
 
 
+def _raw_pairs(g, f):
+    """Every raw pair of g . f: (c, a, b, y, x) with y in g(c, b), x in f(b, a)."""
+    for c in g.target.objects:
+        for a in f.source.objects:
+            for b in f.target.objects:
+                for y in g.cell(c, b):
+                    for x in f.cell(b, a):
+                        yield c, a, b, y, x
+
+
+def _coherence_modules():
+    return (example82, id_module(Two), functor_to_modules(corpus.embedM)[0])
+
+
+def test_unitors_satisfy_their_defining_equations():
+    """lambda(class of (h, x)) = h.x and rho(class of (x, h)) = x.h on every
+    raw pair, so in particular lambda(1_b, x) = x and rho(x, 1_a) = x."""
+    for f in _coherence_modules():
+        one_b, one_a = id_module(f.target), id_module(f.source)
+        c_left, c_right = compose_modules(one_b, f), compose_modules(f, one_a)
+        lu, ru = left_unitor(f, c_left), right_unitor(f, c_right)
+        for b, a, b2, h, x in _raw_pairs(one_b, f):
+            assert lu.at(b, a, c_left.normalize(b, a, b2, h, x)) == f.left_act(h, a, x)
+            if b2 == b and h == f.target.id_of(b):
+                assert lu.at(b, a, c_left.normalize(b, a, b, h, x)) == x
+        for b, a, a2, x, h in _raw_pairs(f, one_a):
+            assert ru.at(b, a, c_right.normalize(b, a, a2, x, h)) == f.right_act(b, h, x)
+            if a2 == a and h == f.source.id_of(a):
+                assert ru.at(b, a, c_right.normalize(b, a, a, x, h)) == x
+
+
+def test_associator_rebrackets_every_raw_triple():
+    """alpha sends the class of ((y, z), x) to the class of (y, (z, x))."""
+    f2 = functor_to_modules(all_functors(Span, Two)[0])[0]
+    f3 = functor_to_modules(all_functors(Two, M)[1])[0]
+    triples = [(id_module(f.target), f, id_module(f.source))
+               for f in _coherence_modules()] + [(f3, f2, example82)]
+    checked = 0
+    for g3, g2, g1 in triples:
+        c32, c21 = compose_modules(g3, g2), compose_modules(g2, g1)
+        left, right = compose_modules(c32, g1), compose_modules(g3, c21)
+        alpha = associator(g3, g2, g1, left, right)
+        for t, m1, m2, y, z in _raw_pairs(g3, g2):
+            for s in g1.source.objects:
+                for x in g1.cell(m1, s):
+                    src = left.normalize(t, s, m1, c32.normalize(t, m1, m2, y, z), x)
+                    tgt = right.normalize(t, s, m2, y, c21.normalize(m2, s, m1, z, x))
+                    assert alpha.at(t, s, src) == tgt
+                    checked += 1
+    assert checked > 40
+
+
+def test_whiskers_act_on_one_factor_of_every_raw_pair():
+    """(g.sigma)(class of (y, x)) = class of (y, sigma x) and
+    (sigma.e)(class of (w, z)) = class of (sigma w, z)."""
+    checked = 0
+    for f in _coherence_modules():
+        g, e = id_module(f.target), id_module(f.source)
+        for sigma in two_cells(f, f):
+            src, tgt = compose_modules(g, f), compose_modules(g, f)
+            left = whisker_left(g, sigma, src, tgt)
+            for t, s, m, y, x in _raw_pairs(g, f):
+                assert (left.at(t, s, src.normalize(t, s, m, y, x))
+                        == tgt.normalize(t, s, m, y, sigma.at(m, s, x)))
+            src, tgt = compose_modules(f, e), compose_modules(f, e)
+            right = whisker_right(sigma, e, src, tgt)
+            for t, s, m, w, z in _raw_pairs(f, e):
+                assert (right.at(t, s, src.normalize(t, s, m, w, z))
+                        == tgt.normalize(t, s, m, sigma.at(t, m, w), z))
+            checked += 1
+    assert checked >= 3
+
+
 def test_associator_is_isomorphism():
     t1 = all_functors(Span, Two)[0]
     f2 = functor_to_modules(t1)[0]           # Span -|-> Two
@@ -67,6 +140,42 @@ def test_identity_two_cell_frozen_matches_composition():
     sig = two_cells(f, f)[0]
     assert ident.then(sig).frozen() == sig.frozen()
     assert sig.then(ident).frozen() == sig.frozen()
+
+
+def test_functor_modules_equal_hom_sets_built_directly():
+    """T_* = B(-, T-) and T^* = B(T-, -) with their actions written out, for
+    every functor between the small categories; id_module is 1_*."""
+    def direct(name, src, tgt, hom, left, right):
+        sets = {(b, a): hom(b, a) for b in tgt.objects for a in src.objects}
+        return (name, src, tgt, sets,
+                {(m, a): {h: left(h, m) for h in sets[(tgt.tgt[m], a)]}
+                 for m in tgt.morphisms for a in src.objects},
+                {(b, m): {h: right(m, h) for h in sets[(b, src.src[m])]}
+                 for b in tgt.objects for m in src.morphisms})
+
+    def tables(p):
+        return (p.name, p.source, p.target, p.sets, p.left, p.right)
+
+    def same(got, want):
+        assert got[:3] == want[:3]
+        for mine, theirs in zip(got[3:], want[3:]):
+            assert list(mine.items()) == list(theirs.items()), want[0]
+
+    checked = 0
+    for a in SMALL_CATEGORIES:
+        same(tables(id_module(a)), direct(f"1_{a.name}", a, a, a.hom, a.compose, a.compose))
+        for b in SMALL_CATEGORIES:
+            for t in all_functors(a, b):
+                lower, upper = functor_to_modules(t)
+                same(tables(lower), direct(
+                    f"({t.name})_*", a, b, lambda x, y: b.hom(x, t.obj(y)),
+                    b.compose, lambda m, h: b.compose(t.mor(m), h)))
+                same(tables(upper), direct(
+                    f"({t.name})^*", b, a, lambda x, y: b.hom(t.obj(x), y),
+                    lambda h, m: b.compose(h, t.mor(m)), b.compose))
+                assert upper.source is b and upper.target is a
+                checked += 1
+    assert checked == 329
 
 
 def test_companion_has_conjoint_as_right_adjoint():
