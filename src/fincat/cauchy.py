@@ -19,7 +19,7 @@ from .errors import InternalMismatch
 from .kan import nerve, yoneda_embed
 from .limits import (colimit_in_category, limit_in_category, nat_trans_set,
                      preserves_weighted_colimit, weighted_colimit)
-from .profunctor import has_right_adjoint, module_of_weight
+from .profunctor import _column, _transpose, has_right_adjoint, module_of_weight
 
 
 def _image(frozen_key, source: Presheaf, j, y):
@@ -298,14 +298,8 @@ def dual_pair_from_weight(phi: Presheaf):
     if not adj:
         return None
     g = adj.right
-    b_cat = phi.base
-    star = g.target.objects[0]
-    sets = {b: g.cell(star, b) for b in b_cat.objects}
-    actions = {}
-    for f in b_cat.morphisms:
-        b = b_cat.src[f]
-        actions[f] = {x: g.right_act(star, f, x) for x in sets[b]}
-    psi = Presheaf(f"dual({phi.name})", b_cat.op(), sets, actions)
+    psi = _column(_transpose(g), g.target.objects[0])   # g(*, -) on B^op
+    psi.name = f"dual({phi.name})"
     return DualPair(phi, psi, phi_mod, g, adj)
 
 
@@ -388,29 +382,23 @@ def check_absolute_sampled(phi: Presheaf, functors, cap_per_functor=25) -> Absol
     """Preservation of phi-weighted colimits and limits under sampled functors.
 
     For every sampled functor F: A -> X, every diagram K -> A (up to the cap)
-    with an existing weighted colimit is transported and re-checked in X, and
-    dually for diagrams K^op -> A and weighted limits.
+    with an existing weighted colimit is transported and re-checked in X.  The
+    limit side is the colimit side read in the opposites: each diagram
+    t: K^op -> A gives the colimit of t^op in A^op, transported by F^op.
     """
     k_cat = phi.base
     instances = []
     for f in functors:
-        a_cat = f.source
-        for s in all_functors(k_cat, a_cat, cap=cap_per_functor):
-            colim = colimit_in_category(phi, s)
-            summary = tuple(s.obj(j) for j in k_cat.objects)
-            if colim is None:
-                instances.append(AbsoluteInstance(f.name, summary, "colimit", False))
-                continue
-            res = preserves_weighted_colimit(f, phi, s, colim)
-            instances.append(AbsoluteInstance(f.name, summary, "colimit", True,
-                                              res.preserved, res.reason))
-        for t in all_functors(k_cat.op(), a_cat, cap=cap_per_functor):
-            colim = colimit_in_category(phi, t.op())
-            summary = tuple(t.obj(j) for j in k_cat.objects)
-            if colim is None:
-                instances.append(AbsoluteInstance(f.name, summary, "limit", False))
-                continue
-            res = preserves_weighted_colimit(f.op(), phi, t.op(), colim)
-            instances.append(AbsoluteInstance(f.name, summary, "limit", True,
-                                              res.preserved, res.reason))
+        for side, k_side, flip in (("colimit", k_cat, lambda fn: fn),
+                                   ("limit", k_cat.op(), FinFunctor.op)):
+            for t in all_functors(k_side, f.source, cap=cap_per_functor):
+                s = flip(t)
+                colim = colimit_in_category(phi, s)
+                summary = tuple(s.obj(j) for j in k_cat.objects)
+                if colim is None:
+                    instances.append(AbsoluteInstance(f.name, summary, side, False))
+                    continue
+                res = preserves_weighted_colimit(flip(f), phi, s, colim)
+                instances.append(AbsoluteInstance(f.name, summary, side, True,
+                                                  res.preserved, res.reason))
     return AbsoluteReport(phi.name, is_small_projective(phi), instances)

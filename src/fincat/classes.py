@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, Profunctor,
                    _composable_pairs, category_of_elements, compose_functors,
                    covariant, full_subcategory, is_connected, is_filtered,
-                   nat_compose, nat_identity, same_category)
+                   nat_compose, same_category)
 from .equivalence import all_functors, is_fully_faithful, objects_isomorphic
 from .errors import CapExceeded, InternalMismatch, MalformedTable
 from .kan import (PresheafCollection, Provenance, member_category,
@@ -58,15 +58,15 @@ class ClosureResult:
 
 
 def phi_closure_bounded(weight_class: WeightClass, base: FinCategory,
-                        caps: Caps = Caps(), cross_check=True) -> ClosureResult:
+                        caps: Caps = Caps()) -> ClosureResult:
     """Close the representables of base under weighted colimits, round by round.
 
     Each round takes every weight and every diagram into the members present at
     the start of the round, computes the colimit pointwise, and adds it unless an
     isomorphic member exists.  Stops at a fixpoint or at the caps; hitting a cap
-    is flagged on the result, never raised.  With cross_check, el(phi) is built
-    once per weight in each round, on its first diagram, and shared by that
-    weight's colimits.
+    is flagged on the result, never raised.  Every colimit runs both routes of
+    ``weighted_colimit``; el(phi) is built once per weight in each round, on
+    its first diagram, and shared by that weight's colimits.
     """
     coll = PresheafCollection.representables(base)
     nat_cache = {}
@@ -86,13 +86,11 @@ def phi_closure_bounded(weight_class: WeightClass, base: FinCategory,
                     notes.append(f"member cap {caps.members} hit in round {rounds}")
                     capped_this_round = True
                     break
-                if cross_check and el is None:
-                    el = category_of_elements(phi)
+                el = el or category_of_elements(phi)
                 objs = {k: coll.members[s.obj(k)] for k in phi.base.objects}
                 mors = {u: decode[s.mor(u)] for u in phi.base.morphisms}
                 p = pointwise_colimit(phi, objs, mors, base,
-                                      f"{weight_class.name}#{len(coll.members)}",
-                                      cross_check=cross_check, _el=el)
+                                      f"{weight_class.name}#{len(coll.members)}", _el=el)
                 if any(len(p.sets[a]) > caps.value_size for a in base.objects):
                     notes.append(f"value cap {caps.value_size} hit by a "
                                  f"{phi.name}-colimit in round {rounds}")
@@ -225,7 +223,7 @@ def _limit_then_colimit(phi, psi, s):
     return weighted_colimit(phi, g)
 
 
-def _colimit_then_limit(phi, psi, s):
+def _colimit_then_limit(phi, s):
     """Per-object colimits phi * S(k, -) assembled into a presheaf on the target."""
     k_cat = s.target
     rows = _transpose(s)   # S(k, -) is column k of the transpose
@@ -257,7 +255,7 @@ def check_commutation(phi: Presheaf, psi: Presheaf, s: Profunctor) -> Commutatio
         raise MalformedTable("check_commutation: limit weight must live on the target")
     k_cat = s.target
     a_side = _limit_then_colimit(phi, psi, s)
-    h, per = _colimit_then_limit(phi, psi, s)
+    h, per = _colimit_then_limit(phi, s)
     b_res = weighted_limit(psi, h)
     b_frozen = {t.frozen() for t in b_res.transforms}
 
@@ -400,39 +398,31 @@ def comma_connectedness_witness(target: Presheaf) -> CommaWitness:
     """Build the comma of (representables + empty presheaf) over target.
 
     The empty presheaf maps uniquely into everything, so the comma category is
-    never empty and always connected; the witness makes that checkable.
+    never empty and always connected; the witness makes that checkable.  The
+    probes' maps come from ``kan.member_category`` on all of them, isomorphic
+    representables included; the empty presheaf is the initial colimit.
     """
-    from .corpus import delta0
+    from .corpus import delta0, initial_weight
     cat = target.base
-    probes = [yoneda_embed(cat, a) for a in cat.objects]
-    probes.append(delta0(cat))
-    into = {i: nat_trans_set(p, target) for i, p in enumerate(probes)}
-    between = {}
-    index_of = {}
-    for i, p in enumerate(probes):
-        for j, q in enumerate(probes):
-            between[(i, j)] = nat_trans_set(p, q)
-            for n, m in enumerate(between[(i, j)]):
-                index_of[(i, j, m.frozen())] = n
-    objects = [(i, w.frozen()) for i in range(len(probes)) for w in into[i]]
-    arrow = {(i, w.frozen()): w for i in range(len(probes)) for w in into[i]}
+    probes = PresheafCollection(cat)
+    for a in cat.objects:
+        probes._insert(yoneda_embed(cat, a), Provenance("representable", (a,)))
+    probes._insert(delta0(cat), Provenance("colimit", (initial_weight.name, (), ())))
+    mem, decode = member_category(probes)
+    into = {i: nat_trans_set(p, target) for i, p in enumerate(probes.members)}
+    objects = [(i, w.frozen()) for i in mem.objects for w in into[i]]
+    arrow = {(i, w.frozen()): w for i in mem.objects for w in into[i]}
     morphisms = []
     identity = {}
     for src in objects:
-        i, _ = src
         for tgt in objects:
-            j, _ = tgt
-            for n, m in enumerate(between[(i, j)]):
-                if nat_compose(arrow[tgt], m).frozen() == src[1]:
-                    mid = (src, tgt, n)
-                    morphisms.append((mid, src, tgt))
-        ident = nat_identity(probes[i])
-        identity[src] = (src, src, index_of[(i, i, ident.frozen())])
-    compose = {}
-    for (m2, s2, t2), (m1, s1, _) in _composable_pairs(morphisms):
-        i, j, k = s1[0], s2[0], t2[0]
-        comp = nat_compose(between[(j, k)][m2[2]], between[(i, j)][m1[2]])
-        compose[(m2, m1)] = (s1, t2, index_of[(i, k, comp.frozen())])
+            for mid in mem.hom(src[0], tgt[0]):
+                if nat_compose(arrow[tgt], decode[mid]).frozen() == src[1]:
+                    morphisms.append(((src, tgt, mid[2]), src, tgt))
+        identity[src] = (src, src, mem.id_of(src[0])[2])
+    compose = {(m2, m1): (s1, t2, mem.compose((s2[0], t2[0], m2[2]),
+                                              (s1[0], s2[0], m1[2]))[2])
+               for (m2, s2, t2), (m1, s1, _) in _composable_pairs(morphisms)}
     comma = FinCategory(f"comma(W/{target.name})", objects, morphisms,
                         identity, compose)
     return CommaWitness(is_connected(comma), len(objects), len(morphisms), comma)

@@ -165,25 +165,22 @@ def _cmd_connected(ws, args, opts):
     return [_b(value)], {"connected": value}, 0
 
 
+def _cell_sizes(p):
+    """One line and one --json entry per cell of a module, target x source."""
+    sizes = [(b, a, len(p.cell(b, a)))
+             for b in p.target.objects for a in p.source.objects]
+    return ([f"{b} {a}: {n}" for b, a, n in sizes],
+            {"cells": {f"{b}|{a}": n for b, a, n in sizes}}, 0)
+
+
 def _cmd_lift(ws, args, opts):
     fname, hname = _args(args, 2, "lift F H")
-    res = right_lift(ws.profunctor(fname), ws.profunctor(hname))
-    lines = [f"{a} {c}: {len(res.lift.cell(a, c))}"
-             for a in res.lift.target.objects for c in res.lift.source.objects]
-    return lines, {"cells": {f"{a}|{c}": len(res.lift.cell(a, c))
-                             for a in res.lift.target.objects
-                             for c in res.lift.source.objects}}, 0
+    return _cell_sizes(right_lift(ws.profunctor(fname), ws.profunctor(hname)).lift)
 
 
 def _cmd_extend(ws, args, opts):
     gname, hname = _args(args, 2, "extend G H")
-    res = right_extend(ws.profunctor(gname), ws.profunctor(hname))
-    ext = res.extension
-    lines = [f"{b} {a}: {len(ext.cell(b, a))}"
-             for b in ext.target.objects for a in ext.source.objects]
-    return lines, {"cells": {f"{b}|{a}": len(ext.cell(b, a))
-                             for b in ext.target.objects
-                             for a in ext.source.objects}}, 0
+    return _cell_sizes(right_extend(ws.profunctor(gname), ws.profunctor(hname)).extension)
 
 
 def _cmd_adjoint(ws, args, opts):

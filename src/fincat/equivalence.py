@@ -13,7 +13,8 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (FinCategory, FinFunctor, FunctorTransform, Meter, Presheaf,
-                   _families, compose_functors, identity_functor, validate)
+                   _families, compose_functors, full_subcategory,
+                   identity_functor, validate)
 from .errors import InternalMismatch
 
 
@@ -57,7 +58,8 @@ class Skeleton:
 
 
 def skeleton(c: FinCategory) -> Skeleton:
-    """Full subcategory on one representative per isomorphism class.
+    """Full subcategory on one representative per isomorphism class, with its
+    inclusion from ``core.full_subcategory``.
 
     The retraction conjugates by the chosen isos: f: a -> a' goes to
     u_{a'} . f . u_a^{-1}; with u_rep = id this is a functor and a quasi-inverse
@@ -80,16 +82,8 @@ def skeleton(c: FinCategory) -> Skeleton:
                 f, g = object_iso(c, a, r)
                 to_rep[a] = f
                 from_rep[a] = g
-    keep = set(reps)
-    morphisms = [(m, c.src[m], c.tgt[m]) for m in c.morphisms
-                 if c.src[m] in keep and c.tgt[m] in keep]
-    identity = {a: c.id_of(a) for a in reps}
-    kept_ids = {m for m, _, _ in morphisms}
-    compose = {pair: h for pair, h in c.compose_table.items()
-               if pair[0] in kept_ids and pair[1] in kept_ids}
-    sk = FinCategory(f"sk({c.name})", reps, morphisms, identity, compose)
-    inclusion = FinFunctor(f"sk({c.name})->{c.name}", sk, c,
-                           {a: a for a in reps}, {m: m for m in sk.morphisms})
+    sk, inclusion = full_subcategory(c, reps, f"sk({c.name})")
+    inclusion.name = f"sk({c.name})->{c.name}"
     retraction = FinFunctor(f"{c.name}->sk({c.name})", c, sk,
                             {a: rep_of[a] for a in c.objects},
                             {m: c.compose(to_rep[c.tgt[m]],

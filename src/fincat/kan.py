@@ -63,7 +63,7 @@ class LanResult:
     per_object: dict             # c -> WeightedColimitResult
 
 
-def lan(k: FinFunctor, t: Presheaf, cross_check=True) -> LanResult:
+def lan(k: FinFunctor, t: Presheaf) -> LanResult:
     """Left Kan extension of the covariant diagram t along k, computed pointwise.
 
     t is covariant on k.source (a presheaf on k.source.op()); the value at c is the
@@ -76,7 +76,7 @@ def lan(k: FinFunctor, t: Presheaf, cross_check=True) -> LanResult:
     sets = {}
     for c in c_cat.objects:
         weight = hom_diagram(k, c)
-        per[c] = weighted_colimit(weight, t, cross_check=cross_check)
+        per[c] = weighted_colimit(weight, t)
         sets[c] = per[c].classes
     actions = {}
     for g in c_cat.morphisms:
@@ -191,8 +191,7 @@ class PresheafCollection:
 
 
 def pointwise_colimit(phi: Presheaf, diagram_objs: dict, diagram_mors: dict,
-                      base: FinCategory, name: str, cross_check=True,
-                      _el=None) -> Presheaf:
+                      base: FinCategory, name: str, _el=None) -> Presheaf:
     """Colimit weighted by phi of a diagram of presheaves on base, value by value.
 
     diagram_objs: K-object -> Presheaf; diagram_mors: K-morphism -> NatTrans along it.
@@ -205,7 +204,7 @@ def pointwise_colimit(phi: Presheaf, diagram_objs: dict, diagram_mors: dict,
         s_a = Presheaf(f"{name}@{a!r}", k.op(),
                        {j: diagram_objs[j].sets[a] for j in k.objects},
                        {u: diagram_mors[u].components[a] for u in k.morphisms})
-        per[a] = weighted_colimit(phi, s_a, cross_check=cross_check, _el=_el)
+        per[a] = weighted_colimit(phi, s_a, _el=_el)
     sets = {a: per[a].classes for a in base.objects}
     actions = {}
     for f in base.morphisms:

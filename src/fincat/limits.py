@@ -6,12 +6,12 @@ conical constructions read uniformly:
 * ``finset_limit(p)``: families (x_a) with p.act(f, x_tgt) = x_src for every f.
 * ``finset_colimit(p)``: quotient of the tagged union by x ~ p.act(f, x).
 
-Weighted limits and colimits always run two independent routes, the end/coend formula
-and the category-of-elements route, and raise InternalMismatch if they ever disagree.
-A weighted colimit's coend reads phi (x) S on demand, cell by cell and action
-by action, and builds no profunctor.  A bounded closure builds el(phi) once per
-weight in each round and shares it with that weight's colimits; each colimit
-still runs both routes.
+Weighted limits and colimits always run two independent routes, the end/coend
+formula and the category-of-elements route, with no option to skip either, and
+raise InternalMismatch if they ever disagree.  A weighted colimit's coend reads
+phi (x) S on demand, cell by cell and action by action, and builds no
+profunctor.  A bounded closure builds el(phi) once per weight in each round
+and shares it with that weight's colimits; each colimit still runs both routes.
 
 ``finset_limit``, ``end`` and ``nat_trans_set`` enumerate natural families with
 one solver, ``core._families``, which also finds the first presheaf isomorphism
@@ -171,29 +171,26 @@ class WeightedLimitResult:
         return len(self.transforms)
 
 
-def weighted_limit(phi: Presheaf, t: Presheaf, cross_check=True) -> WeightedLimitResult:
+def weighted_limit(phi: Presheaf, t: Presheaf) -> WeightedLimitResult:
     """{phi, t} for a weight phi and diagram t, both presheaves on the same base."""
     if not same_category(phi.base, t.base):
         raise MalformedTable("weighted_limit: weight and diagram bases differ")
     transforms = nat_trans_set(phi, t)
-    conical = None
-    pairing = {}
-    if cross_check:
-        el, _proj = category_of_elements(phi)
-        diagram = Presheaf(f"{t.name}|el", el.op(),
-                           {(k, x): t.sets[k] for (k, x) in el.objects},
-                           {(u, x): t.actions[u] for (u, x) in el.morphisms})
-        conical = finset_limit(diagram)
-        by_tuple = {}
-        for alpha in transforms:
-            key = tuple(alpha.components[k][x] for (k, x) in el.objects)
-            if key in by_tuple:
-                raise InternalMismatch("weighted_limit: end route not jointly injective")
-            by_tuple[key] = alpha
-        if set(by_tuple) != set(conical.apex):
-            raise InternalMismatch(
-                f"weighted_limit routes disagree: {len(by_tuple)} vs {len(conical.apex)}")
-        pairing = {alpha.frozen(): key for key, alpha in by_tuple.items()}
+    el, _proj = category_of_elements(phi)
+    diagram = Presheaf(f"{t.name}|el", el.op(),
+                       {(k, x): t.sets[k] for (k, x) in el.objects},
+                       {(u, x): t.actions[u] for (u, x) in el.morphisms})
+    conical = finset_limit(diagram)
+    by_tuple = {}
+    for alpha in transforms:
+        key = tuple(alpha.components[k][x] for (k, x) in el.objects)
+        if key in by_tuple:
+            raise InternalMismatch("weighted_limit: end route not jointly injective")
+        by_tuple[key] = alpha
+    if set(by_tuple) != set(conical.apex):
+        raise InternalMismatch(
+            f"weighted_limit routes disagree: {len(by_tuple)} vs {len(conical.apex)}")
+    pairing = {alpha.frozen(): key for key, alpha in by_tuple.items()}
     return WeightedLimitResult(tuple(transforms), conical, pairing)
 
 
@@ -240,40 +237,39 @@ class _Pairing:
         return xy[0], self.s.actions[u][xy[1]]
 
 
-def weighted_colimit(phi: Presheaf, s: Presheaf, cross_check=True,
-                     _el=None) -> WeightedColimitResult:
+def weighted_colimit(phi: Presheaf, s: Presheaf, _el=None) -> WeightedColimitResult:
     """phi * s for a weight phi on K and covariant diagram s (a presheaf on K.op()).
 
-    With cross_check, the coend route and the conical colimit over el(phi)
-    must partition the triples (k, x, y) alike.  One pass over the triples maps
-    each coend class to a conical class and each conical class to a coend
-    class; the partitions are equal iff neither map sends a class to two and
-    both reach every class, which refuses an el that misses elements of phi.
+    The coend route and the conical colimit over el(phi) must partition the
+    triples (k, x, y) alike.  One pass over the triples maps each coend class
+    to a conical class and each conical class to a coend class; the partitions
+    are equal iff neither map sends a class to two and both reach every class.
 
     _el, when given, is ``category_of_elements(phi)`` built once by a caller
-    that takes many colimits weighted by the same phi; otherwise el(phi) is
-    built here.  Either way the elements route builds its own diagram over
-    el(phi), takes its conical colimit and compares partitions on every call.
+    that takes many colimits weighted by the same phi.  An el over another
+    base, or whose objects are not phi's elements in el order, raises
+    InternalMismatch.
     """
     if not same_category(s.base, phi.base.op()):
         raise MalformedTable("weighted_colimit: diagram must be a presheaf on weight base op")
     co = coend(_Pairing(phi, s))
-    conical = None
-    if cross_check:
-        el, _proj = _el if _el is not None else category_of_elements(phi)
-        diagram = Presheaf(f"{s.name}|el", el,
-                           {(k, x): s.sets[k] for (k, x) in el.objects},
-                           {(u, x): s.actions[u] for (u, x) in el.morphisms})
-        conical = finset_colimit(diagram)
-        to_conical = {}
-        to_coend = {}
-        for (k, x) in el.objects:
-            for y in s.sets[k]:
-                a, b = co.find(k, (x, y)), conical.find((k, x), y)
-                if to_conical.setdefault(a, b) != b or to_coend.setdefault(b, a) != a:
-                    raise InternalMismatch("weighted_colimit routes disagree on the quotient")
-        if len(to_conical) != len(co.classes) or len(to_coend) != len(conical.classes):
-            raise InternalMismatch("weighted_colimit cross-check missed a class")
+    el, proj = _el or category_of_elements(phi)
+    if not same_category(proj.target, phi.base.op()) or el.objects != tuple(
+            (k, x) for k in phi.base.objects for x in phi.sets[k]):
+        raise InternalMismatch(f"weighted_colimit: {el.name} is not el({phi.name})")
+    diagram = Presheaf(f"{s.name}|el", el,
+                       {(k, x): s.sets[k] for (k, x) in el.objects},
+                       {(u, x): s.actions[u] for (u, x) in el.morphisms})
+    conical = finset_colimit(diagram)
+    to_conical = {}
+    to_coend = {}
+    for (k, x) in el.objects:
+        for y in s.sets[k]:
+            a, b = co.find(k, (x, y)), conical.find((k, x), y)
+            if to_conical.setdefault(a, b) != b or to_coend.setdefault(b, a) != a:
+                raise InternalMismatch("weighted_colimit routes disagree on the quotient")
+    if len(to_conical) != len(co.classes) or len(to_coend) != len(conical.classes):
+        raise InternalMismatch("weighted_colimit cross-check missed a class")
     return WeightedColimitResult(co.classes, co, conical)
 
 

@@ -14,7 +14,8 @@ transpose bijection is the lift bijection of the transposes.
 so naturality in both slots is one validation pass.  Every canonical 2-cell
 (identities, unitors, associators, whiskers, counits, units, comparisons) is
 built by ``_cellwise`` from its value on one element of one source cell.  The
-conjoint T^* of a functor T is the transpose of the companion of T^op.
+conjoint T^* of a functor T is the transpose of the companion of T^op, and the
+module of a covariant weight is the transpose of its module as a weight.
 """
 from __future__ import annotations
 
@@ -327,16 +328,12 @@ def module_of_weight(phi: Presheaf) -> Profunctor:
 
 
 def module_of_coweight(psi: Presheaf) -> Profunctor:
-    """A covariant weight psi on B (a presheaf on B^op) as a module B -|-> I."""
-    unit = unit_category()
-    b_cat = psi.base.op()  # psi is a presheaf on B^op; recover B
-    star = unit.objects[0]
-    uid = unit.identity[star]
-    sets = {(star, b): psi.sets[b] for b in b_cat.objects}
-    left = {(uid, b): {x: x for x in sets[(star, b)]} for b in b_cat.objects}
-    right = {(star, m): {x: psi.act(m, x) for x in sets[(star, b_cat.src[m])]}
-             for m in b_cat.morphisms}
-    return Profunctor(f"comod({psi.name})", b_cat, unit, sets, left, right)
+    """A covariant weight psi on B (a presheaf on B^op) as a module B -|-> I^op.
+
+    It is the transpose of psi's module I -|-> B^op; I^op has the tables of I."""
+    comod = _transpose(module_of_weight(psi))
+    comod.name = f"comod({psi.name})"
+    return comod
 
 
 # ---------------------------------------------------------------------------

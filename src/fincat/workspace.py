@@ -135,7 +135,7 @@ def _shape(value, schema, what):
         _shape(v, item, what)
 
 
-def _checked(entity, what):
+def _checked(entity):
     report = validate(entity)
     if not report.ok:
         raise ValidationFailed(report)
@@ -152,8 +152,7 @@ def _build_category(name, spec):
         g, f, h = triple
         compose[(g, f)] = h
     return _checked(FinCategory(name, list(spec["objects"]), morphisms,
-                                dict(spec["identities"]), compose),
-                    f"category {name}")
+                                dict(spec["identities"]), compose))
 
 
 def _build_presheaf(name, spec, categories):
@@ -170,7 +169,7 @@ def _build_presheaf(name, spec, categories):
         p = Presheaf(name, cat, sets, actions)
     else:
         p = covariant(name, cat, sets, actions)
-    return _checked(p, f"presheaf {name}"), variance
+    return _checked(p), variance
 
 
 def _build_functor(name, spec, categories):
@@ -180,7 +179,7 @@ def _build_functor(name, spec, categories):
             raise UnresolvedReference(f"functor {name}: no category {spec[key]!r}")
     fn = FinFunctor(name, categories[spec["source"]], categories[spec["target"]],
                     dict(spec["objects"]), dict(spec["morphisms"]))
-    return _checked(fn, f"functor {name}")
+    return _checked(fn)
 
 
 def _build_profunctor(name, spec, categories):
@@ -196,7 +195,7 @@ def _build_profunctor(name, spec, categories):
              for b, row in spec["right"].items() for m, t in row.items()}
     p = Profunctor(name, categories[spec["source"]], categories[spec["target"]],
                    sets, left, right)
-    return _checked(p, f"profunctor {name}")
+    return _checked(p)
 
 
 def load_workspace(paths) -> Workspace:

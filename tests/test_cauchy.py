@@ -1,19 +1,22 @@
 import pytest
 
 from fincat import corpus
-from fincat.cauchy import (cauchy_completion, check_absolute_sampled,
+from fincat.cauchy import (AbsoluteInstance, cauchy_completion,
+                           check_absolute_sampled,
                            dual_limit_colimit, dual_pair_from_weight,
                            idempotent_endos, is_small_projective, isbell_left,
                            isbell_right, isbell_unit, isbell_counit,
                            morita_equivalent, q_duality, retract_oracle,
                            small_projective_report, unsplit_idempotents,
                            verify_covariant_representation)
-from fincat.core import identity_functor, nat_compose, nat_identity, validate
+from fincat.core import (Presheaf, identity_functor, nat_compose, nat_identity,
+                         validate)
 from fincat.corpus import (CATEGORIES, GSet, I, M, QM, Two, Z2, PRESHEAVES,
                            embedM, orbit)
-from fincat.equivalence import find_equivalence, is_fully_faithful
+from fincat.equivalence import all_functors, find_equivalence, is_fully_faithful
 from fincat.kan import yoneda_embed
-from fincat.limits import weighted_colimit
+from fincat.limits import (colimit_in_category, preserves_weighted_colimit,
+                           weighted_colimit)
 from fincat.profunctor import has_right_adjoint, module_of_weight
 
 from util import isbell_counit_oracle, isbell_right_oracle, karoubi_oracle
@@ -182,6 +185,33 @@ def test_dual_pair_from_small_projective_weight():
     assert dual_pair_from_weight(PRESHEAVES["one.Z2"]) is None
 
 
+def _dual_weight_oracle(phi, g):
+    """g(*, -) for the right adjoint g: B -|-> I of phi's module, read cell by
+    cell as a presheaf on B^op."""
+    b_cat = phi.base
+    star = g.target.objects[0]
+    sets = {b: g.cell(star, b) for b in b_cat.objects}
+    actions = {}
+    for f in b_cat.morphisms:
+        b = b_cat.src[f]
+        actions[f] = {x: g.right_act(star, f, x) for x in sets[b]}
+    return Presheaf(f"dual({phi.name})", b_cat.op(), sets, actions)
+
+
+def test_dual_weight_is_a_column_of_the_transposed_adjoint():
+    found = 0
+    for name, phi in sorted(PRESHEAVES.items()):
+        pair = dual_pair_from_weight(phi)
+        if pair is None:
+            continue
+        got, want = pair.psi, _dual_weight_oracle(phi, pair.psi_module)
+        assert got.name == want.name and got.base is want.base, name
+        assert list(got.sets.items()) == list(want.sets.items()), name
+        assert list(got.actions.items()) == list(want.actions.items()), name
+        found += 1
+    assert found >= 40
+
+
 def test_covariant_representation_counts():
     from fincat.core import covariant
     pair = dual_pair_from_weight(PRESHEAVES["E"])
@@ -217,3 +247,44 @@ def test_absolute_sampling_finds_group_average_failure():
     sides = {i.side for i in rep.violations}
     assert sides == {"colimit", "limit"}
     assert rep.consistent
+
+
+def _absolute_instances_oracle(phi, functors, cap_per_functor=25):
+    """The instances of check_absolute_sampled with each side written out."""
+    k_cat = phi.base
+    instances = []
+    for f in functors:
+        a_cat = f.source
+        for s in all_functors(k_cat, a_cat, cap=cap_per_functor):
+            colim = colimit_in_category(phi, s)
+            summary = tuple(s.obj(j) for j in k_cat.objects)
+            if colim is None:
+                instances.append(AbsoluteInstance(f.name, summary, "colimit", False))
+                continue
+            res = preserves_weighted_colimit(f, phi, s, colim)
+            instances.append(AbsoluteInstance(f.name, summary, "colimit", True,
+                                              res.preserved, res.reason))
+        for t in all_functors(k_cat.op(), a_cat, cap=cap_per_functor):
+            colim = colimit_in_category(phi, t.op())
+            summary = tuple(t.obj(j) for j in k_cat.objects)
+            if colim is None:
+                instances.append(AbsoluteInstance(f.name, summary, "limit", False))
+                continue
+            res = preserves_weighted_colimit(f.op(), phi, t.op(), colim)
+            instances.append(AbsoluteInstance(f.name, summary, "limit", True,
+                                              res.preserved, res.reason))
+    return instances
+
+
+@pytest.mark.parametrize("name, functors", [
+    ("Y.M.*", [embedM]), ("one.Z2", [orbit]),
+    ("E", [embedM, identity_functor(M)]), ("EplusE", [embedM]),
+    ("zero.M", [embedM]), ("free.Z2", [orbit]), ("triv2.Z2", [orbit]),
+    ("collapse.Two", [embedM, orbit]), ("Y.Par.0", [embedM, identity_functor(Two)])])
+def test_absolute_sampling_matches_both_sides_written_out(name, functors):
+    """One loop over both sides, the limit side read in the opposites, gives
+    the same instances in the same order."""
+    phi = PRESHEAVES[name]
+    rep = check_absolute_sampled(phi, functors)
+    assert rep.instances == _absolute_instances_oracle(phi, functors)
+    assert {i.side for i in rep.instances} == {"colimit", "limit"}

@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 from fincat import corpus
 from fincat.cauchy import (cauchy_completion, isbell_left, isbell_right,
                            morita_equivalent)
-from fincat.core import FinCategory, Presheaf, full_subcategory, validate
+from fincat.core import (FinCategory, FinFunctor, Presheaf, full_subcategory,
+                         same_category, validate)
 from fincat.corpus import (Chain3, Disc2, I, M, N5, Par, QM, Span, Two, Z2, Z3,
                            PRESHEAVES)
 from fincat.equivalence import (_elem_profiles, all_functors, find_equivalence,
                                 find_isomorphism, is_fully_faithful,
-                                presheaf_isomorphic, skeleton)
+                                iso_classes, presheaf_isomorphic, skeleton)
 from fincat.errors import BudgetExceeded
 from util import (SMALL_CATEGORIES, category_isomorphism_oracle,
                   elem_profiles_oracle, naive_functor_count,
@@ -57,6 +58,37 @@ def test_find_isomorphism_and_skeleton():
     assert len(sk.category.objects) == 2       # s1 and se are not isomorphic
     sk2 = skeleton(Two)
     assert len(sk2.category.objects) == 2
+
+
+def _skeleton_oracle(c):
+    """The skeleton's category and inclusion, filtered out of c's tables."""
+    reps = [cls[0] for cls in iso_classes(c)]
+    keep = set(reps)
+    morphisms = [(m, c.src[m], c.tgt[m]) for m in c.morphisms
+                 if c.src[m] in keep and c.tgt[m] in keep]
+    identity = {a: c.id_of(a) for a in reps}
+    kept_ids = {m for m, _, _ in morphisms}
+    compose = {pair: h for pair, h in c.compose_table.items()
+               if pair[0] in kept_ids and pair[1] in kept_ids}
+    sk = FinCategory(f"sk({c.name})", reps, morphisms, identity, compose)
+    inclusion = FinFunctor(f"sk({c.name})->{c.name}", sk, c,
+                           {a: a for a in reps}, {m: m for m in sk.morphisms})
+    return sk, inclusion
+
+
+@pytest.mark.parametrize("cat", list(corpus.CATEGORIES.values()) + [
+    cauchy_completion(M).completion, cauchy_completion(corpus.GSet).completion],
+    ids=lambda c: c.name)
+def test_skeleton_is_the_full_subcategory_on_representatives(cat):
+    """Same tables and names as the filtered copy; only the insertion order
+    of the composition table may differ."""
+    got, (sk, inclusion) = skeleton(cat), _skeleton_oracle(cat)
+    assert got.category.name == sk.name
+    assert same_category(got.category, sk)
+    assert (got.inclusion.name, got.inclusion.source, got.inclusion.target,
+            got.inclusion.obj_map, got.inclusion.mor_map) == (
+        inclusion.name, got.category, cat, inclusion.obj_map, inclusion.mor_map)
+    assert got.retraction.target is got.category and validate(got.retraction).ok
 
 
 def test_equivalence_vs_isomorphism():

@@ -81,3 +81,23 @@ def test_no_function_binds_a_local_it_never_reads():
                        for local, line in stored.items()
                        if local not in read and not local.startswith("_")]
     assert unread == []
+
+
+def test_no_top_level_function_binds_a_parameter_it_never_reads():
+    """A parameter kept on purpose starts with an underscore.  The cli
+    ``_cmd_*`` handlers are exempt: ``run_command`` calls them all with one
+    signature."""
+    unread = []
+    for name, tree in _modules().items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or (
+                    name == "cli.py" and fn.name.startswith("_cmd_")):
+                continue
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [a.vararg, a.kwarg] if p is not None]
+            read = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)
+                    and not isinstance(node.ctx, ast.Store)}
+            unread += [f"{name}:{fn.lineno} {fn.name}: {p}" for p in params
+                       if p not in read and not p.startswith("_")]
+    assert unread == []

@@ -206,6 +206,14 @@ def test_weighted_colimit_refuses_a_foreign_el():
                 weighted_colimit(phi, s, _el=core.category_of_elements(foreign))
         checked += 1
     assert checked >= 30
+    # an el holding elements that phi lacks, and an el over another base
+    # whose objects are phi's elements, are refused before the elements route
+    with pytest.raises(InternalMismatch):
+        weighted_colimit(delta0(Two), delta1(Two.op()),
+                         _el=core.category_of_elements(delta1(Two)))
+    with pytest.raises(InternalMismatch):
+        weighted_colimit(delta1(Two), delta1(Two.op()),
+                         _el=core.category_of_elements(delta1(Par)))
 
 
 def _merge_two_classes(res):

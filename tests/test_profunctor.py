@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fincat import corpus
-from fincat.core import validate
+from fincat.core import Profunctor, same_category, unit_category, validate
 from fincat.corpus import (M, QM, Span, Two, Z2, PRESHEAVES, delta0, example82)
 from fincat.equivalence import all_functors
 from fincat.errors import EndpointMismatch
@@ -210,6 +210,33 @@ def test_small_projective_weight_adjoint_is_its_coweight_dual():
                for a in adj.right.source.objects) == 1
     assert validate(adj.right).ok
     assert validate(dual).ok
+
+
+def _module_of_coweight_oracle(psi):
+    """A covariant weight psi on B as a module B -|-> I, cell by cell."""
+    unit = unit_category()
+    b_cat = psi.base.op()
+    star = unit.objects[0]
+    uid = unit.identity[star]
+    sets = {(star, b): psi.sets[b] for b in b_cat.objects}
+    left = {(uid, b): {x: x for x in sets[(star, b)]} for b in b_cat.objects}
+    right = {(star, m): {x: psi.act(m, x) for x in sets[(star, b_cat.src[m])]}
+             for m in b_cat.morphisms}
+    return Profunctor(f"comod({psi.name})", b_cat, unit, sets, left, right)
+
+
+def test_coweight_module_is_the_transposed_weight_module():
+    """Same tables in the same order as the cell-by-cell module; only its
+    target, I^op, is named apart from I."""
+    for name, psi in sorted(PRESHEAVES.items()):
+        got, want = module_of_coweight(psi), _module_of_coweight_oracle(psi)
+        assert got.name == want.name, name
+        assert got.source is want.source, name
+        assert same_category(got.target, want.target), name
+        assert (got.target.name, want.target.name) == ("I^op", "I")
+        for table in ("sets", "left", "right"):
+            assert (list(getattr(got, table).items())
+                    == list(getattr(want, table).items())), (name, table)
 
 
 def test_right_lift_transpose_bijection():

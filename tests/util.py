@@ -735,7 +735,7 @@ def member_category_oracle(coll, count=None, nat_cache=None):
     return cat, decode
 
 
-def phi_closure_oracle(weight_class, base, caps, cross_check=True):
+def phi_closure_oracle(weight_class, base, caps):
     """classes.phi_closure_bounded on member_category_oracle, with el(phi)
     built inside every weighted colimit."""
     coll = PresheafCollection.representables(base)
@@ -759,8 +759,7 @@ def phi_closure_oracle(weight_class, base, caps, cross_check=True):
                 objs = {k: coll.members[s.obj(k)] for k in phi.base.objects}
                 mors = {u: decode[s.mor(u)] for u in phi.base.morphisms}
                 p = pointwise_colimit(phi, objs, mors, base,
-                                      f"{weight_class.name}#{len(coll.members)}",
-                                      cross_check=cross_check)
+                                      f"{weight_class.name}#{len(coll.members)}")
                 if any(len(p.sets[a]) > caps.value_size for a in base.objects):
                     notes.append(f"value cap {caps.value_size} hit by a "
                                  f"{phi.name}-colimit in round {rounds}")
