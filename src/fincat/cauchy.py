@@ -40,16 +40,9 @@ def isbell_left(phi: Presheaf) -> Presheaf:
     b_cat = phi.base
     nats = {b: nat_trans_set(phi, yoneda_embed(b_cat, b)) for b in b_cat.objects}
     sets = {b: tuple(n.frozen() for n in nats[b]) for b in b_cat.objects}
-    actions = {}
-    for f in b_cat.morphisms:
-        b = b_cat.src[f]
-        table = {}
-        for key in sets[b]:
-            moved = tuple(
-                tuple(b_cat.compose(f, h) for h in row) for row in key
-            )
-            table[key] = moved
-        actions[f] = table
+    actions = {f: {key: tuple(tuple(b_cat.compose(f, h) for h in row) for row in key)
+                   for key in sets[b_cat.src[f]]}
+               for f in b_cat.morphisms}
     # the constructor rejects any action that leaves the transformation sets
     return Presheaf(f"L({phi.name})", b_cat.op(), sets, actions)
 
@@ -72,11 +65,12 @@ def isbell_unit(phi: Presheaf) -> NatTrans:
     b_cat = phi.base
     comps = {}
     for b in b_cat.objects:
+        yb = yoneda_embed(b_cat.op(), b)
         table = {}
         for x in phi.sets[b]:
             delta = {a: {g: _image(g, phi, b, x) for g in lphi.sets[a]}
                      for a in b_cat.objects}
-            table[x] = NatTrans(lphi, yoneda_embed(b_cat.op(), b), delta).frozen()
+            table[x] = NatTrans(lphi, yb, delta).frozen()
         comps[b] = table
     unit = NatTrans(phi, rl, comps, name=f"isbell-unit({phi.name})")
     rep = validate(unit)

@@ -5,15 +5,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, Profunctor,
-                   _composable_pairs, category_of_elements, compose_functors,
-                   covariant, full_subcategory, is_connected, is_filtered,
-                   nat_compose, same_category)
+                   _composable_pairs, _pullback, category_of_elements,
+                   compose_functors, covariant, full_subcategory, is_connected,
+                   is_filtered, nat_compose, same_category)
 from .equivalence import all_functors, is_fully_faithful, objects_isomorphic
 from .errors import CapExceeded, InternalMismatch, MalformedTable
 from .kan import (PresheafCollection, Provenance, member_category,
                   pointwise_colimit, yoneda_embed)
-from .limits import (colimit_in_category, nat_trans_set, weighted_colimit,
-                     weighted_limit)
+from .limits import (colimit_in_category, hom_diagram, nat_trans_set,
+                     weighted_colimit, weighted_limit)
 from .profunctor import _column, _transpose
 
 
@@ -149,13 +149,20 @@ class CocompletenessResult:
         return self.cocomplete
 
 
-def is_phi_cocomplete(cat: FinCategory, weight_class: WeightClass,
-                      budget=None) -> CocompletenessResult:
+def _instances(cat: FinCategory, weight_class: WeightClass, budget):
+    """Lazily, (phi, s, colimit_in_category(phi, s)) for each weight phi of the
+    class and each diagram s of its shape in cat, in ``all_functors`` order."""
     for phi in weight_class.weights:
         for s in all_functors(phi.base, cat, budget=budget):
-            if colimit_in_category(phi, s) is None:
-                witness = (phi.name, tuple((k, s.obj(k)) for k in phi.base.objects))
-                return CocompletenessResult(False, witness)
+            yield phi, s, colimit_in_category(phi, s)
+
+
+def is_phi_cocomplete(cat: FinCategory, weight_class: WeightClass,
+                      budget=None) -> CocompletenessResult:
+    for phi, s, colim in _instances(cat, weight_class, budget):
+        if colim is None:
+            witness = (phi.name, tuple((k, s.obj(k)) for k in phi.base.objects))
+            return CocompletenessResult(False, witness)
     return CocompletenessResult(True, None)
 
 
@@ -165,13 +172,7 @@ def _hom_preserves_colimit(cat, a, phi, s, colim) -> bool:
     Computes the weighted colimit of k -> Hom(a, S k) and compares it with
     Hom(a, apex) along the map induced by the cocone.
     """
-    k_cat = phi.base
-    diagram = covariant(f"hom({a!r},S-)", k_cat,
-                        {k: list(cat.hom(a, s.obj(k))) for k in k_cat.objects},
-                        {u: {h: cat.compose(s.mor(u), h)
-                             for h in cat.hom(a, s.obj(k_cat.src[u]))}
-                         for u in k_cat.morphisms})
-    vals = list(weighted_colimit(phi, diagram).descend(
+    vals = list(weighted_colimit(phi, hom_diagram(s.op(), a)).descend(
         lambda k, x, h: cat.compose(colim.cocone[k][x], h),
         "cocone-induced map not constant on colimit classes").values())
     return len(set(vals)) == len(vals) and set(vals) == set(cat.hom(a, colim.apex))
@@ -180,16 +181,14 @@ def _hom_preserves_colimit(cat, a, phi, s, colim) -> bool:
 def atoms(cat: FinCategory, weight_class: WeightClass, budget=None) -> tuple:
     """Objects whose covariant hom preserves every existing colimit instance."""
     good = set(cat.objects)
-    for phi in weight_class.weights:
-        for s in all_functors(phi.base, cat, budget=budget):
-            colim = colimit_in_category(phi, s)
-            if colim is None:
-                continue
-            for a in list(good):
-                if not _hom_preserves_colimit(cat, a, phi, s, colim):
-                    good.discard(a)
-            if not good:
-                return ()
+    for phi, s, colim in _instances(cat, weight_class, budget):
+        if colim is None:
+            continue
+        for a in list(good):
+            if not _hom_preserves_colimit(cat, a, phi, s, colim):
+                good.discard(a)
+        if not good:
+            return ()
     return tuple(a for a in cat.objects if a in good)
 
 
@@ -289,17 +288,11 @@ def flat_for_terminal(phi: Presheaf) -> bool:
 
 def _sends_colimit_to_limit(psi, phi, s, colim) -> bool:
     """Is psi(apex) -> Nat(phi, psi . S) induced by the cocone a bijection."""
-    k_cat = phi.base
-    comp = Presheaf(f"{psi.name}.{s.name}", k_cat,
-                    {k: list(psi.sets[s.obj(k)]) for k in k_cat.objects},
-                    {u: {z: psi.act(s.mor(u), z)
-                         for z in psi.sets[s.obj(k_cat.tgt[u])]}
-                     for u in k_cat.morphisms})
-    families = {n.frozen() for n in nat_trans_set(phi, comp)}
+    families = {n.frozen() for n in nat_trans_set(phi, _pullback(s, psi))}
     seen = []
     for z in psi.sets[colim.apex]:
         key = tuple(tuple(psi.act(colim.cocone[k][x], z) for x in phi.sets[k])
-                    for k in k_cat.objects)
+                    for k in phi.base.objects)
         if key not in families:
             raise InternalMismatch("cocone image under psi is not a natural family")
         seen.append(key)
@@ -314,13 +307,9 @@ def is_phi_continuous(psi: Presheaf, cat: FinCategory,
     """
     if not same_category(psi.base, cat):
         raise MalformedTable("is_phi_continuous: presheaf must live on the category")
-    for phi in weight_class.weights:
-        for s in all_functors(phi.base, cat, budget=budget):
-            colim = colimit_in_category(phi, s)
-            if colim is None:
-                continue
-            if not _sends_colimit_to_limit(psi, phi, s, colim):
-                return False
+    for phi, s, colim in _instances(cat, weight_class, budget):
+        if colim is not None and not _sends_colimit_to_limit(psi, phi, s, colim):
+            return False
     return True
 
 

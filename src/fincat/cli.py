@@ -30,7 +30,7 @@ from .errors import (BudgetExceeded, CapExceeded, DuplicateName,
 from .kan import lan, nerve
 from .limits import finset_colimit, finset_limit, weighted_colimit, weighted_limit
 from .profunctor import has_right_adjoint, right_extend, right_lift
-from .workspace import load_workspace
+from .workspace import _unvalidated, load_workspace
 
 @dataclass
 class Options:
@@ -189,12 +189,8 @@ def _cmd_adjoint(ws, args, opts):
     if not res.found:
         return ([f"right adjoint: none ({res.reason})"],
                 {"found": False, "reason": res.reason}, 0)
-    g = res.right
-    sizes = {f"{b}|{a}": len(g.cell(b, a))
-             for b in g.target.objects for a in g.source.objects}
-    return (["right adjoint: found"] +
-            [f"{k.replace('|', ' ')}: {v}" for k, v in sizes.items()],
-            {"found": True, "cells": sizes}, 0)
+    lines, payload, code = _cell_sizes(res.right)
+    return ["right adjoint: found"] + lines, dict(payload, found=True), code
 
 
 def _cmd_smallproj(ws, args, opts):
@@ -431,7 +427,8 @@ def main(argv=None):
     opts = Options(caps=Caps(rounds=ns.cap_rounds, members=ns.cap_members),
                    budget=ns.budget, seed=ns.seed)
     try:
-        ws = load_workspace(ns.workspace or default_fixture_paths())
+        load = _unvalidated if ns.command == "validate" else load_workspace
+        ws = load(ns.workspace or default_fixture_paths())
         lines, payload, code = run_command(ws, ns.command, ns.args, opts)
     except FincatError as err:
         for cls, code in _EXIT:

@@ -218,6 +218,17 @@ def covariant(name, base, sets, actions) -> Presheaf:
     return Presheaf(name, base.op(), sets, actions)
 
 
+def _pullback(fn: FinFunctor, p: Presheaf, name=None) -> Presheaf:
+    """p . fn^op, a presheaf on fn.source: a has value p(fn a) and u acts as
+    fn(u); p must be a presheaf on fn.target."""
+    if not same_category(p.base, fn.target):
+        raise MalformedTable(f"cannot pull {p.name} back along {fn.name}: "
+                             f"presheaf base is not {fn.target.name}")
+    return Presheaf(name or f"{p.name}|{fn.name}", fn.source,
+                    {a: p.sets[fn.obj(a)] for a in fn.source.objects},
+                    {u: p.actions[fn.mor(u)] for u in fn.source.morphisms})
+
+
 class NatTrans:
     """Natural transformation between presheaves on the same base.
 

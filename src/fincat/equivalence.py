@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .core import (FinCategory, FinFunctor, FunctorTransform, Meter, Presheaf,
                    _families, compose_functors, full_subcategory,
-                   identity_functor, validate)
+                   identity_functor, quotient, validate)
 from .errors import InternalMismatch
 
 
@@ -32,20 +32,11 @@ def objects_isomorphic(c: FinCategory, a, b) -> bool:
 
 
 def iso_classes(c: FinCategory):
-    """Partition of objects into isomorphism classes, least-index representative first."""
-    classes = []
-    seen = set()
-    for a in c.objects:
-        if a in seen:
-            continue
-        cls = [a]
-        seen.add(a)
-        for b in c.objects:
-            if b not in seen and objects_isomorphic(c, a, b):
-                cls.append(b)
-                seen.add(b)
-        classes.append(tuple(cls))
-    return classes
+    """Isomorphism classes of objects, each with its members in object order."""
+    reps, rep_of = quotient(c.objects, (
+        (a, b) for a, b in itertools.combinations(c.objects, 2)
+        if objects_isomorphic(c, a, b)))
+    return [tuple(b for b in c.objects if rep_of[b] == a) for a in reps]
 
 
 @dataclass

@@ -4,7 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (FinCategory, FinFunctor, NatTrans, Presheaf,
-                   _composable_pairs, nat_identity, same_category)
+                   _composable_pairs, _pullback, identity_functor,
+                   nat_identity, same_category)
 from .equivalence import presheaf_isomorphic, _elem_profiles
 from .errors import InternalMismatch, MalformedTable
 from .limits import hom_diagram, nat_trans_set, weighted_colimit
@@ -12,10 +13,9 @@ from .limits import hom_diagram, nat_trans_set, weighted_colimit
 
 def yoneda_embed(cat: FinCategory, b) -> Presheaf:
     """The representable at b: a -> Hom(a, b), acting by precomposition."""
-    sets = {a: cat.hom(a, b) for a in cat.objects}
-    actions = {f: {h: cat.compose(h, f) for h in sets[cat.tgt[f]]}
-               for f in cat.morphisms}
-    return Presheaf(f"Y.{cat.name}.{b}", cat, sets, actions)
+    yb = hom_diagram(identity_functor(cat), b)
+    yb.name = f"Y.{cat.name}.{b}"
+    return yb
 
 
 def yoneda_transform(cat: FinCategory, f) -> NatTrans:
@@ -49,11 +49,7 @@ def yoneda_bijection(p: Presheaf, b):
 
 def restrict(k: FinFunctor, s: Presheaf) -> Presheaf:
     """Precompose the covariant diagram s on k.target with k."""
-    if not same_category(s.base, k.target.op()):
-        raise MalformedTable("restrict: diagram must be covariant on the functor target")
-    sets = {a: s.sets[k.obj(a)] for a in k.source.objects}
-    actions = {u: s.actions[k.mor(u)] for u in k.source.morphisms}
-    return Presheaf(f"{s.name}|{k.name}", k.source.op(), sets, actions)
+    return _pullback(k.op(), s, f"{s.name}|{k.name}")
 
 
 @dataclass
@@ -75,8 +71,7 @@ def lan(k: FinFunctor, t: Presheaf) -> LanResult:
     per = {}
     sets = {}
     for c in c_cat.objects:
-        weight = hom_diagram(k, c)
-        per[c] = weighted_colimit(weight, t)
+        per[c] = weighted_colimit(hom_diagram(k, c), t)
         sets[c] = per[c].classes
     actions = {}
     for g in c_cat.morphisms:

@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (FinFunctor, NatTrans, Presheaf, Profunctor, _families,
-                   category_of_elements, compose_functors, quotient,
-                   same_category)
+                   _pullback, category_of_elements, compose_functors,
+                   quotient, same_category)
 from .errors import InternalMismatch, MalformedTable
 
 
@@ -176,11 +176,8 @@ def weighted_limit(phi: Presheaf, t: Presheaf) -> WeightedLimitResult:
     if not same_category(phi.base, t.base):
         raise MalformedTable("weighted_limit: weight and diagram bases differ")
     transforms = nat_trans_set(phi, t)
-    el, _proj = category_of_elements(phi)
-    diagram = Presheaf(f"{t.name}|el", el.op(),
-                       {(k, x): t.sets[k] for (k, x) in el.objects},
-                       {(u, x): t.actions[u] for (u, x) in el.morphisms})
-    conical = finset_limit(diagram)
+    el, proj = category_of_elements(phi)
+    conical = finset_limit(_pullback(proj.op(), t))
     by_tuple = {}
     for alpha in transforms:
         key = tuple(alpha.components[k][x] for (k, x) in el.objects)
@@ -257,10 +254,7 @@ def weighted_colimit(phi: Presheaf, s: Presheaf, _el=None) -> WeightedColimitRes
     if not same_category(proj.target, phi.base.op()) or el.objects != tuple(
             (k, x) for k in phi.base.objects for x in phi.sets[k]):
         raise InternalMismatch(f"weighted_colimit: {el.name} is not el({phi.name})")
-    diagram = Presheaf(f"{s.name}|el", el,
-                       {(k, x): s.sets[k] for (k, x) in el.objects},
-                       {(u, x): s.actions[u] for (u, x) in el.morphisms})
-    conical = finset_colimit(diagram)
+    conical = finset_colimit(_pullback(proj, s))
     to_conical = {}
     to_coend = {}
     for (k, x) in el.objects:
@@ -291,10 +285,9 @@ class LimitInCategory:
 
 def hom_diagram(s: FinFunctor, a) -> Presheaf:
     """k -> Hom_A(S k, a) as a presheaf on K, acting by precomposition."""
-    k = s.source
-    cat = s.target
+    k, cat, mor = s.source, s.target, s.mor_map
     sets = {j: cat.hom(s.obj(j), a) for j in k.objects}
-    actions = {u: {h: cat.compose(h, s.mor(u)) for h in sets[k.tgt[u]]}
+    actions = {u: {h: cat.compose(h, mor[u]) for h in sets[k.tgt[u]]}
                for u in k.morphisms}
     return Presheaf(f"hom({s.name}-,{a!r})", k, sets, actions)
 

@@ -10,12 +10,13 @@ alongside.  Right extensions are right lifts of transposed modules: reading
 A -|-> B as B^op -|-> A^op gives [[g,h]] = {|g^t,h^t|}^t, and the extension
 transpose bijection is the lift bijection of the transposes.
 
-2-cells are wrapped NatTrans values over the product base target x source^op,
-so naturality in both slots is one validation pass.  Every canonical 2-cell
-(identities, unitors, associators, whiskers, counits, units, comparisons) is
-built by ``_cellwise`` from its value on one element of one source cell.  The
-conjoint T^* of a functor T is the transpose of the companion of T^op, and the
-module of a covariant weight is the transpose of its module as a weight.
+2-cells wrap NatTrans values over the product base target x source^op; building
+one checks each cell's domain and image only, and ``validate(cell.nat)`` checks
+naturality.  Every canonical 2-cell (identities, unitors, associators, whiskers,
+counits, units, comparisons) is built by ``_cellwise`` from its value on one
+element of one source cell.  The conjoint T^* of a functor T is the transpose of
+the companion of T^op, and the module of a covariant weight is the transpose of
+its module as a weight.
 """
 from __future__ import annotations
 

@@ -135,13 +135,6 @@ def _shape(value, schema, what):
         _shape(v, item, what)
 
 
-def _checked(entity):
-    report = validate(entity)
-    if not report.ok:
-        raise ValidationFailed(report)
-    return entity
-
-
 def _build_category(name, spec):
     _shape(spec, _CATEGORY, f"category {name}")
     morphisms = [(m["id"], m["src"], m["tgt"]) for m in spec["morphisms"]]
@@ -151,8 +144,8 @@ def _build_category(name, spec):
             raise ParseError(f"category {name}: compose entries are [g, f, h]")
         g, f, h = triple
         compose[(g, f)] = h
-    return _checked(FinCategory(name, list(spec["objects"]), morphisms,
-                                dict(spec["identities"]), compose))
+    return FinCategory(name, list(spec["objects"]), morphisms,
+                       dict(spec["identities"]), compose)
 
 
 def _build_presheaf(name, spec, categories):
@@ -165,11 +158,8 @@ def _build_presheaf(name, spec, categories):
         raise ParseError(f"presheaf {name}: variance must be 'contra' or 'co'")
     sets = {a: list(v) for a, v in spec["sets"].items()}
     actions = {f: dict(t) for f, t in spec["actions"].items()}
-    if variance == "contra":
-        p = Presheaf(name, cat, sets, actions)
-    else:
-        p = covariant(name, cat, sets, actions)
-    return _checked(p), variance
+    build = Presheaf if variance == "contra" else covariant
+    return build(name, cat, sets, actions), variance
 
 
 def _build_functor(name, spec, categories):
@@ -177,9 +167,8 @@ def _build_functor(name, spec, categories):
     for key in ("source", "target"):
         if spec[key] not in categories:
             raise UnresolvedReference(f"functor {name}: no category {spec[key]!r}")
-    fn = FinFunctor(name, categories[spec["source"]], categories[spec["target"]],
-                    dict(spec["objects"]), dict(spec["morphisms"]))
-    return _checked(fn)
+    return FinFunctor(name, categories[spec["source"]], categories[spec["target"]],
+                      dict(spec["objects"]), dict(spec["morphisms"]))
 
 
 def _build_profunctor(name, spec, categories):
@@ -193,13 +182,14 @@ def _build_profunctor(name, spec, categories):
             for m, row in spec["left"].items() for a, t in row.items()}
     right = {(b, m): dict(t)
              for b, row in spec["right"].items() for m, t in row.items()}
-    p = Profunctor(name, categories[spec["source"]], categories[spec["target"]],
-                   sets, left, right)
-    return _checked(p)
+    return Profunctor(name, categories[spec["source"]], categories[spec["target"]],
+                      sets, left, right)
 
 
-def load_workspace(paths) -> Workspace:
-    """Parse, resolve, and validate one or more workspace files."""
+def _build(paths, ws):
+    """Parse and resolve workspace files into ws, validating nothing.  Each
+    category, presheaf, functor and profunctor is yielded as soon as it is
+    built, before anything after it is read."""
     docs = [(p, _parse_file(p)) for p in paths]
     merged = {section: {} for section in _SECTIONS}
     for path, doc in docs:
@@ -209,17 +199,19 @@ def load_workspace(paths) -> Workspace:
                     raise DuplicateName(f"{path}: {section[:-1]} {name!r} "
                                         f"defined twice")
                 merged[section][name] = spec
-    ws = Workspace()
     for name, spec in merged["categories"].items():
         ws.categories[name] = _build_category(name, spec)
+        yield ws.categories[name]
     for name, spec in merged["presheaves"].items():
-        p, variance = _build_presheaf(name, spec, ws.categories)
-        ws.presheaves[name] = p
+        ws.presheaves[name], variance = _build_presheaf(name, spec, ws.categories)
         ws.presheaf_meta[name] = (spec["on"], variance)
+        yield ws.presheaves[name]
     for name, spec in merged["functors"].items():
         ws.functors[name] = _build_functor(name, spec, ws.categories)
+        yield ws.functors[name]
     for name, spec in merged["profunctors"].items():
         ws.profunctors[name] = _build_profunctor(name, spec, ws.categories)
+        yield ws.profunctors[name]
     for name, spec in merged["weight_classes"].items():
         _shape(spec, _WEIGHT_CLASS, f"weight class {name}")
         weights = []
@@ -229,6 +221,24 @@ def load_workspace(paths) -> Workspace:
                                           f"no presheaf {pname!r}")
             weights.append(ws.presheaves[pname])
         ws.weight_classes[name] = WeightClass(name, weights)
+
+
+def load_workspace(paths) -> Workspace:
+    """Parse, resolve, and validate one or more workspace files.  The first
+    invalid entity raises ValidationFailed before later ones are built."""
+    ws = Workspace()
+    for entity in _build(paths, ws):
+        report = validate(entity)
+        if not report.ok:
+            raise ValidationFailed(report)
+    return ws
+
+
+def _unvalidated(paths) -> Workspace:
+    """``load_workspace`` without its validation, for ``fincat validate``."""
+    ws = Workspace()
+    for _ in _build(paths, ws):
+        pass
     return ws
 
 

@@ -8,22 +8,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fincat
-from fincat import core, corpus, equivalence, limits
+from fincat import classes, core, corpus, equivalence, limits
 from fincat.classes import (Caps, WeightClass, atoms, check_commutation,
                             comma_connectedness_witness,
                             flat_for_finite_limits, flat_for_terminal,
                             in_saturation_bounded, is_phi_cocomplete,
                             is_phi_continuous, phi_closure_bounded,
                             recognize_free_cocompletion)
-from fincat.core import (FinCategory, full_subcategory, identity_functor,
-                         nat_compose, nat_identity, same_category, validate)
+from fincat.core import (FinCategory, Presheaf, covariant, full_subcategory,
+                         identity_functor, nat_compose, nat_identity,
+                         same_category, validate)
 from fincat.corpus import (Chain3, Disc2, M, N5, QM, Span, Two, Z2,
                            PRESHEAVES, WEIGHT_CLASSES, delta0, delta1, embedM,
                            example82, orbit)
 from fincat.equivalence import all_functors, presheaf_isomorphic
 from fincat.errors import CapExceeded, MalformedTable
 from fincat.kan import pointwise_colimit, yoneda_embed, yoneda_transform
-from fincat.limits import colimit_in_category, nat_trans_set
+from fincat.limits import colimit_in_category, nat_trans_set, weighted_colimit
 
 from util import (SMALL_CATEGORIES, closure_answer,
                   commutation_verdict_reading2, phi_closure_oracle,
@@ -443,3 +444,96 @@ def test_empty_weight_shape():
     p = delta0(M)
     assert validate(p).ok
     assert p.sets["*"] == ()
+
+
+def _hom_preserves_colimit_oracle(cat, a, phi, s, colim):
+    """Hom(a, S-) written out as a covariant presheaf, then compared with
+    Hom(a, apex) along the cocone."""
+    k_cat = phi.base
+    diagram = covariant(f"hom({a!r},S-)", k_cat,
+                        {k: list(cat.hom(a, s.obj(k))) for k in k_cat.objects},
+                        {u: {h: cat.compose(s.mor(u), h)
+                             for h in cat.hom(a, s.obj(k_cat.src[u]))}
+                         for u in k_cat.morphisms})
+    vals = list(weighted_colimit(phi, diagram).descend(
+        lambda k, x, h: cat.compose(colim.cocone[k][x], h), "").values())
+    return len(set(vals)) == len(vals) and set(vals) == set(cat.hom(a, colim.apex))
+
+
+def _sends_colimit_to_limit_oracle(psi, phi, s, colim):
+    """psi . S written out as a presheaf on phi's base."""
+    k_cat = phi.base
+    comp = Presheaf(f"{psi.name}.{s.name}", k_cat,
+                    {k: list(psi.sets[s.obj(k)]) for k in k_cat.objects},
+                    {u: {z: psi.act(s.mor(u), z)
+                         for z in psi.sets[s.obj(k_cat.tgt[u])]}
+                     for u in k_cat.morphisms})
+    families = {n.frozen() for n in nat_trans_set(phi, comp)}
+    seen = [tuple(tuple(psi.act(colim.cocone[k][x], z) for x in phi.sets[k])
+                  for k in k_cat.objects)
+            for z in psi.sets[colim.apex]]
+    assert set(seen) <= families
+    return len(set(seen)) == len(seen) and len(seen) == len(families)
+
+
+
+def _cocomplete_oracle(cat, weight_class, colimit):
+    for phi in weight_class.weights:
+        for s in all_functors(phi.base, cat):
+            if colimit(phi, s) is None:
+                return False, (phi.name, tuple((k, s.obj(k)) for k in phi.base.objects))
+    return True, None
+
+
+def _atoms_oracle(cat, weight_class, colimit):
+    good = set(cat.objects)
+    for phi in weight_class.weights:
+        for s in all_functors(phi.base, cat):
+            colim = colimit(phi, s)
+            if colim is None:
+                continue
+            for a in list(good):
+                if not _hom_preserves_colimit_oracle(cat, a, phi, s, colim):
+                    good.discard(a)
+            if not good:
+                return ()
+    return tuple(a for a in cat.objects if a in good)
+
+
+def _continuous_oracle(psi, cat, weight_class, colimit):
+    for phi in weight_class.weights:
+        for s in all_functors(phi.base, cat):
+            colim = colimit(phi, s)
+            if colim is None:
+                continue
+            if not _sends_colimit_to_limit_oracle(psi, phi, s, colim):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("cat", [c for c in corpus.CATEGORIES.values()
+                                 if len(c.objects) <= 3], ids=lambda c: c.name)
+def test_instance_loops_match_the_nested_loops(cat, monkeypatch):
+    """is_phi_cocomplete, atoms and is_phi_continuous, which read their
+    instances from one generator and build Hom(a, S-) and psi . S from
+    existing code, agree with nested loops over tables written out, for every
+    weight class and every corpus presheaf on cat.  Both sides read each
+    instance's colimit, which this change leaves alone, from one memo."""
+    memo = {}
+
+    def colimit(phi, s):
+        key = (phi.base.name, phi.name, tuple(s.obj_map.items()),
+               tuple(s.mor_map.items()))
+        if key not in memo:
+            memo[key] = colimit_in_category(phi, s)
+        return memo[key]
+    monkeypatch.setattr(classes, "colimit_in_category", colimit)
+    presheaves = [p for p in PRESHEAVES.values() if same_category(p.base, cat)]
+    for weight_class in WEIGHT_CLASSES.values():
+        got = is_phi_cocomplete(cat, weight_class)
+        assert ((got.cocomplete, got.witness)
+                == _cocomplete_oracle(cat, weight_class, colimit))
+        assert atoms(cat, weight_class) == _atoms_oracle(cat, weight_class, colimit)
+        for psi in presheaves:
+            assert (is_phi_continuous(psi, cat, weight_class)
+                    == _continuous_oracle(psi, cat, weight_class, colimit)), psi.name

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from fincat import corpus, validate
 from fincat.cauchy import cauchy_completion
 from fincat.core import (FinCategory, FinFunctor, FunctorTransform, NatTrans,
-                         Presheaf, Profunctor, _composable_pairs,
+                         Presheaf, Profunctor, _composable_pairs, _pullback,
                          category_of_elements, compose_functors, covariant,
                          full_subcategory, identity_functor, is_connected,
                          is_filtered, nat_compose, nat_identity,
@@ -412,3 +412,23 @@ def test_same_category_is_structural():
                         dict(Two.compose_table))
     assert same_category(Two, clone)
     assert not same_category(Two, Par)
+
+
+def test_pullback_reads_the_presheaf_along_the_functor():
+    """p . fn^op has value p(fn a) at a and acts by p(fn u); a presheaf on
+    any other base than fn's target raises MalformedTable."""
+    fn = corpus.orbit
+    on_target = [p for p in PRESHEAVES.values() if p.base is fn.target]
+    assert len(on_target) >= 3
+    for p in on_target:
+        got = _pullback(fn, p)
+        assert (got.name, got.base) == (f"{p.name}|orbit", fn.source)
+        assert got.sets == {a: p.sets[fn.obj(a)] for a in fn.source.objects}
+        assert got.actions == {u: p.actions[fn.mor(u)] for u in fn.source.morphisms}
+        assert validate(got).ok
+    assert _pullback(identity_functor(Two), PRESHEAVES["collapse.Two"], "c").name == "c"
+    for fn, p in ((corpus.orbit, PRESHEAVES["one.GSet"]),
+                  (identity_functor(Two), corpus.delta1(Par)),
+                  (identity_functor(Two), corpus.delta1(Two.op()))):
+        with pytest.raises(MalformedTable):
+            _pullback(fn, p)

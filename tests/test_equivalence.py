@@ -12,7 +12,8 @@ from fincat.corpus import (Chain3, Disc2, I, M, N5, Par, QM, Span, Two, Z2, Z3,
                            PRESHEAVES)
 from fincat.equivalence import (_elem_profiles, all_functors, find_equivalence,
                                 find_isomorphism, is_fully_faithful,
-                                iso_classes, presheaf_isomorphic, skeleton)
+                                iso_classes, objects_isomorphic,
+                                presheaf_isomorphic, skeleton)
 from fincat.errors import BudgetExceeded
 from util import (SMALL_CATEGORIES, category_isomorphism_oracle,
                   elem_profiles_oracle, naive_functor_count,
@@ -327,3 +328,34 @@ def test_searches_are_not_bounded_by_the_recursion_limit():
     assert len(all_functors(wide, I)) == 1
     auto = find_isomorphism(wide, wide)
     assert auto is not None and validate(auto).ok
+
+
+def _iso_classes_oracle(c):
+    """Each object not yet placed collects the unplaced objects isomorphic to it."""
+    classes, seen = [], set()
+    for a in c.objects:
+        if a in seen:
+            continue
+        cls = [a]
+        seen.add(a)
+        for b in c.objects:
+            if b not in seen and objects_isomorphic(c, a, b):
+                cls.append(b)
+                seen.add(b)
+        classes.append(tuple(cls))
+    return classes
+
+
+def test_iso_classes_match_the_scan_from_each_unplaced_object():
+    """On the corpus categories, their Cauchy completions, and 100 random
+    concrete categories with a shuffled copy of each."""
+    cases = list(corpus.CATEGORIES.values())
+    cases += [cauchy_completion(c).completion for c in corpus.CATEGORIES.values()]
+    for seed in range(100):
+        rng = random.Random(seed)
+        c = random_concrete_category(rng, f"R{seed}")
+        cases += [c, shuffled_category(rng, c)]
+    assert len(cases) == 230
+    for c in cases:
+        assert iso_classes(c) == _iso_classes_oracle(c), c.name
+    assert any(len(cls) > 1 for c in cases for cls in iso_classes(c))

@@ -2,11 +2,14 @@
 no module imports a name it never uses, no top-level private function or
 class goes unreferenced, and no function binds a local it never reads.  Dead
 aliases, duplicate helpers and unused unpacked values left behind by a
-refactor fail here."""
+refactor fail here, and so does a rename of a function the benchmark traces."""
 import ast
+import importlib
+import json
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fincat"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fincat"
 
 
 def _modules():
@@ -101,3 +104,16 @@ def test_no_top_level_function_binds_a_parameter_it_never_reads():
             unread += [f"{name}:{fn.lineno} {fn.name}: {p}" for p in params
                        if p not in read and not p.startswith("_")]
     assert unread == []
+
+
+def test_every_traced_layer_of_the_benchmark_names_a_callable():
+    """Each key under "layers" in perfbench/workloads.json is module.name of
+    a callable in fincat.<module>, so renaming or removing a function the
+    benchmark traces fails here, not only in a traced benchmark run."""
+    layers = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["layers"]
+    missing = []
+    for key in layers:
+        module, name = key.split(".", 1)
+        if not callable(getattr(importlib.import_module(f"fincat.{module}"), name, None)):
+            missing.append(key)
+    assert layers and missing == []

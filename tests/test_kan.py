@@ -4,7 +4,8 @@ import pytest
 
 from fincat import corpus
 from fincat.classes import Caps, phi_closure_bounded
-from fincat.core import NatTrans, identity_functor, validate
+from fincat.cauchy import cauchy_completion
+from fincat.core import NatTrans, Presheaf, identity_functor, validate
 from fincat.corpus import (Chain3, GSet, M, QM, Span, Two, Z2, PRESHEAVES,
                            WEIGHT_CLASSES, covariant_hom)
 from fincat.equivalence import all_functors, presheaf_isomorphic
@@ -152,3 +153,46 @@ def test_randomized_kan_adjunction_bijections():
         assert bijective, (a.name, b.name, left, right)
         done += 1
     assert done == 12
+
+
+def _yoneda_embed_oracle(cat, b):
+    sets = {a: cat.hom(a, b) for a in cat.objects}
+    actions = {f: {h: cat.compose(h, f) for h in sets[cat.tgt[f]]}
+               for f in cat.morphisms}
+    return Presheaf(f"Y.{cat.name}.{b}", cat, sets, actions)
+
+
+@pytest.mark.parametrize("cat", list(corpus.CATEGORIES.values()) + [
+    cauchy_completion(M).completion, cauchy_completion(GSet).completion],
+    ids=lambda c: c.name)
+def test_yoneda_embed_is_the_hom_diagram_of_the_identity(cat):
+    """The representable read off hom_diagram(identity) has the name, base,
+    value sets and action tables of Hom(-, b) written out, in order."""
+    for b in cat.objects:
+        got, want = yoneda_embed(cat, b), _yoneda_embed_oracle(cat, b)
+        assert (got.name, got.base) == (want.name, cat)
+        assert list(got.sets.items()) == list(want.sets.items())
+        assert ([(f, list(t.items())) for f, t in got.actions.items()]
+                == [(f, list(t.items())) for f, t in want.actions.items()])
+
+
+def _restrict_oracle(k, s):
+    sets = {a: s.sets[k.obj(a)] for a in k.source.objects}
+    actions = {u: s.actions[k.mor(u)] for u in k.source.morphisms}
+    return Presheaf(f"{s.name}|{k.name}", k.source.op(), sets, actions)
+
+
+def test_restrict_matches_the_tables_written_out():
+    rng = random.Random(11)
+    checked = 0
+    for b in SMALL_CATEGORIES:
+        s = random_presheaf(rng, b.op(), f"s.{b.name}")
+        for a in SMALL_CATEGORIES:
+            for k in all_functors(a, b)[:4]:
+                got, want = restrict(k, s), _restrict_oracle(k, s)
+                assert (got.name, got.base) == (want.name, a.op())
+                assert got.sets == want.sets and got.actions == want.actions
+                checked += 1
+    assert checked > 100
+    with pytest.raises(MalformedTable):
+        restrict(identity_functor(Two), corpus.delta1(Two))

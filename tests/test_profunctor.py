@@ -356,3 +356,37 @@ def test_compose_modules_matches_pair_module_route():
                 assert got.normalize(c, a, b, y, x) == rep
         checked += 1
     assert checked > 1000
+
+
+def _canonical_two_cells():
+    """Identity, unitors, associator and whiskers on the coherence modules,
+    the counit of a right lift, and the comparison, unit and counit of
+    has_right_adjoint on every corpus weight outside GSet and FinSet12."""
+    for f in _coherence_modules():
+        one_b, one_a = id_module(f.target), id_module(f.source)
+        yield identity_two_cell(f)
+        yield left_unitor(f)
+        yield right_unitor(f)
+        yield associator(one_b, f, one_a)
+        for sigma in two_cells(f, f):
+            yield whisker_left(one_b, sigma)
+            yield whisker_right(sigma, one_a)
+    yield right_lift(example82, example82).counit
+    for phi in PRESHEAVES.values():
+        if phi.base.name in ("GSet", "FinSet12"):
+            continue
+        res = has_right_adjoint(module_of_weight(phi))
+        yield res.comparison
+        if res.found:
+            yield res.unit
+            yield res.counit
+
+
+def test_canonical_two_cells_are_natural():
+    """Building a TwoCell checks only each cell's domain and image; every
+    canonical 2-cell must also pass the naturality check of validate."""
+    count = 0
+    for cell in _canonical_two_cells():
+        assert validate(cell.nat).ok, cell.name
+        count += 1
+    assert count == 156

@@ -172,7 +172,11 @@ def test_exit_3_on_invalid_workspace_entity(tmp_path, capsys):
     path = tmp_path / "invalid.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["-w", str(path), "validate"]) == 3
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr() == (
+        "INVALID category K\n  compose-missing fails at ('f', 'f')\n", "")
+    assert cli.main(["-w", str(path), "cauchy", "K"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: category 'K': 1 violation(s)")
 
 
 def _objects_5(doc):
@@ -368,10 +372,13 @@ def test_validate_reports_a_composite_with_wrong_endpoints(tmp_path_factory, cas
     ws.categories[cat.name] = cat
     path = tmp_path_factory.mktemp("miscomposed") / "workspace.json"
     path.write_text(serialize_workspace(ws))
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
+    witness = f"compose-endpoints fails at {(g, f, h)!r}"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         assert cli.main(["-w", str(path), "validate", cat.name]) == 3
-    assert f"compose-endpoints fails at {(g, f, h)!r}" in err.getvalue()
+        assert witness in out.getvalue() and err.getvalue() == ""
+        assert cli.main(["-w", str(path), "connected", cat.name]) == 3
+    assert witness in err.getvalue()
 
 
 def _corruptible_entities():
