@@ -65,7 +65,10 @@ def _cmd_validate(ws, args, opts):
                     targets.append((section, name, getattr(ws, section)[name]))
                     break
             else:
-                raise UnresolvedReference(f"no entity named {name!r}")
+                if name not in ws.weight_classes:
+                    raise UnresolvedReference(f"no entity named {name!r}")
+                targets += [("presheaves", w.name, w)
+                            for w in ws.weight_classes[name].weights]
     else:
         targets = list(ws.entities())
     lines, payload, bad = [], [], 0
@@ -166,11 +169,15 @@ def _cmd_connected(ws, args, opts):
 
 
 def _cell_sizes(p):
-    """One line and one --json entry per cell of a module, target x source."""
+    """One line and one --json entry per cell of a module, target x source.
+    The entry's key is ``b|a``, with ``\\`` and ``|`` inside each name
+    escaped by a backslash, so that distinct cells get distinct keys."""
+    def escape(x):
+        return str(x).replace("\\", "\\\\").replace("|", "\\|")
     sizes = [(b, a, len(p.cell(b, a)))
              for b in p.target.objects for a in p.source.objects]
     return ([f"{b} {a}: {n}" for b, a, n in sizes],
-            {"cells": {f"{b}|{a}": n for b, a, n in sizes}}, 0)
+            {"cells": {f"{escape(b)}|{escape(a)}": n for b, a, n in sizes}}, 0)
 
 
 def _cmd_lift(ws, args, opts):

@@ -373,35 +373,50 @@ def _validate_category(c: FinCategory) -> ValidationReport:
         i = c.id_of(a)
         if c.src[i] != a or c.tgt[i] != a:
             rep.violations.append(Violation("identity-endpoints", (a, i)))
-    defined = set(c.compose_table)
-    composable = {(g, f) for g in c.morphisms for f in c.into[c.src[g]]}
-    for pair in sorted(defined - composable, key=repr):
+    table = c.compose_table
+    foreign = sorted(((g, f) for g, f in table if c.tgt[f] != c.src[g]), key=repr)
+    for pair in foreign:
         rep.violations.append(Violation("compose-defined-noncomposable", pair))
-    for pair in sorted(composable - defined, key=repr):
-        rep.violations.append(Violation("compose-missing", pair))
+    # a composable pair is keyed at most once, so a shortfall means one is missing
+    if len(table) - len(foreign) != sum(len(c.into[c.src[g]]) for g in c.morphisms):
+        missing = [(g, f) for g in c.morphisms for f in c.into[c.src[g]]
+                   if (g, f) not in table]
+        for pair in sorted(missing, key=repr):
+            rep.violations.append(Violation("compose-missing", pair))
     if not rep.ok:
         return rep
     bad = set()
-    for (g, f), h in c.compose_table.items():
+    for (g, f), h in table.items():
         if c.src[h] != c.src[f] or c.tgt[h] != c.tgt[g]:
             rep.violations.append(Violation("compose-endpoints", (g, f, h)))
             bad.add((g, f))
-    # the laws below read only composites whose endpoints passed; a composite
-    # of a wrong-endpoint value need not be in the table
-    typed = {g: [f for f in c.into[c.src[g]] if (g, f) not in bad]
-             for g in c.morphisms}
+    # the laws below read the table by rows, row[g][f] = g . f, and only
+    # composites whose endpoints passed; a composite of a wrong-endpoint
+    # value need not be in the table
+    row = {g: {f: table[(g, f)] for f in c.into[c.src[g]]} for g in c.morphisms}
+    typed = {g: c.into[c.src[g]] for g in c.morphisms}
+    for g, _ in bad:
+        typed[g] = [f for f in c.into[c.src[g]] if (g, f) not in bad]
     for f in c.morphisms:
         i, j = c.id_of(c.tgt[f]), c.id_of(c.src[f])
-        if (i, f) not in bad and c.compose(i, f) != f:
+        if (i, f) not in bad and row[i][f] != f:
             rep.violations.append(Violation("identity-left", (f,)))
-        if (f, j) not in bad and c.compose(f, j) != f:
+        if (f, j) not in bad and row[f][j] != f:
             rep.violations.append(Violation("identity-right", (f,)))
+    # associativity row by row: (h.g).f and h.(g.f) for every f in typed[g]
+    after = {g: list(map(row[g].__getitem__, typed[g])) for g in c.morphisms}
     for h in c.morphisms:
+        row_h = row[h]
         for g in typed[h]:
-            hg = c.compose(h, g)
-            for f in typed[g]:
-                if c.compose(hg, f) != c.compose(h, c.compose(g, f)):
-                    rep.violations.append(Violation("associativity", (h, g, f)))
+            hg = row_h[g]
+            # the same typed list means (h.g).f over it is already after[h.g]
+            left = (after[hg] if typed[hg] is typed[g]
+                    else list(map(row[hg].__getitem__, typed[g])))
+            right = list(map(row_h.__getitem__, after[g]))
+            if left != right:
+                rep.violations.extend(
+                    Violation("associativity", (h, g, f))
+                    for f, x, y in zip(typed[g], left, right) if x != y)
     return rep
 
 

@@ -16,9 +16,10 @@ from fincat.core import (FinCategory, FinFunctor, FunctorTransform, NatTrans,
                          is_filtered, nat_compose, nat_identity,
                          product_category, quotient, same_category,
                          unit_category)
-from fincat.corpus import (Chain3, Disc2, Empty, GSet, I, M, N5, Par, QM, Span,
-                           Two, Z2, Z3, PRESHEAVES)
+from fincat.corpus import (Chain3, Disc2, Empty, FinSet12, GSet, I, M, N5, Par, QM,
+                           Span, Two, Z2, Z3, PRESHEAVES)
 from fincat.errors import MalformedTable
+from test_limits import f3
 from util import (SMALL_CATEGORIES, all_pairs_compose, composable_pairs_oracle,
                   nonassociative_table, presheaf_tables_ok, product_category_oracle,
                   profunctor_tables_ok, quotient_oracle, random_presheaf,
@@ -197,6 +198,49 @@ def corrupted_tables(draw):
 @given(corrupted_tables())
 def test_validate_matches_all_pairs_triple_loop_on_corrupted_tables(cat):
     assert _violations(cat) == validate_category_oracle(cat)
+
+
+@pytest.fixture(scope="module")
+def long_row_categories():
+    """Categories whose composition rows hold up to 113 entries; the magmas
+    and corrupted corpus tables above have rows of at most 4."""
+    return [GSet, f3(), cauchy_completion(GSet).completion,
+            cauchy_completion(FinSet12).completion]
+
+
+def _corrupt_once(cat, how, rng):
+    """A copy of cat with one composite replaced by another parallel morphism,
+    dropped, or given the wrong endpoints, or one noncomposable pair added;
+    "none" copies the table unchanged."""
+    compose = dict(cat.compose_table)
+    if how == "replace":
+        pair, h = rng.choice([(p, h) for p, h in compose.items()
+                              if len(cat.hom(cat.src[h], cat.tgt[h])) > 1])
+        compose[pair] = rng.choice([m for m in cat.hom(cat.src[h], cat.tgt[h]) if m != h])
+    elif how == "drop":
+        del compose[rng.choice(list(compose))]
+    elif how == "add":
+        g, f = rng.choice([(g, f) for g in cat.morphisms for f in cat.morphisms
+                           if cat.tgt[f] != cat.src[g]])
+        compose[(g, f)] = g
+    elif how == "endpoints":
+        pair, h = rng.choice(list(compose.items()))
+        compose[pair] = rng.choice([m for m in cat.morphisms if cat.src[m] != cat.src[h]])
+    morphisms = [(m, cat.src[m], cat.tgt[m]) for m in cat.morphisms]
+    return FinCategory(cat.name, cat.objects, morphisms, cat.identity, compose)
+
+
+@pytest.mark.parametrize("how", ["none", "replace", "drop", "add", "endpoints"])
+def test_validate_matches_all_pairs_triple_loop_on_long_rows(long_row_categories, how):
+    rng = random.Random(how)
+    for cat in long_row_categories:
+        for _ in range(2):
+            bent = _corrupt_once(cat, how, rng)
+            assert _violations(bent) == validate_category_oracle(bent), cat.name
+
+
+def test_validate_accepts_the_completion_of_f3():
+    assert validate(cauchy_completion(f3()).completion).ok
 
 
 def _corrupt(draw, tables, elements):

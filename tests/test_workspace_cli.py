@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fincat import cli, corpus
+from fincat.classes import WeightClass
 from fincat.core import (FinCategory, FinFunctor, NatTrans, Presheaf,
                          Profunctor, identity_functor, nat_identity,
                          same_category, validate)
@@ -119,6 +120,38 @@ def test_validate_reports_invalid_entities():
     assert code == 3
     assert any(line.startswith("INVALID category K") for line in lines)
     assert payload["invalid"] == 1
+
+
+def test_validate_a_weight_class_validates_its_members(capsys):
+    assert cli.main(["validate", "splitting"]) == 0
+    assert capsys.readouterr().out == "ok presheaf E\n"
+    assert cli.main(["--json", "validate", "splitting"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"entities": [{"kind": "presheaf", "name": "E", "ok": True,
+                                     "violations": []}], "invalid": 0}
+    assert cli.main(["validate", "no-such-name"]) == 3
+    assert "no entity named 'no-such-name'" in capsys.readouterr().err
+    swapped = Presheaf("p", corpus.Two, {"0": ("a", "b"), "1": ()},
+                       {"id0": {"a": "b", "b": "a"}, "id1": {}, "f": {}})
+    members = [corpus.PRESHEAVES["one.Two"], swapped]
+    ws = Workspace(categories={"Two": corpus.Two}, presheaves={"p": swapped},
+                   weight_classes={"W": WeightClass("W", members)})
+    lines, payload, code = cli.run_command(ws, "validate", ["W"], cli.Options())
+    assert code == 3 and payload["invalid"] == 1
+    assert lines[0] == "ok presheaf one.Two"
+    assert lines[1] == "INVALID presheaf p"
+
+
+def test_json_cell_keys_escape_the_separator(tmp_path, capsys):
+    cat = corpus.discrete_category("D", ["a|b", "c", "a", "b|c"])
+    path = tmp_path / "bars.json"
+    path.write_text(serialize_workspace(Workspace(categories={"D": cat},
+                                                  profunctors={"H": id_module(cat)})))
+    assert cli.main(["--json", "-w", str(path), "lift", "H", "H"]) == 0
+    cells = json.loads(capsys.readouterr().out)["cells"]
+    assert len(cells) == 16
+    assert cells["a\\|b|c"] == 0 and cells["a|b\\|c"] == 0
+    assert cells["a\\|b|a\\|b"] == 1
 
 
 def test_exit_2_on_malformed_json(tmp_path, capsys):
