@@ -12,8 +12,8 @@ from .equivalence import all_functors, is_fully_faithful, objects_isomorphic
 from .errors import CapExceeded, InternalMismatch, MalformedTable
 from .kan import (PresheafCollection, Provenance, member_category,
                   pointwise_colimit, yoneda_embed)
-from .limits import (colimit_in_category, hom_diagram, nat_trans_set,
-                     weighted_colimit, weighted_limit)
+from .limits import (_colimits_presheaf, colimit_in_category, hom_diagram,
+                     nat_trans_set, weighted_colimit, weighted_limit)
 from .profunctor import _column, _transpose
 
 
@@ -69,14 +69,12 @@ def phi_closure_bounded(weight_class: WeightClass, base: FinCategory,
     its first diagram, and shared by that weight's colimits.
     """
     coll = PresheafCollection.representables(base)
-    nat_cache = {}
     notes = []
     rounds = 0
     saturated = False
     while rounds < caps.rounds:
         rounds += 1
-        snapshot = len(coll.members)
-        mem_cat, decode = member_category(coll, count=snapshot, nat_cache=nat_cache)
+        mem_cat, decode = member_category(coll)
         added = False
         capped_this_round = False
         for phi in weight_class.weights:
@@ -114,6 +112,7 @@ def phi_closure_bounded(weight_class: WeightClass, base: FinCategory,
         if not added:
             saturated = True
             break
+    coll._nats.clear()      # the hom sets served only the rounds; free them
     return ClosureResult(coll, rounds, saturated, caps, tuple(notes))
 
 
@@ -224,19 +223,10 @@ def _limit_then_colimit(phi, psi, s):
 
 def _colimit_then_limit(phi, s):
     """Per-object colimits phi * S(k, -) assembled into a presheaf on the target."""
-    k_cat = s.target
     rows = _transpose(s)   # S(k, -) is column k of the transpose
-    per = {k: weighted_colimit(phi, _column(rows, k)) for k in k_cat.objects}
-    sets = {k: per[k].classes for k in k_cat.objects}
-    actions = {}
-    for beta in k_cat.morphisms:
-        k, k2 = k_cat.src[beta], k_cat.tgt[beta]
-        table = {}
-        for rep in sets[k2]:
-            l, (x, y) = rep
-            table[rep] = per[k].inject(l, x, s.left_act(beta, l, y))
-        actions[beta] = table
-    h = Presheaf(f"colim[{phi.name},{s.name}]", k_cat, sets, actions)
+    per = {k: weighted_colimit(phi, _column(rows, k)) for k in s.target.objects}
+    h = _colimits_presheaf(f"colim[{phi.name},{s.name}]", s.target, per,
+                           lambda beta, l, x, y: (x, s.left_act(beta, l, y)))
     return h, per
 
 
@@ -299,15 +289,11 @@ def _sends_colimit_to_limit(psi, phi, s, colim) -> bool:
     return len(set(seen)) == len(seen) and len(seen) == len(families)
 
 
-def is_phi_continuous(psi: Presheaf, cat: FinCategory,
-                      weight_class: WeightClass, budget=None) -> bool:
-    """Does psi send every existing weighted colimit of cat to a limit of sets?
-
-    Instances whose colimit does not exist in cat are skipped.
-    """
-    if not same_category(psi.base, cat):
-        raise MalformedTable("is_phi_continuous: presheaf must live on the category")
-    for phi, s, colim in _instances(cat, weight_class, budget):
+def is_phi_continuous(psi: Presheaf, weight_class: WeightClass,
+                      budget=None) -> bool:
+    """Does psi send every existing weighted colimit of its base to a limit of
+    sets?  Instances whose colimit does not exist in the base are skipped."""
+    for phi, s, colim in _instances(psi.base, weight_class, budget):
         if colim is not None and not _sends_colimit_to_limit(psi, phi, s, colim):
             return False
     return True

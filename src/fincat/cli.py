@@ -51,6 +51,17 @@ def _args(args, count, usage):
     return args
 
 
+def _count(text):
+    """The argparse type of --budget and the caps: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def default_fixture_paths():
     root = resources.files("fincat") / "fixtures"
     return sorted(str(p) for p in root.iterdir() if p.name.endswith(".json"))
@@ -337,8 +348,7 @@ def _cmd_flat(ws, args, opts):
 def _cmd_continuous(ws, args, opts):
     pname, wname = _args(args, 2, "continuous PRESHEAF CLASS")
     psi = ws.presheaf(pname)
-    value = is_phi_continuous(psi, psi.base, ws.weight_class(wname),
-                              budget=opts.budget)
+    value = is_phi_continuous(psi, ws.weight_class(wname), budget=opts.budget)
     return [_b(value)], {"continuous": value}, 0
 
 
@@ -424,9 +434,9 @@ def main(argv=None):
                         "Defaults to the bundled fixtures.")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output")
-    parser.add_argument("--cap-rounds", type=int, default=4, metavar="N")
-    parser.add_argument("--cap-members", type=int, default=200, metavar="N")
-    parser.add_argument("--budget", type=int, default=None, metavar="N")
+    parser.add_argument("--cap-rounds", type=_count, default=4, metavar="N")
+    parser.add_argument("--cap-members", type=_count, default=200, metavar="N")
+    parser.add_argument("--budget", type=_count, default=None, metavar="N")
     parser.add_argument("--seed", type=int, default=None, metavar="N")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("args", nargs="*", metavar="ARG")

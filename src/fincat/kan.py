@@ -8,7 +8,8 @@ from .core import (FinCategory, FinFunctor, NatTrans, Presheaf,
                    nat_identity, same_category)
 from .equivalence import presheaf_isomorphic, _elem_profiles
 from .errors import InternalMismatch, MalformedTable
-from .limits import hom_diagram, nat_trans_set, weighted_colimit
+from .limits import (_colimits_presheaf, hom_diagram, nat_trans_set,
+                     weighted_colimit)
 
 
 def yoneda_embed(cat: FinCategory, b) -> Presheaf:
@@ -68,20 +69,9 @@ def lan(k: FinFunctor, t: Presheaf) -> LanResult:
     if not same_category(t.base, k.source.op()):
         raise MalformedTable("lan: diagram must be covariant on the functor source")
     c_cat = k.target
-    per = {}
-    sets = {}
-    for c in c_cat.objects:
-        per[c] = weighted_colimit(hom_diagram(k, c), t)
-        sets[c] = per[c].classes
-    actions = {}
-    for g in c_cat.morphisms:
-        c, c2 = c_cat.src[g], c_cat.tgt[g]
-        table = {}
-        for rep in sets[c]:
-            a, (h, x) = rep
-            table[rep] = per[c2].inject(a, c_cat.compose(g, h), x)
-        actions[g] = table
-    extension = Presheaf(f"lan[{k.name}]({t.name})", c_cat.op(), sets, actions)
+    per = {c: weighted_colimit(hom_diagram(k, c), t) for c in c_cat.objects}
+    extension = _colimits_presheaf(f"lan[{k.name}]({t.name})", c_cat.op(), per,
+                                   lambda g, a, h, x: (c_cat.compose(g, h), x))
     unit = {a: {x: per[k.obj(a)].inject(a, c_cat.id_of(k.obj(a)), x)
                 for x in t.sets[a]}
             for a in k.source.objects}
@@ -131,6 +121,7 @@ class PresheafCollection:
         self.members = []
         self.provenance = []
         self._buckets = {}
+        self._nats = {}              # (i, j) -> Nat(member i, member j)
 
     def _signature(self, p: Presheaf):
         return tuple(
@@ -194,42 +185,33 @@ def pointwise_colimit(phi: Presheaf, diagram_objs: dict, diagram_mors: dict,
     ``weighted_colimit`` call.
     """
     k = phi.base
-    per = {}
-    for a in base.objects:
-        s_a = Presheaf(f"{name}@{a!r}", k.op(),
-                       {j: diagram_objs[j].sets[a] for j in k.objects},
-                       {u: diagram_mors[u].components[a] for u in k.morphisms})
-        per[a] = weighted_colimit(phi, s_a, _el=_el)
-    sets = {a: per[a].classes for a in base.objects}
-    actions = {}
-    for f in base.morphisms:
-        a, b = base.src[f], base.tgt[f]
-        table = {}
-        for rep in sets[b]:
-            j, (x, s) = rep
-            table[rep] = per[a].inject(j, x, diagram_objs[j].act(f, s))
-        actions[f] = table
-    return Presheaf(name, base, sets, actions)
+    per = {a: weighted_colimit(phi, Presheaf(
+               f"{name}@{a!r}", k.op(),
+               {j: diagram_objs[j].sets[a] for j in k.objects},
+               {u: diagram_mors[u].components[a] for u in k.morphisms}), _el=_el)
+           for a in base.objects}
+    return _colimits_presheaf(name, base, per, lambda f, j, x, s:
+                              (x, diagram_objs[j].act(f, s)))
 
 
-def member_category(coll: PresheafCollection, count=None, nat_cache=None):
-    """The full hom category on the first count members; morphism ids are (i, j, n).
+def member_category(coll: PresheafCollection):
+    """The full hom category on the members; morphism ids are (i, j, n).
 
-    Returns (category, decode) where decode maps morphism id -> NatTrans.  The
-    nat_cache dict may be shared across calls while the collection only grows.
-    Composites are computed on frozen forms, with no NatTrans built for them:
-    row a of beta after alpha is beta's component at a applied to row a of
-    alpha.  A composite missing from the hom sets raises InternalMismatch.
+    Returns (category, decode) where decode maps morphism id -> NatTrans.  Hom
+    sets are memoised in ``coll._nats``, which stays valid because members are
+    only ever appended.  Composites are computed on frozen forms, with no
+    NatTrans built for them: row a of beta after alpha is beta's component at
+    a applied to row a of alpha.  A composite missing from the hom sets raises
+    InternalMismatch.
     """
-    cache = nat_cache if nat_cache is not None else {}
+    cache = coll._nats
 
     def nats(i, j):
         if (i, j) not in cache:
             cache[(i, j)] = nat_trans_set(coll.members[i], coll.members[j])
         return cache[(i, j)]
 
-    m = len(coll.members) if count is None else count
-    objects = list(range(m))
+    objects = list(range(len(coll.members)))
     morphisms = []
     decode = {}
     frozen = {}

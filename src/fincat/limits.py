@@ -6,6 +6,9 @@ conical constructions read uniformly:
 * ``finset_limit(p)``: families (x_a) with p.act(f, x_tgt) = x_src for every f.
 * ``finset_colimit(p)``: quotient of the tagged union by x ~ p.act(f, x).
 
+Both, and ``coend``, return one ``ColimitResult``: the class representatives
+and ``core.quotient``'s lookup from each tag (obj, elem) to its class.
+
 Weighted limits and colimits always run two independent routes, the end/coend
 formula and the category-of-elements route, with no option to skip either, and
 raise InternalMismatch if they ever disagree.  A weighted colimit's coend reads
@@ -22,7 +25,7 @@ values it tries.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (FinFunctor, NatTrans, Presheaf, Profunctor, _families,
                    _pullback, category_of_elements, compose_functors,
@@ -38,10 +41,10 @@ class LimitResult:
 @dataclass
 class ColimitResult:
     classes: tuple              # representatives, least (object index, element index)
-    injections: dict            # object -> {element -> representative}
+    lookup: dict                # (object, element) -> representative, in tag order
 
     def find(self, obj, elem):
-        return self.injections[obj][elem]
+        return self.lookup[(obj, elem)]
 
 
 def finset_limit(diagram: Presheaf) -> LimitResult:
@@ -59,11 +62,7 @@ def finset_colimit(diagram: Presheaf) -> ColimitResult:
     tags = [(a, x) for a in base.objects for x in diagram.sets[a]]
     pairs = (((base.tgt[f], x), (base.src[f], diagram.act(f, x)))
              for f in base.morphisms for x in diagram.sets[base.tgt[f]])
-    classes, lookup = quotient(tags, pairs)
-    injections = {a: {} for a in base.objects}
-    for a, x in tags:
-        injections[a][x] = lookup[(a, x)]
-    return ColimitResult(classes, injections)
+    return ColimitResult(*quotient(tags, pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -73,15 +72,6 @@ def finset_colimit(diagram: Presheaf) -> ColimitResult:
 @dataclass
 class EndResult:
     families: tuple             # tuples of diagonal picks, base object order
-
-
-@dataclass
-class CoendResult:
-    classes: tuple
-    _lookup: dict = field(repr=False)
-
-    def find(self, obj, elem):
-        return self._lookup[(obj, elem)]
 
 
 def end(h: Profunctor) -> EndResult:
@@ -107,7 +97,7 @@ def end(h: Profunctor) -> EndResult:
                            for fam in families))
 
 
-def coend(h: Profunctor) -> CoendResult:
+def coend(h: Profunctor) -> ColimitResult:
     """Quotient of the diagonal cells (a, a) by left(u, s)(y) ~ right(t, u)(y)
     for every u: s -> t and y in cell (t, s).
 
@@ -121,7 +111,7 @@ def coend(h: Profunctor) -> CoendResult:
     pairs = (((c.src[u], h.left_act(u, c.src[u], y)),
               (c.tgt[u], h.right_act(c.tgt[u], u, y)))
              for u in c.morphisms for y in h.cell(c.tgt[u], c.src[u]))
-    return CoendResult(*quotient(tags, pairs))
+    return ColimitResult(*quotient(tags, pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +184,7 @@ def weighted_limit(phi: Presheaf, t: Presheaf) -> WeightedLimitResult:
 @dataclass
 class WeightedColimitResult:
     classes: tuple              # coend route representatives (k, (x, y))
-    coend: CoendResult
+    coend: ColimitResult
     conical: ColimitResult      # over el(phi)^op, the elements route
 
     @property
@@ -209,7 +199,7 @@ class WeightedColimitResult:
         as {class: value}.  Triples are read in (k, x, y) order, and the first
         class that gets two different values raises InternalMismatch(message)."""
         images = {}
-        for (k, (x, y)), cls in self.coend._lookup.items():
+        for (k, (x, y)), cls in self.coend.lookup.items():
             v = value(k, x, y)
             if images.setdefault(cls, v) != v:
                 raise InternalMismatch(message)
@@ -265,6 +255,19 @@ def weighted_colimit(phi: Presheaf, s: Presheaf, _el=None) -> WeightedColimitRes
     if len(to_conical) != len(co.classes) or len(to_coend) != len(conical.classes):
         raise InternalMismatch("weighted_colimit cross-check missed a class")
     return WeightedColimitResult(co.classes, co, conical)
+
+
+def _colimits_presheaf(name, base, per, move) -> Presheaf:
+    """The presheaf b -> per[b].classes on base, for weighted colimits per[b]
+    of diagrams that vary with b: f sends the class of (k, x, y) to
+    per[src f].inject(k, *move(f, k, x, y))."""
+    sets = {b: per[b].classes for b in base.objects}
+    actions = {}
+    for f in base.morphisms:
+        inject = per[base.src[f]].inject
+        actions[f] = {rep: inject(rep[0], *move(f, rep[0], *rep[1]))
+                      for rep in sets[base.tgt[f]]}
+    return Presheaf(name, base, sets, actions)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ transpose bijection is the lift bijection of the transposes.
 one checks each cell's domain and image only, and ``validate(cell.nat)`` checks
 naturality.  Every canonical 2-cell (identities, unitors, associators, whiskers,
 counits, units, comparisons) is built by ``_cellwise`` from its value on one
-element of one source cell.  The conjoint T^* of a functor T is the transpose of
-the companion of T^op, and the module of a covariant weight is the transpose of
-its module as a weight.
+element of one source cell; unitors, associators and whiskers take the
+composite modules they run between from the caller, which composes each once.
+The conjoint T^* of a functor T is the transpose of the companion of T^op, and
+the module of a covariant weight is the transpose of its module as a weight.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, Profunctor,
                    identity_functor, product_category, quotient, same_category,
                    unit_category)
 from .errors import EndpointMismatch, InternalMismatch
-from .limits import CoendResult, nat_trans_set
+from .limits import ColimitResult, nat_trans_set
 
 
 def as_presheaf(f: Profunctor, base: FinCategory = None) -> Presheaf:
@@ -119,10 +120,10 @@ def identity_two_cell(f: Profunctor) -> TwoCell:
     return _cellwise(f, f, f"1_{f.name}", lambda b, a, x: x)
 
 
-def two_cells(f: Profunctor, g: Profunctor, budget=None) -> list:
+def two_cells(f: Profunctor, g: Profunctor) -> list:
     """All module morphisms f => g, enumerated."""
     base = product_category(f.target, f.source.op())
-    nats = nat_trans_set(as_presheaf(f, base), as_presheaf(g, base), budget)
+    nats = nat_trans_set(as_presheaf(f, base), as_presheaf(g, base))
     return [TwoCell(f, g, n.components, name=f"cell{i}", base=base)
             for i, n in enumerate(nats)]
 
@@ -143,7 +144,7 @@ def id_module(cat: FinCategory) -> Profunctor:
 
 
 class CompositeProfunctor(Profunctor):
-    """g . f with each cell's CoendResult kept for normalization of raw pairs;
+    """g . f with each cell's ColimitResult kept for normalization of raw pairs;
     a class is represented by its first raw pair (b, (y, x)) in tag order.
     The inner factor f is kept for the associator, which normalizes in it."""
 
@@ -183,7 +184,7 @@ def compose_modules(g: Profunctor, f: Profunctor) -> CompositeProfunctor:
         for a in source.objects:
             tags = [(b, (y, x)) for b in mid.objects
                     for y in g.cell(c, b) for x in f.cell(b, a)]
-            co = CoendResult(*quotient(tags, _coend_pairs(g, f, c, a)))
+            co = ColimitResult(*quotient(tags, _coend_pairs(g, f, c, a)))
             coends[(c, a)] = co
             sets[(c, a)] = co.classes
     left = {}
@@ -212,10 +213,8 @@ def compose_modules(g: Profunctor, f: Profunctor) -> CompositeProfunctor:
 # coherence 2-cells
 
 
-def left_unitor(f: Profunctor, composite: CompositeProfunctor = None) -> TwoCell:
+def left_unitor(f: Profunctor, composite: CompositeProfunctor) -> TwoCell:
     """1_B . f -> f, sending a class (b', (h, x)) to x acted on by h."""
-    if composite is None:
-        composite = compose_modules(id_module(f.target), f)
 
     def image(b, a, rep):
         _, (h, x) = rep
@@ -226,10 +225,8 @@ def left_unitor(f: Profunctor, composite: CompositeProfunctor = None) -> TwoCell
     return cell
 
 
-def right_unitor(f: Profunctor, composite: CompositeProfunctor = None) -> TwoCell:
+def right_unitor(f: Profunctor, composite: CompositeProfunctor) -> TwoCell:
     """f . 1_A -> f."""
-    if composite is None:
-        composite = compose_modules(f, id_module(f.source))
 
     def image(b, a, rep):
         _, (x, h) = rep
@@ -241,13 +238,8 @@ def right_unitor(f: Profunctor, composite: CompositeProfunctor = None) -> TwoCel
 
 
 def associator(f3: Profunctor, f2: Profunctor, f1: Profunctor,
-               left: CompositeProfunctor = None,
-               right: CompositeProfunctor = None) -> TwoCell:
+               left: CompositeProfunctor, right: CompositeProfunctor) -> TwoCell:
     """(f3 . f2) . f1 -> f3 . (f2 . f1), re-bracketing representatives."""
-    if left is None:
-        left = compose_modules(compose_modules(f3, f2), f1)
-    if right is None:
-        right = compose_modules(f3, compose_modules(f2, f1))
 
     def image(t, s, rep):
         m1, ((m2, (y, z)), x) = rep
@@ -258,14 +250,9 @@ def associator(f3: Profunctor, f2: Profunctor, f1: Profunctor,
     return cell
 
 
-def whisker_left(g: Profunctor, sigma: TwoCell,
-                 src: CompositeProfunctor = None,
-                 tgt: CompositeProfunctor = None) -> TwoCell:
+def whisker_left(g: Profunctor, sigma: TwoCell, src: CompositeProfunctor,
+                 tgt: CompositeProfunctor) -> TwoCell:
     """g . sigma: from g . (sigma.source) to g . (sigma.target)."""
-    if src is None:
-        src = compose_modules(g, sigma.source)
-    if tgt is None:
-        tgt = compose_modules(g, sigma.target)
 
     def image(t, s, rep):
         m, (y, x) = rep
@@ -273,14 +260,9 @@ def whisker_left(g: Profunctor, sigma: TwoCell,
     return _cellwise(src, tgt, f"({g.name}.{sigma.name})", image)
 
 
-def whisker_right(sigma: TwoCell, e: Profunctor,
-                  src: CompositeProfunctor = None,
-                  tgt: CompositeProfunctor = None) -> TwoCell:
+def whisker_right(sigma: TwoCell, e: Profunctor, src: CompositeProfunctor,
+                  tgt: CompositeProfunctor) -> TwoCell:
     """sigma . e: from (sigma.source) . e to (sigma.target) . e."""
-    if src is None:
-        src = compose_modules(sigma.source, e)
-    if tgt is None:
-        tgt = compose_modules(sigma.target, e)
 
     def image(t, s, rep):
         m, (w, z) = rep
@@ -436,15 +418,13 @@ def right_extend(g: Profunctor, h: Profunctor) -> ExtendResult:
     return ExtendResult(extension, lifted)
 
 
-def verify_lift_bijection(f: Profunctor, h: Profunctor, k: Profunctor,
-                          lifted: LiftResult = None):
+def verify_lift_bijection(f: Profunctor, h: Profunctor, k: Profunctor):
     """The transpose bijection 2cells(k, {|f,h|}) <-> 2cells(f.k, h).
 
     Returns (count, forward) after checking the two directions are mutually
     inverse on the full enumerations; raises InternalMismatch otherwise.
     """
-    if lifted is None:
-        lifted = right_lift(f, h)
+    lifted = right_lift(f, h)
     lift = lifted.lift
     fk = compose_modules(f, k)
     sigmas = two_cells(fk, h)
@@ -472,17 +452,13 @@ def verify_lift_bijection(f: Profunctor, h: Profunctor, k: Profunctor,
     return len(taus), forward
 
 
-def verify_extend_bijection(g: Profunctor, h: Profunctor, k: Profunctor,
-                            extended: ExtendResult = None):
+def verify_extend_bijection(g: Profunctor, h: Profunctor, k: Profunctor):
     """The transpose bijection 2cells(k, [[g,h]]) <-> 2cells(k.g, h).
 
     Checked as the lift bijection of the transposes, so the count is the same
     and the keys of ``forward`` are frozen 2-cells of the transposed modules.
     """
-    if extended is None:
-        extended = right_extend(g, h)
-    return verify_lift_bijection(_transpose(g), _transpose(h), _transpose(k),
-                                 extended.lifted)
+    return verify_lift_bijection(_transpose(g), _transpose(h), _transpose(k))
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ def test_criterion_03_continuity_does_not_imply_flatness():
     one_z2 = PRESHEAVES["one.Z2"]
     ok = (not res.commutes
           and (res.colimit_of_limits, res.limit_of_colimits) == (2, 1)
-          and is_phi_continuous(one_z2, Z2, WEIGHT_CLASSES["pushouts"])
+          and is_phi_continuous(one_z2, WEIGHT_CLASSES["pushouts"])
           and not flat_for_finite_limits(one_z2))
     _verdict("group averaging: commutation fails 2 vs 1 while the weight is "
              "pushout-continuous yet not flat", ok)

@@ -25,6 +25,7 @@ from fincat.equivalence import all_functors, presheaf_isomorphic
 from fincat.errors import CapExceeded, MalformedTable
 from fincat.kan import pointwise_colimit, yoneda_embed, yoneda_transform
 from fincat.limits import colimit_in_category, nat_trans_set, weighted_colimit
+from fincat.profunctor import _column, _transpose, id_module
 
 from util import (SMALL_CATEGORIES, closure_answer,
                   commutation_verdict_reading2, phi_closure_oracle,
@@ -276,9 +277,7 @@ def test_both_commutation_readings_agree_on_fixed_instances():
                                             yoneda_embed(Span, k), s) is True
 
 
-@settings(max_examples=8, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 10**6))
-def test_both_commutation_readings_agree_on_random_instances(seed):
+def _random_commutation_instance(seed):
     rng = random.Random(seed)
     l_cat, k_cat = rng.choice([(Two, corpus.Par), (corpus.I, Span),
                                (Two, Two), (Z2, Two)])
@@ -286,9 +285,68 @@ def test_both_commutation_readings_agree_on_random_instances(seed):
     phi = delta1(s.source)
     psi = rng.choice([delta1(s.target)] +
                      [yoneda_embed(s.target, k) for k in s.target.objects])
+    return phi, psi, s
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6))
+def test_both_commutation_readings_agree_on_random_instances(seed):
+    phi, psi, s = _random_commutation_instance(seed)
     first = bool(check_commutation(phi, psi, s))
     second = commutation_verdict_reading2(phi, psi, s)
     assert first == second
+
+
+def _colimit_then_limit_oracle(phi, s):
+    """classes._colimit_then_limit assembled by hand from its per-object
+    colimits."""
+    k_cat = s.target
+    rows = _transpose(s)
+    per = {k: weighted_colimit(phi, _column(rows, k)) for k in k_cat.objects}
+    sets = {k: per[k].classes for k in k_cat.objects}
+    actions = {}
+    for beta in k_cat.morphisms:
+        k, k2 = k_cat.src[beta], k_cat.tgt[beta]
+        table = {}
+        for rep in sets[k2]:
+            l, (x, y) = rep
+            table[rep] = per[k].inject(l, x, s.left_act(beta, l, y))
+        actions[beta] = table
+    return Presheaf(f"colim[{phi.name},{s.name}]", k_cat, sets, actions), per
+
+
+def _tables(p):
+    return (p.name, p.base, list(p.sets.items()),
+            [(f, list(table.items())) for f, table in p.actions.items()])
+
+
+def _check_colimit_then_limit(phi, s):
+    h, per = classes._colimit_then_limit(phi, s)
+    want, want_per = _colimit_then_limit_oracle(phi, s)
+    assert _tables(h) == _tables(want), (phi.name, s.name)
+    assert per == want_per
+
+
+def test_colimit_then_limit_matches_the_assembly_by_hand_on_the_corpus():
+    """On example 8.2 and the hom module of every corpus category with at
+    most 3 objects, weighted by every corpus presheaf on its source."""
+    modules = [example82] + [id_module(c) for c in corpus.CATEGORIES.values()
+                             if len(c.objects) <= 3]
+    checked = 0
+    for s in modules:
+        for phi in PRESHEAVES.values():
+            if same_category(phi.base, s.source):
+                _check_colimit_then_limit(phi, s)
+                checked += 1
+    assert checked > 40
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6))
+def test_colimit_then_limit_matches_the_assembly_by_hand_on_random_instances(seed):
+    """On the instances of the random commutation test."""
+    phi, _psi, s = _random_commutation_instance(seed)
+    _check_colimit_then_limit(phi, s)
 
 
 def test_flat_examples():
@@ -304,7 +362,7 @@ def test_flat_examples():
 
 def test_continuity_without_flatness_on_the_group():
     psi = PRESHEAVES["one.Z2"]
-    assert is_phi_continuous(psi, Z2, PUSHOUTS)
+    assert is_phi_continuous(psi, PUSHOUTS)
     assert not flat_for_finite_limits(psi)
 
 
@@ -312,7 +370,7 @@ def test_flat_weights_are_continuous():
     for name in ("E", "one.M", "one.Two", "Y.Two.1", "Y.M.*", "one.Chain3"):
         phi = PRESHEAVES[name]
         assert flat_for_finite_limits(phi), name
-        assert is_phi_continuous(phi, phi.base, FINITE), name
+        assert is_phi_continuous(phi, FINITE), name
 
 
 def test_flat_colimits_of_representables_stay_flat():
@@ -535,5 +593,5 @@ def test_instance_loops_match_the_nested_loops(cat, monkeypatch):
                 == _cocomplete_oracle(cat, weight_class, colimit))
         assert atoms(cat, weight_class) == _atoms_oracle(cat, weight_class, colimit)
         for psi in presheaves:
-            assert (is_phi_continuous(psi, cat, weight_class)
+            assert (is_phi_continuous(psi, weight_class)
                     == _continuous_oracle(psi, cat, weight_class, colimit)), psi.name

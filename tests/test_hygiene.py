@@ -1,8 +1,9 @@
 """Source hygiene of src/fincat, checked with the standard library's ast:
 no module imports a name it never uses, no top-level private function or
-class goes unreferenced, and no function binds a local it never reads.  Dead
-aliases, duplicate helpers and unused unpacked values left behind by a
-refactor fail here, and so does a rename of a function the benchmark traces."""
+class goes unreferenced, no function binds a local it never reads, and no
+None default stands for a value a call computes.  Dead aliases, duplicate
+helpers, unused unpacked values and second paths left behind by a refactor
+fail here, and so does a rename of a function the benchmark traces."""
 import ast
 import importlib
 import json
@@ -104,6 +105,77 @@ def test_no_top_level_function_binds_a_parameter_it_never_reads():
             unread += [f"{name}:{fn.lineno} {fn.name}: {p}" for p in params
                        if p not in read and not p.startswith("_")]
     assert unread == []
+
+
+# (module, function, parameter) whose None default is still computed by a
+# call: the product base of a module's presheaf, until the module calculus
+# stops building product categories (ROADMAP item 4).
+COMPUTED_DEFAULTS_PENDING = {("profunctor.py", "as_presheaf", "base"),
+                             ("profunctor.py", "TwoCell.__init__", "base")}
+
+
+def _functions(tree):
+    """(qualified name, node) for every top-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    yield f"{node.name}.{fn.name}", fn
+
+
+def _none_defaulted(fn):
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    pairs = list(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+    pairs += [(p, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return {p.arg for p, d in pairs
+            if isinstance(d, ast.Constant) and d.value is None}
+
+
+def _none_test(test, params):
+    """(parameter, is_none) if test is ``p is None`` or ``p is not None``."""
+    if (isinstance(test, ast.Compare) and isinstance(test.left, ast.Name)
+            and test.left.id in params and len(test.ops) == 1
+            and isinstance(test.ops[0], (ast.Is, ast.IsNot))
+            and isinstance(test.comparators[0], ast.Constant)
+            and test.comparators[0].value is None):
+        return test.left.id, isinstance(test.ops[0], ast.Is)
+    return None, None
+
+
+def _calls(node):
+    return any(isinstance(n, ast.Call) for n in ast.walk(node))
+
+
+def test_no_none_default_stands_for_a_computed_value():
+    """A parameter defaulting to None must not be replaced by a value that a
+    call computes, either by ``if p is None: p = f(...)`` or by a conditional
+    expression on ``p is (not) None`` whose None branch is a call: that offers
+    callers a second path to a value the function can compute itself.
+    Constant stand-ins, such as ``core.DEFAULT_BUDGET``, are allowed."""
+    found = []
+    for name, tree in _modules().items():
+        for qualname, fn in _functions(tree):
+            params = _none_defaulted(fn)
+            for node in ast.walk(fn):
+                if isinstance(node, ast.If):
+                    p, is_none = _none_test(node.test, params)
+                    computed = is_none and any(
+                        isinstance(st, ast.Assign) and _calls(st.value)
+                        and any(isinstance(t, ast.Name) and t.id == p
+                                for t in st.targets)
+                        for st in node.body)
+                elif isinstance(node, ast.IfExp):
+                    p, is_none = _none_test(node.test, params)
+                    computed = p is not None and _calls(
+                        node.body if is_none else node.orelse)
+                else:
+                    continue
+                if computed and (name, qualname, p) not in COMPUTED_DEFAULTS_PENDING:
+                    found.append(f"{name}:{node.lineno} {qualname}: {p}")
+    assert found == []
 
 
 def test_every_traced_layer_of_the_benchmark_names_a_callable():

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from fincat import corpus
+from fincat import classes, corpus
 from fincat.classes import Caps, phi_closure_bounded
 from fincat.cauchy import cauchy_completion
-from fincat.core import NatTrans, Presheaf, identity_functor, validate
+from fincat.core import (NatTrans, Presheaf, identity_functor, same_category,
+                         validate)
 from fincat.corpus import (Chain3, GSet, M, QM, Span, Two, Z2, PRESHEAVES,
                            WEIGHT_CLASSES, covariant_hom)
 from fincat.equivalence import all_functors, presheaf_isomorphic
@@ -13,7 +14,7 @@ from fincat.errors import InternalMismatch, MalformedTable
 from fincat.kan import (PresheafCollection, lan, member_category, nerve,
                         pointwise_colimit, restrict, yoneda_bijection,
                         yoneda_embed, yoneda_transform)
-from fincat.limits import nat_trans_set
+from fincat.limits import hom_diagram, nat_trans_set, weighted_colimit
 from util import (SMALL_CATEGORIES, kan_bijection, member_category_oracle,
                   random_presheaf)
 
@@ -127,15 +128,18 @@ def test_member_category_matches_the_nat_compose_oracle(cat):
 
 def test_member_category_reports_a_missing_composite():
     """Y0 -> Y1 -> Y2 over the chain composes to the one transformation
-    Y0 -> Y2; with that one dropped, the composite has nowhere to go."""
+    Y0 -> Y2; with that one dropped from the collection's memo of hom sets,
+    the composite has nowhere to go."""
     coll = PresheafCollection.representables(Chain3)
     assert [len(nat_trans_set(coll.members[i], coll.members[j]))
             for i, j in [(0, 1), (1, 2), (0, 2)]] == [1, 1, 1]
+    coll._nats[(0, 2)] = []
     with pytest.raises(InternalMismatch, match="after"):
-        member_category(coll, nat_cache={(0, 2): []})
+        member_category(coll)
 
 
-def test_randomized_kan_adjunction_bijections():
+def _random_kan_instances():
+    """Twelve seeded (k: a -> b, t covariant on a, s covariant on b)."""
     rng = random.Random(41)
     done = 0
     attempts = 0
@@ -149,10 +153,120 @@ def test_randomized_kan_adjunction_bijections():
         k = rng.choice(functors)
         t = random_presheaf(rng, a.op(), f"t{attempts}", 2)
         s = random_presheaf(rng, b.op(), f"s{attempts}", 2)
-        left, right, bijective = kan_bijection(k, t, s)
-        assert bijective, (a.name, b.name, left, right)
+        yield k, t, s
         done += 1
     assert done == 12
+
+
+def test_randomized_kan_adjunction_bijections():
+    for k, t, s in _random_kan_instances():
+        left, right, bijective = kan_bijection(k, t, s)
+        assert bijective, (k.source.name, k.target.name, left, right)
+
+
+def _tables(p):
+    return (p.name, p.base, list(p.sets.items()),
+            [(f, list(table.items())) for f, table in p.actions.items()])
+
+
+def _lan_oracle(k, t):
+    """lan's extension assembled by hand from its per-object colimits."""
+    c_cat = k.target
+    per = {}
+    sets = {}
+    for c in c_cat.objects:
+        per[c] = weighted_colimit(hom_diagram(k, c), t)
+        sets[c] = per[c].classes
+    actions = {}
+    for g in c_cat.morphisms:
+        c, c2 = c_cat.src[g], c_cat.tgt[g]
+        table = {}
+        for rep in sets[c]:
+            a, (h, x) = rep
+            table[rep] = per[c2].inject(a, c_cat.compose(g, h), x)
+        actions[g] = table
+    return Presheaf(f"lan[{k.name}]({t.name})", c_cat.op(), sets, actions)
+
+
+def _pointwise_colimit_oracle(phi, diagram_objs, diagram_mors, base, name,
+                              _el=None):
+    """pointwise_colimit assembled by hand from its per-object colimits."""
+    k = phi.base
+    per = {}
+    for a in base.objects:
+        s_a = Presheaf(f"{name}@{a!r}", k.op(),
+                       {j: diagram_objs[j].sets[a] for j in k.objects},
+                       {u: diagram_mors[u].components[a] for u in k.morphisms})
+        per[a] = weighted_colimit(phi, s_a, _el=_el)
+    sets = {a: per[a].classes for a in base.objects}
+    actions = {}
+    for f in base.morphisms:
+        a, b = base.src[f], base.tgt[f]
+        table = {}
+        for rep in sets[b]:
+            j, (x, s) = rep
+            table[rep] = per[a].inject(j, x, diagram_objs[j].act(f, s))
+        actions[f] = table
+    return Presheaf(name, base, sets, actions)
+
+
+def _representables_along(k):
+    """j -> Hom_b(k j, -) as a diagram on a^op of presheaves on b^op."""
+    b_op = k.target.op()
+    objs = {j: yoneda_embed(b_op, k.obj(j)) for j in k.source.objects}
+    mors = {u: yoneda_transform(b_op, k.mor(u)) for u in k.source.morphisms}
+    return objs, mors
+
+
+def _corpus_kan_instances():
+    """Each corpus functor and the identity of each corpus category, with
+    every covariant hom and every corpus presheaf covariant on its source."""
+    functors = list(corpus.FUNCTORS.values()) + [
+        identity_functor(c) for c in corpus.CATEGORIES.values()]
+    for k in functors:
+        src = k.source
+        for t in [covariant_hom(src, b) for b in src.objects] + [
+                p for p in PRESHEAVES.values() if same_category(p.base, src.op())]:
+            yield k, t
+
+
+def test_lan_and_pointwise_colimit_match_the_assembly_by_hand():
+    """The extension of lan and a colimit of representables weighted by t
+    have the sets and action tables, in order, of the presheaf written out
+    from their per-object colimits; on the corpus and on the seeded random
+    instances of the Kan bijection test.  The colimit of Hom_b(k-, =)
+    weighted by t is Lan_k t, so the two are also isomorphic."""
+    instances = list(_corpus_kan_instances())
+    instances += [(k, t) for k, t, _ in _random_kan_instances()]
+    for k, t in instances:
+        ext = lan(k, t).extension
+        assert _tables(ext) == _tables(_lan_oracle(k, t)), (k.name, t.name)
+        objs, mors = _representables_along(k)
+        name = f"rep[{k.name}]"
+        got = pointwise_colimit(t, objs, mors, k.target.op(), name)
+        assert _tables(got) == _tables(_pointwise_colimit_oracle(
+            t, objs, mors, k.target.op(), name)), (k.name, t.name)
+        assert presheaf_isomorphic(got, ext) is not None, (k.name, t.name)
+    assert len(instances) > 60
+
+
+@pytest.mark.parametrize("cat", [c for c in corpus.CATEGORIES.values()
+                                 if len(c.objects) <= 3], ids=lambda c: c.name)
+def test_closure_colimits_match_the_assembly_by_hand(cat, monkeypatch):
+    """Every pointwise colimit of a two-round closure under each weight
+    class, el(phi) shared, has the tables of the one written out."""
+    checked = []
+
+    def checking(phi, objs, mors, base, name, _el=None):
+        got = pointwise_colimit(phi, objs, mors, base, name, _el=_el)
+        assert _tables(got) == _tables(_pointwise_colimit_oracle(
+            phi, objs, mors, base, name, _el=_el)), name
+        checked.append(name)
+        return got
+    monkeypatch.setattr(classes, "pointwise_colimit", checking)
+    for wc in WEIGHT_CLASSES.values():
+        phi_closure_bounded(wc, cat, Caps(rounds=2, members=8))
+    assert checked
 
 
 def _yoneda_embed_oracle(cat, b):

@@ -161,7 +161,7 @@ def test_weighted_colimit_matches_pairing_coend():
     pairing profunctor (same classes, same class of every tag) and a plain
     union-find over that profunctor, on 270 derandomized cases: 30 per small
     category, value sets of size 0 to 3.  An el(phi) passed in by the caller
-    gives the same classes and injections as one built inside."""
+    gives the same classes and lookups as one built inside."""
     with_empty = 0
     for i in range(270):
         rng = random.Random(i)
@@ -220,18 +220,14 @@ def _merge_two_classes(res):
     if len(res.classes) < 2:
         return None
     keep, gone = res.classes[:2]
-    injections = {o: {y: keep if r == gone else r for y, r in m.items()}
-                  for o, m in res.injections.items()}
-    return ColimitResult(tuple(c for c in res.classes if c != gone), injections)
+    lookup = {tag: keep if r == gone else r for tag, r in res.lookup.items()}
+    return ColimitResult(tuple(c for c in res.classes if c != gone), lookup)
 
 
 def _split_one_class(res):
-    for o, m in res.injections.items():
-        for y, r in m.items():
-            if r != (o, y):
-                injections = {o2: dict(m2) for o2, m2 in res.injections.items()}
-                injections[o][y] = (o, y)
-                return ColimitResult(res.classes + ((o, y),), injections)
+    for tag, r in res.lookup.items():
+        if r != tag:
+            return ColimitResult(res.classes + (tag,), {**res.lookup, tag: tag})
     return None
 
 

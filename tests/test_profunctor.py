@@ -35,8 +35,8 @@ def test_compose_modules_endpoint_check():
 
 def test_unitors_are_isomorphisms():
     for f in (example82, id_module(Two), functor_to_modules(corpus.embedM)[0]):
-        lu = left_unitor(f)
-        ru = right_unitor(f)
+        lu = left_unitor(f, compose_modules(id_module(f.target), f))
+        ru = right_unitor(f, compose_modules(f, id_module(f.source)))
         assert lu.is_iso(), f.name
         assert ru.is_iso(), f.name
 
@@ -119,7 +119,9 @@ def test_associator_is_isomorphism():
     f2 = functor_to_modules(t1)[0]           # Span -|-> Two
     t2 = all_functors(Two, M)[1]
     f3 = functor_to_modules(t2)[0]           # Two -|-> M
-    alpha = associator(f3, f2, example82)
+    alpha = associator(f3, f2, example82,
+                       compose_modules(compose_modules(f3, f2), example82),
+                       compose_modules(f3, compose_modules(f2, example82)))
     assert alpha.is_iso()
 
 
@@ -128,9 +130,10 @@ def test_whiskering_produces_valid_two_cells():
     cells = two_cells(f, f)
     assert cells, "no endo two-cells on the witness module"
     sigma = cells[0]
-    left = whisker_left(id_module(Span), sigma)
+    g, e = id_module(Span), id_module(Z2)
+    left = whisker_left(g, sigma, compose_modules(g, f), compose_modules(g, f))
     assert left.source.source is f.source
-    right = whisker_right(sigma, id_module(Z2))
+    right = whisker_right(sigma, e, compose_modules(f, e), compose_modules(f, e))
     assert right is not None
 
 
@@ -241,8 +244,7 @@ def test_coweight_module_is_the_transposed_weight_module():
 
 def test_right_lift_transpose_bijection():
     lifted = right_lift(example82, example82)
-    count, forward = verify_lift_bijection(example82, example82,
-                                           id_module(Z2), lifted)
+    count, forward = verify_lift_bijection(example82, example82, id_module(Z2))
     assert count == len(two_cells(id_module(Z2), lifted.lift))
     assert count >= 1
 
@@ -256,8 +258,7 @@ def test_right_extend_transpose_bijection():
            for i in (0, 1)]
     counts = []
     for k in ks:
-        count, forward = verify_extend_bijection(example82, example82, k,
-                                                 extended)
+        count, forward = verify_extend_bijection(example82, example82, k)
         assert count == len(two_cells(k, ext)) == len(forward), k.name
         counts.append(count)
     assert counts[0] >= 1 and len(set(counts)) > 1
@@ -364,13 +365,15 @@ def _canonical_two_cells():
     has_right_adjoint on every corpus weight outside GSet and FinSet12."""
     for f in _coherence_modules():
         one_b, one_a = id_module(f.target), id_module(f.source)
+        c_bf, c_fa = compose_modules(one_b, f), compose_modules(f, one_a)
         yield identity_two_cell(f)
-        yield left_unitor(f)
-        yield right_unitor(f)
-        yield associator(one_b, f, one_a)
+        yield left_unitor(f, c_bf)
+        yield right_unitor(f, c_fa)
+        yield associator(one_b, f, one_a, compose_modules(c_bf, one_a),
+                         compose_modules(one_b, c_fa))
         for sigma in two_cells(f, f):
-            yield whisker_left(one_b, sigma)
-            yield whisker_right(sigma, one_a)
+            yield whisker_left(one_b, sigma, c_bf, c_bf)
+            yield whisker_right(sigma, one_a, c_fa, c_fa)
     yield right_lift(example82, example82).counit
     for phi in PRESHEAVES.values():
         if phi.base.name in ("GSet", "FinSet12"):

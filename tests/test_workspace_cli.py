@@ -317,6 +317,38 @@ def test_exit_4_on_round_cap(capsys):
     assert "still growing" in capsys.readouterr().err
 
 
+def _exit_code_and_stderr(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_negative_budget_is_a_usage_error(capsys):
+    """--budget -3 used to reach all_functors and die in itertools.islice
+    with a ValueError traceback; other commands took it as a budget."""
+    for argv in (["absolute-sample", "one.Z2"], ["cocomplete", "Two", "initial"]):
+        code, err = _exit_code_and_stderr(["--budget", "-3", *argv], capsys)
+        assert code == 2 and "usage: fincat" in err, argv
+        assert "--budget: must be >= 0" in err and "Traceback" not in err
+    assert cli.main(["--budget", "0", "cocomplete", "Two", "initial"]) == 4
+
+
+def test_negative_round_cap_is_a_usage_error(capsys):
+    code, err = _exit_code_and_stderr(
+        ["--cap-rounds", "-1", "closure", "Two", "initial"], capsys)
+    assert code == 2 and "--cap-rounds: must be >= 0" in err
+    assert cli.main(["--cap-rounds", "0", "closure", "Two", "initial"]) == 0
+    assert "rounds 0" in capsys.readouterr().out
+
+
+def test_negative_member_cap_is_a_usage_error(capsys):
+    code, err = _exit_code_and_stderr(
+        ["--cap-members", "-5", "saturation", "zero.Two", "initial"], capsys)
+    assert code == 2 and "--cap-members: must be >= 0" in err
+    assert cli.main(["--cap-members", "0", "saturation", "zero.Two",
+                     "initial"]) == 0
+
+
 def test_exit_5_on_internal_mismatch(monkeypatch, capsys):
     def boom(ws, args, opts):
         raise InternalMismatch("forced failure")
