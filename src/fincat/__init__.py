@@ -9,13 +9,13 @@ from .cauchy import (cauchy_completion, check_absolute_sampled,
                      dual_limit_colimit, dual_pair_from_weight, isbell_left,
                      isbell_right, is_small_projective, morita_equivalent,
                      q_duality, retract_oracle, small_projective_report)
-from .classes import (Caps, WeightClass, atoms, check_commutation,
+from .classes import (Caps, atoms, check_commutation,
                       comma_connectedness_witness, flat_for_finite_limits,
                       flat_for_terminal, in_saturation_bounded,
                       is_phi_cocomplete, is_phi_continuous, phi_closure_bounded,
                       recognize_free_cocompletion)
 from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, Profunctor,
-                   category_of_elements, compose_functors, covariant,
+                   WeightClass, category_of_elements, compose_functors, covariant,
                    full_subcategory, identity_functor, is_connected,
                    is_filtered, nat_compose, nat_identity, product_category,
                    same_category, unit_category, validate)

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, Profunctor,
-                   _composable_pairs, _pullback, category_of_elements,
-                   compose_functors, covariant, full_subcategory, is_connected,
+                   WeightClass, _composable_pairs, _pullback,
+                   category_of_elements, covariant, delta0, is_connected,
                    is_filtered, nat_compose, same_category)
 from .equivalence import all_functors, is_fully_faithful, objects_isomorphic
 from .errors import CapExceeded, InternalMismatch, MalformedTable
@@ -15,30 +15,6 @@ from .kan import (PresheafCollection, Provenance, member_category,
 from .limits import (_colimits_presheaf, colimit_in_category, hom_diagram,
                      nat_trans_set, weighted_colimit, weighted_limit)
 from .profunctor import _column, _transpose
-
-
-class WeightClass:
-    """A finite, named collection of weights; each weight carries its own domain."""
-
-    def __init__(self, name, weights):
-        self.name = name
-        self.weights = tuple(weights)
-        for w in self.weights:
-            if not isinstance(w, Presheaf):
-                raise MalformedTable(f"weight class {name}: members must be presheaves")
-
-    def restricted_to(self, k: FinCategory):
-        return tuple(w for w in self.weights if same_category(w.base, k))
-
-    def domains(self):
-        out = []
-        for w in self.weights:
-            if not any(same_category(w.base, k) for k in out):
-                out.append(w.base)
-        return out
-
-    def __repr__(self):
-        return f"WeightClass({self.name!r}, {len(self.weights)} weights)"
 
 
 @dataclass(frozen=True)
@@ -179,8 +155,12 @@ def _hom_preserves_colimit(cat, a, phi, s, colim) -> bool:
 
 def atoms(cat: FinCategory, weight_class: WeightClass, budget=None) -> tuple:
     """Objects whose covariant hom preserves every existing colimit instance."""
+    return _atoms(cat, _instances(cat, weight_class, budget))
+
+
+def _atoms(cat, instances) -> tuple:
     good = set(cat.objects)
-    for phi, s, colim in _instances(cat, weight_class, budget):
+    for phi, s, colim in instances:
         if colim is None:
             continue
         for a in list(good):
@@ -328,7 +308,8 @@ def recognize_free_cocompletion(g: FinFunctor, weight_class: WeightClass,
     """
     b_cat = g.target
     ff = is_fully_faithful(g)
-    cocomplete = bool(is_phi_cocomplete(b_cat, weight_class, budget=budget))
+    instances = list(_instances(b_cat, weight_class, budget))
+    cocomplete = all(colim is not None for _, _, colim in instances)
     reached = []
     for a in g.source.objects:
         if g.obj(a) not in reached:
@@ -337,15 +318,12 @@ def recognize_free_cocompletion(g: FinFunctor, weight_class: WeightClass,
     fixpoint = False
     while rounds < caps.rounds and not fixpoint:
         rounds += 1
-        sub, incl = full_subcategory(b_cat, reached)
+        inside = set(reached)
         new = []
-        for phi in weight_class.weights:
-            for s in all_functors(phi.base, sub, budget=budget):
-                colim = colimit_in_category(phi, compose_functors(incl, s))
-                if colim is None:
-                    continue
-                if colim.apex not in reached and colim.apex not in new:
-                    new.append(colim.apex)
+        for _, s, colim in instances:   # diagrams into the full subcategory
+            if (colim is not None and inside.issuperset(s.obj_map.values())
+                    and colim.apex not in reached and colim.apex not in new):
+                new.append(colim.apex)
         if new:
             reached.extend(new)
         else:
@@ -355,7 +333,7 @@ def recognize_free_cocompletion(g: FinFunctor, weight_class: WeightClass,
     if unreached and not fixpoint:
         raise CapExceeded(f"object closure still growing after {rounds} rounds "
                           f"with {len(unreached)} objects unreached")
-    atom_set = set(atoms(b_cat, weight_class, budget=budget))
+    atom_set = set(_atoms(b_cat, instances))
     in_atoms = all(g.obj(a) in atom_set for a in g.source.objects)
     return RecognitionReport(ff, cocomplete, not unreached, in_atoms,
                              rounds, unreached)
@@ -377,12 +355,12 @@ def comma_connectedness_witness(target: Presheaf) -> CommaWitness:
     probes' maps come from ``kan.member_category`` on all of them, isomorphic
     representables included; the empty presheaf is the initial colimit.
     """
-    from .corpus import delta0, initial_weight
     cat = target.base
     probes = PresheafCollection(cat)
     for a in cat.objects:
         probes._insert(yoneda_embed(cat, a), Provenance("representable", (a,)))
-    probes._insert(delta0(cat), Provenance("colimit", (initial_weight.name, (), ())))
+    # a provenance names its weight: "zero.Empty" is corpus.initial_weight
+    probes._insert(delta0(cat), Provenance("colimit", ("zero.Empty", (), ())))
     mem, decode = member_category(probes)
     into = {i: nat_trans_set(p, target) for i, p in enumerate(probes.members)}
     objects = [(i, w.frozen()) for i in mem.objects for w in into[i]]

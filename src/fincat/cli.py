@@ -19,9 +19,8 @@ from .classes import (Caps, atoms, check_commutation, flat_for_finite_limits,
                       flat_for_terminal, in_saturation_bounded,
                       is_phi_cocomplete, is_phi_continuous,
                       phi_closure_bounded, recognize_free_cocompletion)
-from .core import (category_of_elements, is_connected, is_filtered,
+from .core import (category_of_elements, delta1, is_connected, is_filtered,
                    same_category, validate)
-from .corpus import delta1
 from .equivalence import presheaf_isomorphic
 from .errors import (BudgetExceeded, CapExceeded, DuplicateName,
                      EndpointMismatch, FincatError, InternalMismatch,
@@ -68,23 +67,18 @@ def default_fixture_paths():
 
 
 def _cmd_validate(ws, args, opts):
-    targets = []
-    if args:
-        for name in args:
-            for section in ("categories", "functors", "presheaves", "profunctors"):
-                if name in getattr(ws, section):
-                    targets.append((section, name, getattr(ws, section)[name]))
-                    break
-            else:
-                if name not in ws.weight_classes:
-                    raise UnresolvedReference(f"no entity named {name!r}")
-                targets += [("presheaves", w.name, w)
-                            for w in ws.weight_classes[name].weights]
-    else:
-        targets = list(ws.entities())
+    targets = [] if args else list(ws.entities())
+    for name in args:
+        found = next((t for t in ws.entities() if t[1] == name), None)
+        if found:
+            targets.append(found)
+        elif name in ws.weight_classes:
+            targets += [("presheaf", w.name, w)
+                        for w in ws.weight_classes[name].weights]
+        else:
+            raise UnresolvedReference(f"no entity named {name!r}")
     lines, payload, bad = [], [], 0
-    for section, name, entity in targets:
-        kind = ws._SINGULAR[section]
+    for kind, name, entity in targets:
         report = validate(entity)
         if report.ok:
             lines.append(f"ok {kind} {name}")

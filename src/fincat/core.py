@@ -218,6 +218,20 @@ def covariant(name, base, sets, actions) -> Presheaf:
     return Presheaf(name, base.op(), sets, actions)
 
 
+class WeightClass:
+    """A finite, named collection of weights; each weight carries its own domain."""
+
+    def __init__(self, name, weights):
+        self.name = name
+        self.weights = tuple(weights)
+        for w in self.weights:
+            if not isinstance(w, Presheaf):
+                raise MalformedTable(f"weight class {name}: members must be presheaves")
+
+    def __repr__(self):
+        return f"WeightClass({self.name!r}, {len(self.weights)} weights)"
+
+
 def _pullback(fn: FinFunctor, p: Presheaf, name=None) -> Presheaf:
     """p . fn^op, a presheaf on fn.source: a has value p(fn a) and u acts as
     fn(u); p must be a presheaf on fn.target."""
@@ -575,6 +589,19 @@ def product_category(c: FinCategory, d: FinCategory) -> FinCategory:
 
 def unit_category() -> FinCategory:
     return FinCategory("I", ["*"], [("id", "*", "*")], {"*": "id"}, {("id", "id"): "id"})
+
+
+def delta1(cat: FinCategory, name=None) -> Presheaf:
+    """The constantly one-point presheaf; weights the conical (co)limit."""
+    return Presheaf(name or f"one.{cat.name}", cat,
+                    {a: ("*",) for a in cat.objects},
+                    {f: {"*": "*"} for f in cat.morphisms})
+
+
+def delta0(cat: FinCategory, name=None) -> Presheaf:
+    return Presheaf(name or f"zero.{cat.name}", cat,
+                    {a: () for a in cat.objects},
+                    {f: {} for f in cat.morphisms})
 
 
 def full_subcategory(cat: FinCategory, objects, name=None):

@@ -1,15 +1,17 @@
-"""Named example categories, weights, and diagrams used by tests and the CLI.
+"""Named example categories, weights and diagrams for the tests and fixtures.
 
 Everything here uses plain string ids so the whole corpus serializes directly.
 """
 from __future__ import annotations
 
 import itertools
+import pathlib
 
-from .classes import WeightClass
-from .core import (FinCategory, FinFunctor, Presheaf, Profunctor,
-                   _composable_pairs, unit_category)
+from .core import (FinCategory, FinFunctor, Presheaf, Profunctor, WeightClass,
+                   _composable_pairs, delta0, delta1, unit_category)
 from .errors import MalformedTable
+from .kan import yoneda_embed
+from .workspace import Workspace, serialize_workspace
 
 
 def poset_category(name, elements, leq) -> FinCategory:
@@ -218,19 +220,6 @@ FUNCTORS = {"orbit": orbit, "embedM": embedM}
 # ---------------------------------------------------------------------------
 # weights and other presheaves
 
-def delta1(cat: FinCategory, name=None) -> Presheaf:
-    """The constantly one-point presheaf; weights the conical (co)limit."""
-    return Presheaf(name or f"one.{cat.name}", cat,
-                    {a: ("*",) for a in cat.objects},
-                    {f: {"*": "*"} for f in cat.morphisms})
-
-
-def delta0(cat: FinCategory, name=None) -> Presheaf:
-    return Presheaf(name or f"zero.{cat.name}", cat,
-                    {a: () for a in cat.objects},
-                    {f: {} for f in cat.morphisms})
-
-
 def sum_presheaf(name, p: Presheaf, q: Presheaf) -> Presheaf:
     """Objectwise disjoint union; elements are tagged with their side."""
     sets = {a: tuple(f"l:{x}" for x in p.sets[a]) + tuple(f"r:{x}" for x in q.sets[a])
@@ -244,7 +233,6 @@ def sum_presheaf(name, p: Presheaf, q: Presheaf) -> Presheaf:
 
 
 def representable(cat: FinCategory, b, name=None) -> Presheaf:
-    from .kan import yoneda_embed
     p = yoneda_embed(cat, b)
     if name:
         p.name = name
@@ -350,8 +338,6 @@ def fixture_workspaces():
     Regenerate with:
         python3 -c "from fincat import corpus; corpus.write_fixtures()"
     """
-    from .workspace import Workspace
-
     by_base = {}
     for p in PRESHEAVES.values():
         by_base.setdefault(p.base.name, {})[p.name] = p
@@ -394,10 +380,6 @@ def fixture_workspaces():
 
 
 def write_fixtures(root=None):
-    import pathlib
-
-    from .workspace import serialize_workspace
-
     root = pathlib.Path(root or pathlib.Path(__file__).parent / "fixtures")
     for stem, ws in fixture_workspaces().items():
         (root / f"{stem}.json").write_text(serialize_workspace(ws))

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, Profunctor,
                    identity_functor, product_category, quotient, same_category,
                    unit_category)
+from .equivalence import presheaf_isomorphic
 from .errors import EndpointMismatch, InternalMismatch
 from .limits import ColimitResult, nat_trans_set
 
@@ -129,7 +130,6 @@ def two_cells(f: Profunctor, g: Profunctor) -> list:
 
 
 def modules_isomorphic(f: Profunctor, g: Profunctor) -> bool:
-    from .equivalence import presheaf_isomorphic
     if not (same_category(f.source, g.source) and same_category(f.target, g.target)):
         return False
     base = product_category(f.target, f.source.op())

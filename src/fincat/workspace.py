@@ -11,9 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .classes import WeightClass
-from .core import (FinCategory, FinFunctor, Presheaf, Profunctor, covariant,
-                   validate)
+from .core import (FinCategory, FinFunctor, Presheaf, Profunctor, WeightClass,
+                   covariant, validate)
 from .errors import (DuplicateName, ParseError, UnresolvedReference,
                      ValidationFailed)
 
@@ -57,9 +56,11 @@ class Workspace:
         return self._lookup("weight_classes", name)
 
     def entities(self):
+        """(kind, name, entity) for every entity but the weight classes, in
+        section order; kind is singular, as in "category"."""
         for section in _SECTIONS[:-1]:
             for name, entity in getattr(self, section).items():
-                yield section, name, entity
+                yield self._SINGULAR[section], name, entity
 
 
 def _no_duplicate_keys(pairs):
@@ -196,8 +197,8 @@ def _build(paths, ws):
         for section, entries in doc.items():
             for name, spec in entries.items():
                 if name in merged[section]:
-                    raise DuplicateName(f"{path}: {section[:-1]} {name!r} "
-                                        f"defined twice")
+                    raise DuplicateName(f"{path}: {Workspace._SINGULAR[section]} "
+                                        f"{name!r} defined twice")
                 merged[section][name] = spec
     for name, spec in merged["categories"].items():
         ws.categories[name] = _build_category(name, spec)

@@ -3,10 +3,14 @@ no module imports a name it never uses, no top-level private function or
 class goes unreferenced, no function binds a local it never reads, and no
 None default stands for a value a call computes.  Dead aliases, duplicate
 helpers, unused unpacked values and second paths left behind by a refactor
-fail here, and so does a rename of a function the benchmark traces."""
+fail here, and so does a rename of a function the benchmark traces.  Imports
+sit at the top of each module and point down one fixed order of layers."""
 import ast
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -189,3 +193,53 @@ def test_every_traced_layer_of_the_benchmark_names_a_callable():
         if not callable(getattr(importlib.import_module(f"fincat.{module}"), name, None)):
             missing.append(key)
     assert layers and missing == []
+
+
+# Each module imports only modules before it; __init__ re-exports them all.
+LAYERS = ("errors", "core", "limits", "equivalence", "kan", "profunctor",
+          "cauchy", "classes", "workspace", "cli", "corpus")
+
+
+def test_every_import_is_at_the_top_of_its_module():
+    nested = [f"{name}:{node.lineno}" for name, tree in _modules().items()
+              for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom))
+              and node not in tree.body]
+    assert nested == []
+
+
+def _relative_imports(tree):
+    """The sibling modules a module imports with ``from .x import ...``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            yield from ([node.module] if node.module
+                        else [alias.name for alias in node.names])
+
+
+def test_relative_imports_point_down_the_layer_order():
+    modules = {name[:-3]: tree for name, tree in _modules().items()
+               if name != "__init__.py"}
+    assert sorted(modules) == sorted(LAYERS)
+    upward = [f"{name} imports {target}"
+              for name, tree in modules.items()
+              for target in _relative_imports(tree)
+              if LAYERS.index(target) >= LAYERS.index(name)]
+    assert upward == []
+    assert set(_relative_imports(modules["workspace"])) == {"core", "errors"}
+
+
+def test_importing_the_cli_leaves_the_corpus_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    code = "import fincat.cli, sys; print('fincat.corpus' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
+
+
+def test_moved_weights_keep_their_old_import_paths():
+    fincat = importlib.import_module("fincat")
+    classes, core, corpus = (importlib.import_module(f"fincat.{m}")
+                             for m in ("classes", "core", "corpus"))
+    assert fincat.WeightClass is classes.WeightClass is core.WeightClass
+    assert (corpus.delta0, corpus.delta1) == (core.delta0, core.delta1)

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fincat import cli, corpus
-from fincat.classes import WeightClass
 from fincat.core import (FinCategory, FinFunctor, NatTrans, Presheaf,
-                         Profunctor, identity_functor, nat_identity,
+                         Profunctor, WeightClass, identity_functor, nat_identity,
                          same_category, validate)
 from fincat.corpus import GSet
 from fincat.errors import (DuplicateName, FincatError, InternalMismatch,
@@ -192,6 +191,27 @@ def test_exit_3_on_duplicate_definitions(tmp_path, capsys):
                      "-w", str(copy), "cauchy", "M"])
     assert code == 3
     assert "defined twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, kind, name", [
+    ("categories", "category", "T"), ("functors", "functor", "F"),
+    ("presheaves", "presheaf", "P"), ("profunctors", "profunctor", "H"),
+    ("weight_classes", "weight class", "W")])
+def test_duplicate_definition_names_its_kind(tmp_path, capsys, section, kind, name):
+    cat = corpus.discrete_category("T", ["a"])
+    weight = corpus.delta1(cat, "P")
+    ws = Workspace(categories={"T": cat}, presheaves={"P": weight},
+                   functors={"F": identity_functor(cat)},
+                   profunctors={"H": id_module(cat)},
+                   weight_classes={"W": WeightClass("W", [weight])})
+    doc = json.loads(serialize_workspace(ws))
+    rest, twice = tmp_path / "rest.json", tmp_path / "a.json"
+    rest.write_text(json.dumps({k: v for k, v in doc.items() if k != section}))
+    twice.write_text(json.dumps({section: doc[section]}))
+    code = cli.main(["-w", str(rest), "-w", str(twice), "-w", str(twice),
+                     "connected", "T"])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {twice}: {kind} {name!r} defined twice\n"
 
 
 def test_exit_3_on_invalid_workspace_entity(tmp_path, capsys):
