@@ -40,9 +40,14 @@ def phi_closure_bounded(weight_class: WeightClass, base: FinCategory,
     Each round takes every weight and every diagram into the members present at
     the start of the round, computes the colimit pointwise, and adds it unless an
     isomorphic member exists.  Stops at a fixpoint or at the caps; hitting a cap
-    is flagged on the result, never raised.  Every colimit runs both routes of
-    ``weighted_colimit``; el(phi) is built once per weight in each round, on
-    its first diagram, and shared by that weight's colimits.
+    is flagged on the result, never raised.  Every colimit computed runs both
+    routes of ``weighted_colimit``; el(phi) is built once per weight in each
+    round, on its first diagram, and shared by that weight's colimits.
+
+    One colimit is computed per isomorphism class of diagrams: the first of a
+    class, in ``all_functors`` order, marks its orbit, and the rest are
+    skipped, as their colimits are isomorphic to its colimit; a skip in a class
+    that hit the value cap repeats the note.
     """
     coll = PresheafCollection.representables(base)
     notes = []
@@ -51,23 +56,34 @@ def phi_closure_bounded(weight_class: WeightClass, base: FinCategory,
     while rounds < caps.rounds:
         rounds += 1
         mem_cat, decode = member_category(coll)
+        auts = _automorphisms(mem_cat)
         added = False
         capped_this_round = False
         for phi in weight_class.weights:
             el = None
+            marks = {}          # diagram key -> did its class hit the value cap
+            value_note = (f"value cap {caps.value_size} hit by a "
+                          f"{phi.name}-colimit in round {rounds}")
             for s in all_functors(phi.base, mem_cat):
                 if len(coll.members) >= caps.members:
                     notes.append(f"member cap {caps.members} hit in round {rounds}")
                     capped_this_round = True
                     break
+                key = tuple(map(s.mor_map.__getitem__, phi.base.morphisms))
+                if key in marks:
+                    if marks[key]:
+                        notes.append(value_note)
+                    continue
                 el = el or category_of_elements(phi)
                 objs = {k: coll.members[s.obj(k)] for k in phi.base.objects}
                 mors = {u: decode[s.mor(u)] for u in phi.base.morphisms}
                 p = pointwise_colimit(phi, objs, mors, base,
                                       f"{weight_class.name}#{len(coll.members)}", _el=el)
-                if any(len(p.sets[a]) > caps.value_size for a in base.objects):
-                    notes.append(f"value cap {caps.value_size} hit by a "
-                                 f"{phi.name}-colimit in round {rounds}")
+                value_capped = any(len(p.sets[a]) > caps.value_size
+                                   for a in base.objects)
+                marks.update(dict.fromkeys(_orbit(s, auts), value_capped))
+                if value_capped:
+                    notes.append(value_note)
                     capped_this_round = True
                     continue
                 if coll.find_isomorphic(p) is not None:
@@ -81,6 +97,7 @@ def phi_closure_bounded(weight_class: WeightClass, base: FinCategory,
                         for u in phi.base.morphisms))))
                 added = True
             else:
+                marks.clear()   # no orbit outlives its weight
                 continue
             break
         if capped_this_round:
@@ -90,6 +107,37 @@ def phi_closure_bounded(weight_class: WeightClass, base: FinCategory,
             break
     coll._nats.clear()      # the hom sets served only the rounds; free them
     return ClosureResult(coll, rounds, saturated, caps, tuple(notes))
+
+
+def _automorphisms(cat: FinCategory) -> dict:
+    """a -> [(sigma, sigma^-1)] for the automorphisms sigma != id of a."""
+    table = cat.compose_table
+    return {a: [(f, g) for f in cat.hom(a, a) for g in cat.hom(a, a) if f != cat.id_of(a)
+                and table[(g, f)] == cat.id_of(a) == table[(f, g)]]
+            for a in cat.objects}
+
+
+def _orbit(s: FinFunctor, auts: dict) -> set:
+    """Keys (morphism images) of the diagrams naturally isomorphic to s: with
+    pairwise non-isomorphic objects in s.target, the sigma_t . S(u) . sigma_s^-1
+    for sigma_k in Aut(S k).  Walks the orbit, not the group, one object at a
+    time, skipping objects on no non-identity morphism."""
+    shape, table = s.source, s.target.compose_table
+    orbit = {tuple(map(s.mor_map.__getitem__, shape.morphisms))}
+    arrows = [(i, shape.src[u], shape.tgt[u]) for i, u in enumerate(shape.morphisms)
+              if not shape.is_identity(u)]
+    for k in shape.objects:
+        touched = [(i, a == k, b == k) for i, a, b in arrows if k in (a, b)]
+        for key in list(orbit) if touched else ():
+            for sigma, inverse in auts[s.obj(k)]:
+                new = list(key)
+                for i, at_src, at_tgt in touched:
+                    if at_src:
+                        new[i] = table[(new[i], inverse)]
+                    if at_tgt:
+                        new[i] = table[(sigma, new[i])]
+                orbit.add(tuple(new))
+    return orbit
 
 
 @dataclass

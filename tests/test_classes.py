@@ -1,6 +1,7 @@
 import collections
 import gc
 import importlib
+import itertools
 import pkgutil
 import random
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fincat
-from fincat import classes, core, corpus, equivalence, limits
+from fincat import classes, core, corpus, equivalence, kan, limits
 from fincat.classes import (Caps, WeightClass, atoms, check_commutation,
                             comma_connectedness_witness,
                             flat_for_finite_limits, flat_for_terminal,
@@ -23,13 +24,15 @@ from fincat.corpus import (Chain3, Disc2, M, N5, QM, Span, Two, Z2,
                            example82, orbit)
 from fincat.equivalence import all_functors, presheaf_isomorphic
 from fincat.errors import CapExceeded, MalformedTable
-from fincat.kan import pointwise_colimit, yoneda_embed, yoneda_transform
+from fincat.kan import (member_category, pointwise_colimit, yoneda_embed,
+                        yoneda_transform)
 from fincat.limits import colimit_in_category, nat_trans_set, weighted_colimit
 from fincat.profunctor import _column, _transpose, id_module
 
 from util import (SMALL_CATEGORIES, closure_answer,
                   commutation_verdict_reading2, phi_closure_oracle,
-                  poset_reflection, random_nonempty_presheaf, random_profunctor)
+                  poset_reflection, random_concrete_category,
+                  random_nonempty_presheaf, random_profunctor)
 
 SPLIT = WEIGHT_CLASSES["splitting"]
 INITIAL = WEIGHT_CLASSES["initial"]
@@ -83,11 +86,12 @@ def _wrap_everywhere(monkeypatch, module, name, wrapper):
 
 
 def test_closure_counts_are_pinned(monkeypatch):
-    """Span under pushouts, two rounds: one coend and one weighted colimit
-    per value of each candidate, one el(phi) per round for the one weight,
-    and each (presheaf, object) profile built once.  Traced benchmark runs
-    rely on these calls.  The coends read phi (x) S on demand, so no
-    profunctor is built."""
+    """Span under pushouts, two rounds: one pointwise colimit per
+    isomorphism class of diagrams (98 of the 152 diagrams), one coend and
+    one weighted colimit per value of each, one el(phi) per round for the
+    one weight, and each (presheaf, object) profile built once.  Traced
+    benchmark runs rely on these calls.  The coends read phi (x) S on
+    demand, so no profunctor is built."""
     calls = collections.Counter()
     inits = collections.Counter()
     profunctor_init = core.Profunctor.__init__
@@ -98,7 +102,7 @@ def test_closure_counts_are_pinned(monkeypatch):
 
     monkeypatch.setattr(core.Profunctor, "__init__", counting_init)
     for module, name in [(limits, "coend"), (core, "category_of_elements"),
-                         (limits, "weighted_colimit")]:
+                         (limits, "weighted_colimit"), (kan, "pointwise_colimit")]:
         def counting(fn, name=name):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
@@ -117,22 +121,28 @@ def test_closure_counts_are_pinned(monkeypatch):
     _wrap_everywhere(monkeypatch, equivalence, "_elem_profiles", counting_builds)
     res = phi_closure_bounded(PUSHOUTS, Span, Caps(rounds=2, members=30))
     assert len(res.collection.members) == 15
-    assert calls == {"coend": 456, "category_of_elements": 2,
-                     "weighted_colimit": 456}
+    assert calls == {"coend": 294, "category_of_elements": 2,
+                     "weighted_colimit": 294, "pointwise_colimit": 98}
     assert inits["Profunctor"] == 0
     assert built and max(built.values()) == 1
 
 
-@pytest.mark.parametrize("cat_name, class_name", [
-    ("Two", "initial"), ("M", "splitting"), ("QM", "splitting"),
-    ("Span", "pushouts"), ("Cospan", "pushouts"), ("Chain3", "pushouts"),
-    ("Disc2", "finite-colimits"), ("Par", "finite-colimits"),
-    ("M", "finite-colimits"), ("Z2", "finite-colimits"), ("GSet", "orbits")])
-def test_closure_matches_the_eager_oracle(monkeypatch, cat_name, class_name):
-    """The closure that shares el(phi) per weight and composes members on
-    frozen forms gives the eager closure's members, provenance, rounds,
-    saturation and notes.  Every el(phi) it shares is el of that colimit's
-    own weight, so no cross-check runs over the elements of another weight."""
+@pytest.mark.parametrize("cat_name, class_name, caps", [
+    pytest.param(c, w, Caps(rounds=2, members=30), id=f"{c}-{w}") for c, w in [
+        ("Two", "initial"), ("M", "splitting"), ("QM", "splitting"),
+        ("Span", "pushouts"), ("Cospan", "pushouts"), ("Chain3", "pushouts"),
+        ("Disc2", "finite-colimits"), ("Par", "finite-colimits"),
+        ("M", "finite-colimits"), ("Z2", "finite-colimits"), ("GSet", "orbits")]
+] + [pytest.param(c, "pushouts", Caps(rounds=2, members=30, value_size=3),
+                  id=f"{c}-pushouts-value3") for c in ("M", "QM")])
+def test_closure_matches_the_eager_oracle(monkeypatch, cat_name, class_name, caps):
+    """The closure that shares el(phi) per weight, composes members on
+    frozen forms and computes one colimit per isomorphism class of diagrams
+    gives the eager closure's members, provenance, rounds, saturation and
+    notes.  With a value cap, every diagram of a capped class repeats its
+    note, in the eager order.  Every el(phi) it shares is el of that
+    colimit's own weight, so no cross-check runs over the elements of
+    another weight."""
     shared = collections.Counter()
 
     def checking(fn):
@@ -144,11 +154,95 @@ def test_closure_matches_the_eager_oracle(monkeypatch, cat_name, class_name):
         return wrapper
 
     cat, wc = corpus.CATEGORIES[cat_name], WEIGHT_CLASSES[class_name]
-    caps = Caps(rounds=2, members=30)
     expected = closure_answer(phi_closure_oracle(wc, cat, caps))
+    notes = expected[-1]
+    assert caps.value_size == Caps.value_size or len(set(notes)) < len(notes)
     _wrap_everywhere(monkeypatch, limits, "weighted_colimit", checking)
     assert closure_answer(phi_closure_bounded(wc, cat, caps)) == expected
     assert shared
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6))
+def test_closure_matches_the_eager_oracle_on_random_categories(seed):
+    """The same on random concrete categories, under three classes."""
+    cat = random_concrete_category(random.Random(seed), f"R{seed}", max_nonid=6)
+    caps = Caps(rounds=2, members=12)
+    for wc in (PUSHOUTS, SPLIT, FINITE):
+        assert (closure_answer(phi_closure_bounded(wc, cat, caps))
+                == closure_answer(phi_closure_oracle(wc, cat, caps))), wc.name
+
+
+def _orbit_oracle(s):
+    """The morphism images of the diagrams naturally isomorphic to s, one per
+    element of the group prod_k Aut(S k); s.target's objects are pairwise
+    non-isomorphic."""
+    cat, shape = s.target, s.source
+
+    def auts(a):
+        ends = cat.hom(a, a)
+        return [(f, g) for f in ends for g in ends
+                if cat.compose(g, f) == cat.id_of(a) == cat.compose(f, g)]
+    keys = set()
+    for sigmas in itertools.product(*(auts(s.obj(k)) for k in shape.objects)):
+        at = dict(zip(shape.objects, sigmas))
+        keys.add(tuple(cat.compose(at[shape.tgt[u]][0],
+                                   cat.compose(s.mor(u), at[shape.src[u]][1]))
+                       for u in shape.morphisms))
+    return frozenset(keys)
+
+
+@pytest.mark.parametrize("cat_name, class_name, listed, skipped", [
+    ("M", "splitting", 5, 0), ("Z2", "finite-colimits", 833, 736),
+    ("Span", "pushouts", 152, 54), ("GSet", "orbits", 27, 4)])
+def test_closure_skips_only_diagrams_isomorphic_to_a_computed_one(
+        monkeypatch, cat_name, class_name, listed, skipped):
+    """In each weight's list of diagrams, the closure computes the colimit of
+    the first diagram of each natural-isomorphism class and of no other.
+    The colimit of every skipped diagram, recomputed, is isomorphic to that
+    of its class's first diagram.  The members of M have no automorphism but
+    the identity, so nothing is skipped there."""
+    members, listings = [], []
+
+    def recording_members(coll):
+        members.append(member_category(coll))
+        return members[-1]
+
+    def recording_functors(source, target):
+        listings.append([])
+        for s in all_functors(source, target):
+            listings[-1].append([s, None])
+            yield s
+
+    def recording_colimit(phi, *args, **kwargs):
+        p = pointwise_colimit(phi, *args, **kwargs)
+        listings[-1][-1][1] = (phi, p)
+        return p
+    monkeypatch.setattr(classes, "member_category", recording_members)
+    monkeypatch.setattr(classes, "all_functors", recording_functors)
+    monkeypatch.setattr(classes, "pointwise_colimit", recording_colimit)
+    cat = corpus.CATEGORIES[cat_name]
+    res = phi_closure_bounded(WEIGHT_CLASSES[class_name], cat,
+                              Caps(rounds=2, members=30))
+    assert not res.capped
+    for listing in listings:
+        phi = listing[0][1][0]
+        decode = next(d for m, d in members if m is listing[0][0].target)
+        orbits = []          # (orbit, colimit) of each computed diagram
+        for s, computed in listing:
+            key = tuple(s.mor(u) for u in phi.base.morphisms)
+            owners = [p for orbit, p in orbits if key in orbit]
+            if computed is not None:
+                assert not owners
+                orbits.append((_orbit_oracle(s), computed[1]))
+                continue
+            assert len(owners) == 1, (phi.name, key)
+            skipped -= 1
+            p = pointwise_colimit(
+                phi, {k: res.collection.members[s.obj(k)] for k in phi.base.objects},
+                {u: decode[s.mor(u)] for u in phi.base.morphisms}, cat, "skipped")
+            assert presheaf_isomorphic(p, owners[0]) is not None
+    assert (sum(map(len, listings)), skipped) == (listed, 0)
 
 
 def test_closure_leaves_no_cyclic_garbage():
