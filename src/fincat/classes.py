@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, Profunctor,
-                   WeightClass, _composable_pairs, _pullback,
+from .core import (Caps, FinCategory, FinFunctor, NatTrans, Presheaf,
+                   Profunctor, WeightClass, _composable_pairs, _pullback,
                    category_of_elements, covariant, delta0, is_connected,
                    is_filtered, nat_compose, same_category)
 from .equivalence import all_functors, is_fully_faithful, objects_isomorphic
@@ -15,13 +15,6 @@ from .kan import (PresheafCollection, Provenance, member_category,
 from .limits import (_colimits_presheaf, colimit_in_category, hom_diagram,
                      nat_trans_set, weighted_colimit, weighted_limit)
 from .profunctor import _column, _transpose
-
-
-@dataclass(frozen=True)
-class Caps:
-    rounds: int = 4
-    members: int = 200
-    value_size: int = 64
 
 
 @dataclass

@@ -2,6 +2,9 @@
 
 Exit codes: 0 ok, 2 parse, 3 validation or unresolved reference, 4 budget or
 cap, 5 internal mismatch assertion.
+
+Beyond ``core``, ``errors`` and ``workspace``, each handler reads the library
+as ``fincat.<module>.<name>``, so a command loads only the modules it calls.
 """
 from __future__ import annotations
 
@@ -12,23 +15,13 @@ import sys
 from dataclasses import dataclass
 from importlib import resources
 
-from .cauchy import (cauchy_completion, check_absolute_sampled, isbell_left,
-                     isbell_right, isbell_unit, morita_equivalent, q_duality,
-                     small_projective_report)
-from .classes import (Caps, atoms, check_commutation, flat_for_finite_limits,
-                      flat_for_terminal, in_saturation_bounded,
-                      is_phi_cocomplete, is_phi_continuous,
-                      phi_closure_bounded, recognize_free_cocompletion)
-from .core import (category_of_elements, delta1, is_connected, is_filtered,
-                   same_category, validate)
-from .equivalence import presheaf_isomorphic
+import fincat
+from .core import (Caps, category_of_elements, delta1, is_connected,
+                   is_filtered, same_category, validate)
 from .errors import (BudgetExceeded, CapExceeded, DuplicateName,
                      EndpointMismatch, FincatError, InternalMismatch,
                      MalformedTable, ParseError, UnresolvedReference,
                      ValidationFailed)
-from .kan import lan, nerve
-from .limits import finset_colimit, finset_limit, weighted_colimit, weighted_limit
-from .profunctor import has_right_adjoint, right_extend, right_lift
 from .workspace import _unvalidated, load_workspace
 
 @dataclass
@@ -95,14 +88,14 @@ def _cmd_validate(ws, args, opts):
 
 def _cmd_limit(ws, args, opts):
     (name,) = _args(args, 1, "limit PRESHEAF")
-    res = finset_limit(ws.presheaf(name))
+    res = fincat.limits.finset_limit(ws.presheaf(name))
     return ([f"limit size {len(res.apex)}"],
             {"size": len(res.apex), "families": [list(f) for f in res.apex]}, 0)
 
 
 def _cmd_colimit(ws, args, opts):
     (name,) = _args(args, 1, "colimit PRESHEAF")
-    res = finset_colimit(ws.presheaf(name))
+    res = fincat.limits.finset_colimit(ws.presheaf(name))
     return ([f"colimit size {len(res.classes)}"],
             {"size": len(res.classes),
              "classes": [list(c) for c in res.classes]}, 0)
@@ -113,7 +106,7 @@ def _cmd_wlimit(ws, args, opts):
     phi, t = ws.presheaf(pname), ws.presheaf(tname)
     if not same_category(phi.base, t.base):
         raise MalformedTable("wlimit: weight and diagram must share a base")
-    res = weighted_limit(phi, t)
+    res = fincat.limits.weighted_limit(phi, t)
     return [f"weighted limit size {res.size}"], {"size": res.size}, 0
 
 
@@ -123,7 +116,7 @@ def _cmd_wcolimit(ws, args, opts):
     if not same_category(s.base, phi.base.op()):
         raise MalformedTable("wcolimit: diagram must be covariant on the "
                              "weight's base (declare it with variance 'co')")
-    res = weighted_colimit(phi, s)
+    res = fincat.limits.weighted_colimit(phi, s)
     return ([f"weighted colimit size {res.size}"],
             {"size": res.size, "classes": [[k, list(v)] for k, v in res.classes]}, 0)
 
@@ -131,7 +124,7 @@ def _cmd_wcolimit(ws, args, opts):
 def _cmd_kan(ws, args, opts):
     kname, tname = _args(args, 2, "kan FUNCTOR DIAGRAM")
     k, t = ws.functor(kname), ws.presheaf(tname)
-    res = lan(k, t)
+    res = fincat.kan.lan(k, t)
     lines = [f"{c}: {len(res.extension.sets[c])}" for c in k.target.objects]
     return lines, {"sizes": {c: len(res.extension.sets[c])
                              for c in k.target.objects}}, 0
@@ -140,7 +133,7 @@ def _cmd_kan(ws, args, opts):
 def _cmd_nerve(ws, args, opts):
     (gname,) = _args(args, 1, "nerve FUNCTOR")
     g = ws.functor(gname)
-    res = nerve(g)
+    res = fincat.kan.nerve(g)
     lines = []
     sizes = {}
     for b in g.target.objects:
@@ -187,17 +180,19 @@ def _cell_sizes(p):
 
 def _cmd_lift(ws, args, opts):
     fname, hname = _args(args, 2, "lift F H")
-    return _cell_sizes(right_lift(ws.profunctor(fname), ws.profunctor(hname)).lift)
+    res = fincat.profunctor.right_lift(ws.profunctor(fname), ws.profunctor(hname))
+    return _cell_sizes(res.lift)
 
 
 def _cmd_extend(ws, args, opts):
     gname, hname = _args(args, 2, "extend G H")
-    return _cell_sizes(right_extend(ws.profunctor(gname), ws.profunctor(hname)).extension)
+    res = fincat.profunctor.right_extend(ws.profunctor(gname), ws.profunctor(hname))
+    return _cell_sizes(res.extension)
 
 
 def _cmd_adjoint(ws, args, opts):
     (fname,) = _args(args, 1, "adjoint PROFUNCTOR")
-    res = has_right_adjoint(ws.profunctor(fname))
+    res = fincat.profunctor.has_right_adjoint(ws.profunctor(fname))
     if not res.found:
         return ([f"right adjoint: none ({res.reason})"],
                 {"found": False, "reason": res.reason}, 0)
@@ -207,7 +202,7 @@ def _cmd_adjoint(ws, args, opts):
 
 def _cmd_smallproj(ws, args, opts):
     (name,) = _args(args, 1, "smallproj PRESHEAF")
-    rep = small_projective_report(ws.presheaf(name))
+    rep = fincat.cauchy.small_projective_report(ws.presheaf(name))
     lines = [f"small projective: {_b(rep.ok)}",
              f"colimit size {rep.colimit_size}, transformation size {rep.nat_size}",
              f"injective {_b(rep.injective)}, surjective {_b(rep.surjective)}"]
@@ -218,7 +213,7 @@ def _cmd_smallproj(ws, args, opts):
 
 def _cmd_cauchy(ws, args, opts):
     (name,) = _args(args, 1, "cauchy CATEGORY")
-    qc = cauchy_completion(ws.category(name), verify=True)
+    qc = fincat.cauchy.cauchy_completion(ws.category(name), verify=True)
     q = qc.completion
     sizes = [len(q.hom(o1, o2)) for o1 in q.objects for o2 in q.objects]
     lines = [f"{len(q.objects)} objects",
@@ -229,10 +224,10 @@ def _cmd_cauchy(ws, args, opts):
 def _cmd_isbell(ws, args, opts):
     (name,) = _args(args, 1, "isbell PRESHEAF")
     phi = ws.presheaf(name)
-    left = isbell_left(phi)
-    isbell_unit(phi)
-    back = isbell_right(left)
-    iso = presheaf_isomorphic(back, phi) is not None
+    left = fincat.cauchy.isbell_left(phi)
+    fincat.cauchy.isbell_unit(phi)
+    back = fincat.cauchy.isbell_right(left)
+    iso = fincat.equivalence.presheaf_isomorphic(back, phi) is not None
     lines = [f"L sizes: " + " ".join(str(len(left.sets[a]))
                                      for a in phi.base.objects),
              f"R(L) isomorphic to input: {_b(iso)}"]
@@ -242,7 +237,7 @@ def _cmd_isbell(ws, args, opts):
 
 def _cmd_duality(ws, args, opts):
     (name,) = _args(args, 1, "duality CATEGORY")
-    res = q_duality(ws.category(name))
+    res = fincat.cauchy.q_duality(ws.category(name))
     q = res.forward.target
     lines = [f"duality holds: {len(q.objects)} objects, "
              f"{len(q.morphisms)} morphisms"]
@@ -251,8 +246,8 @@ def _cmd_duality(ws, args, opts):
 
 def _cmd_morita(ws, args, opts):
     aname, bname = _args(args, 2, "morita CATEGORY CATEGORY")
-    res = morita_equivalent(ws.category(aname), ws.category(bname),
-                            budget=opts.budget)
+    res = fincat.cauchy.morita_equivalent(ws.category(aname), ws.category(bname),
+                                          budget=opts.budget)
     lines = [f"morita equivalent: {_b(res.equivalent)}"]
     payload = {"equivalent": res.equivalent}
     if res.equivalent:
@@ -265,8 +260,8 @@ def _cmd_morita(ws, args, opts):
 
 def _cmd_closure(ws, args, opts):
     cname, wname = _args(args, 2, "closure CATEGORY CLASS")
-    res = phi_closure_bounded(ws.weight_class(wname), ws.category(cname),
-                              caps=opts.caps)
+    res = fincat.classes.phi_closure_bounded(
+        ws.weight_class(wname), ws.category(cname), caps=opts.caps)
     coll = res.collection
     lines = [f"members {len(coll.members)}, rounds {res.rounds}, "
              f"saturated {_b(res.saturated_at_bound)}"]
@@ -285,8 +280,8 @@ def _cmd_closure(ws, args, opts):
 
 def _cmd_saturation(ws, args, opts):
     pname, wname = _args(args, 2, "saturation PRESHEAF CLASS")
-    res = in_saturation_bounded(ws.presheaf(pname), ws.weight_class(wname),
-                                caps=opts.caps)
+    res = fincat.classes.in_saturation_bounded(
+        ws.presheaf(pname), ws.weight_class(wname), caps=opts.caps)
     lines = [res.verdict]
     if res.member_index is not None:
         lines.append(f"member index {res.member_index}")
@@ -295,8 +290,8 @@ def _cmd_saturation(ws, args, opts):
 
 def _cmd_cocomplete(ws, args, opts):
     cname, wname = _args(args, 2, "cocomplete CATEGORY CLASS")
-    res = is_phi_cocomplete(ws.category(cname), ws.weight_class(wname),
-                            budget=opts.budget)
+    res = fincat.classes.is_phi_cocomplete(
+        ws.category(cname), ws.weight_class(wname), budget=opts.budget)
     lines = [_b(res.cocomplete)]
     if res.witness is not None:
         weight, objs = res.witness
@@ -309,7 +304,8 @@ def _cmd_cocomplete(ws, args, opts):
 
 def _cmd_atoms(ws, args, opts):
     cname, wname = _args(args, 2, "atoms CATEGORY CLASS")
-    got = atoms(ws.category(cname), ws.weight_class(wname), budget=opts.budget)
+    got = fincat.classes.atoms(ws.category(cname), ws.weight_class(wname),
+                               budget=opts.budget)
     return ([" ".join(str(a) for a in got) if got else "(none)"],
             {"atoms": [str(a) for a in got]}, 0)
 
@@ -321,7 +317,7 @@ def _cmd_commute(ws, args, opts):
     else:
         pname, qname, sname = _args(args, 3, "commute [PHI PSI] PROFUNCTOR")
         phi, psi, s = ws.presheaf(pname), ws.presheaf(qname), ws.profunctor(sname)
-    res = check_commutation(phi, psi, s)
+    res = fincat.classes.check_commutation(phi, psi, s)
     lines = [f"commutes: {_b(res.commutes)} "
              f"({res.colimit_of_limits} vs {res.limit_of_colimits})"]
     return lines, {"commutes": res.commutes,
@@ -333,7 +329,8 @@ def _cmd_commute(ws, args, opts):
 def _cmd_flat(ws, args, opts):
     (name,) = _args(args, 1, "flat PRESHEAF")
     phi = ws.presheaf(name)
-    fin, term = flat_for_finite_limits(phi), flat_for_terminal(phi)
+    fin = fincat.classes.flat_for_finite_limits(phi)
+    term = fincat.classes.flat_for_terminal(phi)
     return ([f"flat for finite limits: {_b(fin)}",
              f"flat for terminal: {_b(term)}"],
             {"finite_limits": fin, "terminal": term}, 0)
@@ -342,14 +339,16 @@ def _cmd_flat(ws, args, opts):
 def _cmd_continuous(ws, args, opts):
     pname, wname = _args(args, 2, "continuous PRESHEAF CLASS")
     psi = ws.presheaf(pname)
-    value = is_phi_continuous(psi, ws.weight_class(wname), budget=opts.budget)
+    value = fincat.classes.is_phi_continuous(psi, ws.weight_class(wname),
+                                             budget=opts.budget)
     return [_b(value)], {"continuous": value}, 0
 
 
 def _cmd_recognize(ws, args, opts):
     fname, wname = _args(args, 2, "recognize FUNCTOR CLASS")
-    rep = recognize_free_cocompletion(ws.functor(fname), ws.weight_class(wname),
-                                      caps=opts.caps, budget=opts.budget)
+    rep = fincat.classes.recognize_free_cocompletion(
+        ws.functor(fname), ws.weight_class(wname), caps=opts.caps,
+        budget=opts.budget)
     lines = [f"fully faithful: {_b(rep.fully_faithful)}",
              f"cocomplete: {_b(rep.cocomplete)}",
              f"closure reaches all: {_b(rep.closure_reaches_all)}",
@@ -373,7 +372,7 @@ def _cmd_absolute_sample(ws, args, opts):
         functors = list(functors)
         random.Random(opts.seed).shuffle(functors)
     cap = opts.budget if opts.budget is not None else 25
-    rep = check_absolute_sampled(phi, functors, cap_per_functor=cap)
+    rep = fincat.cauchy.check_absolute_sampled(phi, functors, cap_per_functor=cap)
     lines = [f"small projective: {_b(rep.small_projective)}",
              f"instances: {len(rep.instances)}",
              f"violations: {len(rep.violations)}"]

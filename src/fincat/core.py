@@ -218,6 +218,14 @@ def covariant(name, base, sets, actions) -> Presheaf:
     return Presheaf(name, base.op(), sets, actions)
 
 
+@dataclass(frozen=True)
+class Caps:
+    """Bounds of a closure: its rounds, its members, and the sets of a member."""
+    rounds: int = 4
+    members: int = 200
+    value_size: int = 64
+
+
 class WeightClass:
     """A finite, named collection of weights; each weight carries its own domain."""
 

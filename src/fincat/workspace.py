@@ -73,8 +73,13 @@ def _no_duplicate_keys(pairs):
 
 
 def _parse_file(path):
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as err:
+        raise ParseError(f"{path}:1:1: cannot read: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}:1:1: not UTF-8: {err.reason}") from None
     try:
         doc = json.loads(text, object_pairs_hook=_no_duplicate_keys)
     except json.JSONDecodeError as err:

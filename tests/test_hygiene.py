@@ -4,7 +4,8 @@ class goes unreferenced, no function binds a local it never reads, and no
 None default stands for a value a call computes.  Dead aliases, duplicate
 helpers, unused unpacked values and second paths left behind by a refactor
 fail here, and so does a rename of a function the benchmark traces.  Imports
-sit at the top of each module and point down one fixed order of layers."""
+sit at the top of each module and point down one fixed order of layers, and
+the package loads a module only when one of its names is read."""
 import ast
 import importlib
 import json
@@ -12,6 +13,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fincat"
@@ -195,7 +198,8 @@ def test_every_traced_layer_of_the_benchmark_names_a_callable():
     assert layers and missing == []
 
 
-# Each module imports only modules before it; __init__ re-exports them all.
+# Each module imports only modules before it; __init__ re-exports the names of
+# the modules before cli, each loaded when it is first read.
 LAYERS = ("errors", "core", "limits", "equivalence", "kan", "profunctor",
           "cauchy", "classes", "workspace", "cli", "corpus")
 
@@ -228,6 +232,39 @@ def test_relative_imports_point_down_the_layer_order():
     assert set(_relative_imports(modules["workspace"])) == {"core", "errors"}
 
 
+def test_package_reads_point_down_the_layer_order():
+    """The cli reads most of the library as ``fincat.<module>.<name>``, which
+    the relative-import check does not see; those modules, and the modules
+    of the package's export table, must come before cli."""
+    read = {node.attr for node in ast.walk(_modules()["cli.py"])
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "fincat"}
+    exported = set(importlib.import_module("fincat")._EXPORTS)
+    below = set(LAYERS[:LAYERS.index("cli")])
+    assert read and read <= below and "corpus" not in read
+    assert exported <= below and "corpus" not in exported
+
+
+def _loaded_by(statement):
+    """The fincat modules a fresh interpreter holds after ``statement``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    code = (f"{statement}; import sys; print(' '.join(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'fincat')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return set(out.split())
+
+
+def test_importing_the_package_loads_no_submodule_but_errors():
+    assert _loaded_by("import fincat") <= {"fincat", "fincat.errors"}
+
+
+def test_importing_the_cli_loads_only_what_every_command_reads():
+    assert _loaded_by("import fincat.cli") == {
+        "fincat", "fincat.cli", "fincat.core", "fincat.errors", "fincat.workspace"}
+
+
 def test_importing_the_cli_leaves_the_corpus_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
@@ -242,4 +279,38 @@ def test_moved_weights_keep_their_old_import_paths():
     classes, core, corpus = (importlib.import_module(f"fincat.{m}")
                              for m in ("classes", "core", "corpus"))
     assert fincat.WeightClass is classes.WeightClass is core.WeightClass
+    assert fincat.Caps is classes.Caps is core.Caps
     assert (corpus.delta0, corpus.delta1) == (core.delta0, core.delta1)
+
+
+def test_every_exported_name_is_its_defining_modules_object():
+    """Each name of ``fincat.__all__`` is the object of the module that defines
+    it, is listed by ``dir`` and is bound by a star import."""
+    fincat = importlib.import_module("fincat")
+    star = {}
+    exec("from fincat import *", star)
+    listed = dir(fincat)
+    wrong = []
+    for name in fincat.__all__:
+        value = getattr(fincat, name)
+        home = importlib.import_module(value.__module__)
+        if not (home.__name__.startswith("fincat.") and getattr(home, name) is value
+                and name in listed and star.get(name) is value):
+            wrong.append(name)
+    assert fincat.__all__ and wrong == []
+    with pytest.raises(AttributeError):
+        fincat.no_such_name
+
+
+def test_package_names_read_through_to_their_modules(monkeypatch):
+    """The package keeps no copy of a name it exports, so a function rebound
+    in its module, as the benchmark's tracer does, is seen through the package
+    and restored with it."""
+    fincat = importlib.import_module("fincat")
+    limits = importlib.import_module("fincat.limits")
+    original = limits.finset_limit
+    monkeypatch.setattr(limits, "finset_limit", "patched")
+    assert fincat.finset_limit == "patched"
+    monkeypatch.undo()
+    assert fincat.finset_limit is original
+    assert "finset_limit" not in vars(fincat)

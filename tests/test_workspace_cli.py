@@ -165,6 +165,25 @@ def test_exit_2_on_malformed_json(tmp_path, capsys):
     assert "nesting too deep" in capsys.readouterr().err
 
 
+def _missing(tmp_path):
+    return tmp_path / "missing.json"
+
+
+def _utf16(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    return path
+
+
+@pytest.mark.parametrize("unreadable", [_missing, lambda tmp_path: tmp_path, _utf16],
+                         ids=["missing", "directory", "not-utf8"])
+def test_exit_2_on_unreadable_workspace_file(tmp_path, capsys, unreadable):
+    path = unreadable(tmp_path)
+    assert cli.main(["-w", str(path), "connected", "C"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}:1:1:" in err and "Traceback" not in err
+
+
 def test_exit_2_on_wrong_argument_count(capsys):
     assert cli.main(["cauchy"]) == 2
     assert "usage: cauchy CATEGORY" in capsys.readouterr().err
