@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (FinCategory, FinFunctor, NatTrans, Presheaf,
-                   _composable_pairs, nat_compose, nat_identity, validate)
+                   _composable_pairs, _entry, _freeze, nat_compose,
+                   nat_identity, validate)
 from .equivalence import (Equivalence, find_equivalence, is_fully_faithful,
                           objects_isomorphic, all_functors)
 from .errors import InternalMismatch
@@ -20,11 +21,6 @@ from .kan import nerve, yoneda_embed
 from .limits import (colimit_in_category, limit_in_category, nat_trans_set,
                      preserves_weighted_colimit, weighted_colimit)
 from .profunctor import _column, _transpose, has_right_adjoint, module_of_weight
-
-
-def _image(frozen_key, source: Presheaf, j, y):
-    """Read off a component of a frozen transformation out of source."""
-    return frozen_key[source.base.obj_index[j]][source.sets[j].index(y)]
 
 
 # ---------------------------------------------------------------------------
@@ -62,16 +58,10 @@ def isbell_unit(phi: Presheaf) -> NatTrans:
     """phi -> R(L(phi)), x at b mapping to (gamma -> gamma_b(x))."""
     lphi = isbell_left(phi)
     rl = isbell_right(lphi)
-    b_cat = phi.base
-    comps = {}
-    for b in b_cat.objects:
-        yb = yoneda_embed(b_cat.op(), b)
-        table = {}
-        for x in phi.sets[b]:
-            delta = {a: {g: _image(g, phi, b, x) for g in lphi.sets[a]}
-                     for a in b_cat.objects}
-            table[x] = NatTrans(lphi, yb, delta).frozen()
-        comps[b] = table
+    comps = {b: {x: _freeze(lphi, lambda a, g: _entry(g, phi, b, x))
+                 for x in phi.sets[b]} for b in phi.base.objects}
+    if any(not set(rl.sets[b]).issuperset(comps[b].values()) for b in comps):
+        raise InternalMismatch("isbell unit left R(L(phi))")
     unit = NatTrans(phi, rl, comps, name=f"isbell-unit({phi.name})")
     rep = validate(unit)
     if not rep.ok:
@@ -110,15 +100,12 @@ def small_projective_report(phi: Presheaf) -> SmallProjectiveReport:
     The map sends the class of (x, gamma) over k to y |-> phi(gamma(y))(x); it
     is checked to be constant on classes before anything else.
     """
-    b_cat = phi.base
     psi = isbell_left(phi)
     colim = weighted_colimit(phi, psi)
     nats = {n.frozen() for n in nat_trans_set(phi, phi)}
 
     def image(k, x, gkey):
-        comps = {j: {y: phi.act(_image(gkey, phi, j, y), x) for y in phi.sets[j]}
-                 for j in b_cat.objects}
-        return NatTrans(phi, phi, comps).frozen()
+        return _freeze(phi, lambda j, y: phi.act(_entry(gkey, phi, j, y), x))
     images = set(colim.descend(image, "canonical self-map not constant on classes").values())
     if not images <= nats:
         raise InternalMismatch("canonical self-map left the natural set")
@@ -307,10 +294,7 @@ def verify_covariant_representation(pair: DualPair, x_weight: Presheaf) -> int:
     nats = {n.frozen() for n in nat_trans_set(psi, x_weight)}
 
     def image(b, x, xi):
-        comps = {k: {gamma: x_weight.act(_image(gamma, phi, b, x), xi)
-                     for gamma in psi.sets[k]}
-                 for k in phi.base.objects}
-        return NatTrans(psi, x_weight, comps).frozen()
+        return _freeze(psi, lambda k, gamma: x_weight.act(_entry(gamma, phi, b, x), xi))
     images = set(colim.descend(image, "representation map not constant on classes").values())
     if len(images) != len(colim.classes) or images != nats:
         raise InternalMismatch(

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (Caps, FinCategory, FinFunctor, NatTrans, Presheaf,
-                   Profunctor, WeightClass, _composable_pairs, _pullback,
+from .core import (Caps, FinCategory, FinFunctor, Presheaf, Profunctor,
+                   WeightClass, _composable_pairs, _entry, _freeze, _pullback,
                    category_of_elements, covariant, delta0, is_connected,
                    is_filtered, nat_compose, same_category)
 from .equivalence import all_functors, is_fully_faithful, objects_isomorphic
@@ -263,18 +263,13 @@ def check_commutation(phi: Presheaf, psi: Presheaf, s: Profunctor) -> Commutatio
         raise MalformedTable("check_commutation: colimit weight must live on the source")
     if not same_category(psi.base, s.target):
         raise MalformedTable("check_commutation: limit weight must live on the target")
-    k_cat = s.target
     a_side = _limit_then_colimit(phi, psi, s)
     h, per = _colimit_then_limit(phi, s)
     b_res = weighted_limit(psi, h)
     b_frozen = {t.frozen() for t in b_res.transforms}
 
     def push(l, x, gamma):
-        comps = {}
-        for k, row in zip(k_cat.objects, gamma):
-            comps[k] = {w: per[k].inject(l, x, val)
-                        for w, val in zip(psi.sets[k], row)}
-        return NatTrans(psi, h, comps).frozen()
+        return _freeze(psi, lambda k, w: per[k].inject(l, x, _entry(gamma, psi, k, w)))
 
     values = list(a_side.descend(push, "comparison not constant on classes").values())
     if not set(values) <= b_frozen:
@@ -302,8 +297,7 @@ def _sends_colimit_to_limit(psi, phi, s, colim) -> bool:
     families = {n.frozen() for n in nat_trans_set(phi, _pullback(s, psi))}
     seen = []
     for z in psi.sets[colim.apex]:
-        key = tuple(tuple(psi.act(colim.cocone[k][x], z) for x in phi.sets[k])
-                    for k in phi.base.objects)
+        key = _freeze(phi, lambda k, x: psi.act(colim.cocone[k][x], z))
         if key not in families:
             raise InternalMismatch("cocone image under psi is not a natural family")
         seen.append(key)

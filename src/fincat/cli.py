@@ -371,8 +371,8 @@ def _cmd_absolute_sample(ws, args, opts):
     if opts.seed is not None:
         functors = list(functors)
         random.Random(opts.seed).shuffle(functors)
-    cap = opts.budget if opts.budget is not None else 25
-    rep = fincat.cauchy.check_absolute_sampled(phi, functors, cap_per_functor=cap)
+    cap = {} if opts.budget is None else {"cap_per_functor": opts.budget}
+    rep = fincat.cauchy.check_absolute_sampled(phi, functors, **cap)
     lines = [f"small projective: {_b(rep.small_projective)}",
              f"instances: {len(rep.instances)}",
              f"violations: {len(rep.violations)}"]
@@ -427,8 +427,8 @@ def main(argv=None):
                         "Defaults to the bundled fixtures.")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output")
-    parser.add_argument("--cap-rounds", type=_count, default=4, metavar="N")
-    parser.add_argument("--cap-members", type=_count, default=200, metavar="N")
+    parser.add_argument("--cap-rounds", type=_count, default=Caps.rounds, metavar="N")
+    parser.add_argument("--cap-members", type=_count, default=Caps.members, metavar="N")
     parser.add_argument("--budget", type=_count, default=None, metavar="N")
     parser.add_argument("--seed", type=int, default=None, metavar="N")
     parser.add_argument("command", choices=COMMANDS)

@@ -12,6 +12,9 @@ Conventions, fixed once and relied on by every other module:
 * The category of elements of a presheaf phi on K has objects (k, x) with x in phi(k);
   a morphism (k, x) -> (k', x') is u: k' -> k in K with phi(u)(x) = x', so the evident
   projection is a functor el(phi) -> K^op.
+* A natural family between presheaves is compared in frozen form: one tuple per base
+  object, in base order, of the images in element order.  ``_freeze`` builds it from
+  a function of (object, element) and ``_entry`` reads one image back.
 
 Every backtracking search counts nodes on a ``Meter``; natural families, cones,
 wedges and presheaf isomorphisms share one solver, ``_families``.
@@ -171,7 +174,7 @@ class Presheaf:
     actions: dict morphism -> dict; for f: a -> b the dict maps sets[b] into sets[a].
 
     Neither table is changed after construction, so ``_profiles`` memoises
-    ``equivalence._elem_profiles`` per object for the life of the presheaf.
+    ``_elem_profiles`` per object for the life of the presheaf.
     The profiles do not read ``name``, which callers may reset.
     """
 
@@ -207,6 +210,32 @@ class Presheaf:
     def __repr__(self):
         sizes = ",".join(str(len(self.sets[a])) for a in self.base.objects)
         return f"Presheaf({self.name!r} on {self.base.name}, sizes [{sizes}])"
+
+
+def _elem_profiles(p: Presheaf, a):
+    """Iso-invariant signature per element of p(a): which endomorphisms of a fix
+    it, and how many elements each morphism out of a sends onto it.
+
+    Computed once per presheaf and object (``Presheaf._profiles``), in one
+    pass over each action table involved.
+    """
+    profs = p._profiles.get(a)
+    if profs is not None:
+        return profs
+    c = p.base
+    endos = [p.actions[f] for f in c.hom(a, a)]
+    preimages = []
+    for f in c.morphisms:
+        if c.src[f] == a:
+            counts = dict.fromkeys(p.sets[a], 0)
+            for y in p.actions[f].values():
+                counts[y] += 1
+            preimages.append(counts)
+    profs = p._profiles[a] = {
+        x: (tuple(act[x] == x for act in endos),
+            tuple(counts[x] for counts in preimages))
+        for x in p.sets[a]}
+    return profs
 
 
 def covariant(name, base, sets, actions) -> Presheaf:
@@ -281,6 +310,16 @@ class NatTrans:
 
     def __repr__(self):
         return f"NatTrans({self.name or self.frozen()!r})"
+
+
+def _freeze(source: Presheaf, image):
+    """The frozen form of the family sending x in source(a) to image(a, x)."""
+    return tuple(tuple(image(a, x) for x in source.sets[a]) for a in source.base.objects)
+
+
+def _entry(key, source: Presheaf, a, x):
+    """The image of x in source(a) under the family whose frozen form is key."""
+    return key[source.base.obj_index[a]][source.sets[a].index(x)]
 
 
 def nat_compose(beta: NatTrans, alpha: NatTrans) -> NatTrans:

@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (FinCategory, FinFunctor, FunctorTransform, Meter, Presheaf,
-                   _families, compose_functors, full_subcategory,
-                   identity_functor, quotient, validate)
+                   _elem_profiles, _families, compose_functors,
+                   full_subcategory, identity_functor, quotient, validate)
 from .errors import InternalMismatch
 
 
@@ -198,32 +198,6 @@ def find_equivalence(a: FinCategory, b: FinCategory, budget=None):
         if not rep.ok:
             raise InternalMismatch(f"equivalence functor invalid: {rep}")
     return Equivalence(forward, backward, unit, counit)
-
-
-def _elem_profiles(p: Presheaf, a):
-    """Iso-invariant signature per element of p(a): which endomorphisms of a fix
-    it, and how many elements each morphism out of a sends onto it.
-
-    Computed once per presheaf and object (``Presheaf._profiles``), in one
-    pass over each action table involved.
-    """
-    profs = p._profiles.get(a)
-    if profs is not None:
-        return profs
-    c = p.base
-    endos = [p.actions[f] for f in c.hom(a, a)]
-    preimages = []
-    for f in c.morphisms:
-        if c.src[f] == a:
-            counts = dict.fromkeys(p.sets[a], 0)
-            for y in p.actions[f].values():
-                counts[y] += 1
-            preimages.append(counts)
-    profs = p._profiles[a] = {
-        x: (tuple(act[x] == x for act in endos),
-            tuple(counts[x] for counts in preimages))
-        for x in p.sets[a]}
-    return profs
 
 
 def presheaf_isomorphic(p: Presheaf, q: Presheaf, budget=None):

@@ -4,9 +4,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (FinCategory, FinFunctor, NatTrans, Presheaf,
-                   _composable_pairs, _pullback, identity_functor,
-                   nat_identity, same_category)
-from .equivalence import presheaf_isomorphic, _elem_profiles
+                   _composable_pairs, _elem_profiles, _pullback,
+                   identity_functor, nat_identity, same_category)
+from .equivalence import presheaf_isomorphic
 from .errors import InternalMismatch, MalformedTable
 from .limits import (_colimits_presheaf, hom_diagram, nat_trans_set,
                      weighted_colimit)

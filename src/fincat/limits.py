@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (FinFunctor, NatTrans, Presheaf, Profunctor, _families,
-                   _pullback, category_of_elements, compose_functors,
-                   quotient, same_category)
+                   _freeze, _pullback, category_of_elements,
+                   compose_functors, quotient, same_category)
 from .errors import InternalMismatch, MalformedTable
 
 
@@ -317,14 +317,10 @@ def _is_universal_cocone(phi, s, c, cocone, frozen):
     """Is the cocone (k -> {x -> morphism S(k) -> c}) universal: does composing
     with it biject each Hom(c, a) onto the transformations frozen[a]?"""
     cat = s.target
-    k = phi.base
     for a in cat.objects:
         seen = set()
         for g in cat.hom(c, a):
-            image = tuple(
-                tuple(cat.compose(g, cocone[j][x]) for x in phi.sets[j])
-                for j in k.objects
-            )
+            image = _freeze(phi, lambda j, x: cat.compose(g, cocone[j][x]))
             if image in seen:
                 return False
             seen.add(image)

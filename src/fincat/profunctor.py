@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, Profunctor,
-                   identity_functor, product_category, quotient, same_category,
-                   unit_category)
+                   _freeze, identity_functor, product_category, quotient,
+                   same_category, unit_category)
 from .equivalence import presheaf_isomorphic
 from .errors import EndpointMismatch, InternalMismatch
 from .limits import ColimitResult, nat_trans_set
@@ -333,12 +333,6 @@ def _column(f: Profunctor, a) -> Presheaf:
     return Presheaf(f"{f.name}(-,{a!r})", b_cat, sets, actions)
 
 
-def _family(col: Presheaf, target: Presheaf, value):
-    """The frozen natural family col -> target sending y in col(b) to value(b, y)."""
-    comps = {b: {y: value(b, y) for y in col.sets[b]} for b in col.base.objects}
-    return NatTrans(col, target, comps).frozen()
-
-
 @dataclass
 class LiftResult:
     lift: Profunctor                 # C -|-> A
@@ -369,8 +363,7 @@ def right_lift(f: Profunctor, h: Profunctor) -> LiftResult:
         family sending y over b to value(n, b, y)."""
         table = {}
         for key, n in decode[src].items():
-            table[key] = _family(f_col[tgt[0]], h_col[tgt[1]],
-                                 lambda b, y: value(n, b, y))
+            table[key] = _freeze(f_col[tgt[0]], lambda b, y: value(n, b, y))
             if table[key] not in decode[tgt]:
                 raise InternalMismatch("lift action left the natural family set")
         return table
@@ -438,8 +431,11 @@ def verify_lift_bijection(f: Profunctor, h: Profunctor, k: Profunctor):
 
     def transpose_back(sigma):
         def image(a, c, z):
-            return _family(lifted.f_col[a], lifted.h_col[c],
-                           lambda b, y: sigma.at(b, c, fk.normalize(b, c, a, y, z)))
+            key = _freeze(lifted.f_col[a],
+                          lambda b, y: sigma.at(b, c, fk.normalize(b, c, a, y, z)))
+            if key not in lifted.decode[(a, c)]:
+                raise InternalMismatch("lift transpose left the lift cell")
+            return key
         return _cellwise(k, lift, "", image)
 
     forward = {tau.frozen(): transpose_of(tau).frozen() for tau in taus}
@@ -492,7 +488,7 @@ def has_right_adjoint(f: Profunctor) -> AdjunctionResult:
     def compare(a2, a1, rep):
         b0, (tkey, z) = rep
         t = lifted.decode[(a2, b0)][tkey]
-        key = _family(selflift.f_col[a2], selflift.h_col[a1],
+        key = _freeze(selflift.f_col[a2],
                       lambda b, y: f.left_act(t.components[b][y], a1, z))
         if key not in selflift.decode[(a2, a1)]:
             raise InternalMismatch("comparison left the lift cell")
@@ -506,8 +502,9 @@ def has_right_adjoint(f: Profunctor) -> AdjunctionResult:
     inverse = comparison.invert()
 
     def unit_at(a2, a1, h):
-        key = _family(selflift.f_col[a2], selflift.h_col[a1],
-                      lambda b, y: f.right_act(b, h, y))
+        key = _freeze(selflift.f_col[a2], lambda b, y: f.right_act(b, h, y))
+        if key not in selflift.decode[(a2, a1)]:
+            raise InternalMismatch("unit left the lift cell")
         return inverse.at(a2, a1, key)
     eta = _cellwise(one_a, c_gf, f"unit({f.name})", unit_at)
 

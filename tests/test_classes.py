@@ -118,7 +118,7 @@ def test_closure_counts_are_pinned(monkeypatch):
             return fn(p, a)
         return wrapper
 
-    _wrap_everywhere(monkeypatch, equivalence, "_elem_profiles", counting_builds)
+    _wrap_everywhere(monkeypatch, core, "_elem_profiles", counting_builds)
     res = phi_closure_bounded(PUSHOUTS, Span, Caps(rounds=2, members=30))
     assert len(res.collection.members) == 15
     assert calls == {"coend": 294, "category_of_elements": 2,

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from fincat import corpus, validate
 from fincat.cauchy import cauchy_completion
 from fincat.core import (FinCategory, FinFunctor, FunctorTransform, NatTrans,
-                         Presheaf, Profunctor, _composable_pairs, _pullback,
+                         Presheaf, Profunctor, _composable_pairs, _entry,
+                         _freeze, _pullback,
                          category_of_elements, compose_functors, covariant,
                          full_subcategory, identity_functor, is_connected,
                          is_filtered, nat_compose, nat_identity,
@@ -19,6 +20,7 @@ from fincat.core import (FinCategory, FinFunctor, FunctorTransform, NatTrans,
 from fincat.corpus import (Chain3, Disc2, Empty, FinSet12, GSet, I, M, N5, Par, QM,
                            Span, Two, Z2, Z3, PRESHEAVES)
 from fincat.errors import MalformedTable
+from fincat.limits import nat_trans_set
 from test_limits import f3
 from util import (SMALL_CATEGORIES, all_pairs_compose, composable_pairs_oracle,
                   nonassociative_table, presheaf_tables_ok, product_category_oracle,
@@ -289,6 +291,20 @@ def test_profunctor_constructor_decides_like_fresh_set_checks(source, target,
     _corrupt(data.draw, data.draw(st.sampled_from([left, right])), elements)
     assert _accepts(lambda: Profunctor("q", source, target, p.sets, left, right)) == \
         profunctor_tables_ok(source, target, p.sets, left, right)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(SMALL_CATEGORIES), st.integers(0, 10 ** 6))
+def test_freeze_and_entry_match_the_frozen_transformation(cat, seed):
+    """NatTrans.frozen is the oracle: _freeze of a transformation's own
+    components gives its frozen form, and _entry reads each image back."""
+    rng = random.Random(seed)
+    p, q = random_presheaf(rng, cat, "p"), random_presheaf(rng, cat, "q")
+    for n in nat_trans_set(p, q):
+        key = n.frozen()
+        assert _freeze(n.source, n.at) == key
+        assert all(_entry(key, n.source, a, x) == n.components[a][x]
+                   for a in cat.objects for x in p.sets[a])
 
 
 def test_into_lists_the_morphisms_into_each_object():

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 from fincat import corpus
 from fincat.cauchy import (cauchy_completion, isbell_left, isbell_right,
                            morita_equivalent)
-from fincat.core import (FinCategory, FinFunctor, Presheaf, full_subcategory,
-                         same_category, validate)
+from fincat.core import (FinCategory, FinFunctor, Presheaf, _elem_profiles,
+                         full_subcategory, same_category, validate)
 from fincat.corpus import (Chain3, Disc2, I, M, N5, Par, QM, Span, Two, Z2, Z3,
                            PRESHEAVES)
-from fincat.equivalence import (_elem_profiles, all_functors, find_equivalence,
+from fincat.equivalence import (all_functors, find_equivalence,
                                 find_isomorphism, is_fully_faithful,
                                 iso_classes, objects_isomorphic,
                                 presheaf_isomorphic, skeleton)

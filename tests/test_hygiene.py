@@ -1,7 +1,8 @@
 """Source hygiene of src/fincat, checked with the standard library's ast:
 no module imports a name it never uses, no top-level private function or
-class goes unreferenced, no function binds a local it never reads, and no
-None default stands for a value a call computes.  Dead aliases, duplicate
+class goes unreferenced, no function binds a local it never reads, no
+None default stands for a value a call computes, and no NatTrans is built
+only to be frozen.  Dead aliases, duplicate
 helpers, unused unpacked values and second paths left behind by a refactor
 fail here, and so does a rename of a function the benchmark traces.  Imports
 sit at the top of each module and point down one fixed order of layers, and
@@ -112,6 +113,18 @@ def test_no_top_level_function_binds_a_parameter_it_never_reads():
             unread += [f"{name}:{fn.lineno} {fn.name}: {p}" for p in params
                        if p not in read and not p.startswith("_")]
     assert unread == []
+
+
+def test_no_natural_family_is_built_only_to_be_frozen():
+    """A frozen form is built with ``core._freeze``, not by constructing a
+    NatTrans whose only use is ``.frozen()``."""
+    throwaway = [f"{name}:{node.lineno}" for name, tree in _modules().items()
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "frozen" and isinstance(node.func.value, ast.Call)
+                 and isinstance(node.func.value.func, ast.Name)
+                 and node.func.value.func.id == "NatTrans"]
+    assert throwaway == []
 
 
 # (module, function, parameter) whose None default is still computed by a

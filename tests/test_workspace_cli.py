@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fincat import cli, corpus
-from fincat.core import (FinCategory, FinFunctor, NatTrans, Presheaf,
+from fincat.core import (Caps, FinCategory, FinFunctor, NatTrans, Presheaf,
                          Profunctor, WeightClass, identity_functor, nat_identity,
                          same_category, validate)
 from fincat.corpus import GSet
@@ -444,6 +444,34 @@ def test_absolute_sample_seed_reorders_but_keeps_content(capsys):
     seeded = json.loads(capsys.readouterr().out)
     assert base["violations"] and seeded["violations"]
     assert base["small_projective"] is False
+
+
+def test_closure_caps_default_to_the_library_caps(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run_command",
+                        lambda ws, command, args, opts: seen.append(opts) or ([], {}, 0))
+    assert cli.main(["closure", "Two", "initial"]) == 0
+    assert seen[0].caps == Caps()
+
+
+ABSOLUTE_SAMPLE_Z2_ORBIT = """\
+small projective: false
+instances: 18
+violations: 5
+  orbit colimit diagram GG: transported cocone not universal
+  orbit colimit diagram GG: transported cocone not universal
+  orbit colimit diagram GG: transported cocone not universal
+  orbit limit diagram GG: transported cocone not universal
+  orbit limit diagram GG: transported cocone not universal
+"""
+
+
+def test_absolute_sample_defaults_to_the_library_sample_size(capsys):
+    for flags in ([], ["--budget", "25"]):
+        assert cli.main(flags + ["absolute-sample", "one.Z2", "orbit"]) == 0
+        assert capsys.readouterr().out == ABSOLUTE_SAMPLE_Z2_ORBIT, flags
+    assert cli.main(["--budget", "1", "absolute-sample", "one.Z2", "orbit"]) == 0
+    assert "instances: 2\n" in capsys.readouterr().out
 
 
 @st.composite
