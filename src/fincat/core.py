@@ -66,10 +66,13 @@ class FinCategory:
         if set(self.identity) != set(self.objects):
             raise MalformedTable(f"{name}: identity table must cover every object")
         self.compose_table = dict(compose)
-        for (g, f), h in self.compose_table.items():
-            for m in (g, f, h):
-                if m not in self.mor_index:
-                    raise MalformedTable(f"{name}: compose table references unknown morphism {m!r}")
+        known = self.mor_index.keys()
+        if not (set(itertools.chain.from_iterable(self.compose_table)) <= known
+                and set(self.compose_table.values()) <= known):
+            for (g, f), h in self.compose_table.items():
+                for m in (g, f, h):
+                    if m not in known:
+                        raise MalformedTable(f"{name}: compose table references unknown morphism {m!r}")
         self._hom = {}
         self.into = {a: [] for a in self.objects}
         for m in self.morphisms:
@@ -614,23 +617,26 @@ def _composable_pairs(morphisms):
 def product_category(c: FinCategory, d: FinCategory) -> FinCategory:
     """Objects and morphisms are pairs; composition is componentwise.
 
-    Only composable pairs are visited, keyed in all-pairs order: (f2, g2)
-    outer, then f1, then g1, each in morphism order.
+    Each morphism id (f, g) is built once, in ``ids[f][g]``, and that one
+    object is shared by the morphism list, the identity table and every
+    compose key and value.  Only composable pairs are visited, keyed in
+    all-pairs order: (f2, g2) outer, then f1, then g1, each in morphism order.
     """
+    ids = {f: {g: (f, g) for g in d.morphisms} for f in c.morphisms}
     objects = [(a, b) for a in c.objects for b in d.objects]
-    morphisms = [((f, g), (c.src[f], d.src[g]), (c.tgt[f], d.tgt[g]))
+    morphisms = [(ids[f][g], (c.src[f], d.src[g]), (c.tgt[f], d.tgt[g]))
                  for f in c.morphisms for g in d.morphisms]
-    identity = {(a, b): (c.id_of(a), d.id_of(b)) for a in c.objects for b in d.objects}
+    identity = {(a, b): ids[c.id_of(a)][d.id_of(b)] for a in c.objects for b in d.objects}
     d_rows = [(g2, [(g1, d.compose(g2, g1)) for g1 in d.into[d.src[g2]]])
               for g2 in d.morphisms]
     compose = {}
     for f2 in c.morphisms:
-        c_row = [(f1, c.compose(f2, f1)) for f1 in c.into[c.src[f2]]]
+        c_row = [(ids[f1], ids[c.compose(f2, f1)]) for f1 in c.into[c.src[f2]]]
         for g2, d_row in d_rows:
-            m2 = (f2, g2)
-            for f1, h in c_row:
+            m2 = ids[f2][g2]
+            for row1, row_h in c_row:
                 for g1, k in d_row:
-                    compose[(m2, (f1, g1))] = (h, k)
+                    compose[(m2, row1[g1])] = row_h[k]
     return FinCategory(f"{c.name}x{d.name}", objects, morphisms, identity, compose)
 
 

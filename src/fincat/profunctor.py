@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, Profunctor,
                    _freeze, identity_functor, product_category, quotient,
-                   same_category, unit_category)
+                   same_category, unit_category, validate)
 from .equivalence import presheaf_isomorphic
-from .errors import EndpointMismatch, InternalMismatch
+from .errors import EndpointMismatch, InternalMismatch, ValidationFailed
 from .limits import ColimitResult, nat_trans_set
 
 
@@ -37,14 +37,12 @@ def as_presheaf(f: Profunctor, base: FinCategory = None) -> Presheaf:
         base = product_category(f.target, f.source.op())
     sets = {(b, a): f.cell(b, a) for (b, a) in base.objects}
     actions = {}
-    for (beta, alpha_op) in base.morphisms:
+    for (beta, alpha) in base.morphisms:
         # base morphism (b,a) -> (b',a') carries beta: b -> b' and alpha: a' -> a
-        b = f.target.src[beta]
-        a_tgt = f.source.op().tgt[alpha_op]  # = src of alpha in the source category
-        table = {}
-        for x in f.cell(f.target.tgt[beta], a_tgt):
-            table[x] = f.right_act(b, alpha_op, f.left_act(beta, a_tgt, x))
-        actions[(beta, alpha_op)] = table
+        a = f.source.src[alpha]
+        left = f.left[(beta, a)]
+        right = f.right[(f.target.src[beta], alpha)]
+        actions[(beta, alpha)] = {x: right[left[x]] for x in f.sets[(f.target.tgt[beta], a)]}
     return Presheaf(f"cells({f.name})", base, sets, actions)
 
 
@@ -477,7 +475,11 @@ class AdjunctionResult:
 def has_right_adjoint(f: Profunctor) -> AdjunctionResult:
     """Absolute-lifting criterion: g = {|f,1|} is right adjoint iff the
     canonical comparison g.f -> {|f,f|} is invertible.  Triangle identities
-    are verified on the constructed unit and counit before returning."""
+    are verified on the constructed unit and counit before returning.  An
+    unlawful f raises ValidationFailed."""
+    report = validate(f)
+    if not report.ok:
+        raise ValidationFailed(report)
     a_cat, b_cat = f.source, f.target
     one_a, one_b = id_module(a_cat), id_module(b_cat)
     lifted = right_lift(f, one_b)

@@ -147,6 +147,76 @@ def test_product_category_rejects_a_missing_composite():
         product_category(Two, broken)
 
 
+def test_product_category_builds_each_pair_id_once():
+    """Every compose key component and value of GSet x GSet^op is one of the
+    841 product morphism ids, each a single object shared with the morphism
+    list and the identity table."""
+    p = product_category(GSet, GSet.op())
+    shared = {id(m) for pair, h in p.compose_table.items() for m in (*pair, h)}
+    assert len(shared) == len(p.morphisms) == 841
+    assert {id(m) for m in p.morphisms} == shared
+    assert {id(m) for m in p.identity.values()} <= shared
+    want = product_category_oracle(GSet, GSet.op())
+    assert list(p.compose_table.items()) == list(want.items())
+
+
+def _unknown_reference_oracle(name, morphisms, compose):
+    """The message of the first unknown id in (g, f, h) order over the
+    table, by a membership test per id; None if every id is known."""
+    known = {m for m, _, _ in morphisms}
+    for (g, f), h in compose.items():
+        for m in (g, f, h):
+            if m not in known:
+                return f"{name}: compose table references unknown morphism {m!r}"
+    return None
+
+
+_REFERENCE_TABLES = SMALL_CATEGORIES + [N5, QM, Z3, product_category(Two, Z2),
+                                        product_category(Span, M.op())]
+
+
+@st.composite
+def tables_with_unknown_ids(draw):
+    """A lawful table with an unknown id planted in the g, f or h position
+    of one to three random entries."""
+    cat = draw(st.sampled_from(_REFERENCE_TABLES))
+    compose = dict(cat.compose_table)
+    for _ in range(draw(st.integers(1, 3))):
+        pairs = list(compose)
+        (g, f) = pair = pairs[draw(st.integers(0, len(pairs) - 1))]
+        bad = draw(st.sampled_from(["zz", ("f", "zz"), 0, None]))
+        where = draw(st.sampled_from("gfh"))
+        if where == "h":
+            compose[pair] = bad
+        else:
+            h = compose.pop(pair)
+            compose[(bad, f) if where == "g" else (g, bad)] = h
+    morphisms = [(m, cat.src[m], cat.tgt[m]) for m in cat.morphisms]
+    return cat, morphisms, compose
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tables_with_unknown_ids())
+def test_unknown_compose_reference_is_named_like_the_per_id_loop(case):
+    cat, morphisms, compose = case
+    want = _unknown_reference_oracle(cat.name, morphisms, compose)
+    assert want is not None
+    with pytest.raises(MalformedTable) as err:
+        FinCategory(cat.name, cat.objects, morphisms, cat.identity, compose)
+    assert str(err.value) == want
+
+
+def test_lawful_corpus_tables_and_products_pass_the_reference_check():
+    products = [product_category(c, d.op()) for c in SMALL_CATEGORIES
+                for d in SMALL_CATEGORIES]
+    for cat in list(corpus.CATEGORIES.values()) + products:
+        morphisms = [(m, cat.src[m], cat.tgt[m]) for m in cat.morphisms]
+        assert _unknown_reference_oracle(cat.name, morphisms, cat.compose_table) is None
+        copy = FinCategory(cat.name, cat.objects, morphisms, cat.identity,
+                           cat.compose_table)
+        assert same_category(copy, cat), cat.name
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from("abc"),
                           st.sampled_from("abc")), max_size=10))

@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fincat import corpus
-from fincat.core import Profunctor, same_category, unit_category, validate
-from fincat.corpus import (M, QM, Span, Two, Z2, PRESHEAVES, delta0, example82)
+from fincat.core import (Presheaf, Profunctor, product_category,
+                         same_category, unit_category, validate)
+from fincat.corpus import (Disc2, I, M, Par, QM, Span, Two, Z2, Z3, PRESHEAVES,
+                           delta0, example82)
 from fincat.equivalence import all_functors
-from fincat.errors import EndpointMismatch
-from fincat.profunctor import (as_presheaf, associator, compose_modules,
+from fincat.errors import EndpointMismatch, ValidationFailed
+from fincat.profunctor import (_companion, as_presheaf, associator, compose_modules,
                                functor_to_modules, has_right_adjoint,
                                id_module, identity_two_cell, left_unitor,
                                module_of_coweight, module_of_weight,
@@ -26,6 +29,63 @@ def test_id_module_and_as_presheaf():
     assert hom.cell("1", "0") == ()
     p = as_presheaf(hom)
     assert validate(p).ok
+
+
+def _as_presheaf_oracle(f, base):
+    """The tables of f viewed as a presheaf on base, one left_act and one
+    right_act call per element."""
+    sets = {(b, a): f.cell(b, a) for (b, a) in base.objects}
+    actions = {}
+    for (beta, alpha_op) in base.morphisms:
+        b = f.target.src[beta]
+        a_tgt = f.source.op().tgt[alpha_op]
+        actions[(beta, alpha_op)] = {
+            x: f.right_act(b, alpha_op, f.left_act(beta, a_tgt, x))
+            for x in f.cell(f.target.tgt[beta], a_tgt)}
+    return sets, actions
+
+
+def _assert_as_presheaf_matches_oracle(f):
+    base = product_category(f.target, f.source.op())
+    got = as_presheaf(f, base)
+    sets, actions = _as_presheaf_oracle(f, base)
+    assert list(got.sets.items()) == list(sets.items()), f.name
+    assert [(m, list(t.items())) for m, t in got.actions.items()] == \
+        [(m, list(t.items())) for m, t in actions.items()], f.name
+
+
+def _corpus_modules():
+    for phi in PRESHEAVES.values():
+        yield module_of_weight(phi)
+    for cat in corpus.CATEGORIES.values():
+        yield id_module(cat)
+    for t in corpus.FUNCTORS.values():
+        yield _companion(t)
+    for t in all_functors(Span, M):
+        yield _companion(t)
+    yield example82
+    yield compose_modules(example82, id_module(example82.source))
+    yield compose_modules(id_module(example82.target), example82)
+    for t in corpus.FUNCTORS.values():
+        lower, upper = functor_to_modules(t)
+        yield compose_modules(upper, lower)
+        yield compose_modules(lower, upper)
+
+
+def test_as_presheaf_matches_per_element_calls_on_corpus_modules():
+    count = 0
+    for f in _corpus_modules():
+        _assert_as_presheaf_matches_oracle(f)
+        count += 1
+    assert count == 96
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(SMALL_CATEGORIES[:6]), st.sampled_from(SMALL_CATEGORIES[:6]),
+       st.integers(0, 10 ** 6))
+def test_as_presheaf_matches_per_element_calls_on_random_modules(source, target, seed):
+    _assert_as_presheaf_matches_oracle(
+        random_profunctor(random.Random(seed), source, target, "p"))
 
 
 def test_compose_modules_endpoint_check():
@@ -201,6 +261,75 @@ def test_weight_module_adjoint_iff_small_projective():
     assert not has_right_adjoint(module_of_weight(delta0(Two))).found
     res = has_right_adjoint(module_of_weight(PRESHEAVES["one.Z2"]))
     assert res.reason
+
+
+def _random_map(rng, dom, cod):
+    """A random function dom -> cod as a table; IndexError if cod is empty and
+    dom is not."""
+    return {x: rng.choice(cod) for x in dom}
+
+
+def _unlawful_modules(count):
+    """Seeded random modules between I, Two, Disc2, Z2 and M whose tables the
+    constructor accepts (every action is a map) and validate rejects."""
+    rng = random.Random(0)
+    cats = (I, Two, Disc2, Z2, M)
+    found = 0
+    while found < count:
+        source, target = rng.choice(cats), rng.choice(cats)
+        sets = {(b, a): tuple(f"x{i}" for i in range(rng.randint(0, 2)))
+                for b in target.objects for a in source.objects}
+        try:
+            left = {(m, a): _random_map(rng, sets[(target.tgt[m], a)],
+                                        sets[(target.src[m], a)])
+                    for m in target.morphisms for a in source.objects}
+            right = {(b, m): _random_map(rng, sets[(b, source.src[m])],
+                                         sets[(b, source.tgt[m])])
+                     for b in target.objects for m in source.morphisms}
+        except IndexError:
+            continue
+        f = Profunctor(f"u{found}", source, target, sets, left, right)
+        if not validate(f).ok:
+            found += 1
+            yield f
+
+
+def _unlawful_weights(count):
+    """Seeded random presheaves on Z2, M, Two, Span, Z3 and Par whose action
+    tables are maps but break a presheaf law."""
+    rng = random.Random(0)
+    cats = (Z2, M, Two, Span, Z3, Par)
+    found = 0
+    while found < count:
+        cat = rng.choice(cats)
+        sets = {a: tuple(f"y{i}" for i in range(rng.randint(0, 3)))
+                for a in cat.objects}
+        try:
+            actions = {m: _random_map(rng, sets[cat.tgt[m]], sets[cat.src[m]])
+                       for m in cat.morphisms}
+        except IndexError:
+            continue
+        phi = Presheaf(f"w{found}", cat, sets, actions)
+        if not validate(phi).ok:
+            found += 1
+            yield phi
+
+
+def test_unlawful_module_is_a_validation_failure():
+    """An unlawful module is the caller's fault, not a disagreement between
+    routes: has_right_adjoint raises ValidationFailed, never InternalMismatch."""
+    for f in _unlawful_modules(300):
+        with pytest.raises(ValidationFailed) as err:
+            has_right_adjoint(f)
+        assert str(err.value) == str(validate(f)), f.name
+
+
+def test_module_of_unlawful_weight_is_a_validation_failure():
+    for phi in _unlawful_weights(150):
+        f = module_of_weight(phi)
+        with pytest.raises(ValidationFailed) as err:
+            has_right_adjoint(f)
+        assert str(err.value) == str(validate(f)), phi.name
 
 
 def test_small_projective_weight_adjoint_is_its_coweight_dual():
