@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (FinCategory, FinFunctor, NatTrans, Presheaf,
+from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, _bijectivity,
                    _composable_pairs, _entry, _freeze, nat_compose,
                    nat_identity, validate)
 from .equivalence import (Equivalence, find_equivalence, is_fully_faithful,
@@ -106,11 +106,8 @@ def small_projective_report(phi: Presheaf) -> SmallProjectiveReport:
 
     def image(k, x, gkey):
         return _freeze(phi, lambda j, y: phi.act(_entry(gkey, phi, j, y), x))
-    images = set(colim.descend(image, "canonical self-map not constant on classes").values())
-    if not images <= nats:
-        raise InternalMismatch("canonical self-map left the natural set")
-    injective = len(images) == len(colim.classes)
-    surjective = images == nats
+    images = colim.descend(image, "canonical self-map not constant on classes").values()
+    injective, surjective = _bijectivity(images, nats, "canonical self-map left the natural set")
     return SmallProjectiveReport(len(colim.classes), len(nats), injective, surjective)
 
 
@@ -295,10 +292,11 @@ def verify_covariant_representation(pair: DualPair, x_weight: Presheaf) -> int:
 
     def image(b, x, xi):
         return _freeze(psi, lambda k, gamma: x_weight.act(_entry(gamma, phi, b, x), xi))
-    images = set(colim.descend(image, "representation map not constant on classes").values())
-    if len(images) != len(colim.classes) or images != nats:
-        raise InternalMismatch(
-            f"phi*X and [B,V](psi,X) disagree: {len(colim.classes)} classes vs {len(nats)} transformations")
+    images = colim.descend(image, "representation map not constant on classes").values()
+    message = (f"phi*X and [B,V](psi,X) disagree: {len(colim.classes)} classes "
+               f"vs {len(nats)} transformations")
+    if not all(_bijectivity(images, nats, message)):
+        raise InternalMismatch(message)
     return len(nats)
 
 

@@ -5,11 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (Caps, FinCategory, FinFunctor, Presheaf, Profunctor,
-                   WeightClass, _composable_pairs, _entry, _freeze, _pullback,
-                   category_of_elements, covariant, delta0, is_connected,
-                   is_filtered, nat_compose, same_category)
-from .equivalence import all_functors, is_fully_faithful, objects_isomorphic
-from .errors import CapExceeded, InternalMismatch, MalformedTable
+                   WeightClass, _bijectivity, _composable_pairs, _entry, _freeze,
+                   _pullback, category_of_elements, covariant, delta0,
+                   is_connected, is_filtered, nat_compose, same_category)
+from .equivalence import _inverse, all_functors, is_fully_faithful, objects_isomorphic
+from .errors import CapExceeded, MalformedTable
 from .kan import (PresheafCollection, Provenance, member_category,
                   pointwise_colimit, yoneda_embed)
 from .limits import (_colimits_presheaf, colimit_in_category, hom_diagram,
@@ -104,9 +104,8 @@ def phi_closure_bounded(weight_class: WeightClass, base: FinCategory,
 
 def _automorphisms(cat: FinCategory) -> dict:
     """a -> [(sigma, sigma^-1)] for the automorphisms sigma != id of a."""
-    table = cat.compose_table
-    return {a: [(f, g) for f in cat.hom(a, a) for g in cat.hom(a, a) if f != cat.id_of(a)
-                and table[(g, f)] == cat.id_of(a) == table[(f, g)]]
+    return {a: [(f, g) for f in cat.hom(a, a)
+                if f != cat.id_of(a) and (g := _inverse(cat, f)) is not None]
             for a in cat.objects}
 
 
@@ -188,10 +187,10 @@ def _hom_preserves_colimit(cat, a, phi, s, colim) -> bool:
     Computes the weighted colimit of k -> Hom(a, S k) and compares it with
     Hom(a, apex) along the map induced by the cocone.
     """
-    vals = list(weighted_colimit(phi, hom_diagram(s.op(), a)).descend(
+    vals = weighted_colimit(phi, hom_diagram(s.op(), a)).descend(
         lambda k, x, h: cat.compose(colim.cocone[k][x], h),
-        "cocone-induced map not constant on colimit classes").values())
-    return len(set(vals)) == len(vals) and set(vals) == set(cat.hom(a, colim.apex))
+        "cocone-induced map not constant on colimit classes").values()
+    return all(_bijectivity(vals, set(cat.hom(a, colim.apex)), "induced map left Hom(a, apex)"))
 
 
 def atoms(cat: FinCategory, weight_class: WeightClass, budget=None) -> tuple:
@@ -225,10 +224,10 @@ class CommutationResult:
 
 
 def _limit_then_colimit(phi, psi, s):
-    """The colimit, weighted by phi, of l -> Nat(psi, S(-, l)) with frozen elements."""
+    """The colimit, weighted by phi, of the limits l -> {psi, S(-, l)} with frozen elements."""
     l_cat, k_cat = s.source, s.target
     cols = {l: _column(s, l) for l in l_cat.objects}
-    g_sets = {l: [n.frozen() for n in nat_trans_set(psi, cols[l])]
+    g_sets = {l: [n.frozen() for n in weighted_limit(psi, cols[l]).transforms]
               for l in l_cat.objects}
     g_actions = {}
     for m in l_cat.morphisms:
@@ -266,16 +265,13 @@ def check_commutation(phi: Presheaf, psi: Presheaf, s: Profunctor) -> Commutatio
     a_side = _limit_then_colimit(phi, psi, s)
     h, per = _colimit_then_limit(phi, s)
     b_res = weighted_limit(psi, h)
-    b_frozen = {t.frozen() for t in b_res.transforms}
 
     def push(l, x, gamma):
         return _freeze(psi, lambda k, w: per[k].inject(l, x, _entry(gamma, psi, k, w)))
 
-    values = list(a_side.descend(push, "comparison not constant on classes").values())
-    if not set(values) <= b_frozen:
-        raise InternalMismatch("comparison image is not a natural family")
-    injective = len(set(values)) == len(values)
-    surjective = set(values) == b_frozen
+    values = a_side.descend(push, "comparison not constant on classes").values()
+    injective, surjective = _bijectivity(values, b_res.pairing.keys(),
+                                         "comparison image is not a natural family")
     return CommutationResult(injective and surjective, a_side.size, b_res.size,
                              injective, surjective)
 
@@ -295,13 +291,9 @@ def flat_for_terminal(phi: Presheaf) -> bool:
 def _sends_colimit_to_limit(psi, phi, s, colim) -> bool:
     """Is psi(apex) -> Nat(phi, psi . S) induced by the cocone a bijection."""
     families = {n.frozen() for n in nat_trans_set(phi, _pullback(s, psi))}
-    seen = []
-    for z in psi.sets[colim.apex]:
-        key = _freeze(phi, lambda k, x: psi.act(colim.cocone[k][x], z))
-        if key not in families:
-            raise InternalMismatch("cocone image under psi is not a natural family")
-        seen.append(key)
-    return len(set(seen)) == len(seen) and len(seen) == len(families)
+    images = (_freeze(phi, lambda k, x: psi.act(colim.cocone[k][x], z))
+              for z in psi.sets[colim.apex])
+    return all(_bijectivity(images, families, "cocone image under psi is not a natural family"))
 
 
 def is_phi_continuous(psi: Presheaf, weight_class: WeightClass,

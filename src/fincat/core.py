@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, MalformedTable
+from .errors import BudgetExceeded, InternalMismatch, MalformedTable
 
 
 def _dedup_ok(seq):
@@ -323,6 +323,16 @@ def _freeze(source: Presheaf, image):
 def _entry(key, source: Presheaf, a, x):
     """The image of x in source(a) under the family whose frozen form is key."""
     return key[source.base.obj_index[a]][source.sets[a].index(x)]
+
+
+def _bijectivity(images, onto, message):
+    """(injective, surjective) for the map listed by its images into the finite
+    set onto; an image outside onto raises InternalMismatch(message)."""
+    images = list(images)
+    hit = set(images)
+    if not hit <= onto:
+        raise InternalMismatch(message)
+    return len(hit) == len(images), len(hit) == len(onto)
 
 
 def nat_compose(beta: NatTrans, alpha: NatTrans) -> NatTrans:

@@ -18,12 +18,18 @@ from .core import (FinCategory, FinFunctor, FunctorTransform, Meter, Presheaf,
 from .errors import InternalMismatch
 
 
+def _inverse(c: FinCategory, f):
+    """The inverse of the morphism f of c, or None."""
+    a, b = c.src[f], c.tgt[f]
+    return next((g for g in c.hom(b, a) if c.compose(g, f) == c.id_of(a)
+                 and c.compose(f, g) == c.id_of(b)), None)
+
+
 def object_iso(c: FinCategory, a, b):
     """First isomorphism a -> b in morphism order, with inverse, or None."""
     for f in c.hom(a, b):
-        for g in c.hom(b, a):
-            if c.compose(g, f) == c.id_of(a) and c.compose(f, g) == c.id_of(b):
-                return f, g
+        if (g := _inverse(c, f)) is not None:
+            return f, g
     return None
 
 
@@ -157,16 +163,6 @@ class Equivalence:
     counit: FunctorTransform    # forward . backward -> id_B, invertible
 
 
-def _invertible(t: FunctorTransform) -> bool:
-    cat = t.target.target
-    for m in t.components.values():
-        src, tgt = cat.src[m], cat.tgt[m]
-        if not any(cat.compose(g, m) == cat.id_of(src) and cat.compose(m, g) == cat.id_of(tgt)
-                   for g in cat.hom(tgt, src)):
-            return False
-    return True
-
-
 def find_equivalence(a: FinCategory, b: FinCategory, budget=None):
     """An equivalence a ~ b with invertible unit and counit, or None.
 
@@ -191,8 +187,8 @@ def find_equivalence(a: FinCategory, b: FinCategory, budget=None):
         rep = validate(t)
         if not rep.ok:
             raise InternalMismatch(f"equivalence witness not natural: {rep}")
-    if not (_invertible(unit) and _invertible(counit)):
-        raise InternalMismatch("equivalence witness not invertible")
+        if any(_inverse(t.target.target, m) is None for m in t.components.values()):
+            raise InternalMismatch("equivalence witness not invertible")
     for fn in (forward, backward):
         rep = validate(fn)
         if not rep.ok:

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (FinCategory, FinFunctor, NatTrans, Presheaf,
+from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, _bijectivity,
                    _composable_pairs, _elem_profiles, _pullback,
                    identity_functor, nat_identity, same_category)
 from .equivalence import presheaf_isomorphic
@@ -34,16 +34,16 @@ def yoneda_bijection(p: Presheaf, b):
     cat = p.base
     yb = yoneda_embed(cat, b)
     nats = nat_trans_set(yb, p)
-    idb = cat.id_of(b)
-    forward = {alpha.frozen(): alpha.components[b][idb] for alpha in nats}
+    images = [alpha.components[b][cat.id_of(b)] for alpha in nats]
+    message = f"Yoneda bijection fails at {b!r} for {p.name}"
+    if not all(_bijectivity(images, set(p.sets[b]), message)):
+        raise InternalMismatch(message)
+    forward = {alpha.frozen(): x for alpha, x in zip(nats, images)}
     backward = {}
     for x in p.sets[b]:
         comps = {a: {h: p.act(h, x) for h in yb.sets[a]} for a in cat.objects}
         backward[x] = NatTrans(yb, p, comps)
-    if len(forward) != len(nats) or set(forward.values()) != set(p.sets[b]):
-        raise InternalMismatch(f"Yoneda bijection fails at {b!r} for {p.name}")
-    for x, alpha in backward.items():
-        if forward[alpha.frozen()] != x:
+        if forward[backward[x].frozen()] != x:
             raise InternalMismatch(f"Yoneda maps not mutually inverse at {b!r}")
     return forward, backward
 

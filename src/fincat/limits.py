@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (FinFunctor, NatTrans, Presheaf, Profunctor, _families,
-                   _freeze, _pullback, category_of_elements,
+from .core import (FinFunctor, NatTrans, Presheaf, Profunctor, _bijectivity,
+                   _families, _freeze, _pullback, category_of_elements,
                    compose_functors, quotient, same_category)
 from .errors import InternalMismatch, MalformedTable
 
@@ -168,16 +168,14 @@ def weighted_limit(phi: Presheaf, t: Presheaf) -> WeightedLimitResult:
     transforms = nat_trans_set(phi, t)
     el, proj = category_of_elements(phi)
     conical = finset_limit(_pullback(proj.op(), t))
-    by_tuple = {}
-    for alpha in transforms:
-        key = tuple(alpha.components[k][x] for (k, x) in el.objects)
-        if key in by_tuple:
-            raise InternalMismatch("weighted_limit: end route not jointly injective")
-        by_tuple[key] = alpha
-    if set(by_tuple) != set(conical.apex):
-        raise InternalMismatch(
-            f"weighted_limit routes disagree: {len(by_tuple)} vs {len(conical.apex)}")
-    pairing = {alpha.frozen(): key for key, alpha in by_tuple.items()}
+    keys = [tuple(alpha.components[k][x] for (k, x) in el.objects) for alpha in transforms]
+    message = f"weighted_limit routes disagree: {len(keys)} vs {len(conical.apex)}"
+    injective, surjective = _bijectivity(keys, set(conical.apex), message)
+    if not injective:
+        raise InternalMismatch("weighted_limit: end route not jointly injective")
+    if not surjective:
+        raise InternalMismatch(message)
+    pairing = {alpha.frozen(): key for alpha, key in zip(transforms, keys)}
     return WeightedLimitResult(tuple(transforms), conical, pairing)
 
 
@@ -299,32 +297,32 @@ def colimit_in_category(phi: Presheaf, s: FinFunctor):
     """Corepresentation search for Nat(phi, Hom(S-, ?)); lowest object index wins."""
     if not same_category(phi.base, s.source):
         raise MalformedTable("colimit_in_category: weight base must be the diagram source")
-    cat = s.target
-    nats = {a: nat_trans_set(phi, hom_diagram(s, a)) for a in cat.objects}
-    frozen = {a: {n.frozen() for n in nats[a]} for a in cat.objects}
-    for c in cat.objects:
-        if any(len(cat.hom(c, a)) != len(nats[a]) for a in cat.objects):
-            continue
-        for eta in nats[c]:
-            if _is_universal_cocone(phi, s, c, eta.components, frozen):
-                cocone = {k: {x: eta.components[k][x] for x in phi.sets[k]}
-                          for k in phi.base.objects}
-                return ColimitInCategory(c, cocone)
-    return None
+    return _first_universal(phi, s, _cocones(phi, s))
 
 
-def _is_universal_cocone(phi, s, c, cocone, frozen):
+def _cocones(phi, s):
+    """a -> {frozen form: transformation} of Nat(phi, Hom(S-, a)), in enumeration order."""
+    return {a: {n.frozen(): n for n in nat_trans_set(phi, hom_diagram(s, a))}
+            for a in s.target.objects}
+
+
+def _first_universal(phi, s, cocones):
+    """The first universal cocone among ``_cocones(phi, s)``, or None."""
+    return next((ColimitInCategory(c, eta.components) for c in s.target.objects
+                 for eta in cocones[c].values()
+                 if _is_universal_cocone(phi, s, c, eta.components, cocones)), None)
+
+
+def _is_universal_cocone(phi, s, c, cocone, cocones):
     """Is the cocone (k -> {x -> morphism S(k) -> c}) universal: does composing
-    with it biject each Hom(c, a) onto the transformations frozen[a]?"""
+    with it biject each Hom(c, a) onto the transformations of cocones[a]?"""
     cat = s.target
+    if any(len(cat.hom(c, a)) != len(cocones[a]) for a in cat.objects):
+        return False
     for a in cat.objects:
-        seen = set()
-        for g in cat.hom(c, a):
-            image = _freeze(phi, lambda j, x: cat.compose(g, cocone[j][x]))
-            if image in seen:
-                return False
-            seen.add(image)
-        if seen != frozen[a]:
+        images = (_freeze(phi, lambda j, x: cat.compose(g, cocone[j][x]))
+                  for g in cat.hom(c, a))
+        if not all(_bijectivity(images, cocones[a].keys(), "composite left Nat(phi, Hom(S-, a))")):
             return False
     return True
 
@@ -352,15 +350,10 @@ def preserves_weighted_colimit(f: FinFunctor, phi: Presheaf, s: FinFunctor,
     if not same_category(f.source, s.target):
         raise MalformedTable("preserves_weighted_colimit: functor source mismatch")
     fs = compose_functors(f, s)
-    cat = fs.target
-    nats = {a: nat_trans_set(phi, hom_diagram(fs, a)) for a in cat.objects}
-    frozen = {a: {n.frozen() for n in nats[a]} for a in cat.objects}
-    apex2 = f.obj(colim.apex)
-    cocone2 = {k: {x: f.mor(m) for x, m in colim.cocone[k].items()}
-               for k in phi.base.objects}
-    if all(len(cat.hom(apex2, a)) == len(nats[a]) for a in cat.objects) and \
-            _is_universal_cocone(phi, fs, apex2, cocone2, frozen):
+    cocones = _cocones(phi, fs)
+    cocone2 = {k: {x: f.mor(m) for x, m in legs.items()} for k, legs in colim.cocone.items()}
+    if _is_universal_cocone(phi, fs, f.obj(colim.apex), cocone2, cocones):
         return PreservationResult(True)
-    if colimit_in_category(phi, fs) is None:
+    if _first_universal(phi, fs, cocones) is None:
         return PreservationResult(False, "colimit missing in target")
     return PreservationResult(False, "transported cocone not universal")

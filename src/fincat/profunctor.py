@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, Profunctor,
-                   _freeze, identity_functor, product_category, quotient,
-                   same_category, unit_category, validate)
+                   _bijectivity, _freeze, identity_functor, product_category,
+                   quotient, same_category, unit_category, validate)
 from .equivalence import presheaf_isomorphic
 from .errors import EndpointMismatch, InternalMismatch, ValidationFailed
 from .limits import ColimitResult, nat_trans_set
@@ -56,7 +56,8 @@ class TwoCell:
         self.source = source
         self.target = target
         self.base = base
-        self.nat = NatTrans(as_presheaf(source, base), as_presheaf(target, base),
+        cells = as_presheaf(source, base)
+        self.nat = NatTrans(cells, cells if target is source else as_presheaf(target, base),
                             components, name=name)
 
     @property
@@ -94,11 +95,10 @@ class TwoCell:
         bijection onto the target cell, with "injective" or "surjective" for
         what fails there (injectivity is tested first); None if there is none."""
         for cell, table in self.components.items():
-            images = set(table.values())
-            if len(images) != len(table):
-                return cell, "injective"
-            if images != set(self.target.cell(*cell)):
-                return cell, "surjective"
+            injective, surjective = _bijectivity(table.values(), set(self.target.cell(*cell)),
+                                                 "2-cell left its target cell")
+            if not (injective and surjective):
+                return cell, "surjective" if injective else "injective"
         return None
 
     def is_iso(self):
@@ -338,7 +338,6 @@ class LiftResult:
     composite: CompositeProfunctor   # f . lift
     decode: dict                     # (a, c) -> {frozen: NatTrans}
     f_col: dict
-    h_col: dict
 
 
 def right_lift(f: Profunctor, h: Profunctor) -> LiftResult:
@@ -379,7 +378,7 @@ def right_lift(f: Profunctor, h: Profunctor) -> LiftResult:
         a, (y, key) = rep
         return decode[(a, c)][key].components[b][y]
     counit = _cellwise(composite, h, f"ev({f.name},{h.name})", evaluate)
-    return LiftResult(lift, counit, composite, decode, f_col, h_col)
+    return LiftResult(lift, counit, composite, decode, f_col)
 
 
 @dataclass

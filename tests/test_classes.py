@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import fincat
 from fincat import classes, core, corpus, equivalence, kan, limits
+from fincat.cauchy import cauchy_completion
 from fincat.classes import (Caps, WeightClass, atoms, check_commutation,
                             comma_connectedness_witness,
                             flat_for_finite_limits, flat_for_terminal,
@@ -24,8 +25,8 @@ from fincat.corpus import (Chain3, Disc2, M, N5, QM, Span, Two, Z2,
                            example82, orbit)
 from fincat.equivalence import all_functors, presheaf_isomorphic
 from fincat.errors import CapExceeded, MalformedTable
-from fincat.kan import (member_category, pointwise_colimit, yoneda_embed,
-                        yoneda_transform)
+from fincat.kan import (PresheafCollection, member_category, pointwise_colimit,
+                        yoneda_embed, yoneda_transform)
 from fincat.limits import colimit_in_category, nat_trans_set, weighted_colimit
 from fincat.profunctor import _column, _transpose, id_module
 
@@ -192,6 +193,43 @@ def _orbit_oracle(s):
     return frozenset(keys)
 
 
+def _automorphisms_oracle(cat):
+    """The former body of classes._automorphisms: every pair of
+    endomorphisms tested for both composites."""
+    table = cat.compose_table
+    return {a: [(f, g) for f in cat.hom(a, a) for g in cat.hom(a, a) if f != cat.id_of(a)
+                and table[(g, f)] == cat.id_of(a) == table[(f, g)]]
+            for a in cat.objects}
+
+
+def _assert_automorphisms_match(cat):
+    got = classes._automorphisms(cat)
+    assert list(got.items()) == list(_automorphisms_oracle(cat).items()), cat.name
+    return sum(map(len, got.values()))
+
+
+def test_automorphisms_match_the_pairwise_oracle_on_the_corpus():
+    """On the corpus categories, their Cauchy completions, and the member
+    categories of closures, which is where the closure reads them."""
+    cats = list(corpus.CATEGORIES.values())
+    cats += [cauchy_completion(c).completion for c in corpus.CATEGORIES.values()]
+    for cat_name, class_name in (("GSet", "orbits"), ("M", "splitting"),
+                                 ("Span", "pushouts")):
+        res = phi_closure_bounded(WEIGHT_CLASSES[class_name],
+                                  corpus.CATEGORIES[cat_name], Caps(rounds=2, members=30))
+        cats.append(member_category(res.collection)[0])
+    assert sum(map(_assert_automorphisms_match, cats)) > 0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6))
+def test_automorphisms_match_the_pairwise_oracle_on_random_categories(seed):
+    c = random_concrete_category(random.Random(seed), f"R{seed}")
+    for cat in (c, cauchy_completion(c).completion,
+                member_category(PresheafCollection.representables(c))[0]):
+        _assert_automorphisms_match(cat)
+
+
 @pytest.mark.parametrize("cat_name, class_name, listed, skipped", [
     ("M", "splitting", 5, 0), ("Z2", "finite-colimits", 833, 736),
     ("Span", "pushouts", 152, 54), ("GSet", "orbits", 27, 4)])
@@ -344,6 +382,19 @@ def test_commutation_failure_on_the_group_average():
     assert not res.commutes
     assert (res.colimit_of_limits, res.limit_of_colimits) == (2, 1)
     assert res.surjective and not res.injective
+
+
+def test_commutation_takes_each_inner_limit_along_both_routes(monkeypatch):
+    """Each {psi, S(-, l)} goes through weighted_limit, whose two routes are
+    always on, in the order of l, before the outer limit of the colimits."""
+    limits_taken = []
+    weighted = classes.weighted_limit
+    monkeypatch.setattr(classes, "weighted_limit",
+                        lambda psi, t: limits_taken.append(t.name) or weighted(psi, t))
+    res = check_commutation(delta1(Z2), delta1(Span), example82)
+    assert (res.colimit_of_limits, res.limit_of_colimits) == (2, 1)
+    assert limits_taken == [f"{example82.name}(-,'*')",
+                            f"colim[one.Z2,{example82.name}]"]
 
 
 def test_commutation_with_representable_limit_weight():

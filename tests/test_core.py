@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from fincat import corpus, validate
 from fincat.cauchy import cauchy_completion
 from fincat.core import (FinCategory, FinFunctor, FunctorTransform, NatTrans,
-                         Presheaf, Profunctor, _composable_pairs, _entry,
+                         Presheaf, Profunctor, _bijectivity, _composable_pairs, _entry,
                          _freeze, _pullback,
                          category_of_elements, compose_functors, covariant,
                          full_subcategory, identity_functor, is_connected,
@@ -19,7 +19,7 @@ from fincat.core import (FinCategory, FinFunctor, FunctorTransform, NatTrans,
                          unit_category)
 from fincat.corpus import (Chain3, Disc2, Empty, FinSet12, GSet, I, M, N5, Par, QM,
                            Span, Two, Z2, Z3, PRESHEAVES)
-from fincat.errors import MalformedTable
+from fincat.errors import InternalMismatch, MalformedTable
 from fincat.limits import nat_trans_set
 from test_limits import f3
 from util import (SMALL_CATEGORIES, all_pairs_compose, composable_pairs_oracle,
@@ -375,6 +375,34 @@ def test_freeze_and_entry_match_the_frozen_transformation(cat, seed):
         assert _freeze(n.source, n.at) == key
         assert all(_entry(key, n.source, a, x) == n.components[a][x]
                    for a in cat.objects for x in p.sets[a])
+
+
+def test_bijectivity_reads_a_listed_map_and_names_an_escaped_image():
+    onto = {"a", "b"}
+    assert _bijectivity(["a", "b"], onto, "") == (True, True)
+    assert _bijectivity(["b", "b"], onto, "") == (False, False)
+    assert _bijectivity(iter(["b"]), onto, "") == (True, False)
+    assert _bijectivity(["a", "b", "a"], onto, "") == (False, True)
+    assert _bijectivity([], set(), "") == (True, True)
+    assert _bijectivity(["a"], {"a": 0}.keys(), "") == (True, True)
+    for images in (["c"], ["a", "b", "c"], ["a", "a", "c"]):
+        with pytest.raises(InternalMismatch, match=r"^image escaped \(x\)$"):
+            _bijectivity(images, onto, "image escaped (x)")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 5), max_size=8), st.sets(st.integers(0, 5)))
+def test_bijectivity_matches_the_definitions(images, onto):
+    """Injective: no two listed images are equal.  Surjective: every element
+    of onto is an image.  An image outside onto raises."""
+    if not set(images) <= onto:
+        with pytest.raises(InternalMismatch):
+            _bijectivity(images, onto, "escaped")
+        return
+    injective = all(images[i] != images[j] for i in range(len(images))
+                    for j in range(i))
+    surjective = all(any(x == y for x in images) for y in onto)
+    assert _bijectivity(images, onto, "escaped") == (injective, surjective)
 
 
 def test_into_lists_the_morphisms_into_each_object():

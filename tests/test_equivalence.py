@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 from fincat import corpus
 from fincat.cauchy import (cauchy_completion, isbell_left, isbell_right,
                            morita_equivalent)
-from fincat.core import (FinCategory, FinFunctor, Presheaf, _elem_profiles,
-                         full_subcategory, same_category, validate)
+from fincat.core import (FinCategory, FinFunctor, FunctorTransform, Presheaf,
+                         _elem_profiles, full_subcategory, same_category, validate)
 from fincat.corpus import (Chain3, Disc2, I, M, N5, Par, QM, Span, Two, Z2, Z3,
                            PRESHEAVES)
-from fincat.equivalence import (all_functors, find_equivalence,
+from fincat.equivalence import (_inverse, all_functors, find_equivalence,
                                 find_isomorphism, is_fully_faithful,
-                                iso_classes, objects_isomorphic,
+                                iso_classes, object_iso, objects_isomorphic,
                                 presheaf_isomorphic, skeleton)
 from fincat.errors import BudgetExceeded
 from util import (SMALL_CATEGORIES, category_isomorphism_oracle,
@@ -359,3 +359,71 @@ def test_iso_classes_match_the_scan_from_each_unplaced_object():
     for c in cases:
         assert iso_classes(c) == _iso_classes_oracle(c), c.name
     assert any(len(cls) > 1 for c in cases for cls in iso_classes(c))
+
+
+def _object_iso_oracle(c, a, b):
+    """The former body of object_iso: every pair (f, g) of opposite arrows
+    tested for both composites."""
+    for f in c.hom(a, b):
+        for g in c.hom(b, a):
+            if c.compose(g, f) == c.id_of(a) and c.compose(f, g) == c.id_of(b):
+                return f, g
+    return None
+
+
+def _invertible_oracle(t):
+    """The former test of find_equivalence that each component of t has an
+    inverse."""
+    cat = t.target.target
+    for m in t.components.values():
+        src, tgt = cat.src[m], cat.tgt[m]
+        if not any(cat.compose(g, m) == cat.id_of(src) and cat.compose(m, g) == cat.id_of(tgt)
+                   for g in cat.hom(tgt, src)):
+            return False
+    return True
+
+
+def _point(c, a):
+    return FinFunctor(f"pick {a}", I, c, {"*": a}, {"id": c.id_of(a)})
+
+
+def _inverse_verdicts(c):
+    """Compare object_iso and _inverse with the oracles on c; return the
+    verdict of _inverse on each morphism."""
+    for a in c.objects:
+        for b in c.objects:
+            assert object_iso(c, a, b) == _object_iso_oracle(c, a, b), (c.name, a, b)
+    verdicts = []
+    for m in c.morphisms:
+        a, b = c.src[m], c.tgt[m]
+        g = _inverse(c, m)
+        t = FunctorTransform(_point(c, a), _point(c, b), {"*": m})
+        assert (g is not None) == _invertible_oracle(t), (c.name, m)
+        assert g is None or (c.compose(g, m), c.compose(m, g)) == (c.id_of(a), c.id_of(b))
+        verdicts.append(g is not None)
+    return verdicts
+
+
+def test_inverse_search_matches_the_oracles_on_the_corpus():
+    """On the corpus categories and their Cauchy completions; and the unit
+    and counit of every equivalence find_equivalence returns between them."""
+    cats = list(corpus.CATEGORIES.values())
+    cats += [cauchy_completion(c).completion for c in corpus.CATEGORIES.values()]
+    verdicts = [v for c in cats for v in _inverse_verdicts(c)]
+    assert True in verdicts and False in verdicts
+    found = 0
+    for c in corpus.CATEGORIES.values():
+        e = find_equivalence(c, cauchy_completion(c).completion)
+        if e is not None:
+            found += 1
+            assert _invertible_oracle(e.unit) and _invertible_oracle(e.counit)
+    assert found == 14
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6))
+def test_inverse_search_matches_the_oracles_on_random_categories(seed):
+    rng = random.Random(seed)
+    c = random_concrete_category(rng, f"R{seed}")
+    for x in (c, shuffled_category(rng, c), cauchy_completion(c).completion):
+        _inverse_verdicts(x)

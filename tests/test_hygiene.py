@@ -169,13 +169,10 @@ def _calls(node):
     return any(isinstance(n, ast.Call) for n in ast.walk(node))
 
 
-def test_no_none_default_stands_for_a_computed_value():
-    """A parameter defaulting to None must not be replaced by a value that a
-    call computes, either by ``if p is None: p = f(...)`` or by a conditional
-    expression on ``p is (not) None`` whose None branch is a call: that offers
-    callers a second path to a value the function can compute itself.
-    Constant stand-ins, such as ``core.DEFAULT_BUDGET``, are allowed."""
-    found = []
+def _computed_defaults():
+    """(module, function, parameter, line) of every None default that a call
+    computes, by ``if p is None: p = f(...)`` or by a conditional expression
+    on ``p is (not) None`` whose None branch is a call."""
     for name, tree in _modules().items():
         for qualname, fn in _functions(tree):
             params = _none_defaulted(fn)
@@ -193,9 +190,26 @@ def test_no_none_default_stands_for_a_computed_value():
                         node.body if is_none else node.orelse)
                 else:
                     continue
-                if computed and (name, qualname, p) not in COMPUTED_DEFAULTS_PENDING:
-                    found.append(f"{name}:{node.lineno} {qualname}: {p}")
+                if computed:
+                    yield name, qualname, p, node.lineno
+
+
+def test_no_none_default_stands_for_a_computed_value():
+    """A parameter defaulting to None must not be replaced by a value that a
+    call computes: that offers callers a second path to a value the function
+    can compute itself.  Constant stand-ins, such as ``core.DEFAULT_BUDGET``,
+    are allowed."""
+    found = [f"{name}:{line} {qualname}: {p}"
+             for name, qualname, p, line in _computed_defaults()
+             if (name, qualname, p) not in COMPUTED_DEFAULTS_PENDING]
     assert found == []
+
+
+def test_every_pending_computed_default_is_still_found():
+    """The allowlist shrinks with the code: an entry whose computed default
+    is gone fails here until it is removed."""
+    found = {(name, qualname, p) for name, qualname, p, _ in _computed_defaults()}
+    assert COMPUTED_DEFAULTS_PENDING - found == set()
 
 
 def test_every_traced_layer_of_the_benchmark_names_a_callable():

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fincat import core, corpus, limits
-from fincat.core import FinCategory, FinFunctor, Presheaf, covariant, validate
+from fincat.core import (FinCategory, FinFunctor, Presheaf, _freeze, compose_functors,
+                         covariant, validate)
 from fincat.corpus import (Chain3, Disc2, Empty, I, M, Par, Span, Two, Z2, Z3,
                            PRESHEAVES, delta0, delta1)
 from fincat.equivalence import all_functors, find_isomorphism, presheaf_isomorphic
@@ -15,8 +17,9 @@ from fincat.limits import (ColimitResult, coend, colimit_in_category, end,
                            weighted_colimit, weighted_limit)
 from fincat.profunctor import id_module
 from util import (SMALL_CATEGORIES, _coend_by_union_find, cone_oracle,
-                  nat_trans_oracle, pairing_profunctor, random_nonempty_presheaf,
-                  random_presheaf, random_profunctor, wedge_oracle)
+                  nat_trans_oracle, pairing_profunctor, random_concrete_category,
+                  random_nonempty_presheaf, random_presheaf, random_profunctor,
+                  wedge_oracle)
 
 
 def test_finset_limit_oracles():
@@ -250,6 +253,24 @@ def test_weighted_colimit_rejects_a_conical_route_that_disagrees(monkeypatch, ch
     assert checked >= 10
 
 
+@pytest.mark.parametrize("route, change, message", [
+    ("finset_limit", lambda res: limits.LimitResult(res.apex[1:]),
+     "weighted_limit routes disagree: 2 vs 1"),
+    ("finset_limit", lambda res: limits.LimitResult(res.apex + (("extra",),)),
+     "weighted_limit routes disagree: 2 vs 3"),
+    ("nat_trans_set", lambda nats: nats + nats[:1],
+     "weighted_limit: end route not jointly injective")])
+def test_weighted_limit_names_the_route_that_fails(monkeypatch, route, change, message):
+    """A family one route lacks, or a family the end route lists twice, is
+    named in the message of the old per-family loop."""
+    phi, t = PRESHEAVES["Y.Two.0"], PRESHEAVES["YplusY.Two"]
+    assert weighted_limit(phi, t).size == 2
+    real = getattr(limits, route)
+    monkeypatch.setattr(limits, route, lambda *args: change(real(*args)))
+    with pytest.raises(InternalMismatch, match=f"^{message}$"):
+        weighted_limit(phi, t)
+
+
 def test_weighted_limit_both_routes_sampled():
     rng = random.Random(11)
     ran = 0
@@ -291,6 +312,136 @@ def test_preservation_needs_a_universal_cocone_not_just_hom_sizes():
     bad = (False, "transported cocone not universal")
     assert verdicts == {("1>2:x", "1>2:x"): bad, ("1>2:x", "1>2:y"): (True, ""),
                         ("1>2:y", "1>2:x"): (True, ""), ("1>2:y", "1>2:y"): bad}
+
+
+def _is_universal_cocone_oracle(phi, s, c, cocone, frozen):
+    """The former body of limits._is_universal_cocone: frozen[a] is the set of
+    frozen transformations phi -> Hom(S-, a)."""
+    cat = s.target
+    for a in cat.objects:
+        seen = set()
+        for g in cat.hom(c, a):
+            image = _freeze(phi, lambda j, x: cat.compose(g, cocone[j][x]))
+            if image in seen:
+                return False
+            seen.add(image)
+        if seen != frozen[a]:
+            return False
+    return True
+
+
+def _corepresentation_oracle(phi, s):
+    """Nat(phi, Hom(S-, a)) and its frozen forms, as colimit_in_category and
+    preserves_weighted_colimit each computed them."""
+    nats = {a: nat_trans_set(phi, limits.hom_diagram(s, a)) for a in s.target.objects}
+    return nats, {a: {n.frozen() for n in nats[a]} for a in nats}
+
+
+def _colimit_in_category_oracle(phi, s):
+    cat = s.target
+    nats, frozen = _corepresentation_oracle(phi, s)
+    for c in cat.objects:
+        if any(len(cat.hom(c, a)) != len(nats[a]) for a in cat.objects):
+            continue
+        for eta in nats[c]:
+            if _is_universal_cocone_oracle(phi, s, c, eta.components, frozen):
+                return c, {k: {x: eta.components[k][x] for x in phi.sets[k]}
+                           for k in phi.base.objects}
+    return None
+
+
+def _preserves_oracle(f, phi, s, colim):
+    fs = compose_functors(f, s)
+    cat = fs.target
+    nats, frozen = _corepresentation_oracle(phi, fs)
+    apex2 = f.obj(colim.apex)
+    cocone2 = {k: {x: f.mor(m) for x, m in colim.cocone[k].items()}
+               for k in phi.base.objects}
+    if all(len(cat.hom(apex2, a)) == len(nats[a]) for a in cat.objects) and \
+            _is_universal_cocone_oracle(phi, fs, apex2, cocone2, frozen):
+        return True, ""
+    if _colimit_in_category_oracle(phi, fs) is None:
+        return False, "colimit missing in target"
+    return False, "transported cocone not universal"
+
+
+def _universality_verdicts(phi, s, functors):
+    """Compare the corepresentation search with the oracles on the diagram s:
+    every candidate cocone, the colimit found, and its preservation by each
+    functor.  Returns the verdicts on the candidates and on preservation."""
+    cocones = limits._cocones(phi, s)
+    nats, frozen = _corepresentation_oracle(phi, s)
+    assert list(cocones) == list(nats)
+    assert all([n.frozen() for n in cocones[a].values()] == [n.frozen() for n in nats[a]]
+               for a in nats)
+    verdicts = []
+    for c in s.target.objects:
+        for eta in nats[c]:
+            got = limits._is_universal_cocone(phi, s, c, eta.components, cocones)
+            assert got == _is_universal_cocone_oracle(phi, s, c, eta.components, frozen)
+            verdicts.append(got)
+    colim = colimit_in_category(phi, s)
+    want = _colimit_in_category_oracle(phi, s)
+    assert (None if colim is None else (colim.apex, colim.cocone)) == want
+    for f in functors if colim is not None else ():
+        res = preserves_weighted_colimit(f, phi, s, colim)
+        verdict = (res.preserved, res.reason)
+        assert verdict == _preserves_oracle(f, phi, s, colim), (phi.name, f.name)
+        verdicts.append(verdict)
+    return verdicts
+
+
+# two isomorphic objects, so that the lowest object index decides the apex
+_ISO2 = FinCategory("Iso2", ["0", "1"],
+                    [("1_0", "0", "0"), ("1_1", "1", "1"), ("f", "0", "1"), ("g", "1", "0")],
+                    {"0": "1_0", "1": "1_1"},
+                    {("1_0", "1_0"): "1_0", ("1_1", "1_1"): "1_1", ("f", "1_0"): "f",
+                     ("1_1", "f"): "f", ("g", "1_1"): "g", ("1_0", "g"): "g",
+                     ("g", "f"): "1_0", ("f", "g"): "1_1"})
+_TARGETS = [Two, Disc2, Span, corpus.Cospan, Par, M, Z2, Chain3, corpus.QM, _ISO2]
+
+
+def test_universal_cocones_match_the_oracles_on_the_corpus():
+    """Every weight of the corpus weight classes, every diagram of its shape
+    in small corpus categories, and the first functors out of each."""
+    weights = {p.name: p for wc in corpus.WEIGHT_CLASSES.values() for p in wc.weights}
+    verdicts = []
+    for phi in weights.values():
+        for cat in _TARGETS:
+            functors = [f for d in _TARGETS for f in all_functors(cat, d, cap=2)]
+            for s in all_functors(phi.base, cat, cap=12):
+                verdicts += _universality_verdicts(phi, s, functors)
+    for want in (True, False, (True, ""), (False, "colimit missing in target"),
+                 (False, "transported cocone not universal")):
+        assert want in verdicts
+    assert validate(_ISO2).ok
+    assert colimit_in_category(corpus.PRESHEAVES["zero.Empty"],
+                               all_functors(Empty, _ISO2)[0]).apex == "0"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6), st.sampled_from(SMALL_CATEGORIES[:6]))
+def test_universal_cocones_match_the_oracles_on_random_categories(seed, shape):
+    rng = random.Random(seed)
+    cat = random_concrete_category(rng, "A", max_nonid=6)
+    other = random_concrete_category(rng, "X", max_nonid=6)
+    phi = random_presheaf(rng, shape, "w", max_size=2)
+    functors = all_functors(cat, other, cap=3)
+    for s in all_functors(shape, cat, cap=6):
+        _universality_verdicts(phi, s, functors)
+
+
+def test_a_cocone_that_is_not_natural_is_an_internal_fault():
+    """Composing with a cocone that breaks naturality leaves the natural
+    families, which only a category or functor breaking its laws can cause;
+    it raises instead of reading as "not universal"."""
+    phi = corpus.one_Span
+    s = next(t for t in all_functors(Span, Z2) if t.mor("l") == t.mor("r") == "1")
+    cocone = {"0": {"*": "g"}, "1": {"*": "1"}, "2": {"*": "1"}}
+    with pytest.raises(InternalMismatch, match=r"^composite left Nat\(phi, Hom\(S-, a\)\)$"):
+        limits._is_universal_cocone(phi, s, "*", cocone, limits._cocones(phi, s))
+    assert _is_universal_cocone_oracle(phi, s, "*", cocone, {
+        a: set(cocones) for a, cocones in limits._cocones(phi, s).items()}) is False
 
 
 def test_colimit_in_category_absent():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fincat import corpus
+from fincat import corpus, profunctor
 from fincat.core import (Presheaf, Profunctor, product_category,
                          same_category, unit_category, validate)
 from fincat.corpus import (Disc2, I, M, Par, QM, Span, Two, Z2, Z3, PRESHEAVES,
@@ -261,6 +261,58 @@ def test_weight_module_adjoint_iff_small_projective():
     assert not has_right_adjoint(module_of_weight(delta0(Two))).found
     res = has_right_adjoint(module_of_weight(PRESHEAVES["one.Z2"]))
     assert res.reason
+
+
+def _bijection_failure_oracle(cell):
+    """The former body of TwoCell.bijection_failure."""
+    for at, table in cell.components.items():
+        images = set(table.values())
+        if len(images) != len(table):
+            return at, "injective"
+        if images != set(cell.target.cell(*at)):
+            return at, "surjective"
+    return None
+
+
+def _failures(cells):
+    got = [cell.bijection_failure() for cell in cells]
+    assert got == [_bijection_failure_oracle(cell) for cell in cells]
+    return {None if g is None else g[1] for g in got}
+
+
+def test_bijection_failure_matches_the_oracle_on_corpus_cells():
+    """The adjoint comparisons of the corpus weights' modules, and every
+    2-cell between modules of corpus weights on one base."""
+    small = [p for p in PRESHEAVES.values() if len(p.base.morphisms) <= 4]
+    kinds = _failures([has_right_adjoint(module_of_weight(p)).comparison for p in small])
+    assert kinds == {None, "surjective"}
+    mods = [module_of_weight(p) for p in small]
+    cells = [c for f in mods for g in mods if f.target is g.target for c in two_cells(f, g)]
+    assert len(cells) > 100
+    assert _failures(cells) == {None, "injective", "surjective"}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(SMALL_CATEGORIES[:4]), st.sampled_from(SMALL_CATEGORIES[:4]),
+       st.integers(0, 10 ** 6))
+def test_bijection_failure_matches_the_oracle_on_random_cells(source, target, seed):
+    rng = random.Random(seed)
+    f, g = (random_profunctor(rng, source, target, name) for name in "fg")
+    _failures(two_cells(f, g) + two_cells(g, f) + two_cells(f, f))
+
+
+def test_a_two_cell_on_one_module_views_it_as_a_presheaf_once(monkeypatch):
+    viewed = []
+    as_presheaf = profunctor.as_presheaf
+    monkeypatch.setattr(profunctor, "as_presheaf",
+                        lambda f, base: viewed.append(f) or as_presheaf(f, base))
+    cell = identity_two_cell(example82)
+    assert viewed == [example82] and cell.nat.source is cell.nat.target
+    viewed.clear()
+    composite = compose_modules(example82, id_module(example82.source))
+    rho = right_unitor(example82, composite)
+    assert viewed == [composite, example82] and rho.nat.source is not rho.nat.target
+    assert validate(cell.nat).ok and validate(rho.nat).ok
 
 
 def _random_map(rng, dom, cod):
