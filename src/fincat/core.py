@@ -785,40 +785,42 @@ def _families(domains, equations, budget, search, distinct=None, first=False):
     return out
 
 
+def _least_reps(n, pairs):
+    """rep[i] is the least index of i's class under the equivalence on
+    range(n) generated by the index ``pairs``, consumed once.  Union-find
+    (Tarjan 1975): the larger root is linked under the smaller, finds halve
+    their paths, and one pass in increasing index order settles every entry."""
+    rep = list(range(n))
+    for a, b in pairs:
+        # find with path halving, inlined because it is most of the work
+        while rep[a] != a:
+            rep[a] = a = rep[rep[a]]
+        while rep[b] != b:
+            rep[b] = b = rep[rep[b]]
+        if a < b:
+            rep[b] = a
+        elif b < a:
+            rep[a] = b
+    for i in range(n):          # rep[i] <= i, so rep[rep[i]] is settled
+        rep[i] = rep[rep[i]]
+    return rep
+
+
+def _classes(tags, rep):
+    """(classes, lookup) of ``quotient`` from the representatives of ``_least_reps``."""
+    return (tuple(tag for i, tag in enumerate(tags) if rep[i] == i),
+            {tag: tags[r] for tag, r in zip(tags, rep)})
+
+
 def quotient(tags, pairs):
     """Classes of the sequence ``tags`` under the equivalence generated by ``pairs``.
 
     Returns (classes, lookup): lookup maps each tag to the least-index tag of
-    its class; classes lists those representatives in tag order.  Union by size
-    with path halving (Tarjan 1975); ``pairs`` is consumed once, never stored.
+    its class; classes lists those representatives in tag order.  It numbers
+    the tags for ``_least_reps``; ``pairs`` is consumed once, never stored.
     """
     index = {tag: i for i, tag in enumerate(tags)}
-    parent = list(range(len(tags)))
-    size = [1] * len(tags)
-    for a, b in pairs:
-        ra, rb = index[a], index[b]
-        # find with path halving, inlined because it is most of the work
-        while parent[ra] != ra:
-            parent[ra] = ra = parent[parent[ra]]
-        while parent[rb] != rb:
-            parent[rb] = rb = parent[parent[rb]]
-        if ra != rb:
-            if size[ra] < size[rb]:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            size[ra] += size[rb]
-    classes = []
-    lookup = {}
-    reps = {}  # root -> first tag of its class in tag order, the least index
-    for i, tag in enumerate(tags):
-        root = i
-        while parent[root] != root:
-            parent[root] = root = parent[parent[root]]
-        rep = reps.setdefault(root, tag)
-        if rep is tag:
-            classes.append(tag)
-        lookup[tag] = rep
-    return tuple(classes), lookup
+    return _classes(tags, _least_reps(len(tags), ((index[a], index[b]) for a, b in pairs)))
 
 
 def is_connected(c: FinCategory) -> bool:

@@ -2,13 +2,15 @@
 
 A module f: A -|-> B is a Profunctor with source A and target B; its cells are
 indexed (b, a).  Composition g . f (for g: B -|-> C) is the pointwise coend
-over B of g(c,b) x f(b,a), taken directly: one quotient per cell (c, a) of the
-raw pairs (b, (y, x)), generated by the morphisms of B.  Right lifts are
-computed by their end formula: a cell of {|f,h|} at (a,c) is a natural family
-of functions f(-,a) -> h(-,c), stored in frozen form with a decode table kept
-alongside.  Right extensions are right lifts of transposed modules: reading
-A -|-> B as B^op -|-> A^op gives [[g,h]] = {|g^t,h^t|}^t, and the extension
-transpose bijection is the lift bijection of the transposes.
+over B of g(c,b) x f(b,a), taken directly on integer positions: one quotient
+per cell (c, a) of the raw pairs (b, (y, x)), numbered in tag order, whose
+positions ``core._least_reps`` joins where a non-identity morphism of B links
+them (read from per-cell position tables).  Right lifts are computed by their
+end formula: a cell of {|f,h|} at (a,c) is a natural family of functions
+f(-,a) -> h(-,c), stored in frozen form with a decode table kept alongside.
+Right extensions are right lifts of transposed modules: reading A -|-> B as
+B^op -|-> A^op gives [[g,h]] = {|g^t,h^t|}^t, and the extension transpose
+bijection is the lift bijection of the transposes.
 
 2-cells wrap NatTrans values over the product base target x source^op; building
 one checks each cell's domain and image only, and ``validate(cell.nat)`` checks
@@ -21,11 +23,13 @@ the module of a covariant weight is the transpose of its module as a weight.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, Profunctor,
-                   _bijectivity, _freeze, identity_functor, product_category,
-                   quotient, same_category, unit_category, validate)
+                   _bijectivity, _classes, _freeze, _least_reps, identity_functor,
+                   product_category, same_category, unit_category, validate)
 from .equivalence import presheaf_isomorphic
 from .errors import EndpointMismatch, InternalMismatch, ValidationFailed
 from .limits import ColimitResult, nat_trans_set
@@ -90,16 +94,21 @@ class TwoCell:
         return TwoCell(self.target, self.source, comps,
                        name=f"inv({self.name})", base=self.base)
 
-    def bijection_failure(self):
-        """The first cell, in component order, whose component is not a
-        bijection onto the target cell, with "injective" or "surjective" for
-        what fails there (injectivity is tested first); None if there is none."""
+    @cached_property
+    def _failure(self):
         for cell, table in self.components.items():
             injective, surjective = _bijectivity(table.values(), set(self.target.cell(*cell)),
                                                  "2-cell left its target cell")
             if not (injective and surjective):
                 return cell, "surjective" if injective else "injective"
         return None
+
+    def bijection_failure(self):
+        """The first cell, in component order, whose component is not a
+        bijection onto the target cell, with "injective" or "surjective" for
+        what fails there (injectivity is tested first); None if there is none.
+        Decided once per 2-cell, whose components never change."""
+        return self._failure
 
     def is_iso(self):
         return self.bijection_failure() is None
@@ -156,16 +165,22 @@ class CompositeProfunctor(Profunctor):
         return self.coends[(tgt_obj, src_obj)].find(mid_obj, (outer_elem, inner_elem))
 
 
-def _coend_pairs(g: Profunctor, f: Profunctor, c, a):
-    """The generating pairs of the coend at (c, a): each u: s -> t of the middle
-    category identifies (y, u.x) over s with (y.u, x) over t."""
-    mid = g.source
-    for u in mid.morphisms:
-        s, t = mid.src[u], mid.tgt[u]
-        f_u, g_u = f.left[(u, a)], g.right[(c, u)]
-        for y in g.cell(c, s):
-            for x in f.cell(t, a):
-                yield (s, (y, f_u[x])), (t, (g_u[y], x))
+def _coend_pairs(g: Profunctor, f: Profunctor, c, a, moves, off, f_pos, g_pos):
+    """The generating pairs of the coend at (c, a) on tag positions, one zip
+    per move u: s -> t, a non-identity morphism of the middle category (an
+    identity pairs each tag with itself).  Tag (b, (y, x)) sits at
+    off[b] + i_y |f(b, a)| + i_x, and u links (y, u.x) over s with (y.u, x)
+    over t.  ``f_pos`` and ``g_pos`` give each element's index in its cell."""
+    for u, s, t in moves:
+        ys, xs = g.sets[(c, s)], f.sets[(t, a)]
+        if ys and xs:           # then f(s, a) is not empty either
+            n_s, n_t = len(f.sets[(s, a)]), len(xs)
+            f_u, g_u, at_t = f.left[(u, a)], g.right[(c, u)], g_pos[(c, t)]
+            row_s = range(off[s], off[s] + len(ys) * n_s, n_s)     # (y, -) over s
+            row_t = [off[t] + at_t[g_u[y]] * n_t for y in ys]      # (y.u, -) over t
+            ux = [f_pos[(s, a)][f_u[x]] for x in xs]               # u.x at f(s, a)
+            yield zip([r + p for r in row_s for p in ux],
+                      [r + i_x for r in row_t for i_x in range(n_t)])
 
 
 def compose_modules(g: Profunctor, f: Profunctor) -> CompositeProfunctor:
@@ -176,13 +191,20 @@ def compose_modules(g: Profunctor, f: Profunctor) -> CompositeProfunctor:
         raise EndpointMismatch(f"cannot compose {g.name} after {f.name}")
     mid = g.source
     source, target = f.source, g.target
+    moves = [(u, mid.src[u], mid.tgt[u]) for u in mid.morphisms if not mid.is_identity(u)]
+    f_pos, g_pos = ({cell: {x: i for i, x in enumerate(xs)} for cell, xs in m.sets.items()
+                     if moves} for m in (f, g))   # without moves there is nothing to place
     coends = {}
     sets = {}
     for c in target.objects:
         for a in source.objects:
-            tags = [(b, (y, x)) for b in mid.objects
-                    for y in g.cell(c, b) for x in f.cell(b, a)]
-            co = ColimitResult(*quotient(tags, _coend_pairs(g, f, c, a)))
+            off, tags = {}, []
+            for b in mid.objects:
+                off[b] = len(tags)
+                tags += [(b, (y, x)) for y in g.cell(c, b) for x in f.cell(b, a)]
+            zips = _coend_pairs(g, f, c, a, moves, off, f_pos, g_pos)
+            reps = _least_reps(len(tags), itertools.chain.from_iterable(zips))
+            co = ColimitResult(*_classes(tags, reps))
             coends[(c, a)] = co
             sets[(c, a)] = co.classes
     left = {}

@@ -11,7 +11,7 @@ from fincat import corpus, validate
 from fincat.cauchy import cauchy_completion
 from fincat.core import (FinCategory, FinFunctor, FunctorTransform, NatTrans,
                          Presheaf, Profunctor, _bijectivity, _composable_pairs, _entry,
-                         _freeze, _pullback,
+                         _freeze, _least_reps, _pullback,
                          category_of_elements, compose_functors, covariant,
                          full_subcategory, identity_functor, is_connected,
                          is_filtered, nat_compose, nat_identity,
@@ -99,6 +99,31 @@ def tags_and_pairs(draw):
 def test_quotient_matches_breadth_first_closure(case):
     tags, pairs = case
     assert quotient(tags, iter(pairs)) == quotient_oracle(tags, pairs)
+
+
+@st.composite
+def index_pairs(draw):
+    """Up to 300 indices, with a long chain in shuffled order, self-pairs and
+    repeated pairs, all in shuffled order."""
+    n = draw(st.integers(1, 300))
+    index = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=n // 2))
+    chain = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    pairs += zip(chain, chain[1:])
+    if draw(st.booleans()):     # a descending chain: the longest parent paths
+        pairs += zip(range(n - 1, 0, -1), range(n - 2, -1, -1))
+    pairs += [(i, i) for i in draw(st.lists(index, max_size=10))]
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=20))
+    return n, draw(st.permutations(pairs))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(index_pairs())
+def test_least_reps_matches_breadth_first_closure(case):
+    n, pairs = case
+    _, lookup = quotient_oracle(range(n), pairs)
+    assert _least_reps(n, iter(pairs)) == [lookup[i] for i in range(n)]
 
 
 def test_quotient_representatives_are_least_indices():

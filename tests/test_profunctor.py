@@ -1,15 +1,17 @@
+import gc
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fincat import corpus, profunctor
-from fincat.core import (Presheaf, Profunctor, product_category,
+from fincat.core import (Presheaf, Profunctor, product_category, quotient,
                          same_category, unit_category, validate)
 from fincat.corpus import (Disc2, I, M, Par, QM, Span, Two, Z2, Z3, PRESHEAVES,
                            delta0, example82)
 from fincat.equivalence import all_functors
 from fincat.errors import EndpointMismatch, ValidationFailed
+from fincat.limits import ColimitResult
 from fincat.profunctor import (_companion, as_presheaf, associator, compose_modules,
                                functor_to_modules, has_right_adjoint,
                                id_module, identity_two_cell, left_unitor,
@@ -538,6 +540,113 @@ def test_compose_modules_matches_pair_module_route():
                 assert got.normalize(c, a, b, y, x) == rep
         checked += 1
     assert checked > 1000
+
+
+def _tuple_tag_coend_pairs(g, f, c, a):
+    """The former generating pairs of compose_modules, as tag pairs: each
+    u: s -> t of the middle category, identities included, identifies
+    (y, u.x) over s with (y.u, x) over t."""
+    mid = g.source
+    for u in mid.morphisms:
+        s, t = mid.src[u], mid.tgt[u]
+        f_u, g_u = f.left[(u, a)], g.right[(c, u)]
+        for y in g.cell(c, s):
+            for x in f.cell(t, a):
+                yield (s, (y, f_u[x])), (t, (g_u[y], x))
+
+
+def _tuple_tag_compose(g, f):
+    """The former compose_modules: one core.quotient of tuple tags per cell."""
+    source, target = f.source, g.target
+    coends, sets = {}, {}
+    for c in target.objects:
+        for a in source.objects:
+            tags = [(b, (y, x)) for b in g.source.objects
+                    for y in g.cell(c, b) for x in f.cell(b, a)]
+            coends[(c, a)] = ColimitResult(*quotient(tags, _tuple_tag_coend_pairs(g, f, c, a)))
+            sets[(c, a)] = coends[(c, a)].classes
+    left = {(gamma, a): {(b, (y, x)): coends[(target.src[gamma], a)].find(
+                             b, (g.left_act(gamma, b, y), x))
+                         for b, (y, x) in sets[(target.tgt[gamma], a)]}
+            for gamma in target.morphisms for a in source.objects}
+    right = {(c, alpha): {(b, (y, x)): coends[(c, source.tgt[alpha])].find(
+                              b, (y, f.right_act(b, alpha, x)))
+                          for b, (y, x) in sets[(c, source.src[alpha])]}
+             for c in target.objects for alpha in source.morphisms}
+    return sets, left, right, coends
+
+
+def _assert_composite_matches_tuple_tags(got, g, f):
+    sets, left, right, coends = _tuple_tag_compose(g, f)
+    assert list(got.sets.items()) == list(sets.items()), got.name
+    for mine, theirs in ((got.left, left), (got.right, right)):
+        assert [(k, list(t.items())) for k, t in mine.items()] == \
+            [(k, list(t.items())) for k, t in theirs.items()], got.name
+    assert list(got.coends) == list(coends), got.name
+    for cell, co in coends.items():
+        assert got.coends[cell].classes == co.classes, (got.name, cell)
+        assert list(got.coends[cell].lookup.items()) == list(co.lookup.items()), (got.name, cell)
+
+
+def test_compose_modules_matches_tuple_tags_on_composable_pairs():
+    for g, f in _composable_pairs():
+        _assert_composite_matches_tuple_tags(compose_modules(g, f), g, f)
+
+
+def _adjoint_composites(monkeypatch, weights):
+    """Every (g, f, g . f) that has_right_adjoint builds on the weights' modules."""
+    built = []
+    compose = profunctor.compose_modules
+
+    def recording(g, f):
+        built.append((g, f, compose(g, f)))
+        return built[-1][2]
+    monkeypatch.setattr(profunctor, "compose_modules", recording)
+    for phi in weights:
+        has_right_adjoint(module_of_weight(phi))
+    return built
+
+
+def test_compose_modules_matches_tuple_tags_on_adjoint_composites(monkeypatch):
+    built = _adjoint_composites(monkeypatch, PRESHEAVES.values())
+    assert len(built) == 540
+    for g, f, got in built:
+        _assert_composite_matches_tuple_tags(got, g, f)
+
+
+def test_adjoint_composites_of_a_gset_weight_are_pinned(monkeypatch):
+    """The two largest composites of Y.GSet.GG and the pairs the kernel reads:
+    one per raw pair linked by a non-identity morphism of the middle category."""
+    consumed = []
+    least_reps = profunctor._least_reps
+
+    def counting(n, pairs):
+        pairs = list(pairs)
+        consumed.append(len(pairs))
+        return least_reps(n, iter(pairs))
+    monkeypatch.setattr(profunctor, "_least_reps", counting)
+    built = _adjoint_composites(monkeypatch, [PRESHEAVES["Y.GSet.GG"]])
+    sizes = sorted((sum(len(co.lookup) for co in c.coends.values()),
+                    sum(len(classes) for classes in c.sets.values())) for _, _, c in built)
+    assert sizes[-2:] == [(5440, 320), (5712, 336)]
+    linked = sum(len(g.cell(c, mid.src[u])) * len(f.cell(mid.tgt[u], a))
+                 for g, f, _ in built for mid in [g.source]
+                 for c in g.target.objects for a in f.source.objects
+                 for u in mid.morphisms if not mid.is_identity(u))
+    assert sum(consumed) == linked == 194856
+
+
+def test_has_right_adjoint_decides_each_two_cell_once(monkeypatch):
+    """No component of any 2-cell is tested for bijectivity twice."""
+    decided = []
+    bijectivity = profunctor._bijectivity
+    monkeypatch.setattr(profunctor, "_bijectivity", lambda images, onto, message: (
+        decided.append(gc.get_referents(images)[0]) or bijectivity(images, onto, message)))
+    for phi in PRESHEAVES.values():
+        if phi.base.name not in ("GSet", "FinSet12"):
+            has_right_adjoint(module_of_weight(phi))
+    assert len(decided) > 100
+    assert len({id(table) for table in decided}) == len(decided)
 
 
 def _canonical_two_cells():
