@@ -1,18 +1,20 @@
 import gc
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fincat import corpus, profunctor
-from fincat.core import (Presheaf, Profunctor, product_category, quotient,
+from fincat.core import (Presheaf, Profunctor, _freeze, product_category, quotient,
                          same_category, unit_category, validate)
 from fincat.corpus import (Disc2, I, M, Par, QM, Span, Two, Z2, Z3, PRESHEAVES,
                            delta0, example82)
 from fincat.equivalence import all_functors
-from fincat.errors import EndpointMismatch, ValidationFailed
-from fincat.limits import ColimitResult
-from fincat.profunctor import (_companion, as_presheaf, associator, compose_modules,
+from fincat.errors import EndpointMismatch, InternalMismatch, ValidationFailed
+from fincat.limits import ColimitResult, nat_trans_set
+from fincat.profunctor import (_cellwise, _column, _companion, _transpose, as_presheaf,
+                               associator, compose_modules,
                                functor_to_modules, has_right_adjoint,
                                id_module, identity_two_cell, left_unitor,
                                module_of_coweight, module_of_weight,
@@ -378,6 +380,19 @@ def test_unlawful_module_is_a_validation_failure():
         assert str(err.value) == str(validate(f)), f.name
 
 
+def test_unlawful_module_to_a_lift_or_extension_is_a_validation_failure():
+    """right_lift and right_extend check the modules they are given, in
+    either place, and report the unlawful one as the caller passed it."""
+    for f in _unlawful_modules(300):
+        one_b, one_a = id_module(f.target), id_module(f.source)
+        calls = (lambda: right_lift(f, one_b), lambda: right_lift(one_b, f),
+                 lambda: right_extend(f, one_a), lambda: right_extend(one_a, f))
+        for call in calls:
+            with pytest.raises(ValidationFailed) as err:
+                call()
+            assert str(err.value) == str(validate(f)), f.name
+
+
 def test_module_of_unlawful_weight_is_a_validation_failure():
     for phi in _unlawful_weights(150):
         f = module_of_weight(phi)
@@ -473,6 +488,76 @@ def _extension_pairs():
     yield example82, example82
     yield example82, id_module(example82.source)
     yield id_module(example82.source), example82
+
+
+def _eager_right_lift(f, h):
+    """The former right_lift: (lift, counit, composite), the composite and
+    the counit built with the lift."""
+    a_cat, c_cat = f.source, h.source
+    f_col = {a: _column(f, a) for a in a_cat.objects}
+    h_col = {c: _column(h, c) for c in c_cat.objects}
+    decode = {}
+    sets = {}
+    for a in a_cat.objects:
+        for c in c_cat.objects:
+            nats = nat_trans_set(f_col[a], h_col[c])
+            decode[(a, c)] = {n.frozen(): n for n in nats}
+            sets[(a, c)] = tuple(n.frozen() for n in nats)
+
+    def act(src, tgt, value):
+        table = {}
+        for key, n in decode[src].items():
+            table[key] = _freeze(f_col[tgt[0]], lambda b, y: value(n, b, y))
+            if table[key] not in decode[tgt]:
+                raise InternalMismatch("lift action left the natural family set")
+        return table
+
+    left = {(alpha, c): act((a_cat.tgt[alpha], c), (a_cat.src[alpha], c),
+                            lambda n, b, y: n.components[b][f.right_act(b, alpha, y)])
+            for alpha in a_cat.morphisms for c in c_cat.objects}
+    right = {(a, xi): act((a, c_cat.src[xi]), (a, c_cat.tgt[xi]),
+                          lambda n, b, y: h.right_act(b, xi, n.components[b][y]))
+             for a in a_cat.objects for xi in c_cat.morphisms}
+    lift = Profunctor(f"lift({f.name},{h.name})", c_cat, a_cat, sets, left, right)
+    composite = compose_modules(f, lift)
+
+    def evaluate(b, c, rep):
+        a, (y, key) = rep
+        return decode[(a, c)][key].components[b][y]
+    counit = _cellwise(composite, h, f"ev({f.name},{h.name})", evaluate)
+    return lift, counit, composite
+
+
+def _nested(table):
+    return [(k, list(v.items())) for k, v in table.items()]
+
+
+def _assert_lazy_lift_matches_eager(lifted, f, h):
+    lift, counit, composite = _eager_right_lift(f, h)
+    assert lifted.f is f and lifted.h is h
+    got = lifted.counit
+    assert lifted.counit is got and got.source is lifted.composite, lift.name
+    assert got.target is h and got.name == counit.name, lift.name
+    assert got.frozen() == counit.frozen(), lift.name
+    for mine, theirs in ((lifted.lift, lift), (lifted.composite, composite)):
+        assert list(mine.sets.items()) == list(theirs.sets.items()), theirs.name
+        assert _nested(mine.left) == _nested(theirs.left), theirs.name
+        assert _nested(mine.right) == _nested(theirs.right), theirs.name
+
+
+def test_lazy_lift_fields_match_the_eager_lift():
+    """The composite and counit built on first read equal the ones the
+    former right_lift built with the lift, on example 8.2 and on the
+    transposed pairs of every right extension of the end-formula test."""
+    _assert_lazy_lift_matches_eager(right_lift(example82, example82), example82, example82)
+    checked = 0
+    for g, h in _extension_pairs():
+        lifted = right_extend(g, h).lifted
+        _assert_lazy_lift_matches_eager(lifted, lifted.f, lifted.h)
+        assert (list(lifted.f.sets.items()), list(lifted.h.sets.items())) == \
+            (list(_transpose(g).sets.items()), list(_transpose(h).sets.items()))
+        checked += 1
+    assert checked == 918
 
 
 def test_right_extend_matches_end_formula():
@@ -608,10 +693,56 @@ def _adjoint_composites(monkeypatch, weights):
 
 
 def test_compose_modules_matches_tuple_tags_on_adjoint_composites(monkeypatch):
+    """446 composites: g.f on every weight, plus f.g (the counit's source)
+    and the eight composites of the triangle identities on the 42 weights
+    whose comparison is invertible.  It was 540 while each of the two lifts
+    composed f with itself when built, whether or not its counit was read."""
     built = _adjoint_composites(monkeypatch, PRESHEAVES.values())
-    assert len(built) == 540
+    assert len(built) == 446
     for g, f, got in built:
         _assert_composite_matches_tuple_tags(got, g, f)
+
+
+def test_adjoint_product_categories_are_pinned(monkeypatch):
+    """has_right_adjoint builds a product base for each 2-cell it makes and
+    validates each module once.  Over the 68 weights that is 572 products
+    (750 while every lift built its counit and each triangle identity was
+    compared with an identity 2-cell); zero.GSet, whose comparison fails,
+    builds only the comparison's base I x I^op (3 with both counits)."""
+    products, validated = [], []
+    product, check = profunctor.product_category, profunctor.validate
+    monkeypatch.setattr(profunctor, "product_category", lambda a, b: (
+        products.append((a.name, b.name)) or product(a, b)))
+    monkeypatch.setattr(profunctor, "validate", lambda m: validated.append(m) or check(m))
+    found = sum(has_right_adjoint(module_of_weight(phi)).found for phi in PRESHEAVES.values())
+    assert (len(products), len(validated), found) == (572, 68, 42)
+    assert products.count(("GSet", "GSet^op")) == 4
+    products.clear()
+    assert not has_right_adjoint(module_of_weight(PRESHEAVES["zero.GSet"])).found
+    assert products == [("I", "I^op")]
+
+
+@pytest.mark.parametrize("family, value, triangle", [
+    (("1", "g"), "g", "(counit.f)(f.unit)"),
+    (("g", "1"), "1", "(g.counit)(unit.g)")])
+def test_a_corrupted_counit_breaks_a_triangle_identity(monkeypatch, family, value, triangle):
+    """On the representable of Z2, the counit at the class of (1, t) is t(1).
+    Setting it to another value for the identity t breaks the first triangle;
+    doing so for the swap breaks only the second.  Each identity is checked."""
+    f = module_of_weight(PRESHEAVES["Y.Z2.*"])
+    assert has_right_adjoint(f).found
+    lift = profunctor._right_lift
+
+    def corrupted(f, h):
+        """{|f,h|}, its counit sending the class of (1, family) to value
+        when h is 1_B."""
+        lifted = lift(f, h)
+        if h is not f:
+            lifted.counit.components[("*", "*")][("*", ("1", (family,)))] = value
+        return lifted
+    monkeypatch.setattr(profunctor, "_right_lift", corrupted)
+    with pytest.raises(InternalMismatch, match=f"triangle identity {re.escape(triangle)} fails"):
+        has_right_adjoint(f)
 
 
 def test_adjoint_composites_of_a_gset_weight_are_pinned(monkeypatch):
