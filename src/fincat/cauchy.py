@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, _bijectivity,
-                   _composable_pairs, _entry, _freeze, nat_compose,
-                   nat_identity, validate)
+                   _composable_pairs, _entry, _freeze, _require_valid, nat_compose,
+                   nat_identity)
 from .equivalence import (Equivalence, find_equivalence, is_fully_faithful,
                           objects_isomorphic, all_functors)
 from .errors import InternalMismatch
@@ -63,9 +63,7 @@ def isbell_unit(phi: Presheaf) -> NatTrans:
     if any(not set(rl.sets[b]).issuperset(comps[b].values()) for b in comps):
         raise InternalMismatch("isbell unit left R(L(phi))")
     unit = NatTrans(phi, rl, comps, name=f"isbell-unit({phi.name})")
-    rep = validate(unit)
-    if not rep.ok:
-        raise InternalMismatch(f"isbell unit not natural: {rep}")
+    _require_valid(unit, "isbell unit not natural")
     return unit
 
 
@@ -178,9 +176,7 @@ def cauchy_completion(cat: FinCategory, verify=False) -> CauchyCompletion:
 
 def _verify_completion(qc: CauchyCompletion):
     for entity in (qc.completion, qc.embedding):
-        rep = validate(entity)
-        if not rep.ok:
-            raise InternalMismatch(f"completion invalid: {rep}")
+        _require_valid(entity, "completion invalid")
     if not is_fully_faithful(qc.embedding):
         raise InternalMismatch("completion embedding is not fully faithful")
     unsplit = unsplit_idempotents(qc.completion)
@@ -228,9 +224,7 @@ def q_duality(cat: FinCategory) -> QDuality:
         (o1, o2, m) = mid
         mor_map[mid] = (o2, o1, m)
     forward = FinFunctor(f"duality({cat.name})", source, q, obj_map, mor_map)
-    rep = validate(forward)
-    if not rep.ok:
-        raise InternalMismatch(f"duality witness invalid: {rep}")
+    _require_valid(forward, "duality witness invalid")
     if len(source.morphisms) != len(q.morphisms) or not is_fully_faithful(forward):
         raise InternalMismatch("duality witness is not an isomorphism")
     equiv = find_equivalence(source, q)

@@ -609,6 +609,13 @@ def validate(entity) -> ValidationReport:
     raise TypeError(f"cannot validate {type(entity).__name__}")
 
 
+def _require_valid(entity, message):
+    """Raise InternalMismatch(f"{message}: {report}") unless entity validates."""
+    report = validate(entity)
+    if not report.ok:
+        raise InternalMismatch(f"{message}: {report}")
+
+
 # ---------------------------------------------------------------------------
 # derived categories
 

@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (FinCategory, FinFunctor, FunctorTransform, Meter, Presheaf,
-                   _elem_profiles, _families, compose_functors,
-                   full_subcategory, identity_functor, quotient, validate)
+                   _elem_profiles, _families, _require_valid, compose_functors,
+                   full_subcategory, identity_functor, quotient)
 from .errors import InternalMismatch
 
 
@@ -184,15 +184,11 @@ def find_equivalence(a: FinCategory, b: FinCategory, budget=None):
     counit = FunctorTransform(compose_functors(forward, backward), identity_functor(b),
                               dict(sb.from_rep), name=f"counit({a.name}~{b.name})")
     for t in (unit, counit):
-        rep = validate(t)
-        if not rep.ok:
-            raise InternalMismatch(f"equivalence witness not natural: {rep}")
+        _require_valid(t, "equivalence witness not natural")
         if any(_inverse(t.target.target, m) is None for m in t.components.values()):
             raise InternalMismatch("equivalence witness not invertible")
     for fn in (forward, backward):
-        rep = validate(fn)
-        if not rep.ok:
-            raise InternalMismatch(f"equivalence functor invalid: {rep}")
+        _require_valid(fn, "equivalence functor invalid")
     return Equivalence(forward, backward, unit, counit)
 
 

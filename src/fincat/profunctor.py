@@ -15,11 +15,12 @@ bijection is the lift bijection of the transposes.  ``right_lift`` and
 ``right_extend`` validate the modules they are given and raise
 ValidationFailed with the report of the first unlawful one.
 
-2-cells wrap NatTrans values over the product base target x source^op; building
-one checks each cell's domain and image only, and ``validate(cell.nat)`` checks
-naturality.  Every canonical 2-cell (identities, unitors, associators, whiskers,
-counits, units, comparisons) is built by ``_cellwise`` from its value on one
-element of one source cell; unitors, associators and whiskers take the
+A 2-cell holds only its components per cell; ``validate(cell.nat())`` checks
+naturality on a product base target x source^op built for that call, and runs
+on the lift counit and the adjunction unit, not natural by construction, when
+they are built.  Every canonical 2-cell (identities, unitors, associators,
+whiskers, counits, units, comparisons) is built by ``_cellwise`` from its value
+on one element of one source cell; unitors, associators and whiskers take the
 composite modules they run between from the caller, which composes each once.
 The conjoint T^* of a functor T is the transpose of the companion of T^op, and
 the module of a covariant weight is the transpose of its module as a weight.
@@ -31,17 +32,15 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, Profunctor,
-                   _bijectivity, _classes, _freeze, _least_reps, identity_functor,
-                   product_category, same_category, unit_category, validate)
+                   _bijectivity, _classes, _freeze, _least_reps, _require_valid,
+                   identity_functor, product_category, same_category, unit_category, validate)
 from .equivalence import presheaf_isomorphic
-from .errors import EndpointMismatch, InternalMismatch, ValidationFailed
+from .errors import EndpointMismatch, InternalMismatch, MalformedTable, ValidationFailed
 from .limits import ColimitResult, nat_trans_set
 
 
-def as_presheaf(f: Profunctor, base: FinCategory = None) -> Presheaf:
-    """View a module as a presheaf on target x source^op."""
-    if base is None:
-        base = product_category(f.target, f.source.op())
+def as_presheaf(f: Profunctor, base: FinCategory) -> Presheaf:
+    """View a module as a presheaf on base, the product target x source^op."""
     sets = {(b, a): f.cell(b, a) for (b, a) in base.objects}
     actions = {}
     for (beta, alpha) in base.morphisms:
@@ -54,39 +53,42 @@ def as_presheaf(f: Profunctor, base: FinCategory = None) -> Presheaf:
 
 
 class TwoCell:
-    """Morphism of modules with the same endpoints; components per (b, a) cell."""
+    """Morphism of modules with the same endpoints; components per (b, a) cell,
+    each checked to map its source cell into its target cell."""
 
-    def __init__(self, source: Profunctor, target: Profunctor, components,
-                 name="", base=None):
-        if base is None:
-            base = product_category(source.target, source.source.op())
+    def __init__(self, source: Profunctor, target: Profunctor, components, name=""):
         self.source = source
         self.target = target
-        self.base = base
-        cells = as_presheaf(source, base)
-        self.nat = NatTrans(cells, cells if target is source else as_presheaf(target, base),
-                            components, name=name)
-
-    @property
-    def name(self):
-        return self.nat.name
-
-    @property
-    def components(self):
-        return self.nat.components
+        self.name = name
+        self.components = {cell: dict(table) for cell, table in components.items()}
+        if self.components.keys() != source.sets.keys():
+            raise MalformedTable(f"nat trans {name!r}: components must cover every object")
+        for cell, table in self.components.items():
+            if table.keys() != set(source.sets[cell]) or not set(table.values()) <= set(target.sets[cell]):
+                raise MalformedTable(f"nat trans {name!r}: component at {cell!r} has wrong domain or image")
 
     def at(self, b, a, x):
-        return self.nat.components[(b, a)][x]
+        return self.components[(b, a)][x]
 
     def frozen(self):
-        return self.nat.frozen()
+        """Hashable: per cell in (target object, source object) order, images in cell order."""
+        f = self.source
+        return tuple(tuple(self.components[(b, a)][x] for x in f.cell(b, a))
+                     for b in f.target.objects for a in f.source.objects)
+
+    def nat(self) -> NatTrans:
+        """This 2-cell as a NatTrans over target x source^op, built on each call."""
+        f = self.source
+        base = product_category(f.target, f.source.op())
+        cells = as_presheaf(f, base)
+        target = cells if self.target is f else as_presheaf(self.target, base)
+        return NatTrans(cells, target, self.components, name=self.name)
 
     def then(self, other: "TwoCell") -> "TwoCell":
         """other after self."""
         comps = {cell: {x: other.components[cell][y] for x, y in table.items()}
                  for cell, table in self.components.items()}
-        return TwoCell(self.source, other.target, comps,
-                       name=f"({other.name};{self.name})", base=self.base)
+        return TwoCell(self.source, other.target, comps, name=f"({other.name};{self.name})")
 
     def invert(self) -> "TwoCell":
         failure = self.bijection_failure()
@@ -94,8 +96,7 @@ class TwoCell:
             raise InternalMismatch(f"2-cell {self.name!r} not invertible at {failure[0]!r}")
         comps = {cell: {y: x for x, y in table.items()}
                  for cell, table in self.components.items()}
-        return TwoCell(self.target, self.source, comps,
-                       name=f"inv({self.name})", base=self.base)
+        return TwoCell(self.target, self.source, comps, name=f"inv({self.name})")
 
     @cached_property
     def _failure(self):
@@ -135,8 +136,7 @@ def two_cells(f: Profunctor, g: Profunctor) -> list:
     """All module morphisms f => g, enumerated."""
     base = product_category(f.target, f.source.op())
     nats = nat_trans_set(as_presheaf(f, base), as_presheaf(g, base))
-    return [TwoCell(f, g, n.components, name=f"cell{i}", base=base)
-            for i, n in enumerate(nats)]
+    return [TwoCell(f, g, n.components, name=f"cell{i}") for i, n in enumerate(nats)]
 
 
 def modules_isomorphic(f: Profunctor, g: Profunctor) -> bool:
@@ -360,7 +360,7 @@ def _column(f: Profunctor, a) -> Presheaf:
 class LiftResult:
     """{|f,h|}: C -|-> A with its decode table and the columns f(-,a).  The
     composite f . lift and the counit ev(f,h): f . lift -> h are built on
-    first read and kept."""
+    first read and kept; the counit is checked natural as it is built."""
     f: Profunctor                    # A -|-> B
     h: Profunctor                    # C -|-> B
     lift: Profunctor                 # C -|-> A
@@ -380,7 +380,9 @@ class LiftResult:
         def evaluate(b, c, rep):
             a, (y, key) = rep
             return decode[(a, c)][key].components[b][y]
-        return _cellwise(self.composite, self.h, f"ev({self.f.name},{self.h.name})", evaluate)
+        counit = _cellwise(self.composite, self.h, f"ev({self.f.name},{self.h.name})", evaluate)
+        _require_valid(counit.nat(), "lift counit not natural")
+        return counit
 
 
 def _require_lawful(*modules):
@@ -529,9 +531,9 @@ class AdjunctionResult:
 def has_right_adjoint(f: Profunctor) -> AdjunctionResult:
     """Absolute-lifting criterion: g = {|f,1|} is right adjoint iff the
     canonical comparison g.f -> {|f,f|} is invertible.  Only then are the
-    counit and unit built and both triangle identities verified on them.  An
-    unlawful f raises ValidationFailed from the validated lift {|f,f|};
-    {|f,1_B|} skips the check, 1_B being lawful by construction."""
+    counit and unit built, each checked natural, and both triangle identities
+    verified on them.  An unlawful f raises ValidationFailed from the validated
+    lift {|f,f|}; {|f,1_B|} skips the check, 1_B being lawful by construction."""
     selflift = right_lift(f, f)
     a_cat, b_cat = f.source, f.target
     one_b = id_module(b_cat)
@@ -563,6 +565,7 @@ def has_right_adjoint(f: Profunctor) -> AdjunctionResult:
             raise InternalMismatch("unit left the lift cell")
         return inverse.at(a2, a1, key)
     eta = _cellwise(one_a, c_gf, f"unit({f.name})", unit_at)
+    _require_valid(eta.nat(), "adjunction unit not natural")
 
     # triangle 1: f -> f.1_A -> f.(g.f) -> (f.g).f -> 1_B.f -> f equals 1_f
     c_f1 = compose_modules(f, one_a)

@@ -127,13 +127,6 @@ def test_no_natural_family_is_built_only_to_be_frozen():
     assert throwaway == []
 
 
-# (module, function, parameter) whose None default is still computed by a
-# call: the product base of a module's presheaf, until the module calculus
-# stops building product categories (ROADMAP item 4).
-COMPUTED_DEFAULTS_PENDING = {("profunctor.py", "as_presheaf", "base"),
-                             ("profunctor.py", "TwoCell.__init__", "base")}
-
-
 def _functions(tree):
     """(qualified name, node) for every top-level function and method."""
     for node in tree.body:
@@ -198,18 +191,12 @@ def test_no_none_default_stands_for_a_computed_value():
     """A parameter defaulting to None must not be replaced by a value that a
     call computes: that offers callers a second path to a value the function
     can compute itself.  Constant stand-ins, such as ``core.DEFAULT_BUDGET``,
-    are allowed."""
+    are allowed.  The rule has no exceptions: the last two, the product base
+    of ``profunctor.as_presheaf`` and of ``TwoCell``, went when 2-cells came
+    to hold only their components, and their allowlist went with them."""
     found = [f"{name}:{line} {qualname}: {p}"
-             for name, qualname, p, line in _computed_defaults()
-             if (name, qualname, p) not in COMPUTED_DEFAULTS_PENDING]
+             for name, qualname, p, line in _computed_defaults()]
     assert found == []
-
-
-def test_every_pending_computed_default_is_still_found():
-    """The allowlist shrinks with the code: an entry whose computed default
-    is gone fails here until it is removed."""
-    found = {(name, qualname, p) for name, qualname, p, _ in _computed_defaults()}
-    assert COMPUTED_DEFAULTS_PENDING - found == set()
 
 
 def test_every_traced_layer_of_the_benchmark_names_a_callable():

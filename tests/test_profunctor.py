@@ -11,10 +11,10 @@ from fincat.core import (Presheaf, Profunctor, _freeze, product_category, quotie
 from fincat.corpus import (Disc2, I, M, Par, QM, Span, Two, Z2, Z3, PRESHEAVES,
                            delta0, example82)
 from fincat.equivalence import all_functors
-from fincat.errors import EndpointMismatch, InternalMismatch, ValidationFailed
+from fincat.errors import EndpointMismatch, InternalMismatch, MalformedTable, ValidationFailed
 from fincat.limits import ColimitResult, nat_trans_set
-from fincat.profunctor import (_cellwise, _column, _companion, _transpose, as_presheaf,
-                               associator, compose_modules,
+from fincat.profunctor import (TwoCell, _cellwise, _column, _companion, _transpose,
+                               as_presheaf, associator, compose_modules,
                                functor_to_modules, has_right_adjoint,
                                id_module, identity_two_cell, left_unitor,
                                module_of_coweight, module_of_weight,
@@ -27,11 +27,13 @@ from util import (SMALL_CATEGORIES, compose_modules_oracle, random_presheaf,
 
 
 def test_id_module_and_as_presheaf():
+    """as_presheaf takes its product base from the caller: it has no default
+    that builds one."""
     hom = id_module(Two)
     assert validate(hom).ok
     assert hom.cell("0", "1") == ("f",)
     assert hom.cell("1", "0") == ()
-    p = as_presheaf(hom)
+    p = as_presheaf(hom, product_category(Two, Two.op()))
     assert validate(p).ok
 
 
@@ -306,17 +308,48 @@ def test_bijection_failure_matches_the_oracle_on_random_cells(source, target, se
 
 
 def test_a_two_cell_on_one_module_views_it_as_a_presheaf_once(monkeypatch):
-    viewed = []
-    as_presheaf = profunctor.as_presheaf
+    """A 2-cell holds only its components: building one by ``_cellwise``,
+    ``then`` or ``invert`` builds no product category and no presheaf view.
+    ``nat()`` builds one product base per call and views a module used on
+    both sides once (it was the constructor that did so, for every 2-cell)."""
+    viewed, products = [], []
+    as_presheaf, product = profunctor.as_presheaf, profunctor.product_category
     monkeypatch.setattr(profunctor, "as_presheaf",
                         lambda f, base: viewed.append(f) or as_presheaf(f, base))
+    monkeypatch.setattr(profunctor, "product_category",
+                        lambda a, b: products.append((a.name, b.name)) or product(a, b))
     cell = identity_two_cell(example82)
-    assert viewed == [example82] and cell.nat.source is cell.nat.target
-    viewed.clear()
     composite = compose_modules(example82, id_module(example82.source))
     rho = right_unitor(example82, composite)
-    assert viewed == [composite, example82] and rho.nat.source is not rho.nat.target
-    assert validate(cell.nat).ok and validate(rho.nat).ok
+    chain = rho.invert().then(rho).then(cell)
+    assert (viewed, products) == ([], [])
+    nat = cell.nat()
+    assert viewed == [example82] and nat.source is nat.target
+    viewed.clear()
+    rho_nat = rho.nat()
+    assert viewed == [composite, example82] and rho_nat.source is not rho_nat.target
+    assert products == [("Span", "Z2^op")] * 2
+    assert validate(nat).ok and validate(rho_nat).ok and validate(chain.nat()).ok
+    assert chain.frozen() == rho.frozen()
+
+
+def test_two_cell_rejects_a_component_off_its_cells():
+    """TwoCell checks, on the module's own cells, what NatTrans checked on
+    the product base: each component's domain is exactly its source cell
+    (no element missing, none extra) and its image lies in its target cell."""
+    f = example82
+    comps = identity_two_cell(f).components
+    cell, table = next((c, t) for c, t in comps.items() if t)
+    x = next(iter(table))
+    missing = {c: {y: v for y, v in t.items() if (c, y) != (cell, x)}
+               for c, t in comps.items()}
+    extra = {**comps, cell: {**table, ("extra",): x}}
+    outside = {**comps, cell: {**table, x: ("outside",)}}
+    uncovered = {c: t for c, t in comps.items() if c != cell}
+    for bad in (missing, extra, outside, uncovered):
+        with pytest.raises(MalformedTable, match="nat trans 'bad'"):
+            TwoCell(f, f, bad, name="bad")
+    assert TwoCell(f, f, comps).frozen() == identity_two_cell(f).frozen()
 
 
 def _random_map(rng, dom, cod):
@@ -704,22 +737,26 @@ def test_compose_modules_matches_tuple_tags_on_adjoint_composites(monkeypatch):
 
 
 def test_adjoint_product_categories_are_pinned(monkeypatch):
-    """has_right_adjoint builds a product base for each 2-cell it makes and
-    validates each module once.  Over the 68 weights that is 572 products
-    (750 while every lift built its counit and each triangle identity was
-    compared with an identity 2-cell); zero.GSet, whose comparison fails,
-    builds only the comparison's base I x I^op (3 with both counits)."""
+    """has_right_adjoint builds a product base only to check the naturality
+    of the counit and the unit of each adjunction it finds, and validates
+    each module once; the patched ``profunctor.validate`` counts only those
+    module validations, as the naturality checks go through
+    ``core._require_valid``.  Over the 68 weights that is 84 products for
+    the 42 adjunctions, one GSet x GSet^op per absolute GSet weight, for its
+    counit (572 while every 2-cell built its own base, 750 before lifts built
+    their counit on first read); zero.GSet, whose comparison fails, builds
+    none (one, I x I^op, while 2-cells built bases)."""
     products, validated = [], []
     product, check = profunctor.product_category, profunctor.validate
     monkeypatch.setattr(profunctor, "product_category", lambda a, b: (
         products.append((a.name, b.name)) or product(a, b)))
     monkeypatch.setattr(profunctor, "validate", lambda m: validated.append(m) or check(m))
     found = sum(has_right_adjoint(module_of_weight(phi)).found for phi in PRESHEAVES.values())
-    assert (len(products), len(validated), found) == (572, 68, 42)
+    assert (len(products), len(validated), found) == (84, 68, 42)
     assert products.count(("GSet", "GSet^op")) == 4
     products.clear()
     assert not has_right_adjoint(module_of_weight(PRESHEAVES["zero.GSet"])).found
-    assert products == [("I", "I^op")]
+    assert products == []
 
 
 @pytest.mark.parametrize("family, value, triangle", [
@@ -743,6 +780,49 @@ def test_a_corrupted_counit_breaks_a_triangle_identity(monkeypatch, family, valu
     monkeypatch.setattr(profunctor, "_right_lift", corrupted)
     with pytest.raises(InternalMismatch, match=f"triangle identity {re.escape(triangle)} fails"):
         has_right_adjoint(f)
+
+
+def _counit_corruptions():
+    """(phi, cell, x, value) for every way to send one element x of the
+    counit ev(f, 1_B) of an absolute corpus weight outside GSet and FinSet12
+    to another element of its target cell."""
+    for phi in PRESHEAVES.values():
+        if phi.base.name in ("GSet", "FinSet12"):
+            continue
+        res = has_right_adjoint(module_of_weight(phi))
+        if res.found:
+            for cell, table in res.counit.components.items():
+                for x, y in table.items():
+                    for value in res.counit.target.cell(*cell):
+                        if value != y:
+                            yield phi, cell, x, value
+
+
+def test_an_unnatural_counit_is_never_returned(monkeypatch):
+    """Each of the 42 single-value corruptions of ev(f, 1_B), made as the
+    counit is built, raises InternalMismatch.  40 leave the counit unnatural
+    and fail its naturality check, before the triangle identities run; the
+    other 2 stay natural and fail the first triangle.  Before the counit was
+    checked natural when built, 16 of the 42 passed both triangles and were
+    returned as found."""
+    cellwise = profunctor._cellwise
+    corruptions = list(_counit_corruptions())
+    assert (len(corruptions), len({phi.name for phi, *_ in corruptions})) == (42, 11)
+    raised = []
+    for phi, bad_cell, bad_x, value in corruptions:
+
+        def corrupted(src, tgt, name, image):
+            if not (name.startswith("ev(") and tgt.name.startswith("1_")):
+                return cellwise(src, tgt, name, image)
+            return cellwise(src, tgt, name, lambda b, c, x: (
+                value if ((b, c), x) == (bad_cell, bad_x) else image(b, c, x)))
+        monkeypatch.setattr(profunctor, "_cellwise", corrupted)
+        with pytest.raises(InternalMismatch) as caught:
+            has_right_adjoint(module_of_weight(phi))
+        monkeypatch.undo()
+        raised.append(str(caught.value).split(":")[0].split(" fails")[0])
+    assert {m: raised.count(m) for m in raised} == {
+        "lift counit not natural": 40, "triangle identity (counit.f)(f.unit)": 2}
 
 
 def test_adjoint_composites_of_a_gset_weight_are_pinned(monkeypatch):
@@ -808,9 +888,12 @@ def _canonical_two_cells():
 
 def test_canonical_two_cells_are_natural():
     """Building a TwoCell checks only each cell's domain and image; every
-    canonical 2-cell must also pass the naturality check of validate."""
+    canonical 2-cell must also pass the naturality check of validate, and
+    its frozen form is that of its NatTrans over the product base."""
     count = 0
     for cell in _canonical_two_cells():
-        assert validate(cell.nat).ok, cell.name
+        nat = cell.nat()
+        assert validate(nat).ok, cell.name
+        assert cell.frozen() == nat.frozen(), cell.name
         count += 1
     assert count == 156
