@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import BudgetExceeded, InternalMismatch, MalformedTable
 
@@ -65,20 +66,30 @@ class FinCategory:
                 raise MalformedTable(f"{name}: identity table references unknown id")
         if set(self.identity) != set(self.objects):
             raise MalformedTable(f"{name}: identity table must cover every object")
-        self.compose_table = dict(compose)
-        known = self.mor_index.keys()
-        if not (set(itertools.chain.from_iterable(self.compose_table)) <= known
-                and set(self.compose_table.values()) <= known):
-            for (g, f), h in self.compose_table.items():
-                for m in (g, f, h):
-                    if m not in known:
-                        raise MalformedTable(f"{name}: compose table references unknown morphism {m!r}")
         self._hom = {}
         self.into = {a: [] for a in self.objects}
         for m in self.morphisms:
             self._hom.setdefault((self.src[m], self.tgt[m]), []).append(m)
             self.into[self.tgt[m]].append(m)
         self._op = None
+        self._take_compose(compose)
+
+    def _take_compose(self, compose):
+        """Store the composition table; ``_Elements`` defers it instead."""
+        self.compose_table = self._checked_compose(dict(compose))
+
+    def _checked_compose(self, table):
+        """table, once every key and value in it is a morphism id; the first
+        unknown id, in table order, raises MalformedTable."""
+        known = self.mor_index.keys()
+        if not (set(itertools.chain.from_iterable(table)) <= known
+                and set(table.values()) <= known):
+            for (g, f), h in table.items():
+                for m in (g, f, h):
+                    if m not in known:
+                        raise MalformedTable(
+                            f"{self.name}: compose table references unknown morphism {m!r}")
+        return table
 
     def hom(self, a, b):
         return tuple(self._hom.get((a, b), ()))
@@ -176,9 +187,10 @@ class Presheaf:
     sets: dict object -> ordered tuple of distinct hashable elements.
     actions: dict morphism -> dict; for f: a -> b the dict maps sets[b] into sets[a].
 
-    Neither table is changed after construction, so ``_profiles`` memoises
-    ``_elem_profiles`` per object for the life of the presheaf.
-    The profiles do not read ``name``, which callers may reset.
+    Neither table is changed after construction: a pullback (``_pullback``)
+    shares the value tuples and action dicts of the presheaf it reads, and
+    ``_profiles`` memoises ``_elem_profiles`` per object for the life of the
+    presheaf.  The profiles do not read ``name``, which callers may reset.
     """
 
     def __init__(self, name, base, sets, actions):
@@ -203,6 +215,15 @@ class Presheaf:
                 raise MalformedTable(f"{name}: action of {f!r} is not a map "
                                      f"sets[{base.tgt[f]!r}] -> sets[{base.src[f]!r}]")
         self._profiles = {}
+
+    @classmethod
+    def _checked(cls, name, base, sets, actions):
+        """A presheaf on tables that already pass every check of ``__init__``,
+        kept as they are: the sets as tuples, the action dicts shared."""
+        p = cls.__new__(cls)
+        p.name, p.base, p.sets, p.actions = name, base, sets, actions
+        p._profiles = {}
+        return p
 
     def at(self, a):
         return self.sets[a]
@@ -274,13 +295,26 @@ class WeightClass:
 
 def _pullback(fn: FinFunctor, p: Presheaf, name=None) -> Presheaf:
     """p . fn^op, a presheaf on fn.source: a has value p(fn a) and u acts as
-    fn(u); p must be a presheaf on fn.target."""
-    if not same_category(p.base, fn.target):
+    fn(u); p must be a presheaf on fn.target.
+
+    The result shares p's value tuples and action dicts.  p is checked, so
+    once fn sends each u: a -> b to some fn a -> fn b, every check of
+    ``Presheaf.__init__`` holds; a morphism sent elsewhere raises
+    MalformedTable."""
+    source, target = fn.source, fn.target
+    if not same_category(p.base, target):
         raise MalformedTable(f"cannot pull {p.name} back along {fn.name}: "
-                             f"presheaf base is not {fn.target.name}")
-    return Presheaf(name or f"{p.name}|{fn.name}", fn.source,
-                    {a: p.sets[fn.obj(a)] for a in fn.source.objects},
-                    {u: p.actions[fn.mor(u)] for u in fn.source.morphisms})
+                             f"presheaf base is not {target.name}")
+    actions = {}
+    for u in source.morphisms:
+        v = fn.mor(u)
+        if (target.src[v] != fn.obj(source.src[u])
+                or target.tgt[v] != fn.obj(source.tgt[u])):
+            raise MalformedTable(f"cannot pull {p.name} back along {fn.name}: "
+                                 f"it sends {u!r} to {v!r}, whose endpoints differ")
+        actions[u] = p.actions[v]
+    return Presheaf._checked(name or f"{p.name}|{fn.name}", source,
+                             {a: p.sets[fn.obj(a)] for a in source.objects}, actions)
 
 
 class NatTrans:
@@ -689,11 +723,31 @@ def full_subcategory(cat: FinCategory, objects, name=None):
     return sub, incl
 
 
+class _Elements(FinCategory):
+    """el(phi) from ``category_of_elements``: ``compose`` is the law
+    (g, f) -> g . f, tabulated over the composable pairs on the first read
+    of ``compose_table`` and checked like an eager table."""
+
+    def _take_compose(self, law):
+        self._law = law
+
+    @cached_property
+    def compose_table(self):
+        law = self._law
+        return self._checked_compose({(g, f): law(g, f) for g in self.morphisms
+                                      for f in self.into[self.src[g]]})
+
+
 def category_of_elements(phi: Presheaf):
     """el(phi) together with the projection functor into base^op.
 
     Morphism (k, x) -> (k', x') is u: k' -> k with phi(u)(x) = x'; the id scheme is
     (u, x) where x lives over tgt(u).
+
+    The composition table is built on first read, at most once.  A route
+    that reads only objects, morphisms and endpoints, as the elements route
+    of ``limits.weighted_colimit`` does, never builds it; a base missing a
+    composite raises MalformedTable on that read.
     """
     k = phi.base
     objects = [(a, x) for a in k.objects for x in phi.sets[a]]
@@ -707,10 +761,9 @@ def category_of_elements(phi: Presheaf):
             morphisms.append((mid, src, tgt))
             if k.is_identity(u):
                 identity[src] = mid
-    # u1 runs (k, x1) -> (k', x2); then u2 continues from (k', x2)
-    compose = {((u2, x2), (u1, x1)): (k.compose(u1, u2), x1)
-               for ((u2, x2), _, _), ((u1, x1), _, _) in _composable_pairs(morphisms)}
-    el = FinCategory(f"el({phi.name})", objects, morphisms, identity, compose)
+    # f = (u1, x1) runs (k, x1) -> (k', x2); then g = (u2, x2) continues from (k', x2)
+    el = _Elements(f"el({phi.name})", objects, morphisms, identity,
+                   lambda g, f: (k.compose(f[0], g[0]), f[1]))
     proj = FinFunctor(f"el({phi.name})->{k.name}^op", el, k.op(),
                       {o: o[0] for o in objects},
                       {m: m[0] for m in el.morphisms})

@@ -15,6 +15,9 @@ raise InternalMismatch if they ever disagree.  A weighted colimit's coend reads
 phi (x) S on demand, cell by cell and action by action, and builds no
 profunctor.  A bounded closure builds el(phi) once per weight in each round
 and shares it with that weight's colimits; each colimit still runs both routes.
+The elements route of a weighted colimit reads el(phi)'s objects, morphisms
+and endpoints only, so it never builds el(phi)'s composition table, and the
+diagram it pulls back along the projection shares the diagram's tables.
 
 ``finset_limit``, ``end`` and ``nat_trans_set`` enumerate natural families with
 one solver, ``core._families``, which also finds the first presheaf isomorphism

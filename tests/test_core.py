@@ -7,8 +7,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fincat import corpus, validate
-from fincat.cauchy import cauchy_completion
+from fincat import corpus, limits, validate
+from fincat.cauchy import cauchy_completion, is_small_projective
 from fincat.core import (FinCategory, FinFunctor, FunctorTransform, NatTrans,
                          Presheaf, Profunctor, _bijectivity, _composable_pairs, _entry,
                          _freeze, _least_reps, _pullback,
@@ -19,13 +19,15 @@ from fincat.core import (FinCategory, FinFunctor, FunctorTransform, NatTrans,
                          unit_category)
 from fincat.corpus import (Chain3, Disc2, Empty, FinSet12, GSet, I, M, N5, Par, QM,
                            Span, Two, Z2, Z3, PRESHEAVES)
+from fincat.equivalence import all_functors
 from fincat.errors import InternalMismatch, MalformedTable
+from fincat.kan import restrict
 from fincat.limits import nat_trans_set
 from test_limits import f3
 from util import (SMALL_CATEGORIES, all_pairs_compose, composable_pairs_oracle,
                   nonassociative_table, presheaf_tables_ok, product_category_oracle,
-                  profunctor_tables_ok, quotient_oracle, random_presheaf,
-                  random_profunctor, validate_category_oracle)
+                  profunctor_tables_ok, quotient_oracle, random_concrete_category,
+                  random_presheaf, random_profunctor, validate_category_oracle)
 
 
 def test_compose_is_first_then_second():
@@ -452,8 +454,79 @@ def test_derived_compose_tables_match_all_pairs_rebuild():
         weights += [random_presheaf(rng, cat, f"r{i}") for i in range(4)]
         for p in weights:
             el, _ = category_of_elements(p)
-            want = all_pairs_compose(el, lambda g, f: (cat.compose(f[0], g[0]), f[1]))
-            assert list(el.compose_table.items()) == list(want.items()), p.name
+            assert list(el.compose_table.items()) == list(_elements_oracle(p).items()), p.name
+
+
+def _elements_oracle(p):
+    """el(p)'s composition table, filtered from all pairs of its morphisms;
+    it reads el's morphisms and endpoints only."""
+    el, _ = category_of_elements(p)
+    return all_pairs_compose(el, lambda g, f: (p.base.compose(f[0], g[0]), f[1]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6))
+def test_elements_table_matches_all_pairs_rebuild_on_random_presheaves(seed):
+    rng = random.Random(seed)
+    cat = random_concrete_category(rng, f"R{seed}", max_nonid=6)
+    p = random_presheaf(rng, cat, "p")
+    el, _ = category_of_elements(p)
+    assert "compose_table" not in vars(el)
+    assert list(el.compose_table.items()) == list(_elements_oracle(p).items())
+
+
+def test_small_projectivity_never_builds_an_elements_table(monkeypatch):
+    """The elements route of weighted_colimit reads el(phi)'s objects,
+    morphisms and endpoints only: is_small_projective on the 68 corpus
+    weights builds 68 el(phi), 721 morphisms in all, and no composition
+    table."""
+    built = []
+
+    def recording(phi):
+        el, proj = category_of_elements(phi)
+        built.append(el)
+        return el, proj
+    monkeypatch.setattr(limits, "category_of_elements", recording)
+    for phi in PRESHEAVES.values():
+        is_small_projective(phi)
+    assert (len(built), sum(len(el.morphisms) for el in built)) == (68, 721)
+    assert [el.name for el in built if "compose_table" in vars(el)] == []
+
+
+_TABLE_READS = {
+    "op": lambda el, _twin: el.op(),
+    "validate": lambda el, _twin: validate(el),
+    "compose": lambda el, _twin: el.compose(el.identity[el.objects[0]],
+                                            el.identity[el.objects[0]]),
+    "same_category": same_category,
+    "is_filtered": lambda el, _twin: is_filtered(el),
+}
+
+
+@pytest.mark.parametrize("first", sorted(_TABLE_READS))
+def test_elements_table_is_built_once_on_first_read(first):
+    """Whichever read comes first, the table is built and checked once, and
+    every later read, op included, sees that same dict in oracle order.
+    same_category compares el with a second el(p) built apart."""
+    rng = random.Random(11)
+    weights = list(PRESHEAVES.values())
+    weights += [random_presheaf(rng, cat, f"r{i}") for i, cat in
+                enumerate(SMALL_CATEGORIES)]
+    for p in weights:
+        if not any(p.sets.values()):
+            continue
+        el, _ = category_of_elements(p)
+        twin, _ = category_of_elements(p)
+        checks = []
+        el._checked_compose = lambda table: checks.append(table) or table
+        _TABLE_READS[first](el, twin)
+        table = el.compose_table
+        for read in _TABLE_READS.values():
+            read(el, twin)
+        assert el.compose_table is table and checks == [table], p.name
+        assert list(table.items()) == list(_elements_oracle(p).items()), p.name
+        assert el.op().compose_table == {(f, g): h for (g, f), h in table.items()}
+        assert validate(el).ok, p.name
 
 
 def test_full_subcategory_of_QM_is_M_shaped():
@@ -598,8 +671,9 @@ def test_same_category_is_structural():
 
 
 def test_pullback_reads_the_presheaf_along_the_functor():
-    """p . fn^op has value p(fn a) at a and acts by p(fn u); a presheaf on
-    any other base than fn's target raises MalformedTable."""
+    """p . fn^op has value p(fn a) at a and acts by p(fn u), sharing p's
+    tables; a presheaf on any other base than fn's target, or a functor that
+    sends a morphism to one with other endpoints, raises MalformedTable."""
     fn = corpus.orbit
     on_target = [p for p in PRESHEAVES.values() if p.base is fn.target]
     assert len(on_target) >= 3
@@ -608,6 +682,7 @@ def test_pullback_reads_the_presheaf_along_the_functor():
         assert (got.name, got.base) == (f"{p.name}|orbit", fn.source)
         assert got.sets == {a: p.sets[fn.obj(a)] for a in fn.source.objects}
         assert got.actions == {u: p.actions[fn.mor(u)] for u in fn.source.morphisms}
+        assert all(got.actions[u] is p.actions[fn.mor(u)] for u in fn.source.morphisms)
         assert validate(got).ok
     assert _pullback(identity_functor(Two), PRESHEAVES["collapse.Two"], "c").name == "c"
     for fn, p in ((corpus.orbit, PRESHEAVES["one.GSet"]),
@@ -615,3 +690,59 @@ def test_pullback_reads_the_presheaf_along_the_functor():
                   (identity_functor(Two), corpus.delta1(Two.op()))):
         with pytest.raises(MalformedTable):
             _pullback(fn, p)
+    # built directly, never validated: f: 0 -> 1 goes to id0, or the
+    # objects swap under the identity morphism map
+    ids = {m: m for m in Two.morphisms}
+    bent = [FinFunctor("to-id0", Two, Two, {"0": "0", "1": "1"}, dict(ids, f="id0")),
+            FinFunctor("swap", Two, Two, {"0": "1", "1": "0"}, ids)]
+    for fn in bent:
+        assert not validate(fn).ok
+        # one.Two has equal sets everywhere, so only the endpoint test sees it
+        for p in (PRESHEAVES["one.Two"], PRESHEAVES["collapse.Two"]):
+            with pytest.raises(MalformedTable, match="endpoints"):
+                _pullback(fn, p)
+        for s in (corpus.delta1(Two.op()),
+                  covariant("c", Two, {"0": ("x",), "1": ("y", "z")},
+                            {"id0": {"x": "x"}, "id1": {"y": "y", "z": "z"},
+                             "f": {"x": "y"}})):
+            with pytest.raises(MalformedTable, match="endpoints"):
+                restrict(fn, s)
+
+
+def _pullback_oracle(fn, p):
+    """p . fn^op through the checking Presheaf constructor."""
+    return Presheaf(f"{p.name}|{fn.name}", fn.source,
+                    {a: p.sets[fn.obj(a)] for a in fn.source.objects},
+                    {u: p.actions[fn.mor(u)] for u in fn.source.morphisms})
+
+
+def _pullback_matches_oracle(fn, p):
+    got, want = _pullback(fn, p), _pullback_oracle(fn, p)
+    return (got.sets == want.sets and got.actions == want.actions
+            and got.name == want.name and validate(got).ok)
+
+
+def test_pullback_matches_the_checking_constructor_on_the_corpus():
+    """Along every corpus functor, identity and el(phi) projection (and its
+    opposite, the weighted limit's route), on every corpus presheaf over the
+    functor's target."""
+    functors = [corpus.orbit, corpus.embedM]
+    functors += [identity_functor(c) for c in corpus.CATEGORIES.values()]
+    for phi in PRESHEAVES.values():
+        _, proj = category_of_elements(phi)
+        functors += [proj, proj.op()]
+    pairs = [(fn, p) for fn in functors for p in PRESHEAVES.values()
+             if same_category(p.base, fn.target)]
+    assert len(pairs) == 572
+    assert [(fn.name, p.name) for fn, p in pairs if not _pullback_matches_oracle(fn, p)] == []
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6))
+def test_pullback_matches_the_checking_constructor_on_random_pairs(seed):
+    rng = random.Random(seed)
+    a = random_concrete_category(rng, "A", max_nonid=4)
+    b = random_concrete_category(rng, "B", max_nonid=4)
+    fn = rng.choice(all_functors(a, b, cap=20))
+    assert _pullback_matches_oracle(fn, random_presheaf(rng, b, "p"))
+    assert _pullback_matches_oracle(fn.op(), random_presheaf(rng, b.op(), "q"))

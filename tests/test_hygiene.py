@@ -1,8 +1,9 @@
 """Source hygiene of src/fincat, checked with the standard library's ast:
 no module imports a name it never uses, no top-level private function or
 class goes unreferenced, no function binds a local it never reads, no
-None default stands for a value a call computes, and no NatTrans is built
-only to be frozen.  Dead aliases, duplicate
+None default stands for a value a call computes, no NatTrans is built
+only to be frozen, and no table of a presheaf or category is changed after
+construction.  Dead aliases, duplicate
 helpers, unused unpacked values and second paths left behind by a refactor
 fail here, and so does a rename of a function the benchmark traces.  Imports
 sit at the top of each module and point down one fixed order of layers, and
@@ -125,6 +126,64 @@ def test_no_natural_family_is_built_only_to_be_frozen():
                  and isinstance(node.func.value.func, ast.Name)
                  and node.func.value.func.id == "NatTrans"]
     assert throwaway == []
+
+
+_SHARED = ("sets", "actions")
+_MUTATORS = {"update", "pop", "popitem", "setdefault", "clear"}
+
+
+def _changed_tables(tree):
+    """Line of each change to a shared table: an assignment into, a
+    deletion from, or a mutating method call on ``.compose_table``,
+    ``.sets``, ``.actions``, or an entry ``.sets[...]`` or ``.actions[...]``."""
+    def shared(node):
+        if isinstance(node, ast.Subscript):
+            node = node.value
+            return isinstance(node, ast.Attribute) and node.attr in _SHARED
+        return isinstance(node, ast.Attribute) and node.attr in _SHARED + ("compose_table",)
+
+    def containers(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                yield from containers(element)
+        elif isinstance(target, ast.Starred):
+            yield from containers(target.value)
+        elif isinstance(target, ast.Subscript):
+            yield target.value
+
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            changed = [c for t in node.targets for c in containers(t)]
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            changed = list(containers(node.target))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in _MUTATORS):
+            changed = [node.func.value]
+        else:
+            continue
+        if any(map(shared, changed)):
+            yield node.lineno
+
+
+def test_no_module_changes_a_shared_table():
+    """A pullback shares the value tuples and action dicts of the presheaf
+    it reads, and ``FinCategory.op`` reads its category's composition
+    table, so the rule that no table changes after construction is one the
+    code depends on.  The sample shows each form the check catches."""
+    sample = ast.parse("p.sets[a] = v\n"
+                       "p.actions[f][x] = y\n"
+                       "c.compose_table[g, f] = h\n"
+                       "del p.actions[f]\n"
+                       "p.actions[f].update(t)\n"
+                       "c.compose_table.pop(k)\n"
+                       "q.sets[a], n = v, 0\n"
+                       "p.sets = {}\n"
+                       "local[a] = p.sets[a]\n"
+                       "seen.update(p.actions[f])\n")
+    assert sorted(_changed_tables(sample)) == [1, 2, 3, 4, 5, 6, 7]
+    changed = [f"{name}:{line}" for name, tree in _modules().items()
+               for line in _changed_tables(tree)]
+    assert changed == []
 
 
 def _functions(tree):

@@ -13,12 +13,14 @@ from fincat.core import (Caps, FinCategory, FinFunctor, NatTrans, Presheaf,
                          Profunctor, WeightClass, identity_functor, nat_identity,
                          same_category, validate)
 from fincat.corpus import GSet
+from fincat.equivalence import all_functors
 from fincat.errors import (DuplicateName, FincatError, InternalMismatch,
                            MalformedTable, ParseError, UnresolvedReference)
 from fincat.limits import nat_trans_set
 from fincat.profunctor import id_module
 from fincat.workspace import Workspace, load_workspace, serialize_workspace
-from util import validate_category_oracle
+from util import (random_concrete_category, random_presheaf, random_profunctor,
+                  validate_category_oracle)
 
 FIXTURES = pathlib.Path(cli.default_fixture_paths()[0]).parent
 
@@ -434,6 +436,86 @@ def test_every_command_runs_on_the_bundled_fixtures(capsys):
     for argv in invocations:
         assert cli.main(argv) == 0, argv
         assert capsys.readouterr().out.strip(), argv
+
+
+def _random_workspace(seed, max_nonid):
+    """A lawful workspace drawn from seed: categories A and B, a functor
+    F: A -> B, weights phi and t on A, a covariant diagram s on A, psi on B,
+    a module P: A -|-> A (hom_A if none is sampled) and the weight class
+    W = {phi}."""
+    rng = random.Random(seed)
+    a = random_concrete_category(rng, "A", max_nonid=max_nonid)
+    b = random_concrete_category(rng, "B", max_nonid=max_nonid)
+    f = rng.choice(all_functors(a, b, cap=8))
+    try:
+        module = random_profunctor(rng, a, a, "P")
+    except AssertionError:      # rejection sampling found no module on A x A^op
+        module = id_module(a)
+    presheaves = {"phi": random_presheaf(rng, a, "phi", 2),
+                  "t": random_presheaf(rng, a, "t", 2),
+                  "s": random_presheaf(rng, a.op(), "s", 2),
+                  "psi": random_presheaf(rng, b, "psi", 2)}
+    return Workspace(categories={"A": a, "B": b}, functors={"F": f},
+                     presheaves=presheaves,
+                     profunctors={"P": module},
+                     weight_classes={"W": WeightClass("W", [presheaves["phi"]])},
+                     presheaf_meta={"s": ("A", "co")})
+
+
+SWEEP_FLAGS = ["--budget", "2000", "--cap-rounds", "2", "--cap-members", "12"]
+SWEEP = [
+    ["validate"], ["limit", "phi"], ["colimit", "phi"], ["wlimit", "phi", "t"],
+    ["wcolimit", "phi", "s"], ["kan", "F", "s"], ["nerve", "F"],
+    ["elements", "phi"], ["filtered", "A"], ["connected", "A"],
+    ["lift", "P", "P"], ["extend", "P", "P"], ["adjoint", "P"],
+    ["smallproj", "phi"], ["cauchy", "A"], ["isbell", "phi"], ["duality", "A"],
+    ["morita", "A", "B"], ["closure", "A", "W"], ["saturation", "phi", "W"],
+    ["cocomplete", "A", "W"], ["atoms", "A", "W"], ["commute", "phi", "t", "P"],
+    ["flat", "phi"], ["continuous", "psi", "W"], ["recognize", "F", "W"],
+    ["absolute-sample", "phi", "F"],
+]
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of one ``fincat`` invocation."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def sweep(seed, directory, max_nonid=5):
+    """Run every command, plain and with --json, twice on the random
+    workspace of seed, written to directory.  Each must exit 0, 3 or 4
+    (an exception or exit 5 fails), print --json text that json.dumps
+    gives back, and print the same bytes the second time."""
+    path = pathlib.Path(directory) / f"random{seed}.json"
+    path.write_text(serialize_workspace(_random_workspace(seed, max_nonid)))
+    for argv in SWEEP:
+        for json_flag in ([], ["--json"]):
+            full = SWEEP_FLAGS + json_flag + ["-w", str(path)] + argv
+            first = code, out, err = _run(full)
+            assert code in (0, 3, 4), (seed, argv, code, err)
+            if json_flag and code == 0:
+                assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
+            assert _run(full) == first, (seed, argv)
+
+
+def test_every_command_on_random_lawful_workspaces(tmp_path):
+    """Every command on five random lawful workspaces, the exit-code
+    contract on input that no fixture covers.  A longer sweep over more and
+    larger workspaces, from the repository root (it prints nothing and
+    raises at the first failure)::
+
+        PYTHONPATH=src:tests python -c "
+        import tempfile, test_workspace_cli as t
+        with tempfile.TemporaryDirectory() as d:
+            for seed in range(400):
+                t.sweep(seed, d, max_nonid=8)"
+    """
+    assert sorted(cli.COMMANDS) == sorted({argv[0] for argv in SWEEP})
+    for seed in range(5):
+        sweep(seed, tmp_path)
 
 
 def test_absolute_sample_seed_reorders_but_keeps_content(capsys):
