@@ -38,7 +38,9 @@ class FinCategory:
     objects: ordered list of hashable object ids.
     morphisms: ordered list of (mor_id, src, tgt) triples.
     identity: dict object -> morphism id.
-    compose: dict (g, f) -> g after f, keyed on exactly the composable pairs.
+    compose: dict (g, f) -> g after f, or an iterable of ((g, f), g after f)
+    pairs, keyed on exactly the composable pairs; it is read once, into a new
+    dict.
     into: dict object -> morphisms with that target, in morphism order; the
     composable pairs are exactly the (g, f) with f in into[src g].
     """
@@ -672,6 +674,8 @@ def product_category(c: FinCategory, d: FinCategory) -> FinCategory:
     object is shared by the morphism list, the identity table and every
     compose key and value.  Only composable pairs are visited, keyed in
     all-pairs order: (f2, g2) outer, then f1, then g1, each in morphism order.
+    The composites are handed to ``FinCategory`` as a generator, so that the
+    one dict built is its own table.
     """
     ids = {f: {g: (f, g) for g in d.morphisms} for f in c.morphisms}
     objects = [(a, b) for a in c.objects for b in d.objects]
@@ -680,15 +684,16 @@ def product_category(c: FinCategory, d: FinCategory) -> FinCategory:
     identity = {(a, b): ids[c.id_of(a)][d.id_of(b)] for a in c.objects for b in d.objects}
     d_rows = [(g2, [(g1, d.compose(g2, g1)) for g1 in d.into[d.src[g2]]])
               for g2 in d.morphisms]
-    compose = {}
-    for f2 in c.morphisms:
-        c_row = [(ids[f1], ids[c.compose(f2, f1)]) for f1 in c.into[c.src[f2]]]
-        for g2, d_row in d_rows:
-            m2 = ids[f2][g2]
-            for row1, row_h in c_row:
-                for g1, k in d_row:
-                    compose[(m2, row1[g1])] = row_h[k]
-    return FinCategory(f"{c.name}x{d.name}", objects, morphisms, identity, compose)
+
+    def compose():
+        for f2 in c.morphisms:
+            c_row = [(ids[f1], ids[c.compose(f2, f1)]) for f1 in c.into[c.src[f2]]]
+            for g2, d_row in d_rows:
+                m2 = ids[f2][g2]
+                for row1, row_h in c_row:
+                    for g1, k in d_row:
+                        yield (m2, row1[g1]), row_h[k]
+    return FinCategory(f"{c.name}x{d.name}", objects, morphisms, identity, compose())
 
 
 def unit_category() -> FinCategory:

@@ -18,10 +18,11 @@ ValidationFailed with the report of the first unlawful one.
 A 2-cell holds only its components per cell; ``validate(cell.nat())`` checks
 naturality on a product base target x source^op built for that call, and runs
 on the lift counit and the adjunction unit, not natural by construction, when
-they are built.  Every canonical 2-cell (identities, unitors, associators,
-whiskers, counits, units, comparisons) is built by ``_cellwise`` from its value
-on one element of one source cell; unitors, associators and whiskers take the
-composite modules they run between from the caller, which composes each once.
+they are built.  Every canonical 2-cell (identities, counits, units,
+comparisons) is built by ``_cellwise`` from its value on one element of one
+source cell.  The triangle identities of an adjunction are read on elements
+through the unit, the counit and the normal forms of f.g, so the library
+builds no unitor, associator or whisker; the tests keep them as the oracle.
 The conjoint T^* of a functor T is the transpose of the companion of T^op, and
 the module of a covariant weight is the transpose of its module as a weight.
 """
@@ -156,7 +157,8 @@ def id_module(cat: FinCategory) -> Profunctor:
 class CompositeProfunctor(Profunctor):
     """g . f with each cell's ColimitResult kept for normalization of raw pairs;
     a class is represented by its first raw pair (b, (y, x)) in tag order.
-    The inner factor f is kept for the associator, which normalizes in it."""
+    The inner factor f is kept for the associator of the test oracle, which
+    normalizes in it; no library code reads it."""
 
     def __init__(self, f, name, source, target, sets, left, right, coends):
         super().__init__(name, source, target, sets, left, right)
@@ -230,67 +232,6 @@ def compose_modules(g: Profunctor, f: Profunctor) -> CompositeProfunctor:
             right[(c, alpha)] = table
     return CompositeProfunctor(f, f"({g.name}.{f.name})", source, target,
                                sets, left, right, coends)
-
-
-# ---------------------------------------------------------------------------
-# coherence 2-cells
-
-
-def left_unitor(f: Profunctor, composite: CompositeProfunctor) -> TwoCell:
-    """1_B . f -> f, sending a class (b', (h, x)) to x acted on by h."""
-
-    def image(b, a, rep):
-        _, (h, x) = rep
-        return f.left_act(h, a, x)
-    cell = _cellwise(composite, f, f"lambda({f.name})", image)
-    if not cell.is_iso():
-        raise InternalMismatch(f"left unitor of {f.name} not invertible")
-    return cell
-
-
-def right_unitor(f: Profunctor, composite: CompositeProfunctor) -> TwoCell:
-    """f . 1_A -> f."""
-
-    def image(b, a, rep):
-        _, (x, h) = rep
-        return f.right_act(b, h, x)
-    cell = _cellwise(composite, f, f"rho({f.name})", image)
-    if not cell.is_iso():
-        raise InternalMismatch(f"right unitor of {f.name} not invertible")
-    return cell
-
-
-def associator(f3: Profunctor, f2: Profunctor, f1: Profunctor,
-               left: CompositeProfunctor, right: CompositeProfunctor) -> TwoCell:
-    """(f3 . f2) . f1 -> f3 . (f2 . f1), re-bracketing representatives."""
-
-    def image(t, s, rep):
-        m1, ((m2, (y, z)), x) = rep
-        return right.normalize(t, s, m2, y, right.inner.normalize(m2, s, m1, z, x))
-    cell = _cellwise(left, right, f"assoc({f3.name},{f2.name},{f1.name})", image)
-    if not cell.is_iso():
-        raise InternalMismatch("associator not invertible; representative bug")
-    return cell
-
-
-def whisker_left(g: Profunctor, sigma: TwoCell, src: CompositeProfunctor,
-                 tgt: CompositeProfunctor) -> TwoCell:
-    """g . sigma: from g . (sigma.source) to g . (sigma.target)."""
-
-    def image(t, s, rep):
-        m, (y, x) = rep
-        return tgt.normalize(t, s, m, y, sigma.at(m, s, x))
-    return _cellwise(src, tgt, f"({g.name}.{sigma.name})", image)
-
-
-def whisker_right(sigma: TwoCell, e: Profunctor, src: CompositeProfunctor,
-                  tgt: CompositeProfunctor) -> TwoCell:
-    """sigma . e: from (sigma.source) . e to (sigma.target) . e."""
-
-    def image(t, s, rep):
-        m, (w, z) = rep
-        return tgt.normalize(t, s, m, sigma.at(t, m, w), z)
-    return _cellwise(src, tgt, f"({sigma.name}.{e.name})", image)
 
 
 # ---------------------------------------------------------------------------
@@ -532,12 +473,10 @@ def has_right_adjoint(f: Profunctor) -> AdjunctionResult:
     """Absolute-lifting criterion: g = {|f,1|} is right adjoint iff the
     canonical comparison g.f -> {|f,f|} is invertible.  Only then are the
     counit and unit built, each checked natural, and both triangle identities
-    verified on them.  An unlawful f raises ValidationFailed from the validated
+    read on their elements.  An unlawful f raises ValidationFailed from the validated
     lift {|f,f|}; {|f,1_B|} skips the check, 1_B being lawful by construction."""
     selflift = right_lift(f, f)
-    a_cat, b_cat = f.source, f.target
-    one_b = id_module(b_cat)
-    lifted = _right_lift(f, one_b)
+    lifted = _right_lift(f, id_module(f.target))
     g = lifted.lift
     c_gf = compose_modules(g, f)
 
@@ -555,51 +494,33 @@ def has_right_adjoint(f: Profunctor) -> AdjunctionResult:
         cell, kind = failure
         return AdjunctionResult(False, comparison=comparison,
                                 reason=f"comparison not {kind} at {cell!r}")
-    inverse = comparison.invert()
-    eps, c_fg = lifted.counit, lifted.composite
-    one_a = id_module(a_cat)
+    inverse, eps = comparison.invert(), lifted.counit
 
     def unit_at(a2, a1, h):
         key = _freeze(selflift.f_col[a2], lambda b, y: f.right_act(b, h, y))
         if key not in selflift.decode[(a2, a1)]:
             raise InternalMismatch("unit left the lift cell")
         return inverse.at(a2, a1, key)
-    eta = _cellwise(one_a, c_gf, f"unit({f.name})", unit_at)
+    eta = _cellwise(id_module(f.source), c_gf, f"unit({f.name})", unit_at)
     _require_valid(eta.nat(), "adjunction unit not natural")
-
-    # triangle 1: f -> f.1_A -> f.(g.f) -> (f.g).f -> 1_B.f -> f equals 1_f
-    c_f1 = compose_modules(f, one_a)
-    rho_f = right_unitor(f, c_f1)
-    c_f_gf = compose_modules(f, c_gf)
-    c_fg_f = compose_modules(c_fg, f)
-    c_1b_f = compose_modules(one_b, f)
-    chain1 = (rho_f.invert()
-              .then(whisker_left(f, eta, c_f1, c_f_gf))
-              .then(associator(f, g, f, c_fg_f, c_f_gf).invert())
-              .then(whisker_right(eps, f, c_fg_f, c_1b_f))
-              .then(left_unitor(f, c_1b_f)))
-    if not _fixes_every_element(chain1):
-        raise InternalMismatch(f"triangle identity (counit.f)(f.unit) fails for {f.name}")
-
-    # triangle 2: g -> 1_A.g -> (g.f).g -> g.(f.g) -> g.1_B -> g equals 1_g
-    c_1a_g = compose_modules(one_a, g)
-    lam_g = left_unitor(g, c_1a_g)
-    c_gf_g = compose_modules(c_gf, g)
-    c_g_fg = compose_modules(g, c_fg)
-    c_g_1b = compose_modules(g, one_b)
-    chain2 = (lam_g.invert()
-              .then(whisker_right(eta, g, c_1a_g, c_gf_g))
-              .then(associator(g, f, g, c_gf_g, c_g_fg))
-              .then(whisker_left(g, eps, c_g_fg, c_g_1b))
-              .then(right_unitor(g, c_g_1b)))
-    if not _fixes_every_element(chain2):
-        raise InternalMismatch(f"triangle identity (g.counit)(unit.g) fails for {f.name}")
-
+    _check_triangles(f, g, eta, eps)
     return AdjunctionResult(True, right=g, unit=eta, counit=eps,
                             comparison=comparison)
 
 
-def _fixes_every_element(cell: TwoCell) -> bool:
-    """Whether an endo 2-cell is the identity: as its components cover every
-    cell of its module, whether they fix every element."""
-    return all(x == y for table in cell.components.values() for x, y in table.items())
+def _check_triangles(f: Profunctor, g: Profunctor, eta: TwoCell, eps: TwoCell):
+    """Both triangle identities of eta: 1_A -> g.f and eps: f.g -> 1_B, read
+    on elements (Street, Absolute colimits in enriched categories, 1983).
+    With (b1, (u, v)) the representative of eta(1_a), (counit.f)(f.unit)
+    sends x in f(b, a) to eps(x, u) . v and (g.counit)(unit.g) sends y in
+    g(a, b) to u . eps(v, y); each must give its element back.  Both 2-cells
+    are checked natural before, so eta is fixed by its values at identities
+    and no composite of three modules or coherence 2-cell is built."""
+    c_fg = eps.source
+    units = [(a, *eta.at(a, a, f.source.id_of(a))) for a in f.source.objects]
+    if not all(f.left_act(eps.at(b, b1, c_fg.normalize(b, b1, a, x, u)), a, v) == x
+               for a, b1, (u, v) in units for b in f.target.objects for x in f.cell(b, a)):
+        raise InternalMismatch(f"triangle identity (counit.f)(f.unit) fails for {f.name}")
+    if not all(g.right_act(a, eps.at(b1, b, c_fg.normalize(b1, b, a, v, y)), u) == y
+               for a, b1, (u, v) in units for b in f.target.objects for y in g.cell(a, b)):
+        raise InternalMismatch(f"triangle identity (g.counit)(unit.g) fails for {f.name}")

@@ -14,16 +14,110 @@ from fincat.equivalence import all_functors
 from fincat.errors import EndpointMismatch, InternalMismatch, MalformedTable, ValidationFailed
 from fincat.limits import ColimitResult, nat_trans_set
 from fincat.profunctor import (TwoCell, _cellwise, _column, _companion, _transpose,
-                               as_presheaf, associator, compose_modules,
-                               functor_to_modules, has_right_adjoint,
-                               id_module, identity_two_cell, left_unitor,
+                               as_presheaf, compose_modules, functor_to_modules,
+                               has_right_adjoint, id_module, identity_two_cell,
                                module_of_coweight, module_of_weight,
                                modules_isomorphic, right_extend, right_lift,
-                               right_unitor, two_cells, verify_extend_bijection,
-                               verify_lift_bijection, whisker_left,
-                               whisker_right)
-from util import (SMALL_CATEGORIES, compose_modules_oracle, random_presheaf,
-                  random_profunctor, right_extend_oracle)
+                               two_cells, verify_extend_bijection,
+                               verify_lift_bijection)
+from util import (SMALL_CATEGORIES, compose_modules_oracle, random_concrete_category,
+                  random_presheaf, random_profunctor, right_extend_oracle)
+
+
+# ---------------------------------------------------------------------------
+# coherence 2-cells, and the triangle identities checked on chains of them:
+# the oracle of profunctor._check_triangles, which reads them on elements
+
+
+def left_unitor(f, composite):
+    """1_B . f -> f, sending a class (b', (h, x)) to x acted on by h."""
+
+    def image(b, a, rep):
+        _, (h, x) = rep
+        return f.left_act(h, a, x)
+    cell = _cellwise(composite, f, f"lambda({f.name})", image)
+    if not cell.is_iso():
+        raise InternalMismatch(f"left unitor of {f.name} not invertible")
+    return cell
+
+
+def right_unitor(f, composite):
+    """f . 1_A -> f."""
+
+    def image(b, a, rep):
+        _, (x, h) = rep
+        return f.right_act(b, h, x)
+    cell = _cellwise(composite, f, f"rho({f.name})", image)
+    if not cell.is_iso():
+        raise InternalMismatch(f"right unitor of {f.name} not invertible")
+    return cell
+
+
+def associator(f3, f2, f1, left, right):
+    """(f3 . f2) . f1 -> f3 . (f2 . f1), re-bracketing representatives."""
+
+    def image(t, s, rep):
+        m1, ((m2, (y, z)), x) = rep
+        return right.normalize(t, s, m2, y, right.inner.normalize(m2, s, m1, z, x))
+    cell = _cellwise(left, right, f"assoc({f3.name},{f2.name},{f1.name})", image)
+    if not cell.is_iso():
+        raise InternalMismatch("associator not invertible; representative bug")
+    return cell
+
+
+def whisker_left(g, sigma, src, tgt):
+    """g . sigma: from g . (sigma.source) to g . (sigma.target)."""
+
+    def image(t, s, rep):
+        m, (y, x) = rep
+        return tgt.normalize(t, s, m, y, sigma.at(m, s, x))
+    return _cellwise(src, tgt, f"({g.name}.{sigma.name})", image)
+
+
+def whisker_right(sigma, e, src, tgt):
+    """sigma . e: from (sigma.source) . e to (sigma.target) . e."""
+
+    def image(t, s, rep):
+        m, (w, z) = rep
+        return tgt.normalize(t, s, m, sigma.at(t, m, w), z)
+    return _cellwise(src, tgt, f"({sigma.name}.{e.name})", image)
+
+
+def _fixes_every_element(cell):
+    """Whether an endo 2-cell is the identity: as its components cover every
+    cell of its module, whether they fix every element."""
+    return all(x == y for table in cell.components.values() for x, y in table.items())
+
+
+def _chain_triangles(f, g, eta, eps):
+    """The triangle identities as has_right_adjoint checked them before it
+    read them on elements: each is a chain of five coherence 2-cells through
+    four composites, which must fix every element."""
+    one_a, one_b, c_gf, c_fg = eta.source, eps.target, eta.target, eps.source
+    # triangle 1: f -> f.1_A -> f.(g.f) -> (f.g).f -> 1_B.f -> f equals 1_f
+    c_f1 = compose_modules(f, one_a)
+    c_f_gf = compose_modules(f, c_gf)
+    c_fg_f = compose_modules(c_fg, f)
+    c_1b_f = compose_modules(one_b, f)
+    chain1 = (right_unitor(f, c_f1).invert()
+              .then(whisker_left(f, eta, c_f1, c_f_gf))
+              .then(associator(f, g, f, c_fg_f, c_f_gf).invert())
+              .then(whisker_right(eps, f, c_fg_f, c_1b_f))
+              .then(left_unitor(f, c_1b_f)))
+    if not _fixes_every_element(chain1):
+        raise InternalMismatch(f"triangle identity (counit.f)(f.unit) fails for {f.name}")
+    # triangle 2: g -> 1_A.g -> (g.f).g -> g.(f.g) -> g.1_B -> g equals 1_g
+    c_1a_g = compose_modules(one_a, g)
+    c_gf_g = compose_modules(c_gf, g)
+    c_g_fg = compose_modules(g, c_fg)
+    c_g_1b = compose_modules(g, one_b)
+    chain2 = (left_unitor(g, c_1a_g).invert()
+              .then(whisker_right(eta, g, c_1a_g, c_gf_g))
+              .then(associator(g, f, g, c_gf_g, c_g_fg))
+              .then(whisker_left(g, eps, c_g_fg, c_g_1b))
+              .then(right_unitor(g, c_g_1b)))
+    if not _fixes_every_element(chain2):
+        raise InternalMismatch(f"triangle identity (g.counit)(unit.g) fails for {f.name}")
 
 
 def test_id_module_and_as_presheaf():
@@ -726,12 +820,14 @@ def _adjoint_composites(monkeypatch, weights):
 
 
 def test_compose_modules_matches_tuple_tags_on_adjoint_composites(monkeypatch):
-    """446 composites: g.f on every weight, plus f.g (the counit's source)
-    and the eight composites of the triangle identities on the 42 weights
-    whose comparison is invertible.  It was 540 while each of the two lifts
+    """110 composites: g.f on every weight, plus f.g (the counit's source)
+    on the 42 weights whose comparison is invertible.  It was 446 while the
+    triangle identities were checked on chains of coherence 2-cells, which
+    composed eight more modules per adjunction (f.1_A, f.(g.f), (f.g).f,
+    1_B.f and their mirrors for g), and 540 while each of the two lifts
     composed f with itself when built, whether or not its counit was read."""
     built = _adjoint_composites(monkeypatch, PRESHEAVES.values())
-    assert len(built) == 446
+    assert len(built) == 110
     for g, f, got in built:
         _assert_composite_matches_tuple_tags(got, g, f)
 
@@ -826,8 +922,12 @@ def test_an_unnatural_counit_is_never_returned(monkeypatch):
 
 
 def test_adjoint_composites_of_a_gset_weight_are_pinned(monkeypatch):
-    """The two largest composites of Y.GSet.GG and the pairs the kernel reads:
-    one per raw pair linked by a non-identity morphism of the middle category."""
+    """The two composites of Y.GSet.GG, g.f and f.g, and the pairs the
+    kernel reads: one per raw pair linked by a non-identity morphism of the
+    middle category.  While the triangle identities were checked on chains
+    of coherence 2-cells, eight more composites were built; the two largest,
+    (5440, 320) and (5712, 336) tags and classes, were the triple composites
+    g.(f.g) and (g.f).g, and the kernel read 194,856 pairs."""
     consumed = []
     least_reps = profunctor._least_reps
 
@@ -839,16 +939,19 @@ def test_adjoint_composites_of_a_gset_weight_are_pinned(monkeypatch):
     built = _adjoint_composites(monkeypatch, [PRESHEAVES["Y.GSet.GG"]])
     sizes = sorted((sum(len(co.lookup) for co in c.coends.values()),
                     sum(len(classes) for classes in c.sets.values())) for _, _, c in built)
-    assert sizes[-2:] == [(5440, 320), (5712, 336)]
+    assert sizes == [(272, 16), (420, 420)]
     linked = sum(len(g.cell(c, mid.src[u])) * len(f.cell(mid.tgt[u], a))
                  for g, f, _ in built for mid in [g.source]
                  for c in g.target.objects for a in f.source.objects
                  for u in mid.morphisms if not mid.is_identity(u))
-    assert sum(consumed) == linked == 194856
+    assert sum(consumed) == linked == 4368
 
 
 def test_has_right_adjoint_decides_each_two_cell_once(monkeypatch):
-    """No component of any 2-cell is tested for bijectivity twice."""
+    """No component of any 2-cell is tested for bijectivity twice.  On the
+    weights outside GSet and FinSet12 that is 59 components, the one cell of
+    each weight's comparison; it was 605 while the unitors and associators
+    of the triangle chains were each decided invertible."""
     decided = []
     bijectivity = profunctor._bijectivity
     monkeypatch.setattr(profunctor, "_bijectivity", lambda images, onto, message: (
@@ -856,8 +959,116 @@ def test_has_right_adjoint_decides_each_two_cell_once(monkeypatch):
     for phi in PRESHEAVES.values():
         if phi.base.name not in ("GSet", "FinSet12"):
             has_right_adjoint(module_of_weight(phi))
-    assert len(decided) > 100
+    assert len(decided) == 59
     assert len({id(table) for table in decided}) == len(decided)
+
+
+def _adjoint_outcome(f):
+    """has_right_adjoint's verdict and reason, or the message it raised."""
+    try:
+        res = has_right_adjoint(f)
+    except InternalMismatch as caught:
+        return "raised", str(caught)
+    return res.found, res.reason
+
+
+def _routes_agree(f):
+    """The outcome of has_right_adjoint on f, after checking that the chain
+    oracle in place of the element check gives the same one."""
+    got = _adjoint_outcome(f)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(profunctor, "_check_triangles", _chain_triangles)
+        assert _adjoint_outcome(f) == got, f.name
+    return got
+
+
+def _corrupted_cellwise(bad_name, bad_cell, bad_x, value):
+    """profunctor._cellwise, except that the 2-cell named bad_name sends
+    bad_x in bad_cell to value."""
+    cellwise = profunctor._cellwise
+
+    def corrupted(src, tgt, name, image):
+        if name != bad_name:
+            return cellwise(src, tgt, name, image)
+        return cellwise(src, tgt, name, lambda t, s, x: (
+            value if ((t, s), x) == (bad_cell, bad_x) else image(t, s, x)))
+    return corrupted
+
+
+def test_triangles_on_elements_match_the_chains_on_corpus_weights():
+    outcomes = [_routes_agree(module_of_weight(phi)) for phi in PRESHEAVES.values()]
+    assert (len(outcomes), outcomes.count((True, ""))) == (68, 42)
+
+
+def test_triangles_on_elements_match_the_chains_on_companions():
+    """The cases of test_companion_has_conjoint_as_right_adjoint, and the
+    conjoints themselves."""
+    for t in (corpus.embedM, all_functors(Two, M)[0], corpus.orbit):
+        lower, upper = functor_to_modules(t)
+        assert _routes_agree(lower) == (True, ""), t.name
+        _routes_agree(upper)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6))
+def test_triangles_on_elements_match_the_chains_on_random_companions(seed):
+    """A companion T_* always has a right adjoint, T^*; its source A is
+    never the unit category, so the unit has more than one cell.  Then each
+    single-value corruption of the unit at an identity raises, either at the
+    unit's naturality check or at a triangle, the same way on both routes."""
+    rng = random.Random(seed)
+    source = random_concrete_category(rng, "A", max_nonid=4)
+    while len(source.morphisms) == 1:
+        source = random_concrete_category(rng, "A", max_nonid=4)
+    target = random_concrete_category(rng, "B", max_nonid=4)
+    f = _companion(rng.choice(all_functors(source, target)))
+    assert _routes_agree(f) == (True, "")
+    unit = has_right_adjoint(f).unit
+    for a in source.objects:
+        one = source.id_of(a)
+        for value in unit.target.cell(a, a):
+            if value != unit.at(a, a, one):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(profunctor, "_cellwise",
+                                  _corrupted_cellwise(unit.name, (a, a), one, value))
+                    assert _routes_agree(f)[0] == "raised"
+
+
+def _unit_corruptions():
+    """(phi, name, cell, x, value) for every way to send the identity x of
+    the unit of an absolute corpus weight outside GSet and FinSet12 to
+    another class of its target cell (g.f)(a, a)."""
+    for phi in PRESHEAVES.values():
+        if phi.base.name in ("GSet", "FinSet12"):
+            continue
+        res = has_right_adjoint(module_of_weight(phi))
+        if res.found:
+            a_cat = res.unit.source.source
+            for a in a_cat.objects:
+                x = a_cat.id_of(a)
+                for value in res.unit.target.cell(a, a):
+                    if value != res.unit.at(a, a, x):
+                        yield phi, res.unit.name, (a, a), x, value
+
+
+def test_triangles_on_elements_match_the_chains_on_corrupted_units_and_counits(monkeypatch):
+    """Every single-value corruption of the unit at an identity, and of the
+    counit ev(f, 1_B), made as the 2-cell is built: both routes raise the
+    same message on each.  A is the unit category, so each of the 6 unit
+    corruptions stays natural and only the triangle identities catch it."""
+    corruptions = list(_unit_corruptions())
+    assert len(corruptions) == 6
+    corruptions += [(phi, f"ev({module_of_weight(phi).name},1_{phi.base.name})", *rest)
+                    for phi, *rest in _counit_corruptions()]
+    raised = []
+    for phi, *corruption in corruptions:
+        monkeypatch.setattr(profunctor, "_cellwise", _corrupted_cellwise(*corruption))
+        verdict, message = _routes_agree(module_of_weight(phi))
+        monkeypatch.undo()
+        assert verdict == "raised", (phi.name, corruption)
+        raised.append(message.split(":")[0].split(" fails")[0])
+    assert {m: raised.count(m) for m in raised} == {
+        "lift counit not natural": 40, "triangle identity (counit.f)(f.unit)": 8}
 
 
 def _canonical_two_cells():
