@@ -713,8 +713,8 @@ def delta0(cat: FinCategory, name=None) -> Presheaf:
                     {f: {} for f in cat.morphisms})
 
 
-def full_subcategory(cat: FinCategory, objects, name=None):
-    """The full subcategory on the given objects, with its inclusion functor."""
+def full_subcategory(cat: FinCategory, objects, name: str):
+    """The full subcategory, named name, on the given objects, with its inclusion functor."""
     keep = set(objects)
     objs = [a for a in cat.objects if a in keep]
     mors = [(m, cat.src[m], cat.tgt[m]) for m in cat.morphisms
@@ -722,7 +722,7 @@ def full_subcategory(cat: FinCategory, objects, name=None):
     identity = {a: cat.id_of(a) for a in objs}
     compose = {(g, f): cat.compose(g, f)
                for (g, _, _), (f, _, _) in _composable_pairs(mors)}
-    sub = FinCategory(name or f"{cat.name}[{len(objs)}]", objs, mors, identity, compose)
+    sub = FinCategory(name, objs, mors, identity, compose)
     incl = FinFunctor(f"include[{sub.name}]", sub, cat,
                       {a: a for a in objs}, {m: m for m in sub.morphisms})
     return sub, incl
@@ -871,12 +871,6 @@ def _least_reps(n, pairs):
     return rep
 
 
-def _classes(tags, rep):
-    """(classes, lookup) of ``quotient`` from the representatives of ``_least_reps``."""
-    return (tuple(tag for i, tag in enumerate(tags) if rep[i] == i),
-            {tag: tags[r] for tag, r in zip(tags, rep)})
-
-
 def quotient(tags, pairs):
     """Classes of the sequence ``tags`` under the equivalence generated by ``pairs``.
 
@@ -885,7 +879,9 @@ def quotient(tags, pairs):
     the tags for ``_least_reps``; ``pairs`` is consumed once, never stored.
     """
     index = {tag: i for i, tag in enumerate(tags)}
-    return _classes(tags, _least_reps(len(tags), ((index[a], index[b]) for a, b in pairs)))
+    rep = _least_reps(len(tags), ((index[a], index[b]) for a, b in pairs))
+    return (tuple(tag for i, tag in enumerate(tags) if rep[i] == i),
+            {tag: tags[r] for tag, r in zip(tags, rep)})
 
 
 def is_connected(c: FinCategory) -> bool:

@@ -379,8 +379,8 @@ def fixture_workspaces():
     return out
 
 
-def write_fixtures(root=None):
-    root = pathlib.Path(root or pathlib.Path(__file__).parent / "fixtures")
+def write_fixtures(root=pathlib.Path(__file__).parent / "fixtures"):
+    root = pathlib.Path(root)
     for stem, ws in fixture_workspaces().items():
         (root / f"{stem}.json").write_text(serialize_workspace(ws))
 

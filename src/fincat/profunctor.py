@@ -2,10 +2,9 @@
 
 A module f: A -|-> B is a Profunctor with source A and target B; its cells are
 indexed (b, a).  Composition g . f (for g: B -|-> C) is the pointwise coend
-over B of g(c,b) x f(b,a), taken directly on integer positions: one quotient
-per cell (c, a) of the raw pairs (b, (y, x)), numbered in tag order, whose
-positions ``core._least_reps`` joins where a non-identity morphism of B links
-them (read from per-cell position tables).  Right lifts are computed by their
+over B of g(c,b) x f(b,a): one ``core.quotient`` per cell (c, a) of the raw
+pairs (b, (y, x)) in tag order, joined where a non-identity morphism of B
+links them.  Right lifts are computed by their
 end formula: a cell of {|f,h|} at (a,c) is a natural family of functions
 f(-,a) -> h(-,c), stored in frozen form with a decode table kept alongside;
 the composite f.{|f,h|} and the counit ev(f,h) are built on first read.
@@ -28,13 +27,12 @@ the module of a covariant weight is the transpose of its module as a weight.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, Profunctor,
-                   _bijectivity, _classes, _freeze, _least_reps, _require_valid,
-                   identity_functor, product_category, same_category, unit_category, validate)
+                   _bijectivity, _freeze, _require_valid, identity_functor, product_category,
+                   quotient, same_category, unit_category, validate)
 from .equivalence import presheaf_isomorphic
 from .errors import EndpointMismatch, InternalMismatch, MalformedTable, ValidationFailed
 from .limits import ColimitResult, nat_trans_set
@@ -84,12 +82,6 @@ class TwoCell:
         cells = as_presheaf(f, base)
         target = cells if self.target is f else as_presheaf(self.target, base)
         return NatTrans(cells, target, self.components, name=self.name)
-
-    def then(self, other: "TwoCell") -> "TwoCell":
-        """other after self."""
-        comps = {cell: {x: other.components[cell][y] for x, y in table.items()}
-                 for cell, table in self.components.items()}
-        return TwoCell(self.source, other.target, comps, name=f"({other.name};{self.name})")
 
     def invert(self) -> "TwoCell":
         failure = self.bijection_failure()
@@ -156,13 +148,10 @@ def id_module(cat: FinCategory) -> Profunctor:
 
 class CompositeProfunctor(Profunctor):
     """g . f with each cell's ColimitResult kept for normalization of raw pairs;
-    a class is represented by its first raw pair (b, (y, x)) in tag order.
-    The inner factor f is kept for the associator of the test oracle, which
-    normalizes in it; no library code reads it."""
+    a class is represented by its first raw pair (b, (y, x)) in tag order."""
 
-    def __init__(self, f, name, source, target, sets, left, right, coends):
+    def __init__(self, name, source, target, sets, left, right, coends):
         super().__init__(name, source, target, sets, left, right)
-        self.inner = f
         self.coends = coends
 
     def normalize(self, tgt_obj, src_obj, mid_obj, outer_elem, inner_elem):
@@ -170,22 +159,16 @@ class CompositeProfunctor(Profunctor):
         return self.coends[(tgt_obj, src_obj)].find(mid_obj, (outer_elem, inner_elem))
 
 
-def _coend_pairs(g: Profunctor, f: Profunctor, c, a, moves, off, f_pos, g_pos):
-    """The generating pairs of the coend at (c, a) on tag positions, one zip
-    per move u: s -> t, a non-identity morphism of the middle category (an
-    identity pairs each tag with itself).  Tag (b, (y, x)) sits at
-    off[b] + i_y |f(b, a)| + i_x, and u links (y, u.x) over s with (y.u, x)
-    over t.  ``f_pos`` and ``g_pos`` give each element's index in its cell."""
+def _coend_pairs(g: Profunctor, f: Profunctor, c, a, moves):
+    """The generating pairs of the coend at (c, a), one per raw pair that a
+    move u: s -> t, a non-identity morphism of the middle category, links
+    (an identity links each tag with itself): (y, u.x) over s with (y.u, x)
+    over t."""
     for u, s, t in moves:
-        ys, xs = g.sets[(c, s)], f.sets[(t, a)]
-        if ys and xs:           # then f(s, a) is not empty either
-            n_s, n_t = len(f.sets[(s, a)]), len(xs)
-            f_u, g_u, at_t = f.left[(u, a)], g.right[(c, u)], g_pos[(c, t)]
-            row_s = range(off[s], off[s] + len(ys) * n_s, n_s)     # (y, -) over s
-            row_t = [off[t] + at_t[g_u[y]] * n_t for y in ys]      # (y.u, -) over t
-            ux = [f_pos[(s, a)][f_u[x]] for x in xs]               # u.x at f(s, a)
-            yield zip([r + p for r in row_s for p in ux],
-                      [r + i_x for r in row_t for i_x in range(n_t)])
+        f_u, g_u = f.left[(u, a)], g.right[(c, u)]
+        for y in g.sets[(c, s)]:
+            for x in f.sets[(t, a)]:
+                yield (s, (y, f_u[x])), (t, (g_u[y], x))
 
 
 def compose_modules(g: Profunctor, f: Profunctor) -> CompositeProfunctor:
@@ -197,19 +180,12 @@ def compose_modules(g: Profunctor, f: Profunctor) -> CompositeProfunctor:
     mid = g.source
     source, target = f.source, g.target
     moves = [(u, mid.src[u], mid.tgt[u]) for u in mid.morphisms if not mid.is_identity(u)]
-    f_pos, g_pos = ({cell: {x: i for i, x in enumerate(xs)} for cell, xs in m.sets.items()
-                     if moves} for m in (f, g))   # without moves there is nothing to place
     coends = {}
     sets = {}
     for c in target.objects:
         for a in source.objects:
-            off, tags = {}, []
-            for b in mid.objects:
-                off[b] = len(tags)
-                tags += [(b, (y, x)) for y in g.cell(c, b) for x in f.cell(b, a)]
-            zips = _coend_pairs(g, f, c, a, moves, off, f_pos, g_pos)
-            reps = _least_reps(len(tags), itertools.chain.from_iterable(zips))
-            co = ColimitResult(*_classes(tags, reps))
+            tags = [(b, (y, x)) for b in mid.objects for y in g.cell(c, b) for x in f.cell(b, a)]
+            co = ColimitResult(*quotient(tags, _coend_pairs(g, f, c, a, moves)))
             coends[(c, a)] = co
             sets[(c, a)] = co.classes
     left = {}
@@ -230,7 +206,7 @@ def compose_modules(g: Profunctor, f: Profunctor) -> CompositeProfunctor:
                 b, (y, x) = rep
                 table[rep] = coends[(c, a2)].find(b, (y, f.right_act(b, alpha, x)))
             right[(c, alpha)] = table
-    return CompositeProfunctor(f, f"({g.name}.{f.name})", source, target,
+    return CompositeProfunctor(f"({g.name}.{f.name})", source, target,
                                sets, left, right, coends)
 
 

@@ -98,16 +98,18 @@ def _parse_file(path):
     return doc
 
 
-_ID = (str, int, float, bool, type(None))  # the hashable JSON values
+_ID = (str, int, float, bool, type(None))  # the hashable JSON values: morphism ids
 _NAME = (str,)
+_KEY = (str,)  # object and element ids: they key JSON objects, whose keys are strings
 _TABLE = {...: _ID}
-_CATEGORY = {"objects": [_ID], "morphisms": [{"id": _ID, "src": _ID, "tgt": _ID}],
+_KEY_TABLE = {...: _KEY}
+_CATEGORY = {"objects": [_KEY], "morphisms": [{"id": _ID, "src": _KEY, "tgt": _KEY}],
              "identities": _TABLE, "compose": [[_ID]]}
-_PRESHEAF = {"on": _NAME, "sets": {...: [_ID]}, "actions": {...: _TABLE}}
-_FUNCTOR = {"source": _NAME, "target": _NAME, "objects": _TABLE,
+_PRESHEAF = {"on": _NAME, "sets": {...: [_KEY]}, "actions": {...: _KEY_TABLE}}
+_FUNCTOR = {"source": _NAME, "target": _NAME, "objects": _KEY_TABLE,
             "morphisms": _TABLE}
-_PROFUNCTOR = {"source": _NAME, "target": _NAME, "cells": {...: {...: [_ID]}},
-               "left": {...: {...: _TABLE}}, "right": {...: {...: _TABLE}}}
+_PROFUNCTOR = {"source": _NAME, "target": _NAME, "cells": {...: {...: [_KEY]}},
+               "left": {...: {...: _KEY_TABLE}}, "right": {...: {...: _KEY_TABLE}}}
 _WEIGHT_CLASS = {"weights": [_NAME]}
 
 
@@ -120,7 +122,8 @@ def _shape(value, schema, what):
     """
     if isinstance(schema, tuple):
         if not isinstance(value, schema):
-            kind = "a name" if schema is _NAME else "a string or number"
+            kind = ("a name" if schema is _NAME else "a string" if schema is _KEY
+                    else "a string or number")
             raise ParseError(f"{what}: expected {kind}")
         return
     if isinstance(schema, list):

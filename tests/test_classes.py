@@ -369,11 +369,11 @@ def test_reflective_subposet_keeps_the_colimits():
     fin = WeightClass("fin", [INITIAL.weights[0], delta1(Disc2)])
     good = ["o", "a", "c", "i"]
     assert all(poset_reflection(N5, good, x) is not None for x in N5.objects)
-    sub, _ = full_subcategory(N5, good)
+    sub, _ = full_subcategory(N5, good, "N5[good]")
     assert is_phi_cocomplete(sub, fin)
     bad = ["o", "a", "b"]
     assert poset_reflection(N5, bad, "c") is None
-    sub2, _ = full_subcategory(N5, bad)
+    sub2, _ = full_subcategory(N5, bad, "N5[bad]")
     assert not is_phi_cocomplete(sub2, fin)
 
 
@@ -570,7 +570,7 @@ def _recognize_oracle(g, weight_class, caps=Caps(), budget=None):
     fixpoint = False
     while rounds < caps.rounds and not fixpoint:
         rounds += 1
-        sub, incl = full_subcategory(b_cat, reached)
+        sub, incl = full_subcategory(b_cat, reached, f"{b_cat.name}{reached}")
         new = []
         for phi in weight_class.weights:
             for s in all_functors(phi.base, sub, budget=budget):

@@ -509,7 +509,7 @@ def test_derived_compose_tables_match_all_pairs_rebuild():
         assert list(q.compose_table.items()) == list(want.items()), cat.name
         for size in range(len(cat.objects) + 1):
             for objs in itertools.combinations(reversed(cat.objects), size):
-                sub, _ = full_subcategory(cat, objs)
+                sub, _ = full_subcategory(cat, objs, f"{cat.name}{list(objs)}")
                 want = all_pairs_compose(sub, cat.compose)
                 assert list(sub.compose_table.items()) == list(want.items())
         weights = [p for p in PRESHEAVES.values() if p.base is cat]
@@ -592,7 +592,7 @@ def test_elements_table_is_built_once_on_first_read(first):
 
 
 def test_full_subcategory_of_QM_is_M_shaped():
-    sub, incl = full_subcategory(QM, ["s1"])
+    sub, incl = full_subcategory(QM, ["s1"], "QM[s1]")
     assert len(sub.objects) == 1 and len(sub.morphisms) == 2
     assert validate(sub).ok and validate(incl).ok
     assert sub.compose("s1>s1:e", "s1>s1:e") == "s1>s1:e"

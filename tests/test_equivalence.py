@@ -51,7 +51,7 @@ def test_all_functors_cap_and_budget():
 
 
 def test_find_isomorphism_and_skeleton():
-    sub, _ = full_subcategory(QM, ["s1"])
+    sub, _ = full_subcategory(QM, ["s1"], "QM[s1]")
     iso = find_isomorphism(sub, M)
     assert iso is not None
     assert find_isomorphism(M, Z2) is None

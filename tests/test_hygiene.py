@@ -1,15 +1,17 @@
 """Source hygiene of src/fincat, checked with the standard library's ast:
 no module imports a name it never uses, no top-level private function or
 class goes unreferenced, no function binds a local it never reads, no
-None default stands for a value a call computes, no NatTrans is built
-only to be frozen, and no table of a presheaf or category is changed after
-construction.  Dead aliases, duplicate
+None default stands for a value a call computes (one listed exception), no
+NatTrans is built only to be frozen, and no table of a presheaf or category
+is changed after construction.  Dead aliases, duplicate
 helpers, unused unpacked values and second paths left behind by a refactor
-fail here, and so does a rename of a function the benchmark traces.  Imports
+fail here, and so do a rename of a function the benchmark traces and a
+public generator function, which its tracer cannot time.  Imports
 sit at the top of each module and point down one fixed order of layers, and
 the package loads a module only when one of its names is read."""
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -221,41 +223,63 @@ def _calls(node):
     return any(isinstance(n, ast.Call) for n in ast.walk(node))
 
 
-def _computed_defaults():
-    """(module, function, parameter, line) of every None default that a call
-    computes, by ``if p is None: p = f(...)`` or by a conditional expression
-    on ``p is (not) None`` whose None branch is a call."""
-    for name, tree in _modules().items():
-        for qualname, fn in _functions(tree):
-            params = _none_defaulted(fn)
-            for node in ast.walk(fn):
-                if isinstance(node, ast.If):
-                    p, is_none = _none_test(node.test, params)
-                    computed = is_none and any(
-                        isinstance(st, ast.Assign) and _calls(st.value)
-                        and any(isinstance(t, ast.Name) and t.id == p
-                                for t in st.targets)
-                        for st in node.body)
-                elif isinstance(node, ast.IfExp):
-                    p, is_none = _none_test(node.test, params)
-                    computed = p is not None and _calls(
-                        node.body if is_none else node.orelse)
-                else:
-                    continue
-                if computed:
-                    yield name, qualname, p, node.lineno
+def _computed_defaults(tree):
+    """(function, parameter, line) of every None default that a call
+    computes, by ``if p is None: p = f(...)``, by a conditional expression
+    on ``p is (not) None`` whose None branch is a call, or by ``p or f(...)``."""
+    for qualname, fn in _functions(tree):
+        params = _none_defaulted(fn)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.If):
+                p, is_none = _none_test(node.test, params)
+                computed = is_none and any(
+                    isinstance(st, ast.Assign) and _calls(st.value)
+                    and any(isinstance(t, ast.Name) and t.id == p
+                            for t in st.targets)
+                    for st in node.body)
+            elif isinstance(node, ast.IfExp):
+                p, is_none = _none_test(node.test, params)
+                computed = p is not None and _calls(
+                    node.body if is_none else node.orelse)
+            elif isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
+                first = node.values[0]
+                p = first.id if isinstance(first, ast.Name) and first.id in params else None
+                computed = p is not None and any(map(_calls, node.values[1:]))
+            else:
+                continue
+            if computed:
+                yield qualname, p, node.lineno
+
+
+# The one None default that a call computes and that stays, with its reason.
+COMPUTED_DEFAULT_EXCEPTIONS = {
+    "limits.py weighted_colimit: _el": (
+        "classes.phi_closure_bounded builds el(phi) once for the many colimits "
+        "weighted by one phi and hands it over.  The benchmark's closure "
+        "workload ran about 15 % slower without the hand-off, and the closure "
+        "keeps calling the public weighted_colimit, which that workload traces"),
+}
 
 
 def test_no_none_default_stands_for_a_computed_value():
     """A parameter defaulting to None must not be replaced by a value that a
     call computes: that offers callers a second path to a value the function
     can compute itself.  Constant stand-ins, such as ``core.DEFAULT_BUDGET``,
-    are allowed.  The rule has no exceptions: the last two, the product base
-    of ``profunctor.as_presheaf`` and of ``TwoCell``, went when 2-cells came
-    to hold only their components, and their allowlist went with them."""
-    found = [f"{name}:{line} {qualname}: {p}"
-             for name, qualname, p, line in _computed_defaults()]
-    assert found == []
+    are allowed.  The one exception, ``weighted_colimit``'s ``_el``, is listed
+    with its measured reason in ``COMPUTED_DEFAULT_EXCEPTIONS`` and must still
+    be found, so the list cannot go stale.  The sample shows each form the
+    check catches."""
+    sample = ast.parse("def f(p=None, q=None, r=None, s=None):\n"
+                       "    if p is None:\n"
+                       "        p = g()\n"
+                       "    q = g() if q is None else q\n"
+                       "    r = r if r is not None else g()\n"
+                       "    return p, q, r, s or g(), s or 0\n")
+    assert [p for _, p, _ in _computed_defaults(sample)] == ["p", "q", "r", "s"]
+    found = {f"{name} {qualname}: {p}"
+             for name, tree in _modules().items()
+             for qualname, p, _ in _computed_defaults(tree)}
+    assert found == set(COMPUTED_DEFAULT_EXCEPTIONS)
 
 
 def test_every_traced_layer_of_the_benchmark_names_a_callable():
@@ -269,6 +293,21 @@ def test_every_traced_layer_of_the_benchmark_names_a_callable():
         if not callable(getattr(importlib.import_module(f"fincat.{module}"), name, None)):
             missing.append(key)
     assert layers and missing == []
+
+
+def test_no_public_function_is_a_generator():
+    """The benchmark's tracer times every public function of each fincat
+    module, and refuses a generator function, whose body runs only after the
+    call returns; so a generator must be private.  The private ones, such as
+    ``profunctor._coend_pairs``, show that the check sees generators."""
+    generators = [f"{path.stem}.{attr}" for path in sorted(SRC.glob("*.py"))
+                  if path.stem != "__init__"
+                  for mod in [importlib.import_module(f"fincat.{path.stem}")]
+                  for attr, fn in vars(mod).items()
+                  if inspect.isfunction(fn) and fn.__module__ == mod.__name__
+                  and inspect.isgeneratorfunction(fn)]
+    assert "profunctor._coend_pairs" in generators
+    assert [name for name in generators if not name.split(".")[1].startswith("_")] == []
 
 
 # Each module imports only modules before it; __init__ re-exports the names of

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fincat import corpus, profunctor
-from fincat.core import (Presheaf, Profunctor, _freeze, product_category, quotient,
+from fincat.core import (Presheaf, Profunctor, _freeze, product_category,
                          same_category, unit_category, validate)
 from fincat.corpus import (Disc2, I, M, Par, QM, Span, Two, Z2, Z3, PRESHEAVES,
                            delta0, example82)
 from fincat.equivalence import all_functors
 from fincat.errors import EndpointMismatch, InternalMismatch, MalformedTable, ValidationFailed
-from fincat.limits import ColimitResult, nat_trans_set
+from fincat.limits import nat_trans_set
 from fincat.profunctor import (TwoCell, _cellwise, _column, _companion, _transpose,
                                as_presheaf, compose_modules, functor_to_modules,
                                has_right_adjoint, id_module, identity_two_cell,
@@ -27,6 +27,13 @@ from util import (SMALL_CATEGORIES, compose_modules_oracle, random_concrete_cate
 # ---------------------------------------------------------------------------
 # coherence 2-cells, and the triangle identities checked on chains of them:
 # the oracle of profunctor._check_triangles, which reads them on elements
+
+
+def then(first, second):
+    """The 2-cell second after first."""
+    comps = {cell: {x: second.components[cell][y] for x, y in table.items()}
+             for cell, table in first.components.items()}
+    return TwoCell(first.source, second.target, comps, name=f"({second.name};{first.name})")
 
 
 def left_unitor(f, composite):
@@ -53,12 +60,13 @@ def right_unitor(f, composite):
     return cell
 
 
-def associator(f3, f2, f1, left, right):
-    """(f3 . f2) . f1 -> f3 . (f2 . f1), re-bracketing representatives."""
+def associator(f3, f2, f1, left, right, inner):
+    """(f3 . f2) . f1 -> f3 . (f2 . f1), re-bracketing representatives;
+    ``inner`` is the composite f2 . f1 that ``right`` composes f3 with."""
 
     def image(t, s, rep):
         m1, ((m2, (y, z)), x) = rep
-        return right.normalize(t, s, m2, y, right.inner.normalize(m2, s, m1, z, x))
+        return right.normalize(t, s, m2, y, inner.normalize(m2, s, m1, z, x))
     cell = _cellwise(left, right, f"assoc({f3.name},{f2.name},{f1.name})", image)
     if not cell.is_iso():
         raise InternalMismatch("associator not invertible; representative bug")
@@ -99,11 +107,12 @@ def _chain_triangles(f, g, eta, eps):
     c_f_gf = compose_modules(f, c_gf)
     c_fg_f = compose_modules(c_fg, f)
     c_1b_f = compose_modules(one_b, f)
-    chain1 = (right_unitor(f, c_f1).invert()
-              .then(whisker_left(f, eta, c_f1, c_f_gf))
-              .then(associator(f, g, f, c_fg_f, c_f_gf).invert())
-              .then(whisker_right(eps, f, c_fg_f, c_1b_f))
-              .then(left_unitor(f, c_1b_f)))
+    chain1 = right_unitor(f, c_f1).invert()
+    for cell in (whisker_left(f, eta, c_f1, c_f_gf),
+                 associator(f, g, f, c_fg_f, c_f_gf, c_gf).invert(),
+                 whisker_right(eps, f, c_fg_f, c_1b_f),
+                 left_unitor(f, c_1b_f)):
+        chain1 = then(chain1, cell)
     if not _fixes_every_element(chain1):
         raise InternalMismatch(f"triangle identity (counit.f)(f.unit) fails for {f.name}")
     # triangle 2: g -> 1_A.g -> (g.f).g -> g.(f.g) -> g.1_B -> g equals 1_g
@@ -111,11 +120,12 @@ def _chain_triangles(f, g, eta, eps):
     c_gf_g = compose_modules(c_gf, g)
     c_g_fg = compose_modules(g, c_fg)
     c_g_1b = compose_modules(g, one_b)
-    chain2 = (left_unitor(g, c_1a_g).invert()
-              .then(whisker_right(eta, g, c_1a_g, c_gf_g))
-              .then(associator(g, f, g, c_gf_g, c_g_fg))
-              .then(whisker_left(g, eps, c_g_fg, c_g_1b))
-              .then(right_unitor(g, c_g_1b)))
+    chain2 = left_unitor(g, c_1a_g).invert()
+    for cell in (whisker_right(eta, g, c_1a_g, c_gf_g),
+                 associator(g, f, g, c_gf_g, c_g_fg, c_fg),
+                 whisker_left(g, eps, c_g_fg, c_g_1b),
+                 right_unitor(g, c_g_1b)):
+        chain2 = then(chain2, cell)
     if not _fixes_every_element(chain2):
         raise InternalMismatch(f"triangle identity (g.counit)(unit.g) fails for {f.name}")
 
@@ -242,7 +252,7 @@ def test_associator_rebrackets_every_raw_triple():
     for g3, g2, g1 in triples:
         c32, c21 = compose_modules(g3, g2), compose_modules(g2, g1)
         left, right = compose_modules(c32, g1), compose_modules(g3, c21)
-        alpha = associator(g3, g2, g1, left, right)
+        alpha = associator(g3, g2, g1, left, right, c21)
         for t, m1, m2, y, z in _raw_pairs(g3, g2):
             for s in g1.source.objects:
                 for x in g1.cell(m1, s):
@@ -279,9 +289,10 @@ def test_associator_is_isomorphism():
     f2 = functor_to_modules(t1)[0]           # Span -|-> Two
     t2 = all_functors(Two, M)[1]
     f3 = functor_to_modules(t2)[0]           # Two -|-> M
+    inner = compose_modules(f2, example82)
     alpha = associator(f3, f2, example82,
                        compose_modules(compose_modules(f3, f2), example82),
-                       compose_modules(f3, compose_modules(f2, example82)))
+                       compose_modules(f3, inner), inner)
     assert alpha.is_iso()
 
 
@@ -301,8 +312,8 @@ def test_identity_two_cell_frozen_matches_composition():
     f = example82
     ident = identity_two_cell(f)
     sig = two_cells(f, f)[0]
-    assert ident.then(sig).frozen() == sig.frozen()
-    assert sig.then(ident).frozen() == sig.frozen()
+    assert then(ident, sig).frozen() == sig.frozen()
+    assert then(sig, ident).frozen() == sig.frozen()
 
 
 def test_functor_modules_equal_hom_sets_built_directly():
@@ -403,7 +414,7 @@ def test_bijection_failure_matches_the_oracle_on_random_cells(source, target, se
 
 def test_a_two_cell_on_one_module_views_it_as_a_presheaf_once(monkeypatch):
     """A 2-cell holds only its components: building one by ``_cellwise``,
-    ``then`` or ``invert`` builds no product category and no presheaf view.
+    chaining or ``invert`` builds no product category and no presheaf view.
     ``nat()`` builds one product base per call and views a module used on
     both sides once (it was the constructor that did so, for every 2-cell)."""
     viewed, products = [], []
@@ -415,7 +426,7 @@ def test_a_two_cell_on_one_module_views_it_as_a_presheaf_once(monkeypatch):
     cell = identity_two_cell(example82)
     composite = compose_modules(example82, id_module(example82.source))
     rho = right_unitor(example82, composite)
-    chain = rho.invert().then(rho).then(cell)
+    chain = then(then(rho.invert(), rho), cell)
     assert (viewed, products) == ([], [])
     nat = cell.nat()
     assert viewed == [example82] and nat.source is nat.target
@@ -739,70 +750,30 @@ def _composable_pairs():
         yield functor_to_modules(t)[0], example82
 
 
+def _assert_composite_matches_pair_modules(got, g, f):
+    """got = g . f equals the pair-module route exactly: the same classes, the
+    same class for every raw pair with the lookups in tag order, and the same
+    action tables in the same order."""
+    want, lookups = compose_modules_oracle(g, f)
+    assert list(got.sets.items()) == list(want.sets.items()), got.name
+    for mine, theirs in ((got.left, want.left), (got.right, want.right)):
+        assert [(k, list(t.items())) for k, t in mine.items()] == \
+            [(k, list(t.items())) for k, t in theirs.items()], got.name
+    assert list(got.coends) == list(lookups), got.name
+    for (c, a), lookup in lookups.items():
+        co = got.coends[(c, a)]
+        assert co.classes == want.sets[(c, a)], (got.name, c, a)
+        tags = [(b, (y, x)) for b in g.source.objects
+                for y in g.cell(c, b) for x in f.cell(b, a)]
+        assert list(co.lookup.items()) == [(tag, lookup[tag]) for tag in tags], (got.name, c, a)
+
+
 def test_compose_modules_matches_pair_module_route():
     checked = 0
     for g, f in _composable_pairs():
-        got = compose_modules(g, f)
-        want, lookups = compose_modules_oracle(g, f)
-        assert list(got.sets.items()) == list(want.sets.items()), (g.name, f.name)
-        assert list(got.left.items()) == list(want.left.items()), (g.name, f.name)
-        assert list(got.right.items()) == list(want.right.items()), (g.name, f.name)
-        for (c, a), lookup in lookups.items():
-            for (b, (y, x)), rep in lookup.items():
-                assert got.normalize(c, a, b, y, x) == rep
+        _assert_composite_matches_pair_modules(compose_modules(g, f), g, f)
         checked += 1
     assert checked > 1000
-
-
-def _tuple_tag_coend_pairs(g, f, c, a):
-    """The former generating pairs of compose_modules, as tag pairs: each
-    u: s -> t of the middle category, identities included, identifies
-    (y, u.x) over s with (y.u, x) over t."""
-    mid = g.source
-    for u in mid.morphisms:
-        s, t = mid.src[u], mid.tgt[u]
-        f_u, g_u = f.left[(u, a)], g.right[(c, u)]
-        for y in g.cell(c, s):
-            for x in f.cell(t, a):
-                yield (s, (y, f_u[x])), (t, (g_u[y], x))
-
-
-def _tuple_tag_compose(g, f):
-    """The former compose_modules: one core.quotient of tuple tags per cell."""
-    source, target = f.source, g.target
-    coends, sets = {}, {}
-    for c in target.objects:
-        for a in source.objects:
-            tags = [(b, (y, x)) for b in g.source.objects
-                    for y in g.cell(c, b) for x in f.cell(b, a)]
-            coends[(c, a)] = ColimitResult(*quotient(tags, _tuple_tag_coend_pairs(g, f, c, a)))
-            sets[(c, a)] = coends[(c, a)].classes
-    left = {(gamma, a): {(b, (y, x)): coends[(target.src[gamma], a)].find(
-                             b, (g.left_act(gamma, b, y), x))
-                         for b, (y, x) in sets[(target.tgt[gamma], a)]}
-            for gamma in target.morphisms for a in source.objects}
-    right = {(c, alpha): {(b, (y, x)): coends[(c, source.tgt[alpha])].find(
-                              b, (y, f.right_act(b, alpha, x)))
-                          for b, (y, x) in sets[(c, source.src[alpha])]}
-             for c in target.objects for alpha in source.morphisms}
-    return sets, left, right, coends
-
-
-def _assert_composite_matches_tuple_tags(got, g, f):
-    sets, left, right, coends = _tuple_tag_compose(g, f)
-    assert list(got.sets.items()) == list(sets.items()), got.name
-    for mine, theirs in ((got.left, left), (got.right, right)):
-        assert [(k, list(t.items())) for k, t in mine.items()] == \
-            [(k, list(t.items())) for k, t in theirs.items()], got.name
-    assert list(got.coends) == list(coends), got.name
-    for cell, co in coends.items():
-        assert got.coends[cell].classes == co.classes, (got.name, cell)
-        assert list(got.coends[cell].lookup.items()) == list(co.lookup.items()), (got.name, cell)
-
-
-def test_compose_modules_matches_tuple_tags_on_composable_pairs():
-    for g, f in _composable_pairs():
-        _assert_composite_matches_tuple_tags(compose_modules(g, f), g, f)
 
 
 def _adjoint_composites(monkeypatch, weights):
@@ -819,7 +790,7 @@ def _adjoint_composites(monkeypatch, weights):
     return built
 
 
-def test_compose_modules_matches_tuple_tags_on_adjoint_composites(monkeypatch):
+def test_compose_modules_matches_pair_module_route_on_adjoint_composites(monkeypatch):
     """110 composites: g.f on every weight, plus f.g (the counit's source)
     on the 42 weights whose comparison is invertible.  It was 446 while the
     triangle identities were checked on chains of coherence 2-cells, which
@@ -829,7 +800,7 @@ def test_compose_modules_matches_tuple_tags_on_adjoint_composites(monkeypatch):
     built = _adjoint_composites(monkeypatch, PRESHEAVES.values())
     assert len(built) == 110
     for g, f, got in built:
-        _assert_composite_matches_tuple_tags(got, g, f)
+        _assert_composite_matches_pair_modules(got, g, f)
 
 
 def test_adjoint_product_categories_are_pinned(monkeypatch):
@@ -922,20 +893,20 @@ def test_an_unnatural_counit_is_never_returned(monkeypatch):
 
 
 def test_adjoint_composites_of_a_gset_weight_are_pinned(monkeypatch):
-    """The two composites of Y.GSet.GG, g.f and f.g, and the pairs the
-    kernel reads: one per raw pair linked by a non-identity morphism of the
+    """The two composites of Y.GSet.GG, g.f and f.g, and the pairs their
+    quotients read: one per raw pair linked by a non-identity morphism of the
     middle category.  While the triangle identities were checked on chains
     of coherence 2-cells, eight more composites were built; the two largest,
     (5440, 320) and (5712, 336) tags and classes, were the triple composites
-    g.(f.g) and (g.f).g, and the kernel read 194,856 pairs."""
+    g.(f.g) and (g.f).g, and their quotients read 194,856 pairs."""
     consumed = []
-    least_reps = profunctor._least_reps
+    quotient = profunctor.quotient
 
-    def counting(n, pairs):
+    def counting(tags, pairs):
         pairs = list(pairs)
         consumed.append(len(pairs))
-        return least_reps(n, iter(pairs))
-    monkeypatch.setattr(profunctor, "_least_reps", counting)
+        return quotient(tags, iter(pairs))
+    monkeypatch.setattr(profunctor, "quotient", counting)
     built = _adjoint_composites(monkeypatch, [PRESHEAVES["Y.GSet.GG"]])
     sizes = sorted((sum(len(co.lookup) for co in c.coends.values()),
                     sum(len(classes) for classes in c.sets.values())) for _, _, c in built)
@@ -1082,7 +1053,7 @@ def _canonical_two_cells():
         yield left_unitor(f, c_bf)
         yield right_unitor(f, c_fa)
         yield associator(one_b, f, one_a, compose_modules(c_bf, one_a),
-                         compose_modules(one_b, c_fa))
+                         compose_modules(one_b, c_fa), c_fa)
         for sigma in two_cells(f, f):
             yield whisker_left(one_b, sigma, c_bf, c_bf)
             yield whisker_right(sigma, one_a, c_fa, c_fa)

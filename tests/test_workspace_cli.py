@@ -269,8 +269,13 @@ def _sets_as_list(doc):
     doc["presheaves"] = {"E": dict(doc["presheaves"]["E"], sets=[["x"]])}
 
 
+def _object_ids_as_numbers(doc):
+    doc["categories"]["M"]["objects"] = [0, 1]
+
+
 @pytest.mark.parametrize("break_shape", [_objects_5, _objects_nested,
-                                         _categories_as_list, _sets_as_list])
+                                         _categories_as_list, _sets_as_list,
+                                         _object_ids_as_numbers])
 def test_exit_2_on_misshapen_workspace(tmp_path, capsys, break_shape):
     fixture = json.loads((FIXTURES / "monoid_M.json").read_text())
     doc = {"categories": {"M": fixture["categories"]["M"]},
@@ -288,6 +293,43 @@ def _workspace_with_every_section():
         for section, entries in json.loads((FIXTURES / f"{stem}.json").read_text()).items():
             doc.setdefault(section, {}).update(entries)
     return doc
+
+
+@pytest.mark.parametrize("entry, keys, value, field", [
+    (("categories", "M"), ("objects", 0), 0, "category M objects"),
+    (("categories", "M"), ("morphisms", 1, "src"), True, "category M morphisms src"),
+    (("categories", "M"), ("morphisms", 1, "tgt"), None, "category M morphisms tgt"),
+    (("presheaves", "E"), ("sets", "*", 0), 1.5, "presheaf E sets"),
+    (("presheaves", "E"), ("actions", "e", "e"), 0, "presheaf E actions"),
+    (("functors", "embedM"), ("objects", "*"), 0, "functor embedM objects"),
+    (("profunctors", "example8.2"), ("cells", "0", "*", 0), False, "profunctor example8.2 cells"),
+    (("profunctors", "example8.2"), ("left", "id0", "*", "p"), 0, "profunctor example8.2 left"),
+    (("profunctors", "example8.2"), ("right", "0", "1", "p"), None,
+     "profunctor example8.2 right")])
+def test_object_and_element_ids_must_be_strings(tmp_path, capsys, entry, keys, value, field):
+    """Object and element ids key JSON objects, whose keys are strings, so a
+    number, boolean or null in their place could never load: it exits 2
+    naming the field, not 3 with an unknown-id message."""
+    doc = _workspace_with_every_section()
+    table = doc[entry[0]][entry[1]]
+    for key in keys[:-1]:
+        table = table[key]
+    table[keys[-1]] = value
+    path = tmp_path / "ids.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["-w", str(path), "validate"]) == 2
+    assert capsys.readouterr() == ("", f"error: {field}: expected a string\n")
+
+
+def test_numeric_morphism_ids_load(tmp_path, capsys):
+    doc = {"categories": {"N": {"objects": ["*"], "morphisms": [
+        {"id": 1, "src": "*", "tgt": "*"}, {"id": 2.5, "src": "*", "tgt": "*"}],
+        "identities": {"*": 1}, "compose": [[1, 1, 1], [1, 2.5, 2.5], [2.5, 1, 2.5],
+                                            [2.5, 2.5, 2.5]]}}}
+    path = tmp_path / "numeric.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["-w", str(path), "validate"]) == 0
+    assert capsys.readouterr() == ("ok category N\n", "")
 
 
 def _strings(value):
