@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fincat import corpus, profunctor
-from fincat.core import (Presheaf, Profunctor, _freeze, product_category,
+from fincat.core import (Presheaf, Profunctor, _freeze, product_category, quotient,
                          same_category, unit_category, validate)
 from fincat.corpus import (Disc2, I, M, Par, QM, Span, Two, Z2, Z3, PRESHEAVES,
                            delta0, example82)
 from fincat.equivalence import all_functors
 from fincat.errors import EndpointMismatch, InternalMismatch, MalformedTable, ValidationFailed
-from fincat.limits import nat_trans_set
+from fincat.limits import ColimitResult, nat_trans_set
 from fincat.profunctor import (TwoCell, _cellwise, _column, _companion, _transpose,
                                as_presheaf, compose_modules, functor_to_modules,
                                has_right_adjoint, id_module, identity_two_cell,
@@ -774,6 +774,59 @@ def test_compose_modules_matches_pair_module_route():
         _assert_composite_matches_pair_modules(compose_modules(g, f), g, f)
         checked += 1
     assert checked > 1000
+
+
+def _tuple_tag_coend_pairs(g, f, c, a):
+    """The coend's generating pairs as tag pairs: each u: s -> t of the
+    middle category, identities included, identifies (y, u.x) over s with
+    (y.u, x) over t."""
+    mid = g.source
+    for u in mid.morphisms:
+        s, t = mid.src[u], mid.tgt[u]
+        f_u, g_u = f.left[(u, a)], g.right[(c, u)]
+        for y in g.cell(c, s):
+            for x in f.cell(t, a):
+                yield (s, (y, f_u[x])), (t, (g_u[y], x))
+
+
+def _tuple_tag_compose(g, f):
+    """g . f with one core.quotient of tuple tags per cell, over every
+    morphism of the middle category rather than the non-identity ones that
+    compose_modules links."""
+    source, target = f.source, g.target
+    coends, sets = {}, {}
+    for c in target.objects:
+        for a in source.objects:
+            tags = [(b, (y, x)) for b in g.source.objects
+                    for y in g.cell(c, b) for x in f.cell(b, a)]
+            coends[(c, a)] = ColimitResult(*quotient(tags, _tuple_tag_coend_pairs(g, f, c, a)))
+            sets[(c, a)] = coends[(c, a)].classes
+    left = {(gamma, a): {(b, (y, x)): coends[(target.src[gamma], a)].find(
+                             b, (g.left_act(gamma, b, y), x))
+                         for b, (y, x) in sets[(target.tgt[gamma], a)]}
+            for gamma in target.morphisms for a in source.objects}
+    right = {(c, alpha): {(b, (y, x)): coends[(c, source.tgt[alpha])].find(
+                              b, (y, f.right_act(b, alpha, x)))
+                          for b, (y, x) in sets[(c, source.src[alpha])]}
+             for c in target.objects for alpha in source.morphisms}
+    return sets, left, right, coends
+
+
+def _assert_composite_matches_tuple_tags(got, g, f):
+    sets, left, right, coends = _tuple_tag_compose(g, f)
+    assert list(got.sets.items()) == list(sets.items()), got.name
+    for mine, theirs in ((got.left, left), (got.right, right)):
+        assert [(k, list(t.items())) for k, t in mine.items()] == \
+            [(k, list(t.items())) for k, t in theirs.items()], got.name
+    assert list(got.coends) == list(coends), got.name
+    for cell, co in coends.items():
+        assert got.coends[cell].classes == co.classes, (got.name, cell)
+        assert list(got.coends[cell].lookup.items()) == list(co.lookup.items()), (got.name, cell)
+
+
+def test_compose_modules_matches_tuple_tags_on_composable_pairs():
+    for g, f in _composable_pairs():
+        _assert_composite_matches_tuple_tags(compose_modules(g, f), g, f)
 
 
 def _adjoint_composites(monkeypatch, weights):
