@@ -36,9 +36,7 @@ def _b(x):
 
 
 def _args(args, count, usage):
-    if isinstance(count, int):
-        count = (count,)
-    if len(args) not in count:
+    if len(args) != count:
         raise ParseError(f"usage: {usage}")
     return args
 

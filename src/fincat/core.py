@@ -320,21 +320,22 @@ def _pullback(fn: FinFunctor, p: Presheaf, name=None) -> Presheaf:
 
 
 class NatTrans:
-    """Natural transformation between presheaves on the same base.
+    """Natural transformation between presheaves on one base, or between
+    modules with the same endpoints (``profunctor.TwoCell``).
 
-    components: dict object -> dict mapping source.sets[a] -> target.sets[a].
-    """
+    components: dict key -> dict mapping source.sets[key] -> target.sets[key]
+    for each key of source.sets, a base object or a module cell (b, a).  Only
+    domains and images are checked here; ``validate`` checks naturality."""
 
     def __init__(self, source, target, components, name=""):
         self.name = name
         self.source = source
         self.target = target
         self.components = {a: dict(v) for a, v in components.items()}
-        base = source.base
-        if set(self.components) != set(base.objects):
+        if self.components.keys() != source.sets.keys():
             raise MalformedTable(f"nat trans {name!r}: components must cover every object")
         for a, table in self.components.items():
-            if set(table) != set(source.sets[a]) or not set(table.values()) <= set(target.sets[a]):
+            if table.keys() != set(source.sets[a]) or not set(table.values()) <= set(target.sets[a]):
                 raise MalformedTable(f"nat trans {name!r}: component at {a!r} has wrong domain or image")
 
     def at(self, a, x):
@@ -348,7 +349,7 @@ class NatTrans:
         )
 
     def __repr__(self):
-        return f"NatTrans({self.name or self.frozen()!r})"
+        return f"{type(self).__name__}({self.name or self.frozen()!r})"
 
 
 def _freeze(source: Presheaf, image):
@@ -567,15 +568,25 @@ def _validate_presheaf(p: Presheaf) -> ValidationReport:
 
 
 def _validate_nat(n: NatTrans) -> ValidationReport:
+    """Naturality per base morphism.  A family between modules is read on the
+    product view target x source^op, one view of a module on both sides."""
     rep = ValidationReport("nat-trans", n.name or "")
-    c = n.source.base
-    if not same_category(c, n.target.base):
+    source, target = n.source, n.target
+    modules = isinstance(source, Profunctor)
+    bases = ([(source.source, target.source), (source.target, target.target)]
+             if modules else [(source.base, target.base)])
+    if not all(same_category(a, b) for a, b in bases):
         rep.violations.append(Violation("base-mismatch", ()))
         return rep
+    if modules:
+        base = product_category(source.target, source.source.op())
+        source = as_presheaf(n.source, base)
+        target = source if n.target is n.source else as_presheaf(n.target, base)
+    c = source.base
     for f in c.morphisms:
         a, b = c.src[f], c.tgt[f]
-        for x in n.source.sets[b]:
-            if n.components[a][n.source.act(f, x)] != n.target.act(f, n.components[b][x]):
+        for x in source.sets[b]:
+            if n.components[a][source.act(f, x)] != target.act(f, n.components[b][x]):
                 rep.violations.append(Violation("naturality", (f, x)))
     return rep
 
@@ -694,6 +705,19 @@ def product_category(c: FinCategory, d: FinCategory) -> FinCategory:
                     for g1, k in d_row:
                         yield (m2, row1[g1]), row_h[k]
     return FinCategory(f"{c.name}x{d.name}", objects, morphisms, identity, compose())
+
+
+def as_presheaf(f: Profunctor, base: FinCategory) -> Presheaf:
+    """View a module as a presheaf on base, the product target x source^op."""
+    sets = {(b, a): f.cell(b, a) for (b, a) in base.objects}
+    actions = {}
+    for (beta, alpha) in base.morphisms:
+        # base morphism (b,a) -> (b',a') carries beta: b -> b' and alpha: a' -> a
+        a = f.source.src[alpha]
+        left = f.left[(beta, a)]
+        right = f.right[(f.target.src[beta], alpha)]
+        actions[(beta, alpha)] = {x: right[left[x]] for x in f.sets[(f.target.tgt[beta], a)]}
+    return Presheaf(f"cells({f.name})", base, sets, actions)
 
 
 def unit_category() -> FinCategory:
@@ -850,13 +874,19 @@ def _families(domains, equations, budget, search, distinct=None, first=False):
     return out
 
 
-def _least_reps(n, pairs):
-    """rep[i] is the least index of i's class under the equivalence on
-    range(n) generated by the index ``pairs``, consumed once.  Union-find
-    (Tarjan 1975): the larger root is linked under the smaller, finds halve
-    their paths, and one pass in increasing index order settles every entry."""
-    rep = list(range(n))
+def quotient(tags, pairs):
+    """Classes of the sequence ``tags`` under the equivalence generated by ``pairs``.
+
+    Returns (classes, lookup): lookup maps each tag to the least-index tag of
+    its class; classes lists those representatives in tag order.  ``pairs``
+    is consumed once, never stored.  Union-find on tag indices (Tarjan
+    1975): the larger root is linked under the smaller, finds halve their
+    paths, and one pass in increasing index order settles every entry.
+    """
+    index = {tag: i for i, tag in enumerate(tags)}
+    rep = list(range(len(tags)))
     for a, b in pairs:
+        a, b = index[a], index[b]
         # find with path halving, inlined because it is most of the work
         while rep[a] != a:
             rep[a] = a = rep[rep[a]]
@@ -866,20 +896,8 @@ def _least_reps(n, pairs):
             rep[b] = a
         elif b < a:
             rep[a] = b
-    for i in range(n):          # rep[i] <= i, so rep[rep[i]] is settled
+    for i in range(len(tags)):      # rep[i] <= i, so rep[rep[i]] is settled
         rep[i] = rep[rep[i]]
-    return rep
-
-
-def quotient(tags, pairs):
-    """Classes of the sequence ``tags`` under the equivalence generated by ``pairs``.
-
-    Returns (classes, lookup): lookup maps each tag to the least-index tag of
-    its class; classes lists those representatives in tag order.  It numbers
-    the tags for ``_least_reps``; ``pairs`` is consumed once, never stored.
-    """
-    index = {tag: i for i, tag in enumerate(tags)}
-    rep = _least_reps(len(tags), ((index[a], index[b]) for a, b in pairs))
     return (tuple(tag for i, tag in enumerate(tags) if rep[i] == i),
             {tag: tags[r] for tag, r in zip(tags, rep)})
 

@@ -9,11 +9,14 @@ conical constructions read uniformly:
 Both, and ``coend``, return one ``ColimitResult``: the class representatives
 and ``core.quotient``'s lookup from each tag (obj, elem) to its class.
 
-Weighted limits and colimits always run two independent routes, the end/coend
-formula and the category-of-elements route, with no option to skip either, and
-raise InternalMismatch if they ever disagree.  A weighted colimit's coend reads
-phi (x) S on demand, cell by cell and action by action, and builds no
-profunctor.  A bounded closure builds el(phi) once per weight in each round
+Weighted limits and colimits always run two routes, the end/coend formula and
+the category-of-elements route, with no option to skip either, and raise
+InternalMismatch if they ever disagree.  On every corpus pair both routes give
+their solver (``_families``, ``quotient``) the same input, up to the nesting
+of colimit tags, so the comparison checks two constructions of one
+presentation; only the test oracles check the solvers.  A weighted colimit's
+coend reads phi (x) S on demand, cell by cell and action by action, and builds
+no profunctor.  A bounded closure builds el(phi) once per weight in each round
 and shares it with that weight's colimits; each colimit still runs both routes.
 The elements route of a weighted colimit reads el(phi)'s objects, morphisms
 and endpoints only, so it never builds el(phi)'s composition table, and the

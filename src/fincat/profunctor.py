@@ -14,16 +14,17 @@ bijection is the lift bijection of the transposes.  ``right_lift`` and
 ``right_extend`` validate the modules they are given and raise
 ValidationFailed with the report of the first unlawful one.
 
-A 2-cell holds only its components per cell; ``validate(cell.nat())`` checks
-naturality on a product base target x source^op built for that call, and runs
-on the lift counit and the adjunction unit, not natural by construction, when
-they are built.  Every canonical 2-cell (identities, counits, units,
-comparisons) is built by ``_cellwise`` from its value on one element of one
-source cell.  The triangle identities of an adjunction are read on elements
-through the unit, the counit and the normal forms of f.g, so the library
-builds no unitor, associator or whisker; the tests keep them as the oracle.
-The conjoint T^* of a functor T is the transpose of the companion of T^op, and
-the module of a covariant weight is the transpose of its module as a weight.
+A 2-cell is a ``NatTrans`` with one component per cell; ``validate(cell)``
+checks its naturality on the product view target x source^op that
+``core._validate_nat`` builds for that call, and runs on the lift counit and
+the adjunction unit, not natural by construction, when they are built.  Every
+canonical 2-cell (identities, counits, units, comparisons) is built by
+``_cellwise`` from its value on one element of one source cell.  The triangle
+identities of an adjunction are read on elements through the unit, the counit
+and the normal forms of f.g, so the library builds no unitor, associator or
+whisker; the tests keep them as the oracle.  The conjoint T^* of a functor T
+is the transpose of the companion of T^op, and the module of a covariant
+weight is the transpose of its module as a weight.
 """
 from __future__ import annotations
 
@@ -31,40 +32,17 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, Profunctor,
-                   _bijectivity, _freeze, _require_valid, identity_functor, product_category,
-                   quotient, same_category, unit_category, validate)
+                   _bijectivity, _freeze, _require_valid, as_presheaf, identity_functor,
+                   product_category, quotient, same_category, unit_category, validate)
 from .equivalence import presheaf_isomorphic
-from .errors import EndpointMismatch, InternalMismatch, MalformedTable, ValidationFailed
+from .errors import EndpointMismatch, InternalMismatch, ValidationFailed
 from .limits import ColimitResult, nat_trans_set
 
 
-def as_presheaf(f: Profunctor, base: FinCategory) -> Presheaf:
-    """View a module as a presheaf on base, the product target x source^op."""
-    sets = {(b, a): f.cell(b, a) for (b, a) in base.objects}
-    actions = {}
-    for (beta, alpha) in base.morphisms:
-        # base morphism (b,a) -> (b',a') carries beta: b -> b' and alpha: a' -> a
-        a = f.source.src[alpha]
-        left = f.left[(beta, a)]
-        right = f.right[(f.target.src[beta], alpha)]
-        actions[(beta, alpha)] = {x: right[left[x]] for x in f.sets[(f.target.tgt[beta], a)]}
-    return Presheaf(f"cells({f.name})", base, sets, actions)
-
-
-class TwoCell:
-    """Morphism of modules with the same endpoints; components per (b, a) cell,
-    each checked to map its source cell into its target cell."""
-
-    def __init__(self, source: Profunctor, target: Profunctor, components, name=""):
-        self.source = source
-        self.target = target
-        self.name = name
-        self.components = {cell: dict(table) for cell, table in components.items()}
-        if self.components.keys() != source.sets.keys():
-            raise MalformedTable(f"nat trans {name!r}: components must cover every object")
-        for cell, table in self.components.items():
-            if table.keys() != set(source.sets[cell]) or not set(table.values()) <= set(target.sets[cell]):
-                raise MalformedTable(f"nat trans {name!r}: component at {cell!r} has wrong domain or image")
+class TwoCell(NatTrans):
+    """Morphism of modules with the same endpoints: a NatTrans with one
+    component per cell (b, a), checked on construction to map its source cell
+    into its target cell; ``validate`` checks its naturality."""
 
     def at(self, b, a, x):
         return self.components[(b, a)][x]
@@ -74,14 +52,6 @@ class TwoCell:
         f = self.source
         return tuple(tuple(self.components[(b, a)][x] for x in f.cell(b, a))
                      for b in f.target.objects for a in f.source.objects)
-
-    def nat(self) -> NatTrans:
-        """This 2-cell as a NatTrans over target x source^op, built on each call."""
-        f = self.source
-        base = product_category(f.target, f.source.op())
-        cells = as_presheaf(f, base)
-        target = cells if self.target is f else as_presheaf(self.target, base)
-        return NatTrans(cells, target, self.components, name=self.name)
 
     def invert(self) -> "TwoCell":
         failure = self.bijection_failure()
@@ -109,9 +79,6 @@ class TwoCell:
 
     def is_iso(self):
         return self.bijection_failure() is None
-
-    def __repr__(self):
-        return f"TwoCell({self.name!r}: {self.source.name} => {self.target.name})"
 
 
 def _cellwise(src: Profunctor, tgt: Profunctor, name, image) -> TwoCell:
@@ -298,7 +265,7 @@ class LiftResult:
             a, (y, key) = rep
             return decode[(a, c)][key].components[b][y]
         counit = _cellwise(self.composite, self.h, f"ev({self.f.name},{self.h.name})", evaluate)
-        _require_valid(counit.nat(), "lift counit not natural")
+        _require_valid(counit, "lift counit not natural")
         return counit
 
 
@@ -331,7 +298,7 @@ def _right_lift(f: Profunctor, h: Profunctor) -> LiftResult:
         for c in c_cat.objects:
             nats = nat_trans_set(f_col[a], h_col[c])
             decode[(a, c)] = {n.frozen(): n for n in nats}
-            sets[(a, c)] = tuple(n.frozen() for n in nats)
+            sets[(a, c)] = tuple(decode[(a, c)])
 
     def act(src, tgt, value):
         """The action from cell src to cell tgt: the family n goes to the
@@ -478,7 +445,7 @@ def has_right_adjoint(f: Profunctor) -> AdjunctionResult:
             raise InternalMismatch("unit left the lift cell")
         return inverse.at(a2, a1, key)
     eta = _cellwise(id_module(f.source), c_gf, f"unit({f.name})", unit_at)
-    _require_valid(eta.nat(), "adjunction unit not natural")
+    _require_valid(eta, "adjunction unit not natural")
     _check_triangles(f, g, eta, eps)
     return AdjunctionResult(True, right=g, unit=eta, counit=eps,
                             comparison=comparison)

@@ -8,11 +8,11 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fincat import corpus, limits, profunctor, validate
+from fincat import core, corpus, limits, profunctor, validate
 from fincat.cauchy import cauchy_completion, is_small_projective
 from fincat.core import (FinCategory, FinFunctor, FunctorTransform, NatTrans,
                          Presheaf, Profunctor, _bijectivity, _composable_pairs, _entry,
-                         _freeze, _least_reps, _pullback,
+                         _freeze, _pullback,
                          category_of_elements, compose_functors, covariant,
                          full_subcategory, identity_functor, is_connected,
                          is_filtered, nat_compose, nat_identity,
@@ -124,9 +124,12 @@ def index_pairs(draw):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(index_pairs())
 def test_least_reps_matches_breadth_first_closure(case):
+    """quotient's union-find on index tags, where each representative is the
+    least index of its class, against the oracle."""
     n, pairs = case
     _, lookup = quotient_oracle(range(n), pairs)
-    assert _least_reps(n, iter(pairs)) == [lookup[i] for i in range(n)]
+    _, got = quotient(range(n), iter(pairs))
+    assert [got[i] for i in range(n)] == [lookup[i] for i in range(n)]
 
 
 def test_quotient_representatives_are_least_indices():
@@ -207,11 +210,12 @@ def _product_compose_dict_oracle(c, d):
 
 def test_product_table_matches_the_dict_loop_on_adjoint_products(monkeypatch):
     """The products that has_right_adjoint builds over the 68 corpus weights,
-    for the naturality of each counit and unit: 84 calls on 14 distinct
-    pairs, each table equal to the dict loop's, items in order."""
+    for the naturality of each counit and unit in ``core._validate_nat``: 84
+    calls on 14 distinct pairs, each table equal to the dict loop's, items in
+    order."""
     built = []
-    product = profunctor.product_category
-    monkeypatch.setattr(profunctor, "product_category",
+    product = core.product_category
+    monkeypatch.setattr(core, "product_category",
                         lambda c, d: built.append((c, d)) or product(c, d))
     for phi in PRESHEAVES.values():
         profunctor.has_right_adjoint(profunctor.module_of_weight(phi))

@@ -2,8 +2,9 @@
 no module imports a name it never uses, no top-level private function or
 class goes unreferenced, no function binds a local it never reads, no
 None default stands for a value a call computes (one listed exception), no
-NatTrans is built only to be frozen, and no table of a presheaf or category
-is changed after construction.  Dead aliases, duplicate
+NatTrans is built only to be frozen, no table of a presheaf or category is
+changed after construction, and product categories are built only by the
+listed functions that view a module as a presheaf.  Dead aliases, duplicate
 helpers, unused unpacked values and second paths left behind by a refactor
 fail here, and so do a rename of a function the benchmark traces and a
 public generator function, which its tracer cannot time.  Imports
@@ -280,6 +281,43 @@ def test_no_none_default_stands_for_a_computed_value():
              for name, tree in _modules().items()
              for qualname, p, _ in _computed_defaults(tree)}
     assert found == set(COMPUTED_DEFAULT_EXCEPTIONS)
+
+
+# The functions that build a product category, each with its reason.  All
+# three read a module f: A -|-> B as a presheaf on B x A^op; naturality
+# checked per variable (ROADMAP item 4) will empty the list.
+PRODUCT_VIEWS = {
+    "core._validate_nat": (
+        "checks the naturality of a 2-cell on the product view of its modules; "
+        "the only product builds of an adjoint pass, for each found counit and unit"),
+    "profunctor.two_cells": (
+        "enumerates the 2-cells f => g as the natural families of nat_trans_set "
+        "between the product views of f and g"),
+    "profunctor.modules_isomorphic": (
+        "decides isomorphism of modules by presheaf_isomorphic on their product views"),
+}
+
+
+def _product_builders(tree):
+    """Every function or method that calls ``product_category``."""
+    return {qualname for qualname, fn in _functions(tree) for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and "product_category" in (getattr(node.func, "id", None),
+                                       getattr(node.func, "attr", None))}
+
+
+def test_product_categories_are_built_only_where_listed():
+    """The functions of src/fincat that build a product category are exactly
+    those of ``PRODUCT_VIEWS``, each with its reason, so a new product view
+    has to be listed and a removed one unlisted.  The sample shows both call
+    forms caught."""
+    sample = ast.parse("def f(c):\n    return product_category(c, c)\n"
+                       "class K:\n    def g(self, c):\n        return core.product_category(c, c)\n"
+                       "def h(c):\n    return product_category\n")
+    assert _product_builders(sample) == {"f", "K.g"}
+    found = {f"{name[:-3]}.{qualname}" for name, tree in _modules().items()
+             for qualname in _product_builders(tree)}
+    assert found == set(PRODUCT_VIEWS)
 
 
 def test_every_traced_layer_of_the_benchmark_names_a_callable():

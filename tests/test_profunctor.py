@@ -5,16 +5,16 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fincat import corpus, profunctor
-from fincat.core import (Presheaf, Profunctor, _freeze, product_category, quotient,
-                         same_category, unit_category, validate)
+from fincat import core, corpus, profunctor
+from fincat.core import (FinCategory, NatTrans, Presheaf, Profunctor, _freeze, as_presheaf,
+                         product_category, quotient, same_category, unit_category, validate)
 from fincat.corpus import (Disc2, I, M, Par, QM, Span, Two, Z2, Z3, PRESHEAVES,
                            delta0, example82)
 from fincat.equivalence import all_functors
 from fincat.errors import EndpointMismatch, InternalMismatch, MalformedTable, ValidationFailed
 from fincat.limits import ColimitResult, nat_trans_set
 from fincat.profunctor import (TwoCell, _cellwise, _column, _companion, _transpose,
-                               as_presheaf, compose_modules, functor_to_modules,
+                               compose_modules, functor_to_modules,
                                has_right_adjoint, id_module, identity_two_cell,
                                module_of_coweight, module_of_weight,
                                modules_isomorphic, right_extend, right_lift,
@@ -415,26 +415,24 @@ def test_bijection_failure_matches_the_oracle_on_random_cells(source, target, se
 def test_a_two_cell_on_one_module_views_it_as_a_presheaf_once(monkeypatch):
     """A 2-cell holds only its components: building one by ``_cellwise``,
     chaining or ``invert`` builds no product category and no presheaf view.
-    ``nat()`` builds one product base per call and views a module used on
+    ``validate`` builds one product base per call and views a module used on
     both sides once (it was the constructor that did so, for every 2-cell)."""
     viewed, products = [], []
-    as_presheaf, product = profunctor.as_presheaf, profunctor.product_category
-    monkeypatch.setattr(profunctor, "as_presheaf",
-                        lambda f, base: viewed.append(f) or as_presheaf(f, base))
-    monkeypatch.setattr(profunctor, "product_category",
+    view, product = core.as_presheaf, core.product_category
+    monkeypatch.setattr(core, "as_presheaf",
+                        lambda f, base: viewed.append(f) or view(f, base))
+    monkeypatch.setattr(core, "product_category",
                         lambda a, b: products.append((a.name, b.name)) or product(a, b))
     cell = identity_two_cell(example82)
     composite = compose_modules(example82, id_module(example82.source))
     rho = right_unitor(example82, composite)
     chain = then(then(rho.invert(), rho), cell)
     assert (viewed, products) == ([], [])
-    nat = cell.nat()
-    assert viewed == [example82] and nat.source is nat.target
+    assert validate(cell).ok and viewed == [example82]
     viewed.clear()
-    rho_nat = rho.nat()
-    assert viewed == [composite, example82] and rho_nat.source is not rho_nat.target
+    assert validate(rho).ok and viewed == [composite, example82]
     assert products == [("Span", "Z2^op")] * 2
-    assert validate(nat).ok and validate(rho_nat).ok and validate(chain.nat()).ok
+    assert validate(chain).ok
     assert chain.frozen() == rho.frozen()
 
 
@@ -861,14 +859,16 @@ def test_adjoint_product_categories_are_pinned(monkeypatch):
     of the counit and the unit of each adjunction it finds, and validates
     each module once; the patched ``profunctor.validate`` counts only those
     module validations, as the naturality checks go through
-    ``core._require_valid``.  Over the 68 weights that is 84 products for
-    the 42 adjunctions, one GSet x GSet^op per absolute GSet weight, for its
-    counit (572 while every 2-cell built its own base, 750 before lifts built
-    their counit on first read); zero.GSet, whose comparison fails, builds
-    none (one, I x I^op, while 2-cells built bases)."""
+    ``core._require_valid``, and the patched ``core.product_category`` the
+    product views that ``core._validate_nat`` builds for them.  Over the 68
+    weights that is 84 products for the 42 adjunctions, one GSet x GSet^op
+    per absolute GSet weight, for its counit (572 while every 2-cell built
+    its own base, 750 before lifts built their counit on first read);
+    zero.GSet, whose comparison fails, builds none (one, I x I^op, while
+    2-cells built bases)."""
     products, validated = [], []
-    product, check = profunctor.product_category, profunctor.validate
-    monkeypatch.setattr(profunctor, "product_category", lambda a, b: (
+    product, check = core.product_category, profunctor.validate
+    monkeypatch.setattr(core, "product_category", lambda a, b: (
         products.append((a.name, b.name)) or product(a, b)))
     monkeypatch.setattr(profunctor, "validate", lambda m: validated.append(m) or check(m))
     found = sum(has_right_adjoint(module_of_weight(phi)).found for phi in PRESHEAVES.values())
@@ -1121,14 +1121,75 @@ def _canonical_two_cells():
             yield res.counit
 
 
+def _product_view(cell):
+    """The 2-cell as a NatTrans between presheaves on the product base
+    target x source^op, a module on both sides viewed once: the former
+    ``TwoCell.nat()``, the oracle of ``validate`` on 2-cells."""
+    f = cell.source
+    base = product_category(f.target, f.source.op())
+    cells = as_presheaf(f, base)
+    target = cells if cell.target is f else as_presheaf(cell.target, base)
+    return NatTrans(cells, target, cell.components, name=cell.name)
+
+
 def test_canonical_two_cells_are_natural():
     """Building a TwoCell checks only each cell's domain and image; every
-    canonical 2-cell must also pass the naturality check of validate, and
-    its frozen form is that of its NatTrans over the product base."""
+    canonical 2-cell must also pass the naturality check of validate, with
+    the report of its product view, and its frozen form is that of its
+    product view."""
     count = 0
     for cell in _canonical_two_cells():
-        nat = cell.nat()
-        assert validate(nat).ok, cell.name
-        assert cell.frozen() == nat.frozen(), cell.name
+        view = _product_view(cell)
+        report = validate(cell)
+        assert report.ok, cell.name
+        assert report == validate(view), cell.name
+        assert cell.frozen() == view.frozen(), cell.name
         count += 1
     assert count == 156
+
+
+def _single_value_corruptions(cell):
+    """cell with one element sent to another element of its target cell, in
+    every way."""
+    for at, table in cell.components.items():
+        for x, y in table.items():
+            for value in cell.target.cell(*at):
+                if value != y:
+                    comps = {**cell.components, at: {**table, x: value}}
+                    yield TwoCell(cell.source, cell.target, comps, name=cell.name)
+
+
+def test_validate_reports_a_corrupted_two_cell_as_its_product_view():
+    """Every single-value corruption of the unit and the counit of each
+    adjunction found outside GSet gets from ``validate`` the report of its
+    product view: the same kind, name and violations, in order.  112 of the
+    123 are unnatural; the other 11 stay natural."""
+    reports = []
+    for phi in PRESHEAVES.values():
+        if phi.base.name == "GSet":
+            continue
+        res = has_right_adjoint(module_of_weight(phi))
+        for cell in (res.unit, res.counit) if res.found else ():
+            for bad in _single_value_corruptions(cell):
+                reports.append(validate(bad))
+                assert reports[-1] == validate(_product_view(bad)), bad.name
+    assert (len(reports), sum(r.ok for r in reports)) == (123, 11)
+    assert {v.law for r in reports for v in r.violations} == {"naturality"}
+
+
+def test_a_two_cell_across_endpoint_categories_is_a_base_mismatch():
+    """A family between modules whose endpoint categories differ, here the
+    hom modules of Two and of a copy of Two with renamed morphisms, gets a
+    base-mismatch report, as a family between presheaves on two bases does."""
+    renamed = {m: f"{m}'" for m in Two.morphisms}
+    copy = FinCategory("Two'", Two.objects,
+                       [(renamed[m], Two.src[m], Two.tgt[m]) for m in Two.morphisms],
+                       {a: renamed[m] for a, m in Two.identity.items()},
+                       {(renamed[g], renamed[f]): renamed[h]
+                        for (g, f), h in Two.compose_table.items()})
+    f, g = id_module(Two), id_module(copy)
+    cell = TwoCell(f, g, {at: {x: renamed[x] for x in f.cell(*at)} for at in f.sets},
+                   name="rename")
+    report = validate(cell)
+    assert (report.kind, report.name, [v.law for v in report.violations]) == \
+        ("nat-trans", "rename", ["base-mismatch"])
