@@ -367,7 +367,6 @@ def _cmd_absolute_sample(ws, args, opts):
     else:
         functors = [ws.functors[n] for n in sorted(ws.functors)]
     if opts.seed is not None:
-        functors = list(functors)
         random.Random(opts.seed).shuffle(functors)
     cap = {} if opts.budget is None else {"cap_per_functor": opts.budget}
     rep = fincat.cauchy.check_absolute_sampled(phi, functors, **cap)

@@ -12,9 +12,10 @@ Conventions, fixed once and relied on by every other module:
 * The category of elements of a presheaf phi on K has objects (k, x) with x in phi(k);
   a morphism (k, x) -> (k', x') is u: k' -> k in K with phi(u)(x) = x', so the evident
   projection is a functor el(phi) -> K^op.
-* A natural family between presheaves is compared in frozen form: one tuple per base
-  object, in base order, of the images in element order.  ``_freeze`` builds it from
-  a function of (object, element) and ``_entry`` reads one image back.
+* A natural family, between presheaves or modules, is compared in frozen form: one
+  tuple per key of its source's ``sets`` (base objects in base order, cells (b, a) in
+  target x source order), of the images in element order.  ``_freeze`` builds it from
+  a function of (key, element); ``_entry`` reads one image of a presheaf family back.
 
 Every backtracking search counts nodes on a ``Meter``; natural families, cones,
 wedges and presheaf isomorphisms share one solver, ``_families``.
@@ -186,7 +187,7 @@ def compose_functors(g: FinFunctor, f: FinFunctor) -> FinFunctor:
 class Presheaf:
     """Contravariant set-valued functor on ``base``.
 
-    sets: dict object -> ordered tuple of distinct hashable elements.
+    sets: dict object -> ordered tuple of distinct hashable elements, in base order.
     actions: dict morphism -> dict; for f: a -> b the dict maps sets[b] into sets[a].
 
     Neither table is changed after construction: a pullback (``_pullback``)
@@ -216,12 +217,14 @@ class Presheaf:
                     or not values[base.src[f]].issuperset(table.values())):
                 raise MalformedTable(f"{name}: action of {f!r} is not a map "
                                      f"sets[{base.tgt[f]!r}] -> sets[{base.src[f]!r}]")
+        self.sets = {a: self.sets[a] for a in base.objects}
         self._profiles = {}
 
     @classmethod
     def _checked(cls, name, base, sets, actions):
         """A presheaf on tables that already pass every check of ``__init__``,
-        kept as they are: the sets as tuples, the action dicts shared."""
+        kept as they are: the sets as tuples in base-object order, the action
+        dicts shared."""
         p = cls.__new__(cls)
         p.name, p.base, p.sets, p.actions = name, base, sets, actions
         p._profiles = {}
@@ -320,18 +323,21 @@ def _pullback(fn: FinFunctor, p: Presheaf, name=None) -> Presheaf:
 
 
 class NatTrans:
-    """Natural transformation between presheaves on one base, or between
-    modules with the same endpoints (``profunctor.TwoCell``).
+    """Natural family between presheaves on one base, or 2-cell between
+    modules with the same endpoints.
 
     components: dict key -> dict mapping source.sets[key] -> target.sets[key]
-    for each key of source.sets, a base object or a module cell (b, a).  Only
-    domains and images are checked here; ``validate`` checks naturality."""
+    for each key of source.sets (= target.sets keys), a base object or a module
+    cell (b, a).  Only keys, domains and images are checked here; ``validate``
+    checks naturality."""
 
     def __init__(self, source, target, components, name=""):
         self.name = name
         self.source = source
         self.target = target
         self.components = {a: dict(v) for a, v in components.items()}
+        if target.sets.keys() != source.sets.keys():
+            raise MalformedTable(f"nat trans {name!r}: source and target have different keys")
         if self.components.keys() != source.sets.keys():
             raise MalformedTable(f"nat trans {name!r}: components must cover every object")
         for a, table in self.components.items():
@@ -342,19 +348,43 @@ class NatTrans:
         return self.components[a][x]
 
     def frozen(self):
-        """Hashable canonical form: per object (in base order), images in element order."""
-        return tuple(
-            tuple(self.components[a][x] for x in self.source.sets[a])
-            for a in self.source.base.objects
-        )
+        """Hashable canonical form: per key of source.sets, images in element order."""
+        return tuple(tuple(self.components[a][x] for x in xs)
+                     for a, xs in self.source.sets.items())
+
+    def invert(self) -> "NatTrans":
+        failure = self.bijection_failure()
+        if failure is not None:
+            raise InternalMismatch(f"2-cell {self.name!r} not invertible at {failure[0]!r}")
+        comps = {a: {y: x for x, y in table.items()} for a, table in self.components.items()}
+        return NatTrans(self.target, self.source, comps, name=f"inv({self.name})")
+
+    @cached_property
+    def _failure(self):
+        for a, table in self.components.items():
+            injective, surjective = _bijectivity(table.values(), set(self.target.sets[a]),
+                                                 "2-cell left its target cell")
+            if not (injective and surjective):
+                return a, "surjective" if injective else "injective"
+        return None
+
+    def bijection_failure(self):
+        """The first key, in component order, whose component is not a
+        bijection onto the target's set there, with "injective" or
+        "surjective" for what fails (injectivity is tested first); None if
+        there is none.  Decided once per family, whose components never change."""
+        return self._failure
+
+    def is_iso(self):
+        return self.bijection_failure() is None
 
     def __repr__(self):
-        return f"{type(self).__name__}({self.name or self.frozen()!r})"
+        return f"NatTrans({self.name or self.frozen()!r})"
 
 
-def _freeze(source: Presheaf, image):
-    """The frozen form of the family sending x in source(a) to image(a, x)."""
-    return tuple(tuple(image(a, x) for x in source.sets[a]) for a in source.base.objects)
+def _freeze(source, image):
+    """The frozen form of the family sending x in source.sets[a] to image(a, x)."""
+    return tuple(tuple(image(a, x) for x in xs) for a, xs in source.sets.items())
 
 
 def _entry(key, source: Presheaf, a, x):
@@ -374,15 +404,14 @@ def _bijectivity(images, onto, message):
 
 def nat_compose(beta: NatTrans, alpha: NatTrans) -> NatTrans:
     """beta after alpha, componentwise."""
-    comps = {
-        a: {x: beta.components[a][alpha.components[a][x]] for x in alpha.source.sets[a]}
-        for a in alpha.source.base.objects
-    }
+    comps = {a: {x: beta.components[a][alpha.components[a][x]] for x in xs}
+             for a, xs in alpha.source.sets.items()}
     return NatTrans(alpha.source, beta.target, comps)
 
 
-def nat_identity(p: Presheaf) -> NatTrans:
-    return NatTrans(p, p, {a: {x: x for x in p.sets[a]} for a in p.base.objects})
+def nat_identity(p) -> NatTrans:
+    """The identity family of a presheaf or a module."""
+    return NatTrans(p, p, {a: {x: x for x in xs} for a, xs in p.sets.items()})
 
 
 class FunctorTransform:
@@ -404,15 +433,16 @@ class FunctorTransform:
 
 
 class Profunctor:
-    """Functor target^op (x) source -> Set; see the module docstring for actions."""
+    """Functor target^op (x) source -> Set, with sets in target x source order;
+    see the module docstring for actions."""
 
     def __init__(self, name, source, target, sets, left, right):
         self.name = name
         self.source = source
         self.target = target
         self.sets = {cell: tuple(v) for cell, v in sets.items()}
-        cells = {(b, a) for b in target.objects for a in source.objects}
-        if self.sets.keys() != cells:
+        cells = [(b, a) for b in target.objects for a in source.objects]
+        if self.sets.keys() != set(cells):
             raise MalformedTable(f"profunctor {name!r}: cells must cover target x source")
         values = {}
         for cell, v in self.sets.items():
@@ -433,6 +463,7 @@ class Profunctor:
             if (table.keys() != values[(b, source.src[m])]
                     or not values[(b, source.tgt[m])].issuperset(table.values())):
                 raise MalformedTable(f"profunctor {name!r}: right action of {m!r} at {b!r} malformed")
+        self.sets = {cell: self.sets[cell] for cell in cells}
 
     def cell(self, b, a):
         return self.sets[(b, a)]

@@ -14,11 +14,13 @@ bijection is the lift bijection of the transposes.  ``right_lift`` and
 ``right_extend`` validate the modules they are given and raise
 ValidationFailed with the report of the first unlawful one.
 
-A 2-cell is a ``NatTrans`` with one component per cell; ``validate(cell)``
+A 2-cell is a plain ``NatTrans`` keyed by cells (b, a), so ``at((b, a), x)``,
+``frozen``, ``invert``, ``bijection_failure``, ``nat_identity`` and
+``nat_compose`` serve it as they serve presheaf families; ``validate(cell)``
 checks its naturality on the product view target x source^op that
 ``core._validate_nat`` builds for that call, and runs on the lift counit and
 the adjunction unit, not natural by construction, when they are built.  Every
-canonical 2-cell (identities, counits, units, comparisons) is built by
+canonical 2-cell (counits, units, comparisons) is built by
 ``_cellwise`` from its value on one element of one source cell.  The triangle
 identities of an adjunction are read on elements through the unit, the counit
 and the normal forms of f.g, so the library builds no unitor, associator or
@@ -32,71 +34,25 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, Profunctor,
-                   _bijectivity, _freeze, _require_valid, as_presheaf, identity_functor,
+                   _freeze, _require_valid, as_presheaf, identity_functor,
                    product_category, quotient, same_category, unit_category, validate)
 from .equivalence import presheaf_isomorphic
 from .errors import EndpointMismatch, InternalMismatch, ValidationFailed
 from .limits import ColimitResult, nat_trans_set
 
 
-class TwoCell(NatTrans):
-    """Morphism of modules with the same endpoints: a NatTrans with one
-    component per cell (b, a), checked on construction to map its source cell
-    into its target cell; ``validate`` checks its naturality."""
-
-    def at(self, b, a, x):
-        return self.components[(b, a)][x]
-
-    def frozen(self):
-        """Hashable: per cell in (target object, source object) order, images in cell order."""
-        f = self.source
-        return tuple(tuple(self.components[(b, a)][x] for x in f.cell(b, a))
-                     for b in f.target.objects for a in f.source.objects)
-
-    def invert(self) -> "TwoCell":
-        failure = self.bijection_failure()
-        if failure is not None:
-            raise InternalMismatch(f"2-cell {self.name!r} not invertible at {failure[0]!r}")
-        comps = {cell: {y: x for x, y in table.items()}
-                 for cell, table in self.components.items()}
-        return TwoCell(self.target, self.source, comps, name=f"inv({self.name})")
-
-    @cached_property
-    def _failure(self):
-        for cell, table in self.components.items():
-            injective, surjective = _bijectivity(table.values(), set(self.target.cell(*cell)),
-                                                 "2-cell left its target cell")
-            if not (injective and surjective):
-                return cell, "surjective" if injective else "injective"
-        return None
-
-    def bijection_failure(self):
-        """The first cell, in component order, whose component is not a
-        bijection onto the target cell, with "injective" or "surjective" for
-        what fails there (injectivity is tested first); None if there is none.
-        Decided once per 2-cell, whose components never change."""
-        return self._failure
-
-    def is_iso(self):
-        return self.bijection_failure() is None
-
-
-def _cellwise(src: Profunctor, tgt: Profunctor, name, image) -> TwoCell:
+def _cellwise(src: Profunctor, tgt: Profunctor, name, image) -> NatTrans:
     """The 2-cell src => tgt sending x in cell (t, s) of src to image(t, s, x)."""
     comps = {(t, s): {x: image(t, s, x) for x in src.cell(t, s)}
              for t in src.target.objects for s in src.source.objects}
-    return TwoCell(src, tgt, comps, name=name)
-
-
-def identity_two_cell(f: Profunctor) -> TwoCell:
-    return _cellwise(f, f, f"1_{f.name}", lambda b, a, x: x)
+    return NatTrans(src, tgt, comps, name=name)
 
 
 def two_cells(f: Profunctor, g: Profunctor) -> list:
     """All module morphisms f => g, enumerated."""
     base = product_category(f.target, f.source.op())
     nats = nat_trans_set(as_presheaf(f, base), as_presheaf(g, base))
-    return [TwoCell(f, g, n.components, name=f"cell{i}") for i, n in enumerate(nats)]
+    return [NatTrans(f, g, n.components, name=f"cell{i}") for i, n in enumerate(nats)]
 
 
 def modules_isomorphic(f: Profunctor, g: Profunctor) -> bool:
@@ -257,7 +213,7 @@ class LiftResult:
         return compose_modules(self.f, self.lift)
 
     @cached_property
-    def counit(self) -> TwoCell:
+    def counit(self) -> NatTrans:
         """f . lift -> h, evaluating a family at one element of f."""
         decode = self.decode
 
@@ -364,13 +320,13 @@ def verify_lift_bijection(f: Profunctor, h: Profunctor, k: Profunctor):
     def transpose_of(tau):
         def image(b, c, rep):
             a, (y, z) = rep
-            return lifted.decode[(a, c)][tau.at(a, c, z)].components[b][y]
+            return lifted.decode[(a, c)][tau.at((a, c), z)].components[b][y]
         return _cellwise(fk, h, "", image)
 
     def transpose_back(sigma):
         def image(a, c, z):
             key = _freeze(lifted.f_col[a],
-                          lambda b, y: sigma.at(b, c, fk.normalize(b, c, a, y, z)))
+                          lambda b, y: sigma.at((b, c), fk.normalize(b, c, a, y, z)))
             if key not in lifted.decode[(a, c)]:
                 raise InternalMismatch("lift transpose left the lift cell")
             return key
@@ -403,9 +359,9 @@ def verify_extend_bijection(g: Profunctor, h: Profunctor, k: Profunctor):
 class AdjunctionResult:
     found: bool
     right: Profunctor = None
-    unit: TwoCell = None             # 1_A -> right . f
-    counit: TwoCell = None           # f . right -> 1_B
-    comparison: TwoCell = None       # right . f -> {|f,f|}
+    unit: NatTrans = None            # 1_A -> right . f
+    counit: NatTrans = None          # f . right -> 1_B
+    comparison: NatTrans = None      # right . f -> {|f,f|}
     reason: str = ""
 
     def __bool__(self):
@@ -443,7 +399,7 @@ def has_right_adjoint(f: Profunctor) -> AdjunctionResult:
         key = _freeze(selflift.f_col[a2], lambda b, y: f.right_act(b, h, y))
         if key not in selflift.decode[(a2, a1)]:
             raise InternalMismatch("unit left the lift cell")
-        return inverse.at(a2, a1, key)
+        return inverse.at((a2, a1), key)
     eta = _cellwise(id_module(f.source), c_gf, f"unit({f.name})", unit_at)
     _require_valid(eta, "adjunction unit not natural")
     _check_triangles(f, g, eta, eps)
@@ -451,7 +407,7 @@ def has_right_adjoint(f: Profunctor) -> AdjunctionResult:
                             comparison=comparison)
 
 
-def _check_triangles(f: Profunctor, g: Profunctor, eta: TwoCell, eps: TwoCell):
+def _check_triangles(f: Profunctor, g: Profunctor, eta: NatTrans, eps: NatTrans):
     """Both triangle identities of eta: 1_A -> g.f and eps: f.g -> 1_B, read
     on elements (Street, Absolute colimits in enriched categories, 1983).
     With (b1, (u, v)) the representative of eta(1_a), (counit.f)(f.unit)
@@ -460,10 +416,10 @@ def _check_triangles(f: Profunctor, g: Profunctor, eta: TwoCell, eps: TwoCell):
     are checked natural before, so eta is fixed by its values at identities
     and no composite of three modules or coherence 2-cell is built."""
     c_fg = eps.source
-    units = [(a, *eta.at(a, a, f.source.id_of(a))) for a in f.source.objects]
-    if not all(f.left_act(eps.at(b, b1, c_fg.normalize(b, b1, a, x, u)), a, v) == x
+    units = [(a, *eta.at((a, a), f.source.id_of(a))) for a in f.source.objects]
+    if not all(f.left_act(eps.at((b, b1), c_fg.normalize(b, b1, a, x, u)), a, v) == x
                for a, b1, (u, v) in units for b in f.target.objects for x in f.cell(b, a)):
         raise InternalMismatch(f"triangle identity (counit.f)(f.unit) fails for {f.name}")
-    if not all(g.right_act(a, eps.at(b1, b, c_fg.normalize(b1, b, a, v, y)), u) == y
+    if not all(g.right_act(a, eps.at((b1, b), c_fg.normalize(b1, b, a, v, y)), u) == y
                for a, b1, (u, v) in units for b in f.target.objects for y in g.cell(a, b)):
         raise InternalMismatch(f"triangle identity (g.counit)(unit.g) fails for {f.name}")

@@ -261,11 +261,9 @@ def _category_json(c: FinCategory):
 
 def _presheaf_json(p: Presheaf, meta):
     on, variance = meta
-    objects = p.base.objects
-    morphisms = p.base.morphisms
     return {"on": on, "variance": variance,
-            "sets": {a: list(p.sets[a]) for a in objects},
-            "actions": {f: dict(p.actions[f]) for f in morphisms}}
+            "sets": {a: list(v) for a, v in p.sets.items()},
+            "actions": {f: dict(p.actions[f]) for f in p.base.morphisms}}
 
 
 def _functor_json(fn: FinFunctor):

@@ -470,6 +470,36 @@ def test_freeze_and_entry_match_the_frozen_transformation(cat, seed):
                    for a in cat.objects for x in p.sets[a])
 
 
+def test_a_family_between_differently_keyed_sets_is_malformed():
+    """A target lacking one of the source's keys, another base's presheaf or
+    a module in place of a presheaf, is a MalformedTable, not a KeyError."""
+    one_span, one_two = PRESHEAVES["one.Span"], PRESHEAVES["one.Two"]
+    for source, target in ((one_span, one_two),
+                           (one_two, profunctor.module_of_weight(one_two))):
+        comps = {a: {x: x for x in xs} for a, xs in source.sets.items()}
+        with pytest.raises(MalformedTable, match="'bad': source and target have different keys"):
+            NatTrans(source, target, comps, name="bad")
+
+
+def test_presheaves_and_modules_keep_their_sets_in_canonical_order():
+    """Sets given out of order come back in base order, or target x source
+    order for a module, so a family's frozen form is ``_freeze`` of the same
+    image and does not depend on the order the sets were listed in."""
+    phi = PRESHEAVES["Y.Span.0"]
+    shuffled = Presheaf("shuffled", Span, dict(reversed(list(phi.sets.items()))), phi.actions)
+    assert list(shuffled.sets) == list(Span.objects)
+    f = corpus.example82
+    module = Profunctor("shuffled", f.source, f.target, dict(reversed(list(f.sets.items()))),
+                        f.left, f.right)
+    assert list(module.sets) == [(b, a) for b in f.target.objects for a in f.source.objects]
+    for listed, source in ((phi, shuffled), (f, module)):
+        assert list(source.sets.items()) == list(listed.sets.items())
+        image = {a: {x: x for x in reversed(xs)} for a, xs in reversed(list(source.sets.items()))}
+        family = NatTrans(source, source, image)
+        assert family.frozen() == _freeze(source, lambda a, x: image[a][x])
+        assert family.frozen() == nat_identity(listed).frozen()
+
+
 def test_bijectivity_reads_a_listed_map_and_names_an_escaped_image():
     onto = {"a", "b"}
     assert _bijectivity(["a", "b"], onto, "") == (True, True)

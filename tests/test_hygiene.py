@@ -2,9 +2,10 @@
 no module imports a name it never uses, no top-level private function or
 class goes unreferenced, no function binds a local it never reads, no
 None default stands for a value a call computes (one listed exception), no
-NatTrans is built only to be frozen, no table of a presheaf or category is
-changed after construction, and product categories are built only by the
-listed functions that view a module as a presheaf.  Dead aliases, duplicate
+NatTrans is built only to be frozen, no class subclasses NatTrans, no table
+of a presheaf or category is changed after construction, and product
+categories are built only by the listed functions that view a module as a
+presheaf.  Dead aliases, duplicate
 helpers, unused unpacked values and second paths left behind by a refactor
 fail here, and so do a rename of a function the benchmark traces and a
 public generator function, which its tracer cannot time.  Imports
@@ -129,6 +130,25 @@ def test_no_natural_family_is_built_only_to_be_frozen():
                  and isinstance(node.func.value.func, ast.Name)
                  and node.func.value.func.id == "NatTrans"]
     assert throwaway == []
+
+
+def _nat_trans_subclasses(tree):
+    """Every class whose bases name ``NatTrans``, bare or as an attribute."""
+    return {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for base in node.bases
+            if "NatTrans" in (getattr(base, "id", None), getattr(base, "attr", None))}
+
+
+def test_no_class_subclasses_nat_trans():
+    """Families between presheaves and 2-cells between modules are one type,
+    ``core.NatTrans``, keyed by its source's ``sets``: no class of
+    src/fincat subclasses it.  The sample shows both base forms caught."""
+    sample = ast.parse("class A(NatTrans):\n    pass\nclass B(core.NatTrans):\n    pass\n"
+                       "class C(Presheaf):\n    pass\n")
+    assert _nat_trans_subclasses(sample) == {"A", "B"}
+    found = [f"{name}: {cls}" for name, tree in _modules().items()
+             for cls in _nat_trans_subclasses(tree)]
+    assert found == []
 
 
 _SHARED = ("sets", "actions")

@@ -7,15 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from fincat import core, corpus, profunctor
 from fincat.core import (FinCategory, NatTrans, Presheaf, Profunctor, _freeze, as_presheaf,
-                         product_category, quotient, same_category, unit_category, validate)
+                         nat_compose, nat_identity, product_category, quotient, same_category,
+                         unit_category, validate)
 from fincat.corpus import (Disc2, I, M, Par, QM, Span, Two, Z2, Z3, PRESHEAVES,
                            delta0, example82)
-from fincat.equivalence import all_functors
+from fincat.equivalence import all_functors, presheaf_isomorphic
 from fincat.errors import EndpointMismatch, InternalMismatch, MalformedTable, ValidationFailed
 from fincat.limits import ColimitResult, nat_trans_set
-from fincat.profunctor import (TwoCell, _cellwise, _column, _companion, _transpose,
+from fincat.profunctor import (_cellwise, _column, _companion, _transpose,
                                compose_modules, functor_to_modules,
-                               has_right_adjoint, id_module, identity_two_cell,
+                               has_right_adjoint, id_module,
                                module_of_coweight, module_of_weight,
                                modules_isomorphic, right_extend, right_lift,
                                two_cells, verify_extend_bijection,
@@ -33,7 +34,13 @@ def then(first, second):
     """The 2-cell second after first."""
     comps = {cell: {x: second.components[cell][y] for x, y in table.items()}
              for cell, table in first.components.items()}
-    return TwoCell(first.source, second.target, comps, name=f"({second.name};{first.name})")
+    return NatTrans(first.source, second.target, comps, name=f"({second.name};{first.name})")
+
+
+def identity_two_cell(f):
+    """The identity 2-cell of f cell by cell: the former
+    ``profunctor.identity_two_cell``, the oracle of ``nat_identity`` on modules."""
+    return _cellwise(f, f, f"1_{f.name}", lambda b, a, x: x)
 
 
 def left_unitor(f, composite):
@@ -78,7 +85,7 @@ def whisker_left(g, sigma, src, tgt):
 
     def image(t, s, rep):
         m, (y, x) = rep
-        return tgt.normalize(t, s, m, y, sigma.at(m, s, x))
+        return tgt.normalize(t, s, m, y, sigma.at((m, s), x))
     return _cellwise(src, tgt, f"({g.name}.{sigma.name})", image)
 
 
@@ -87,7 +94,7 @@ def whisker_right(sigma, e, src, tgt):
 
     def image(t, s, rep):
         m, (w, z) = rep
-        return tgt.normalize(t, s, m, sigma.at(t, m, w), z)
+        return tgt.normalize(t, s, m, sigma.at((t, m), w), z)
     return _cellwise(src, tgt, f"({sigma.name}.{e.name})", image)
 
 
@@ -233,13 +240,13 @@ def test_unitors_satisfy_their_defining_equations():
         c_left, c_right = compose_modules(one_b, f), compose_modules(f, one_a)
         lu, ru = left_unitor(f, c_left), right_unitor(f, c_right)
         for b, a, b2, h, x in _raw_pairs(one_b, f):
-            assert lu.at(b, a, c_left.normalize(b, a, b2, h, x)) == f.left_act(h, a, x)
+            assert lu.at((b, a), c_left.normalize(b, a, b2, h, x)) == f.left_act(h, a, x)
             if b2 == b and h == f.target.id_of(b):
-                assert lu.at(b, a, c_left.normalize(b, a, b, h, x)) == x
+                assert lu.at((b, a), c_left.normalize(b, a, b, h, x)) == x
         for b, a, a2, x, h in _raw_pairs(f, one_a):
-            assert ru.at(b, a, c_right.normalize(b, a, a2, x, h)) == f.right_act(b, h, x)
+            assert ru.at((b, a), c_right.normalize(b, a, a2, x, h)) == f.right_act(b, h, x)
             if a2 == a and h == f.source.id_of(a):
-                assert ru.at(b, a, c_right.normalize(b, a, a, x, h)) == x
+                assert ru.at((b, a), c_right.normalize(b, a, a, x, h)) == x
 
 
 def test_associator_rebrackets_every_raw_triple():
@@ -258,7 +265,7 @@ def test_associator_rebrackets_every_raw_triple():
                 for x in g1.cell(m1, s):
                     src = left.normalize(t, s, m1, c32.normalize(t, m1, m2, y, z), x)
                     tgt = right.normalize(t, s, m2, y, c21.normalize(m2, s, m1, z, x))
-                    assert alpha.at(t, s, src) == tgt
+                    assert alpha.at((t, s), src) == tgt
                     checked += 1
     assert checked > 40
 
@@ -273,13 +280,13 @@ def test_whiskers_act_on_one_factor_of_every_raw_pair():
             src, tgt = compose_modules(g, f), compose_modules(g, f)
             left = whisker_left(g, sigma, src, tgt)
             for t, s, m, y, x in _raw_pairs(g, f):
-                assert (left.at(t, s, src.normalize(t, s, m, y, x))
-                        == tgt.normalize(t, s, m, y, sigma.at(m, s, x)))
+                assert (left.at((t, s), src.normalize(t, s, m, y, x))
+                        == tgt.normalize(t, s, m, y, sigma.at((m, s), x)))
             src, tgt = compose_modules(f, e), compose_modules(f, e)
             right = whisker_right(sigma, e, src, tgt)
             for t, s, m, w, z in _raw_pairs(f, e):
-                assert (right.at(t, s, src.normalize(t, s, m, w, z))
-                        == tgt.normalize(t, s, m, sigma.at(t, m, w), z))
+                assert (right.at((t, s), src.normalize(t, s, m, w, z))
+                        == tgt.normalize(t, s, m, sigma.at((t, m), w), z))
             checked += 1
     assert checked >= 3
 
@@ -314,6 +321,38 @@ def test_identity_two_cell_frozen_matches_composition():
     sig = two_cells(f, f)[0]
     assert then(ident, sig).frozen() == sig.frozen()
     assert then(sig, ident).frozen() == sig.frozen()
+
+
+def test_nat_identity_of_a_module_is_the_cellwise_identity():
+    """nat_identity serves modules: on each coherence module it has the
+    components, in cell order, and the frozen form of the cellwise oracle."""
+    for f in _coherence_modules():
+        ident, oracle = nat_identity(f), identity_two_cell(f)
+        assert list(ident.components.items()) == list(oracle.components.items())
+        assert ident.frozen() == oracle.frozen() == _freeze(f, lambda cell, x: x)
+        assert validate(ident).ok and ident.is_iso()
+
+
+def test_nat_compose_of_module_two_cells_matches_then():
+    """nat_compose serves modules: on every composable pair of 2-cells among
+    each coherence module f and 1_B . f, whose classes are named apart from
+    f's elements, it gives the components and frozen form of ``then``, and
+    the identity is a unit for it."""
+    checked = 0
+    for f in _coherence_modules():
+        modules = (f, compose_modules(id_module(f.target), f))
+        for g in modules:
+            assert nat_compose(nat_identity(g), nat_identity(g)).frozen() == \
+                identity_two_cell(g).frozen()
+            for first in (c for h in modules for c in two_cells(h, g)):
+                for second in (c for h in modules for c in two_cells(g, h)):
+                    got, want = nat_compose(second, first), then(first, second)
+                    assert got.components == want.components
+                    assert got.frozen() == want.frozen()
+                    checked += 1
+                assert nat_compose(first, nat_identity(first.source)).frozen() == first.frozen()
+                assert nat_compose(nat_identity(g), first).frozen() == first.frozen()
+    assert checked == 168
 
 
 def test_functor_modules_equal_hom_sets_built_directly():
@@ -375,12 +414,13 @@ def test_weight_module_adjoint_iff_small_projective():
 
 
 def _bijection_failure_oracle(cell):
-    """The former body of TwoCell.bijection_failure."""
+    """The former body of the 2-cell class's ``bijection_failure``, for a
+    family between presheaves or modules."""
     for at, table in cell.components.items():
         images = set(table.values())
         if len(images) != len(table):
             return at, "injective"
-        if images != set(cell.target.cell(*at)):
+        if images != set(cell.target.sets[at]):
             return at, "surjective"
     return None
 
@@ -401,6 +441,41 @@ def test_bijection_failure_matches_the_oracle_on_corpus_cells():
     cells = [c for f in mods for g in mods if f.target is g.target for c in two_cells(f, g)]
     assert len(cells) > 100
     assert _failures(cells) == {None, "injective", "surjective"}
+
+
+def test_bijection_failure_matches_the_oracle_on_presheaf_families():
+    """Families between presheaves share the 2-cells' bijection test: each
+    isomorphism that presheaf_isomorphic finds on a small corpus base inverts
+    to a two-sided inverse, every family of nat_trans_set on that base gets
+    the oracle's verdict, and a family that is not a bijection names its
+    first failing object and what failed there."""
+    small = [p for p in PRESHEAVES.values() if len(p.base.morphisms) <= 4]
+    isos, families, kinds = 0, 0, set()
+    for p in small:
+        for q in small:
+            if p.base is not q.base:
+                continue
+            found = presheaf_isomorphic(p, q)
+            if found is not None:
+                iso = NatTrans(p, q, found, name="iso")
+                assert iso.is_iso(), (p.name, q.name)
+                inverse = iso.invert()
+                assert nat_compose(inverse, iso).frozen() == nat_identity(p).frozen()
+                assert nat_compose(iso, inverse).frozen() == nat_identity(q).frozen()
+                isos += 1
+            nats = nat_trans_set(p, q)
+            kinds |= _failures(nats)
+            families += len(nats)
+    assert (isos, families) == (42, 163)
+    assert kinds == {None, "injective", "surjective"}
+    one, yoneda, sum_ = (PRESHEAVES[n] for n in ("one.Two", "Y.Two.0", "YplusY.Two"))
+    [onto_point] = nat_trans_set(yoneda, one)
+    assert onto_point.bijection_failure() == ("1", "surjective")
+    with pytest.raises(InternalMismatch, match="not invertible at '1'"):
+        onto_point.invert()
+    [collapse] = nat_trans_set(sum_, one)
+    assert collapse.bijection_failure() == ("0", "injective")
+    assert not collapse.is_iso()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -437,8 +512,8 @@ def test_a_two_cell_on_one_module_views_it_as_a_presheaf_once(monkeypatch):
 
 
 def test_two_cell_rejects_a_component_off_its_cells():
-    """TwoCell checks, on the module's own cells, what NatTrans checked on
-    the product base: each component's domain is exactly its source cell
+    """NatTrans checks, on the module's own cells, what it checked on the
+    product base: each component's domain is exactly its source cell
     (no element missing, none extra) and its image lies in its target cell."""
     f = example82
     comps = identity_two_cell(f).components
@@ -451,8 +526,8 @@ def test_two_cell_rejects_a_component_off_its_cells():
     uncovered = {c: t for c, t in comps.items() if c != cell}
     for bad in (missing, extra, outside, uncovered):
         with pytest.raises(MalformedTable, match="nat trans 'bad'"):
-            TwoCell(f, f, bad, name="bad")
-    assert TwoCell(f, f, comps).frozen() == identity_two_cell(f).frozen()
+            NatTrans(f, f, bad, name="bad")
+    assert NatTrans(f, f, comps).frozen() == identity_two_cell(f).frozen()
 
 
 def _random_map(rng, dom, cod):
@@ -977,8 +1052,8 @@ def test_has_right_adjoint_decides_each_two_cell_once(monkeypatch):
     each weight's comparison; it was 605 while the unitors and associators
     of the triangle chains were each decided invertible."""
     decided = []
-    bijectivity = profunctor._bijectivity
-    monkeypatch.setattr(profunctor, "_bijectivity", lambda images, onto, message: (
+    bijectivity = core._bijectivity
+    monkeypatch.setattr(core, "_bijectivity", lambda images, onto, message: (
         decided.append(gc.get_referents(images)[0]) or bijectivity(images, onto, message)))
     for phi in PRESHEAVES.values():
         if phi.base.name not in ("GSet", "FinSet12"):
@@ -1051,7 +1126,7 @@ def test_triangles_on_elements_match_the_chains_on_random_companions(seed):
     for a in source.objects:
         one = source.id_of(a)
         for value in unit.target.cell(a, a):
-            if value != unit.at(a, a, one):
+            if value != unit.at((a, a), one):
                 with pytest.MonkeyPatch.context() as patch:
                     patch.setattr(profunctor, "_cellwise",
                                   _corrupted_cellwise(unit.name, (a, a), one, value))
@@ -1071,7 +1146,7 @@ def _unit_corruptions():
             for a in a_cat.objects:
                 x = a_cat.id_of(a)
                 for value in res.unit.target.cell(a, a):
-                    if value != res.unit.at(a, a, x):
+                    if value != res.unit.at((a, a), x):
                         yield phi, res.unit.name, (a, a), x, value
 
 
@@ -1124,7 +1199,7 @@ def _canonical_two_cells():
 def _product_view(cell):
     """The 2-cell as a NatTrans between presheaves on the product base
     target x source^op, a module on both sides viewed once: the former
-    ``TwoCell.nat()``, the oracle of ``validate`` on 2-cells."""
+    ``nat()`` of the 2-cell class, the oracle of ``validate`` on 2-cells."""
     f = cell.source
     base = product_category(f.target, f.source.op())
     cells = as_presheaf(f, base)
@@ -1133,7 +1208,7 @@ def _product_view(cell):
 
 
 def test_canonical_two_cells_are_natural():
-    """Building a TwoCell checks only each cell's domain and image; every
+    """Building a 2-cell checks only each cell's domain and image; every
     canonical 2-cell must also pass the naturality check of validate, with
     the report of its product view, and its frozen form is that of its
     product view."""
@@ -1156,7 +1231,7 @@ def _single_value_corruptions(cell):
             for value in cell.target.cell(*at):
                 if value != y:
                     comps = {**cell.components, at: {**table, x: value}}
-                    yield TwoCell(cell.source, cell.target, comps, name=cell.name)
+                    yield NatTrans(cell.source, cell.target, comps, name=cell.name)
 
 
 def test_validate_reports_a_corrupted_two_cell_as_its_product_view():
@@ -1188,8 +1263,8 @@ def test_a_two_cell_across_endpoint_categories_is_a_base_mismatch():
                        {(renamed[g], renamed[f]): renamed[h]
                         for (g, f), h in Two.compose_table.items()})
     f, g = id_module(Two), id_module(copy)
-    cell = TwoCell(f, g, {at: {x: renamed[x] for x in f.cell(*at)} for at in f.sets},
-                   name="rename")
+    cell = NatTrans(f, g, {at: {x: renamed[x] for x in f.cell(*at)} for at in f.sets},
+                    name="rename")
     report = validate(cell)
     assert (report.kind, report.name, [v.law for v in report.violations]) == \
         ("nat-trans", "rename", ["base-mismatch"])

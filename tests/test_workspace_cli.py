@@ -42,6 +42,41 @@ def test_load_serialize_fixpoint(tmp_path):
     assert set(ws2.presheaves) == set(ws1.presheaves)
 
 
+def _reversed(table):
+    return dict(reversed(list(table.items())))
+
+
+def test_sets_listed_out_of_order_load_in_canonical_order(tmp_path):
+    """A workspace file that lists each presheaf's sets and each module's
+    cells in reverse loads them in base order, or target x source order,
+    gives every identity family the frozen form of the in-order file's, and
+    serializes to the same bytes."""
+    stems = ("span", "group_Z2", "example82")
+    paths = []
+    for stem in stems:
+        doc = json.loads((FIXTURES / f"{stem}.json").read_text())
+        for spec in doc.get("presheaves", {}).values():
+            spec["sets"] = _reversed(spec["sets"])
+        for spec in doc.get("profunctors", {}).values():
+            spec["cells"] = {b: _reversed(row) for b, row in _reversed(spec["cells"]).items()}
+        paths.append(tmp_path / f"{stem}.json")
+        paths[-1].write_text(json.dumps(doc))
+    shuffled = load_workspace(paths)
+    listed = load_workspace([FIXTURES / f"{stem}.json" for stem in stems])
+    families = 0
+    for name, p in [*shuffled.presheaves.items(), *shuffled.profunctors.items()]:
+        if isinstance(p, Presheaf):
+            order, q = list(p.base.objects), listed.presheaves[name]
+        else:
+            order = [(b, a) for b in p.target.objects for a in p.source.objects]
+            q = listed.profunctors[name]
+        assert list(p.sets) == order, name
+        assert nat_identity(p).frozen() == nat_identity(q).frozen(), name
+        families += 1
+    assert families == 12
+    assert serialize_workspace(shuffled) == serialize_workspace(listed)
+
+
 def test_full_workspace_inventory():
     ws = load_workspace(cli.default_fixture_paths())
     assert len(ws.categories) == 15
