@@ -27,17 +27,15 @@ _EXPORTS = {
         is_fully_faithful presheaf_isomorphic skeleton""",
     "kan": """PresheafCollection lan nerve pointwise_colimit restrict
         yoneda_bijection yoneda_embed""",
-    "profunctor": """compose_modules functor_to_modules has_right_adjoint
-        id_module module_of_coweight module_of_weight modules_isomorphic
-        right_extend right_lift""",
+    "profunctor": """compose_modules has_right_adjoint id_module
+        module_of_weight right_extend right_lift""",
     "cauchy": """cauchy_completion check_absolute_sampled dual_limit_colimit
         dual_pair_from_weight isbell_left isbell_right isbell_unit
         is_small_projective morita_equivalent q_duality retract_oracle
         small_projective_report""",
-    "classes": """atoms check_commutation comma_connectedness_witness
-        flat_for_finite_limits flat_for_terminal in_saturation_bounded
-        is_phi_cocomplete is_phi_continuous phi_closure_bounded
-        recognize_free_cocompletion""",
+    "classes": """atoms check_commutation flat_for_finite_limits
+        flat_for_terminal in_saturation_bounded is_phi_cocomplete
+        is_phi_continuous phi_closure_bounded recognize_free_cocompletion""",
     "workspace": "Workspace load_workspace serialize_workspace",
 }
 _HOME = {name: module for module, names in _EXPORTS.items()

@@ -1,7 +1,8 @@
 """Small projectives, Cauchy completion, the Isbell adjunction, Morita equivalence.
 
 The Isbell pair is written once: a covariant weight is a presheaf on the
-opposite, so R and the counit are L and the unit computed on the opposite.
+opposite, so R is L computed on the opposite, and the counit psi -> L(R(psi))
+is ``isbell_unit(psi)``, the unit computed on the opposite.
 
 Three independent routes decide small-projectivity and are cross-checked in the
 test suite: the canonical-map criterion implemented here, an exhaustive
@@ -65,15 +66,6 @@ def isbell_unit(phi: Presheaf) -> NatTrans:
     unit = NatTrans(phi, rl, comps, name=f"isbell-unit({phi.name})")
     _require_valid(unit, "isbell unit not natural")
     return unit
-
-
-def isbell_counit(psi: Presheaf) -> NatTrans:
-    """psi -> L(R(psi)) in covariant weights: the unit of psi read on B^op,
-    where R is L and L(R(psi)) is R(L(psi))."""
-    counit = isbell_unit(psi)
-    counit.name = f"isbell-counit({psi.name})"
-    counit.target.name = f"L(R({psi.name}))"
-    return counit
 
 
 # ---------------------------------------------------------------------------
@@ -273,25 +265,6 @@ def dual_pair_from_weight(phi: Presheaf):
     psi = _column(_transpose(g), g.target.objects[0])   # g(*, -) on B^op
     psi.name = f"dual({phi.name})"
     return DualPair(phi, psi, phi_mod, g, adj)
-
-
-def verify_covariant_representation(pair: DualPair, x_weight: Presheaf) -> int:
-    """Checks [B,V](psi, X) = phi * X via the canonical bijection; returns the size.
-
-    The class of (x, xi) over b maps to the transformation gamma -> X(gamma_b(x))(xi).
-    """
-    phi, psi = pair.phi, pair.psi
-    colim = weighted_colimit(phi, x_weight)
-    nats = {n.frozen() for n in nat_trans_set(psi, x_weight)}
-
-    def image(b, x, xi):
-        return _freeze(psi, lambda k, gamma: x_weight.act(_entry(gamma, phi, b, x), xi))
-    images = colim.descend(image, "representation map not constant on classes").values()
-    message = (f"phi*X and [B,V](psi,X) disagree: {len(colim.classes)} classes "
-               f"vs {len(nats)} transformations")
-    if not all(_bijectivity(images, nats, message)):
-        raise InternalMismatch(message)
-    return len(nats)
 
 
 @dataclass

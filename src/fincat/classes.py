@@ -5,13 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (Caps, FinCategory, FinFunctor, Presheaf, Profunctor,
-                   WeightClass, _bijectivity, _composable_pairs, _entry, _freeze,
-                   _pullback, category_of_elements, covariant, delta0,
-                   is_connected, is_filtered, nat_compose, same_category)
+                   WeightClass, _bijectivity, _entry, _freeze, _pullback,
+                   category_of_elements, covariant, is_connected, is_filtered,
+                   same_category)
 from .equivalence import _inverse, all_functors, is_fully_faithful, objects_isomorphic
 from .errors import CapExceeded, MalformedTable
-from .kan import (PresheafCollection, Provenance, member_category,
-                  pointwise_colimit, yoneda_embed)
+from .kan import PresheafCollection, Provenance, member_category, pointwise_colimit
 from .limits import (_colimits_presheaf, colimit_in_category, hom_diagram,
                      nat_trans_set, weighted_colimit, weighted_limit)
 from .profunctor import _column, _transpose
@@ -364,45 +363,3 @@ def recognize_free_cocompletion(g: FinFunctor, weight_class: WeightClass,
     in_atoms = all(g.obj(a) in atom_set for a in g.source.objects)
     return RecognitionReport(ff, cocomplete, not unreached, in_atoms,
                              rounds, unreached)
-
-
-@dataclass
-class CommaWitness:
-    connected: bool
-    objects: int
-    morphisms: int
-    category: FinCategory
-
-
-def comma_connectedness_witness(target: Presheaf) -> CommaWitness:
-    """Build the comma of (representables + empty presheaf) over target.
-
-    The empty presheaf maps uniquely into everything, so the comma category is
-    never empty and always connected; the witness makes that checkable.  The
-    probes' maps come from ``kan.member_category`` on all of them, isomorphic
-    representables included; the empty presheaf is the initial colimit.
-    """
-    cat = target.base
-    probes = PresheafCollection(cat)
-    for a in cat.objects:
-        probes._insert(yoneda_embed(cat, a), Provenance("representable", (a,)))
-    # a provenance names its weight: "zero.Empty" is corpus.initial_weight
-    probes._insert(delta0(cat), Provenance("colimit", ("zero.Empty", (), ())))
-    mem, decode = member_category(probes)
-    into = {i: nat_trans_set(p, target) for i, p in enumerate(probes.members)}
-    objects = [(i, w.frozen()) for i in mem.objects for w in into[i]]
-    arrow = {(i, w.frozen()): w for i in mem.objects for w in into[i]}
-    morphisms = []
-    identity = {}
-    for src in objects:
-        for tgt in objects:
-            for mid in mem.hom(src[0], tgt[0]):
-                if nat_compose(arrow[tgt], decode[mid]).frozen() == src[1]:
-                    morphisms.append(((src, tgt, mid[2]), src, tgt))
-        identity[src] = (src, src, mem.id_of(src[0])[2])
-    compose = {(m2, m1): (s1, t2, mem.compose((s2[0], t2[0], m2[2]),
-                                              (s1[0], s2[0], m1[2]))[2])
-               for (m2, s2, t2), (m1, s1, _) in _composable_pairs(morphisms)}
-    comma = FinCategory(f"comma(W/{target.name})", objects, morphisms,
-                        identity, compose)
-    return CommaWitness(is_connected(comma), len(objects), len(morphisms), comma)

@@ -19,13 +19,6 @@ def yoneda_embed(cat: FinCategory, b) -> Presheaf:
     return yb
 
 
-def yoneda_transform(cat: FinCategory, f) -> NatTrans:
-    """Post-composition Y(src f) -> Y(tgt f)."""
-    ys, yt = yoneda_embed(cat, cat.src[f]), yoneda_embed(cat, cat.tgt[f])
-    comps = {a: {h: cat.compose(f, h) for h in ys.sets[a]} for a in cat.objects}
-    return NatTrans(ys, yt, comps, name=f"Y[{f!r}]")
-
-
 def yoneda_bijection(p: Presheaf, b):
     """The mutually inverse maps Nat(Yb, p) <-> p(b); raises on any failure.
 

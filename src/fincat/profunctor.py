@@ -9,8 +9,7 @@ end formula: a cell of {|f,h|} at (a,c) is a natural family of functions
 f(-,a) -> h(-,c), stored in frozen form with a decode table kept alongside;
 the composite f.{|f,h|} and the counit ev(f,h) are built on first read.
 Right extensions are right lifts of transposed modules: reading A -|-> B as
-B^op -|-> A^op gives [[g,h]] = {|g^t,h^t|}^t, and the extension transpose
-bijection is the lift bijection of the transposes.  ``right_lift`` and
+B^op -|-> A^op gives [[g,h]] = {|g^t,h^t|}^t.  ``right_lift`` and
 ``right_extend`` validate the modules they are given and raise
 ValidationFailed with the report of the first unlawful one.
 
@@ -24,9 +23,11 @@ canonical 2-cell (counits, units, comparisons) is built by
 ``_cellwise`` from its value on one element of one source cell.  The triangle
 identities of an adjunction are read on elements through the unit, the counit
 and the normal forms of f.g, so the library builds no unitor, associator or
-whisker; the tests keep them as the oracle.  The conjoint T^* of a functor T
-is the transpose of the companion of T^op, and the module of a covariant
-weight is the transpose of its module as a weight.
+whisker; the tests keep them as the oracle.  A functor T becomes a module
+as its companion T_* (``id_module`` is that of the identity), and a weight
+as ``module_of_weight``; the conjoint T^* is the ``_transpose`` of the
+companion of T^op, and the module of a covariant weight the ``_transpose``
+of its module as a weight.
 """
 from __future__ import annotations
 
@@ -34,9 +35,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, Profunctor,
-                   _freeze, _require_valid, as_presheaf, identity_functor,
-                   product_category, quotient, same_category, unit_category, validate)
-from .equivalence import presheaf_isomorphic
+                   _freeze, _require_valid, identity_functor, quotient,
+                   same_category, unit_category, validate)
 from .errors import EndpointMismatch, InternalMismatch, ValidationFailed
 from .limits import ColimitResult, nat_trans_set
 
@@ -46,20 +46,6 @@ def _cellwise(src: Profunctor, tgt: Profunctor, name, image) -> NatTrans:
     comps = {(t, s): {x: image(t, s, x) for x in src.cell(t, s)}
              for t in src.target.objects for s in src.source.objects}
     return NatTrans(src, tgt, comps, name=name)
-
-
-def two_cells(f: Profunctor, g: Profunctor) -> list:
-    """All module morphisms f => g, enumerated."""
-    base = product_category(f.target, f.source.op())
-    nats = nat_trans_set(as_presheaf(f, base), as_presheaf(g, base))
-    return [NatTrans(f, g, n.components, name=f"cell{i}") for i, n in enumerate(nats)]
-
-
-def modules_isomorphic(f: Profunctor, g: Profunctor) -> bool:
-    if not (same_category(f.source, g.source) and same_category(f.target, g.target)):
-        return False
-    base = product_category(f.target, f.source.op())
-    return presheaf_isomorphic(as_presheaf(f, base), as_presheaf(g, base)) is not None
 
 
 def id_module(cat: FinCategory) -> Profunctor:
@@ -150,16 +136,6 @@ def _companion(t: FinFunctor) -> Profunctor:
     return Profunctor(f"({t.name})_*", a_cat, b_cat, sets, left, right)
 
 
-def functor_to_modules(t: FinFunctor):
-    """T_*(b,a) = B(b, Ta) and T^*(a,b) = B(Ta, b).
-
-    T^* is the transpose of (T^op)_*: B^op(b, Ta) = B(Ta, b), and the
-    transpose runs from (B^op)^op, which is B itself, to A."""
-    upper = _transpose(_companion(t.op()))
-    upper.name = f"({t.name})^*"
-    return _companion(t), upper
-
-
 def module_of_weight(phi: Presheaf) -> Profunctor:
     """A weight phi on A as a module I -|-> A with cell(a, *) = phi(a)."""
     unit = unit_category()
@@ -171,15 +147,6 @@ def module_of_weight(phi: Presheaf) -> Profunctor:
             for m in a_cat.morphisms}
     right = {(a, uid): {x: x for x in sets[(a, star)]} for a in a_cat.objects}
     return Profunctor(f"mod({phi.name})", unit, a_cat, sets, left, right)
-
-
-def module_of_coweight(psi: Presheaf) -> Profunctor:
-    """A covariant weight psi on B (a presheaf on B^op) as a module B -|-> I^op.
-
-    It is the transpose of psi's module I -|-> B^op; I^op has the tables of I."""
-    comod = _transpose(module_of_weight(psi))
-    comod.name = f"comod({psi.name})"
-    return comod
 
 
 # ---------------------------------------------------------------------------
@@ -303,52 +270,6 @@ def right_extend(g: Profunctor, h: Profunctor) -> ExtendResult:
     extension = _transpose(lifted.lift)
     extension.name = f"ext({g.name},{h.name})"
     return ExtendResult(extension, lifted)
-
-
-def verify_lift_bijection(f: Profunctor, h: Profunctor, k: Profunctor):
-    """The transpose bijection 2cells(k, {|f,h|}) <-> 2cells(f.k, h).
-
-    Returns (count, forward) after checking the two directions are mutually
-    inverse on the full enumerations; raises InternalMismatch otherwise.
-    """
-    lifted = right_lift(f, h)
-    lift = lifted.lift
-    fk = compose_modules(f, k)
-    sigmas = two_cells(fk, h)
-    taus = two_cells(k, lift)
-
-    def transpose_of(tau):
-        def image(b, c, rep):
-            a, (y, z) = rep
-            return lifted.decode[(a, c)][tau.at((a, c), z)].components[b][y]
-        return _cellwise(fk, h, "", image)
-
-    def transpose_back(sigma):
-        def image(a, c, z):
-            key = _freeze(lifted.f_col[a],
-                          lambda b, y: sigma.at((b, c), fk.normalize(b, c, a, y, z)))
-            if key not in lifted.decode[(a, c)]:
-                raise InternalMismatch("lift transpose left the lift cell")
-            return key
-        return _cellwise(k, lift, "", image)
-
-    forward = {tau.frozen(): transpose_of(tau).frozen() for tau in taus}
-    backward = {sigma.frozen(): transpose_back(sigma).frozen() for sigma in sigmas}
-    if set(forward.values()) != set(backward) or set(backward.values()) != set(forward):
-        raise InternalMismatch("lift transpose is not onto")
-    for tk, sk in forward.items():
-        if backward[sk] != tk:
-            raise InternalMismatch("lift transposes are not mutually inverse")
-    return len(taus), forward
-
-
-def verify_extend_bijection(g: Profunctor, h: Profunctor, k: Profunctor):
-    """The transpose bijection 2cells(k, [[g,h]]) <-> 2cells(k.g, h).
-
-    Checked as the lift bijection of the transposes, so the count is the same
-    and the keys of ``forward`` are frozen 2-cells of the transposed modules.
-    """
-    return verify_lift_bijection(_transpose(g), _transpose(h), _transpose(k))
 
 
 # ---------------------------------------------------------------------------

@@ -98,16 +98,14 @@ def _parse_file(path):
     return doc
 
 
-_ID = (str, int, float, bool, type(None))  # the hashable JSON values: morphism ids
 _NAME = (str,)
-_KEY = (str,)  # object and element ids: they key JSON objects, whose keys are strings
-_TABLE = {...: _ID}
+_KEY = (str,)  # object, morphism and element ids: JSON object keys are strings
 _KEY_TABLE = {...: _KEY}
-_CATEGORY = {"objects": [_KEY], "morphisms": [{"id": _ID, "src": _KEY, "tgt": _KEY}],
-             "identities": _TABLE, "compose": [[_ID]]}
+_CATEGORY = {"objects": [_KEY], "morphisms": [{"id": _KEY, "src": _KEY, "tgt": _KEY}],
+             "identities": _KEY_TABLE, "compose": [[_KEY]]}
 _PRESHEAF = {"on": _NAME, "sets": {...: [_KEY]}, "actions": {...: _KEY_TABLE}}
 _FUNCTOR = {"source": _NAME, "target": _NAME, "objects": _KEY_TABLE,
-            "morphisms": _TABLE}
+            "morphisms": _KEY_TABLE}
 _PROFUNCTOR = {"source": _NAME, "target": _NAME, "cells": {...: {...: [_KEY]}},
                "left": {...: {...: _KEY_TABLE}}, "right": {...: {...: _KEY_TABLE}}}
 _WEIGHT_CLASS = {"weights": [_NAME]}
@@ -122,8 +120,7 @@ def _shape(value, schema, what):
     """
     if isinstance(schema, tuple):
         if not isinstance(value, schema):
-            kind = ("a name" if schema is _NAME else "a string" if schema is _KEY
-                    else "a string or number")
+            kind = "a name" if schema is _NAME else "a string"
             raise ParseError(f"{what}: expected {kind}")
         return
     if isinstance(schema, list):

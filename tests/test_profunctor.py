@@ -15,14 +15,49 @@ from fincat.equivalence import all_functors, presheaf_isomorphic
 from fincat.errors import EndpointMismatch, InternalMismatch, MalformedTable, ValidationFailed
 from fincat.limits import ColimitResult, nat_trans_set
 from fincat.profunctor import (_cellwise, _column, _companion, _transpose,
-                               compose_modules, functor_to_modules,
-                               has_right_adjoint, id_module,
-                               module_of_coweight, module_of_weight,
-                               modules_isomorphic, right_extend, right_lift,
-                               two_cells, verify_extend_bijection,
-                               verify_lift_bijection)
+                               compose_modules, has_right_adjoint, id_module,
+                               module_of_weight, right_extend, right_lift)
 from util import (SMALL_CATEGORIES, compose_modules_oracle, random_concrete_category,
                   random_presheaf, random_profunctor, right_extend_oracle)
+
+
+# ---------------------------------------------------------------------------
+# modules read as presheaves on their product view target x source^op, and
+# functors as modules
+
+
+def _views(f, g):
+    """f and g as presheaves on the product base f.target x f.source^op, a
+    module on both sides viewed once."""
+    base = product_category(f.target, f.source.op())
+    cells = as_presheaf(f, base)
+    return cells, cells if g is f else as_presheaf(g, base)
+
+
+def _product_view(cell):
+    """The 2-cell as a NatTrans between the product views of its modules:
+    the former ``nat()`` of the 2-cell class, the oracle of ``validate`` on
+    2-cells."""
+    return NatTrans(*_views(cell.source, cell.target), cell.components, name=cell.name)
+
+
+def two_cells(f, g):
+    """Every 2-cell f => g: the natural families between the product views."""
+    return [NatTrans(f, g, n.components, name=f"cell{i}")
+            for i, n in enumerate(nat_trans_set(*_views(f, g)))]
+
+
+def modules_isomorphic(f, g):
+    return (same_category(f.source, g.source) and same_category(f.target, g.target)
+            and presheaf_isomorphic(*_views(f, g)) is not None)
+
+
+def _conjoint(t):
+    """T^*(a, b) = B(Ta, b): the transpose of the companion of T^op, which
+    runs from (B^op)^op, with the tables of B, to A."""
+    upper = _transpose(_companion(t.op()))
+    upper.name = f"({t.name})^*"
+    return upper
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +219,7 @@ def _corpus_modules():
     yield compose_modules(example82, id_module(example82.source))
     yield compose_modules(id_module(example82.target), example82)
     for t in corpus.FUNCTORS.values():
-        lower, upper = functor_to_modules(t)
+        lower, upper = _companion(t), _conjoint(t)
         yield compose_modules(upper, lower)
         yield compose_modules(lower, upper)
 
@@ -211,7 +246,7 @@ def test_compose_modules_endpoint_check():
 
 
 def test_unitors_are_isomorphisms():
-    for f in (example82, id_module(Two), functor_to_modules(corpus.embedM)[0]):
+    for f in (example82, id_module(Two), _companion(corpus.embedM)):
         lu = left_unitor(f, compose_modules(id_module(f.target), f))
         ru = right_unitor(f, compose_modules(f, id_module(f.source)))
         assert lu.is_iso(), f.name
@@ -229,7 +264,7 @@ def _raw_pairs(g, f):
 
 
 def _coherence_modules():
-    return (example82, id_module(Two), functor_to_modules(corpus.embedM)[0])
+    return (example82, id_module(Two), _companion(corpus.embedM))
 
 
 def test_unitors_satisfy_their_defining_equations():
@@ -251,8 +286,8 @@ def test_unitors_satisfy_their_defining_equations():
 
 def test_associator_rebrackets_every_raw_triple():
     """alpha sends the class of ((y, z), x) to the class of (y, (z, x))."""
-    f2 = functor_to_modules(all_functors(Span, Two)[0])[0]
-    f3 = functor_to_modules(all_functors(Two, M)[1])[0]
+    f2 = _companion(all_functors(Span, Two)[0])
+    f3 = _companion(all_functors(Two, M)[1])
     triples = [(id_module(f.target), f, id_module(f.source))
                for f in _coherence_modules()] + [(f3, f2, example82)]
     checked = 0
@@ -293,9 +328,9 @@ def test_whiskers_act_on_one_factor_of_every_raw_pair():
 
 def test_associator_is_isomorphism():
     t1 = all_functors(Span, Two)[0]
-    f2 = functor_to_modules(t1)[0]           # Span -|-> Two
+    f2 = _companion(t1)  # Span -|-> Two
     t2 = all_functors(Two, M)[1]
-    f3 = functor_to_modules(t2)[0]           # Two -|-> M
+    f3 = _companion(t2)  # Two -|-> M
     inner = compose_modules(f2, example82)
     alpha = associator(f3, f2, example82,
                        compose_modules(compose_modules(f3, f2), example82),
@@ -379,7 +414,7 @@ def test_functor_modules_equal_hom_sets_built_directly():
         same(tables(id_module(a)), direct(f"1_{a.name}", a, a, a.hom, a.compose, a.compose))
         for b in SMALL_CATEGORIES:
             for t in all_functors(a, b):
-                lower, upper = functor_to_modules(t)
+                lower, upper = _companion(t), _conjoint(t)
                 same(tables(lower), direct(
                     f"({t.name})_*", a, b, lambda x, y: b.hom(x, t.obj(y)),
                     b.compose, lambda m, h: b.compose(t.mor(m), h)))
@@ -393,7 +428,7 @@ def test_functor_modules_equal_hom_sets_built_directly():
 
 def test_companion_has_conjoint_as_right_adjoint():
     for t in (corpus.embedM, all_functors(Two, M)[0], corpus.orbit):
-        lower, upper = functor_to_modules(t)
+        lower, upper = _companion(t), _conjoint(t)
         adj = has_right_adjoint(lower)
         assert adj.found, t.name
         assert modules_isomorphic(adj.right, upper), t.name
@@ -615,7 +650,7 @@ def test_module_of_unlawful_weight_is_a_validation_failure():
 def test_small_projective_weight_adjoint_is_its_coweight_dual():
     # the splitting weight's dual: x -> {e} with the covariant action
     adj = has_right_adjoint(module_of_weight(PRESHEAVES["E"]))
-    dual = module_of_coweight(corpus.covariant_hom(M, "*", "cov"))
+    dual = _transpose(module_of_weight(corpus.covariant_hom(M, "*", "cov")))
     # E's adjoint has cells of size 1 everywhere, like E itself transposed
     assert sum(len(adj.right.cell(b, a))
                for b in adj.right.target.objects
@@ -638,17 +673,73 @@ def _module_of_coweight_oracle(psi):
 
 
 def test_coweight_module_is_the_transposed_weight_module():
-    """Same tables in the same order as the cell-by-cell module; only its
-    target, I^op, is named apart from I."""
+    """The module of a covariant weight psi is the transpose of psi's module
+    as a weight: the same tables in the same order as the cell-by-cell
+    module; only its target, I^op, is named apart from I."""
     for name, psi in sorted(PRESHEAVES.items()):
-        got, want = module_of_coweight(psi), _module_of_coweight_oracle(psi)
-        assert got.name == want.name, name
+        got, want = _transpose(module_of_weight(psi)), _module_of_coweight_oracle(psi)
         assert got.source is want.source, name
         assert same_category(got.target, want.target), name
         assert (got.target.name, want.target.name) == ("I^op", "I")
         for table in ("sets", "left", "right"):
             assert (list(getattr(got, table).items())
                     == list(getattr(want, table).items())), (name, table)
+
+
+def test_transpose_twice_gives_the_module_back():
+    """``_transpose`` is the one route behind right extensions, the conjoint
+    and the module of a covariant weight.  Read twice, every module of the
+    composable pairs and every corpus weight module comes back with its
+    sets, left and right tables in the same order, between its categories."""
+    modules = {id(m): m for pair in _composable_pairs() for m in pair}
+    modules.update((id(m), m) for m in map(module_of_weight, PRESHEAVES.values()))
+    for f in modules.values():
+        back = _transpose(_transpose(f))
+        assert list(back.sets.items()) == list(f.sets.items()), f.name
+        assert _nested(back.left) == _nested(f.left), f.name
+        assert _nested(back.right) == _nested(f.right), f.name
+        assert same_category(back.source, f.source), f.name
+        assert same_category(back.target, f.target), f.name
+    assert len(modules) == 797
+
+
+def verify_lift_bijection(f, h, k):
+    """The transpose bijection 2cells(k, {|f,h|}) <-> 2cells(f.k, h).
+
+    Returns (count, forward) after checking the two directions are mutually
+    inverse on the full enumerations; raises InternalMismatch otherwise.
+    The extension bijection 2cells(k, [[g,h]]) <-> 2cells(k.g, h) is this
+    one on the transposes of g, h and k.
+    """
+    lifted = right_lift(f, h)
+    lift = lifted.lift
+    fk = compose_modules(f, k)
+    sigmas = two_cells(fk, h)
+    taus = two_cells(k, lift)
+
+    def transpose_of(tau):
+        def image(b, c, rep):
+            a, (y, z) = rep
+            return lifted.decode[(a, c)][tau.at((a, c), z)].components[b][y]
+        return _cellwise(fk, h, "", image)
+
+    def transpose_back(sigma):
+        def image(a, c, z):
+            key = _freeze(lifted.f_col[a],
+                          lambda b, y: sigma.at((b, c), fk.normalize(b, c, a, y, z)))
+            if key not in lifted.decode[(a, c)]:
+                raise InternalMismatch("lift transpose left the lift cell")
+            return key
+        return _cellwise(k, lift, "", image)
+
+    forward = {tau.frozen(): transpose_of(tau).frozen() for tau in taus}
+    backward = {sigma.frozen(): transpose_back(sigma).frozen() for sigma in sigmas}
+    if set(forward.values()) != set(backward) or set(backward.values()) != set(forward):
+        raise InternalMismatch("lift transpose is not onto")
+    for tk, sk in forward.items():
+        if backward[sk] != tk:
+            raise InternalMismatch("lift transposes are not mutually inverse")
+    return len(taus), forward
 
 
 def test_right_lift_transpose_bijection():
@@ -663,11 +754,10 @@ def test_right_extend_transpose_bijection():
     ext = extended.extension
     rng = random.Random(83)
     ks = [id_module(Span), ext, random_profunctor(rng, Span, Span, "k")]
-    ks += [functor_to_modules(t)[i] for t in all_functors(Span, Span)[:3]
-           for i in (0, 1)]
+    ks += [m for t in all_functors(Span, Span)[:3] for m in (_companion(t), _conjoint(t))]
     counts = []
     for k in ks:
-        count, forward = verify_extend_bijection(example82, example82, k)
+        count, forward = verify_lift_bijection(*map(_transpose, (example82, example82, k)))
         assert count == len(two_cells(k, ext)) == len(forward), k.name
         counts.append(count)
     assert counts[0] >= 1 and len(set(counts)) > 1
@@ -683,7 +773,7 @@ def _extension_pairs():
     for a in SMALL_CATEGORIES:
         for b in SMALL_CATEGORIES:
             for t in all_functors(a, b)[:2]:
-                lower, upper = functor_to_modules(t)
+                lower, upper = _companion(t), _conjoint(t)
                 yield lower, lower
                 yield upper, upper
                 yield lower, id_module(a)
@@ -787,7 +877,7 @@ def test_right_extend_matches_end_formula():
 
 def test_lift_of_hom_along_module_is_adjoint_candidate():
     # {|f, 1_B|} is the canonical right adjoint candidate for f
-    f = functor_to_modules(corpus.embedM)[0]
+    f = _companion(corpus.embedM)
     lifted = right_lift(f, id_module(QM))
     adj = has_right_adjoint(f)
     assert adj.found
@@ -803,7 +893,7 @@ def _composable_pairs():
     for a in SMALL_CATEGORIES:
         for b in SMALL_CATEGORIES:
             for t in all_functors(a, b):
-                lower, upper = functor_to_modules(t)
+                lower, upper = _companion(t), _conjoint(t)
                 yield upper, lower
                 yield lower, upper
                 yield ids[b.name], lower
@@ -811,7 +901,7 @@ def _composable_pairs():
     for cat in SMALL_CATEGORIES:
         for i in range(3):
             weight = module_of_weight(random_presheaf(rng, cat, f"w{i}"))
-            coweight = module_of_coweight(random_presheaf(rng, cat.op(), f"v{i}"))
+            coweight = _transpose(module_of_weight(random_presheaf(rng, cat.op(), f"v{i}")))
             yield ids[cat.name], weight
             yield coweight, weight
             yield weight, coweight
@@ -820,7 +910,7 @@ def _composable_pairs():
     yield ex_id, example82
     yield example82, id_module(example82.source)
     for t in all_functors(example82.target, Two):
-        yield functor_to_modules(t)[0], example82
+        yield _companion(t), example82
 
 
 def _assert_composite_matches_pair_modules(got, g, f):
@@ -1103,7 +1193,7 @@ def test_triangles_on_elements_match_the_chains_on_companions():
     """The cases of test_companion_has_conjoint_as_right_adjoint, and the
     conjoints themselves."""
     for t in (corpus.embedM, all_functors(Two, M)[0], corpus.orbit):
-        lower, upper = functor_to_modules(t)
+        lower, upper = _companion(t), _conjoint(t)
         assert _routes_agree(lower) == (True, ""), t.name
         _routes_agree(upper)
 
@@ -1194,17 +1284,6 @@ def _canonical_two_cells():
         if res.found:
             yield res.unit
             yield res.counit
-
-
-def _product_view(cell):
-    """The 2-cell as a NatTrans between presheaves on the product base
-    target x source^op, a module on both sides viewed once: the former
-    ``nat()`` of the 2-cell class, the oracle of ``validate`` on 2-cells."""
-    f = cell.source
-    base = product_category(f.target, f.source.op())
-    cells = as_presheaf(f, base)
-    target = cells if cell.target is f else as_presheaf(cell.target, base)
-    return NatTrans(cells, target, cell.components, name=cell.name)
 
 
 def test_canonical_two_cells_are_natural():
