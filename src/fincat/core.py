@@ -41,7 +41,8 @@ class FinCategory:
     identity: dict object -> morphism id.
     compose: dict (g, f) -> g after f, or an iterable of ((g, f), g after f)
     pairs, keyed on exactly the composable pairs; it is read once, into a new
-    dict.
+    dict, unless the category is a ``_LazyCategory``, which reads it on the
+    first read of ``compose_table``.
     into: dict object -> morphisms with that target, in morphism order; the
     composable pairs are exactly the (g, f) with f in into[src g].
     """
@@ -78,7 +79,7 @@ class FinCategory:
         self._take_compose(compose)
 
     def _take_compose(self, compose):
-        """Store the composition table; ``_Elements`` defers it instead."""
+        """Store the composition table; ``_LazyCategory`` defers it instead."""
         self.compose_table = self._checked_compose(dict(compose))
 
     def _checked_compose(self, table):
@@ -709,6 +710,21 @@ def _composable_pairs(morphisms):
             yield g, f
 
 
+class _LazyCategory(FinCategory):
+    """A category whose ``compose`` is a function of the category yielding
+    its ((g, f), g after f) items; they are read into a dict and checked
+    like an eager table on the first read of ``compose_table``.  The
+    function takes the category as an argument, so it holds no reference
+    back to it."""
+
+    def _take_compose(self, composites):
+        self._composites = composites
+
+    @cached_property
+    def compose_table(self):
+        return self._checked_compose(dict(self._composites(self)))
+
+
 def product_category(c: FinCategory, d: FinCategory) -> FinCategory:
     """Objects and morphisms are pairs; composition is componentwise.
 
@@ -716,8 +732,11 @@ def product_category(c: FinCategory, d: FinCategory) -> FinCategory:
     object is shared by the morphism list, the identity table and every
     compose key and value.  Only composable pairs are visited, keyed in
     all-pairs order: (f2, g2) outer, then f1, then g1, each in morphism order.
-    The composites are handed to ``FinCategory`` as a generator, so that the
-    one dict built is its own table.
+    The rows of each factor's composites are built here, so a factor missing
+    a composite raises MalformedTable at once; the composition table itself
+    is built from them on first read, at most once.  ``_validate_nat`` reads
+    only morphisms and endpoints, so a 2-cell's naturality check never
+    builds it.
     """
     ids = {f: {g: (f, g) for g in d.morphisms} for f in c.morphisms}
     objects = [(a, b) for a in c.objects for b in d.objects]
@@ -726,16 +745,17 @@ def product_category(c: FinCategory, d: FinCategory) -> FinCategory:
     identity = {(a, b): ids[c.id_of(a)][d.id_of(b)] for a in c.objects for b in d.objects}
     d_rows = [(g2, [(g1, d.compose(g2, g1)) for g1 in d.into[d.src[g2]]])
               for g2 in d.morphisms]
+    c_rows = [(f2, [(ids[f1], ids[c.compose(f2, f1)]) for f1 in c.into[c.src[f2]]])
+              for f2 in c.morphisms]
 
-    def compose():
-        for f2 in c.morphisms:
-            c_row = [(ids[f1], ids[c.compose(f2, f1)]) for f1 in c.into[c.src[f2]]]
+    def composites(_p):
+        for f2, c_row in c_rows:
             for g2, d_row in d_rows:
                 m2 = ids[f2][g2]
                 for row1, row_h in c_row:
                     for g1, k in d_row:
                         yield (m2, row1[g1]), row_h[k]
-    return FinCategory(f"{c.name}x{d.name}", objects, morphisms, identity, compose())
+    return _LazyCategory(f"{c.name}x{d.name}", objects, morphisms, identity, composites)
 
 
 def as_presheaf(f: Profunctor, base: FinCategory) -> Presheaf:
@@ -783,21 +803,6 @@ def full_subcategory(cat: FinCategory, objects, name: str):
     return sub, incl
 
 
-class _Elements(FinCategory):
-    """el(phi) from ``category_of_elements``: ``compose`` is the law
-    (g, f) -> g . f, tabulated over the composable pairs on the first read
-    of ``compose_table`` and checked like an eager table."""
-
-    def _take_compose(self, law):
-        self._law = law
-
-    @cached_property
-    def compose_table(self):
-        law = self._law
-        return self._checked_compose({(g, f): law(g, f) for g in self.morphisms
-                                      for f in self.into[self.src[g]]})
-
-
 def category_of_elements(phi: Presheaf):
     """el(phi) together with the projection functor into base^op.
 
@@ -822,8 +827,9 @@ def category_of_elements(phi: Presheaf):
             if k.is_identity(u):
                 identity[src] = mid
     # f = (u1, x1) runs (k, x1) -> (k', x2); then g = (u2, x2) continues from (k', x2)
-    el = _Elements(f"el({phi.name})", objects, morphisms, identity,
-                   lambda g, f: (k.compose(f[0], g[0]), f[1]))
+    el = _LazyCategory(f"el({phi.name})", objects, morphisms, identity,
+                       lambda e: (((g, f), (k.compose(f[0], g[0]), f[1]))
+                                  for g in e.morphisms for f in e.into[e.src[g]]))
     proj = FinFunctor(f"el({phi.name})->{k.name}^op", el, k.op(),
                       {o: o[0] for o in objects},
                       {m: m[0] for m in el.morphisms})

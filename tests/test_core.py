@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fincat import core, corpus, limits, profunctor, validate
+from fincat import core, corpus, limits, profunctor, validate, workspace
 from fincat.cauchy import cauchy_completion, is_small_projective
 from fincat.core import (FinCategory, FinFunctor, FunctorTransform, NatTrans,
                          Presheaf, Profunctor, _bijectivity, _composable_pairs, _entry,
@@ -239,17 +239,18 @@ def test_product_table_matches_the_dict_loop_on_random_categories(seed):
 
 
 def test_product_table_is_the_only_dict_built():
-    """product_category hands FinCategory its composites as a generator, so
-    the traced peak of GSet x GSet^op stays under 1.25 times what the result
-    retains (1.46 while a dict was built and then copied)."""
+    """GSet x GSet^op reads its composites into its table from a generator,
+    so the traced peak of building it and reading the table stays under 1.25
+    times what the result retains (1.46 while a dict was built and then
+    copied)."""
     op = GSet.op()
     tracemalloc.start()
     try:
         p = product_category(GSet, op)
+        assert len(p.compose_table) == 216225
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(p.compose_table) == 216225
     assert peak < 1.25 * retained
 
 
@@ -596,14 +597,30 @@ _TABLE_READS = {
                                             el.identity[el.objects[0]]),
     "same_category": same_category,
     "is_filtered": lambda el, _twin: is_filtered(el),
+    "workspace": lambda el, _twin: workspace._category_json(el),
 }
+
+
+def _assert_built_once_on_first_read(cat, twin, first, want):
+    """cat has no table until the read named first; that read builds and
+    checks it once, and every later read, op included, sees that same dict,
+    its items equal to want's in order.  same_category compares cat with
+    twin, the same category built apart."""
+    assert "compose_table" not in vars(cat), cat.name
+    checks = []
+    cat._checked_compose = lambda table: checks.append(table) or table
+    _TABLE_READS[first](cat, twin)
+    table = cat.compose_table
+    for read in _TABLE_READS.values():
+        read(cat, twin)
+    assert cat.compose_table is table and checks == [table], cat.name
+    assert list(table.items()) == list(want.items()), cat.name
+    assert cat.op().compose_table == {(f, g): h for (g, f), h in table.items()}
+    assert validate(cat).ok, cat.name
 
 
 @pytest.mark.parametrize("first", sorted(_TABLE_READS))
 def test_elements_table_is_built_once_on_first_read(first):
-    """Whichever read comes first, the table is built and checked once, and
-    every later read, op included, sees that same dict in oracle order.
-    same_category compares el with a second el(p) built apart."""
     rng = random.Random(11)
     weights = list(PRESHEAVES.values())
     weights += [random_presheaf(rng, cat, f"r{i}") for i, cat in
@@ -613,16 +630,18 @@ def test_elements_table_is_built_once_on_first_read(first):
             continue
         el, _ = category_of_elements(p)
         twin, _ = category_of_elements(p)
-        checks = []
-        el._checked_compose = lambda table: checks.append(table) or table
-        _TABLE_READS[first](el, twin)
-        table = el.compose_table
-        for read in _TABLE_READS.values():
-            read(el, twin)
-        assert el.compose_table is table and checks == [table], p.name
-        assert list(table.items()) == list(_elements_oracle(p).items()), p.name
-        assert el.op().compose_table == {(f, g): h for (g, f), h in table.items()}
-        assert validate(el).ok, p.name
+        _assert_built_once_on_first_read(el, twin, first, _elements_oracle(p))
+
+
+@pytest.mark.parametrize("first", sorted(_TABLE_READS))
+def test_product_table_is_built_once_on_first_read(first):
+    """As for el(phi), on every product of two SMALL_CATEGORIES, or of one
+    with the opposite of another; the table is the dict loop's."""
+    for c in SMALL_CATEGORIES:
+        for d in SMALL_CATEGORIES + [x.op() for x in SMALL_CATEGORIES]:
+            _assert_built_once_on_first_read(
+                product_category(c, d), product_category(c, d), first,
+                _product_compose_dict_oracle(c, d))
 
 
 def test_full_subcategory_of_QM_is_M_shaped():

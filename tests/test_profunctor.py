@@ -1030,15 +1030,17 @@ def test_adjoint_product_categories_are_pinned(monkeypatch):
     per absolute GSet weight, for its counit (572 while every 2-cell built
     its own base, 750 before lifts built their counit on first read);
     zero.GSet, whose comparison fails, builds none (one, I x I^op, while
-    2-cells built bases)."""
+    2-cells built bases).  Naturality reads a product's morphisms and
+    endpoints only, so none of the 84 builds its composition table."""
     products, validated = [], []
     product, check = core.product_category, profunctor.validate
     monkeypatch.setattr(core, "product_category", lambda a, b: (
-        products.append((a.name, b.name)) or product(a, b)))
+        products.append((a.name, b.name, product(a, b))) or products[-1][2]))
     monkeypatch.setattr(profunctor, "validate", lambda m: validated.append(m) or check(m))
     found = sum(has_right_adjoint(module_of_weight(phi)).found for phi in PRESHEAVES.values())
     assert (len(products), len(validated), found) == (84, 68, 42)
-    assert products.count(("GSet", "GSet^op")) == 4
+    assert [(a, b) for a, b, _ in products].count(("GSet", "GSet^op")) == 4
+    assert [p.name for _, _, p in products if "compose_table" in vars(p)] == []
     products.clear()
     assert not has_right_adjoint(module_of_weight(PRESHEAVES["zero.GSet"])).found
     assert products == []
