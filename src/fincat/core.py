@@ -600,10 +600,13 @@ def _validate_presheaf(p: Presheaf) -> ValidationReport:
 
 
 def _validate_nat(n: NatTrans) -> ValidationReport:
-    """Naturality per base morphism.  A family between modules is read on the
-    product view target x source^op, one view of a module on both sides."""
+    """Naturality per base morphism.  A family between modules f: A -|-> B is
+    checked along each morphism (beta, alpha) of B x A^op, in order, whose
+    action on a module is read straight off its tables: the right action of
+    alpha at src beta after the left action of beta at src alpha.  No
+    presheaf view of a module is built."""
     rep = ValidationReport("nat-trans", n.name or "")
-    source, target = n.source, n.target
+    source, target, comps = n.source, n.target, n.components
     modules = isinstance(source, Profunctor)
     bases = ([(source.source, target.source), (source.target, target.target)]
              if modules else [(source.base, target.base)])
@@ -611,14 +614,22 @@ def _validate_nat(n: NatTrans) -> ValidationReport:
         rep.violations.append(Violation("base-mismatch", ()))
         return rep
     if modules:
-        base = product_category(source.target, source.source.op())
-        source = as_presheaf(n.source, base)
-        target = source if n.target is n.source else as_presheaf(n.target, base)
+        B, A = source.target, source.source
+        for f in product_category(B, A.op()).morphisms:
+            beta, alpha = f
+            b, a = B.src[beta], A.src[alpha]
+            s_left, s_right = source.left[(beta, a)], source.right[(b, alpha)]
+            t_left, t_right = target.left[(beta, a)], target.right[(b, alpha)]
+            at_src, at_tgt = comps[(b, A.tgt[alpha])], comps[(B.tgt[beta], a)]
+            for x in source.sets[(B.tgt[beta], a)]:
+                if at_src[s_right[s_left[x]]] != t_right[t_left[at_tgt[x]]]:
+                    rep.violations.append(Violation("naturality", (f, x)))
+        return rep
     c = source.base
     for f in c.morphisms:
         a, b = c.src[f], c.tgt[f]
         for x in source.sets[b]:
-            if n.components[a][source.act(f, x)] != target.act(f, n.components[b][x]):
+            if comps[a][source.act(f, x)] != target.act(f, comps[b][x]):
                 rep.violations.append(Violation("naturality", (f, x)))
     return rep
 
@@ -735,8 +746,9 @@ def product_category(c: FinCategory, d: FinCategory) -> FinCategory:
     The rows of each factor's composites are built here, so a factor missing
     a composite raises MalformedTable at once; the composition table itself
     is built from them on first read, at most once.  ``_validate_nat`` reads
-    only morphisms and endpoints, so a 2-cell's naturality check never
-    builds it.
+    only the morphism list and takes each module's action along (beta, alpha)
+    from the module's own tables, so a 2-cell's naturality check builds
+    neither this table nor a presheaf on the product.
     """
     ids = {f: {g: (f, g) for g in d.morphisms} for f in c.morphisms}
     objects = [(a, b) for a in c.objects for b in d.objects]
@@ -756,19 +768,6 @@ def product_category(c: FinCategory, d: FinCategory) -> FinCategory:
                     for g1, k in d_row:
                         yield (m2, row1[g1]), row_h[k]
     return _LazyCategory(f"{c.name}x{d.name}", objects, morphisms, identity, composites)
-
-
-def as_presheaf(f: Profunctor, base: FinCategory) -> Presheaf:
-    """View a module as a presheaf on base, the product target x source^op."""
-    sets = {(b, a): f.cell(b, a) for (b, a) in base.objects}
-    actions = {}
-    for (beta, alpha) in base.morphisms:
-        # base morphism (b,a) -> (b',a') carries beta: b -> b' and alpha: a' -> a
-        a = f.source.src[alpha]
-        left = f.left[(beta, a)]
-        right = f.right[(f.target.src[beta], alpha)]
-        actions[(beta, alpha)] = {x: right[left[x]] for x in f.sets[(f.target.tgt[beta], a)]}
-    return Presheaf(f"cells({f.name})", base, sets, actions)
 
 
 def unit_category() -> FinCategory:

@@ -16,9 +16,10 @@ ValidationFailed with the report of the first unlawful one.
 A 2-cell is a plain ``NatTrans`` keyed by cells (b, a), so ``at((b, a), x)``,
 ``frozen``, ``invert``, ``bijection_failure``, ``nat_identity`` and
 ``nat_compose`` serve it as they serve presheaf families; ``validate(cell)``
-checks its naturality on the product view target x source^op that
-``core._validate_nat`` builds for that call, and runs on the lift counit and
-the adjunction unit, not natural by construction, when they are built.  Every
+checks its naturality along each morphism (beta, alpha) of target x
+source^op, reading both modules' actions off their left and right tables
+with no presheaf view, and runs on the lift counit and the adjunction unit,
+not natural by construction, when they are built.  Every
 canonical 2-cell (counits, units, comparisons) is built by
 ``_cellwise`` from its value on one element of one source cell.  The triangle
 identities of an adjunction are read on elements through the unit, the counit

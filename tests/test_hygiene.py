@@ -305,11 +305,12 @@ def test_no_none_default_stands_for_a_computed_value():
 
 
 # The functions that build a product category, each with its reason.  Each
-# reads a module f: A -|-> B as a presheaf on B x A^op; naturality
+# walks the morphisms of B x A^op for a module f: A -|-> B; naturality
 # checked per variable (ROADMAP item 4) will empty the list.
 PRODUCT_VIEWS = {
     "core._validate_nat": (
-        "checks the naturality of a 2-cell on the product view of its modules; "
+        "checks the naturality of a 2-cell along each morphism of the product base, "
+        "reading the modules' actions off their tables with no presheaf view; "
         "the only product builds of an adjoint pass, for each found counit and unit"),
 }
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fincat import core, corpus, profunctor
-from fincat.core import (FinCategory, NatTrans, Presheaf, Profunctor, _freeze, as_presheaf,
-                         nat_compose, nat_identity, product_category, quotient, same_category,
+from fincat.core import (FinCategory, NatTrans, Presheaf, Profunctor, _freeze, nat_compose,
+                         nat_identity, product_category, quotient, same_category,
                          unit_category, validate)
 from fincat.corpus import (Disc2, I, M, Par, QM, Span, Two, Z2, Z3, PRESHEAVES,
                            delta0, example82)
@@ -24,6 +24,22 @@ from util import (SMALL_CATEGORIES, compose_modules_oracle, random_concrete_cate
 # ---------------------------------------------------------------------------
 # modules read as presheaves on their product view target x source^op, and
 # functors as modules
+
+
+def as_presheaf(f, base):
+    """View a module as a presheaf on base, the product target x source^op:
+    (beta, alpha) acts as the right action of alpha after the left action of
+    beta.  ``validate`` on a 2-cell reads the same action off the module's
+    tables; this view is its oracle."""
+    sets = {(b, a): f.cell(b, a) for (b, a) in base.objects}
+    actions = {}
+    for (beta, alpha) in base.morphisms:
+        # base morphism (b,a) -> (b',a') carries beta: b -> b' and alpha: a' -> a
+        a = f.source.src[alpha]
+        left = f.left[(beta, a)]
+        right = f.right[(f.target.src[beta], alpha)]
+        actions[(beta, alpha)] = {x: right[left[x]] for x in f.sets[(f.target.tgt[beta], a)]}
+    return Presheaf(f"cells({f.name})", base, sets, actions)
 
 
 def _views(f, g):
@@ -522,27 +538,35 @@ def test_bijection_failure_matches_the_oracle_on_random_cells(source, target, se
     _failures(two_cells(f, g) + two_cells(g, f) + two_cells(f, f))
 
 
-def test_a_two_cell_on_one_module_views_it_as_a_presheaf_once(monkeypatch):
+def _count_presheaves(monkeypatch):
+    """Patch both ways of constructing a Presheaf, ``__init__`` and
+    ``_checked``, to record the name of each; returns the list of names."""
+    names = []
+    init, checked = Presheaf.__init__, Presheaf._checked
+    monkeypatch.setattr(Presheaf, "__init__",
+                        lambda p, name, *rest: names.append(name) or init(p, name, *rest))
+    monkeypatch.setattr(Presheaf, "_checked", classmethod(
+        lambda cls, name, *rest: names.append(name) or checked(name, *rest)))
+    return names
+
+
+def test_a_two_cell_builds_no_presheaf_view(monkeypatch):
     """A 2-cell holds only its components: building one by ``_cellwise``,
-    chaining or ``invert`` builds no product category and no presheaf view.
-    ``validate`` builds one product base per call and views a module used on
-    both sides once (it was the constructor that did so, for every 2-cell)."""
-    viewed, products = [], []
-    view, product = core.as_presheaf, core.product_category
-    monkeypatch.setattr(core, "as_presheaf",
-                        lambda f, base: viewed.append(f) or view(f, base))
+    chaining or ``invert`` builds no product category and no presheaf.
+    ``validate`` builds one product base per call, walks its morphisms, and
+    reads each module's action along them off the module's tables, so it
+    constructs no Presheaf either, not even for a module on both sides."""
+    composite = compose_modules(example82, id_module(example82.source))
+    products, product = [], core.product_category
     monkeypatch.setattr(core, "product_category",
                         lambda a, b: products.append((a.name, b.name)) or product(a, b))
+    presheaves = _count_presheaves(monkeypatch)
     cell = identity_two_cell(example82)
-    composite = compose_modules(example82, id_module(example82.source))
     rho = right_unitor(example82, composite)
     chain = then(then(rho.invert(), rho), cell)
-    assert (viewed, products) == ([], [])
-    assert validate(cell).ok and viewed == [example82]
-    viewed.clear()
-    assert validate(rho).ok and viewed == [composite, example82]
-    assert products == [("Span", "Z2^op")] * 2
-    assert validate(chain).ok
+    assert (products, presheaves) == ([], [])
+    assert validate(cell).ok and validate(rho).ok and validate(chain).ok
+    assert (products, presheaves) == ([("Span", "Z2^op")] * 3, [])
     assert chain.frozen() == rho.frozen()
 
 
@@ -1025,20 +1049,25 @@ def test_adjoint_product_categories_are_pinned(monkeypatch):
     each module once; the patched ``profunctor.validate`` counts only those
     module validations, as the naturality checks go through
     ``core._require_valid``, and the patched ``core.product_category`` the
-    product views that ``core._validate_nat`` builds for them.  Over the 68
+    product bases that ``core._validate_nat`` builds for them.  Over the 68
     weights that is 84 products for the 42 adjunctions, one GSet x GSet^op
     per absolute GSet weight, for its counit (572 while every 2-cell built
     its own base, 750 before lifts built their counit on first read);
     zero.GSet, whose comparison fails, builds none (one, I x I^op, while
-    2-cells built bases).  Naturality reads a product's morphisms and
-    endpoints only, so none of the 84 builds its composition table."""
+    2-cells built bases).  Naturality reads a product's morphisms only, so
+    none of the 84 builds its composition table, and reads each module's
+    action off its tables, so the 68 calls construct 363 presheaves (531
+    while ``_validate_nat`` built two product views per call, 168 in all)."""
     products, validated = [], []
     product, check = core.product_category, profunctor.validate
     monkeypatch.setattr(core, "product_category", lambda a, b: (
         products.append((a.name, b.name, product(a, b))) or products[-1][2]))
     monkeypatch.setattr(profunctor, "validate", lambda m: validated.append(m) or check(m))
-    found = sum(has_right_adjoint(module_of_weight(phi)).found for phi in PRESHEAVES.values())
+    modules = [module_of_weight(phi) for phi in PRESHEAVES.values()]
+    presheaves = _count_presheaves(monkeypatch)
+    found = sum(has_right_adjoint(f).found for f in modules)
     assert (len(products), len(validated), found) == (84, 68, 42)
+    assert len(presheaves) == 363
     assert [(a, b) for a, b, _ in products].count(("GSet", "GSet^op")) == 4
     assert [p.name for _, _, p in products if "compose_table" in vars(p)] == []
     products.clear()
@@ -1265,7 +1294,9 @@ def test_triangles_on_elements_match_the_chains_on_corrupted_units_and_counits(m
 def _canonical_two_cells():
     """Identity, unitors, associator and whiskers on the coherence modules,
     the counit of a right lift, and the comparison, unit and counit of
-    has_right_adjoint on every corpus weight outside GSet and FinSet12."""
+    has_right_adjoint on every corpus weight, GSet and FinSet12 included:
+    their GSet x GSet^op and FinSet12 x FinSet12^op checks are the largest
+    that validate runs on a 2-cell."""
     for f in _coherence_modules():
         one_b, one_a = id_module(f.target), id_module(f.source)
         c_bf, c_fa = compose_modules(one_b, f), compose_modules(f, one_a)
@@ -1279,8 +1310,6 @@ def _canonical_two_cells():
             yield whisker_right(sigma, one_a, c_fa, c_fa)
     yield right_lift(example82, example82).counit
     for phi in PRESHEAVES.values():
-        if phi.base.name in ("GSet", "FinSet12"):
-            continue
         res = has_right_adjoint(module_of_weight(phi))
         yield res.comparison
         if res.found:
@@ -1301,7 +1330,7 @@ def test_canonical_two_cells_are_natural():
         assert report == validate(view), cell.name
         assert cell.frozen() == view.frozen(), cell.name
         count += 1
-    assert count == 156
+    assert count == 179
 
 
 def _single_value_corruptions(cell):
@@ -1315,22 +1344,67 @@ def _single_value_corruptions(cell):
                     yield NatTrans(cell.source, cell.target, comps, name=cell.name)
 
 
+def _random_families(rng, f, g, count):
+    """count random families f => g, each component a random map between
+    the cells; none if a nonempty cell of f meets an empty one of g."""
+    try:
+        for i in range(count):
+            yield NatTrans(f, g, {c: _random_map(rng, xs, g.sets[c]) for c, xs in f.sets.items()},
+                           name=f"r{i}")
+    except IndexError:
+        return
+
+
+def _assert_reports_match_the_product_view(cells):
+    """validate on each 2-cell gives the report of its product view: the
+    same kind, name and violations, in order; returns the reports."""
+    reports = []
+    for cell in cells:
+        reports.append(validate(cell))
+        assert reports[-1] == validate(_product_view(cell)), cell.name
+    return reports
+
+
 def test_validate_reports_a_corrupted_two_cell_as_its_product_view():
     """Every single-value corruption of the unit and the counit of each
     adjunction found outside GSet gets from ``validate`` the report of its
     product view: the same kind, name and violations, in order.  112 of the
     123 are unnatural; the other 11 stay natural."""
-    reports = []
+    corrupted = []
     for phi in PRESHEAVES.values():
         if phi.base.name == "GSet":
             continue
         res = has_right_adjoint(module_of_weight(phi))
         for cell in (res.unit, res.counit) if res.found else ():
-            for bad in _single_value_corruptions(cell):
-                reports.append(validate(bad))
-                assert reports[-1] == validate(_product_view(bad)), bad.name
+            corrupted.extend(_single_value_corruptions(cell))
+    reports = _assert_reports_match_the_product_view(corrupted)
     assert (len(reports), sum(r.ok for r in reports)) == (123, 11)
     assert {v.law for r in reports for v in r.violations} == {"naturality"}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(SMALL_CATEGORIES[:6]), st.sampled_from(SMALL_CATEGORIES[:6]),
+       st.integers(0, 10 ** 6))
+def test_validate_matches_the_product_view_on_random_families(source, target, seed):
+    """Random families f => f and f => g between random lawful modules,
+    natural or not, get the report of their product view."""
+    rng = random.Random(seed)
+    f, g = (random_profunctor(rng, source, target, name) for name in "fg")
+    _assert_reports_match_the_product_view(
+        [*_random_families(rng, f, f, 4), *_random_families(rng, f, g, 4)])
+
+
+def test_validate_matches_the_product_view_on_unlawful_modules():
+    """On modules whose actions break the laws, an identity of the base
+    need not act as the identity and the two ways round a square of actions
+    need not agree, so the action of (beta, alpha) must be read exactly as
+    the product view reads it: the right action of alpha after the left
+    action of beta.  Every random family on 300 such modules gets the
+    report of its product view."""
+    rng = random.Random(1)
+    reports = _assert_reports_match_the_product_view(
+        cell for f in _unlawful_modules(300) for cell in _random_families(rng, f, f, 4))
+    assert (len(reports), sum(not r.ok for r in reports)) == (1200, 754)
 
 
 def test_a_two_cell_across_endpoint_categories_is_a_base_mismatch():
