@@ -236,9 +236,9 @@ class MoritaResult:
         return self.equivalent
 
 
-def morita_equivalent(a: FinCategory, b: FinCategory, budget=None) -> MoritaResult:
+def morita_equivalent(a: FinCategory, b: FinCategory) -> MoritaResult:
     qa, qb = cauchy_completion(a), cauchy_completion(b)
-    witness = find_equivalence(qa.completion, qb.completion, budget)
+    witness = find_equivalence(qa.completion, qb.completion)
     return MoritaResult(witness is not None, witness, qa, qb)
 
 

@@ -163,17 +163,16 @@ class CocompletenessResult:
         return self.cocomplete
 
 
-def _instances(cat: FinCategory, weight_class: WeightClass, budget):
+def _instances(cat: FinCategory, weight_class: WeightClass):
     """Lazily, (phi, s, colimit_in_category(phi, s)) for each weight phi of the
     class and each diagram s of its shape in cat, in ``all_functors`` order."""
     for phi in weight_class.weights:
-        for s in all_functors(phi.base, cat, budget=budget):
+        for s in all_functors(phi.base, cat):
             yield phi, s, colimit_in_category(phi, s)
 
 
-def is_phi_cocomplete(cat: FinCategory, weight_class: WeightClass,
-                      budget=None) -> CocompletenessResult:
-    for phi, s, colim in _instances(cat, weight_class, budget):
+def is_phi_cocomplete(cat: FinCategory, weight_class: WeightClass) -> CocompletenessResult:
+    for phi, s, colim in _instances(cat, weight_class):
         if colim is None:
             witness = (phi.name, tuple((k, s.obj(k)) for k in phi.base.objects))
             return CocompletenessResult(False, witness)
@@ -192,9 +191,9 @@ def _hom_preserves_colimit(cat, a, phi, s, colim) -> bool:
     return all(_bijectivity(vals, set(cat.hom(a, colim.apex)), "induced map left Hom(a, apex)"))
 
 
-def atoms(cat: FinCategory, weight_class: WeightClass, budget=None) -> tuple:
+def atoms(cat: FinCategory, weight_class: WeightClass) -> tuple:
     """Objects whose covariant hom preserves every existing colimit instance."""
-    return _atoms(cat, _instances(cat, weight_class, budget))
+    return _atoms(cat, _instances(cat, weight_class))
 
 
 def _atoms(cat, instances) -> tuple:
@@ -295,11 +294,10 @@ def _sends_colimit_to_limit(psi, phi, s, colim) -> bool:
     return all(_bijectivity(images, families, "cocone image under psi is not a natural family"))
 
 
-def is_phi_continuous(psi: Presheaf, weight_class: WeightClass,
-                      budget=None) -> bool:
+def is_phi_continuous(psi: Presheaf, weight_class: WeightClass) -> bool:
     """Does psi send every existing weighted colimit of its base to a limit of
     sets?  Instances whose colimit does not exist in the base are skipped."""
-    for phi, s, colim in _instances(psi.base, weight_class, budget):
+    for phi, s, colim in _instances(psi.base, weight_class):
         if colim is not None and not _sends_colimit_to_limit(psi, phi, s, colim):
             return False
     return True
@@ -324,7 +322,7 @@ class RecognitionReport:
 
 
 def recognize_free_cocompletion(g: FinFunctor, weight_class: WeightClass,
-                                caps: Caps = Caps(), budget=None) -> RecognitionReport:
+                                caps: Caps = Caps()) -> RecognitionReport:
     """Is g the inclusion of the atoms of a free cocompletion, at this bound?
 
     Checks four conditions: g fully faithful; its target has all the class's
@@ -334,7 +332,7 @@ def recognize_free_cocompletion(g: FinFunctor, weight_class: WeightClass,
     """
     b_cat = g.target
     ff = is_fully_faithful(g)
-    instances = list(_instances(b_cat, weight_class, budget))
+    instances = list(_instances(b_cat, weight_class))
     cocomplete = all(colim is not None for _, _, colim in instances)
     reached = []
     for a in g.source.objects:

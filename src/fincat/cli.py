@@ -244,8 +244,7 @@ def _cmd_duality(ws, args, opts):
 
 def _cmd_morita(ws, args, opts):
     aname, bname = _args(args, 2, "morita CATEGORY CATEGORY")
-    res = fincat.cauchy.morita_equivalent(ws.category(aname), ws.category(bname),
-                                          budget=opts.budget)
+    res = fincat.cauchy.morita_equivalent(ws.category(aname), ws.category(bname))
     lines = [f"morita equivalent: {_b(res.equivalent)}"]
     payload = {"equivalent": res.equivalent}
     if res.equivalent:
@@ -289,7 +288,7 @@ def _cmd_saturation(ws, args, opts):
 def _cmd_cocomplete(ws, args, opts):
     cname, wname = _args(args, 2, "cocomplete CATEGORY CLASS")
     res = fincat.classes.is_phi_cocomplete(
-        ws.category(cname), ws.weight_class(wname), budget=opts.budget)
+        ws.category(cname), ws.weight_class(wname))
     lines = [_b(res.cocomplete)]
     if res.witness is not None:
         weight, objs = res.witness
@@ -302,8 +301,7 @@ def _cmd_cocomplete(ws, args, opts):
 
 def _cmd_atoms(ws, args, opts):
     cname, wname = _args(args, 2, "atoms CATEGORY CLASS")
-    got = fincat.classes.atoms(ws.category(cname), ws.weight_class(wname),
-                               budget=opts.budget)
+    got = fincat.classes.atoms(ws.category(cname), ws.weight_class(wname))
     return ([" ".join(str(a) for a in got) if got else "(none)"],
             {"atoms": [str(a) for a in got]}, 0)
 
@@ -337,16 +335,14 @@ def _cmd_flat(ws, args, opts):
 def _cmd_continuous(ws, args, opts):
     pname, wname = _args(args, 2, "continuous PRESHEAF CLASS")
     psi = ws.presheaf(pname)
-    value = fincat.classes.is_phi_continuous(psi, ws.weight_class(wname),
-                                             budget=opts.budget)
+    value = fincat.classes.is_phi_continuous(psi, ws.weight_class(wname))
     return [_b(value)], {"continuous": value}, 0
 
 
 def _cmd_recognize(ws, args, opts):
     fname, wname = _args(args, 2, "recognize FUNCTOR CLASS")
     rep = fincat.classes.recognize_free_cocompletion(
-        ws.functor(fname), ws.weight_class(wname), caps=opts.caps,
-        budget=opts.budget)
+        ws.functor(fname), ws.weight_class(wname), caps=opts.caps)
     lines = [f"fully faithful: {_b(rep.fully_faithful)}",
              f"cocomplete: {_b(rep.cocomplete)}",
              f"closure reaches all: {_b(rep.closure_reaches_all)}",
@@ -433,6 +429,10 @@ def main(argv=None):
     ns = parser.parse_args(argv)
     opts = Options(caps=Caps(rounds=ns.cap_rounds, members=ns.cap_members),
                    budget=ns.budget, seed=ns.seed)
+    # --budget caps each search of one command, or is absolute-sample's cap
+    default = fincat.core.DEFAULT_BUDGET
+    if ns.budget is not None and ns.command != "absolute-sample":
+        fincat.core.DEFAULT_BUDGET = ns.budget
     try:
         load = _unvalidated if ns.command == "validate" else load_workspace
         ws = load(ns.workspace or default_fixture_paths())
@@ -443,6 +443,8 @@ def main(argv=None):
                 print(f"error: {err}", file=sys.stderr)
                 return code
         raise
+    finally:
+        fincat.core.DEFAULT_BUDGET = default
     if ns.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

@@ -17,8 +17,9 @@ Conventions, fixed once and relied on by every other module:
   target x source order), of the images in element order.  ``_freeze`` builds it from
   a function of (key, element); ``_entry`` reads one image of a presheaf family back.
 
-Every backtracking search counts nodes on a ``Meter``; natural families, cones,
-wedges and presheaf isomorphisms share one solver, ``_families``.
+Every backtracking search counts nodes on a ``Meter``, against one budget,
+``DEFAULT_BUDGET``; natural families, cones, wedges and presheaf isomorphisms
+share one solver, ``_families``.
 """
 from __future__ import annotations
 
@@ -27,10 +28,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import BudgetExceeded, InternalMismatch, MalformedTable
-
-
-def _dedup_ok(seq):
-    return len(seq) == len(set(seq))
 
 
 class FinCategory:
@@ -50,11 +47,11 @@ class FinCategory:
     def __init__(self, name, objects, morphisms, identity, compose):
         self.name = name
         self.objects = tuple(objects)
-        if not _dedup_ok(self.objects):
+        if len(set(self.objects)) != len(self.objects):
             raise MalformedTable(f"{name}: duplicate object ids")
         self.obj_index = {a: i for i, a in enumerate(self.objects)}
         self.morphisms = tuple(m for m, _, _ in morphisms)
-        if not _dedup_ok(self.morphisms):
+        if len(set(self.morphisms)) != len(self.morphisms):
             raise MalformedTable(f"{name}: duplicate morphism ids")
         self.mor_index = {m: i for i, m in enumerate(self.morphisms)}
         self.src = {}
@@ -230,9 +227,6 @@ class Presheaf:
         p.name, p.base, p.sets, p.actions = name, base, sets, actions
         p._profiles = {}
         return p
-
-    def at(self, a):
-        return self.sets[a]
 
     def act(self, f, x):
         return self.actions[f][x]
@@ -583,16 +577,26 @@ def _validate_functor(fn: FinFunctor) -> ValidationReport:
     return rep
 
 
+def _typed(c: FinCategory):
+    """The identities {a: i} with i: a -> a and the composites (g, f, h) of
+    composable pairs with h: src f -> tgt g; the laws of an action are read
+    only along these, and the category's own report names the rest."""
+    s, t = c.src, c.tgt
+    return ({a: c.id_of(a) for a in c.objects if s[c.id_of(a)] == a == t[c.id_of(a)]},
+            [(g, f, h) for (g, f), h in c.compose_table.items()
+             if t[f] == s[g] and s[h] == s[f] and t[h] == t[g]])
+
+
 def _validate_presheaf(p: Presheaf) -> ValidationReport:
     rep = ValidationReport("presheaf", p.name)
     c = p.base
-    for a in c.objects:
-        i = c.id_of(a)
+    identities, composites = _typed(c)
+    for a, i in identities.items():
         for x in p.sets[a]:
             if p.act(i, x) != x:
                 rep.violations.append(Violation("identity-action", (a, x)))
     # contravariance: act(g . f) = act(f) . act(g)
-    for (g, f), h in c.compose_table.items():
+    for g, f, h in composites:
         for x in p.sets[c.tgt[g]]:
             if p.act(h, x) != p.act(f, p.act(g, x)):
                 rep.violations.append(Violation("composition-action", (g, f, x)))
@@ -653,20 +657,20 @@ def _validate_functor_transform(t: FunctorTransform) -> ValidationReport:
 def _validate_profunctor(p: Profunctor) -> ValidationReport:
     rep = ValidationReport("profunctor", p.name)
     A, B = p.source, p.target
+    (ids_b, composites_b), (ids_a, composites_a) = _typed(B), _typed(A)
     for b in B.objects:
         for a in A.objects:
-            ib, ia = B.id_of(b), A.id_of(a)
             for x in p.cell(b, a):
-                if p.left_act(ib, a, x) != x:
+                if b in ids_b and p.left_act(ids_b[b], a, x) != x:
                     rep.violations.append(Violation("left-identity", (b, a, x)))
-                if p.right_act(b, ia, x) != x:
+                if a in ids_a and p.right_act(b, ids_a[a], x) != x:
                     rep.violations.append(Violation("right-identity", (b, a, x)))
-    for (g, f), h in B.compose_table.items():
+    for g, f, h in composites_b:
         for a in A.objects:
             for x in p.cell(B.tgt[g], a):
                 if p.left_act(h, a, x) != p.left_act(f, a, p.left_act(g, a, x)):
                     rep.violations.append(Violation("left-composition", (g, f, a, x)))
-    for (g, f), h in A.compose_table.items():
+    for g, f, h in composites_a:
         for b in B.objects:
             for x in p.cell(b, A.src[f]):
                 if p.right_act(b, h, x) != p.right_act(b, g, p.right_act(b, f, x)):
@@ -842,12 +846,11 @@ DEFAULT_BUDGET = 10 ** 6
 
 
 class Meter:
-    """Node count of one backtracking search.  It may visit ``budget`` nodes
-    (None: DEFAULT_BUDGET); the next raises BudgetExceeded naming ``search``."""
+    """Node count of the search named ``search``.  It may visit DEFAULT_BUDGET
+    nodes, as read when it is built; the next raises BudgetExceeded."""
 
-    def __init__(self, budget, search):
-        self.budget = DEFAULT_BUDGET if budget is None else budget
-        self.left = self.budget
+    def __init__(self, search):
+        self.budget = self.left = DEFAULT_BUDGET
         self.search = search
 
     def tick(self, nodes=1):
@@ -856,7 +859,7 @@ class Meter:
             raise BudgetExceeded(self.budget, self.search)
 
 
-def _families(domains, equations, budget, search, distinct=None, first=False):
+def _families(domains, equations, search, distinct=None, first=False):
     """Every v with v[i] in domains[i] and v[q] == table[v[p]] for each
     equation (p, q, table), in lexicographic order; with ``first``, only the
     first (a list of at most one).  Slots with equal ``distinct`` labels take
@@ -868,7 +871,7 @@ def _families(domains, equations, budget, search, distinct=None, first=False):
     count the whole domain as nodes when they open a slot; a ``first`` search
     counts one node per value it tries, and a value held by another slot of
     the same label is skipped, not tried."""
-    meter = Meter(budget, search)
+    meter = Meter(search)
     checks = [[] for _ in domains]
     for p, q, table in equations:
         checks[max(p, q)].append((p, q, table))
@@ -954,10 +957,7 @@ def is_filtered(c: FinCategory) -> bool:
         for b in c.objects:
             if not any(c.hom(a, z) and c.hom(b, z) for z in c.objects):
                 return False
-    for a in c.objects:
-        for b in c.objects:
-            parallel = c.hom(a, b)
-            for f, g in itertools.combinations(parallel, 2):
+            for f, g in itertools.combinations(c.hom(a, b), 2):
                 if not any(c.compose(h, f) == c.compose(h, g)
                            for z in c.objects for h in c.hom(b, z)):
                     return False

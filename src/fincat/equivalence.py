@@ -120,7 +120,7 @@ def _depth_first(depth, level, meter):
             stack.pop()
 
 
-def find_isomorphism(a: FinCategory, b: FinCategory, budget=None):
+def find_isomorphism(a: FinCategory, b: FinCategory):
     """Isomorphism of categories a -> b as a FinFunctor, or None.
 
     The first injective functor a -> b whose object map is a bijection
@@ -129,7 +129,7 @@ def find_isomorphism(a: FinCategory, b: FinCategory, budget=None):
     """
     if len(a.objects) != len(b.objects) or len(a.morphisms) != len(b.morphisms):
         return None
-    meter = Meter(budget, "category isomorphism")
+    meter = Meter("category isomorphism")
     prof_a, prof_b = _object_profile(a), _object_profile(b)
     if sorted(prof_a.values()) != sorted(prof_b.values()):
         return None
@@ -163,14 +163,14 @@ class Equivalence:
     counit: FunctorTransform    # forward . backward -> id_B, invertible
 
 
-def find_equivalence(a: FinCategory, b: FinCategory, budget=None):
+def find_equivalence(a: FinCategory, b: FinCategory):
     """An equivalence a ~ b with invertible unit and counit, or None.
 
     Equivalent iff the skeletons are isomorphic; the witness functors are
     inclusion . iso . retraction in both directions.
     """
     sa, sb = skeleton(a), skeleton(b)
-    j = find_isomorphism(sa.category, sb.category, budget)
+    j = find_isomorphism(sa.category, sb.category)
     if j is None:
         return None
     j_inv = FinFunctor(j.name + "^-1", sb.category, sa.category,
@@ -192,7 +192,7 @@ def find_equivalence(a: FinCategory, b: FinCategory, budget=None):
     return Equivalence(forward, backward, unit, counit)
 
 
-def presheaf_isomorphic(p: Presheaf, q: Presheaf, budget=None):
+def presheaf_isomorphic(p: Presheaf, q: Presheaf):
     """Natural bijection p -> q as a dict object -> elementwise map, or None.
 
     The first solution of ``core._families`` with one slot per element x of
@@ -219,7 +219,7 @@ def presheaf_isomorphic(p: Presheaf, q: Presheaf, budget=None):
             objects.append(a)
     equations = [(slot[(c.tgt[f], x)], slot[(c.src[f], y)], q.actions[f])
                  for f in c.morphisms for x, y in p.actions[f].items()]
-    found = _families(domains, equations, budget, "presheaf isomorphism",
+    found = _families(domains, equations, "presheaf isomorphism",
                       distinct=objects, first=True)
     if not found:
         return None
@@ -281,7 +281,7 @@ def _functors(source, target, object_maps, meter, injective=False):
             yield dict(omap), dict(image)
 
 
-def all_functors(source: FinCategory, target: FinCategory, cap=None, budget=None):
+def all_functors(source: FinCategory, target: FinCategory, cap=None):
     """Every functor source -> target, in deterministic order; first cap if given.
 
     Object maps run lexicographically, and ``_functors`` assigns the
@@ -290,6 +290,6 @@ def all_functors(source: FinCategory, target: FinCategory, cap=None, budget=None
     object_maps = (dict(zip(source.objects, combo)) for combo in
                    itertools.product(target.objects, repeat=len(source.objects)))
     found = _functors(source, target, object_maps,
-                      Meter(budget, "functor enumeration"))
+                      Meter("functor enumeration"))
     return [FinFunctor(f"F{i}", source, target, obj_map, mor_map)
             for i, (obj_map, mor_map) in enumerate(itertools.islice(found, cap))]

@@ -20,10 +20,10 @@ class ValidationFailed(FincatError):
 class BudgetExceeded(FincatError):
     """A backtracking search ran past its node budget."""
 
-    def __init__(self, budget, context=""):
-        self.budget = budget
+    def __init__(self, nodes, context=""):
+        self.budget = nodes
         self.context = context
-        super().__init__(f"search budget {budget} exceeded" + (f" in {context}" if context else ""))
+        super().__init__(f"search budget {nodes} exceeded" + (f" in {context}" if context else ""))
 
 
 class CapExceeded(FincatError):

@@ -1,4 +1,4 @@
-"""Limits and colimits in finite sets: conical, weighted, ends, coends.
+"""Limits and colimits in finite sets: conical, weighted, coends.
 
 A covariant diagram on C is passed as a Presheaf on C.op(); in presheaf terms both
 conical constructions read uniformly:
@@ -22,12 +22,12 @@ The elements route of a weighted colimit reads el(phi)'s objects, morphisms
 and endpoints only, so it never builds el(phi)'s composition table, and the
 diagram it pulls back along the projection shares the diagram's tables.
 
-``finset_limit``, ``end`` and ``nat_trans_set`` enumerate natural families with
-one solver, ``core._families``, which also finds the first presheaf isomorphism
+``finset_limit`` and ``nat_trans_set`` enumerate natural families with one
+solver, ``core._families``, which also finds the first presheaf isomorphism
 for ``equivalence.presheaf_isomorphic``.  Like every backtracking search in the
-library, it counts nodes against one budget, ``core.DEFAULT_BUDGET`` = 10^6
-unless a caller passes one; a search for a first solution counts only the
-values it tries.
+library, it counts nodes against one budget, ``core.DEFAULT_BUDGET`` = 10^6,
+which ``--budget`` sets for one command; a search for a first solution counts
+only the values it tries.
 """
 from __future__ import annotations
 
@@ -59,7 +59,7 @@ def finset_limit(diagram: Presheaf) -> LimitResult:
     equations = [(idx[base.tgt[f]], idx[base.src[f]], diagram.actions[f])
                  for f in base.morphisms if not base.is_identity(f)]
     families = _families([diagram.sets[a] for a in base.objects], equations,
-                         None, "finset_limit")
+                         "finset_limit")
     return LimitResult(tuple(families))
 
 
@@ -72,35 +72,7 @@ def finset_colimit(diagram: Presheaf) -> ColimitResult:
 
 
 # ---------------------------------------------------------------------------
-# ends and coends of bifunctors C^op (x) C -> Set, given as Profunctor C -|-> C
-
-
-@dataclass
-class EndResult:
-    families: tuple             # tuples of diagonal picks, base object order
-
-
-def end(h: Profunctor) -> EndResult:
-    """Families x_a in cell (a, a) with right(s, u)(x_s) = left(u, t)(x_t) for
-    every u: s -> t.  Both sides must equal the value of a slot of u's own in
-    cell (s, t), placed right after the later of s and t."""
-    if not same_category(h.source, h.target):
-        raise MalformedTable("end requires a bifunctor over a single category")
-    c = h.source
-    domains, slot, equations = [], {}, []
-    for a in c.objects:
-        slot[a] = len(domains)
-        domains.append(h.cell(a, a))
-        for u in c.morphisms:
-            s, t = c.src[u], c.tgt[u]
-            if a not in (s, t) or s not in slot or t not in slot:
-                continue     # a is not the later endpoint of u
-            equations += [(slot[s], len(domains), h.right[(s, u)]),
-                          (slot[t], len(domains), h.left[(u, t)])]
-            domains.append(h.cell(s, t))
-    families = _families(domains, equations, None, "end")
-    return EndResult(tuple(tuple(fam[slot[a]] for a in c.objects)
-                           for fam in families))
+# coends of bifunctors C^op (x) C -> Set, given as Profunctor C -|-> C
 
 
 def coend(h: Profunctor) -> ColimitResult:
@@ -124,7 +96,7 @@ def coend(h: Profunctor) -> ColimitResult:
 # natural transformation sets (the end formula for presheaf homs)
 
 
-def nat_trans_set(source: Presheaf, target: Presheaf, budget=None):
+def nat_trans_set(source: Presheaf, target: Presheaf):
     """All natural transformations source -> target, in deterministic order.
 
     Backtracks one element image at a time; each naturality equation is
@@ -144,7 +116,7 @@ def nat_trans_set(source: Presheaf, target: Presheaf, budget=None):
                  for x in source.sets[c.tgt[f]]]
     out = []
     for values in _families([target.sets[a] for a, _ in slots], equations,
-                            budget, "nat_trans_set"):
+                            "nat_trans_set"):
         comp = {a: {} for a in c.objects}
         for (a, x), v in zip(slots, values):
             comp[a][x] = v

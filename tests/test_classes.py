@@ -555,13 +555,13 @@ def test_recognize_raises_when_round_cap_cuts_the_closure():
         recognize_free_cocompletion(embedM, SPLIT, Caps(rounds=0))
 
 
-def _recognize_oracle(g, weight_class, caps=Caps(), budget=None):
+def _recognize_oracle(g, weight_class, caps=Caps()):
     """recognize_free_cocompletion as it was before it enumerated the class's
     diagrams once: cocompleteness, each closure round over the full
     subcategory of the reached objects, and the atoms each enumerate them."""
     b_cat = g.target
     ff = equivalence.is_fully_faithful(g)
-    cocomplete = bool(is_phi_cocomplete(b_cat, weight_class, budget=budget))
+    cocomplete = bool(is_phi_cocomplete(b_cat, weight_class))
     reached = []
     for a in g.source.objects:
         if g.obj(a) not in reached:
@@ -573,7 +573,7 @@ def _recognize_oracle(g, weight_class, caps=Caps(), budget=None):
         sub, incl = full_subcategory(b_cat, reached, f"{b_cat.name}{reached}")
         new = []
         for phi in weight_class.weights:
-            for s in all_functors(phi.base, sub, budget=budget):
+            for s in all_functors(phi.base, sub):
                 colim = colimit_in_category(phi, core.compose_functors(incl, s))
                 if colim is None:
                     continue
@@ -588,7 +588,7 @@ def _recognize_oracle(g, weight_class, caps=Caps(), budget=None):
     if unreached and not fixpoint:
         raise CapExceeded(f"object closure still growing after {rounds} rounds "
                           f"with {len(unreached)} objects unreached")
-    atom_set = set(atoms(b_cat, weight_class, budget=budget))
+    atom_set = set(atoms(b_cat, weight_class))
     in_atoms = all(g.obj(a) in atom_set for a in g.source.objects)
     return classes.RecognitionReport(ff, cocomplete, not unreached, in_atoms,
                                      rounds, unreached)

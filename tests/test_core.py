@@ -684,6 +684,18 @@ def test_validate_reports_a_transform_whose_functor_breaks_endpoints():
     assert not validate(squash).ok
 
 
+@pytest.mark.parametrize("components, message", [
+    ({"0": "id0"}, "transform 't': components must cover every object"),
+    ({"0": "id0", "1": "g"}, "transform 't': unknown morphism 'g'"),
+    ({"0": "id0", "1": "f"}, "transform 't': component at '1' has wrong endpoints"),
+])
+def test_functor_transform_rejects_malformed_components(components, message):
+    ident = identity_functor(Two)
+    with pytest.raises(MalformedTable) as err:
+        FunctorTransform(ident, ident, components, name="t")
+    assert str(err.value) == message
+
+
 def test_validate_functor():
     collapse = FinFunctor("collapse", Two, Two, {"0": "0", "1": "0"},
                           {"id0": "id0", "id1": "id0", "f": "id0"})

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fincat import corpus
+from fincat import core, corpus
 from fincat.cauchy import (cauchy_completion, isbell_left, isbell_right,
                            morita_equivalent)
 from fincat.core import (FinCategory, FinFunctor, FunctorTransform, Presheaf,
@@ -43,11 +43,12 @@ def test_all_functors_known_counts():
     assert len(all_functors(Disc2, Z3)) == 1
 
 
-def test_all_functors_cap_and_budget():
+def test_all_functors_cap_and_budget(monkeypatch):
     capped = all_functors(Two, Two, cap=2)
     assert len(capped) == 2
+    monkeypatch.setattr(core, "DEFAULT_BUDGET", 5)
     with pytest.raises(BudgetExceeded):
-        all_functors(corpus.GSet, corpus.GSet, budget=5)
+        all_functors(corpus.GSet, corpus.GSet)
 
 
 def test_find_isomorphism_and_skeleton():
@@ -194,7 +195,9 @@ def _check_against_oracle(p, q):
     want, nodes = presheaf_isomorphic_oracle(p, q)
     got = presheaf_isomorphic(p, q)
     assert got == want and repr(got) == repr(want), (p.name, q.name)
-    assert presheaf_isomorphic(p, q, budget=nodes) == want, (p.name, q.name)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(core, "DEFAULT_BUDGET", nodes)
+        assert presheaf_isomorphic(p, q) == want, (p.name, q.name)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -214,24 +217,30 @@ def test_presheaf_isomorphic_matches_the_oracle_on_corpus_pairs():
         _check_against_oracle(p, q)
 
 
-def test_presheaf_isomorphic_node_count_is_pinned():
+def test_presheaf_isomorphic_node_count_is_pinned(monkeypatch):
     """R(L(phi)) ~ phi for phi = Y.GSet.GG, as `fincat isbell` decides it.  The
     whole-object backtracker visits 411,832 nodes here."""
     phi = PRESHEAVES["Y.GSet.GG"]
     back = isbell_right(isbell_left(phi))
+    monkeypatch.setattr(core, "DEFAULT_BUDGET", 21)
     with pytest.raises(BudgetExceeded, match="presheaf isomorphism"):
-        presheaf_isomorphic(back, phi, budget=21)
-    assert presheaf_isomorphic(back, phi, budget=22) is not None
+        presheaf_isomorphic(back, phi)
+    monkeypatch.setattr(core, "DEFAULT_BUDGET", 22)
+    assert presheaf_isomorphic(back, phi) is not None
 
 
-def test_all_functors_node_count_is_pinned():
+def test_all_functors_node_count_is_pinned(monkeypatch):
+    monkeypatch.setattr(core, "DEFAULT_BUDGET", 444)
     with pytest.raises(BudgetExceeded, match="functor enumeration"):
-        all_functors(N5, Z3, budget=444)
-    assert len(all_functors(N5, Z3, budget=445)) == 81
+        all_functors(N5, Z3)
+    monkeypatch.setattr(core, "DEFAULT_BUDGET", 445)
+    assert len(all_functors(N5, Z3)) == 81
     # Z3 has one object, so the cap is met inside one object assignment
+    monkeypatch.setattr(core, "DEFAULT_BUDGET", 29)
     with pytest.raises(BudgetExceeded, match="functor enumeration"):
-        all_functors(N5, Z3, cap=5, budget=29)
-    assert len(all_functors(N5, Z3, cap=5, budget=30)) == 5
+        all_functors(N5, Z3, cap=5)
+    monkeypatch.setattr(core, "DEFAULT_BUDGET", 30)
+    assert len(all_functors(N5, Z3, cap=5)) == 5
 
 
 def _cyclic_monoid(index):
@@ -245,17 +254,21 @@ def _cyclic_monoid(index):
         "a0")
 
 
-def test_find_isomorphism_node_count_is_pinned():
+def test_find_isomorphism_node_count_is_pinned(monkeypatch):
     # the object bijection and then every morphism of GSet count, as before
+    monkeypatch.setattr(core, "DEFAULT_BUDGET", 30)
     with pytest.raises(BudgetExceeded, match="category isomorphism"):
-        find_isomorphism(corpus.GSet, corpus.GSet, budget=30)
-    assert find_isomorphism(corpus.GSet, corpus.GSet, budget=31) is not None
+        find_isomorphism(corpus.GSet, corpus.GSet)
+    monkeypatch.setattr(core, "DEFAULT_BUDGET", 31)
+    assert find_isomorphism(corpus.GSet, corpus.GSet) is not None
     # the group Z10 against the monoid with a^10 = a^9: one object, equal
     # sizes and profiles, not isomorphic
     z10, tail = _cyclic_monoid(0), _cyclic_monoid(9)
+    monkeypatch.setattr(core, "DEFAULT_BUDGET", 25)
     with pytest.raises(BudgetExceeded, match="category isomorphism"):
-        find_isomorphism(z10, tail, budget=25)
-    assert find_isomorphism(z10, tail, budget=26) is None
+        find_isomorphism(z10, tail)
+    monkeypatch.setattr(core, "DEFAULT_BUDGET", 26)
+    assert find_isomorphism(z10, tail) is None
 
 
 def _two_paths(composite_first):

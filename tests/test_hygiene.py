@@ -5,8 +5,9 @@ None default stands for a value a call computes (one listed exception), no
 NatTrans is built only to be frozen, no class subclasses NatTrans, no table
 of a presheaf or category is changed after construction, and product
 categories are built only by the listed functions that view a module as a
-presheaf, and every public definition has a reader in the library or the
-benchmark or a listed reason to ship without one.  Dead aliases, duplicate
+presheaf, every public definition has a reader in the library or the
+benchmark or a listed reason to ship without one, and no function takes a
+budget parameter, since every search reads the one budget.  Dead aliases, duplicate
 helpers, unused unpacked values and second paths left behind by a refactor
 fail here, and so do a rename of a function the benchmark traces and a
 public generator function, which its tracer cannot time.  Imports
@@ -119,6 +120,65 @@ def test_no_top_level_function_binds_a_parameter_it_never_reads():
             unread += [f"{name}:{fn.lineno} {fn.name}: {p}" for p in params
                        if p not in read and not p.startswith("_")]
     assert unread == []
+
+
+def _budget_parameters(tree):
+    """(name, line) of every function, method or lambda, at any depth, that
+    takes a parameter named budget."""
+    found = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            a = fn.args
+            if "budget" in [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                            + [a.vararg, a.kwarg] if p is not None]:
+                found.add((getattr(fn, "name", "<lambda>"), fn.lineno))
+    return found
+
+
+def _default_budget_uses(tree):
+    """(function, "read" or "write") of each use of DEFAULT_BUDGET, bare or
+    as an attribute, by the top-level function or method it sits in; a use
+    outside any function is listed under "<module>"."""
+    def uses(node):
+        for inner in ast.walk(node):
+            if (getattr(inner, "id", None) == "DEFAULT_BUDGET"
+                    or getattr(inner, "attr", None) == "DEFAULT_BUDGET"):
+                yield "write" if isinstance(inner.ctx, ast.Store) else "read"
+    found = {(qualname, use) for qualname, fn in _functions(tree) for use in uses(fn)}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            node = ast.Module(body=[n for n in node.body
+                                    if not isinstance(n, ast.FunctionDef)], type_ignores=[])
+        elif isinstance(node, ast.FunctionDef):
+            continue
+        found.update(("<module>", use) for use in uses(node))
+    return found
+
+
+def test_every_search_reads_the_one_budget():
+    """No function of src/fincat takes a ``budget`` parameter: every search
+    counts its nodes on a ``core.Meter``, which reads ``core.DEFAULT_BUDGET``
+    when it is built, and only ``cli.main`` sets that, from --budget, for one
+    command.  The samples show each form the two checks catch."""
+    sample = ast.parse("def f(budget=None):\n    pass\n"
+                       "class K:\n    def g(self, *, budget):\n        pass\n"
+                       "    def h(self):\n        return lambda budget: budget\n"
+                       "k = lambda budget: 0\n"
+                       "def ok(nodes, **kw):\n    return kw.get('budget')\n")
+    assert _budget_parameters(sample) == {("f", 1), ("g", 4), ("<lambda>", 7),
+                                          ("<lambda>", 8)}
+    sample = ast.parse("DEFAULT_BUDGET = 1\n"
+                       "def f():\n    return DEFAULT_BUDGET\n"
+                       "class K:\n    def g(self):\n        core.DEFAULT_BUDGET = 2\n")
+    assert _default_budget_uses(sample) == {("<module>", "write"), ("f", "read"),
+                                            ("K.g", "write")}
+    modules = _modules()
+    assert {f"{name}:{line} {fn}" for name, tree in modules.items()
+            for fn, line in _budget_parameters(tree)} == set()
+    uses = {(f"{name[:-3]}.{q}", use) for name, tree in modules.items()
+            for q, use in _default_budget_uses(tree)}
+    assert uses == {("core.<module>", "write"), ("core.Meter.__init__", "read"),
+                    ("cli.main", "read"), ("cli.main", "write")}
 
 
 def test_no_natural_family_is_built_only_to_be_frozen():
@@ -367,13 +427,37 @@ def _unread_public(modules, outside):
             and not any(node.name in names for other, names in reads if other is not node)}
 
 
+def _fincat_reads(tree):
+    """The names a script reads from fincat: each name it imports from
+    fincat or a fincat module, and each attribute it reads on a name bound by
+    such an import.  A local of the same name as a library function is no
+    read of it."""
+    bound, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or "fincat" for alias in node.names
+                         if alias.name.split(".")[0] == "fincat")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fincat":
+            names.update(alias.name for alias in node.names)
+            bound.update(alias.asname or alias.name for alias in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in bound:
+                names.add(node.attr)
+    return names
+
+
 def test_every_public_definition_has_a_reader_or_a_listed_reason():
     """A public function or class of src/fincat is read by library code
-    (the cli's ``fincat.<module>.<name>`` reads included), or by a
-    ``perfbench`` script, or is listed in ``SHIPPED_WITHOUT_READER`` with
-    its reason; a name that only tests read goes into the tests.  The
-    sample shows an unread and a self-calling definition caught, and a read,
-    a private and a benchmarked one passed."""
+    (the cli's ``fincat.<module>.<name>`` reads included), or is read from
+    fincat by a ``perfbench`` script, or is listed in
+    ``SHIPPED_WITHOUT_READER`` with its reason; a name that only tests read
+    goes into the tests.  The samples show an unread and a self-calling
+    definition caught, and a read, a private and a benchmarked one passed,
+    and which names of a script count as reads of fincat."""
     sample = {"m.py": ast.parse("def used():\n    pass\n"
                                 "def unread():\n    return used()\n"
                                 "def selfish():\n    return selfish()\n"
@@ -382,9 +466,15 @@ def test_every_public_definition_has_a_reader_or_a_listed_reason():
                                 "def _private():\n    pass\n"),
               "n.py": ast.parse("x = m.Shown\n")}
     assert _unread_public(sample, {"benched"}) == {"m.unread", "m.selfish"}
-    bench = set().union(*(_referenced(ast.parse(path.read_text()))
+    script = ast.parse("import fincat\nfrom fincat import corpus as c\n"
+                       "from fincat.kan import nerve\nimport json\n"
+                       "def f(end):\n    end = json.loads(end)\n"
+                       "    return fincat.lan(c.CATEGORIES, fincat.cauchy.q_duality)\n")
+    assert _fincat_reads(script) == {"corpus", "nerve", "lan", "CATEGORIES",
+                                     "cauchy", "q_duality"}
+    bench = set().union(*(_fincat_reads(ast.parse(path.read_text()))
                           for path in sorted((ROOT / "perfbench").glob("*.py"))))
-    assert {"retract_oracle", "end"} <= bench
+    assert "retract_oracle" in bench and "end" not in bench
     assert _unread_public(_modules(), bench) == set(SHIPPED_WITHOUT_READER)
 
 

@@ -1,25 +1,58 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fincat import core, corpus, limits
-from fincat.core import (FinCategory, FinFunctor, Presheaf, _freeze, compose_functors,
-                         covariant, validate)
+from fincat.classes import phi_closure_bounded
+from fincat.core import (FinCategory, FinFunctor, Presheaf, Profunctor, _families,
+                         _freeze, compose_functors, covariant, same_category, validate)
 from fincat.corpus import (Chain3, Disc2, Empty, I, M, Par, Span, Two, Z2, Z3,
                            PRESHEAVES, delta0, delta1)
 from fincat.equivalence import all_functors, find_isomorphism, presheaf_isomorphic
 from fincat.errors import BudgetExceeded, InternalMismatch, MalformedTable
 from fincat.kan import yoneda_embed
-from fincat.limits import (ColimitResult, coend, colimit_in_category, end,
+from fincat.limits import (ColimitResult, coend, colimit_in_category,
                            finset_colimit, finset_limit, limit_in_category,
                            nat_trans_set, preserves_weighted_colimit,
                            weighted_colimit, weighted_limit)
-from fincat.profunctor import id_module
+from fincat.profunctor import id_module, right_lift
 from util import (SMALL_CATEGORIES, _coend_by_union_find, cone_oracle,
                   nat_trans_oracle, pairing_profunctor, random_concrete_category,
                   random_nonempty_presheaf, random_presheaf, random_profunctor,
                   wedge_oracle)
+
+
+# The end of a bifunctor, which only these tests read: the library reaches
+# ends through nat_trans_set, the end formula for presheaf homs.
+
+@dataclass
+class EndResult:
+    families: tuple             # tuples of diagonal picks, base object order
+
+
+def end(h: Profunctor) -> EndResult:
+    """Families x_a in cell (a, a) with right(s, u)(x_s) = left(u, t)(x_t) for
+    every u: s -> t.  Both sides must equal the value of a slot of u's own in
+    cell (s, t), placed right after the later of s and t."""
+    if not same_category(h.source, h.target):
+        raise MalformedTable("end requires a bifunctor over a single category")
+    c = h.source
+    domains, slot, equations = [], {}, []
+    for a in c.objects:
+        slot[a] = len(domains)
+        domains.append(h.cell(a, a))
+        for u in c.morphisms:
+            s, t = c.src[u], c.tgt[u]
+            if a not in (s, t) or s not in slot or t not in slot:
+                continue     # a is not the later endpoint of u
+            equations += [(slot[s], len(domains), h.right[(s, u)]),
+                          (slot[t], len(domains), h.left[(u, t)])]
+            domains.append(h.cell(s, t))
+    families = _families(domains, equations, "end")
+    return EndResult(tuple(tuple(fam[slot[a]] for a in c.objects)
+                           for fam in families))
 
 
 def test_finset_limit_oracles():
@@ -78,10 +111,11 @@ def test_nat_trans_set_counts():
     assert len(nat_trans_set(PRESHEAVES["zero.Two"], y0)) == 1
 
 
-def test_nat_trans_set_budget():
+def test_nat_trans_set_budget(monkeypatch):
     big = PRESHEAVES["Y.GSet.GG"]
+    monkeypatch.setattr(core, "DEFAULT_BUDGET", 3)
     with pytest.raises(BudgetExceeded):
-        nat_trans_set(big, big, budget=3)
+        nat_trans_set(big, big)
 
 
 def test_family_searches_match_brute_force_in_order():
@@ -107,11 +141,13 @@ def f3():
                          for s in carriers for t in carriers})
 
 
-def test_nat_trans_set_node_count_is_pinned():
+def test_nat_trans_set_node_count_is_pinned(monkeypatch):
     y3 = yoneda_embed(f3(), "3")
+    monkeypatch.setattr(core, "DEFAULT_BUDGET", 21908)
     with pytest.raises(BudgetExceeded, match="nat_trans_set"):
-        nat_trans_set(y3, y3, budget=21908)
-    assert len(nat_trans_set(y3, y3, budget=21909)) == 27
+        nat_trans_set(y3, y3)
+    monkeypatch.setattr(core, "DEFAULT_BUDGET", 21909)
+    assert len(nat_trans_set(y3, y3)) == 27
 
 
 def test_family_search_is_not_bounded_by_the_recursion_limit():
@@ -130,6 +166,9 @@ def test_every_search_counts_against_the_one_default_budget(monkeypatch):
         ("functor enumeration", lambda: all_functors(corpus.GSet, corpus.GSet)),
         ("presheaf isomorphism", lambda: presheaf_isomorphic(big, big)),
         ("category isomorphism", lambda: find_isomorphism(corpus.GSet, corpus.GSet)),
+        ("functor enumeration",
+         lambda: phi_closure_bounded(corpus.WEIGHT_CLASSES["splitting"], Two)),
+        ("nat_trans_set", lambda: right_lift(id_module(M), id_module(M))),
     ]
     for _, run in searches:
         run()

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fincat import cli, corpus
+from fincat import cli, core, corpus
 from fincat.core import (Caps, FinCategory, FinFunctor, NatTrans, Presheaf,
                          Profunctor, WeightClass, identity_functor, nat_identity,
                          same_category, validate)
@@ -547,10 +547,14 @@ SWEEP = [
 
 
 def _run(argv):
-    """(exit code, stdout, stderr) of one ``fincat`` invocation."""
+    """(exit code, stdout, stderr) of one ``fincat`` invocation, a usage
+    error's SystemExit included."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -695,9 +699,13 @@ def _leaves(node, path=()):
 
 
 def _set(node, path, value):
+    """Set the entry at path to value, or delete it for None."""
     for k in path[:-1]:
         node = node[k]
-    node[path[-1]] = value
+    if value is None:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
 
 
 def _corrupt(rng, section, e):
@@ -772,3 +780,181 @@ def test_validate_reports_a_corrupted_table_entry(tmp_path):
         assert code == (0 if ok else 3), (i, e.name, path, value)
     for section in sections:
         assert outcomes[section, None] and outcomes[section, False], section
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(miscomposed_categories(), st.data())
+def test_validate_reports_on_entities_over_an_unlawful_base(case, data):
+    """The corpus presheaves and modules moved onto a miscomposed copy of
+    their base, which may also have one identity replaced by any morphism:
+    validate returns a report for each, never raises, and the base's own
+    report is the oracle's, identity-endpoints included."""
+    cat, _ = case
+    base = corpus.CATEGORIES[cat.name]
+    identity = dict(cat.identity)
+    if data.draw(st.booleans()):
+        identity[data.draw(st.sampled_from(cat.objects))] = \
+            data.draw(st.sampled_from(cat.morphisms))
+    cat = FinCategory(cat.name, cat.objects,
+                      [(m, cat.src[m], cat.tgt[m]) for m in cat.morphisms],
+                      identity, cat.compose_table)
+    assert [(v.law, v.witness) for v in validate(cat).violations] == \
+        validate_category_oracle(cat)
+    moved = [Presheaf(p.name, cat, p.sets, p.actions)
+             for p in corpus.PRESHEAVES.values() if p.base is base]
+    moved += [Profunctor(h.name, cat if h.source is base else h.source,
+                         cat if h.target is base else h.target, h.sets, h.left, h.right)
+              for h in [*corpus.PROFUNCTORS.values(), id_module(base)]
+              if base in (h.source, h.target)]
+    assert moved
+    for entity in moved:
+        assert validate(entity).name == entity.name
+
+
+def _two_workspace(identity_0="id0", composite_of_id1_f="f", extra=()):
+    """Two, with a presheaf P, a module H: Two -|-> Two whose every cell
+    holds one element, the identity functor F and the weight class W = {P};
+    the arguments change the category's identity at 0, its composite
+    id1 . f and add compose entries."""
+    objs, src, tgt = ["0", "1"], {"id0": "0", "id1": "1", "f": "0"}, \
+        {"id0": "0", "id1": "1", "f": "1"}
+    return {
+        "categories": {"Two": {
+            "objects": objs,
+            "morphisms": [{"id": m, "src": src[m], "tgt": tgt[m]} for m in src],
+            "identities": {"0": identity_0, "1": "id1"},
+            "compose": [["f", "id0", "f"], ["id0", "id0", "id0"],
+                        ["id1", "f", composite_of_id1_f], ["id1", "id1", "id1"],
+                        *extra]}},
+        "presheaves": {"P": {"on": "Two", "sets": {"0": ["a"], "1": ["b"]},
+                             "actions": {"id0": {"a": "a"}, "id1": {"b": "b"},
+                                         "f": {"b": "a"}}}},
+        "functors": {"F": {"source": "Two", "target": "Two",
+                           "objects": {"0": "0", "1": "1"},
+                           "morphisms": {m: m for m in src}}},
+        "profunctors": {"H": {
+            "source": "Two", "target": "Two",
+            "cells": {b: {a: [f"z{b}{a}"] for a in objs} for b in objs},
+            "left": {m: {a: {f"z{tgt[m]}{a}": f"z{src[m]}{a}"} for a in objs}
+                     for m in src},
+            "right": {b: {m: {f"z{b}{src[m]}": f"z{b}{tgt[m]}"} for m in src}
+                      for b in objs}}},
+        "weight_classes": {"W": {"weights": ["P"]}}}
+
+
+@pytest.mark.parametrize("change, violation", [
+    ({"identity_0": "f"}, "identity-endpoints fails at ('0', 'f')"),
+    ({"composite_of_id1_f": "id0"}, "compose-endpoints fails at ('id1', 'f', 'id0')"),
+    ({"extra": [["f", "f", "f"]]}, "compose-defined-noncomposable fails at ('f', 'f')"),
+], ids=["identity", "composite", "noncomposable"])
+def test_validate_on_an_unlawful_category_exits_3_without_a_traceback(
+        tmp_path, change, violation):
+    """The laws of a presheaf or a module are read only along identities
+    a -> a and composites of composable pairs with the right endpoints, so
+    the category's report names what is wrong and nothing raises.  Along
+    those, P and H are lawful, so their own reports are ok."""
+    path = tmp_path / "unlawful.json"
+    path.write_text(json.dumps(_two_workspace(**change)))
+    assert _run(["-w", str(path), "validate"]) == (
+        3, f"INVALID category Two\n  {violation}\nok functor F\nok presheaf P\n"
+           "ok profunctor H\n", "")
+    assert _run(["-w", str(path), "validate", "P", "H"]) == (
+        0, "ok presheaf P\nok profunctor H\n", "")
+    code, out, err = _run(["-w", str(path), "limit", "P"])
+    assert (code, out) == (3, "") and violation in err
+
+
+_TWO = ("categories", "Two")
+
+
+@pytest.mark.parametrize("keys, value, argv, code, message", [
+    (_TWO + ("objects",), ["0", "0", "1"], ["validate"], 3,
+     "error: Two: duplicate object ids"),
+    (_TWO + ("morphisms",), [{"id": "f", "src": "0", "tgt": "1"}] * 2, ["validate"], 3,
+     "error: Two: duplicate morphism ids"),
+    (_TWO + ("morphisms", 2, "src"), "9", ["validate"], 3,
+     "error: Two: morphism 'f' has unknown endpoint"),
+    (_TWO + ("identities", "0"), "zz", ["validate"], 3,
+     "error: Two: identity table references unknown id"),
+    (_TWO + ("identities", "1"), None, ["validate"], 3,
+     "error: Two: identity table must cover every object"),
+    (_TWO + ("compose", 0), ["f", "id0"], ["validate"], 2,
+     "error: category Two: compose entries are [g, f, h]"),
+    (("functors", "F", "objects", "1"), None, ["validate"], 3,
+     "error: F: object map must cover the source"),
+    (("functors", "F", "morphisms", "f"), None, ["validate"], 3,
+     "error: F: morphism map must cover the source"),
+    (("functors", "F", "source"), "Nope", ["validate"], 3,
+     "error: functor F: no category 'Nope'"),
+    (("presheaves", "P", "sets", "9"), ["c"], ["validate"], 3,
+     "error: P: value set on unknown object '9'"),
+    (("presheaves", "P", "sets", "0"), ["a", "a"], ["validate"], 3,
+     "error: P: duplicate elements at '0'"),
+    (("presheaves", "P", "sets", "1"), None, ["validate"], 3,
+     "error: P: value sets must cover every object"),
+    (("presheaves", "P", "actions", "f"), None, ["validate"], 3,
+     "error: P: action table must cover every morphism"),
+    (("presheaves", "P", "variance"), "sideways", ["validate"], 2,
+     "error: presheaf P: variance must be 'contra' or 'co'"),
+    (("profunctors", "H", "cells", "1", "0"), None, ["validate"], 3,
+     "error: profunctor 'H': cells must cover target x source"),
+    (("profunctors", "H", "cells", "0", "0"), ["z00", "z00"], ["validate"], 3,
+     "error: profunctor 'H': duplicate elements in cell ('0', '0')"),
+    (("profunctors", "H", "left", "f"), None, ["validate"], 3,
+     "error: profunctor 'H': action tables incomplete"),
+    (("weight_classes", "W", "weights"), ["P", "Nope"], ["validate"], 3,
+     "error: weight class W: no presheaf 'Nope'"),
+    (("presheaves", "Q"), {"on": "One", "sets": {"*": []}, "actions": {"1": {}}},
+     ["wlimit", "P", "Q"], 3, "error: wlimit: weight and diagram must share a base"),
+    ((), None, ["--budget", "abc", "validate"], 2,
+     "fincat: error: argument --budget: invalid int value: 'abc'"),
+    ((), None, ["absolute-sample"], 2,
+     "error: usage: absolute-sample PRESHEAF [FUNCTOR ...]"),
+])
+def test_malformed_input_exits_with_its_code_and_message(tmp_path, keys, value,
+                                                         argv, code, message):
+    """Each input check that no other test runs: the first error line on
+    stderr, the exit code and no traceback, on the workspace of
+    ``_two_workspace`` with one entry changed, added or deleted."""
+    doc = _two_workspace()
+    doc["categories"]["One"] = {
+        "objects": ["*"], "morphisms": [{"id": "1", "src": "*", "tgt": "*"}],
+        "identities": {"*": "1"}, "compose": [["1", "1", "1"]]}
+    if keys:
+        _set(doc, keys, value)
+    path = tmp_path / "changed.json"
+    path.write_text(json.dumps(doc))
+    got, out, err = _run(["-w", str(path), *argv])
+    assert (got, out) == (code, "") and "Traceback" not in err
+    assert message in err.splitlines(), err
+
+
+def test_absolute_sample_with_no_functor_samples_every_functor_in_name_order(capsys):
+    assert cli.main(["absolute-sample", "one.Z2"]) == 0
+    out = capsys.readouterr().out
+    assert "instances: 20\n" in out
+    ws = load_workspace(cli.default_fixture_paths())
+    assert cli.main(["absolute-sample", "one.Z2", *sorted(ws.functors)]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_closure_and_saturation_exit_4_within_the_sweep_budget(tmp_path):
+    """--budget caps each search that a closure starts: on the workspace of
+    seed 148 both used to run about 8.5 s at SWEEP_FLAGS and exit 0."""
+    path = tmp_path / "random148.json"
+    path.write_text(serialize_workspace(_random_workspace(148, 5)))
+    for argv in (["closure", "A", "W"], ["saturation", "phi", "W"]):
+        code, out, err = _run(SWEEP_FLAGS + ["-w", str(path)] + argv)
+        assert (code, out) == (4, ""), argv
+        assert err == "error: search budget 2000 exceeded in nat_trans_set\n", argv
+
+
+def test_main_restores_the_default_budget(capsys):
+    """cli.main sets core.DEFAULT_BUDGET from --budget for one command and
+    restores it, whatever the command's exit code."""
+    for argv, code in ((["--budget", "50", "morita", "Two", "Two"], 0),
+                       (["--budget", "1", "morita", "GSet", "GSet"], 4),
+                       (["--budget", "7", "absolute-sample", "one.Z2", "orbit"], 0)):
+        assert cli.main(argv) == code, argv
+        assert core.DEFAULT_BUDGET == 10 ** 6, argv
+    capsys.readouterr()
