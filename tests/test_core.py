@@ -4,6 +4,7 @@ import itertools
 import pkgutil
 import random
 import tracemalloc
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -407,6 +408,132 @@ def test_validate_matches_all_pairs_triple_loop_on_long_rows(long_row_categories
 
 def test_validate_accepts_the_completion_of_f3():
     assert validate(cauchy_completion(f3()).completion).ok
+
+
+@st.composite
+def unital_tables(draw):
+    """A table on one or two objects, its morphisms in a drawn order, whose
+    identities are fixed and whose other composites are each drawn among the
+    morphisms with the right endpoints: the endpoints and identity laws hold,
+    and associativity may or may not."""
+    objects = ["a", "b"][:draw(st.integers(1, 2))]
+    ends = st.sampled_from(objects)
+    morphisms = [(f"1{x}", x, x) for x in objects]
+    morphisms += [(f"m{i}", draw(ends), draw(ends)) for i in range(draw(st.integers(1, 4)))]
+    identity = {x: f"1{x}" for x in objects}
+    ids = set(identity.values())
+    compose = {}
+    for g, g_src, g_tgt in morphisms:
+        for f, f_src, f_tgt in morphisms:
+            if f_tgt != g_src:
+                continue
+            if g in ids:
+                compose[(g, f)] = f
+            elif f in ids:
+                compose[(g, f)] = g
+            else:
+                compose[(g, f)] = draw(st.sampled_from(
+                    [m for m, s, t in morphisms if s == f_src and t == g_tgt]))
+    return FinCategory("unital", objects, draw(st.permutations(morphisms)),
+                       identity, compose)
+
+
+def test_validate_matches_all_pairs_triple_loop_on_unital_tables():
+    # lawful endpoints and identities send every table to the generator check:
+    # the associative ones end there, the others go on to the loop over
+    # every middle
+    associative = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(unital_tables())
+    def check(cat):
+        want = validate_category_oracle(cat)
+        assert _violations(cat) == want
+        assert {law for law, _ in want} <= {"associativity"}
+        associative.add(not want)
+
+    check()
+    assert associative == {True, False}
+
+
+@pytest.mark.parametrize("base, copies", [(GSet, 8), (FinSet12, 60)])
+def test_validate_matches_all_pairs_triple_loop_on_corrupted_completions(base, copies):
+    # a composite of two non-identities replaced by a parallel morphism keeps
+    # the identity laws, so validate decides associativity on its generators
+    cat = cauchy_completion(base).completion
+    ids = set(cat.identity.values())
+    choices = [(pair, m) for pair, h in cat.compose_table.items() if not ids & set(pair)
+               for m in cat.hom(cat.src[h], cat.tgt[h]) if m != h]
+    morphisms = [(m, cat.src[m], cat.tgt[m]) for m in cat.morphisms]
+    unlawful = 0
+    for pair, m in random.Random(base.name).sample(choices, copies):
+        compose = dict(cat.compose_table)
+        compose[pair] = m
+        bent = FinCategory(cat.name, cat.objects, morphisms, cat.identity, compose)
+        want = validate_category_oracle(bent)
+        assert _violations(bent) == want, (pair, m)
+        unlawful += bool(want)
+    assert unlawful
+
+
+def _chain(n):
+    return corpus.poset_category(f"Chain{n}", [str(i) for i in range(n)],
+                                 lambda x, y: int(x) <= int(y))
+
+
+@pytest.fixture(scope="module")
+def ladder_rungs():
+    """F3, its completion, and the longest chain and cyclic monoid that the
+    ladder benchmark validates."""
+    def power(k):
+        return k if k < 16 else 1 + (k - 1) % 15
+    cyc16 = corpus.monoid_category(
+        "Cyc16", [f"a{k}" for k in range(16)],
+        {(f"a{j}", f"a{k}"): f"a{power(j + k)}" for j in range(16) for k in range(16)},
+        "a0")
+    return {"F3": f3(), "Q(F3)": cauchy_completion(f3()).completion,
+            "Chain16": _chain(16), "Cyc16": cyc16}
+
+
+def _generators_of(cat):
+    """core._generators on a composition table read by rows from all pairs."""
+    row = {g: {f: cat.compose(g, f) for f in cat.morphisms if cat.tgt[f] == cat.src[g]}
+           for g in cat.morphisms}
+    return core._generators(cat, row)
+
+
+def _composites(cat, start):
+    """Every composite of morphisms in start, breadth first over all pairs."""
+    reached = set(start)
+    queue = deque(start)
+    while queue:
+        x = queue.popleft()
+        for y in list(reached):
+            for g, f in ((x, y), (y, x)):
+                if cat.tgt[f] == cat.src[g] and cat.compose(g, f) not in reached:
+                    reached.add(cat.compose(g, f))
+                    queue.append(cat.compose(g, f))
+    return reached
+
+
+def test_generators_and_identities_reach_every_morphism(ladder_rungs):
+    rng = random.Random("generators")
+    cats = [random_concrete_category(rng, f"R{k}") for k in range(40)]
+    for cat in cats + list(ladder_rungs.values()):
+        start = list(cat.identity.values()) + _generators_of(cat)
+        assert _composites(cat, start) == set(cat.morphisms), cat.name
+
+
+def test_generator_counts_are_pinned(ladder_rungs):
+    # a chain has its covers i <= i+1 as irreducibles, and they compose to
+    # the rest; Cyc16 has none (a1 = a8 . a8), and a1 reaches every power;
+    # F3 and Q(F3) have none either, so theirs are the picks of the pass in
+    # morphism order
+    for n in range(2, 17):
+        assert _generators_of(_chain(n)) == [f"{i}<={i + 1}" for i in range(n - 1)]
+    counts = {name: len(_generators_of(cat)) for name, cat in ladder_rungs.items()}
+    assert counts == {"F3": 16, "Q(F3)": 56, "Chain16": 15, "Cyc16": 1}
+    assert _generators_of(ladder_rungs["Cyc16"]) == ["a1"]
 
 
 def _corrupt(draw, tables, elements):
