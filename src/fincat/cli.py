@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from importlib import resources
 
 import fincat
-from .core import (Caps, category_of_elements, delta1, is_connected,
-                   is_filtered, same_category, validate)
+from .core import (Caps, Violation, category_of_elements, delta1,
+                   is_connected, is_filtered, same_category, validate)
 from .errors import (BudgetExceeded, CapExceeded, DuplicateName,
                      EndpointMismatch, FincatError, InternalMismatch,
                      MalformedTable, ParseError, UnresolvedReference,
@@ -69,8 +69,24 @@ def _cmd_validate(ws, args, opts):
         else:
             raise UnresolvedReference(f"no entity named {name!r}")
     lines, payload, bad = [], [], 0
+    reports = {}                # category -> its report, checked once
+
+    def checked(c):
+        if c not in reports:
+            reports[c] = validate(c)
+        return reports[c]
     for kind, name, entity in targets:
-        report = validate(entity)
+        if kind == "category":
+            report = checked(entity)
+        else:
+            # the solvers need lawful categories, so an entity over an
+            # unlawful one names that category's first violation as its own
+            bases = ([entity.base] if kind == "presheaf"
+                     else [entity.source, entity.target])
+            report = validate(entity)
+            report.violations[:0] = [
+                Violation(f"base {c.name}: {v.law}", v.witness)
+                for c in dict.fromkeys(bases) for v in checked(c).violations[:1]]
         if report.ok:
             lines.append(f"ok {kind} {name}")
         else:

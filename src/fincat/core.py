@@ -73,6 +73,7 @@ class FinCategory:
             self._hom.setdefault((self.src[m], self.tgt[m]), []).append(m)
             self.into[self.tgt[m]].append(m)
         self._op = None
+        self._generating = None     # the tuple of ``_gens``, once read
         self._take_compose(compose)
 
     def _take_compose(self, compose):
@@ -117,6 +118,7 @@ class FinCategory:
             other = FinCategory(self.name + "^op", self.objects, morphisms,
                                 self.identity, compose)
             other._op = self
+            other._generating = self._generating
             self._op = other
         return self._op
 
@@ -525,6 +527,26 @@ def _generators(c: FinCategory, row):
     return gens
 
 
+def _gens(c: FinCategory):
+    """``_generators`` of c in morphism order, composites read through
+    ``c.compose`` (a missing one raises MalformedTable), computed once and
+    kept on c and on ``c.op()``, which has the same morphism ids.
+    ``_validate_category`` keeps the set it computes, and el(phi) keeps the
+    morphisms over its base's set."""
+    if c._generating is None:
+        _keep_gens(c, _generators(c, {g: {f: c.compose(g, f) for f in c.into[c.src[g]]}
+                                      for g in c.morphisms}))
+    return c._generating
+
+
+def _keep_gens(c: FinCategory, gens):
+    """Keep gens, in morphism order, on c and on its opposite if built."""
+    keep = set(gens)
+    c._generating = tuple(m for m in c.morphisms if m in keep)
+    if c._op is not None:
+        c._op._generating = c._generating
+
+
 def _validate_category(c: FinCategory) -> ValidationReport:
     """Associativity, once the endpoints and identity laws hold, is decided on
     the middles g of a generating set (Light's test): the middles b with
@@ -584,7 +606,9 @@ def _validate_category(c: FinCategory) -> ValidationReport:
                     yield from (Violation("associativity", (h, g, f))
                                 for f, x, y in zip(typed[g], left, right) if x != y)
     if rep.ok:
-        gens = set(_generators(c, row))
+        if c._generating is None:
+            _keep_gens(c, _generators(c, row))
+        gens = set(c._generating)
         into = {a: [g for g in c.into[a] if g in gens] for a in c.objects}
         if next(failures({h: into[c.src[h]] for h in c.morphisms}), None) is None:
             return rep
@@ -849,13 +873,17 @@ def category_of_elements(phi: Presheaf):
 
     The composition table is built on first read, at most once.  A route
     that reads only objects, morphisms and endpoints, as the elements route
-    of ``limits.weighted_colimit`` does, never builds it; a base missing a
-    composite raises MalformedTable on that read.
+    of ``limits.weighted_colimit`` does, never builds it.  el(phi) is a
+    discrete fibration over its base, so the morphisms (u, x) with u in
+    ``_gens(base)`` generate it; they are kept as its ``_gens``, and a base
+    missing a composite raises MalformedTable here, as its set is read.
     """
     k = phi.base
+    base_gens = set(_gens(k))
     objects = [(a, x) for a in k.objects for x in phi.sets[a]]
     morphisms = []
     identity = {}
+    gens = []
     for u in k.morphisms:
         for x in phi.sets[k.tgt[u]]:
             mid = (u, x)
@@ -864,10 +892,13 @@ def category_of_elements(phi: Presheaf):
             morphisms.append((mid, src, tgt))
             if k.is_identity(u):
                 identity[src] = mid
+            if u in base_gens:
+                gens.append(mid)
     # f = (u1, x1) runs (k, x1) -> (k', x2); then g = (u2, x2) continues from (k', x2)
     el = _LazyCategory(f"el({phi.name})", objects, morphisms, identity,
                        lambda e: (((g, f), (k.compose(f[0], g[0]), f[1]))
                                   for g in e.morphisms for f in e.into[e.src[g]]))
+    el._generating = tuple(gens)
     proj = FinFunctor(f"el({phi.name})->{k.name}^op", el, k.op(),
                       {o: o[0] for o in objects},
                       {m: m[0] for m in el.morphisms})

@@ -7,7 +7,11 @@ conical constructions read uniformly:
 * ``finset_colimit(p)``: quotient of the tagged union by x ~ p.act(f, x).
 
 Both, and ``coend``, return one ``ColimitResult``: the class representatives
-and ``core.quotient``'s lookup from each tag (obj, elem) to its class.
+and ``core.quotient``'s lookup from each tag (obj, elem) to its class.  They
+read the pairs of ``core._gens(base)`` only, a generating set of the base's
+morphisms (Mac Lane, CWM II.8): on a lawful base the pair of g.h follows from
+those of g and h, and ``quotient`` picks least-index representatives, so the
+classes and lookups are those of every morphism, in order.
 
 Weighted limits and colimits always run two routes, the end/coend formula and
 the category-of-elements route, with no option to skip either, and raise
@@ -34,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (FinFunctor, NatTrans, Presheaf, Profunctor, _bijectivity,
-                   _families, _freeze, _pullback, category_of_elements,
+                   _families, _freeze, _gens, _pullback, category_of_elements,
                    compose_functors, quotient, same_category)
 from .errors import InternalMismatch, MalformedTable
 
@@ -64,10 +68,14 @@ def finset_limit(diagram: Presheaf) -> LimitResult:
 
 
 def finset_colimit(diagram: Presheaf) -> ColimitResult:
+    """The tagged union of the diagram's sets modulo x ~ diagram.act(f, x)
+    for f in ``_gens(base)``.  Precondition: a lawful base.  A base missing a
+    composite raises MalformedTable; on one whose laws fail otherwise, the
+    answer is the quotient along its ``_gens``."""
     base = diagram.base
     tags = [(a, x) for a in base.objects for x in diagram.sets[a]]
     pairs = (((base.tgt[f], x), (base.src[f], diagram.act(f, x)))
-             for f in base.morphisms for x in diagram.sets[base.tgt[f]])
+             for f in _gens(base) for x in diagram.sets[base.tgt[f]])
     return ColimitResult(*quotient(tags, pairs))
 
 
@@ -77,7 +85,9 @@ def finset_colimit(diagram: Presheaf) -> ColimitResult:
 
 def coend(h: Profunctor) -> ColimitResult:
     """Quotient of the diagonal cells (a, a) by left(u, s)(y) ~ right(t, u)(y)
-    for every u: s -> t and y in cell (t, s).
+    for each u: s -> t in ``_gens(c)`` and y in cell (t, s).  Precondition:
+    a lawful c and actions that compose and commute; a c missing a composite
+    raises MalformedTable.
 
     It reads only ``h.source``, ``h.target``, the cells (a, a) and
     (tgt u, src u), ``h.left_act`` and ``h.right_act``, so any object with
@@ -88,7 +98,7 @@ def coend(h: Profunctor) -> ColimitResult:
     tags = [(a, x) for a in c.objects for x in h.cell(a, a)]
     pairs = (((c.src[u], h.left_act(u, c.src[u], y)),
               (c.tgt[u], h.right_act(c.tgt[u], u, y)))
-             for u in c.morphisms for y in h.cell(c.tgt[u], c.src[u]))
+             for u in _gens(c) for y in h.cell(c.tgt[u], c.src[u]))
     return ColimitResult(*quotient(tags, pairs))
 
 
@@ -202,6 +212,10 @@ class _Pairing:
 
 def weighted_colimit(phi: Presheaf, s: Presheaf, _el=None) -> WeightedColimitResult:
     """phi * s for a weight phi on K and covariant diagram s (a presheaf on K.op()).
+
+    Precondition: a lawful K and functorial phi and s, as both routes read
+    the pairs of ``_gens(K)`` only; a K missing a composite raises
+    MalformedTable.
 
     The coend route and the conical colimit over el(phi) must partition the
     triples (k, x, y) alike.  One pass over the triples maps each coend class

@@ -3,7 +3,7 @@
 A module f: A -|-> B is a Profunctor with source A and target B; its cells are
 indexed (b, a).  Composition g . f (for g: B -|-> C) is the pointwise coend
 over B of g(c,b) x f(b,a): one ``core.quotient`` per cell (c, a) of the raw
-pairs (b, (y, x)) in tag order, joined where a non-identity morphism of B
+pairs (b, (y, x)) in tag order, joined where a morphism of ``core._gens(B)``
 links them.  Right lifts are computed by their
 end formula: a cell of {|f,h|} at (a,c) is a natural family of functions
 f(-,a) -> h(-,c), stored in frozen form with a decode table kept alongside;
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, Profunctor,
-                   _freeze, _require_valid, identity_functor, quotient,
+                   _freeze, _gens, _require_valid, identity_functor, quotient,
                    same_category, unit_category, validate)
 from .errors import EndpointMismatch, InternalMismatch, ValidationFailed
 from .limits import ColimitResult, nat_trans_set
@@ -71,9 +71,8 @@ class CompositeProfunctor(Profunctor):
 
 def _coend_pairs(g: Profunctor, f: Profunctor, c, a, moves):
     """The generating pairs of the coend at (c, a), one per raw pair that a
-    move u: s -> t, a non-identity morphism of the middle category, links
-    (an identity links each tag with itself): (y, u.x) over s with (y.u, x)
-    over t."""
+    move u: s -> t, a generator of the middle category, links: (y, u.x) over
+    s with (y.u, x) over t."""
     for u, s, t in moves:
         f_u, g_u = f.left[(u, a)], g.right[(c, u)]
         for y in g.sets[(c, s)]:
@@ -84,12 +83,16 @@ def _coend_pairs(g: Profunctor, f: Profunctor, c, a, moves):
 def compose_modules(g: Profunctor, f: Profunctor) -> CompositeProfunctor:
     """g . f: each cell (c, a) is one quotient of its raw pairs (b, (y, x)),
     with no intermediate pair module; the actions send representatives to the
-    classes of their acted-on raw pairs."""
+    classes of their acted-on raw pairs.
+
+    Precondition: lawful modules over a lawful middle category, whose
+    ``core._gens`` are the only moves read; one missing a composite raises
+    MalformedTable."""
     if not same_category(g.source, f.target):
         raise EndpointMismatch(f"cannot compose {g.name} after {f.name}")
     mid = g.source
     source, target = f.source, g.target
-    moves = [(u, mid.src[u], mid.tgt[u]) for u in mid.morphisms if not mid.is_identity(u)]
+    moves = [(u, mid.src[u], mid.tgt[u]) for u in _gens(mid)]
     coends = {}
     sets = {}
     for c in target.objects:

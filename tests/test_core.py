@@ -536,6 +536,46 @@ def test_generator_counts_are_pinned(ladder_rungs):
     assert _generators_of(ladder_rungs["Cyc16"]) == ["a1"]
 
 
+def test_elements_generators_reach_every_morphism_of_el():
+    """el(phi) keeps the morphisms (u, x) over its base's generators, in el
+    order, without building its table; with the identities they compose to
+    every morphism of el(phi), for every corpus weight and for random weights
+    on random concrete categories."""
+    rng = random.Random("elements")
+    weights = list(PRESHEAVES.values())
+    for k in range(20):
+        cat = random_concrete_category(rng, f"R{k}", max_nonid=5)
+        weights.append(random_presheaf(rng, cat, f"w{k}"))
+    for phi in weights:
+        el, _ = category_of_elements(phi)
+        base = set(core._gens(phi.base))
+        gens = core._gens(el)
+        assert "compose_table" not in vars(el), phi.name
+        assert gens == tuple(m for m in el.morphisms if m[0] in base), phi.name
+        start = list(el.identity.values()) + list(gens)
+        assert _composites(el, start) == set(el.morphisms), phi.name
+
+
+def test_a_category_keeps_one_generating_set(monkeypatch):
+    """``_gens`` runs ``_generators`` once per category: validate keeps the
+    set it picks, and an opposite, built before or after, shares it."""
+    calls = []
+    generators = core._generators
+    monkeypatch.setattr(core, "_generators",
+                        lambda c, row: calls.append(c.name) or generators(c, row))
+    first, second = _chain(5), _chain(5)
+    second.op()
+    assert validate(first).ok and validate(second.op()).ok
+    assert calls == ["Chain5", "Chain5^op"]
+    assert core._gens(first) == core._gens(first.op()) == ("0<=1", "1<=2", "2<=3", "3<=4")
+    assert core._gens(second) is core._gens(second.op())
+    third = _chain(4)
+    assert core._gens(third.op()) == ("0<=1", "1<=2", "2<=3")
+    assert validate(third).ok
+    assert core._gens(third) is core._gens(third.op())
+    assert calls == ["Chain5", "Chain5^op", "Chain4^op"]
+
+
 def _corrupt(draw, tables, elements):
     """Drop a key from one action table, add a foreign key, or set a foreign
     value; or leave the tables alone."""

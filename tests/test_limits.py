@@ -1,10 +1,11 @@
+import contextlib
 import random
 from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fincat import core, corpus, limits
+from fincat import core, corpus, limits, profunctor
 from fincat.classes import phi_closure_bounded
 from fincat.core import (FinCategory, FinFunctor, Presheaf, Profunctor, _families,
                          _freeze, compose_functors, covariant, same_category, validate)
@@ -17,7 +18,8 @@ from fincat.limits import (ColimitResult, coend, colimit_in_category,
                            finset_colimit, finset_limit, limit_in_category,
                            nat_trans_set, preserves_weighted_colimit,
                            weighted_colimit, weighted_limit)
-from fincat.profunctor import id_module, right_lift
+from fincat.profunctor import (_transpose, compose_modules, has_right_adjoint, id_module,
+                               module_of_weight, right_lift)
 from util import (SMALL_CATEGORIES, _coend_by_union_find, cone_oracle,
                   nat_trans_oracle, pairing_profunctor, random_concrete_category,
                   random_nonempty_presheaf, random_presheaf, random_profunctor,
@@ -547,3 +549,148 @@ def test_conical_limit_matches_finset_route():
         t = random_presheaf(rng, cat, f"t{i}")
         res = weighted_limit(delta1(cat), t)
         assert res.size == len(finset_limit(t).apex)
+
+
+# ---------------------------------------------------------------------------
+# quotients on a generating set of morphisms, against every morphism's pairs
+
+
+@contextlib.contextmanager
+def _every_morphism():
+    """Quotients as they were before they read ``core._gens`` only: the pairs
+    of every morphism for ``finset_colimit`` and ``coend``, and every
+    non-identity move for ``compose_modules``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(limits, "_gens", lambda c: c.morphisms)
+        patch.setattr(profunctor, "_gens", lambda c: tuple(
+            u for u in c.morphisms if not c.is_identity(u)))
+        yield
+
+
+def _quotient_digest(res):
+    """Classes and lookup of a ColimitResult, both in order."""
+    return res.classes, list(res.lookup.items())
+
+
+def _composite_digest(comp):
+    """Cells, action tables and each cell's classes and lookup, in order."""
+    return (list(comp.sets.items()),
+            [(k, list(t.items())) for k, t in comp.left.items()],
+            [(k, list(t.items())) for k, t in comp.right.items()],
+            [(k, _quotient_digest(co)) for k, co in comp.coends.items()])
+
+
+def _assert_same_as_every_morphism(compute, digest=_quotient_digest):
+    got = digest(compute())
+    with _every_morphism():
+        assert got == digest(compute())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6))
+def test_quotients_match_every_morphism_pairs_on_random_categories(seed):
+    """finset_colimit on a random concrete category and its opposite, both
+    routes of a weighted colimit, and module composites through the category
+    and through I: the same classes and lookups, in order, as the pairs of
+    every morphism give.  Half the categories are validated first, so their
+    set is the one ``validate`` keeps."""
+    rng = random.Random(seed)
+    cat = random_concrete_category(rng, f"R{seed}", max_nonid=5)
+    if rng.random() < 0.5:
+        assert validate(cat).ok
+    phi = random_presheaf(rng, cat, "phi")
+    s = random_presheaf(rng, cat.op(), "s")
+    for p in (phi, s):
+        _assert_same_as_every_morphism(lambda: finset_colimit(p))
+    el, proj = core.category_of_elements(phi)
+    _assert_same_as_every_morphism(lambda: finset_colimit(core._pullback(proj, s)))
+    _assert_same_as_every_morphism(lambda: coend(limits._Pairing(phi, s)))
+    _assert_same_as_every_morphism(lambda: coend(pairing_profunctor(phi, s)))
+    weight = module_of_weight(phi)
+    coweight = _transpose(module_of_weight(s))
+    for g, f in [(coweight, weight), (weight, coweight), (id_module(cat), weight)]:
+        _assert_same_as_every_morphism(lambda: compose_modules(g, f), _composite_digest)
+
+
+def _corpus_colimit_pairs():
+    """(phi, s) for each corpus weight phi on K and each diagram s on K^op
+    among the conical delta1 and the covariant homs K(b, -)."""
+    for phi in PRESHEAVES.values():
+        k = phi.base
+        yield phi, delta1(k.op())
+        for b in k.objects:
+            yield phi, corpus.covariant_hom(k, b)
+
+
+def test_weighted_colimit_routes_match_every_morphism_pairs_on_the_corpus():
+    """Both routes of every corpus pair: the conical colimit of s pulled back
+    to el(phi), whose set is read off phi's base, and the coend of phi (x) s."""
+    pairs = list(_corpus_colimit_pairs())
+    assert len(pairs) == 227
+    for phi, s in pairs:
+        _, proj = core.category_of_elements(phi)
+        _assert_same_as_every_morphism(lambda: finset_colimit(core._pullback(proj, s)))
+        _assert_same_as_every_morphism(lambda: coend(limits._Pairing(phi, s)))
+
+
+def test_compose_modules_matches_every_move_on_adjoint_composites():
+    """The 110 composites that has_right_adjoint builds on the corpus weights,
+    g.f on each and f.g on the 42 with an invertible comparison."""
+    built = []
+    compose = profunctor.compose_modules
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(profunctor, "compose_modules",
+                      lambda g, f: built.append((g, f)) or compose(g, f))
+        for phi in PRESHEAVES.values():
+            has_right_adjoint(module_of_weight(phi))
+    assert len(built) == 110
+    for g, f in built:
+        _assert_same_as_every_morphism(lambda: compose_modules(g, f), _composite_digest)
+
+
+def _unlawful_two(f_after_ia):
+    """0 -> 1 with two parallel morphisms f and g, lawful but for the
+    composite f . ia, which is f_after_ia, or missing when that is None."""
+    compose = {("ia", "ia"): "ia", ("ib", "ib"): "ib", ("ib", "f"): "f",
+               ("g", "ia"): "g", ("ib", "g"): "g"}
+    if f_after_ia is not None:
+        compose[("f", "ia")] = f_after_ia
+    return FinCategory("Par?", ["0", "1"], [("ia", "0", "0"), ("ib", "1", "1"),
+                                            ("f", "0", "1"), ("g", "0", "1")],
+                       {"0": "ia", "1": "ib"}, compose)
+
+
+def _split_by_f_and_g(cat):
+    """c over 1 sent to a by f and to b by g: one class along both."""
+    return Presheaf("P", cat, {"0": ("a", "b"), "1": ("c",)},
+                    {"ia": {"a": "a", "b": "b"}, "ib": {"c": "c"},
+                     "f": {"c": "a"}, "g": {"c": "b"}})
+
+
+def test_quotients_over_an_unlawful_base():
+    """A lawful base is the precondition of the quotients.  A missing
+    composite raises MalformedTable naming it, where the pairs of every
+    morphism gave an answer.  A wrong identity composite, f . ia = g, gives
+    the quotient along ``_gens``, here f alone, since f . ia reaches g: the
+    pair of g is not read, so (0, b) is a class of its own, where the pairs
+    of every morphism give one class."""
+    missing = _unlawful_two(None)
+    p = _split_by_f_and_g(missing)
+    s = delta1(missing.op())
+    with _every_morphism():
+        assert finset_colimit(p).classes == (("0", "a"),)
+    for compute in (lambda: finset_colimit(p), lambda: coend(pairing_profunctor(p, s)),
+                    lambda: weighted_colimit(p, s),
+                    lambda: compose_modules(_transpose(module_of_weight(s)),
+                                            module_of_weight(p))):
+        with pytest.raises(MalformedTable, match=r"compose\('f', 'ia'\) undefined"):
+            compute()
+    wrong = _unlawful_two("g")
+    assert [v.law for v in validate(wrong).violations] == ["identity-right"]
+    assert core._gens(wrong) == ("f",)
+    p = _split_by_f_and_g(wrong)
+    assert _quotient_digest(finset_colimit(p)) == (
+        (("0", "a"), ("0", "b")),
+        [(("0", "a"), ("0", "a")), (("0", "b"), ("0", "b")), (("1", "c"), ("0", "a"))])
+    with _every_morphism():
+        assert finset_colimit(p).classes == (("0", "a"),)

@@ -852,14 +852,21 @@ def test_validate_on_an_unlawful_category_exits_3_without_a_traceback(
     """The laws of a presheaf or a module are read only along identities
     a -> a and composites of composable pairs with the right endpoints, so
     the category's report names what is wrong and nothing raises.  Along
-    those, P and H are lawful, so their own reports are ok."""
+    those, F, P and H are lawful, but the solvers need a lawful category, so
+    each of their reports names the first violation of its category and
+    exits 3.  (While their own laws were all they reported, ``validate P H``
+    printed ok for both and exited 0.)"""
     path = tmp_path / "unlawful.json"
     path.write_text(json.dumps(_two_workspace(**change)))
+    base = f"  base Two: {violation}\n"
     assert _run(["-w", str(path), "validate"]) == (
-        3, f"INVALID category Two\n  {violation}\nok functor F\nok presheaf P\n"
-           "ok profunctor H\n", "")
+        3, f"INVALID category Two\n  {violation}\nINVALID functor F\n{base}"
+           f"INVALID presheaf P\n{base}INVALID profunctor H\n{base}", "")
     assert _run(["-w", str(path), "validate", "P", "H"]) == (
-        0, "ok presheaf P\nok profunctor H\n", "")
+        3, f"INVALID presheaf P\n{base}INVALID profunctor H\n{base}", "")
+    code, out, _ = _run(["--json", "-w", str(path), "validate", "P"])
+    law = json.loads(out)["entities"][0]["violations"][0]["law"]
+    assert (code, law) == (3, "base Two: " + violation.split(" fails at ")[0])
     code, out, err = _run(["-w", str(path), "limit", "P"])
     assert (code, out) == (3, "") and violation in err
 
