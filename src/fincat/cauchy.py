@@ -28,14 +28,18 @@ from .profunctor import _column, _transpose, has_right_adjoint, module_of_weight
 # the Isbell adjunction
 
 
-def isbell_left(phi: Presheaf) -> Presheaf:
+def isbell_left(phi: Presheaf, _reps=None) -> Presheaf:
     """L(phi)(b) = Nat(phi, Yb) as a covariant weight (presheaf on B^op).
 
     Elements are frozen transformations; a morphism f: b -> b' acts by
     post-composing with Y(f).
+
+    _reps, when given, is ``{b: yoneda_embed(B, b)}`` built once by a caller
+    that checks many weights on one base B.
     """
     b_cat = phi.base
-    nats = {b: nat_trans_set(phi, yoneda_embed(b_cat, b)) for b in b_cat.objects}
+    reps = _reps or {b: yoneda_embed(b_cat, b) for b in b_cat.objects}
+    nats = {b: nat_trans_set(phi, reps[b]) for b in b_cat.objects}
     sets = {b: tuple(n.frozen() for n in nats[b]) for b in b_cat.objects}
     actions = {f: {key: tuple(tuple(b_cat.compose(f, h) for h in row) for row in key)
                    for key in sets[b_cat.src[f]]}
@@ -84,13 +88,14 @@ class SmallProjectiveReport:
         return self.injective and self.surjective
 
 
-def small_projective_report(phi: Presheaf) -> SmallProjectiveReport:
+def small_projective_report(phi: Presheaf, _reps=None) -> SmallProjectiveReport:
     """Bijectivity report for the canonical map phi * L(phi) -> Nat(phi, phi).
 
     The map sends the class of (x, gamma) over k to y |-> phi(gamma(y))(x); it
-    is checked to be constant on classes before anything else.
+    is checked to be constant on classes before anything else.  _reps is
+    passed to ``isbell_left``.
     """
-    psi = isbell_left(phi)
+    psi = isbell_left(phi, _reps)
     colim = weighted_colimit(phi, psi)
     nats = {n.frozen() for n in nat_trans_set(phi, phi)}
 
@@ -101,8 +106,8 @@ def small_projective_report(phi: Presheaf) -> SmallProjectiveReport:
     return SmallProjectiveReport(len(colim.classes), len(nats), injective, surjective)
 
 
-def is_small_projective(phi: Presheaf) -> bool:
-    return small_projective_report(phi).ok
+def is_small_projective(phi: Presheaf, _reps=None) -> bool:
+    return small_projective_report(phi, _reps).ok
 
 
 def retract_oracle(phi: Presheaf):
@@ -175,6 +180,7 @@ def _verify_completion(qc: CauchyCompletion):
     if unsplit:
         raise InternalMismatch(f"idempotents fail to split in completion: {unsplit}")
     grown = nerve(qc.embedding)
+    reps = {b: yoneda_embed(qc.base, b) for b in qc.base.objects}
     for (b, e) in qc.idempotents:
         p = grown.presheaves[(b, e)]
         for a in qc.base.objects:
@@ -183,7 +189,7 @@ def _verify_completion(qc: CauchyCompletion):
             got = {triple[2] for triple in p.sets[a]}
             if expect != got:
                 raise InternalMismatch("nerve of completion object is not the split image")
-        if not is_small_projective(p):
+        if not is_small_projective(p, _reps=reps):
             raise InternalMismatch(f"completion object {(b, e)!r} not small projective")
 
 

@@ -140,17 +140,22 @@ def _companion(t: FinFunctor) -> Profunctor:
     return Profunctor(f"({t.name})_*", a_cat, b_cat, sets, left, right)
 
 
+# The source I of every module of a weight, built once so that its
+# generating set is computed once.
+_UNIT = unit_category()
+
+
 def module_of_weight(phi: Presheaf) -> Profunctor:
-    """A weight phi on A as a module I -|-> A with cell(a, *) = phi(a)."""
-    unit = unit_category()
+    """A weight phi on A as a module I -|-> A with cell(a, *) = phi(a); every
+    such module has the one source ``_UNIT``."""
     a_cat = phi.base
-    star = unit.objects[0]
-    uid = unit.identity[star]
+    star = _UNIT.objects[0]
+    uid = _UNIT.identity[star]
     sets = {(a, star): phi.sets[a] for a in a_cat.objects}
     left = {(m, star): {x: phi.act(m, x) for x in sets[(a_cat.tgt[m], star)]}
             for m in a_cat.morphisms}
     right = {(a, uid): {x: x for x in sets[(a, star)]} for a in a_cat.objects}
-    return Profunctor(f"mod({phi.name})", unit, a_cat, sets, left, right)
+    return Profunctor(f"mod({phi.name})", _UNIT, a_cat, sets, left, right)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
-import pytest
+import random
 
-from fincat import corpus
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fincat import cauchy, corpus
 from fincat.cauchy import (AbsoluteInstance, cauchy_completion,
                            check_absolute_sampled,
                            dual_limit_colimit, dual_pair_from_weight,
@@ -14,12 +17,13 @@ from fincat.corpus import (CATEGORIES, GSet, I, M, QM, Two, Z2, PRESHEAVES,
                            embedM, orbit)
 from fincat.equivalence import all_functors, find_equivalence, is_fully_faithful
 from fincat.errors import InternalMismatch
-from fincat.kan import yoneda_embed
+from fincat.kan import nerve, yoneda_embed
 from fincat.limits import (colimit_in_category, nat_trans_set,
                            preserves_weighted_colimit, weighted_colimit)
 from fincat.profunctor import has_right_adjoint, module_of_weight
 
-from util import isbell_counit_oracle, isbell_right_oracle, karoubi_oracle
+from util import (isbell_counit_oracle, isbell_right_oracle, karoubi_oracle,
+                  random_concrete_category, random_presheaf)
 
 
 def hom_size_grid(cat):
@@ -48,6 +52,69 @@ def test_completion_matches_brute_karoubi_everywhere():
 def test_completion_verification_passes_on_fixtures():
     for cat in (I, Two, M, Z2, corpus.Par, corpus.Span):
         cauchy_completion(cat, verify=True)
+
+
+def _presheaf_digest(p):
+    """Name, base, sets and action tables of a presheaf, all in order."""
+    return (p.name, p.base, list(p.sets.items()),
+            [(f, list(t.items())) for f, t in p.actions.items()])
+
+
+def _assert_reps_hand_off_changes_nothing(weights):
+    """isbell_left and small_projective_report give the same answers, in the
+    same order, with the representables of the base handed over as without."""
+    for phi in weights:
+        reps = {b: yoneda_embed(phi.base, b) for b in phi.base.objects}
+        assert _presheaf_digest(isbell_left(phi, _reps=reps)) == \
+            _presheaf_digest(isbell_left(phi)), phi.name
+        assert small_projective_report(phi, _reps=reps) == \
+            small_projective_report(phi), phi.name
+
+
+def _completion_weights(cat):
+    """The nerve presheaves of the completion objects, as the completion
+    check reads them."""
+    return nerve(cauchy_completion(cat).embedding).presheaves.values()
+
+
+def test_handed_representables_change_no_answer_on_the_corpus():
+    weights = [p for cat in CATEGORIES.values() for p in _completion_weights(cat)]
+    assert len(weights) == 39
+    _assert_reps_hand_off_changes_nothing(weights)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6))
+def test_handed_representables_change_no_answer_on_random_categories(seed):
+    """The completion weights of a random concrete category, and a random
+    weight on it, which need not be small projective."""
+    rng = random.Random(seed)
+    cat = random_concrete_category(rng, f"R{seed}", max_nonid=6)
+    weights = [*_completion_weights(cat), random_presheaf(rng, cat, "phi")]
+    _assert_reps_hand_off_changes_nothing(weights)
+
+
+def test_completion_check_builds_each_representable_once(monkeypatch):
+    """A verified completion builds the representables of its base once per
+    call and reaches the public is_small_projective and isbell_left, which
+    the benchmark's ladder traces, through the module once per idempotent,
+    each isbell_left with the one set of representables."""
+    calls = {"yoneda_embed": [], "is_small_projective": [], "isbell_left": []}
+    for name in calls:
+        def recording(*args, _name=name, _real=getattr(cauchy, name), **kwargs):
+            calls[_name].append((args, kwargs))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cauchy, name, recording)
+    for cat in (GSet, M, QM, corpus.N5, corpus.FinSet12):
+        for name in calls:
+            calls[name].clear()
+        qc = cauchy_completion(cat, verify=True)
+        assert [a[1] for a, _ in calls["yoneda_embed"]] == list(cat.objects), cat.name
+        n = len(qc.idempotents)
+        assert len(calls["is_small_projective"]) == len(calls["isbell_left"]) == n, cat.name
+        handed = {id(a[1]) for a, _ in calls["isbell_left"]}
+        assert len(handed) == 1, cat.name
+        assert list(calls["isbell_left"][0][0][1]) == list(cat.objects), cat.name
 
 
 def test_groups_and_posets_are_already_complete():

@@ -710,6 +710,22 @@ def test_coweight_module_is_the_transposed_weight_module():
                     == list(getattr(want, table).items())), (name, table)
 
 
+def test_modules_of_weights_share_one_unit_category(monkeypatch):
+    """Every module of a weight has the one source I, so deciding the adjoint
+    of every corpus weight finds the generating set of I at most once."""
+    calls = []
+    generators = core._generators
+    monkeypatch.setattr(core, "_generators",
+                        lambda c, row: calls.append(c) or generators(c, row))
+    modules = [module_of_weight(phi) for phi in PRESHEAVES.values()]
+    unit = modules[0].source
+    assert all(f.source is unit for f in modules)
+    assert module_of_weight(PRESHEAVES["E"]).source is unit
+    for f in modules:
+        has_right_adjoint(f)
+    assert sum(c is unit or c is unit.op() for c in calls) <= 1
+
+
 def test_transpose_twice_gives_the_module_back():
     """``_transpose`` is the one route behind right extensions, the conjoint
     and the module of a covariant weight.  Read twice, every module of the
