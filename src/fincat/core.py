@@ -74,6 +74,7 @@ class FinCategory:
             self.into[self.tgt[m]].append(m)
         self._op = None
         self._generating = None     # the tuple of ``_gens``, once read
+        self._naturality = None     # the tuple of ``_nat_gens``, once read
         self._take_compose(compose)
 
     def _take_compose(self, compose):
@@ -547,6 +548,34 @@ def _keep_gens(c: FinCategory, gens):
         c._op._generating = c._generating
 
 
+def _nat_gens(c: FinCategory):
+    """The morphisms whose naturality equations ``limits.nat_trans_set``
+    reads: ``_gens(c)``, and each non-identity outside the least set that
+    holds ``_gens(c)`` and each composite g . f of two of its members whose
+    middle object comes before an end of g . f in object order; computed
+    once, in morphism order, and kept on c.  ``c.op()`` has the same set:
+    the opposite swaps the ends and keeps the middle."""
+    if c._naturality is None:
+        gens, idx = _gens(c), c.obj_index
+        reach = set()
+        into, out = {a: [] for a in c.objects}, {a: [] for a in c.objects}
+        todo = list(gens)
+        while todo:
+            h = todo.pop()
+            if h in reach:
+                continue
+            reach.add(h)
+            s, t = c.src[h], c.tgt[h]
+            into[t].append(h)
+            out[s].append(h)
+            todo += [c.compose(h, f) for f in into[s] if idx[s] < max(idx[c.src[f]], idx[t])]
+            todo += [c.compose(g, h) for g in out[t] if idx[t] < max(idx[s], idx[c.tgt[g]])]
+        keep = set(gens)
+        c._naturality = tuple(m for m in c.morphisms
+                              if m in keep or not (m in reach or c.is_identity(m)))
+    return c._naturality
+
+
 def _validate_category(c: FinCategory) -> ValidationReport:
     """Associativity, once the endpoints and identity laws hold, is decided on
     the middles g of a generating set (Light's test): the middles b with
@@ -929,18 +958,35 @@ def _families(domains, equations, search, distinct=None, first=False):
     """Every v with v[i] in domains[i] and v[q] == table[v[p]] for each
     equation (p, q, table), in lexicographic order; with ``first``, only the
     first (a list of at most one).  Slots with equal ``distinct`` labels take
-    different values.  Each equation is checked once its later slot is
-    assigned (forward checking), so only dead prefixes are pruned.
+    different values.  A domain lists distinct values.
 
-    Every backtracking search over slots of fixed domains runs here.  The
-    enumerations give no labels and try every value of a domain, so they
-    count the whole domain as nodes when they open a slot; a ``first`` search
-    counts one node per value it tries, and a value held by another slot of
-    the same label is skipped, not tried."""
+    Slot q is forced when an equation (p, q, table) with p < q exists: only
+    table[v[p]] can pass there, so q tries that one value, and none when it
+    lies outside q's domain (forward checking with singleton domains,
+    Haralick & Elliott 1980), tested against one set per distinct domain.
+    The first such equation forces q; every other equation is checked once
+    its later slot is assigned, so only dead prefixes are pruned, and a
+    forced slot skips only values that cannot pass, which keeps the
+    lexicographic order.
+
+    Every backtracking search over slots of fixed domains runs here.  An
+    enumeration counts the values a slot will try as nodes when it opens
+    the slot: its whole domain, or its forced value; a ``first`` search
+    counts one node per value it tries.  A value held by another slot of
+    the same label is skipped, not tried.  So forced slots never add a node
+    to the count of the same search without them."""
     meter = Meter(search)
     checks = [[] for _ in domains]
+    forced = [None] * len(domains)
+    members = {}                # one set per distinct domain, for forced slots
     for p, q, table in equations:
-        checks[max(p, q)].append((p, q, table))
+        if p < q and forced[q] is None:
+            key = id(domains[q])
+            if key not in members:
+                members[key] = set(domains[q])
+            forced[q] = (p, table, members[key])
+        else:
+            checks[max(p, q)].append((p, q, table))
     unique = distinct is not None
     if unique:                  # held[k]: the values that slot k's label holds
         labels = {label: set() for label in distinct}
@@ -957,9 +1003,15 @@ def _families(domains, equations, search, distinct=None, first=False):
             k -= 1
             continue
         if len(tries) == k:
+            if forced[k] is None:
+                values = domains[k]
+            else:
+                p, table, member = forced[k]
+                v = table[val[p]]
+                values = (v,) if v in member else ()
             if not first:
-                meter.tick(len(domains[k]))
-            tries.append(iter(domains[k]))
+                meter.tick(len(values))
+            tries.append(iter(values))
         elif unique:            # back at slot k: it holds its value no more
             held[k].discard(val[k])
         for v in tries[k]:
@@ -968,7 +1020,7 @@ def _families(domains, equations, search, distinct=None, first=False):
             if first:
                 meter.tick()
             val[k] = v
-            if all(val[q] == table[val[p]] for p, q, table in checks[k]):
+            if not checks[k] or all(val[q] == table[val[p]] for p, q, table in checks[k]):
                 if unique:
                     held[k].add(v)
                 k += 1

@@ -15,10 +15,13 @@ classes and lookups are those of every morphism, in order.
 
 Weighted limits and colimits always run two routes, the end/coend formula and
 the category-of-elements route, with no option to skip either, and raise
-InternalMismatch if they ever disagree.  On every corpus pair both routes give
-their solver (``_families``, ``quotient``) the same input, up to the nesting
-of colimit tags, so the comparison checks two constructions of one
-presentation; only the test oracles check the solvers.  A weighted colimit's
+InternalMismatch if they ever disagree.  On every corpus pair both colimit
+routes give ``quotient`` the same input, up to the nesting of tags, and both
+limit routes give ``_families`` the same domains; the end route reads the
+naturality equations of ``core._nat_gens(base)`` and the elements route those
+of every morphism of el(phi), so on 63 of the 340 corpus pairs they give it
+different equations.  Either way the comparison checks two constructions of
+one presentation; only the test oracles check the solvers.  A weighted colimit's
 coend reads phi (x) S on demand, cell by cell and action by action, and builds
 no profunctor.  A bounded closure builds el(phi) once per weight in each round
 and shares it with that weight's colimits; each colimit still runs both routes.
@@ -28,18 +31,21 @@ diagram it pulls back along the projection shares the diagram's tables.
 
 ``finset_limit`` and ``nat_trans_set`` enumerate natural families with one
 solver, ``core._families``, which also finds the first presheaf isomorphism
-for ``equivalence.presheaf_isomorphic``.  Like every backtracking search in the
-library, it counts nodes against one budget, ``core.DEFAULT_BUDGET`` = 10^6,
-which ``--budget`` sets for one command; a search for a first solution counts
-only the values it tries.
+for ``equivalence.presheaf_isomorphic``.  A slot that an equation from an
+earlier slot forces tries only its one possible value.  ``nat_trans_set``
+reads the equations of a generating set of morphisms, ``finset_limit`` those
+of every morphism.  Like every backtracking search in the library, the solver
+counts nodes against one budget, ``core.DEFAULT_BUDGET`` = 10^6, which
+``--budget`` sets for one command; a search for a first solution counts only
+the values it tries.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .core import (FinFunctor, NatTrans, Presheaf, Profunctor, _bijectivity,
-                   _families, _freeze, _gens, _pullback, category_of_elements,
-                   compose_functors, quotient, same_category)
+                   _families, _freeze, _gens, _nat_gens, _pullback,
+                   category_of_elements, compose_functors, quotient, same_category)
 from .errors import InternalMismatch, MalformedTable
 
 
@@ -109,10 +115,20 @@ def coend(h: Profunctor) -> ColimitResult:
 def nat_trans_set(source: Presheaf, target: Presheaf):
     """All natural transformations source -> target, in deterministic order.
 
-    Backtracks one element image at a time; each naturality equation is
-    checked as soon as both of its slots are assigned.  That keeps hom sets
-    of concrete categories from exploding the search the way whole-component
-    enumeration would.
+    Backtracks one element image at a time, in ``core._families``: the slot
+    of each x in source(a), objects in base order.  Naturality at f: s -> t
+    is one equation per x in source(t), comp[s][x.f] == target.act(f,
+    comp[t][x]), for f in ``core._nat_gens(base)`` only, not for every
+    non-identity.  Precondition: a lawful base and functorial presheaves.
+    Then, for f = g.h, comp[x.f] = comp[(x.g).h] = comp[x.g].h =
+    (comp[x].g).h = comp[x].f, so a generating set's equations give every
+    morphism's.  ``_nat_gens`` also keeps each composite that it cannot
+    reach through a middle object before one of its ends, so at every prefix
+    of slots the equations read give those of every morphism: the search
+    prunes the same prefixes, and the forced slots make it visit no more
+    nodes than a search over every morphism.  A base missing a composite
+    raises MalformedTable; on presheaves that are not functorial the answer
+    is the families natural at each morphism of ``_nat_gens(base)``.
     """
     if not same_category(source.base, target.base):
         raise MalformedTable("nat_trans_set requires presheaves on one base")
@@ -122,8 +138,7 @@ def nat_trans_set(source: Presheaf, target: Presheaf):
     # f: s -> t forces comp[s][x.f] == target.act(f, comp[t][x])
     equations = [(pos[(c.tgt[f], x)], pos[(c.src[f], source.act(f, x))],
                   target.actions[f])
-                 for f in c.morphisms if not c.is_identity(f)
-                 for x in source.sets[c.tgt[f]]]
+                 for f in _nat_gens(c) for x in source.sets[c.tgt[f]]]
     out = []
     for values in _families([target.sets[a] for a, _ in slots], equations,
                             "nat_trans_set"):

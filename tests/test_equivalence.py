@@ -219,13 +219,16 @@ def test_presheaf_isomorphic_matches_the_oracle_on_corpus_pairs():
 
 def test_presheaf_isomorphic_node_count_is_pinned(monkeypatch):
     """R(L(phi)) ~ phi for phi = Y.GSet.GG, as `fincat isbell` decides it.  The
-    whole-object backtracker visits 411,832 nodes here."""
+    whole-object backtracker visits 411,832 nodes here.  The count was 22
+    before forced slots: a slot that a naturality equation forces now tries
+    its one possible value, where it tried each value of its domain up to
+    that one."""
     phi = PRESHEAVES["Y.GSet.GG"]
     back = isbell_right(isbell_left(phi))
-    monkeypatch.setattr(core, "DEFAULT_BUDGET", 21)
+    monkeypatch.setattr(core, "DEFAULT_BUDGET", 19)
     with pytest.raises(BudgetExceeded, match="presheaf isomorphism"):
         presheaf_isomorphic(back, phi)
-    monkeypatch.setattr(core, "DEFAULT_BUDGET", 22)
+    monkeypatch.setattr(core, "DEFAULT_BUDGET", 20)
     assert presheaf_isomorphic(back, phi) is not None
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -144,11 +145,15 @@ def f3():
 
 
 def test_nat_trans_set_node_count_is_pinned(monkeypatch):
+    """Nat(y3, y3) on F3, its 27 endomorphisms of 3.  The search visited
+    21,909 nodes when every non-identity morphism gave equations and every
+    slot opened its whole domain; the equations of ``_nat_gens(F3)`` alone,
+    each forcing its later slot to one value, visit 2,361."""
     y3 = yoneda_embed(f3(), "3")
-    monkeypatch.setattr(core, "DEFAULT_BUDGET", 21908)
+    monkeypatch.setattr(core, "DEFAULT_BUDGET", 2360)
     with pytest.raises(BudgetExceeded, match="nat_trans_set"):
         nat_trans_set(y3, y3)
-    monkeypatch.setattr(core, "DEFAULT_BUDGET", 21909)
+    monkeypatch.setattr(core, "DEFAULT_BUDGET", 2361)
     assert len(nat_trans_set(y3, y3)) == 27
 
 
@@ -694,3 +699,212 @@ def test_quotients_over_an_unlawful_base():
         [(("0", "a"), ("0", "a")), (("0", "b"), ("0", "b")), (("1", "c"), ("0", "a"))])
     with _every_morphism():
         assert finset_colimit(p).classes == (("0", "a"),)
+
+
+# ---------------------------------------------------------------------------
+# natural families with forced slots, on a generating set of morphisms,
+# against the forcing-free search over every non-identity morphism
+
+
+def _families_unforced(domains, equations, distinct=None, first=False):
+    """(families, nodes) of ``core._families`` as it was before forced
+    slots: every equation is checked once its later slot is assigned, and
+    every slot tries its whole domain."""
+    nodes = 0
+    checks = [[] for _ in domains]
+    for p, q, table in equations:
+        checks[max(p, q)].append((p, q, table))
+    unique = distinct is not None
+    if unique:
+        labels = {label: set() for label in distinct}
+        held = [labels[label] for label in distinct]
+    val = [None] * len(domains)
+    out, tries, k = [], [], 0
+    while k >= 0:
+        if k == len(domains):
+            out.append(tuple(val))
+            if first:
+                break
+            k -= 1
+            continue
+        if len(tries) == k:
+            if not first:
+                nodes += len(domains[k])
+            tries.append(iter(domains[k]))
+        elif unique:
+            held[k].discard(val[k])
+        for v in tries[k]:
+            if unique and v in held[k]:
+                continue
+            if first:
+                nodes += 1
+            val[k] = v
+            if all(val[q] == table[val[p]] for p, q, table in checks[k]):
+                if unique:
+                    held[k].add(v)
+                k += 1
+                break
+        else:
+            tries.pop()
+            k -= 1
+    return out, nodes
+
+
+def _nat_trans_oracle(source, target):
+    """(frozen forms, nodes) of ``nat_trans_set`` as it was before it read
+    ``_nat_gens``: one equation per non-identity morphism f and x in
+    source(tgt f), solved without forced slots."""
+    c = source.base
+    slots = [(a, x) for a in c.objects for x in source.sets[a]]
+    pos = {s: i for i, s in enumerate(slots)}
+    equations = [(pos[(c.tgt[f], x)], pos[(c.src[f], source.act(f, x))],
+                  target.actions[f])
+                 for f in c.morphisms if not c.is_identity(f)
+                 for x in source.sets[c.tgt[f]]]
+    families, nodes = _families_unforced([target.sets[a] for a, _ in slots], equations)
+    cuts = list(itertools.accumulate(len(source.sets[a]) for a in c.objects))
+    return [tuple(fam[i - len(source.sets[a]):i] for a, i in zip(c.objects, cuts))
+            for fam in families], nodes
+
+
+def _assert_nat_trans_set_matches_the_oracle(source, target):
+    """The same frozen forms, in order, within the oracle's node count."""
+    want, nodes = _nat_trans_oracle(source, target)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "DEFAULT_BUDGET", nodes)
+        got = [n.frozen() for n in nat_trans_set(source, target)]
+    assert got == want, (source.name, target.name)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6))
+def test_nat_trans_set_matches_every_morphism_unforced_on_random_categories(seed):
+    """Random concrete categories, half of them validated first, so that
+    ``nat_trans_set`` reads the set that ``validate`` keeps."""
+    rng = random.Random(seed)
+    cat = random_concrete_category(rng, f"R{seed}", max_nonid=5)
+    if rng.random() < 0.5:
+        assert validate(cat).ok
+    ps = [random_presheaf(rng, cat, f"p{i}") for i in range(3)]
+    for p in ps:
+        for q in ps:
+            _assert_nat_trans_set_matches_the_oracle(p, q)
+
+
+def test_nat_trans_set_matches_every_morphism_unforced_on_corpus_pairs():
+    presheaves = sorted(PRESHEAVES.values(), key=lambda p: p.name)
+    pairs = [(p, q) for p in presheaves for q in presheaves if p.base is q.base]
+    assert len(pairs) == 340
+    for p, q in pairs:
+        _assert_nat_trans_set_matches_the_oracle(p, q)
+
+
+@st.composite
+def _equation_systems(draw):
+    """Slots over domains drawn from a few shared tuples of distinct values
+    in range(4), so that slots share domains; equations with p < q, p == q
+    and p > q whose tables may leave the later slot's domain; optional
+    ``distinct`` labels and ``first``."""
+    pool = draw(st.lists(st.lists(st.integers(0, 3), max_size=4, unique=True)
+                         .map(tuple), min_size=1, max_size=3))
+    n = draw(st.integers(0, 6))
+    domains = [draw(st.sampled_from(pool)) for _ in range(n)]
+    equations = []
+    if n:
+        for _ in range(draw(st.integers(0, 2 * n))):
+            p, q = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            table = {x: draw(st.integers(0, 3)) for x in range(4)}
+            equations.append((p, q, table))
+    distinct = draw(st.one_of(st.none(), st.lists(st.integers(0, 1), min_size=n,
+                                                  max_size=n)))
+    return domains, equations, distinct, draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_equation_systems())
+def test_forced_slots_match_the_unforced_search(system):
+    """The same list, in order, as the forcing-free copy, and never more
+    nodes: the search finishes within the copy's node count."""
+    domains, equations, distinct, first = system
+    want, nodes = _families_unforced(domains, equations, distinct, first)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "DEFAULT_BUDGET", nodes)
+        got = _families(domains, equations, "families", distinct, first)
+    assert got == want
+
+
+def test_nat_trans_set_over_an_unlawful_base():
+    """A lawful base with functorial presheaves is the precondition of
+    ``nat_trans_set``.  A base missing a composite raises MalformedTable
+    naming it, through ``_gens``.  On a presheaf that is not functorial the
+    answer is the families natural at each morphism of ``_nat_gens(base)``: on
+    Chain3, with 0<=2 acting as neither composite would, the component at 0
+    may send b anywhere, where every morphism's equations pinned it."""
+    missing = _unlawful_two(None)
+    p = _split_by_f_and_g(missing)
+    with pytest.raises(MalformedTable, match=r"compose\('f', 'ia'\) undefined"):
+        nat_trans_set(p, p)
+    bent = Presheaf("bent", Chain3, {"0": ("a", "b"), "1": ("c",), "2": ("d",)},
+                    {"0<=0": {"a": "a", "b": "b"}, "1<=1": {"c": "c"},
+                     "2<=2": {"d": "d"}, "0<=1": {"c": "a"}, "1<=2": {"d": "c"},
+                     "0<=2": {"d": "b"}})
+    assert [v.law for v in validate(bent).violations] == ["composition-action"]
+    assert core._nat_gens(Chain3) == ("0<=1", "1<=2")
+    assert [n.frozen() for n in nat_trans_set(bent, bent)] == [
+        (("a", "a"), ("c",), ("d",)), (("a", "b"), ("c",), ("d",))]
+    assert _nat_trans_oracle(bent, bent)[0] == [(("a", "b"), ("c",), ("d",))]
+
+
+def _order_021():
+    """The order 0 <= 2 <= 1, objects listed 0, 1, 2: the composite 0<=1
+    factors only through 2, which comes after both of its ends."""
+    cat = corpus.poset_category("V", ["0", "1", "2"], lambda x, y: (x, y) in {
+        ("0", "0"), ("1", "1"), ("2", "2"), ("0", "2"), ("2", "1"), ("0", "1")})
+    p = Presheaf("P", cat, {"0": ("a0", "a1"), "1": ("c",), "2": ("d0", "d1")},
+                 {"0<=0": {"a0": "a0", "a1": "a1"}, "1<=1": {"c": "c"},
+                  "2<=2": {"d0": "d0", "d1": "d1"}, "0<=1": {"c": "a1"},
+                  "0<=2": {"d0": "a0", "d1": "a1"}, "2<=1": {"c": "d1"}})
+    return p, ("0<=2", "2<=1"), ("0<=1", "0<=2", "2<=1")
+
+
+def _swap_after_a_point():
+    """f, h: 0 -> 1 and an involution g of 1 with g . f = h: h factors only
+    through 1, its later end, and x0 . g = x1 comes after z after x0."""
+    cat = FinCategory("Swap", ["0", "1"], [("i0", "0", "0"), ("i1", "1", "1"), ("f", "0", "1"),
+                                           ("h", "0", "1"), ("g", "1", "1")],
+                      {"0": "i0", "1": "i1"},
+                      {("i0", "i0"): "i0", ("i1", "i1"): "i1", ("f", "i0"): "f",
+                       ("h", "i0"): "h", ("i1", "f"): "f", ("i1", "h"): "h",
+                       ("g", "i1"): "g", ("i1", "g"): "g", ("g", "g"): "i1",
+                       ("g", "f"): "h", ("g", "h"): "f"})
+    p = Presheaf("P", cat, {"0": ("y0", "y1"), "1": ("x0", "z", "x1")},
+                 {"i0": {"y0": "y0", "y1": "y1"}, "i1": {"x0": "x0", "z": "z", "x1": "x1"},
+                  "f": {"x0": "y0", "z": "y0", "x1": "y1"},
+                  "h": {"x0": "y1", "z": "y0", "x1": "y0"},
+                  "g": {"x0": "x1", "z": "z", "x1": "x0"}})
+    return p, ("f", "g"), ("f", "h", "g")
+
+
+@pytest.mark.parametrize("case, oracle_nodes, gens_nodes",
+                         [(_order_021, 18, 22), (_swap_after_a_point, 33, 40)])
+def test_nat_gens_keeps_a_composite_with_no_earlier_middle(case, oracle_nodes, gens_nodes):
+    """A composite whose every factorization passes through a middle object
+    no earlier than both of its ends: no generator equation decides its
+    equation at its own later slot.  ``_nat_gens`` keeps it, so the search
+    stays within the every-morphism count, where the equations of ``_gens``
+    alone visit more nodes."""
+    p, gens, kept = case()
+    cat = p.base
+    assert validate(cat).ok and validate(p).ok
+    assert core._gens(cat) == gens
+    assert core._nat_gens(cat) == kept
+    assert core._nat_gens(cat.op()) == kept
+    assert _nat_trans_oracle(p, p)[1] == oracle_nodes
+    _assert_nat_trans_set_matches_the_oracle(p, p)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(limits, "_nat_gens", core._gens)
+        patch.setattr(core, "DEFAULT_BUDGET", gens_nodes - 1)
+        with pytest.raises(BudgetExceeded, match="nat_trans_set"):
+            nat_trans_set(p, p)
+        patch.setattr(core, "DEFAULT_BUDGET", gens_nodes)
+        assert len(nat_trans_set(p, p)) == 2
