@@ -21,8 +21,8 @@ _EXPORTS = {
         full_subcategory identity_functor is_connected is_filtered nat_compose
         nat_identity product_category same_category unit_category validate""",
     "limits": """coend colimit_in_category finset_colimit finset_limit
-        limit_in_category nat_trans_set preserves_weighted_colimit
-        weighted_colimit weighted_limit""",
+        nat_trans_set preserves_weighted_colimit weighted_colimit
+        weighted_limit""",
     "equivalence": """all_functors find_equivalence find_isomorphism
         is_fully_faithful presheaf_isomorphic skeleton""",
     "kan": """PresheafCollection lan nerve pointwise_colimit restrict

@@ -19,7 +19,7 @@ from .equivalence import (Equivalence, find_equivalence, is_fully_faithful,
                           objects_isomorphic, all_functors)
 from .errors import InternalMismatch
 from .kan import nerve, yoneda_embed
-from .limits import (colimit_in_category, limit_in_category, nat_trans_set,
+from .limits import (colimit_in_category, nat_trans_set,
                      preserves_weighted_colimit, weighted_colimit)
 from .profunctor import _column, _transpose, has_right_adjoint, module_of_weight
 
@@ -91,16 +91,17 @@ class SmallProjectiveReport:
 def small_projective_report(phi: Presheaf, _reps=None) -> SmallProjectiveReport:
     """Bijectivity report for the canonical map phi * L(phi) -> Nat(phi, phi).
 
-    The map sends the class of (x, gamma) over k to y |-> phi(gamma(y))(x); it
-    is checked to be constant on classes before anything else.  _reps is
-    passed to ``isbell_left``.
+    The map sends the class of (x, gamma) over k to y |-> phi(gamma(y))(x),
+    built row by row off the frozen form of gamma, as ``isbell_left`` builds
+    its action; it is checked to be constant on classes before anything
+    else.  _reps is passed to ``isbell_left``.
     """
     psi = isbell_left(phi, _reps)
     colim = weighted_colimit(phi, psi)
     nats = {n.frozen() for n in nat_trans_set(phi, phi)}
 
     def image(k, x, gkey):
-        return _freeze(phi, lambda j, y: phi.act(_entry(gkey, phi, j, y), x))
+        return tuple(tuple(phi.actions[g][x] for g in row) for row in gkey)
     images = colim.descend(image, "canonical self-map not constant on classes").values()
     injective, surjective = _bijectivity(images, nats, "canonical self-map left the natural set")
     return SmallProjectiveReport(len(colim.classes), len(nats), injective, surjective)
@@ -182,7 +183,7 @@ def _verify_completion(qc: CauchyCompletion):
     grown = nerve(qc.embedding)
     reps = {b: yoneda_embed(qc.base, b) for b in qc.base.objects}
     for (b, e) in qc.idempotents:
-        p = grown.presheaves[(b, e)]
+        p = grown[(b, e)]
         for a in qc.base.objects:
             expect = {m for m in qc.base.hom(a, b)
                       if qc.base.compose(e, m) == m}
@@ -256,27 +257,24 @@ def morita_equivalent(a: FinCategory, b: FinCategory) -> MoritaResult:
 class DualPair:
     phi: Presheaf               # contravariant weight on B
     psi: Presheaf               # covariant weight, presheaf on B^op
-    phi_module: object          # I -|-> B
-    psi_module: object          # B -|-> I, right adjoint of phi_module
-    adjunction: object
+    psi_module: object          # B -|-> I, right adjoint of phi's module
 
 
 def dual_pair_from_weight(phi: Presheaf):
     """The adjoint pair generated by a small projective weight, else None."""
-    phi_mod = module_of_weight(phi)
-    adj = has_right_adjoint(phi_mod)
+    adj = has_right_adjoint(module_of_weight(phi))
     if not adj:
         return None
     g = adj.right
     psi = _column(_transpose(g), g.target.objects[0])   # g(*, -) on B^op
     psi.name = f"dual({phi.name})"
-    return DualPair(phi, psi, phi_mod, g, adj)
+    return DualPair(phi, psi, g)
 
 
 @dataclass
 class DualComparison:
     colimit: object             # ColimitInCategory or None
-    limit: object               # LimitInCategory or None
+    limit: object               # ColimitInCategory in the opposite, or None
     agree: bool
     reason: str = ""
 
@@ -284,10 +282,11 @@ class DualComparison:
 def dual_limit_colimit(pair: DualPair, diagram: FinFunctor) -> DualComparison:
     """{psi, F} against phi * F inside the diagram's target category.
 
-    Both sides must exist together and then have isomorphic apexes.
+    Both sides must exist together and then have isomorphic apexes.  The
+    limit is the colimit of F^op weighted by psi, in the opposite.
     """
     colim = colimit_in_category(pair.phi, diagram)
-    lim = limit_in_category(pair.psi, diagram)
+    lim = colimit_in_category(pair.psi, diagram.op())
     if (colim is None) != (lim is None):
         return DualComparison(colim, lim, False, "one side exists without the other")
     if colim is None:
@@ -313,7 +312,6 @@ class AbsoluteInstance:
 
 @dataclass
 class AbsoluteReport:
-    weight: str
     small_projective: bool
     instances: list
 
@@ -350,4 +348,4 @@ def check_absolute_sampled(phi: Presheaf, functors, cap_per_functor=25) -> Absol
                 res = preserves_weighted_colimit(flip(f), phi, s, colim)
                 instances.append(AbsoluteInstance(f.name, summary, side, True,
                                                   res.preserved, res.reason))
-    return AbsoluteReport(phi.name, is_small_projective(phi), instances)
+    return AbsoluteReport(is_small_projective(phi), instances)

@@ -21,7 +21,6 @@ class ClosureResult:
     collection: PresheafCollection
     rounds: int
     saturated_at_bound: bool
-    cap: Caps
     capped: tuple = ()           # notes for anything a cap suppressed
 
 
@@ -98,7 +97,7 @@ def phi_closure_bounded(weight_class: WeightClass, base: FinCategory,
             saturated = True
             break
     coll._nats.clear()      # the hom sets served only the rounds; free them
-    return ClosureResult(coll, rounds, saturated, caps, tuple(notes))
+    return ClosureResult(coll, rounds, saturated, tuple(notes))
 
 
 def _automorphisms(cat: FinCategory) -> dict:
@@ -135,7 +134,6 @@ def _orbit(s: FinFunctor, auts: dict) -> set:
 class SaturationVerdict:
     verdict: str                 # "yes" | "no-at-fixpoint" | "unknown-at-cap"
     member_index: object
-    closure: ClosureResult
 
     @property
     def found(self):
@@ -148,10 +146,10 @@ def in_saturation_bounded(psi: Presheaf, weight_class: WeightClass,
     closure = phi_closure_bounded(weight_class, psi.base, caps)
     i = closure.collection.find_isomorphic(psi)
     if i is not None:
-        return SaturationVerdict("yes", i, closure)
+        return SaturationVerdict("yes", i)
     if closure.saturated_at_bound:
-        return SaturationVerdict("no-at-fixpoint", None, closure)
-    return SaturationVerdict("unknown-at-cap", None, closure)
+        return SaturationVerdict("no-at-fixpoint", None)
+    return SaturationVerdict("unknown-at-cap", None)
 
 
 @dataclass

@@ -151,7 +151,7 @@ def _cmd_nerve(ws, args, opts):
     lines = []
     sizes = {}
     for b in g.target.objects:
-        sizes[b] = {a: len(res.presheaves[b].sets[a]) for a in g.source.objects}
+        sizes[b] = {a: len(res[b].sets[a]) for a in g.source.objects}
         row = " ".join(str(sizes[b][a]) for a in g.source.objects)
         lines.append(f"{b}: {row}")
     return lines, {"sizes": sizes}, 0

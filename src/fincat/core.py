@@ -373,9 +373,6 @@ class NatTrans:
         there is none.  Decided once per family, whose components never change."""
         return self._failure
 
-    def is_iso(self):
-        return self.bijection_failure() is None
-
     def __repr__(self):
         return f"NatTrans({self.name or self.frozen()!r})"
 

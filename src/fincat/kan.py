@@ -50,7 +50,6 @@ def restrict(k: FinFunctor, s: Presheaf) -> Presheaf:
 class LanResult:
     extension: Presheaf          # covariant on the target, as a presheaf on target.op()
     unit: dict                   # a -> {t in T(a) -> element of extension at K(a)}
-    per_object: dict             # c -> WeightedColimitResult
 
 
 def lan(k: FinFunctor, t: Presheaf) -> LanResult:
@@ -68,26 +67,13 @@ def lan(k: FinFunctor, t: Presheaf) -> LanResult:
     unit = {a: {x: per[k.obj(a)].inject(a, c_cat.id_of(k.obj(a)), x)
                 for x in t.sets[a]}
             for a in k.source.objects}
-    return LanResult(extension, unit, per)
+    return LanResult(extension, unit)
 
 
-@dataclass
-class NerveResult:
-    presheaves: dict             # b -> Presheaf on the functor source
-    transports: dict             # g: b -> b' -> NatTrans presheaves[b] -> presheaves[b']
-
-
-def nerve(g: FinFunctor) -> NerveResult:
-    """b -> Hom(g-, b), functorial in b by post-composition."""
-    cat = g.target
-    presheaves = {b: hom_diagram(g, b) for b in cat.objects}
-    transports = {}
-    for m in cat.morphisms:
-        b, b2 = cat.src[m], cat.tgt[m]
-        comps = {n: {h: cat.compose(m, h) for h in presheaves[b].sets[n]}
-                 for n in g.source.objects}
-        transports[m] = NatTrans(presheaves[b], presheaves[b2], comps, name=f"nerve[{m!r}]")
-    return NerveResult(presheaves, transports)
+def nerve(g: FinFunctor) -> dict:
+    """b -> Hom(g-, b), a presheaf on g's source, for each object b of g's
+    target; the post-composition maps between them are left to the caller."""
+    return {b: hom_diagram(g, b) for b in g.target.objects}
 
 
 # ---------------------------------------------------------------------------
@@ -149,24 +135,6 @@ class PresheafCollection:
         for a in base.objects:
             coll.add(yoneda_embed(base, a), Provenance("representable", (a,)))
         return coll
-
-    def replay(self, index, weights_by_name):
-        """Recompute the member from its provenance; must land isomorphic."""
-        prov = self.provenance[index]
-        if prov.kind == "representable":
-            p = yoneda_embed(self.base, prov.data[0])
-        else:
-            weight_name, obj_assign, mor_assign = prov.data
-            phi = weights_by_name[weight_name]
-            objs = {k: self.members[i] for k, i in obj_assign}
-            mors = {u: NatTrans(objs[phi.base.src[u]], objs[phi.base.tgt[u]],
-                                {a: dict(v) for a, v in comps})
-                    for u, comps in mor_assign}
-            p = pointwise_colimit(phi, objs, mors, self.base,
-                                  f"replay[{index}]")
-        if presheaf_isomorphic(p, self.members[index]) is None:
-            raise InternalMismatch(f"provenance replay diverged for member {index}")
-        return p
 
 
 def pointwise_colimit(phi: Presheaf, diagram_objs: dict, diagram_mors: dict,

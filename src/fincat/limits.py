@@ -285,12 +285,6 @@ class ColimitInCategory:
     cocone: dict                # k -> {x in phi(k) -> morphism S(k) -> apex}
 
 
-@dataclass
-class LimitInCategory:
-    apex: object
-    cone: dict                  # k -> {y in psi(k) -> morphism apex -> t(k)}
-
-
 def hom_diagram(s: FinFunctor, a) -> Presheaf:
     """k -> Hom_A(S k, a) as a presheaf on K, acting by precomposition."""
     k, cat, mor = s.source, s.target, s.mor_map
@@ -332,14 +326,6 @@ def _is_universal_cocone(phi, s, c, cocone, cocones):
         if not all(_bijectivity(images, cocones[a].keys(), "composite left Nat(phi, Hom(S-, a))")):
             return False
     return True
-
-
-def limit_in_category(psi: Presheaf, t: FinFunctor):
-    """{psi, t} for psi on L and t: L^op -> A, via the colimit search in A^op."""
-    got = colimit_in_category(psi, t.op())
-    if got is None:
-        return None
-    return LimitInCategory(got.apex, got.cocone)
 
 
 @dataclass

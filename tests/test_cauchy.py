@@ -1,11 +1,12 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fincat import cauchy, corpus
-from fincat.cauchy import (AbsoluteInstance, cauchy_completion,
-                           check_absolute_sampled,
+from fincat.cauchy import (AbsoluteInstance, SmallProjectiveReport,
+                           cauchy_completion, check_absolute_sampled,
                            dual_limit_colimit, dual_pair_from_weight,
                            idempotent_endos, is_small_projective, isbell_left,
                            isbell_right, isbell_unit,
@@ -74,7 +75,7 @@ def _assert_reps_hand_off_changes_nothing(weights):
 def _completion_weights(cat):
     """The nerve presheaves of the completion objects, as the completion
     check reads them."""
-    return nerve(cauchy_completion(cat).embedding).presheaves.values()
+    return nerve(cauchy_completion(cat).embedding).values()
 
 
 def test_handed_representables_change_no_answer_on_the_corpus():
@@ -115,6 +116,25 @@ def test_completion_check_builds_each_representable_once(monkeypatch):
         handed = {id(a[1]) for a, _ in calls["isbell_left"]}
         assert len(handed) == 1, cat.name
         assert list(calls["isbell_left"][0][0][1]) == list(cat.objects), cat.name
+
+
+def test_completion_check_calls_the_nerve_once(monkeypatch):
+    """A verified completion reads the split images off one call of the
+    public kan.nerve on its embedding, which the benchmark's ladder traces;
+    an unverified completion calls it not at all."""
+    calls = []
+
+    def recording(g, _real=cauchy.nerve):
+        calls.append(g)
+        return _real(g)
+    monkeypatch.setattr(cauchy, "nerve", recording)
+    for cat in (GSet, M, QM, corpus.N5, corpus.FinSet12):
+        calls.clear()
+        qc = cauchy_completion(cat, verify=True)
+        assert len(calls) == 1 and calls[0] is qc.embedding, cat.name
+        calls.clear()
+        cauchy_completion(cat)
+        assert calls == [], cat.name
 
 
 def test_groups_and_posets_are_already_complete():
@@ -158,6 +178,49 @@ def test_small_projective_report_shape():
     assert rep.ok and rep.colimit_size == rep.nat_size
     rep = small_projective_report(PRESHEAVES["one.Z2"])
     assert not rep.ok
+
+
+def _small_projective_oracle(phi):
+    """small_projective_report with the canonical map read one element at a
+    time, through ``_freeze`` and ``_entry``: the report and the images of
+    the map, in class order."""
+    colim = weighted_colimit(phi, isbell_left(phi))
+    nats = {n.frozen() for n in nat_trans_set(phi, phi)}
+
+    def image(k, x, gkey):
+        return _freeze(phi, lambda j, y: phi.act(_entry(gkey, phi, j, y), x))
+    images = list(colim.descend(image, "canonical self-map not constant on classes").values())
+    injective, surjective = _bijectivity(images, nats, "canonical self-map left the natural set")
+    return SmallProjectiveReport(len(colim.classes), len(nats), injective, surjective), images
+
+
+def _report_and_images(phi):
+    """small_projective_report(phi) and the images of its canonical map, in
+    the order it hands them to ``_bijectivity``."""
+    seen = []
+
+    def recording(images, onto, message):
+        seen.append(list(images))
+        return _bijectivity(seen[-1], onto, message)
+    with mock.patch.object(cauchy, "_bijectivity", recording):
+        report = small_projective_report(phi)
+    assert len(seen) == 1
+    return report, seen[0]
+
+
+def test_canonical_map_matches_the_element_oracle_on_the_corpus():
+    for name, phi in sorted(PRESHEAVES.items()):
+        assert _report_and_images(phi) == _small_projective_oracle(phi), name
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6))
+def test_canonical_map_matches_the_element_oracle_on_random_weights(seed):
+    rng = random.Random(seed)
+    cat = random_concrete_category(rng, f"R{seed}", max_nonid=6)
+    for i in range(2):
+        phi = random_presheaf(rng, cat, f"phi{i}")
+        assert _report_and_images(phi) == _small_projective_oracle(phi), i
 
 
 def test_retract_witness_is_a_retract():

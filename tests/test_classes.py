@@ -16,9 +16,9 @@ from fincat.classes import (Caps, WeightClass, atoms, check_commutation,
                             in_saturation_bounded, is_phi_cocomplete,
                             is_phi_continuous, phi_closure_bounded,
                             recognize_free_cocompletion)
-from fincat.core import (FinCategory, Presheaf, covariant, full_subcategory,
-                         identity_functor, is_connected, nat_compose, nat_identity,
-                         same_category, validate)
+from fincat.core import (FinCategory, NatTrans, Presheaf, covariant,
+                         full_subcategory, identity_functor, is_connected,
+                         nat_compose, nat_identity, same_category, validate)
 from fincat.corpus import (Chain3, Disc2, M, N5, QM, Span, Two, Z2,
                            PRESHEAVES, WEIGHT_CLASSES, delta0, delta1, embedM,
                            example82, orbit)
@@ -295,15 +295,29 @@ def test_closure_leaves_no_cyclic_garbage():
         gc.enable()
 
 
+def _replay(coll, index, weights_by_name):
+    """Recompute member index of coll from its provenance, which must land
+    isomorphic to the member."""
+    prov = coll.provenance[index]
+    if prov.kind == "representable":
+        p = yoneda_embed(coll.base, prov.data[0])
+    else:
+        weight_name, obj_assign, mor_assign = prov.data
+        phi = weights_by_name[weight_name]
+        objs = {k: coll.members[i] for k, i in obj_assign}
+        mors = {u: NatTrans(objs[phi.base.src[u]], objs[phi.base.tgt[u]],
+                            {a: dict(v) for a, v in comps})
+                for u, comps in mor_assign}
+        p = pointwise_colimit(phi, objs, mors, coll.base, f"replay[{index}]")
+    assert presheaf_isomorphic(p, coll.members[index]) is not None, index
+
+
 def test_closure_provenance_replays():
-    res = phi_closure_bounded(SPLIT, M)
-    weights = {w.name: w for w in SPLIT.weights}
-    for i in range(len(res.collection.members)):
-        res.collection.replay(i, weights)
-    res = phi_closure_bounded(INITIAL, Two)
-    weights = {w.name: w for w in INITIAL.weights}
-    for i in range(len(res.collection.members)):
-        res.collection.replay(i, weights)
+    for weight_class, base in ((SPLIT, M), (INITIAL, Two)):
+        res = phi_closure_bounded(weight_class, base)
+        weights = {w.name: w for w in weight_class.weights}
+        for i in range(len(res.collection.members)):
+            _replay(res.collection, i, weights)
 
 
 def test_closure_caps_are_flagged_not_raised():

@@ -1,18 +1,20 @@
 """Source hygiene of src/fincat, checked with the standard library's ast:
 no module imports a name it never uses, no top-level private function or
 class goes unreferenced, no function binds a local it never reads, no
-None default stands for a value a call computes (one listed exception), no
+None default stands for a value a call computes (two listed exceptions), no
 NatTrans is built only to be frozen, no class subclasses NatTrans, no table
-of a presheaf or category is changed after construction, and product
+of a presheaf or category is changed after construction, product
 categories are built only by the listed functions that view a module as a
-presheaf, every public definition has a reader in the library or the
-benchmark or a listed reason to ship without one, and no function takes a
-budget parameter, since every search reads the one budget.  Dead aliases, duplicate
-helpers, unused unpacked values and second paths left behind by a refactor
-fail here, and so do a rename of a function the benchmark traces and a
-public generator function, which its tracer cannot time.  Imports
-sit at the top of each module and point down one fixed order of layers, and
-the package loads a module only when one of its names is read."""
+presheaf, every public function, class, method and property has a reader in
+the library or the benchmark or a listed reason to ship without one, every
+dataclass field is read somewhere in the library, the benchmark or the
+tests, and no function takes a budget parameter, since every search reads
+the one budget.  Dead aliases, duplicate helpers, unused unpacked values,
+unread result fields and second paths left behind by a refactor fail here,
+and so do a rename of a function the benchmark traces and a public
+generator function, which its tracer cannot time.  Imports sit at the top
+of each module and point down one fixed order of layers, and the package
+loads a module only when one of its names is read."""
 import ast
 import importlib
 import inspect
@@ -20,6 +22,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -424,16 +427,43 @@ SHIPPED_WITHOUT_READER = {
 }
 
 
-def _unread_public(modules, outside):
-    """``module.name`` of every public top-level function or class of
-    ``modules`` that no module reads outside the definition itself and whose
-    name is not in ``outside``."""
-    reads = [(node, _referenced(node)) for tree in modules.values() for node in tree.body]
-    return {f"{name[:-3]}.{node.name}" for name, tree in modules.items()
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_") and node.name not in outside
-            and not any(node.name in names for other, names in reads if other is not node)}
+def _reads(node):
+    """Each read of a name in node, with repeats, as ``_referenced`` counts
+    them."""
+    for inner in ast.walk(node):
+        if isinstance(inner, ast.Name):
+            yield inner.id
+        elif isinstance(inner, ast.Attribute):
+            yield inner.attr
+        elif isinstance(inner, ast.ImportFrom):
+            yield from (alias.name for alias in inner.names)
+
+
+def _public_definitions(modules):
+    """(``module.name``, node, False) of every public top-level function or
+    class, and (``module.Class.name``, node, True) of every public method or
+    property of a top-level class."""
+    for name, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                yield f"{name[:-3]}.{node.name}", node, False
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{name[:-3]}.{node.name}.{fn.name}", fn, True)
+                            for fn in node.body if isinstance(fn, ast.FunctionDef)
+                            and not fn.name.startswith("_"))
+
+
+def _unread_public(modules, outside, outside_members):
+    """The qualified name of every public definition of ``modules`` that no
+    module reads outside the definition itself: a function or class whose
+    name is not in ``outside``, or a method or property whose name is not in
+    ``outside_members``."""
+    total = Counter(name for tree in modules.values() for name in _reads(tree))
+    return {qualname for qualname, node, member in _public_definitions(modules)
+            if node.name not in (outside_members if member else outside)
+            and total[node.name] == Counter(_reads(node))[node.name]}
 
 
 def _fincat_reads(tree):
@@ -459,32 +489,84 @@ def _fincat_reads(tree):
     return names
 
 
+def _attributes_read(tree):
+    """Every attribute name that tree reads."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _scripts(folder):
+    return [ast.parse(path.read_text()) for path in sorted((ROOT / folder).glob("*.py"))]
+
+
 def test_every_public_definition_has_a_reader_or_a_listed_reason():
-    """A public function or class of src/fincat is read by library code
-    (the cli's ``fincat.<module>.<name>`` reads included), or is read from
-    fincat by a ``perfbench`` script, or is listed in
-    ``SHIPPED_WITHOUT_READER`` with its reason; a name that only tests read
-    goes into the tests.  The samples show an unread and a self-calling
-    definition caught, and a read, a private and a benchmarked one passed,
-    and which names of a script count as reads of fincat."""
+    """A public function, class, method or property of src/fincat is read by
+    library code outside its own definition (the cli's
+    ``fincat.<module>.<name>`` reads included), or by a ``perfbench`` script:
+    a function or class read from fincat, a method or property read as an
+    attribute.  Else it is listed in ``SHIPPED_WITHOUT_READER`` with its
+    reason; a name that only tests read goes into the tests.  The samples
+    show an unread, a self-calling and an unread method caught, and a read,
+    a private, a benchmarked and a read property passed, and which names of
+    a script count as reads of fincat."""
     sample = {"m.py": ast.parse("def used():\n    pass\n"
                                 "def unread():\n    return used()\n"
                                 "def selfish():\n    return selfish()\n"
-                                "class Shown:\n    pass\n"
+                                "class Shown:\n"
+                                "    def idle(self):\n        return self.idle()\n"
+                                "    @property\n    def size(self):\n        pass\n"
+                                "    def timed(self):\n        pass\n"
+                                "    def _own(self):\n        pass\n"
                                 "def benched():\n    pass\n"
                                 "def _private():\n    pass\n"),
-              "n.py": ast.parse("x = m.Shown\n")}
-    assert _unread_public(sample, {"benched"}) == {"m.unread", "m.selfish"}
+              "n.py": ast.parse("x = m.Shown\ny = x().size\n")}
+    assert _unread_public(sample, {"benched"}, {"timed"}) == {
+        "m.unread", "m.selfish", "m.Shown.idle"}
     script = ast.parse("import fincat\nfrom fincat import corpus as c\n"
                        "from fincat.kan import nerve\nimport json\n"
                        "def f(end):\n    end = json.loads(end)\n"
                        "    return fincat.lan(c.CATEGORIES, fincat.cauchy.q_duality)\n")
     assert _fincat_reads(script) == {"corpus", "nerve", "lan", "CATEGORIES",
                                      "cauchy", "q_duality"}
-    bench = set().union(*(_fincat_reads(ast.parse(path.read_text()))
-                          for path in sorted((ROOT / "perfbench").glob("*.py"))))
-    assert "retract_oracle" in bench and "end" not in bench
-    assert _unread_public(_modules(), bench) == set(SHIPPED_WITHOUT_READER)
+    bench = _scripts("perfbench")
+    names = set().union(*map(_fincat_reads, bench))
+    assert "retract_oracle" in names and "end" not in names
+    members = set().union(*map(_attributes_read, bench))
+    assert _unread_public(_modules(), names, members) == set(SHIPPED_WITHOUT_READER)
+
+
+def _dataclass_fields(tree):
+    """(``Class.field``, field) for each annotated field of each class that
+    tree decorates with ``dataclass``, bare, called or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in (getattr(d, "id", None), getattr(d, "attr", None))
+                for d in (getattr(dec, "func", dec) for dec in node.decorator_list)):
+            yield from ((f"{node.name}.{st.target.id}", st.target.id) for st in node.body
+                        if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name))
+
+
+def test_every_dataclass_field_is_read():
+    """Each field of a dataclass of src/fincat is read as an attribute
+    somewhere in src/fincat, perfbench or the tests: a result field that
+    nothing reads is computed and kept for no one.  The sample shows the
+    three decorator forms seen, a field that is only written caught, and a
+    plain class's annotations passed over."""
+    sample = ast.parse("@dataclass\nclass A:\n    x: int\n    y: int = 0\n"
+                       "@dataclass(frozen=True)\nclass B:\n    z: int\n"
+                       "@dataclasses.dataclass\nclass C:\n    w: int\n"
+                       "class D:\n    v: int\n"
+                       "a.x = 1\nprint(a.y, b.z)\n")
+    assert list(_dataclass_fields(sample)) == [("A.x", "x"), ("A.y", "y"), ("B.z", "z"),
+                                               ("C.w", "w")]
+    assert {q for q, f in _dataclass_fields(sample)
+            if f not in _attributes_read(sample)} == {"A.x", "C.w"}
+    modules = _modules()
+    read = set().union(*map(_attributes_read, [*modules.values(), *_scripts("perfbench"),
+                                               *_scripts("tests")]))
+    unread = [f"{name}: {qualname}" for name, tree in modules.items()
+              for qualname, field in _dataclass_fields(tree) if field not in read]
+    assert unread == []
 
 
 def test_every_traced_layer_of_the_benchmark_names_a_callable():

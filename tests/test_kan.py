@@ -67,21 +67,33 @@ def test_lan_rejects_contravariant_diagram():
         lan(corpus.orbit, PRESHEAVES["Y.GSet.G"])
 
 
+def _nerve_transports(g, presheaves):
+    """For each morphism m: b -> b' of g's target, post-composition with m,
+    Hom(g-, b) -> Hom(g-, b')."""
+    cat = g.target
+    return {m: NatTrans(presheaves[cat.src[m]], presheaves[cat.tgt[m]],
+                        {n: {h: cat.compose(m, h) for h in presheaves[cat.src[m]].sets[n]}
+                         for n in g.source.objects}, name=f"nerve[{m!r}]")
+            for m in cat.morphisms}
+
+
 def test_nerve_of_the_two_point_functors():
     g0, g1 = all_functors(corpus.I, Two)
     n0 = nerve(g0)
-    assert [len(n0.presheaves[b].sets["*"]) for b in Two.objects] == [1, 1]
+    assert tuple(n0) == Two.objects
+    assert [len(n0[b].sets["*"]) for b in Two.objects] == [1, 1]
     n1 = nerve(g1)
-    assert [len(n1.presheaves[b].sets["*"]) for b in Two.objects] == [0, 1]
-    for m in Two.morphisms:
-        assert validate(n0.transports[m]).ok
+    assert [len(n1[b].sets["*"]) for b in Two.objects] == [0, 1]
+    for g in (g0, corpus.embedM):
+        for m, t in _nerve_transports(g, nerve(g)).items():
+            assert validate(t).ok, (g.name, m)
 
 
 def test_nerve_of_embedM_detects_the_split():
     n = nerve(corpus.embedM)
     # at se the nerve is the splitting presheaf E, at s1 the representable
-    assert presheaf_isomorphic(n.presheaves["se"], PRESHEAVES["E"]) is not None
-    assert presheaf_isomorphic(n.presheaves["s1"], PRESHEAVES["Y.M.*"]) is not None
+    assert presheaf_isomorphic(n["se"], PRESHEAVES["E"]) is not None
+    assert presheaf_isomorphic(n["s1"], PRESHEAVES["Y.M.*"]) is not None
 
 
 def test_kan_bijection_fixed_instances():

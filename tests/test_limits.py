@@ -16,9 +16,9 @@ from fincat.equivalence import all_functors, find_isomorphism, presheaf_isomorph
 from fincat.errors import BudgetExceeded, InternalMismatch, MalformedTable
 from fincat.kan import yoneda_embed
 from fincat.limits import (ColimitResult, coend, colimit_in_category,
-                           finset_colimit, finset_limit, limit_in_category,
-                           nat_trans_set, preserves_weighted_colimit,
-                           weighted_colimit, weighted_limit)
+                           finset_colimit, finset_limit, nat_trans_set,
+                           preserves_weighted_colimit, weighted_colimit,
+                           weighted_limit)
 from fincat.profunctor import (_transpose, compose_modules, has_right_adjoint, id_module,
                                module_of_weight, right_lift)
 from util import (SMALL_CATEGORIES, _coend_by_union_find, cone_oracle,
@@ -520,19 +520,21 @@ def test_colimit_in_category_skips_a_candidate_with_matching_hom_sizes():
 
 
 def test_limit_in_category_terminal_objects():
+    """A limit in a category is the colimit of the opposite diagram, in the
+    opposite category."""
     t = all_functors(Empty, Two)[0]
-    got = limit_in_category(delta0(Empty), t)
+    got = colimit_in_category(delta0(Empty), t.op())
     assert got is not None and got.apex == "1"
     tm = all_functors(Empty, M)[0]
-    assert limit_in_category(delta0(Empty), tm) is None
+    assert colimit_in_category(delta0(Empty), tm.op()) is None
 
 
 def test_limit_in_category_no_binary_products_in_M():
     t = all_functors(Disc2, M)[0]
-    assert limit_in_category(delta1(Disc2), t) is None
+    assert colimit_in_category(delta1(Disc2), t.op()) is None
     # but the 3-chain has them: meets
     for t2 in all_functors(Disc2, Chain3):
-        got = limit_in_category(delta1(Disc2), t2)
+        got = colimit_in_category(delta1(Disc2), t2.op())
         assert got is not None
         assert got.apex == min(t2.obj("0"), t2.obj("1"))
 

@@ -101,7 +101,7 @@ def left_unitor(f, composite):
         _, (h, x) = rep
         return f.left_act(h, a, x)
     cell = _cellwise(composite, f, f"lambda({f.name})", image)
-    if not cell.is_iso():
+    if cell.bijection_failure() is not None:
         raise InternalMismatch(f"left unitor of {f.name} not invertible")
     return cell
 
@@ -113,7 +113,7 @@ def right_unitor(f, composite):
         _, (x, h) = rep
         return f.right_act(b, h, x)
     cell = _cellwise(composite, f, f"rho({f.name})", image)
-    if not cell.is_iso():
+    if cell.bijection_failure() is not None:
         raise InternalMismatch(f"right unitor of {f.name} not invertible")
     return cell
 
@@ -126,7 +126,7 @@ def associator(f3, f2, f1, left, right, inner):
         m1, ((m2, (y, z)), x) = rep
         return right.normalize(t, s, m2, y, inner.normalize(m2, s, m1, z, x))
     cell = _cellwise(left, right, f"assoc({f3.name},{f2.name},{f1.name})", image)
-    if not cell.is_iso():
+    if cell.bijection_failure() is not None:
         raise InternalMismatch("associator not invertible; representative bug")
     return cell
 
@@ -265,8 +265,8 @@ def test_unitors_are_isomorphisms():
     for f in (example82, id_module(Two), _companion(corpus.embedM)):
         lu = left_unitor(f, compose_modules(id_module(f.target), f))
         ru = right_unitor(f, compose_modules(f, id_module(f.source)))
-        assert lu.is_iso(), f.name
-        assert ru.is_iso(), f.name
+        assert lu.bijection_failure() is None, f.name
+        assert ru.bijection_failure() is None, f.name
 
 
 def _raw_pairs(g, f):
@@ -351,7 +351,7 @@ def test_associator_is_isomorphism():
     alpha = associator(f3, f2, example82,
                        compose_modules(compose_modules(f3, f2), example82),
                        compose_modules(f3, inner), inner)
-    assert alpha.is_iso()
+    assert alpha.bijection_failure() is None
 
 
 def test_whiskering_produces_valid_two_cells():
@@ -381,7 +381,7 @@ def test_nat_identity_of_a_module_is_the_cellwise_identity():
         ident, oracle = nat_identity(f), identity_two_cell(f)
         assert list(ident.components.items()) == list(oracle.components.items())
         assert ident.frozen() == oracle.frozen() == _freeze(f, lambda cell, x: x)
-        assert validate(ident).ok and ident.is_iso()
+        assert validate(ident).ok and ident.bijection_failure() is None
 
 
 def test_nat_compose_of_module_two_cells_matches_then():
@@ -509,7 +509,7 @@ def test_bijection_failure_matches_the_oracle_on_presheaf_families():
             found = presheaf_isomorphic(p, q)
             if found is not None:
                 iso = NatTrans(p, q, found, name="iso")
-                assert iso.is_iso(), (p.name, q.name)
+                assert iso.bijection_failure() is None, (p.name, q.name)
                 inverse = iso.invert()
                 assert nat_compose(inverse, iso).frozen() == nat_identity(p).frozen()
                 assert nat_compose(iso, inverse).frozen() == nat_identity(q).frozen()
@@ -526,7 +526,6 @@ def test_bijection_failure_matches_the_oracle_on_presheaf_families():
         onto_point.invert()
     [collapse] = nat_trans_set(sum_, one)
     assert collapse.bijection_failure() == ("0", "injective")
-    assert not collapse.is_iso()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -51,7 +51,7 @@ def _weights(seed, cat):
     rng = random.Random(~seed)
     grown = nerve(cauchy_completion(cat).embedding)
     return ([random_presheaf(rng, cat, f"w{i}", max_size=2) for i in range(2)]
-            + list(grown.presheaves.values()))
+            + list(grown.values()))
 
 
 def small_projectives_three_ways(seed, max_nonid=6):

@@ -783,7 +783,7 @@ def phi_closure_oracle(weight_class, base, caps):
         if not added:
             saturated = True
             break
-    return ClosureResult(coll, rounds, saturated, caps, tuple(notes))
+    return ClosureResult(coll, rounds, saturated, tuple(notes))
 
 
 def closure_answer(res):
