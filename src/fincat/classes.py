@@ -8,7 +8,8 @@ from .core import (Caps, FinCategory, FinFunctor, Presheaf, Profunctor,
                    WeightClass, _bijectivity, _entry, _freeze, _pullback,
                    category_of_elements, covariant, is_connected, is_filtered,
                    same_category)
-from .equivalence import _inverse, all_functors, is_fully_faithful, objects_isomorphic
+from .equivalence import (_inverse, _symmetries, all_functors, is_fully_faithful,
+                          objects_isomorphic, presheaf_isomorphic)
 from .errors import CapExceeded, MalformedTable
 from .kan import PresheafCollection, Provenance, member_category, pointwise_colimit
 from .limits import (_colimits_presheaf, colimit_in_category, hom_diagram,
@@ -35,22 +36,36 @@ def phi_closure_bounded(weight_class: WeightClass, base: FinCategory,
     routes of ``weighted_colimit``; el(phi) is built once per weight in each
     round, on its first diagram, and shared by that weight's colimits.
 
-    One colimit is computed per isomorphism class of diagrams: the first of a
-    class, in ``all_functors`` order, marks its orbit, and the rest are
-    skipped, as their colimits are isomorphic to its colimit; a skip in a class
-    that hit the value cap repeats the note.
+    One colimit is computed per class of diagrams under the automorphisms of
+    the members and the symmetries of the weight: the first of a class, in
+    ``all_functors`` order, marks its orbit under the member automorphisms
+    (``_orbit``), and a later diagram S is skipped when its key, or the key of
+    S . sigma for a symmetry sigma of the weight, is marked.  Its colimit is
+    isomorphic to the marked one's, so the members, their order and the notes
+    are those of computing every colimit; a skip repeats the value-cap note
+    of the class it joins.
+
+    A symmetry of phi is an automorphism sigma of its shape K with
+    phi . sigma ~ phi (``_preserving``).  A weighted colimit changes
+    variables along an isomorphism of its shape (Kelly, *Basic Concepts of
+    Enriched Category Theory*): phi * (S . sigma) is the coend over k of
+    phi(k) x S(sigma k), which is (phi . sigma^-1) * S after k = sigma^-1 j;
+    and phi . sigma^-1 ~ phi, as the symmetries form a group.  So
+    phi * (S . sigma) ~ phi * S.  Each weight's symmetries are found once per
+    call, on its first diagram that is neither marked nor its first.
     """
     coll = PresheafCollection.representables(base)
     notes = []
     rounds = 0
     saturated = False
+    symmetric = {}      # weight index -> its ``_preserving``, once read
     while rounds < caps.rounds:
         rounds += 1
         mem_cat, decode = member_category(coll)
         auts = _automorphisms(mem_cat)
         added = False
         capped_this_round = False
-        for phi in weight_class.weights:
+        for w, phi in enumerate(weight_class.weights):
             el = None
             marks = {}          # diagram key -> did its class hit the value cap
             value_note = (f"value cap {caps.value_size} hit by a "
@@ -61,6 +76,11 @@ def phi_closure_bounded(weight_class: WeightClass, base: FinCategory,
                     capped_this_round = True
                     break
                 key = tuple(map(s.mor_map.__getitem__, phi.base.morphisms))
+                if marks and key not in marks:
+                    if w not in symmetric:
+                        symmetric[w] = _preserving(phi)
+                    key = next((k for perm in symmetric[w]
+                                if (k := tuple(map(key.__getitem__, perm))) in marks), key)
                 if key in marks:
                     if marks[key]:
                         notes.append(value_note)
@@ -100,6 +120,27 @@ def phi_closure_bounded(weight_class: WeightClass, base: FinCategory,
     return ClosureResult(coll, rounds, saturated, tuple(notes))
 
 
+def _preserving(phi: Presheaf) -> list:
+    """The morphism positions of the symmetries of phi other than the
+    identity: the automorphisms sigma of its shape, from
+    ``equivalence._symmetries``, with phi . sigma ~ phi.  The key of
+    S . sigma is the key of S read at these positions.  When phi . sigma
+    has phi's own tables, as for a conical weight, the identity is that
+    isomorphism and no search runs."""
+    shape = phi.base
+    found = []
+    for objs, perm in _symmetries(shape)[1:]:
+        obj_map = dict(zip(shape.objects, objs))
+        mor_map = {u: shape.morphisms[j] for u, j in zip(shape.morphisms, perm)}
+        same_tables = (all(phi.sets[obj_map[a]] == phi.sets[a] for a in shape.objects)
+                       and all(phi.actions[mor_map[u]] == phi.actions[u]
+                               for u in shape.morphisms))
+        if same_tables or presheaf_isomorphic(phi, _pullback(FinFunctor(
+                "sigma", shape, shape, obj_map, mor_map), phi)) is not None:
+            found.append(perm)
+    return found
+
+
 def _automorphisms(cat: FinCategory) -> dict:
     """a -> [(sigma, sigma^-1)] for the automorphisms sigma != id of a."""
     return {a: [(f, g) for f in cat.hom(a, a)
@@ -111,7 +152,13 @@ def _orbit(s: FinFunctor, auts: dict) -> set:
     """Keys (morphism images) of the diagrams naturally isomorphic to s: with
     pairwise non-isomorphic objects in s.target, the sigma_t . S(u) . sigma_s^-1
     for sigma_k in Aut(S k).  Walks the orbit, not the group, one object at a
-    time, skipping objects on no non-identity morphism."""
+    time, skipping objects on no non-identity morphism.
+
+    A natural isomorphism S ~ S' gives phi * S ~ phi * S'.  The orbit under
+    the symmetries of the weight is not listed: the closure reads it off this
+    one, as phi * (S . sigma) ~ phi * S for each of them, so a diagram whose
+    key read at the positions of some symmetry lies in a marked orbit joins
+    that orbit's class."""
     shape, table = s.source, s.target.compose_table
     orbit = {tuple(map(s.mor_map.__getitem__, shape.morphisms))}
     arrows = [(i, shape.src[u], shape.tgt[u]) for i, u in enumerate(shape.morphisms)

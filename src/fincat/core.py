@@ -75,6 +75,7 @@ class FinCategory:
         self._op = None
         self._generating = None     # the tuple of ``_gens``, once read
         self._naturality = None     # the tuple of ``_nat_gens``, once read
+        self._symmetries = None     # the tuple of ``equivalence._symmetries``, once read
         self._take_compose(compose)
 
     def _take_compose(self, compose):

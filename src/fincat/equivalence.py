@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .core import (FinCategory, FinFunctor, FunctorTransform, Meter, Presheaf,
                    _elem_profiles, _families, _require_valid, compose_functors,
                    full_subcategory, identity_functor, quotient)
-from .errors import InternalMismatch
+from .errors import BudgetExceeded, InternalMismatch
 
 
 def _inverse(c: FinCategory, f):
@@ -121,18 +121,28 @@ def _depth_first(depth, level, meter):
 
 
 def find_isomorphism(a: FinCategory, b: FinCategory):
-    """Isomorphism of categories a -> b as a FinFunctor, or None.
+    """Isomorphism of categories a -> b as a FinFunctor, or None: the first
+    of ``_isomorphisms(a, b)``."""
+    found = next(_isomorphisms(a, b), None)
+    if found is None:
+        return None
+    return FinFunctor(f"{a.name}~{b.name}", a, b, *found)
 
-    The first injective functor a -> b whose object map is a bijection
-    compatible with hom-degree profiles.  With equal morphism counts an
-    injective functor is bijective, and a bijective functor is an isomorphism.
+
+def _isomorphisms(a: FinCategory, b: FinCategory):
+    """Yield (obj_map, mor_map) of every isomorphism of categories a -> b.
+
+    They are the injective functors a -> b whose object map is a bijection
+    compatible with hom-degree profiles, in ``_functors`` order.  With equal
+    morphism counts an injective functor is bijective, and a bijective functor
+    is an isomorphism.
     """
     if len(a.objects) != len(b.objects) or len(a.morphisms) != len(b.morphisms):
-        return None
+        return
     meter = Meter("category isomorphism")
     prof_a, prof_b = _object_profile(a), _object_profile(b)
     if sorted(prof_a.values()) != sorted(prof_b.values()):
-        return None
+        return
     omap, used = {}, set()          # objects, and the objects of b they use
 
     def place_object(i):
@@ -150,9 +160,25 @@ def find_isomorphism(a: FinCategory, b: FinCategory):
             used.remove(y)
 
     bijections = (omap for _ in _depth_first(len(a.objects), place_object, meter))
-    for obj_map, mor_map in _functors(a, b, bijections, meter, injective=True):
-        return FinFunctor(f"{a.name}~{b.name}", a, b, obj_map, mor_map)
-    return None
+    yield from _functors(a, b, bijections, meter, injective=True)
+
+
+def _symmetries(c: FinCategory):
+    """The automorphisms of c, each as (object images, morphism positions):
+    the tuple of sigma(a) for a in c.objects and the tuple of
+    c.mor_index[sigma(u)] for u in c.morphisms, in ``_isomorphisms`` order,
+    which lists the identity first.  Computed once and kept on c as plain
+    tuples: a functor kept on its own source would be a reference cycle.  A
+    search that exceeds its budget keeps the identity alone."""
+    if c._symmetries is None:
+        try:
+            found = tuple((tuple(omap[a] for a in c.objects),
+                           tuple(c.mor_index[mmap[u]] for u in c.morphisms))
+                          for omap, mmap in _isomorphisms(c, c))
+        except BudgetExceeded:
+            found = ((c.objects, tuple(range(len(c.morphisms)))),)
+        c._symmetries = found
+    return c._symmetries
 
 
 @dataclass

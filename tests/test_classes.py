@@ -6,7 +6,7 @@ import pkgutil
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import fincat
 from fincat import classes, core, corpus, equivalence, kan, limits
@@ -16,9 +16,10 @@ from fincat.classes import (Caps, WeightClass, atoms, check_commutation,
                             in_saturation_bounded, is_phi_cocomplete,
                             is_phi_continuous, phi_closure_bounded,
                             recognize_free_cocompletion)
-from fincat.core import (FinCategory, NatTrans, Presheaf, covariant,
-                         full_subcategory, identity_functor, is_connected,
-                         nat_compose, nat_identity, same_category, validate)
+from fincat.core import (FinCategory, FinFunctor, NatTrans, Presheaf,
+                         covariant, full_subcategory, identity_functor,
+                         is_connected, nat_compose, nat_identity,
+                         same_category, validate)
 from fincat.corpus import (Chain3, Disc2, M, N5, QM, Span, Two, Z2,
                            PRESHEAVES, WEIGHT_CLASSES, delta0, delta1, embedM,
                            example82, orbit)
@@ -87,8 +88,9 @@ def _wrap_everywhere(monkeypatch, module, name, wrapper):
 
 
 def test_closure_counts_are_pinned(monkeypatch):
-    """Span under pushouts, two rounds: one pointwise colimit per
-    isomorphism class of diagrams (98 of the 152 diagrams), one coend and
+    """Span under pushouts, two rounds: one pointwise colimit per class of
+    diagrams under the member automorphisms and the swap of the legs of
+    the span (62 of the 152 diagrams), one coend and
     one weighted colimit per value of each, one el(phi) per round for the
     one weight, and each (presheaf, object) profile built once.  Traced
     benchmark runs rely on these calls.  The coends read phi (x) S on
@@ -122,8 +124,8 @@ def test_closure_counts_are_pinned(monkeypatch):
     _wrap_everywhere(monkeypatch, core, "_elem_profiles", counting_builds)
     res = phi_closure_bounded(PUSHOUTS, Span, Caps(rounds=2, members=30))
     assert len(res.collection.members) == 15
-    assert calls == {"coend": 294, "category_of_elements": 2,
-                     "weighted_colimit": 294, "pointwise_colimit": 98}
+    assert calls == {"coend": 186, "category_of_elements": 2,
+                     "weighted_colimit": 186, "pointwise_colimit": 62}
     assert inits["Profunctor"] == 0
     assert built and max(built.values()) == 1
 
@@ -174,9 +176,31 @@ def test_closure_matches_the_eager_oracle_on_random_categories(seed):
                 == closure_answer(phi_closure_oracle(wc, cat, caps))), wc.name
 
 
-def _orbit_oracle(s):
-    """The morphism images of the diagrams naturally isomorphic to s, one per
-    element of the group prod_k Aut(S k); s.target's objects are pairwise
+def _shape_symmetries_oracle(phi):
+    """The automorphisms sigma of phi's shape with phi . sigma ~ phi, as
+    morphism maps: every object and morphism permutation that is a functor,
+    filtered by presheaf isomorphism."""
+    k = phi.base
+    found = []
+    for objects in itertools.permutations(k.objects):
+        omap = dict(zip(k.objects, objects))
+        for images in itertools.permutations(k.morphisms):
+            mmap = dict(zip(k.morphisms, images))
+            if (all(k.src[mmap[u]] == omap[k.src[u]] and k.tgt[mmap[u]] == omap[k.tgt[u]]
+                    for u in k.morphisms)
+                    and all(mmap[k.identity[a]] == k.identity[omap[a]] for a in k.objects)
+                    and all(k.compose_table[(mmap[g], mmap[f])] == mmap[h]
+                            for (g, f), h in k.compose_table.items())):
+                sigma = FinFunctor("sigma", k, k, omap, mmap)
+                if presheaf_isomorphic(phi, core._pullback(sigma, phi)) is not None:
+                    found.append(mmap)
+    return found
+
+
+def _orbit_oracle(s, symmetries):
+    """The morphism images of the diagrams naturally isomorphic to s . sigma
+    for a symmetry sigma of the weight, one per element of the group
+    prod_k Aut(S k) x symmetries; s.target's objects are pairwise
     non-isomorphic."""
     cat, shape = s.target, s.source
 
@@ -187,9 +211,11 @@ def _orbit_oracle(s):
     keys = set()
     for sigmas in itertools.product(*(auts(s.obj(k)) for k in shape.objects)):
         at = dict(zip(shape.objects, sigmas))
-        keys.add(tuple(cat.compose(at[shape.tgt[u]][0],
-                                   cat.compose(s.mor(u), at[shape.src[u]][1]))
-                       for u in shape.morphisms))
+        image = {u: cat.compose(at[shape.tgt[u]][0],
+                                cat.compose(s.mor(u), at[shape.src[u]][1]))
+                 for u in shape.morphisms}
+        keys.update(tuple(image[sigma[u]] for u in shape.morphisms)
+                    for sigma in symmetries)
     return frozenset(keys)
 
 
@@ -231,15 +257,16 @@ def test_automorphisms_match_the_pairwise_oracle_on_random_categories(seed):
 
 
 @pytest.mark.parametrize("cat_name, class_name, listed, skipped", [
-    ("M", "splitting", 5, 0), ("Z2", "finite-colimits", 833, 736),
-    ("Span", "pushouts", 152, 54), ("GSet", "orbits", 27, 4)])
+    ("M", "splitting", 5, 0), ("Z2", "finite-colimits", 833, 760),
+    ("Span", "pushouts", 152, 90), ("GSet", "orbits", 27, 4)])
 def test_closure_skips_only_diagrams_isomorphic_to_a_computed_one(
         monkeypatch, cat_name, class_name, listed, skipped):
     """In each weight's list of diagrams, the closure computes the colimit of
-    the first diagram of each natural-isomorphism class and of no other.
-    The colimit of every skipped diagram, recomputed, is isomorphic to that
-    of its class's first diagram.  The members of M have no automorphism but
-    the identity, so nothing is skipped there."""
+    the first diagram of each class and of no other, where S and T are in
+    one class when S . sigma ~ T for a symmetry sigma of the weight.  The
+    colimit of every skipped diagram, recomputed, is isomorphic to that of
+    its class's first diagram.  The members of M have no automorphism but
+    the identity, and E no symmetry, so nothing is skipped there."""
     members, listings = [], []
 
     def recording_members(coll):
@@ -265,6 +292,7 @@ def test_closure_skips_only_diagrams_isomorphic_to_a_computed_one(
     assert not res.capped
     for listing in listings:
         phi = listing[0][1][0]
+        symmetries = _shape_symmetries_oracle(phi)
         decode = next(d for m, d in members if m is listing[0][0].target)
         orbits = []          # (orbit, colimit) of each computed diagram
         for s, computed in listing:
@@ -272,7 +300,7 @@ def test_closure_skips_only_diagrams_isomorphic_to_a_computed_one(
             owners = [p for orbit, p in orbits if key in orbit]
             if computed is not None:
                 assert not owners
-                orbits.append((_orbit_oracle(s), computed[1]))
+                orbits.append((_orbit_oracle(s, symmetries), computed[1]))
                 continue
             assert len(owners) == 1, (phi.name, key)
             skipped -= 1
@@ -281,6 +309,89 @@ def test_closure_skips_only_diagrams_isomorphic_to_a_computed_one(
                 {u: decode[s.mor(u)] for u in phi.base.morphisms}, cat, "skipped")
             assert presheaf_isomorphic(p, owners[0]) is not None
     assert (sum(map(len, listings)), skipped) == (listed, 0)
+
+
+# Non-conical weights on symmetric shapes: the swap of Disc2 does not
+# preserve sets of sizes 1 and 2; the swaps of Par and Span preserve these
+# two only up to the isomorphism that swaps p and q (and x and y).
+ASYMMETRIC = Presheaf("one+two.Disc2", Disc2, {"0": ("a",), "1": ("b", "c")},
+                      {"id0": {"a": "a"}, "id1": {"b": "b", "c": "c"}})
+SWAPPED_PAR = Presheaf("pqr.Par", corpus.Par, {"0": ("p", "q", "r"), "1": ("x",)},
+                       {"id0": {"p": "p", "q": "q", "r": "r"}, "id1": {"x": "x"},
+                        "s": {"x": "p"}, "t": {"x": "q"}})
+SWAPPED_SPAN = Presheaf("pq.Span", Span, {"0": ("p", "q"), "1": ("x",), "2": ("y",)},
+                        {"id0": {"p": "p", "q": "q"}, "id1": {"x": "x"},
+                         "id2": {"y": "y"}, "l": {"x": "p"}, "r": {"y": "q"}})
+SYMMETRIC = WeightClass("symmetric", [ASYMMETRIC, SWAPPED_PAR, SWAPPED_SPAN])
+# each weight alone, whose closure gets further under the caps, then all three
+SYMMETRIC_CLOSURES = [(WeightClass(phi.name, [phi]), Caps(rounds=2, members=10))
+                      for phi in SYMMETRIC.weights] + [(SYMMETRIC, Caps(rounds=2, members=8))]
+
+
+def test_preserving_finds_the_oracle_symmetries():
+    """classes._preserving finds the oracle's symmetries, other than the
+    identity, as morphism positions: by search for the non-conical weights,
+    and off the tables for the weights of the corpus classes."""
+    found = {}
+    weights = list(SYMMETRIC.weights) + [phi for wc in WEIGHT_CLASSES.values()
+                                         for phi in wc.weights]
+    for phi in weights:
+        k = phi.base
+        want = [tuple(k.mor_index[sigma[u]] for u in k.morphisms)
+                for sigma in _shape_symmetries_oracle(phi)]
+        assert want[0] == tuple(range(len(k.morphisms)))
+        found[phi.name] = classes._preserving(phi)
+        assert found[phi.name] == want[1:], phi.name
+    assert {name: len(perms) for name, perms in found.items()} == {
+        "one+two.Disc2": 0, "pqr.Par": 1, "pq.Span": 1, "E": 0, "zero.Empty": 0,
+        "one.Span": 1, "one.Disc2": 1, "one.Par": 1, "one.Z2": 0}
+
+
+def _assert_symmetric_closures_match(cat, members=0):
+    for wc, caps in SYMMETRIC_CLOSURES:
+        caps = Caps(rounds=2, members=members or caps.members)
+        assert (closure_answer(phi_closure_bounded(wc, cat, caps))
+                == closure_answer(phi_closure_oracle(wc, cat, caps))), (cat.name, wc.name)
+
+
+@pytest.mark.parametrize("cat", SMALL_CATEGORIES, ids=lambda c: c.name)
+def test_closure_under_non_conical_symmetric_weights_matches_the_eager_oracle(cat):
+    _assert_symmetric_closures_match(cat)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6))
+def test_closure_under_non_conical_symmetric_weights_on_random_categories(seed):
+    """Endomorphism monoids of at most two elements: on one of three, the
+    member a + 2a of one+two.Disc2 alone has 729 endomorphisms."""
+    cat = random_concrete_category(random.Random(seed), f"R{seed}", max_nonid=6)
+    assume(all(len(cat.hom(a, a)) <= 2 for a in cat.objects))
+    _assert_symmetric_closures_match(cat, members=6)
+
+
+def test_closure_falls_back_to_the_identity_past_the_symmetry_budget(monkeypatch):
+    """On a discrete shape of five objects the symmetry search needs 446
+    nodes; under a budget of 100, which every other search of this closure
+    fits, the closure keeps the identity alone, computes every colimit, and
+    gives the oracle's answer."""
+    disc = corpus.concrete_category("Disc5", {str(i): ("p",) for i in range(5)},
+                                    {(str(i), str(i)): [{"p": "p"}] for i in range(5)})
+    sets = {"0": ("a",), "1": ("b",), "2": (), "3": (), "4": ()}
+    phi = Presheaf("two.Disc5", disc, sets,
+                   {disc.identity[k]: {x: x for x in v} for k, v in sets.items()})
+    wc = WeightClass("two-of-five", [phi])
+    caps = Caps(rounds=2, members=30)
+    expected = closure_answer(phi_closure_oracle(wc, corpus.I, caps))
+    calls = collections.Counter()
+
+    def counting(*args, **kwargs):
+        calls["pointwise_colimit"] += 1
+        return pointwise_colimit(*args, **kwargs)
+    monkeypatch.setattr(classes, "pointwise_colimit", counting)
+    monkeypatch.setattr(core, "DEFAULT_BUDGET", 100)
+    assert closure_answer(phi_closure_bounded(wc, corpus.I, caps)) == expected
+    assert equivalence._symmetries(disc) == ((disc.objects, tuple(range(5))),)
+    assert calls["pointwise_colimit"] == 1 + 2 ** 5
 
 
 def test_closure_leaves_no_cyclic_garbage():

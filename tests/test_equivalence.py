@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from fincat.core import (FinCategory, FinFunctor, FunctorTransform, Presheaf,
                          _elem_profiles, full_subcategory, same_category, validate)
 from fincat.corpus import (Chain3, Disc2, I, M, N5, Par, QM, Span, Two, Z2, Z3,
                            PRESHEAVES)
-from fincat.equivalence import (_inverse, all_functors, find_equivalence,
+from fincat.equivalence import (_inverse, _isomorphisms, _symmetries, all_functors, find_equivalence,
                                 find_isomorphism, is_fully_faithful,
                                 iso_classes, object_iso, objects_isomorphic,
                                 presheaf_isomorphic, skeleton)
@@ -321,6 +322,96 @@ def test_find_isomorphism_matches_the_oracle(seed):
                  if len(c.objects) == len(x.objects) and len(c.morphisms) == len(x.morphisms)]
     for y in [shuffled_category(rng, x)] + rng.sample(same_size, min(3, len(same_size))):
         _check_isomorphism_against_oracle(x, y)
+
+
+def _isomorphisms_oracle(a, b):
+    """(obj_map, mor_map) of every isomorphism a -> b: for each object
+    bijection in itertools.permutations(b.objects) order, every injective
+    choice of images of the non-identity morphisms of a, in product order
+    over b's morphisms with the right ends, that keeps every composite of
+    a's raw table; a choice is dropped at the first composite that fails."""
+    if len(a.objects) != len(b.objects) or len(a.morphisms) != len(b.morphisms):
+        return []
+    nonid = [f for f in a.morphisms if not a.is_identity(f)]
+    found = []
+    for objects in itertools.permutations(b.objects):
+        omap = dict(zip(a.objects, objects))
+        mmap = {a.identity[x]: b.identity[omap[x]] for x in a.objects}
+
+        def extend(i):
+            if any({g, f, h} <= mmap.keys()
+                   and b.compose_table.get((mmap[g], mmap[f])) != mmap[h]
+                   for (g, f), h in a.compose_table.items()):
+                return
+            if i == len(nonid):
+                found.append((dict(omap), dict(mmap)))
+                return
+            f = nonid[i]
+            for g in b.morphisms:
+                if (b.src[g], b.tgt[g]) == (omap[a.src[f]], omap[a.tgt[f]]) \
+                        and g not in mmap.values():
+                    mmap[f] = g
+                    extend(i + 1)
+                    del mmap[f]
+        extend(0)
+    return found
+
+
+def _check_isomorphisms(x, y):
+    got = list(_isomorphisms(x, y))
+    assert got == _isomorphisms_oracle(x, y), (x.name, y.name)
+    first = find_isomorphism(x, y)
+    assert (None if first is None else (first.obj_map, first.mor_map)) == \
+        next(iter(got), None)
+    return got
+
+
+def _check_automorphisms(c):
+    """_isomorphisms(c, c) against the oracle, the identity first, and
+    _symmetries(c) their encoding by object images and morphism positions."""
+    got = _check_isomorphisms(c, c)
+    assert got[0] == ({a: a for a in c.objects}, {m: m for m in c.morphisms})
+    assert _symmetries(c) == tuple(
+        (tuple(omap[a] for a in c.objects),
+         tuple(c.mor_index[mmap[u]] for u in c.morphisms)) for omap, mmap in got)
+    return len(got)
+
+
+def test_isomorphisms_list_the_oracle_automorphisms_on_the_corpus():
+    counts = {name: _check_automorphisms(c) for name, c in corpus.CATEGORIES.items()}
+    assert counts["Span"] == counts["Disc2"] == counts["Par"] == 2
+    assert counts["M"] == counts["Z2"] == 1
+    assert sum(counts.values()) > len(counts)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6))
+def test_isomorphisms_list_the_oracle_automorphisms_on_random_categories(seed):
+    """Also every isomorphism onto a shuffled copy."""
+    rng = random.Random(seed)
+    c = random_concrete_category(rng, f"R{seed}")
+    _check_automorphisms(c)
+    _check_isomorphisms(c, shuffled_category(rng, c))
+
+
+def _discrete(n):
+    return corpus.concrete_category(f"Disc{n}", {str(i): ("p",) for i in range(n)},
+                                    {(str(i), str(i)): [{"p": "p"}] for i in range(n)})
+
+
+def test_symmetries_keep_the_identity_alone_past_the_budget(monkeypatch):
+    """A symmetry search that exceeds its budget keeps the identity alone,
+    and a later read returns the kept tuple, whatever the budget."""
+    disc = _discrete(5)
+    monkeypatch.setattr(core, "DEFAULT_BUDGET", 50)
+    assert find_isomorphism(disc, disc) is not None
+    with pytest.raises(BudgetExceeded, match="category isomorphism"):
+        list(_isomorphisms(disc, disc))
+    kept = _symmetries(disc)
+    assert kept == ((disc.objects, tuple(range(5))),)
+    monkeypatch.setattr(core, "DEFAULT_BUDGET", 10 ** 6)
+    assert _symmetries(disc) is kept
+    assert len(list(_isomorphisms(disc, disc))) == 120 == len(_symmetries(_discrete(5)))
 
 
 def _parallel_arrows(n):
