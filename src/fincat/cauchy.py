@@ -17,7 +17,7 @@ from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, _bijectivity,
                    nat_identity)
 from .equivalence import (Equivalence, find_equivalence, is_fully_faithful,
                           objects_isomorphic, all_functors)
-from .errors import InternalMismatch
+from .errors import InternalMismatch, MalformedTable
 from .kan import nerve, yoneda_embed
 from .limits import (colimit_in_category, nat_trans_set,
                      preserves_weighted_colimit, weighted_colimit)
@@ -32,7 +32,9 @@ def isbell_left(phi: Presheaf, _reps=None) -> Presheaf:
     """L(phi)(b) = Nat(phi, Yb) as a covariant weight (presheaf on B^op).
 
     Elements are frozen transformations; a morphism f: b -> b' acts by
-    post-composing with Y(f).
+    post-composing with Y(f).  phi must be lawful, as every CLI path checks
+    first; then an action leaving Nat(phi, Yb') is an internal fault, raised
+    as InternalMismatch.
 
     _reps, when given, is ``{b: yoneda_embed(B, b)}`` built once by a caller
     that checks many weights on one base B.
@@ -44,8 +46,10 @@ def isbell_left(phi: Presheaf, _reps=None) -> Presheaf:
     actions = {f: {key: tuple(tuple(b_cat.compose(f, h) for h in row) for row in key)
                    for key in sets[b_cat.src[f]]}
                for f in b_cat.morphisms}
-    # the constructor rejects any action that leaves the transformation sets
-    return Presheaf(f"L({phi.name})", b_cat.op(), sets, actions)
+    try:        # the constructor rejects any action that leaves the transformation sets
+        return Presheaf(f"L({phi.name})", b_cat.op(), sets, actions)
+    except MalformedTable as err:
+        raise InternalMismatch(f"isbell_left: {err}") from None
 
 
 def isbell_right(psi: Presheaf) -> Presheaf:

@@ -53,16 +53,28 @@ def phi_closure_bounded(weight_class: WeightClass, base: FinCategory,
     and phi . sigma^-1 ~ phi, as the symmetries form a group.  So
     phi * (S . sigma) ~ phi * S.  Each weight's symmetries are found once per
     call, on its first diagram that is neither marked nor its first.
+
+    Nor is a colimit computed when a rule (``_rule``, read once per call off
+    the weight's tables) names the member m that it is isomorphic to; the
+    diagram marks its orbit with m's set sizes.  Members being pairwise
+    non-isomorphic, their isomorphisms are the identities and ``auts``.  In
+    Set, pointwise: a cocone on a span i <- k -> j with k -> i invertible is
+    its leg at j, so the pushout is S j; on a parallel pair sent to f, f it is
+    its leg at i, so the coequalizer is S i; phi * (constant X) is
+    pi0(el phi) x X, so X for a connected el(phi); an empty presheaf is
+    initial, so X plus empty ones is X, and empty ones alone are empty.
     """
     coll = PresheafCollection.representables(base)
     notes = []
     rounds = 0
     saturated = False
     symmetric = {}      # weight index -> its ``_preserving``, once read
+    rules = {}          # weight index -> its ``_rule``, once read
     while rounds < caps.rounds:
         rounds += 1
         mem_cat, decode = member_category(coll)
         auts = _automorphisms(mem_cat)
+        isos = set(mem_cat.identity.values()).union(f for fs in auts.values() for f, _ in fs)
         added = False
         capped_this_round = False
         for w, phi in enumerate(weight_class.weights):
@@ -85,19 +97,23 @@ def phi_closure_bounded(weight_class: WeightClass, base: FinCategory,
                     if marks[key]:
                         notes.append(value_note)
                     continue
-                el = el or category_of_elements(phi)
-                objs = {k: coll.members[s.obj(k)] for k in phi.base.objects}
-                mors = {u: decode[s.mor(u)] for u in phi.base.morphisms}
-                p = pointwise_colimit(phi, objs, mors, base,
-                                      f"{weight_class.name}#{len(coll.members)}", _el=el)
-                value_capped = any(len(p.sets[a]) > caps.value_size
-                                   for a in base.objects)
+                if w not in rules:
+                    rules[w] = _rule(phi, (el := el or category_of_elements(phi))[0])
+                m = rules[w](key, mem_cat, isos, coll.members)
+                if m is None:
+                    el = el or category_of_elements(phi)
+                    objs = {k: coll.members[s.obj(k)] for k in phi.base.objects}
+                    mors = {u: decode[s.mor(u)] for u in phi.base.morphisms}
+                    p = pointwise_colimit(phi, objs, mors, base,
+                                          f"{weight_class.name}#{len(coll.members)}", _el=el)
+                sets = (p if m is None else coll.members[m]).sets
+                value_capped = any(len(sets[a]) > caps.value_size for a in base.objects)
                 marks.update(dict.fromkeys(_orbit(s, auts), value_capped))
                 if value_capped:
                     notes.append(value_note)
                     capped_this_round = True
                     continue
-                if coll.find_isomorphic(p) is not None:
+                if m is not None or coll.find_isomorphic(p) is not None:
                     continue
                 coll._insert(p, Provenance("colimit", (
                     phi.name,
@@ -139,6 +155,30 @@ def _preserving(phi: Presheaf) -> list:
                 "sigma", shape, shape, obj_map, mor_map), phi)) is not None:
             found.append(perm)
     return found
+
+
+def _rule(phi: Presheaf, el: FinCategory):
+    """(key, cat, isos, members) -> the member that a rule of ``phi_closure_bounded``
+    names for a diagram of phi's shape into cat, or None; isos: cat's invertibles."""
+    shape = phi.base
+    arrows = [(i, shape.src[u], shape.tgt[u]) for i, u in enumerate(shape.morphisms)
+              if not shape.is_identity(u)]
+    if all(len(phi.sets[k]) == 1 for k in shape.objects):       # conical
+        if len(arrows) == 2 and arrows[0][1] == arrows[1][1] not in (arrows[0][2], arrows[1][2]):
+            (p, _, i), (q, _, j) = arrows
+            if i != j and len(shape.objects) == 3:              # a span
+                return lambda key, cat, isos, _: (cat.tgt[key[q]] if key[p] in isos else
+                                                  cat.tgt[key[p]] if key[q] in isos else None)
+            if i == j and len(shape.objects) == 2:              # a parallel pair
+                return lambda key, cat, *_: cat.tgt[key[p]] if key[p] == key[q] else None
+        if not arrows and len(shape.objects) > 1:               # a coproduct
+            def summand(key, cat, _, members):
+                rest = [f for f in key if any(members[cat.src[f]].sets.values())]
+                return cat.src[(rest or key)[0]] if len(rest) < 2 else None
+            return summand
+    if is_connected(el):
+        return lambda key, cat, *_: cat.src[key[0]] if len(set(key)) == 1 else None
+    return lambda *_: None
 
 
 def _automorphisms(cat: FinCategory) -> dict:

@@ -162,8 +162,8 @@ def member_category(coll: PresheafCollection):
     sets are memoised in ``coll._nats``, which stays valid because members are
     only ever appended.  Composites are computed on frozen forms, with no
     NatTrans built for them: row a of beta after alpha is beta's component at
-    a applied to row a of alpha.  A composite missing from the hom sets raises
-    InternalMismatch.
+    a applied to row a of alpha.  An identity or a composite missing from the
+    hom sets raises InternalMismatch.
     """
     cache = coll._nats
 
@@ -185,10 +185,11 @@ def member_category(coll: PresheafCollection):
                 decode[mid] = alpha
                 frozen[mid] = alpha.frozen()
                 index_of[(i, j, frozen[mid])] = mid
-    identity = {}
-    for i in objects:
-        ident = nat_identity(coll.members[i])
-        identity[i] = index_of[(i, i, ident.frozen())]
+    identity = {i: index_of.get((i, i, nat_identity(coll.members[i]).frozen())) for i in objects}
+    for i, mid in identity.items():
+        if mid is None:
+            raise InternalMismatch(f"member_category: the identity of {i} is not "
+                                   f"among the transformations {i} -> {i}")
     base_objects = coll.base.objects
     compose = {}
     for (g, _, gt), (f, fs, _) in _composable_pairs(morphisms):

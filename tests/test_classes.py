@@ -90,7 +90,8 @@ def _wrap_everywhere(monkeypatch, module, name, wrapper):
 def test_closure_counts_are_pinned(monkeypatch):
     """Span under pushouts, two rounds: one pointwise colimit per class of
     diagrams under the member automorphisms and the swap of the legs of
-    the span (62 of the 152 diagrams), one coend and
+    the span whose first diagram has no leg an isomorphism, for which the
+    span rule names the pushout (36 of the 152 diagrams), one coend and
     one weighted colimit per value of each, one el(phi) per round for the
     one weight, and each (presheaf, object) profile built once.  Traced
     benchmark runs rely on these calls.  The coends read phi (x) S on
@@ -124,8 +125,8 @@ def test_closure_counts_are_pinned(monkeypatch):
     _wrap_everywhere(monkeypatch, core, "_elem_profiles", counting_builds)
     res = phi_closure_bounded(PUSHOUTS, Span, Caps(rounds=2, members=30))
     assert len(res.collection.members) == 15
-    assert calls == {"coend": 186, "category_of_elements": 2,
-                     "weighted_colimit": 186, "pointwise_colimit": 62}
+    assert calls == {"coend": 108, "category_of_elements": 2,
+                     "weighted_colimit": 108, "pointwise_colimit": 36}
     assert inits["Profunctor"] == 0
     assert built and max(built.values()) == 1
 
@@ -136,14 +137,18 @@ def test_closure_counts_are_pinned(monkeypatch):
         ("Span", "pushouts"), ("Cospan", "pushouts"), ("Chain3", "pushouts"),
         ("Disc2", "finite-colimits"), ("Par", "finite-colimits"),
         ("M", "finite-colimits"), ("Z2", "finite-colimits"), ("GSet", "orbits")]
-] + [pytest.param(c, "pushouts", Caps(rounds=2, members=30, value_size=3),
-                  id=f"{c}-pushouts-value3") for c in ("M", "QM")])
+] + [pytest.param(c, w, Caps(rounds=2, members=30, value_size=v),
+                  id=f"{c}-{w}-value{v}") for c, w, v in [
+        ("M", "pushouts", 3), ("QM", "pushouts", 3), ("M", "finite-colimits", 1),
+        ("GSet", "orbits", 2)]])
 def test_closure_matches_the_eager_oracle(monkeypatch, cat_name, class_name, caps):
     """The closure that shares el(phi) per weight, composes members on
     frozen forms and computes one colimit per isomorphism class of diagrams
     gives the eager closure's members, provenance, rounds, saturation and
     notes.  With a value cap, every diagram of a capped class repeats its
-    note, in the eager order.  Every el(phi) it shares is el of that
+    note, in the eager order.  Caps below the size of a representable reach
+    diagrams whose colimit a rule names: they read the cap off the named
+    member.  Every el(phi) it shares is el of that
     colimit's own weight, so no cross-check runs over the elements of
     another weight."""
     shared = collections.Counter()
@@ -256,18 +261,23 @@ def test_automorphisms_match_the_pairwise_oracle_on_random_categories(seed):
         _assert_automorphisms_match(cat)
 
 
-@pytest.mark.parametrize("cat_name, class_name, listed, skipped", [
-    ("M", "splitting", 5, 0), ("Z2", "finite-colimits", 833, 760),
-    ("Span", "pushouts", 152, 90), ("GSet", "orbits", 27, 4)])
+@pytest.mark.parametrize("cat_name, class_name, listed, skipped, named", [
+    pytest.param(c, w, listed, skipped, named, id=f"{c}-{w}-{listed}-{skipped}")
+    for c, w, listed, skipped, named in [
+        ("M", "splitting", 5, 0, 3), ("Z2", "finite-colimits", 833, 760, 30),
+        ("Span", "pushouts", 152, 90, 26), ("GSet", "orbits", 27, 4, 10)]])
 def test_closure_skips_only_diagrams_isomorphic_to_a_computed_one(
-        monkeypatch, cat_name, class_name, listed, skipped):
-    """In each weight's list of diagrams, the closure computes the colimit of
-    the first diagram of each class and of no other, where S and T are in
-    one class when S . sigma ~ T for a symmetry sigma of the weight.  The
-    colimit of every skipped diagram, recomputed, is isomorphic to that of
-    its class's first diagram.  The members of M have no automorphism but
-    the identity, and E no symmetry, so nothing is skipped there."""
+        monkeypatch, cat_name, class_name, listed, skipped, named):
+    """In each weight's list of diagrams, the closure computes or names the
+    colimit of the first diagram of each class and of no other, where S and
+    T are in one class when S . sigma ~ T for a symmetry sigma of the weight;
+    it names the colimit exactly when a rule names a member, and then
+    computes nothing.  The colimit of every skipped or named diagram,
+    recomputed, is isomorphic to that of its class's first diagram, or to
+    its named member.  The members of M have no automorphism but the
+    identity, and E no symmetry, so nothing is skipped there."""
     members, listings = [], []
+    rule_of = classes._rule
 
     def recording_members(coll):
         members.append(member_category(coll))
@@ -280,35 +290,50 @@ def test_closure_skips_only_diagrams_isomorphic_to_a_computed_one(
             yield s
 
     def recording_colimit(phi, *args, **kwargs):
-        p = pointwise_colimit(phi, *args, **kwargs)
-        listings[-1][-1][1] = (phi, p)
-        return p
+        assert listings[-1][-1][1] is None
+        listings[-1][-1][1] = pointwise_colimit(phi, *args, **kwargs)
+        return listings[-1][-1][1]
+
+    def recording_rule(phi, el):
+        rule = rule_of(phi, el)
+
+        def naming(*args):
+            m = rule(*args)
+            if m is not None:
+                listings[-1][-1][1] = m
+            return m
+        return naming
     monkeypatch.setattr(classes, "member_category", recording_members)
     monkeypatch.setattr(classes, "all_functors", recording_functors)
     monkeypatch.setattr(classes, "pointwise_colimit", recording_colimit)
-    cat = corpus.CATEGORIES[cat_name]
-    res = phi_closure_bounded(WEIGHT_CLASSES[class_name], cat,
-                              Caps(rounds=2, members=30))
+    monkeypatch.setattr(classes, "_rule", recording_rule)
+    cat, wc = corpus.CATEGORIES[cat_name], WEIGHT_CLASSES[class_name]
+    res = phi_closure_bounded(wc, cat, Caps(rounds=2, members=30))
     assert not res.capped
-    for listing in listings:
-        phi = listing[0][1][0]
+    # each round lists the diagrams of every weight, in the class's order
+    for listing, phi in zip(listings, itertools.cycle(wc.weights)):
         symmetries = _shape_symmetries_oracle(phi)
         decode = next(d for m, d in members if m is listing[0][0].target)
-        orbits = []          # (orbit, colimit) of each computed diagram
-        for s, computed in listing:
+        orbits = []          # (orbit, colimit or named member) of each first diagram
+        for s, first in listing:
             key = tuple(s.mor(u) for u in phi.base.morphisms)
             owners = [p for orbit, p in orbits if key in orbit]
-            if computed is not None:
-                assert not owners
-                orbits.append((_orbit_oracle(s, symmetries), computed[1]))
+            if first is None or isinstance(first, int):
+                p = pointwise_colimit(
+                    phi, {k: res.collection.members[s.obj(k)] for k in phi.base.objects},
+                    {u: decode[s.mor(u)] for u in phi.base.morphisms}, cat, "recomputed")
+            if first is None:
+                assert len(owners) == 1, (phi.name, key)
+                skipped -= 1
+                assert presheaf_isomorphic(p, owners[0]) is not None
                 continue
-            assert len(owners) == 1, (phi.name, key)
-            skipped -= 1
-            p = pointwise_colimit(
-                phi, {k: res.collection.members[s.obj(k)] for k in phi.base.objects},
-                {u: decode[s.mor(u)] for u in phi.base.morphisms}, cat, "skipped")
-            assert presheaf_isomorphic(p, owners[0]) is not None
-    assert (sum(map(len, listings)), skipped) == (listed, 0)
+            assert not owners
+            if isinstance(first, int):
+                named -= 1
+                first = res.collection.members[first]
+                assert presheaf_isomorphic(p, first) is not None
+            orbits.append((_orbit_oracle(s, symmetries), first))
+    assert (sum(map(len, listings)), skipped, named) == (listed, 0, 0)
 
 
 # Non-conical weights on symmetric shapes: the swap of Disc2 does not
@@ -392,6 +417,96 @@ def test_closure_falls_back_to_the_identity_past_the_symmetry_budget(monkeypatch
     assert closure_answer(phi_closure_bounded(wc, corpus.I, caps)) == expected
     assert equivalence._symmetries(disc) == ((disc.objects, tuple(range(5))),)
     assert calls["pointwise_colimit"] == 1 + 2 ** 5
+
+
+# Weights for the naming rules of the closure: conical weights on a span, a
+# parallel pair and discrete shapes of two and three objects; weights with a
+# connected el(phi), conical or not, for the constant rule; and weights that
+# no rule serves: el(phi) of two or three components, or empty.
+DISC3 = delta1(corpus.discrete_category("Disc3", ["0", "1", "2"]))
+NAMING = [corpus.one_Span, delta1(corpus.Par), delta1(Disc2), DISC3, corpus.E,
+          corpus.one_Z2, corpus.free_Z2, corpus.group_cospan]
+UNNAMED = [corpus.triv2_Z2, ASYMMETRIC, SWAPPED_SPAN, corpus.initial_weight]
+
+
+def _invertible_oracle(cat):
+    """The morphisms of cat with a two-sided inverse, by a scan of each
+    reverse hom set."""
+    return {f for f in cat.morphisms
+            if any(cat.compose(g, f) == cat.id_of(cat.src[f])
+                   and cat.compose(f, g) == cat.id_of(cat.tgt[f])
+                   for g in cat.hom(cat.tgt[f], cat.src[f]))}
+
+
+def _assert_rules_name_the_colimit(coll):
+    """For every diagram of a NAMING or UNNAMED weight into the members of
+    coll, the member that classes._rule names, if any, is the one that
+    find_isomorphic finds for the computed colimit.  Each constant diagram
+    of a weight with a connected el(phi), and each diagram of a discrete
+    shape constant at the empty member, is named; no UNNAMED diagram is."""
+    mem_cat, decode = member_category(coll)
+    isos = _invertible_oracle(mem_cat)
+    empty = [i for i, p in enumerate(coll.members) if not any(p.sets.values())]
+    for phi in NAMING + UNNAMED:
+        el = core.category_of_elements(phi)[0]
+        rule = classes._rule(phi, el)
+        constant, named = set(), 0
+        for s in all_functors(phi.base, mem_cat):
+            key = tuple(s.mor(u) for u in phi.base.morphisms)
+            m = rule(key, mem_cat, isos, coll.members)
+            if m is None:
+                continue
+            p = pointwise_colimit(
+                phi, {k: coll.members[s.obj(k)] for k in phi.base.objects},
+                {u: decode[s.mor(u)] for u in phi.base.morphisms}, coll.base, "named")
+            assert coll.find_isomorphic(p) == m, (phi.name, key)
+            named += 1
+            if len(set(key)) == 1:
+                constant.add(m)
+        if phi in UNNAMED:
+            assert not named, phi.name
+        else:
+            assert constant == set(mem_cat.objects if is_connected(el) else empty), phi.name
+
+
+@pytest.mark.parametrize("cat", SMALL_CATEGORIES, ids=lambda c: c.name)
+def test_rules_name_the_member_that_find_isomorphic_finds(cat):
+    """On the members of a one-round finite-colimit closure, which holds the
+    empty presheaf, its coproducts and coequalizers."""
+    _assert_rules_name_the_colimit(
+        phi_closure_bounded(FINITE, cat, Caps(rounds=1, members=8)).collection)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6))
+def test_rules_name_the_member_that_find_isomorphic_finds_on_random_categories(seed):
+    cat = random_concrete_category(random.Random(seed), f"R{seed}", max_nonid=5)
+    assume(all(len(cat.hom(a, a)) <= 3 for a in cat.objects))
+    _assert_rules_name_the_colimit(
+        phi_closure_bounded(FINITE, cat, Caps(rounds=1, members=6)).collection)
+
+
+NAMED = WeightClass("named", [corpus.free_Z2, corpus.triv2_Z2, DISC3])
+
+
+@pytest.mark.parametrize("cat", SMALL_CATEGORIES, ids=lambda c: c.name)
+def test_closure_under_the_naming_rules_matches_the_eager_oracle(cat):
+    """Weights that the corpus classes lack, for the rules: the constant
+    rule under a non-conical weight, a weight whose el(phi) has two
+    components, and a conical coproduct of three."""
+    caps = Caps(rounds=2, members=6)
+    assert (closure_answer(phi_closure_bounded(NAMED, cat, caps))
+            == closure_answer(phi_closure_oracle(NAMED, cat, caps)))
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6))
+def test_closure_under_the_naming_rules_on_random_categories(seed):
+    cat = random_concrete_category(random.Random(seed), f"R{seed}", max_nonid=6)
+    assume(all(len(cat.hom(a, a)) <= 2 for a in cat.objects))
+    caps = Caps(rounds=2, members=6)
+    assert (closure_answer(phi_closure_bounded(NAMED, cat, caps))
+            == closure_answer(phi_closure_oracle(NAMED, cat, caps)))
 
 
 def test_closure_leaves_no_cyclic_garbage():

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fincat import cli, core, corpus
+from fincat import cauchy, cli, core, corpus, kan
 from fincat.core import (Caps, FinCategory, FinFunctor, NatTrans, Presheaf,
                          Profunctor, WeightClass, identity_functor, nat_identity,
                          same_category, validate)
@@ -466,6 +466,31 @@ def test_exit_5_on_internal_mismatch(monkeypatch, capsys):
     monkeypatch.setitem(cli._HANDLERS, "cauchy", boom)
     assert cli.main(["cauchy", "M"]) == 5
     assert "forced failure" in capsys.readouterr().err
+
+
+def test_exit_5_when_a_solver_omits_an_identity(monkeypatch, capsys):
+    """A naturality search that loses the identity of a member is an
+    internal fault: member_category reports it in one line, not a traceback."""
+    def omitting(source, target):
+        found = nat_trans_set(source, target)
+        ident = nat_identity(source).frozen()
+        return [n for n in found if source is not target or n.frozen() != ident]
+    monkeypatch.setattr(kan, "nat_trans_set", omitting)
+    assert cli.main(["closure", "Two", "pushouts"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: member_category: the identity of 0 ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_exit_5_when_a_solver_drops_a_transformation_under_isbell(monkeypatch, capsys):
+    """isbell_left blames itself, not the lawful input, when its action
+    leaves the transformation sets that nat_trans_set found."""
+    def dropping(source, target):
+        return nat_trans_set(source, target)[1:]
+    monkeypatch.setattr(cauchy, "nat_trans_set", dropping)
+    assert cli.main(["isbell", "Y.GSet.GG"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: isbell_left: ") and len(err.splitlines()) == 1
 
 
 def test_exit_3_on_modules_with_different_targets(tmp_path, capsys):
