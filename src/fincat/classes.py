@@ -8,9 +8,9 @@ from .core import (Caps, FinCategory, FinFunctor, Presheaf, Profunctor,
                    WeightClass, _bijectivity, _entry, _freeze, _pullback,
                    category_of_elements, covariant, is_connected, is_filtered,
                    same_category)
-from .equivalence import (_inverse, _symmetries, all_functors, is_fully_faithful,
+from .equivalence import (_symmetries, all_functors, is_fully_faithful,
                           objects_isomorphic, presheaf_isomorphic)
-from .errors import CapExceeded, MalformedTable
+from .errors import CapExceeded, InternalMismatch, MalformedTable
 from .kan import PresheafCollection, Provenance, member_category, pointwise_colimit
 from .limits import (_colimits_presheaf, colimit_in_category, hom_diagram,
                      nat_trans_set, weighted_colimit, weighted_limit)
@@ -73,7 +73,7 @@ def phi_closure_bounded(weight_class: WeightClass, base: FinCategory,
     while rounds < caps.rounds:
         rounds += 1
         mem_cat, decode = member_category(coll)
-        auts = _automorphisms(mem_cat)
+        auts = _automorphisms(mem_cat, decode)
         isos = set(mem_cat.identity.values()).union(f for fs in auts.values() for f, _ in fs)
         added = False
         capped_this_round = False
@@ -181,25 +181,42 @@ def _rule(phi: Presheaf, el: FinCategory):
     return lambda *_: None
 
 
-def _automorphisms(cat: FinCategory) -> dict:
-    """a -> [(sigma, sigma^-1)] for the automorphisms sigma != id of a."""
-    return {a: [(f, g) for f in cat.hom(a, a)
-                if f != cat.id_of(a) and (g := _inverse(cat, f)) is not None]
-            for a in cat.objects}
+def _automorphisms(cat: FinCategory, decode: dict) -> dict:
+    """a -> [(sigma, sigma^-1)] for the automorphisms sigma != id of a, in hom
+    order, in the member category cat whose transformations are decode.
+
+    Decided on components, with no composite read: a natural transformation
+    is invertible exactly when each component is a bijection, and its inverse
+    inverts each component, so it is the endomorphism with that frozen form.
+    An inverse missing from the hom set raises InternalMismatch."""
+    auts = {}
+    for a in cat.objects:
+        found = [f for f in cat.hom(a, a)
+                 if f != cat.id_of(a) and decode[f].bijection_failure() is None]
+        by_form = {decode[f].frozen(): f for f in found}
+        auts[a] = []
+        for f in found:
+            g = by_form.get(decode[f].invert().frozen())
+            if g is None:
+                raise InternalMismatch(f"member_category: the inverse of {f!r} is "
+                                       f"not among the transformations {a} -> {a}")
+            auts[a].append((f, g))
+    return auts
 
 
 def _orbit(s: FinFunctor, auts: dict) -> set:
     """Keys (morphism images) of the diagrams naturally isomorphic to s: with
     pairwise non-isomorphic objects in s.target, the sigma_t . S(u) . sigma_s^-1
     for sigma_k in Aut(S k).  Walks the orbit, not the group, one object at a
-    time, skipping objects on no non-identity morphism.
+    time, skipping objects on no non-identity morphism.  Composites are read
+    through ``compose``, so a lazy target computes only those of the orbit.
 
     A natural isomorphism S ~ S' gives phi * S ~ phi * S'.  The orbit under
     the symmetries of the weight is not listed: the closure reads it off this
     one, as phi * (S . sigma) ~ phi * S for each of them, so a diagram whose
     key read at the positions of some symmetry lies in a marked orbit joins
     that orbit's class."""
-    shape, table = s.source, s.target.compose_table
+    shape, compose = s.source, s.target.compose
     orbit = {tuple(map(s.mor_map.__getitem__, shape.morphisms))}
     arrows = [(i, shape.src[u], shape.tgt[u]) for i, u in enumerate(shape.morphisms)
               if not shape.is_identity(u)]
@@ -210,9 +227,9 @@ def _orbit(s: FinFunctor, auts: dict) -> set:
                 new = list(key)
                 for i, at_src, at_tgt in touched:
                     if at_src:
-                        new[i] = table[(new[i], inverse)]
+                        new[i] = compose(new[i], inverse)
                     if at_tgt:
-                        new[i] = table[(sigma, new[i])]
+                        new[i] = compose(sigma, new[i])
                 orbit.add(tuple(new))
     return orbit
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (FinCategory, FinFunctor, NatTrans, Presheaf, _bijectivity,
-                   _composable_pairs, _elem_profiles, _pullback,
+                   _composable_pairs, _elem_profiles, _LazyCategory, _pullback,
                    identity_functor, nat_identity, same_category)
 from .equivalence import presheaf_isomorphic
 from .errors import InternalMismatch, MalformedTable
@@ -155,15 +155,45 @@ def pointwise_colimit(phi: Presheaf, diagram_objs: dict, diagram_mors: dict,
                               (x, diagram_objs[j].act(f, s)))
 
 
+class _Members(_LazyCategory):
+    """The category of ``member_category``.  ``compose(g, f)`` computes g
+    after f by ``composite(g, f)`` when first asked and memoises it; a pair
+    that does not compose raises MalformedTable.  The first read of
+    ``compose_table`` asks for every composable pair, in all-pairs order.
+    Both are in place before ``FinCategory.__init__`` runs, so a wrapper of
+    it, as the benchmark's tracer is, may read ``compose_table``."""
+
+    def __init__(self, name, objects, morphisms, identity, composite):
+        self._composite = composite
+        self._memo = {}
+        super().__init__(name, objects, morphisms, identity, lambda cat: (
+            ((g, f), cat.compose(g, f))
+            for (g, _, _), (f, _, _) in _composable_pairs(morphisms)))
+
+    def compose(self, g, f):
+        try:
+            return self._memo[(g, f)]
+        except KeyError:
+            if g not in self.src or f not in self.tgt or self.src[g] != self.tgt[f]:
+                raise MalformedTable(
+                    f"{self.name}: compose({g!r}, {f!r}) undefined") from None
+            h = self._memo[(g, f)] = self._composite(g, f)
+            return h
+
+
 def member_category(coll: PresheafCollection):
     """The full hom category on the members; morphism ids are (i, j, n).
 
     Returns (category, decode) where decode maps morphism id -> NatTrans.  Hom
     sets are memoised in ``coll._nats``, which stays valid because members are
-    only ever appended.  Composites are computed on frozen forms, with no
-    NatTrans built for them: row a of beta after alpha is beta's component at
-    a applied to row a of alpha.  An identity or a composite missing from the
-    hom sets raises InternalMismatch.
+    only ever appended.  The identities are looked up here, and a missing one
+    raises InternalMismatch at once.  A composite is computed when it is first
+    asked for, on frozen forms, with no NatTrans built for it: row a of beta
+    after alpha is beta's component at a applied to row a of alpha.  A
+    composite missing from its hom set raises InternalMismatch then, in
+    whichever caller asked for it; reading ``compose_table`` asks for all of
+    them.  The composites are memoised on the category, never carried over
+    to the category of a later call.
     """
     cache = coll._nats
 
@@ -191,15 +221,15 @@ def member_category(coll: PresheafCollection):
             raise InternalMismatch(f"member_category: the identity of {i} is not "
                                    f"among the transformations {i} -> {i}")
     base_objects = coll.base.objects
-    compose = {}
-    for (g, _, gt), (f, fs, _) in _composable_pairs(morphisms):
+
+    def composite(g, f):
         beta = decode[g].components
         comp = tuple(tuple(map(beta[a].__getitem__, row))
                      for a, row in zip(base_objects, frozen[f]))
-        mid = index_of.get((fs, gt, comp))
+        mid = index_of.get((f[0], g[1], comp))
         if mid is None:
             raise InternalMismatch(f"member_category: {g!r} after {f!r} is not "
-                                   f"among the transformations {fs} -> {gt}")
-        compose[(g, f)] = mid
-    cat = FinCategory(f"members({coll.base.name})", objects, morphisms, identity, compose)
+                                   f"among the transformations {f[0]} -> {g[1]}")
+        return mid
+    cat = _Members(f"members({coll.base.name})", objects, morphisms, identity, composite)
     return cat, decode

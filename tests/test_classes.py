@@ -24,7 +24,7 @@ from fincat.corpus import (Chain3, Disc2, M, N5, QM, Span, Two, Z2,
                            PRESHEAVES, WEIGHT_CLASSES, delta0, delta1, embedM,
                            example82, orbit)
 from fincat.equivalence import all_functors, presheaf_isomorphic
-from fincat.errors import CapExceeded, MalformedTable
+from fincat.errors import CapExceeded, InternalMismatch, MalformedTable
 from fincat.kan import (PresheafCollection, member_category, pointwise_colimit,
                         yoneda_embed)
 from fincat.limits import colimit_in_category, nat_trans_set, weighted_colimit
@@ -131,6 +131,23 @@ def test_closure_counts_are_pinned(monkeypatch):
     assert built and max(built.values()) == 1
 
 
+def test_closure_composites_are_pinned(monkeypatch):
+    """Span under pushouts, two rounds: the member categories of the two
+    rounds compute 7 and 62 composites, each once, where the functor
+    searches and the orbits ask for them; neither builds its full table,
+    of 7 and 120 composites."""
+    cats = []
+
+    def recording(coll):
+        cats.append(member_category(coll))
+        return cats[-1]
+    monkeypatch.setattr(classes, "member_category", recording)
+    phi_closure_bounded(PUSHOUTS, Span, Caps(rounds=2, members=30))
+    assert [len(cat._memo) for cat, _ in cats] == [7, 62]
+    assert not any("compose_table" in vars(cat) for cat, _ in cats)
+    assert [len(cat.compose_table) for cat, _ in cats] == [7, 120]
+
+
 @pytest.mark.parametrize("cat_name, class_name, caps", [
     pytest.param(c, w, Caps(rounds=2, members=30), id=f"{c}-{w}") for c, w in [
         ("Two", "initial"), ("M", "splitting"), ("QM", "splitting"),
@@ -225,40 +242,59 @@ def _orbit_oracle(s, symmetries):
 
 
 def _automorphisms_oracle(cat):
-    """The former body of classes._automorphisms: every pair of
-    endomorphisms tested for both composites."""
+    """Every pair of endomorphisms tested for both composites, read off
+    the full composition table."""
     table = cat.compose_table
     return {a: [(f, g) for f in cat.hom(a, a) for g in cat.hom(a, a) if f != cat.id_of(a)
                 and table[(g, f)] == cat.id_of(a) == table[(f, g)]]
             for a in cat.objects}
 
 
-def _assert_automorphisms_match(cat):
-    got = classes._automorphisms(cat)
+def _assert_automorphisms_match(cat, decode):
+    got = classes._automorphisms(cat, decode)
     assert list(got.items()) == list(_automorphisms_oracle(cat).items()), cat.name
     return sum(map(len, got.values()))
 
 
 def test_automorphisms_match_the_pairwise_oracle_on_the_corpus():
-    """On the corpus categories, their Cauchy completions, and the member
-    categories of closures, which is where the closure reads them."""
-    cats = list(corpus.CATEGORIES.values())
-    cats += [cauchy_completion(c).completion for c in corpus.CATEGORIES.values()]
+    """On the member categories of closures, which is where the closure
+    reads them."""
+    cats = []
     for cat_name, class_name in (("GSet", "orbits"), ("M", "splitting"),
                                  ("Span", "pushouts")):
         res = phi_closure_bounded(WEIGHT_CLASSES[class_name],
                                   corpus.CATEGORIES[cat_name], Caps(rounds=2, members=30))
-        cats.append(member_category(res.collection)[0])
-    assert sum(map(_assert_automorphisms_match, cats)) > 0
+        cats.append(member_category(res.collection))
+    assert sum(_assert_automorphisms_match(*c) for c in cats) > 0
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.integers(0, 10 ** 6))
 def test_automorphisms_match_the_pairwise_oracle_on_random_categories(seed):
+    """On the member categories of the representables of a random concrete
+    category and of one closure round of them under finite colimits."""
     c = random_concrete_category(random.Random(seed), f"R{seed}")
-    for cat in (c, cauchy_completion(c).completion,
-                member_category(PresheafCollection.representables(c))[0]):
-        _assert_automorphisms_match(cat)
+    for coll in (PresheafCollection.representables(c),
+                 phi_closure_bounded(WEIGHT_CLASSES["finite-colimits"], c,
+                                     Caps(rounds=1, members=4)).collection):
+        _assert_automorphisms_match(*member_category(coll))
+
+
+def test_automorphisms_report_a_missing_inverse():
+    """The representable of the cyclic group of order 3 has the three
+    rotations as automorphisms; with one non-identity rotation dropped
+    from the collection's memo of hom sets, the other has no inverse."""
+    z3 = FinCategory("Z3", ["*"], [(str(n), "*", "*") for n in range(3)], {"*": "0"},
+                     {(str(a), str(b)): str((a + b) % 3) for a in range(3) for b in range(3)})
+    coll = PresheafCollection.representables(z3)
+    ends = nat_trans_set(coll.members[0], coll.members[0])
+    cat, decode = member_category(coll)
+    assert [len(fs) for fs in classes._automorphisms(cat, decode).values()] == [2]
+    ident = nat_identity(coll.members[0]).frozen()
+    coll._nats[(0, 0)] = [n for n in ends if n.frozen() == ident] + [
+        next(n for n in ends if n.frozen() != ident)]
+    with pytest.raises(InternalMismatch, match="inverse"):
+        classes._automorphisms(*member_category(coll))
 
 
 @pytest.mark.parametrize("cat_name, class_name, listed, skipped, named", [

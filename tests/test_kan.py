@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fincat import classes, corpus
 from fincat.classes import Caps, phi_closure_bounded
@@ -16,7 +17,7 @@ from fincat.kan import (PresheafCollection, lan, member_category, nerve,
                         yoneda_embed)
 from fincat.limits import hom_diagram, nat_trans_set, weighted_colimit
 from util import (SMALL_CATEGORIES, kan_bijection, member_category_oracle,
-                  random_presheaf)
+                  random_concrete_category, random_presheaf)
 
 
 def test_yoneda_bijection_on_fixtures():
@@ -145,16 +146,54 @@ def test_member_category_matches_the_nat_compose_oracle(cat):
                 == _member_table(*member_category_oracle(coll))), wc.name
 
 
+def _assert_composites_match_the_oracle(coll):
+    """Each composite of a new member category, asked for through compose
+    in reverse all-pairs order, is the entry of the oracle's table; asking
+    builds no full table.  The number of composites."""
+    cat = member_category(coll)[0]
+    table = member_category_oracle(coll)[0].compose_table
+    for (g, f), h in reversed(table.items()):
+        assert cat.compose(g, f) == h, (g, f)
+    assert "compose_table" not in vars(cat)
+    return len(table)
+
+
+@pytest.mark.parametrize("cat", SMALL_CATEGORIES, ids=lambda c: c.name)
+def test_member_composites_on_first_ask_match_the_nat_compose_oracle(cat):
+    """On the members of one closure round under each weight class."""
+    assert sum(_assert_composites_match_the_oracle(phi_closure_bounded(
+        wc, cat, Caps(rounds=1, members=10)).collection)
+        for wc in WEIGHT_CLASSES.values()) > 0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6))
+def test_member_composites_on_first_ask_match_the_oracle_on_random_categories(seed):
+    """On the representables of a random concrete category and the members
+    of one closure round of them under pushouts."""
+    c = random_concrete_category(random.Random(seed), f"R{seed}")
+    _assert_composites_match_the_oracle(PresheafCollection.representables(c))
+    _assert_composites_match_the_oracle(phi_closure_bounded(
+        WEIGHT_CLASSES["pushouts"], c, Caps(rounds=1, members=4)).collection)
+
+
 def test_member_category_reports_a_missing_composite():
     """Y0 -> Y1 -> Y2 over the chain composes to the one transformation
     Y0 -> Y2; with that one dropped from the collection's memo of hom sets,
-    the composite has nowhere to go."""
+    the composite has nowhere to go when it is asked for, or when the whole
+    table is read.  A pair that does not compose is not a composite."""
     coll = PresheafCollection.representables(Chain3)
     assert [len(nat_trans_set(coll.members[i], coll.members[j]))
             for i, j in [(0, 1), (1, 2), (0, 2)]] == [1, 1, 1]
     coll._nats[(0, 2)] = []
+    cat = member_category(coll)[0]
     with pytest.raises(InternalMismatch, match="after"):
-        member_category(coll)
+        cat.compose((1, 2, 0), (0, 1, 0))
+    with pytest.raises(InternalMismatch, match="after"):
+        cat.compose_table
+    for g, f in [((0, 1, 0), (1, 2, 0)), ((1, 2, 0), "nope"), ("nope", (0, 1, 0))]:
+        with pytest.raises(MalformedTable, match="undefined"):
+            cat.compose(g, f)
 
 
 def _random_kan_instances():

@@ -482,6 +482,22 @@ def test_exit_5_when_a_solver_omits_an_identity(monkeypatch, capsys):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def test_exit_5_when_a_solver_drops_a_composite(monkeypatch, capsys):
+    """A naturality search that loses the last of several transformations
+    between two members loses one that a composite lands on.  The member
+    category computes that composite where it is first asked for, in the
+    functor search, an orbit or the automorphisms of a round, and reports
+    it in one line, not a traceback."""
+    def dropping(source, target):
+        found = nat_trans_set(source, target)
+        return found[:-1] if source is not target and len(found) > 1 else found
+    monkeypatch.setattr(kan, "nat_trans_set", dropping)
+    assert cli.main(["closure", "Two", "pushouts"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: member_category: ") and " after " in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_exit_5_when_a_solver_drops_a_transformation_under_isbell(monkeypatch, capsys):
     """isbell_left blames itself, not the lawful input, when its action
     leaves the transformation sets that nat_trans_set found."""
